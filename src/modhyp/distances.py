@@ -261,7 +261,6 @@ class ImageDecomposition:
     b1_preimage_count: int
     b2_preimage_count: int
     intersection_count: int | None
-    classification: dict[int, str]
     preimage_counts: dict[int, int]
 
     @property
@@ -302,9 +301,6 @@ def classify_image(a: int, pp: PrimePower) -> ImageDecomposition:
             b2_pre += 1
         else:
             generic.add(u)
-    classification = {u: "B1" for u in b1_vals}
-    classification.update({u: "B2" for u in b2_vals})
-    classification.update({u: "A" for u in generic})
     inter = len(d_c1 & d_c2) if b is not None else None
     return ImageDecomposition(
         pp,
@@ -315,7 +311,6 @@ def classify_image(a: int, pp: PrimePower) -> ImageDecomposition:
         b1_pre,
         b2_pre,
         inter,
-        classification,
         preimage_counts,
     )
 

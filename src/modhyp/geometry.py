@@ -1,14 +1,13 @@
 """Line-incidence census over a hyperbola point set.
 
-The census hashes every point pair by the canonical key of the line through
-it and recovers each line's point count t from its pair count t*(t-1)/2.
-For moduli where the packed key fits in int64 the pair loop is vectorized
-with numpy (exact integer ops only); a pure-Python path with the identical
-algorithm serves both as fallback and as the oracle in tests.
+The census is one anchor sweep: point pairs are grouped by anchor and reduced
+direction in numpy blocks of bounded size (exact integer ops only), and the
+group-size counts give each line size's count directly.  Only the keys of
+lines with three or more points are kept.  The tests check the census
+against an independent cross-product oracle.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -19,7 +18,8 @@ import numpy as np
 from .hyperbola import HyperbolaSpec, PointSet, enumerate_points, partition_classes
 from .ntcore import PrimePower
 
-_PAIR_BLOCK = 1 << 21
+_PAIR_BLOCK = 1 << 17  # pairs per block of whole anchors
+_N_LIMIT = 1 << 20  # grouping codes stay below 2 * n**3 <= 2**61
 
 
 class DegeneratePair(ValueError):
@@ -67,34 +67,22 @@ def line_through(p: tuple[int, int], q: tuple[int, int]) -> LineKey:
     return LineKey(*_line_triple(p[0], p[1], q[0], q[1]))
 
 
-def _packable(n: int) -> bool:
-    # packed key range must fit in int64
-    return (2 * n + 1) ** 2 * (4 * n * n + 1) < 2**63
-
-
-def _pack_consts(n: int) -> tuple[int, int, int]:
-    return 2 * n + 1, 4 * n * n + 1, 2 * n * n
-
-
 class IncidenceCensus:
-    """Exact per-line point counts with the derived ordinary-line statistics."""
+    """Exact per-line point counts with the derived ordinary-line statistics.
 
-    def __init__(self, n: int, a: int, point_count: int, keys, tvals, packed: bool):
+    ``line_sizes[t]`` is the number of lines carrying exactly t points; the
+    keys of the rich lines (t >= 3) are kept in ascending (A, B, C) order.
+    """
+
+    def __init__(self, n: int, a: int, point_count: int, line_sizes, rich_keys, rich_t):
+        if (line_sizes < 0).any():
+            raise RuntimeError("census line count L_t is negative")
         self.n = n
         self.a = a
         self.point_count = point_count
-        self._packed = packed
-        self._keys = keys
-        self._t = tvals
-        self._line_counts: dict[LineKey, int] | None = None
-        hist: dict[int, int] = {}
-        if packed:
-            uniq, cnt = np.unique(tvals, return_counts=True)
-            hist = {int(u): int(c) for u, c in zip(uniq, cnt)}
-        else:
-            for t in tvals:
-                hist[t] = hist.get(t, 0) + 1
-        self.histogram = dict(sorted(hist.items()))
+        self._rich_keys = rich_keys
+        self._rich_t = rich_t
+        self.histogram = {t: int(c) for t, c in enumerate(line_sizes) if c}
         self.ordinary_count = self.histogram.get(2, 0)
         self.max_collinear = max(self.histogram) if self.histogram else 0
         self.line_total = sum(self.histogram.values())
@@ -102,39 +90,18 @@ class IncidenceCensus:
         pair_total = sum(c * t * (t - 1) // 2 for t, c in self.histogram.items())
         if pair_total != point_count * (point_count - 1) // 2:
             raise RuntimeError("census pair-count identity violated")
+        if len(rich_t) != sum(c for t, c in self.histogram.items() if t >= 3):
+            raise RuntimeError("rich-line keys disagree with the line counts")
 
-    def _decode(self, packed_keys) -> list[LineKey]:
-        mb, mc, off = _pack_consts(self.n)
-        c = packed_keys % mc - off
-        r = packed_keys // mc
-        b = r % mb - self.n
-        a = r // mb - self.n
-        return [LineKey(int(ai), int(bi), int(ci)) for ai, bi, ci in zip(a, b, c)]
-
-    def lines(self, min_points: int = 2) -> Iterator[tuple[LineKey, int]]:
-        """Yield (line, point count) for every line with at least min_points."""
-        if self._packed:
-            mask = self._t >= min_points
-            for key, t in zip(self._decode(self._keys[mask]), self._t[mask]):
-                yield key, int(t)
-        else:
-            for key, t in zip(self._keys, self._t):
-                if t >= min_points:
-                    yield key, t
-
-    @property
-    def line_counts(self) -> dict[LineKey, int]:
-        if self._line_counts is None:
-            self._line_counts = dict(self.lines())
-        return self._line_counts
-
-    def zero_intercept_lines(self) -> list[tuple[LineKey, int]]:
-        """All census lines with C = 0."""
-        if self._packed:
-            _, mc, off = _pack_consts(self.n)
-            mask = self._keys % mc == off
-            return list(zip(self._decode(self._keys[mask]), (int(t) for t in self._t[mask])))
-        return [(k, t) for k, t in zip(self._keys, self._t) if k.C == 0]
+    def lines(self, min_points: int = 3) -> Iterator[tuple[LineKey, int]]:
+        """Yield (line, point count) for every line with at least min_points >= 3."""
+        if min_points < 3:
+            raise ValueError("only lines with at least 3 points are stored")
+        keep = self._rich_t >= min_points
+        return (
+            (LineKey(a, b, c), t)
+            for (a, b, c), t in zip(self._rich_keys[keep].tolist(), self._rich_t[keep].tolist())
+        )
 
     def to_payload(self) -> dict:
         return {
@@ -149,67 +116,84 @@ class IncidenceCensus:
         return f"{self.n},{self.a},{self.ordinary_count},{self.max_collinear}"
 
 
-def _census_python(pts, n: int, a: int) -> IncidenceCensus:
-    pair_counts: dict[tuple[int, int, int], int] = {}
-    for (x1, y1), (x2, y2) in itertools.combinations(pts, 2):
-        key = _line_triple(x1, y1, x2, y2)
-        pair_counts[key] = pair_counts.get(key, 0) + 1
-    keys, tvals = [], []
-    for key in sorted(pair_counts):
-        c = pair_counts[key]
-        t = (1 + math.isqrt(1 + 8 * c)) // 2
-        if t * (t - 1) // 2 != c:
-            raise RuntimeError("pair count is not triangular")
-        keys.append(LineKey(*key))
-        tvals.append(t)
-    return IncidenceCensus(n, a, len(pts), keys, tvals, packed=False)
+def census(ps: PointSet) -> IncidenceCensus:
+    """Full incidence census of a point set (at least two distinct points).
 
-
-def _census_numpy(pts, n: int, a: int) -> IncidenceCensus:
-    k = len(pts)
+    With the points in (x, y) order, every pair (i, j > i) is grouped by its
+    anchor i and reduced direction.  A t-point line yields one group of each
+    size t-1, ..., 1 (one per point but its last), so with G_s groups of size
+    s there are L_t = G_(t-1) - G_t lines of t points.  Rich lines are keyed
+    from their groups of size >= 2 and counted from the largest one.
+    """
+    k = len(ps.points)
+    if k < 2:
+        raise TooFewPoints(f"{k} point(s) span no lines")
+    n, a = ps.spec.n, ps.spec.a
+    if n > _N_LIMIT:
+        raise ValueError(f"census grouping codes fit int64 only for n <= {_N_LIMIT}, got n = {n}")
+    pts = sorted(ps.points)
     xs = np.fromiter((p[0] for p in pts), dtype=np.int64, count=k)
     ys = np.fromiter((p[1] for p in pts), dtype=np.int64, count=k)
-    mb, mc, _ = _pack_consts(n)
-    off_c = 2 * n * n
-    rows_per_block = max(1, _PAIR_BLOCK // k)
-    chunks = []
-    for lo in range(0, k - 1, rows_per_block):
-        hi = min(lo + rows_per_block, k - 1)
-        counts = k - 1 - np.arange(lo, hi)
-        i_idx = np.repeat(np.arange(lo, hi), counts)
-        j_idx = np.concatenate([np.arange(i + 1, k) for i in range(lo, hi)])
-        dx = xs[j_idx] - xs[i_idx]
+    counts = np.arange(k - 1, 0, -1)  # pairs anchored at i = 0, ..., k-2
+    ends = np.cumsum(counts)
+    jump = np.arange(1, k) - (ends - counts)  # j = pair index + jump[i]
+    groups = np.zeros(k + 1, dtype=np.int64)
+    rich = []
+    lo = 0
+    while lo < k - 1:
+        first_pair = ends[lo] - counts[lo]
+        hi = max(lo + 1, int(np.searchsorted(ends, first_pair + _PAIR_BLOCK, side="right")))
+        i_idx = np.repeat(np.arange(lo, hi), counts[lo:hi])
+        j_idx = np.arange(first_pair, ends[hi - 1]) + np.repeat(jump[lo:hi], counts[lo:hi])
+        dx = xs[j_idx] - xs[i_idx]  # > 0, or 0 with dy > 0
         dy = ys[j_idx] - ys[i_idx]
-        ca = dy
-        cb = -dx
-        cc = dx * ys[i_idx] - dy * xs[i_idx]
-        del dx, dy
-        g = np.gcd(np.gcd(ca, cb), cc)
-        ca //= g
-        cb //= g
-        cc //= g
-        sign = np.where(ca != 0, np.sign(ca), np.sign(cb))
-        chunks.append((ca * sign + n) * (mb * mc) + (cb * sign + n) * mc + (cc * sign + off_c))
-    keys, pair_counts = np.unique(np.concatenate(chunks), return_counts=True)
-    tvals = np.rint((1 + np.sqrt(1 + 8 * pair_counts.astype(np.float64))) / 2).astype(np.int64)
-    if not np.all(tvals * (tvals - 1) // 2 == pair_counts):
-        raise RuntimeError("pair count is not triangular")
-    return IncidenceCensus(n, a, k, keys, tvals, packed=True)
-
-
-def census(ps: PointSet, force_python: bool = False) -> IncidenceCensus:
-    """Full incidence census of a point set (at least two points)."""
-    if len(ps.points) < 2:
-        raise TooFewPoints(f"{len(ps.points)} point(s) span no lines")
-    n, a = ps.spec.n, ps.spec.a
-    if force_python or not _packable(n):
-        return _census_python(ps.points, n, a)
-    return _census_numpy(ps.points, n, a)
+        g = np.gcd(dx, dy)
+        dx //= g
+        dy //= g
+        # one code per (anchor, direction)
+        code = (i_idx * (2 * n) + dy + n) * n + dx
+        order = np.argsort(code)
+        code = code[order]
+        starts = np.flatnonzero(np.concatenate(([True], code[1:] != code[:-1])))
+        sizes = np.diff(np.append(starts, len(code)))
+        size_counts = np.bincount(sizes)
+        groups[: len(size_counts)] += size_counts
+        big = sizes >= 2
+        member = order[starts[big]]
+        A, B = dy[member], -dx[member]
+        sign = np.where((A < 0) | ((A == 0) & (B < 0)), -1, 1)
+        A, B = A * sign, B * sign
+        C = -(A * xs[i_idx[member]] + B * ys[i_idx[member]])
+        rich.append(np.stack([A, B, C, sizes[big] + 1], axis=1))
+        lo = hi
+    line_sizes = np.zeros(k + 1, dtype=np.int64)
+    line_sizes[2:] = groups[1:-1] - groups[2:]
+    # one row (A, B, C, group size + 1) per rich group; in sorted order the
+    # last row of each line holds its largest group, one point short of it
+    rows = np.concatenate(rich)
+    rows = rows[np.lexsort(rows.T[::-1])]
+    last = np.ones(len(rows), dtype=bool)
+    last[:-1] = (rows[1:, :3] != rows[:-1, :3]).any(axis=1)
+    return IncidenceCensus(n, a, k, line_sizes, rows[last, :3], rows[last, 3])
 
 
 def count_on_line(ps: PointSet, key: LineKey) -> int:
     """Number of points of ps on the given line."""
     return sum(1 for x, y in ps.points if key.A * x + key.B * y + key.C == 0)
+
+
+def zero_intercept_lines(ps: PointSet) -> list[tuple[LineKey, int]]:
+    """(line, point count) for every line with C = 0 through two or more points.
+
+    Such a line passes through the origin, so its points share the reduced
+    direction (x/g, y/g), g = gcd(x, y); one pass over the points groups them.
+    """
+    by_direction: dict[tuple[int, int], int] = {}
+    for x, y in ps.points:
+        g = math.gcd(x, y)
+        d = (x // g, y // g)
+        by_direction[d] = by_direction.get(d, 0) + 1
+    return sorted((line_through((0, 0), d), t) for d, t in by_direction.items() if t >= 2)
 
 
 def no_ordinary_moduli(n_max: int) -> list[int]:
@@ -281,7 +265,6 @@ class OrdinaryBoundReport:
     satisfied: bool
     equality: bool
     equality_expected: bool
-    stronger_bound: Fraction | None  # aspirational constant, reported only
 
     @property
     def ok(self) -> bool:
@@ -296,10 +279,6 @@ def verify_ordinary_bound(pp: PrimePower, cen: IncidenceCensus | None = None) ->
         cen = census(enumerate_points(HyperbolaSpec(1, pp.n)))
     lb = ordinary_lower_bound(pp)
     n_ord = cen.ordinary_count
-    stronger = None
-    if pp.m >= 2:
-        c_strong = Fraction(1, 2) if pp.p == 2 else Fraction(3, 4)
-        stronger = pp.phi * (Fraction(pp.p ** (pp.m - 1) * (pp.p - 2), 2) + c_strong)
     return OrdinaryBoundReport(
         n=pp.n,
         ordinary=n_ord,
@@ -308,7 +287,6 @@ def verify_ordinary_bound(pp: PrimePower, cen: IncidenceCensus | None = None) ->
         satisfied=n_ord >= lb.ceil,
         equality=n_ord == lb.bound,
         equality_expected=lb.equality_expected,
-        stronger_bound=stronger,
     )
 
 
@@ -362,7 +340,7 @@ def verify_line_classes(ps: PointSet, cen: IncidenceCensus | None = None) -> Lin
             expect = -key.C * pow(2 * key.A, -1, p) % p
             if classes != {expect}:
                 violations.append(f"line {key.as_tuple()}: class {classes} != {expect}")
-    for key, t in cen.zero_intercept_lines():
+    for key, t in zero_intercept_lines(ps):
         if key.as_tuple() != (1, -1, 0):
             violations.append(f"zero-intercept line {key.as_tuple()} is not y = x")
         elif t != 2:

@@ -1,11 +1,10 @@
 """Least-residue point sets of the curve x*y = a (mod n) and their mod-p classes."""
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
-from .ntcore import PrimePower, euler_phi
+from .ntcore import PrimePower
 
 
 class NotPrimePower(ValueError):
@@ -92,15 +91,6 @@ def partition_classes(ps: PointSet) -> ClassPartition:
 def reflect_diagonal(ps: PointSet) -> PointSet:
     """Image under (x, y) -> (y, x); equals the input as a set."""
     return PointSet(ps.spec, tuple(sorted((y, x) for x, y in ps.points)))
-
-
-def expected_size(spec: HyperbolaSpec) -> int:
-    return euler_phi(spec.n)
-
-
-def points_json(ps: PointSet) -> str:
-    """JSON array of [x, y] pairs."""
-    return json.dumps([[x, y] for x, y in ps.points], separators=(",", ":"))
 
 
 def points_csv(ps: PointSet) -> str:

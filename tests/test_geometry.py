@@ -1,11 +1,13 @@
-"""Census tests: the numpy pair-hash path is checked against the pure-Python
-path and both against first-principles collinearity counting."""
+"""Census tests: the anchor-sweep census is checked against an independent
+cross-product oracle that finds every maximal collinear subset directly."""
 import itertools
 import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modhyp.geometry import (
     DegeneratePair,
@@ -21,8 +23,15 @@ from modhyp.geometry import (
     verify_collinearity_bounds,
     verify_line_classes,
     verify_ordinary_bound,
+    zero_intercept_lines,
 )
-from modhyp.hyperbola import HyperbolaSpec, enumerate_points, partition_classes, reflect_diagonal
+from modhyp.hyperbola import (
+    HyperbolaSpec,
+    PointSet,
+    enumerate_points,
+    partition_classes,
+    reflect_diagonal,
+)
 from modhyp.ntcore import PrimePower
 
 
@@ -52,7 +61,10 @@ def test_line_key_canonical_on_collinear_triples():
 
 
 def _census_oracle(points):
-    """First-principles histogram: maximal collinear subsets via cross products."""
+    """First-principles census: maximal collinear subsets via cross products.
+
+    Returns the histogram and the point count of every line with >= 3 points.
+    """
     lines = set()
     for P, Q in itertools.combinations(points, 2):
         members = tuple(
@@ -64,17 +76,50 @@ def _census_oracle(points):
     hist = {}
     for mem in lines:
         hist[len(mem)] = hist.get(len(mem), 0) + 1
-    return hist
+    rich = {line_through(m[0], m[1]): len(m) for m in lines if len(m) >= 3}
+    return hist, rich
+
+
+def _assert_matches_oracle(ps):
+    cen = census(ps)
+    hist, rich = _census_oracle(ps.points)
+    assert cen.histogram == hist
+    assert cen.ordinary_count == hist.get(2, 0)
+    assert list(cen.lines()) == sorted(rich.items())  # ascending (A, B, C)
 
 
 @pytest.mark.parametrize("a,n", [(1, 5), (1, 8), (1, 9), (1, 24), (1, 27), (2, 25), (3, 49), (1, 60)])
 def test_census_paths_agree_with_oracle(a, n):
+    _assert_matches_oracle(enumerate_points(HyperbolaSpec(a, n)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_census_matches_oracle_property(data):
+    # random (a, n) with n <= 40, on the whole set or on a subset of two or more points
+    n = data.draw(st.integers(3, 40), label="n")
+    a = data.draw(st.sampled_from([u for u in range(1, n) if math.gcd(u, n) == 1]), label="a")
     ps = enumerate_points(HyperbolaSpec(a, n))
-    fast = census(ps)
-    slow = census(ps, force_python=True)
-    assert fast.histogram == slow.histogram == _census_oracle(ps.points)
-    assert fast.ordinary_count == slow.ordinary_count
-    assert dict(fast.lines()) == dict(slow.lines())
+    if data.draw(st.booleans(), label="subset"):
+        sub = data.draw(st.lists(st.sampled_from(ps.points), min_size=2, unique=True), label="points")
+        ps = PointSet(ps.spec, tuple(sorted(sub)))
+    _assert_matches_oracle(ps)
+
+
+def test_census_hand_built_grid_in_any_order():
+    # hyperbola sets have no horizontal or vertical pairs; a shuffled grid
+    # has both, and rich lines whose key starts with A = 0
+    grid = [(x, y) for x in range(1, 5) for y in range(1, 5)]
+    random.Random(3).shuffle(grid)
+    _assert_matches_oracle(PointSet(HyperbolaSpec(1, 5), tuple(grid)))
+
+
+def test_oracle_pins_ordinary_count_49():
+    # the independent oracle agrees with the census on N(49) = 795 (> 771)
+    ps = enumerate_points(HyperbolaSpec(1, 49))
+    hist, _ = _census_oracle(ps.points)
+    assert hist[2] == 795
+    assert census(ps).ordinary_count == 795
 
 
 def test_census_examples():
@@ -87,6 +132,18 @@ def test_census_examples():
     assert census(enumerate_points(HyperbolaSpec(1, 24))).ordinary_count == 0
     with pytest.raises(TooFewPoints):
         census(enumerate_points(HyperbolaSpec(1, 2)))
+    with pytest.raises(ValueError):
+        cen5.lines(min_points=2)  # ordinary-line keys are not stored
+
+
+def test_census_modulus_limit():
+    # hand-built two-point sets: the limit is checked before any pair is grouped
+    n = 1 << 20
+    at_limit = PointSet(HyperbolaSpec(1, n), ((1, 1), (n - 1, n - 1)))
+    assert census(at_limit).histogram == {2: 1}
+    beyond = PointSet(HyperbolaSpec(1, n + 1), ((1, 1), (n, n)))
+    with pytest.raises(ValueError, match="n <= 1048576"):
+        census(beyond)
 
 
 def test_census_pair_identity():
@@ -117,12 +174,11 @@ def test_cross_class_pairs_are_ordinary():
     for n in (9, 25, 27, 121):
         ps = enumerate_points(HyperbolaSpec(1, n))
         p = ps.spec.prime_power.p
-        counts = census(ps).line_counts
         part = partition_classes(ps)
         for i, j in itertools.combinations(sorted(part.classes), 2):
             for P in part.classes[i]:
                 for Q in part.classes[j]:
-                    assert counts[line_through(P, Q)] == 2, (n, P, Q)
+                    assert count_on_line(ps, line_through(P, Q)) == 2, (n, P, Q)
 
 
 def test_no_ordinary_moduli():
@@ -212,8 +268,7 @@ def test_verify_collinearity_bounds():
 
 
 def test_zero_intercept_scan():
-    cen = census(enumerate_points(HyperbolaSpec(1, 49)))
-    zi = cen.zero_intercept_lines()
+    zi = zero_intercept_lines(enumerate_points(HyperbolaSpec(1, 49)))
     assert len(zi) == 1
     key, t = zi[0]
     assert key == LineKey(1, -1, 0) and t == 2
