@@ -46,6 +46,7 @@ from .hyperbola import (
     enumerate_points,
     partition_classes,
     reflect_diagonal,
+    unit_partners,
 )
 from .ntcore import (
     CongruenceSolutions,

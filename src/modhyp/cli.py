@@ -15,7 +15,7 @@ import time
 from pathlib import Path
 
 from .distances import DEFAULT_GAP_BOUND, distance_profile, gap_experiment
-from .geometry import census
+from .geometry import census, check_census_modulus
 from .hyperbola import HyperbolaSpec, enumerate_points, points_csv
 from .suites import DEFAULT_FIXTURES, DEFAULT_SEED, SUITES, VerificationReport
 
@@ -126,6 +126,7 @@ def _cmd_points(args) -> int:
 
 def _cmd_census(args) -> int:
     n = _resolve_modulus(args)
+    check_census_modulus(n)
     ps = enumerate_points(HyperbolaSpec(args.a, n))
     cen = census(ps)
     payload = {

@@ -3,6 +3,15 @@
 All distances are handled as exact squared integers x*x + y*y; the number of
 distinct distances equals the number of distinct squared values, so nothing
 irrational is ever computed.
+
+Brute-force counts (``distance_profile``, ``classify_image``) run on the
+arrays of ``hyperbola.unit_partners``: every unit x and its partner
+y = a * x**-1 mod n, inverted at once by square-and-multiply in int64 and
+checked against x * y = a (mod n).  The squared distances are sorted and the
+entries that differ from their predecessor are the distinct values.  int64 is
+exact for n <= 2**31; ``unit_partners`` raises ``InfeasibleScale`` above
+that, or when the working set (32 bytes per unit of n) would exceed a 2 GiB
+budget, n > 2**26, before allocating anything.
 """
 from __future__ import annotations
 
@@ -10,7 +19,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .hyperbola import HyperbolaSpec
+import numpy as np
+
+from .hyperbola import HyperbolaSpec, InfeasibleScale, unit_partners
 from .ntcore import PrimePower, divisors, legendre, next_prime, sqrt_mod_prime
 
 DEFAULT_GAP_BOUND = 2**31
@@ -28,29 +39,21 @@ class NotApplicable(ValueError):
     """Divisor-pair counting applies only when the root shift is zero."""
 
 
-class InfeasibleScale(ValueError):
-    """Requested construction exceeds the configured arithmetic bound."""
-
-
 @dataclass
 class DistanceProfile:
-    """Map squared distance -> sorted x-preimages, over all units mod n."""
+    """The distinct squared distances over all units mod n, ascending."""
 
     spec: HyperbolaSpec
-    value_map: dict[int, list[int]]
+    values: np.ndarray
 
     @property
     def distinct_count(self) -> int:
-        return len(self.value_map)
-
-    @property
-    def preimage_total(self) -> int:
-        return sum(len(v) for v in self.value_map.values())
+        return len(self.values)
 
     def to_payload(self, include_values: bool = False) -> dict:
         out = {"a": self.spec.a, "n": self.spec.n, "count": self.distinct_count}
         if include_values:
-            out["values"] = sorted(self.value_map)
+            out["values"] = self.values.tolist()
         return out
 
 
@@ -61,19 +64,31 @@ def distance_value(a: int, x: int, n: int) -> int:
     return xr * xr + yr * yr
 
 
+def _first_of_runs(s: np.ndarray) -> np.ndarray:
+    """Mask of the entries of a sorted array that differ from their predecessor."""
+    keep = np.empty(len(s), dtype=bool)
+    keep[:1] = True
+    np.not_equal(s[1:], s[:-1], out=keep[1:])
+    return keep
+
+
+def _sorted_distinct(u: np.ndarray) -> np.ndarray:
+    s = np.sort(u)
+    return s[_first_of_runs(s)]
+
+
+def _squared_distances(spec: HyperbolaSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The units x and their squared distances x*x + y*y."""
+    xs, ys = unit_partners(spec)
+    ys *= ys
+    ys += xs * xs
+    return xs, ys
+
+
 def distance_profile(spec: HyperbolaSpec) -> DistanceProfile:
     """Exact profile of squared distances over the whole point set."""
-    a, n = spec.a, spec.n
-    value_map: dict[int, list[int]] = {}
-    if spec.prime_power is not None:
-        p = spec.prime_power.p
-        units = (x for x in range(1, n) if x % p != 0)
-    else:
-        units = (x for x in range(1, n) if math.gcd(x, n) == 1)
-    for x in units:
-        y = a * pow(x, -1, n) % n
-        value_map.setdefault(x * x + y * y, []).append(x)
-    return DistanceProfile(spec, value_map)
+    _, u = _squared_distances(spec)
+    return DistanceProfile(spec, _sorted_distinct(u))
 
 
 def prime_distance_count(a: int, p: int) -> int:
@@ -119,9 +134,6 @@ def sqrt_shift_data(a: int, p: int) -> RootShiftData:
         neg_shift = (a + neg_root * neg_root - neg_root * p) // p * pow(neg_root, -1, p) % p
         assert neg_root * (p - neg_root + neg_shift * p) % p**2 == a % p**2
     return RootShiftData(p, a, root, neg_root, root_shift, neg_shift, mirror)
-
-
-BRANCHES = ("root", "root_wrap", "mirror", "mirror_wrap")
 
 
 def branch_eval(branch: str, t: int, data: RootShiftData) -> int:
@@ -278,40 +290,27 @@ def classify_image(a: int, pp: PrimePower) -> ImageDecomposition:
         raise ValueError(f"gcd({a}, {p}) != 1")
     b = sqrt_mod_prime(a, p)[0] if legendre(a, p) == 1 else None
     c = sqrt_mod_prime(-a, p)[0] if legendre(-a, p) == 1 else None
-    generic: set[int] = set()
-    b1_vals: set[int] = set()
-    b2_vals: set[int] = set()
-    d_c1: set[int] = set()
-    d_c2: set[int] = set()
-    b1_pre = b2_pre = 0
-    preimage_counts: dict[int, int] = {}
-    for x in range(1, n):
-        r = x % p
-        if r == 0:
-            continue
-        y = a_red * pow(x, -1, n) % n
-        u = x * x + y * y
-        preimage_counts[u] = preimage_counts.get(u, 0) + 1
-        if b is not None and (r == b or r == p - b):
-            b1_vals.add(u)
-            b1_pre += 1
-            (d_c1 if r == b else d_c2).add(u)
-        elif c is not None and (r == c or r == p - c):
-            b2_vals.add(u)
-            b2_pre += 1
-        else:
-            generic.add(u)
-    inter = len(d_c1 & d_c2) if b is not None else None
+    xs, u = _squared_distances(HyperbolaSpec(a_red, n))
+    r = xs % p
+    none = np.zeros(len(r), dtype=bool)
+    in_c1, in_c2 = (r == b, r == p - b) if b is not None else (none, none)
+    on_b1 = in_c1 | in_c2
+    # b*b = a and c*c = -a (mod p) never share a residue for odd p
+    on_b2 = (r == c) | (r == p - c) if c is not None else none
+    s = np.sort(u)
+    starts = np.flatnonzero(_first_of_runs(s))
+    counts = np.diff(np.append(starts, len(s)))
+    inter = len(set(u[in_c1].tolist()) & set(u[in_c2].tolist())) if b is not None else None
     return ImageDecomposition(
         pp,
         a_red,
-        len(generic),
-        frozenset(b1_vals),
-        frozenset(b2_vals),
-        b1_pre,
-        b2_pre,
+        len(_sorted_distinct(u[~(on_b1 | on_b2)])),
+        frozenset(u[on_b1].tolist()),
+        frozenset(u[on_b2].tolist()),
+        int(on_b1.sum()),
+        int(on_b2.sum()),
         inter,
-        preimage_counts,
+        dict(zip(s[starts].tolist(), counts.tolist())),
     )
 
 

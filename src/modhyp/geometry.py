@@ -116,6 +116,12 @@ class IncidenceCensus:
         return f"{self.n},{self.a},{self.ordinary_count},{self.max_collinear}"
 
 
+def check_census_modulus(n: int) -> None:
+    """Refuse moduli whose census grouping codes could overflow int64."""
+    if n > _N_LIMIT:
+        raise ValueError(f"census grouping codes fit int64 only for n <= {_N_LIMIT}, got n = {n}")
+
+
 def census(ps: PointSet) -> IncidenceCensus:
     """Full incidence census of a point set (at least two distinct points).
 
@@ -129,8 +135,7 @@ def census(ps: PointSet) -> IncidenceCensus:
     if k < 2:
         raise TooFewPoints(f"{k} point(s) span no lines")
     n, a = ps.spec.n, ps.spec.a
-    if n > _N_LIMIT:
-        raise ValueError(f"census grouping codes fit int64 only for n <= {_N_LIMIT}, got n = {n}")
+    check_census_modulus(n)
     pts = sorted(ps.points)
     xs = np.fromiter((p[0] for p in pts), dtype=np.int64, count=k)
     ys = np.fromiter((p[1] for p in pts), dtype=np.int64, count=k)

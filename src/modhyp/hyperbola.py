@@ -4,11 +4,26 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .ntcore import PrimePower
+
+# x**2 + y**2 < 2 * n**2 and every product in the inversion is below n**2,
+# so int64 arithmetic is exact up to n = 2**31.
+_EXACT_N_LIMIT = 1 << 31
+# Working set per unit of n: the peak-RSS growth of distance_profile in a fresh
+# process was 24.8 B at n = 7**8 and 28.3 B at the prime 5764807, where every
+# nonzero residue is a unit.  With a 2 GiB budget this admits n up to 2**26.
+_BYTES_PER_UNIT = 32
+_MEMORY_BUDGET = 2 << 30
 
 
 class NotPrimePower(ValueError):
     """Operation needs n = p**m but the modulus is not a prime power."""
+
+
+class InfeasibleScale(ValueError):
+    """Requested construction exceeds the configured arithmetic bound."""
 
 
 @dataclass(frozen=True)
@@ -51,26 +66,50 @@ class ClassPartition:
     classes: dict[int, tuple[tuple[int, int], ...]]
 
 
-def enumerate_points(spec: HyperbolaSpec) -> PointSet:
-    """All phi(n) points of the hyperbola, sorted by x.
+def unit_partners(spec: HyperbolaSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The units x of Z/n in ascending order and their partners y = a * x**-1 mod n.
 
-    For each unit x the partner is y = a * x**-1 mod n, so enumeration is one
-    inversion per unit.
+    Both are int64 arrays.  The inverse is x**(phi - 1) mod n (Euler), computed
+    for every unit at once by square-and-multiply; x * y = a (mod n) is checked
+    on the whole result.  Raises ``InfeasibleScale`` before allocating when n is
+    past the int64-exact range or the working set would exceed the memory budget.
     """
     a, n = spec.a, spec.n
-    pts = []
+    if n > _EXACT_N_LIMIT:
+        raise InfeasibleScale(f"n = {n} exceeds the int64-exact limit {_EXACT_N_LIMIT}")
+    if n * _BYTES_PER_UNIT > _MEMORY_BUDGET:
+        raise InfeasibleScale(
+            f"n = {n} needs about {n * _BYTES_PER_UNIT >> 20} MB, over the {_MEMORY_BUDGET >> 20} MB budget"
+        )
+    x = np.arange(1, n, dtype=np.int64)
     if spec.prime_power is not None:
-        p = spec.prime_power.p
-        for x in range(1, n):
-            if x % p == 0:
-                continue
-            pts.append((x, a * pow(x, -1, n) % n))
+        xs = x[x % spec.prime_power.p != 0]
     else:
-        for x in range(1, n):
-            if math.gcd(x, n) != 1:
-                continue
-            pts.append((x, a * pow(x, -1, n) % n))
-    return PointSet(spec, tuple(pts))
+        xs = x[np.gcd(x, n) == 1]
+    del x
+    ys = np.full_like(xs, a)
+    base = xs.copy()
+    e = len(xs) - 1
+    while e:
+        if e & 1:
+            ys *= base
+            ys %= n
+        e >>= 1
+        if e:
+            base *= base
+            base %= n
+    del base
+    check = xs * ys
+    check %= n
+    if not np.all(check == a):
+        raise RuntimeError(f"unit inversion failed: x * y != {a} (mod {n})")
+    return xs, ys
+
+
+def enumerate_points(spec: HyperbolaSpec) -> PointSet:
+    """All phi(n) points of the hyperbola, sorted by x."""
+    xs, ys = unit_partners(spec)
+    return PointSet(spec, tuple(zip(xs.tolist(), ys.tolist())))
 
 
 def partition_classes(ps: PointSet) -> ClassPartition:

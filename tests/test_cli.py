@@ -45,6 +45,22 @@ def test_bound_enforced(capsys):
     assert "bound" in err
 
 
+def test_census_limit_checked_before_enumeration(capsys, monkeypatch):
+    def refuse(spec):
+        raise AssertionError("points enumerated before the census limit check")
+
+    monkeypatch.setattr("modhyp.cli.enumerate_points", refuse)
+    rc, _, err = run(capsys, "census", "--a", "1", "--n", "1048583")
+    assert rc == 2
+    assert str(2**20) in err
+
+
+def test_kernel_limit_ignores_bound(capsys):
+    rc, _, err = run(capsys, "distances", "--a", "1", "--n", str(2**32), "--bound", str(2**40))
+    assert rc == 2
+    assert str(2**31) in err
+
+
 def test_census_json(capsys):
     rc, out, _ = run(capsys, "census", "--a", "1", "--n", "7")
     assert rc == 0

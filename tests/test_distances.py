@@ -4,6 +4,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modhyp.distances import (
     MissingRoot,
@@ -23,28 +25,48 @@ from modhyp.distances import (
     prime_power_image_report,
     sqrt_shift_data,
 )
-from modhyp.hyperbola import HyperbolaSpec
+from modhyp.hyperbola import HyperbolaSpec, unit_partners
 from modhyp.ntcore import PrimePower, legendre, primes_upto, sqrt_mod_prime
 
 
 def test_distance_profile_examples():
     prof = distance_profile(HyperbolaSpec(1, 9))
     assert prof.distinct_count == 4
-    assert sorted(prof.value_map) == [2, 29, 65, 128]
+    assert prof.values.tolist() == [2, 29, 65, 128]
     assert distance_profile(HyperbolaSpec(4, 25)).distinct_count == 11
     assert distance_profile(HyperbolaSpec(2, 49)).distinct_count == 22
 
 
 def test_distance_profile_structure():
+    # every unit is one preimage, and its value is d(x) of that unit
     rng = random.Random(8)
     for n in (12, 27, 40, 121, 343):
         units = [a for a in range(1, n) if math.gcd(a, n) == 1]
         a = rng.choice(units)
-        prof = distance_profile(HyperbolaSpec(a, n))
-        assert prof.preimage_total == len(units)
-        for u, xs in prof.value_map.items():
-            for x in xs:
-                assert distance_value(a, x, n) == u
+        xs, ys = unit_partners(HyperbolaSpec(a, n))
+        assert xs.tolist() == units
+        values = [distance_value(a, x, n) for x in units]
+        assert values == [x * x + y * y for x, y in zip(xs.tolist(), ys.tolist())]
+        assert distance_profile(HyperbolaSpec(a, n)).values.tolist() == sorted(set(values))
+
+
+_MODULI = st.one_of(
+    st.integers(min_value=2, max_value=5000),
+    st.sampled_from([2, 4] + [2**k for k in range(3, 13)]),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_unit_partners_match_python_inverse(data):
+    n = data.draw(_MODULI, label="n")
+    units = [x for x in range(1, n) if math.gcd(x, n) == 1]
+    a = data.draw(st.sampled_from(units), label="a")
+    xs, ys = unit_partners(HyperbolaSpec(a, n))
+    assert xs.tolist() == units
+    assert ys.tolist() == [a * pow(x, -1, n) % n for x in units]
+    want = sorted({distance_value(a, x, n) for x in units})
+    assert distance_profile(HyperbolaSpec(a, n)).values.tolist() == want
 
 
 def test_prime_distance_count():
@@ -167,6 +189,53 @@ def test_classification_partition_and_generic_preimages():
                 assert len(dec.b2_values) == p  # exact count at m = 2
                 assert legendre(-a, p) == 1
             assert not dec.b1_values & dec.b2_values
+
+
+def _classify_image_reference(a, pp):
+    """Per-unit loop with pow(x, -1, n): the reference for classify_image."""
+    p, n = pp.p, pp.n
+    a_red = a % n
+    b = sqrt_mod_prime(a, p)[0] if legendre(a, p) == 1 else None
+    c = sqrt_mod_prime(-a, p)[0] if legendre(-a, p) == 1 else None
+    generic, b1_vals, b2_vals, d_c1, d_c2 = set(), set(), set(), set(), set()
+    b1_pre = b2_pre = 0
+    preimage_counts = {}
+    for x in range(1, n):
+        r = x % p
+        if r == 0:
+            continue
+        y = a_red * pow(x, -1, n) % n
+        u = x * x + y * y
+        preimage_counts[u] = preimage_counts.get(u, 0) + 1
+        if b is not None and (r == b or r == p - b):
+            b1_vals.add(u)
+            b1_pre += 1
+            (d_c1 if r == b else d_c2).add(u)
+        elif c is not None and (r == c or r == p - c):
+            b2_vals.add(u)
+            b2_pre += 1
+        else:
+            generic.add(u)
+    inter = len(d_c1 & d_c2) if b is not None else None
+    return (a_red, len(generic), b1_vals, b2_vals, b1_pre, b2_pre, inter, preimage_counts)
+
+
+def test_classify_image_matches_reference_loop():
+    for p in (3, 5, 7, 11):
+        for m in (1, 2, 3, 4):
+            pp = PrimePower(p, m)
+            for a in {1, 2, 3, p - 1, pp.n - 2, 5 * p + 1}:
+                if a % p == 0:
+                    continue
+                dec = classify_image(a, pp)
+                got = (
+                    dec.a, dec.generic_count, dec.b1_values, dec.b2_values,
+                    dec.b1_preimage_count, dec.b2_preimage_count,
+                    dec.intersection_count, dec.preimage_counts,
+                )
+                assert got == _classify_image_reference(a, pp), (a, pp)
+                assert all(type(k) is int and type(v) is int for k, v in dec.preimage_counts.items())
+                assert all(type(u) is int for u in dec.b1_values | dec.b2_values)
 
 
 def test_root_progression_image_sizes():

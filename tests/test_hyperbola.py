@@ -4,14 +4,18 @@ import random
 
 import pytest
 
+import modhyp.distances
+import modhyp.hyperbola
 from modhyp.hyperbola import (
     HyperbolaSpec,
+    InfeasibleScale,
     NotPrimePower,
     PointSet,
     enumerate_points,
     partition_classes,
     points_csv,
     reflect_diagonal,
+    unit_partners,
 )
 from modhyp.ntcore import euler_phi
 
@@ -60,6 +64,17 @@ def test_cardinality_is_totient():
         assert all(1 <= x <= n - 1 and 1 <= y <= n - 1 and x * y % n == a for x, y in ps.points)
         # symmetric under swapping coordinates
         assert {(y, x) for x, y in ps.points} == set(ps.points)
+
+
+def test_unit_partners_guards_raise_before_allocating(monkeypatch):
+    assert modhyp.distances.InfeasibleScale is InfeasibleScale
+    # with numpy unreachable, any allocation would raise something else
+    monkeypatch.setattr(modhyp.hyperbola, "np", None)
+    for n in (2**31 + 1, 2**32, 2**26 + 1, 2**27):
+        with pytest.raises(InfeasibleScale):
+            unit_partners(HyperbolaSpec(1, n))
+    with pytest.raises(AttributeError):  # 2**26 passes both guards
+        unit_partners(HyperbolaSpec(1, 2**26))
 
 
 def test_partition_examples():
