@@ -1,9 +1,11 @@
 """Line-incidence census over a hyperbola point set.
 
-The census is one anchor sweep: point pairs are grouped by anchor and reduced
-direction in numpy blocks of bounded size (exact integer ops only), and the
-group-size counts give each line size's count directly.  Only the keys of
-lines with three or more points are kept.  The tests check the census
+The census is one anchor sweep: point pairs are grouped by anchor and slope
+in numpy blocks of bounded size, and the group-size counts give each line
+size's count directly.  A slope dy/dx is coded as dy * dx**-1 modulo a fixed
+prime above 2**41 (integer ops only, no per-pair gcd); for n <= 2**20 equal
+codes mean equal slopes.  Only the keys of lines with three or more points are
+kept, reduced by a gcd on one pair per line.  The tests check the census
 against an independent cross-product oracle.
 """
 from __future__ import annotations
@@ -19,7 +21,11 @@ from .hyperbola import HyperbolaSpec, PointSet, enumerate_points, partition_clas
 from .ntcore import PrimePower
 
 _PAIR_BLOCK = 1 << 17  # pairs per block of whole anchors
-_N_LIMIT = 1 << 20  # grouping codes stay below 2 * n**3 <= 2**61
+# n <= _N_LIMIT keeps every cross product dy1*dx2 - dy2*dx1 of two pairs below
+# _SLOPE_PRIME in absolute value, so the slope codes are exact (see census),
+# and the grouping codes i * (_SLOPE_PRIME + 1) + c, anchor i < n, below 2**62.
+_N_LIMIT = 1 << 20
+_SLOPE_PRIME = 2199023255579  # the least prime above 2**41
 
 
 class DegeneratePair(ValueError):
@@ -116,20 +122,50 @@ class IncidenceCensus:
         return f"{self.n},{self.a},{self.ordinary_count},{self.max_collinear}"
 
 
+def _slope_inverses(span: int) -> np.ndarray:
+    """inv[d] = d**-1 mod _SLOPE_PRIME for d = 1, ..., span (inv[0] = 0 is unused)."""
+    # M = (M // d) * d + M % d gives d**-1 = -(M // d) * (M % d)**-1 (mod M),
+    # with M % d < d already inverted: cheaper than one pow(d, -1, M) each
+    m = _SLOPE_PRIME
+    inv = [0, 1]
+    for d in range(2, span + 1):
+        inv.append((m - m // d) * inv[m % d] % m)
+    return np.array(inv[: span + 1], dtype=np.int64)
+
+
+def _slope_codes(dx: np.ndarray, dy: np.ndarray, inv: np.ndarray) -> np.ndarray:
+    """Code dy * dx**-1 mod _SLOPE_PRIME per direction (dx >= 0), _SLOPE_PRIME if dx = 0.
+
+    inv is ``_slope_inverses`` of at least max(dx).  For |dx|, |dy| < _N_LIMIT
+    two codes are equal exactly when dy1 * dx2 == dy2 * dx1.
+    """
+    code = inv[dx]
+    code *= dy
+    code %= _SLOPE_PRIME
+    code[dx == 0] = _SLOPE_PRIME
+    return code
+
+
 def check_census_modulus(n: int) -> None:
-    """Refuse moduli whose census grouping codes could overflow int64."""
+    """Refuse moduli past the range where the census slope codes are exact."""
     if n > _N_LIMIT:
-        raise ValueError(f"census grouping codes fit int64 only for n <= {_N_LIMIT}, got n = {n}")
+        raise ValueError(f"census slope codes are exact only for n <= {_N_LIMIT}, got n = {n}")
 
 
 def census(ps: PointSet) -> IncidenceCensus:
     """Full incidence census of a point set (at least two distinct points).
 
     With the points in (x, y) order, every pair (i, j > i) is grouped by its
-    anchor i and reduced direction.  A t-point line yields one group of each
-    size t-1, ..., 1 (one per point but its last), so with G_s groups of size
-    s there are L_t = G_(t-1) - G_t lines of t points.  Rich lines are keyed
-    from their groups of size >= 2 and counted from the largest one.
+    anchor i and slope code c = dy * dx**-1 mod M (c = M for a vertical pair),
+    M = _SLOPE_PRIME, through one ``argsort`` of i * (M + 1) + c per block.
+    The code is exact: for coordinates in [1, n-1], n <= 2**20, two pairs
+    have c1 == c2 iff dy1 * dx2 = dy2 * dx1 (mod M), and that cross-product
+    difference is at most 2 * (n-1)**2 < M in absolute value, so iff the
+    slopes are equal.  A t-point line yields one group of each size
+    t-1, ..., 1 (one per point but its last), so with G_s groups of size s
+    there are L_t = G_(t-1) - G_t lines of t points.  Rich lines are keyed
+    from one pair of each group of size >= 2, reduced by its gcd, and counted
+    from the largest group.
     """
     k = len(ps.points)
     if k < 2:
@@ -139,6 +175,9 @@ def census(ps: PointSet) -> IncidenceCensus:
     pts = sorted(ps.points)
     xs = np.fromiter((p[0] for p in pts), dtype=np.int64, count=k)
     ys = np.fromiter((p[1] for p in pts), dtype=np.int64, count=k)
+    if min(xs[0], ys.min()) < 1 or max(xs[-1], ys.max()) >= n:
+        raise ValueError(f"census points must have coordinates in [1, {n - 1}]")
+    inv = _slope_inverses(int(xs[-1] - xs[0]))
     counts = np.arange(k - 1, 0, -1)  # pairs anchored at i = 0, ..., k-2
     ends = np.cumsum(counts)
     jump = np.arange(1, k) - (ends - counts)  # j = pair index + jump[i]
@@ -152,11 +191,8 @@ def census(ps: PointSet) -> IncidenceCensus:
         j_idx = np.arange(first_pair, ends[hi - 1]) + np.repeat(jump[lo:hi], counts[lo:hi])
         dx = xs[j_idx] - xs[i_idx]  # > 0, or 0 with dy > 0
         dy = ys[j_idx] - ys[i_idx]
-        g = np.gcd(dx, dy)
-        dx //= g
-        dy //= g
-        # one code per (anchor, direction)
-        code = (i_idx * (2 * n) + dy + n) * n + dx
+        code = _slope_codes(dx, dy, inv)
+        code += i_idx * (_SLOPE_PRIME + 1)  # one code per (anchor, slope)
         order = np.argsort(code)
         code = code[order]
         starts = np.flatnonzero(np.concatenate(([True], code[1:] != code[:-1])))
@@ -166,8 +202,9 @@ def census(ps: PointSet) -> IncidenceCensus:
         big = sizes >= 2
         member = order[starts[big]]
         A, B = dy[member], -dx[member]
-        sign = np.where((A < 0) | ((A == 0) & (B < 0)), -1, 1)
-        A, B = A * sign, B * sign
+        g = np.gcd(A, B)
+        sign = np.where((A < 0) | ((A == 0) & (B < 0)), -g, g)
+        A, B = A // sign, B // sign
         C = -(A * xs[i_idx[member]] + B * ys[i_idx[member]])
         rich.append(np.stack([A, B, C, sizes[big] + 1], axis=1))
         lo = hi

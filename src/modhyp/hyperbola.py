@@ -16,6 +16,11 @@ _EXACT_N_LIMIT = 1 << 31
 # nonzero residue is a unit.  With a 2 GiB budget this admits n up to 2**26.
 _BYTES_PER_UNIT = 32
 _MEMORY_BUDGET = 2 << 30
+# Points as Python int tuples cost far more: enumerate_points grew peak RSS by
+# 176 B per unit of n at the prime 1000003, and `modhyp points --format json`,
+# the heaviest consumer of those tuples, by 506 B at the prime 2000003.  With
+# the same budget this admits n up to 2**22.
+_BYTES_PER_POINT = 512
 
 
 class NotPrimePower(ValueError):
@@ -107,7 +112,17 @@ def unit_partners(spec: HyperbolaSpec) -> tuple[np.ndarray, np.ndarray]:
 
 
 def enumerate_points(spec: HyperbolaSpec) -> PointSet:
-    """All phi(n) points of the hyperbola, sorted by x."""
+    """All phi(n) points of the hyperbola, sorted by x.
+
+    Raises ``InfeasibleScale`` before allocating when the point tuples would
+    exceed the memory budget.
+    """
+    n = spec.n
+    if n * _BYTES_PER_POINT > _MEMORY_BUDGET:
+        raise InfeasibleScale(
+            f"n = {n} needs about {n * _BYTES_PER_POINT >> 20} MB as point tuples, "
+            f"over the {_MEMORY_BUDGET >> 20} MB budget"
+        )
     xs, ys = unit_partners(spec)
     return PointSet(spec, tuple(zip(xs.tolist(), ys.tolist())))
 

@@ -55,6 +55,17 @@ def test_census_limit_checked_before_enumeration(capsys, monkeypatch):
     assert str(2**20) in err
 
 
+def test_points_memory_budget(capsys, monkeypatch):
+    def refuse(spec):
+        raise AssertionError("unit_partners reached")
+
+    monkeypatch.setattr("modhyp.hyperbola.unit_partners", refuse)
+    rc, out, err = run(capsys, "points", "--a", "1", "--n", str(2**22 + 1))
+    assert rc == 2
+    assert out == ""
+    assert "point tuples" in err and "budget" in err
+
+
 def test_kernel_limit_ignores_bound(capsys):
     rc, _, err = run(capsys, "distances", "--a", "1", "--n", str(2**32), "--bound", str(2**40))
     assert rc == 2

@@ -5,11 +5,14 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modhyp.geometry import (
+    _N_LIMIT,
+    _SLOPE_PRIME,
     DegeneratePair,
     LineKey,
     OutOfScope,
@@ -24,6 +27,8 @@ from modhyp.geometry import (
     verify_line_classes,
     verify_ordinary_bound,
     zero_intercept_lines,
+    _slope_codes,
+    _slope_inverses,
 )
 from modhyp.hyperbola import (
     HyperbolaSpec,
@@ -32,7 +37,7 @@ from modhyp.hyperbola import (
     partition_classes,
     reflect_diagonal,
 )
-from modhyp.ntcore import PrimePower
+from modhyp.ntcore import PrimePower, is_prime
 
 
 def test_line_through_examples():
@@ -144,6 +149,52 @@ def test_census_modulus_limit():
     beyond = PointSet(HyperbolaSpec(1, n + 1), ((1, 1), (n, n)))
     with pytest.raises(ValueError, match="n <= 1048576"):
         census(beyond)
+
+
+def test_slope_constants():
+    assert is_prime(_SLOPE_PRIME)
+    assert _SLOPE_PRIME > 2 * (_N_LIMIT - 1) ** 2  # cross products never wrap mod M
+    assert _N_LIMIT * (_SLOPE_PRIME + 1) + _SLOPE_PRIME < 2**63  # grouping codes fit int64
+
+
+def test_slope_codes_exact_on_adversarial_directions():
+    # directions (dx, dy) with 0 <= dx < 2**20, |dy| < 2**20, as census pairs have
+    top = _N_LIMIT - 1
+    inv = _slope_inverses(top)
+    for d in (1, 2, 3, 1000, top - 1, top):
+        assert inv[d] == pow(d, -1, _SLOPE_PRIME)
+    rng = random.Random(11)
+    dirs = [(0, 1), (0, top), (1, 0), (top, 0), (top, top), (top, -top), (1, top), (top, 1)]
+    for _ in range(40):
+        # Farey neighbours a/b, c/d with b*c - a*d = 1 and b near 2**20
+        b = top - rng.randrange(200)
+        a = rng.randrange(1, b)
+        while math.gcd(a, b) != 1:
+            a += 1
+        d = -pow(a, -1, b) % b
+        c = (1 + a * d) // b
+        dirs += [(b, a), (d, c), (b, -a), (d, -c)]
+    for base in [(1, 0), (0, 1), (1, 1), (2, -1), (3, -5), (7, 4), (1000, -999)]:
+        s_max = top // max(map(abs, base))  # scaled copies of one direction
+        dirs += [(base[0] * s, base[1] * s) for s in (1, 2, 3, s_max)]
+    dirs = sorted(set(dirs))
+    dx = np.array([v[0] for v in dirs], dtype=np.int64)
+    dy = np.array([v[1] for v in dirs], dtype=np.int64)
+    code = _slope_codes(dx, dy, inv).tolist()
+    for (dx1, dy1), c1 in zip(dirs, code):
+        for (dx2, dy2), c2 in zip(dirs, code):
+            assert (c1 == c2) == (dy1 * dx2 == dy2 * dx1), ((dx1, dy1), (dx2, dy2))
+
+
+def test_census_extreme_coordinates():
+    # n = 2**20 with coordinates at 1 and n - 1: the largest |dx| and |dy|,
+    # negative dy, vertical and horizontal pairs, and near-parallel pairs
+    n = _N_LIMIT
+    m = n // 2
+    pts = [(1, 1), (1, n - 1), (n - 1, 1), (n - 1, n - 1), (m, m), (2, 1), (n - 2, n - 1), (1, 2), (n - 1, n - 2)]
+    _assert_matches_oracle(PointSet(HyperbolaSpec(1, n), tuple(pts)))
+    with pytest.raises(ValueError, match="coordinates"):
+        census(PointSet(HyperbolaSpec(1, n), ((1, 1), (n, 1))))
 
 
 def test_census_pair_identity():

@@ -77,6 +77,20 @@ def test_unit_partners_guards_raise_before_allocating(monkeypatch):
         unit_partners(HyperbolaSpec(1, 2**26))
 
 
+def test_enumerate_points_guard_raises_before_allocating(monkeypatch):
+    def refuse(spec):
+        raise AssertionError("unit_partners reached")
+
+    # with numpy and the kernel unreachable, any allocation would raise something else
+    monkeypatch.setattr(modhyp.hyperbola, "np", None)
+    monkeypatch.setattr(modhyp.hyperbola, "unit_partners", refuse)
+    for n in (2**22 + 1, 2**23, 2**26):
+        with pytest.raises(InfeasibleScale, match="point tuples"):
+            enumerate_points(HyperbolaSpec(1, n))
+    with pytest.raises(AssertionError):  # 2**22 passes the guard
+        enumerate_points(HyperbolaSpec(1, 2**22))
+
+
 def test_partition_examples():
     part = partition_classes(enumerate_points(HyperbolaSpec(1, 9)))
     assert part.classes[1] == ((1, 1), (4, 7), (7, 4))
