@@ -12,7 +12,6 @@ from .distances import (
     ImageDecomposition,
     LatticeIntersection,
     RootShiftData,
-    branch_eval,
     classify_image,
     distance_profile,
     distance_value,
@@ -33,7 +32,6 @@ from .geometry import (
     check_special_line,
     count_on_line,
     line_through,
-    no_ordinary_moduli,
     ordinary_lower_bound,
     verify_collinearity_bounds,
     verify_line_classes,
@@ -45,21 +43,14 @@ from .hyperbola import (
     PointSet,
     enumerate_points,
     partition_classes,
-    reflect_diagonal,
     unit_partners,
 )
 from .ntcore import (
-    CongruenceSolutions,
-    DiscriminantCase,
     PrimePower,
     euler_phi,
-    hensel_lift_sqrt,
     is_prime,
     legendre,
-    mod_inverse,
-    padic_valuation,
     primes_upto,
-    solve_quadratic_congruence,
     sqrt_mod_prime,
 )
 from .suites import SUITES, VerificationReport

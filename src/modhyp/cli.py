@@ -79,7 +79,13 @@ def _resolve_modulus(args) -> int:
     if args.n is not None:
         n = args.n
     elif args.p is not None and args.m is not None:
-        n = args.p**args.m
+        if args.p < 2 or args.m < 1:
+            raise ValueError("--p must be >= 2 and --m >= 1")
+        n = 1
+        for _ in range(args.m):  # stops at the bound, never builds a huge p**m
+            n *= args.p
+            if n > args.bound:
+                raise ValueError(f"n = {args.p}^{args.m} exceeds the arithmetic bound {args.bound}")
     else:
         raise ValueError("specify --n or both --p and --m")
     if n > args.bound:
@@ -89,7 +95,8 @@ def _resolve_modulus(args) -> int:
 
 def _emit(payload: dict, fmt: str, csv_lines) -> None:
     if fmt == "json":
-        print(json.dumps(payload, indent=2))
+        json.dump(payload, sys.stdout, indent=2)
+        sys.stdout.write("\n")
     elif fmt == "csv":
         for line in csv_lines():
             print(line)

@@ -27,10 +27,6 @@ from .ntcore import PrimePower, divisors, legendre, next_prime, sqrt_mod_prime
 DEFAULT_GAP_BOUND = 2**31
 
 
-class MissingRoot(ValueError):
-    """Branch evaluation needs a square root of a mod p that does not exist."""
-
-
 class NoSquareRoot(ValueError):
     """Operation defined only when a is a quadratic residue mod p."""
 
@@ -134,28 +130,6 @@ def sqrt_shift_data(a: int, p: int) -> RootShiftData:
         neg_shift = (a + neg_root * neg_root - neg_root * p) // p * pow(neg_root, -1, p) % p
         assert neg_root * (p - neg_root + neg_shift * p) % p**2 == a % p**2
     return RootShiftData(p, a, root, neg_root, root_shift, neg_shift, mirror)
-
-
-def branch_eval(branch: str, t: int, data: RootShiftData) -> int:
-    """Closed-form squared distance along one arithmetic progression mod p**2.
-
-    The progression root + t*p takes the plain branch for t <= root_shift and
-    the wrapped branch above it; the mirrored progression p - root + s*p does
-    the same with mirror_shift.
-    """
-    if data.root is None:
-        raise MissingRoot(f"{data.a} has no square root mod {data.p}")
-    p, b, j, k = data.p, data.root, data.root_shift, data.mirror_shift
-    q = p - b
-    if branch == "root":
-        return (b + t * p) ** 2 + (b + (j - t) * p) ** 2
-    if branch == "root_wrap":
-        return (b + t * p) ** 2 + (b + (p + j - t) * p) ** 2
-    if branch == "mirror":
-        return (q + t * p) ** 2 + (q + (k - t) * p) ** 2
-    if branch == "mirror_wrap":
-        return (q + t * p) ** 2 + (q + (p + k - t) * p) ** 2
-    raise ValueError(f"unknown branch {branch!r}")
 
 
 def _progression_values(a: int, start: int, p: int) -> set[int]:
@@ -263,6 +237,7 @@ class ImageDecomposition:
 
     A value belongs to ``b1`` when its preimages x satisfy x*x = a (mod p),
     to ``b2`` when x*x = -a (mod p), and to the generic class otherwise.
+    ``max_preimage`` is the largest number of units sharing one value.
     """
 
     pp: PrimePower
@@ -273,7 +248,7 @@ class ImageDecomposition:
     b1_preimage_count: int
     b2_preimage_count: int
     intersection_count: int | None
-    preimage_counts: dict[int, int]
+    max_preimage: int
 
     @property
     def image_size(self) -> int:
@@ -299,7 +274,6 @@ def classify_image(a: int, pp: PrimePower) -> ImageDecomposition:
     on_b2 = (r == c) | (r == p - c) if c is not None else none
     s = np.sort(u)
     starts = np.flatnonzero(_first_of_runs(s))
-    counts = np.diff(np.append(starts, len(s)))
     inter = len(set(u[in_c1].tolist()) & set(u[in_c2].tolist())) if b is not None else None
     return ImageDecomposition(
         pp,
@@ -310,7 +284,7 @@ def classify_image(a: int, pp: PrimePower) -> ImageDecomposition:
         int(on_b1.sum()),
         int(on_b2.sum()),
         inter,
-        dict(zip(s[starts].tolist(), counts.tolist())),
+        int(np.diff(np.append(starts, len(s))).max()),
     )
 
 
@@ -367,7 +341,6 @@ def prime_power_image_report(a: int, pp: PrimePower) -> PrimePowerImageReport:
         pre_ok &= dec.b1_preimage_count == exp_pre
     if dec.b2_values:
         pre_ok &= dec.b2_preimage_count == exp_pre
-    max_pre = max(dec.preimage_counts.values())
     cap = 4 * p ** (m // 2)
     lower = p ** ((m + 1) // 2 - 1)  # threshold for 2 * #B_i
     b_lower_ok = True
@@ -400,9 +373,9 @@ def prime_power_image_report(a: int, pp: PrimePower) -> PrimePowerImageReport:
         b1_preimages=dec.b1_preimage_count,
         b2_preimages=dec.b2_preimage_count,
         preimage_sizes_ok=bool(pre_ok),
-        max_preimage=max_pre,
+        max_preimage=dec.max_preimage,
         preimage_cap=cap,
-        cap_ok=max_pre <= cap,
+        cap_ok=dec.max_preimage <= cap,
         b_lower_ok=bool(b_lower_ok),
         nonres_case_ok=nonres_ok,
         correction_half_ok=lhs == sum(half_terms),

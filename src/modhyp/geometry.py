@@ -238,18 +238,6 @@ def zero_intercept_lines(ps: PointSet) -> list[tuple[LineKey, int]]:
     return sorted((line_through((0, 0), d), t) for d, t in by_direction.items() if t >= 2)
 
 
-def no_ordinary_moduli(n_max: int) -> list[int]:
-    """All n in [2, n_max] whose a = 1 hyperbola spans no ordinary line."""
-    if n_max < 2:
-        raise ValueError("n_max must be >= 2")
-    out = []
-    for n in range(2, n_max + 1):
-        ps = enumerate_points(HyperbolaSpec(1, n))
-        if len(ps) < 2 or census(ps).ordinary_count == 0:
-            out.append(n)
-    return out
-
-
 def check_special_line(pp: PrimePower) -> int:
     """Points of the a = 1 hyperbola mod p**m on the line x + y = p**m + 2.
 

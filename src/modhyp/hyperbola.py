@@ -18,8 +18,9 @@ _BYTES_PER_UNIT = 32
 _MEMORY_BUDGET = 2 << 30
 # Points as Python int tuples cost far more: enumerate_points grew peak RSS by
 # 176 B per unit of n at the prime 1000003, and `modhyp points --format json`,
-# the heaviest consumer of those tuples, by 506 B at the prime 2000003.  With
-# the same budget this admits n up to 2**22.
+# the heaviest consumer of those tuples, by 250 B at the prime 2000003.  512 B
+# (set while that command still built its JSON in one string, at 523 B) admits
+# n up to 2**22 with the same budget; it is re-derived once points are arrays.
 _BYTES_PER_POINT = 512
 
 
@@ -71,6 +72,21 @@ class ClassPartition:
     classes: dict[int, tuple[tuple[int, int], ...]]
 
 
+def check_unit_budget(n: int, bytes_per_unit: int = _BYTES_PER_UNIT, what: str = "") -> None:
+    """Raise ``InfeasibleScale`` unless the units of Z/n fit the kernel and the memory budget.
+
+    The kernel is int64-exact for n <= 2**31; ``bytes_per_unit`` is the caller's
+    working set per unit of n (the kernel's own by default), ``what`` names it.
+    """
+    if n > _EXACT_N_LIMIT:
+        raise InfeasibleScale(f"n = {n} exceeds the int64-exact limit {_EXACT_N_LIMIT}")
+    if n * bytes_per_unit > _MEMORY_BUDGET:
+        raise InfeasibleScale(
+            f"n = {n} needs about {n * bytes_per_unit >> 20} MB{' ' + what if what else ''}, "
+            f"over the {_MEMORY_BUDGET >> 20} MB budget"
+        )
+
+
 def unit_partners(spec: HyperbolaSpec) -> tuple[np.ndarray, np.ndarray]:
     """The units x of Z/n in ascending order and their partners y = a * x**-1 mod n.
 
@@ -80,12 +96,7 @@ def unit_partners(spec: HyperbolaSpec) -> tuple[np.ndarray, np.ndarray]:
     past the int64-exact range or the working set would exceed the memory budget.
     """
     a, n = spec.a, spec.n
-    if n > _EXACT_N_LIMIT:
-        raise InfeasibleScale(f"n = {n} exceeds the int64-exact limit {_EXACT_N_LIMIT}")
-    if n * _BYTES_PER_UNIT > _MEMORY_BUDGET:
-        raise InfeasibleScale(
-            f"n = {n} needs about {n * _BYTES_PER_UNIT >> 20} MB, over the {_MEMORY_BUDGET >> 20} MB budget"
-        )
+    check_unit_budget(n)
     x = np.arange(1, n, dtype=np.int64)
     if spec.prime_power is not None:
         xs = x[x % spec.prime_power.p != 0]
@@ -117,12 +128,7 @@ def enumerate_points(spec: HyperbolaSpec) -> PointSet:
     Raises ``InfeasibleScale`` before allocating when the point tuples would
     exceed the memory budget.
     """
-    n = spec.n
-    if n * _BYTES_PER_POINT > _MEMORY_BUDGET:
-        raise InfeasibleScale(
-            f"n = {n} needs about {n * _BYTES_PER_POINT >> 20} MB as point tuples, "
-            f"over the {_MEMORY_BUDGET >> 20} MB budget"
-        )
+    check_unit_budget(spec.n, _BYTES_PER_POINT, "as point tuples")
     xs, ys = unit_partners(spec)
     return PointSet(spec, tuple(zip(xs.tolist(), ys.tolist())))
 
@@ -140,11 +146,6 @@ def partition_classes(ps: PointSet) -> ClassPartition:
     for pt in ps.points:
         buckets[pt[0] % p].append(pt)
     return ClassPartition(p, {i: tuple(v) for i, v in buckets.items()})
-
-
-def reflect_diagonal(ps: PointSet) -> PointSet:
-    """Image under (x, y) -> (y, x); equals the input as a set."""
-    return PointSet(ps.spec, tuple(sorted((y, x) for x, y in ps.points)))
 
 
 def points_csv(ps: PointSet) -> str:

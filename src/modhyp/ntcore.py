@@ -8,19 +8,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from enum import Enum
-
-
-class NotInvertible(ValueError):
-    """gcd(x, n) > 1, so x has no inverse mod n."""
 
 
 class NotAResidue(ValueError):
     """Requested a square root of a quadratic non-residue."""
-
-
-class BadLeadingCoefficient(ValueError):
-    """Quadratic congruence with p dividing the leading coefficient."""
 
 
 # Exhaustive root search is the trusted path below this; Tonelli-Shanks above.
@@ -109,28 +100,6 @@ def divisors(n: int) -> list[int]:
                 large.append(n // f)
         f += 1
     return small + large[::-1]
-
-
-def padic_valuation(x: int, p: int) -> int:
-    """Largest i with p**i dividing x; x must be nonzero."""
-    if x == 0:
-        raise ValueError("p-adic valuation of 0 is undefined (handle separately)")
-    x = abs(x)
-    i = 0
-    while x % p == 0:
-        x //= p
-        i += 1
-    return i
-
-
-def mod_inverse(x: int, n: int) -> int:
-    """Inverse of x mod n, in [1, n).  Raises NotInvertible if gcd(x, n) > 1."""
-    if n < 2:
-        raise ValueError("modulus must be >= 2")
-    g = math.gcd(x, n)
-    if g != 1:
-        raise NotInvertible(f"gcd({x}, {n}) = {g}")
-    return pow(x, -1, n)
 
 
 def legendre(a: int, p: int) -> int:
@@ -226,107 +195,3 @@ class PrimePower:
 
     def __str__(self) -> str:
         return f"{self.p}^{self.m}" if self.m > 1 else str(self.p)
-
-
-def hensel_lift_sqrt(b: int, d: int, pp: PrimePower) -> int:
-    """Lift b with b*b = d (mod p) to the unique z = b (mod p) with z*z = d (mod p**m).
-
-    Requires p odd and gcd(d, p) = 1 (unit discriminant, so the derivative 2z
-    is invertible and the lift is unique).
-    """
-    p, m, n = pp.p, pp.m, pp.n
-    if p == 2:
-        raise ValueError("lifting mod powers of 2 is not supported")
-    if d % p == 0:
-        raise ValueError("discriminant must be a unit mod p")
-    if (b * b - d) % p != 0:
-        raise ValueError(f"{b} is not a square root of {d} mod {p}")
-    z, mod = b % p, p
-    while mod < n:
-        mod = min(mod * mod, n)  # Newton doubling, capped at p**m
-        z = (z - (z * z - d) * pow(2 * z, -1, mod)) % mod
-    return z
-
-
-class DiscriminantCase(Enum):
-    """Structure of z*z = D (mod p**m) after the substitution z = 2Ax + C."""
-
-    UNIT = "unit-discriminant"
-    ZERO = "zero-discriminant"
-    EVEN_VALUATION = "even-valuation"
-    NO_SOLUTION = "no-solution"
-
-
-@dataclass(frozen=True)
-class CongruenceSolutions:
-    """Complete solution set of a quadratic congruence mod p**m.
-
-    ``discriminant`` is C*C - 4*A*B reduced into [0, p**m); ``valuation`` is
-    its p-adic valuation, with the convention valuation = m when the reduced
-    discriminant is 0.
-    """
-
-    solutions: tuple[int, ...]
-    case: DiscriminantCase
-    discriminant: int
-    valuation: int
-
-    @property
-    def count(self) -> int:
-        return len(self.solutions)
-
-
-def solve_quadratic_congruence(A: int, C: int, B: int, pp: PrimePower) -> CongruenceSolutions:
-    """All x in [0, p**m) with A*x*x + C*x + B = 0 (mod p**m), p odd.
-
-    The substitution z = 2Ax + C (invertible because p is odd and p does not
-    divide A) reduces to z*z = D (mod p**m) with D = C*C - 4AB, which splits
-    into three cases by the valuation of D:
-
-    * unit D: two Hensel lifts of the roots mod p, or no solution when D is
-      a non-residue;
-    * D = 0 (mod p**m): the z-solutions are the multiples of p**ceil(m/2);
-    * p**i || D with 0 < i < m: solutions exist only for even i with D/p**i
-      a residue, and then come in two families (k + l*p**(m-i)) * p**(i/2).
-    """
-    p, m, n = pp.p, pp.m, pp.n
-    if p == 2:
-        raise ValueError("solver requires an odd prime power modulus")
-    if A % p == 0:
-        raise BadLeadingCoefficient(f"p = {p} divides leading coefficient {A}")
-
-    d_red = (C * C - 4 * A * B) % n
-    inv2a = pow(2 * A, -1, n)
-
-    def from_z(z: int) -> int:
-        return (z - C) * inv2a % n
-
-    if d_red == 0:
-        step = p ** ((m + 1) // 2)
-        zs = range(0, n, step)
-        sols = sorted(from_z(z) for z in zs)
-        return CongruenceSolutions(tuple(sols), DiscriminantCase.ZERO, 0, m)
-
-    val = padic_valuation(d_red, p)
-    if val == 0:
-        if legendre(d_red, p) != 1:
-            return CongruenceSolutions((), DiscriminantCase.NO_SOLUTION, d_red, 0)
-        b0, _ = sqrt_mod_prime(d_red, p)
-        z0 = hensel_lift_sqrt(b0, d_red, pp)
-        sols = sorted({from_z(z0), from_z(n - z0)})
-        return CongruenceSolutions(tuple(sols), DiscriminantCase.UNIT, d_red, 0)
-
-    if val % 2 == 1:
-        return CongruenceSolutions((), DiscriminantCase.NO_SOLUTION, d_red, val)
-    d_unit = d_red // p**val
-    if legendre(d_unit, p) != 1:
-        return CongruenceSolutions((), DiscriminantCase.NO_SOLUTION, d_red, val)
-    sub = PrimePower(p, m - val)
-    b0, _ = sqrt_mod_prime(d_unit, p)
-    k1 = hensel_lift_sqrt(b0, d_unit, sub)
-    half = p ** (val // 2)
-    sols = set()
-    for k in (k1, sub.n - k1):
-        for l in range(half):
-            sols.add(from_z((k + l * sub.n) * half))
-    return CongruenceSolutions(tuple(sorted(sols)), DiscriminantCase.EVEN_VALUATION, d_red, val)

@@ -1,9 +1,11 @@
 """Verification sweeps.
 
 Every suite runs a family of exact checks over a parameter range and returns
-a ``VerificationReport``.  Case work is pure, so sweeps can fan out over a
-process pool; results are assembled in task order, making the report
-independent of the worker count.
+a ``VerificationReport``.  Case work is pure and each worker returns its
+finished ``CaseRecord``, so sweeps can fan out over a process pool; records
+are assembled in task order, making the report independent of the worker
+count.  Suites that aggregate many tasks into one case (ordinary-moduli,
+prop15) reduce their workers' results instead.
 """
 from __future__ import annotations
 
@@ -32,13 +34,12 @@ from .geometry import (
     census,
     check_special_line,
     count_on_line,
-    no_ordinary_moduli,
     verify_collinearity_bounds,
     verify_line_classes,
     verify_ordinary_bound,
 )
-from .hyperbola import HyperbolaSpec, enumerate_points
-from .ntcore import PrimePower, legendre, primes_upto
+from .hyperbola import HyperbolaSpec, check_unit_budget, enumerate_points
+from .ntcore import PrimePower, is_prime, legendre, primes_upto
 
 DEFAULT_FIXTURES = Path("fixtures") / "distance_counts.csv"
 DEFAULT_SEED = 12345
@@ -106,14 +107,9 @@ class VerificationReport:
             ],
         }
 
-    @classmethod
-    def from_payload(cls, payload: dict) -> VerificationReport:
-        rep = cls(payload["suite"], dict(payload["params"]))
-        for c in payload["cases"]:
-            rep.cases.append(
-                CaseRecord(c["key"], c["inputs"], c["expected"], c["computed"], c["pass"])
-            )
-        return rep
+
+def _failures_case(key: str, inputs: dict, failures: list) -> CaseRecord:
+    return CaseRecord(key, inputs, {"failures": []}, {"failures": failures}, not failures)
 
 
 def _run_parallel(worker, tasks, jobs):
@@ -167,7 +163,7 @@ def suite_ordinary_moduli(n_max: int = 200, jobs: int = 1) -> VerificationReport
 # prime-lines
 
 
-def _prime_lines_task(p: int) -> tuple[int, list]:
+def _prime_lines_task(p: int) -> CaseRecord:
     failures = []
     formula = (p - 1) * (p - 2) // 2
     for a in range(1, p):
@@ -179,17 +175,14 @@ def _prime_lines_task(p: int) -> tuple[int, list]:
         cen = census(ps)
         if cen.ordinary_count != formula or cen.max_collinear != 2:
             failures.append([a, cen.ordinary_count, cen.max_collinear])
-    return p, failures
+    expected = {"ordinary": formula, "max_collinear": 2}
+    return CaseRecord(f"p{p}", {"p": p, "all_a": True}, expected, {"failures": failures}, not failures)
 
 
 def suite_prime_lines(n_max: int = 101, jobs: int = 1) -> VerificationReport:
     """Every prime hyperbola spans (p-1)(p-2)/2 ordinary lines and nothing longer."""
     rep = VerificationReport("prime-lines", {"n_max": n_max})
-    for p, failures in _run_parallel(_prime_lines_task, primes_upto(n_max), jobs):
-        expected = {"ordinary": (p - 1) * (p - 2) // 2, "max_collinear": 2}
-        rep.cases.append(
-            CaseRecord(f"p{p}", {"p": p, "all_a": True}, expected, {"failures": failures}, not failures)
-        )
+    rep.cases.extend(_run_parallel(_prime_lines_task, primes_upto(n_max), jobs))
     return rep
 
 
@@ -197,21 +190,18 @@ def suite_prime_lines(n_max: int = 101, jobs: int = 1) -> VerificationReport:
 # special-line
 
 
-def _special_line_task(task: tuple[int, int]) -> tuple[int, int, int]:
+def _special_line_task(task: tuple[int, int]) -> CaseRecord:
     p, m = task
-    pp = PrimePower(p, m)
-    return p, m, check_special_line(pp)
+    count = check_special_line(PrimePower(p, m))
+    expected = p ** (m // 2) - 1
+    return CaseRecord(f"{p}^{m}", {"p": p, "m": m}, expected, count, count == expected)
 
 
 def suite_special_line(n_max: int = 2500, jobs: int = 1) -> VerificationReport:
     """The line x + y = p**m + 2 carries p**floor(m/2) - 1 points (m >= 2, p**m > 8)."""
     rep = VerificationReport("special-line", {"n_max": n_max})
     tasks = [(p, m) for p, m, n in _prime_powers_upto(n_max, min_m=2, min_n=9)]
-    for p, m, count in _run_parallel(_special_line_task, tasks, jobs):
-        expected = p ** (m // 2) - 1
-        rep.cases.append(
-            CaseRecord(f"{p}^{m}", {"p": p, "m": m}, expected, count, count == expected)
-        )
+    rep.cases.extend(_run_parallel(_special_line_task, tasks, jobs))
     if n_max >= 27:
         # the 3^3 set also spans a longer line, x + y = 38, with 4 points
         ps = enumerate_points(HyperbolaSpec(1, 27))
@@ -224,42 +214,23 @@ def suite_special_line(n_max: int = 2500, jobs: int = 1) -> VerificationReport:
 # theorem6 (ordinary-line lower bound)
 
 
-def _bound_task(task: tuple[int, int]) -> dict:
+def _theorem6_task(task: tuple[int, int]) -> CaseRecord:
     p, m = task
     r = verify_ordinary_bound(PrimePower(p, m))
-    return {
-        "p": p,
-        "m": m,
-        "n": r.n,
-        "ordinary": r.ordinary,
-        "bound": str(r.bound),
-        "ceil_bound": r.ceil_bound,
-        "satisfied": r.satisfied,
-        "equality": r.equality,
-        "equality_expected": r.equality_expected,
-        "ok": r.ok,
-    }
+    return CaseRecord(
+        f"{p}^{m}",
+        {"p": p, "m": m, "n": r.n},
+        {"satisfied": True, "equality": r.equality_expected},
+        {"ordinary": r.ordinary, "bound": str(r.bound), "ceil_bound": r.ceil_bound, "equality": r.equality},
+        r.ok,
+    )
 
 
 def suite_theorem6(n_max: int = 2500, jobs: int = 1) -> VerificationReport:
     """Ordinary count >= ceil(exact rational bound); equality exactly where expected."""
     rep = VerificationReport("theorem6", {"n_max": n_max})
     tasks = [(p, m) for p, m, n in _prime_powers_upto(n_max, min_n=3)]
-    for r in _run_parallel(_bound_task, tasks, jobs):
-        rep.cases.append(
-            CaseRecord(
-                f"{r['p']}^{r['m']}",
-                {"p": r["p"], "m": r["m"], "n": r["n"]},
-                {"satisfied": True, "equality": r["equality_expected"]},
-                {
-                    "ordinary": r["ordinary"],
-                    "bound": r["bound"],
-                    "ceil_bound": r["ceil_bound"],
-                    "equality": r["equality"],
-                },
-                r["ok"],
-            )
-        )
+    rep.cases.extend(_run_parallel(_theorem6_task, tasks, jobs))
     return rep
 
 
@@ -267,27 +238,23 @@ def suite_theorem6(n_max: int = 2500, jobs: int = 1) -> VerificationReport:
 # lemma7 (line class structure)
 
 
-def _line_class_task(task: tuple[int, int]) -> tuple[int, int, int, list[str]]:
+def _line_class_task(task: tuple[int, int]) -> CaseRecord:
     p, m = task
-    ps = enumerate_points(HyperbolaSpec(1, p**m))
-    r = verify_line_classes(ps)
-    return p, m, r.lines_checked, r.violations
+    r = verify_line_classes(enumerate_points(HyperbolaSpec(1, p**m)))
+    return CaseRecord(
+        f"{p}^{m}",
+        {"p": p, "m": m, "a": 1},
+        {"violations": []},
+        {"lines_checked": r.lines_checked, "violations": r.violations},
+        not r.violations,
+    )
 
 
 def suite_lemma7(n_max: int = 1331, jobs: int = 1) -> VerificationReport:
     """Structure of many-point lines over odd prime powers with m >= 2, a = 1."""
     rep = VerificationReport("lemma7", {"n_max": n_max})
     tasks = [(p, m) for p, m, n in _prime_powers_upto(n_max, min_m=2, odd_only=True)]
-    for p, m, checked, violations in _run_parallel(_line_class_task, tasks, jobs):
-        rep.cases.append(
-            CaseRecord(
-                f"{p}^{m}",
-                {"p": p, "m": m, "a": 1},
-                {"violations": []},
-                {"lines_checked": checked, "violations": violations},
-                not violations,
-            )
-        )
+    rep.cases.extend(_run_parallel(_line_class_task, tasks, jobs))
     return rep
 
 
@@ -295,35 +262,24 @@ def suite_lemma7(n_max: int = 1331, jobs: int = 1) -> VerificationReport:
 # collinearity
 
 
-def _collinearity_task(task: tuple[int, int]) -> dict:
+def _collinearity_task(task: tuple[int, int]) -> CaseRecord:
     p, m = task
-    ps = enumerate_points(HyperbolaSpec(1, p**m))
-    r = verify_collinearity_bounds(ps)
-    return {
-        "p": p,
-        "m": m,
+    r = verify_collinearity_bounds(enumerate_points(HyperbolaSpec(1, p**m)))
+    computed = {
         "max_collinear": r.max_collinear,
         "limit": r.limit,
         "class_line_counts": r.class_line_counts,
         "violations": r.violations,
         "many_lines_regime": r.many_lines_regime,
     }
+    return CaseRecord(f"{p}^{m}", {"p": p, "m": m, "a": 1}, {"violations": []}, computed, not r.violations)
 
 
 def suite_collinearity(n_max: int = 1331, jobs: int = 1) -> VerificationReport:
     """Max collinearity bound and non-collinearity of classes, odd p**m, a = 1."""
     rep = VerificationReport("collinearity", {"n_max": n_max})
     tasks = [(p, m) for p, m, n in _prime_powers_upto(n_max, odd_only=True, min_n=3)]
-    for r in _run_parallel(_collinearity_task, tasks, jobs):
-        rep.cases.append(
-            CaseRecord(
-                f"{r['p']}^{r['m']}",
-                {"p": r["p"], "m": r["m"], "a": 1},
-                {"violations": []},
-                {k: r[k] for k in ("max_collinear", "limit", "class_line_counts", "violations", "many_lines_regime")},
-                not r["violations"],
-            )
-        )
+    rep.cases.extend(_run_parallel(_collinearity_task, tasks, jobs))
     return rep
 
 
@@ -331,7 +287,7 @@ def suite_collinearity(n_max: int = 1331, jobs: int = 1) -> VerificationReport:
 # prime-distance
 
 
-def _prime_distance_task(p: int) -> tuple[int, list]:
+def _prime_distance_task(p: int) -> CaseRecord:
     failures = []
     seen = set()
     for a in (1, 2, 3, 4, p - 1):
@@ -342,22 +298,37 @@ def _prime_distance_task(p: int) -> tuple[int, list]:
         got = distance_profile(HyperbolaSpec(a, p)).distinct_count
         if want != got:
             failures.append([a, want, got])
-    return p, failures
+    return _failures_case(f"p{p}", {"p": p}, failures)
 
 
 def suite_prime_distance(n_max: int = 499, jobs: int = 1) -> VerificationReport:
     """Closed form (p + (a/p))/2 versus brute force for a in {1, 2, 3, 4, p-1}."""
     rep = VerificationReport("prime-distance", {"n_max": n_max})
     tasks = [p for p in primes_upto(n_max) if p > 2]
-    for p, failures in _run_parallel(_prime_distance_task, tasks, jobs):
-        rep.cases.append(
-            CaseRecord(f"p{p}", {"p": p}, {"failures": []}, {"failures": failures}, not failures)
-        )
+    rep.cases.extend(_run_parallel(_prime_distance_task, tasks, jobs))
     return rep
 
 
 # ---------------------------------------------------------------------------
 # theorem14 (squared-modulus distance count formula vs brute force)
+
+# Peak-RSS growth per residue a of p**2 with an explicit p, in a fresh process:
+# the sampled mode lists every unit before sampling (40.1 B at p = 2003 and
+# 4001), and --all-a holds a task tuple, a case record and its payload per unit
+# (819 B at p = 503 with --jobs 1, 934 B at p = 307 with --jobs 2, kernel
+# stubbed).  The list is freed before the kernel runs, and both figures pass
+# the kernel's own 32 B, so they set the limit on p (p <= 6688 and p <= 1295).
+_SAMPLED_BYTES_PER_RESIDUE = 48
+_ALL_A_BYTES_PER_RESIDUE = 1280
+
+
+def _check_theorem14_prime(p: int, all_a: bool) -> None:
+    """Refuse p unless it is an odd prime whose residues mod p**2 fit the budget."""
+    per_residue = _ALL_A_BYTES_PER_RESIDUE if all_a else _SAMPLED_BYTES_PER_RESIDUE
+    # the budget first, so trial division never runs on a huge p
+    check_unit_budget(p * p, per_residue, "for the theorem14 residues")
+    if p < 3 or not is_prime(p):
+        raise ValueError(f"p = {p} is not an odd prime")
 
 
 def _formula_check(a: int, p: int) -> tuple[int, int]:
@@ -366,7 +337,7 @@ def _formula_check(a: int, p: int) -> tuple[int, int]:
     return want, got
 
 
-def _theorem14_exhaustive_task(p: int) -> tuple[int, int, list]:
+def _theorem14_exhaustive_task(p: int) -> CaseRecord:
     failures = []
     checked = 0
     for a in range(1, p * p):
@@ -376,26 +347,27 @@ def _theorem14_exhaustive_task(p: int) -> tuple[int, int, list]:
         want, got = _formula_check(a, p)
         if want != got:
             failures.append([a, want, got])
-    return p, checked, failures
+    return _failures_case(f"p{p}-all-a", {"p": p, "checked": checked}, failures)
 
 
-def _theorem14_sampled_task(task: tuple[int, int, int]) -> tuple[int, int, list]:
+def _theorem14_sampled_task(task: tuple[int, int, int]) -> CaseRecord:
     p, samples, seed = task
     rng = random.Random(f"{seed}:{p}")
     units = [a for a in range(1, p * p) if a % p != 0]
-    failures = []
     chosen = sorted(rng.sample(units, min(samples, len(units))))
+    del units  # before the kernel runs, so the list and the kernel arrays never share the peak
+    failures = []
     for a in chosen:
         want, got = _formula_check(a, p)
         if want != got:
             failures.append([a, want, got])
-    return p, len(chosen), failures
+    return _failures_case(f"p{p}-sampled", {"p": p, "checked": len(chosen)}, failures)
 
 
-def _theorem14_single_a_task(task: tuple[int, int]) -> tuple[int, int, int, int]:
+def _theorem14_single_a_task(task: tuple[int, int]) -> CaseRecord:
     p, a = task
     want, got = _formula_check(a, p)
-    return p, a, want, got
+    return CaseRecord(f"p{p}-a{a}", {"p": p, "a": a}, want, got, want == got)
 
 
 def suite_theorem14(
@@ -416,37 +388,17 @@ def suite_theorem14(
     params = {"p": p, "n_max": n_max, "all_a": all_a, "samples": samples, "seed": seed}
     rep = VerificationReport("theorem14", params)
     if p is not None:
+        _check_theorem14_prime(p, all_a)
         if all_a:
             tasks = [(p, a) for a in range(1, p * p) if a % p != 0]
-            for pv, a, want, got in _run_parallel(_theorem14_single_a_task, tasks, jobs):
-                rep.cases.append(
-                    CaseRecord(f"p{pv}-a{a}", {"p": pv, "a": a}, want, got, want == got)
-                )
+            rep.cases.extend(_run_parallel(_theorem14_single_a_task, tasks, jobs))
         else:
-            pv, checked, failures = _theorem14_sampled_task((p, samples, seed))
-            rep.cases.append(
-                CaseRecord(
-                    f"p{pv}-sampled", {"p": pv, "checked": checked}, {"failures": []},
-                    {"failures": failures}, not failures,
-                )
-            )
+            rep.cases.append(_theorem14_sampled_task((p, samples, seed)))
         return rep
     ex_tasks = [q for q in primes_upto(n_max) if q > 2]
-    for pv, checked, failures in _run_parallel(_theorem14_exhaustive_task, ex_tasks, jobs):
-        rep.cases.append(
-            CaseRecord(
-                f"p{pv}-all-a", {"p": pv, "checked": checked}, {"failures": []},
-                {"failures": failures}, not failures,
-            )
-        )
+    rep.cases.extend(_run_parallel(_theorem14_exhaustive_task, ex_tasks, jobs))
     sm_tasks = [(q, samples, seed) for q in sample_primes]
-    for pv, checked, failures in _run_parallel(_theorem14_sampled_task, sm_tasks, jobs):
-        rep.cases.append(
-            CaseRecord(
-                f"p{pv}-sampled", {"p": pv, "checked": checked}, {"failures": []},
-                {"failures": failures}, not failures,
-            )
-        )
+    rep.cases.extend(_run_parallel(_theorem14_sampled_task, sm_tasks, jobs))
     return rep
 
 
@@ -462,22 +414,17 @@ def read_fixture_rows(path: Path | str) -> list[tuple[int, int, int, int]]:
     return rows
 
 
-def _table_row_task(row: tuple[int, int, int, int]) -> tuple[tuple[int, int, int, int], int]:
+def _table_row_task(row: tuple[int, int, int, int]) -> CaseRecord:
     p, m, a, expected = row
     got = distance_profile(HyperbolaSpec(a, p**m)).distinct_count
-    return row, got
+    return CaseRecord(f"p{p}-m{m}-a{a}", {"p": p, "m": m, "a": a}, expected, got, got == expected)
 
 
 def suite_tables(fixtures: Path | str = DEFAULT_FIXTURES, jobs: int = 1) -> VerificationReport:
     """Reproduce every transcribed distinct-distance count exactly."""
     rows = read_fixture_rows(fixtures)
     rep = VerificationReport("tables", {"fixtures": str(fixtures), "rows": len(rows)})
-    for (p, m, a, expected), got in _run_parallel(_table_row_task, rows, jobs):
-        rep.cases.append(
-            CaseRecord(
-                f"p{p}-m{m}-a{a}", {"p": p, "m": m, "a": a}, expected, got, got == expected
-            )
-        )
+    rep.cases.extend(_run_parallel(_table_row_task, rows, jobs))
     return rep
 
 
@@ -485,13 +432,17 @@ def suite_tables(fixtures: Path | str = DEFAULT_FIXTURES, jobs: int = 1) -> Veri
 # general-pm (image decomposition at higher prime powers)
 
 
-def _general_pm_task(task: tuple[int, int, int]) -> dict:
+def _general_pm_task(task: tuple[int, int, int]) -> CaseRecord:
     p, m, a = task
     r = prime_power_image_report(a, PrimePower(p, m))
-    return {
-        "p": p,
-        "m": m,
-        "a": a,
+    # the denominator-4 identity holds exactly when both Legendre symbols are -1
+    quarter_expected = r.leg_a == -1 and r.leg_neg_a == -1
+    expected = {
+        "bounds_ok": True,
+        "correction_half_ok": True,
+        "correction_quarter_ok": quarter_expected,
+    }
+    computed = {
         "ok": r.ok,
         "image_size": r.image_size,
         "half_phi": r.half_phi,
@@ -510,6 +461,8 @@ def _general_pm_task(task: tuple[int, int, int]) -> dict:
         "correction_half_ok": r.correction_half_ok,
         "correction_quarter_ok": r.correction_quarter_ok,
     }
+    passed = r.ok and r.correction_quarter_ok == quarter_expected
+    return CaseRecord(f"p{p}-m{m}-a{a}", {"p": p, "m": m, "a": a}, expected, computed, passed)
 
 
 def suite_general_pm(
@@ -534,23 +487,7 @@ def suite_general_pm(
         for a in a_values
         if math.gcd(a, p) == 1
     ]
-    for r in _run_parallel(_general_pm_task, tasks, jobs):
-        quarter_expected = r["leg_a"] == -1 and r["leg_neg_a"] == -1
-        passed = r["ok"] and r["correction_quarter_ok"] == quarter_expected
-        expected = {
-            "bounds_ok": True,
-            "correction_half_ok": True,
-            "correction_quarter_ok": quarter_expected,
-        }
-        rep.cases.append(
-            CaseRecord(
-                f"p{r['p']}-m{r['m']}-a{r['a']}",
-                {"p": r["p"], "m": r["m"], "a": r["a"]},
-                expected,
-                {k: v for k, v in r.items() if k not in ("p", "m", "a")},
-                passed,
-            )
-        )
+    rep.cases.extend(_run_parallel(_general_pm_task, tasks, jobs))
     return rep
 
 

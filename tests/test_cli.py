@@ -1,4 +1,5 @@
 """CLI contract: exit codes, formats, determinism, cache round-trips."""
+import hashlib
 import json
 from pathlib import Path
 
@@ -6,7 +7,8 @@ import pytest
 
 from modhyp.cli import main
 
-FIXTURES = Path(__file__).resolve().parent.parent / "fixtures" / "distance_counts.csv"
+ROOT = Path(__file__).resolve().parent.parent
+FIXTURES = ROOT / "fixtures" / "distance_counts.csv"
 
 
 def run(capsys, *argv):
@@ -43,6 +45,35 @@ def test_bound_enforced(capsys):
     rc, _, err = run(capsys, "points", "--a", "1", "--n", "3", "--bound", "2")
     assert rc == 2
     assert "bound" in err
+
+
+def test_prime_power_flags_fail_fast(capsys):
+    # p**m is never built past the bound, however large m is
+    rc, _, err = run(capsys, "census", "--a", "1", "--p", "3", "--m", "10000000")
+    assert rc == 2
+    assert "bound" in err
+    rc, _, err = run(capsys, "census", "--a", "1", "--p", "1", "--m", "10000000")
+    assert rc == 2
+    assert "--p" in err
+
+
+def test_theorem14_prime_checked_before_building(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("theorem14 task reached")
+
+    for task in ("_theorem14_single_a_task", "_theorem14_sampled_task", "_theorem14_exhaustive_task"):
+        monkeypatch.setattr(f"modhyp.suites.{task}", refuse)
+    for argv, reason in [
+        (["--p", "15"], "not an odd prime"),
+        (["--p", "2"], "not an odd prime"),
+        (["--p", "46349"], "int64-exact"),  # p**2 > 2**31
+        (["--p", "20011"], "budget"),
+        (["--p", "1297", "--all-a"], "budget"),
+    ]:
+        rc, out, err = run(capsys, "verify", "theorem14", *argv, "--jobs", "1")
+        assert rc == 2, argv
+        assert out == ""
+        assert reason in err, argv
 
 
 def test_census_limit_checked_before_enumeration(capsys, monkeypatch):
@@ -178,3 +209,35 @@ def test_text_format_smoke(capsys):
     rc, out, _ = run(capsys, "verify", "gap", "--k", "1", "--format", "text")
     assert rc == 0
     assert out.strip().endswith("PASS")
+
+
+# SHA-256 of `modhyp verify <suite> --format json --jobs 1`, recorded before the
+# suite workers returned case records; every refactor must keep these bytes
+REPORT_DIGESTS = [
+    ("ordinary-moduli", ["--n-max", "40"], 0, "c274fdb0456924ede85af5827955f5b0782dd9c981e99967718b9ec3ff6fa766"),
+    ("prime-lines", ["--n-max", "13"], 0, "0152ddfe3347d860f505ad4de28bd443f000b1de7192d9296d9733616ba52bc8"),
+    ("special-line", ["--n-max", "130"], 0, "2f4aeced014fef73fc303cee23ed8aed83a59348605823e085fa5faa747693ea"),
+    ("theorem6", ["--n-max", "130"], 1, "1f9fdce38a7c8d6b1b9aeddb75da22589de8e575e53c6526eabdb5904d99f000"),
+    ("lemma7", ["--n-max", "130"], 0, "09d007b6599cce407a690cb126f610c0eefb91efe339e2d962b98e7ee2ba461d"),
+    ("collinearity", ["--n-max", "130"], 0, "7c779eabc0dc800f5ea4fd545217c2fd5552922916b21f280746e0ed355ef757"),
+    ("prime-distance", ["--n-max", "37"], 0, "10d0d9437fd3fddd70ea5d8d8befb39c34f1182c568f073f43280b6401c62ab2"),
+    ("theorem14", ["--n-max", "7", "--samples", "5"], 0, "b8f220615ee249d6892856ffed5ab6f46c2d6b82520b95aca9f0f4d23097d4ea"),
+    ("theorem14", ["--p", "5", "--all-a"], 0, "7f21ebf60266ae2c28e050375d787b71f025bf5d83f323eacbea1078391ce692"),
+    ("theorem14", ["--p", "11", "--samples", "5"], 0, "13b2fbf1c61508508a8b411c19e48520e4162d3d1bc679885a14d50556018359"),
+    ("tables", [], 0, "4c11ae03b2ead06cfd37270dad0bf8bf2cd156f72f010b0db4bbe9c4663f2ad7"),
+    ("general-pm", [], 0, "aba10c7c2990064433af1b623aa79b27272f2b4d2a7ebcf4ec97dd17ff97bc80"),
+    ("prop15", ["--n-max", "13"], 0, "f7470a0ea0e85c7798125357553134dd85e522a6c9bbb78dcf961b1e00272972"),
+    ("gap", [], 0, "a027bdb369990bd755a80777a168c824389dbc2eb68ccb5d221fbc24d4e0c87d"),
+]
+
+
+@pytest.mark.parametrize(
+    "suite,extra,code,digest",
+    REPORT_DIGESTS,
+    ids=["_".join([suite, *(arg.lstrip("-") for arg in extra)]) for suite, extra, _, _ in REPORT_DIGESTS],
+)
+def test_verify_report_digests(capsys, monkeypatch, suite, extra, code, digest):
+    monkeypatch.chdir(ROOT)  # the tables report names its default fixture path as given
+    rc, out, _ = run(capsys, "verify", suite, *extra, "--format", "json", "--jobs", "1")
+    assert rc == code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

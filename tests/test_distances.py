@@ -8,11 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modhyp.distances import (
-    MissingRoot,
     NoSquareRoot,
     NotApplicable,
     InfeasibleScale,
-    branch_eval,
     classify_image,
     distance_profile,
     distance_value,
@@ -113,38 +111,6 @@ def test_sqrt_shift_defining_congruences():
                 assert c * (p - c + l * p) % (p * p) == a % (p * p)
 
 
-def test_branch_eval_examples():
-    data = sqrt_shift_data(1, 5)
-    assert branch_eval("root", 0, data) == 2
-    assert distance_value(1, 1, 25) == 2
-    assert branch_eval("root_wrap", 3, data) == 377
-    assert distance_value(1, 16, 25) == 377
-    with pytest.raises(MissingRoot):
-        branch_eval("root", 0, sqrt_shift_data(3, 5))
-    with pytest.raises(ValueError):
-        branch_eval("bogus", 0, data)
-
-
-def test_branch_consistency():
-    # the four closed-form branches reproduce d along both progressions
-    rng = random.Random(10)
-    for p in [q for q in primes_upto(61) if q > 2]:
-        residues = [a for a in range(1, p * p) if a % p != 0 and legendre(a, p) == 1]
-        for a in {1, residues[rng.randrange(len(residues))], residues[-1]}:
-            if legendre(a, p) != 1:
-                continue
-            data = sqrt_shift_data(a, p)
-            b, j, k = data.root, data.root_shift, data.mirror_shift
-            n = p * p
-            for t in range(p):
-                want = distance_value(a, b + t * p, n)
-                got = branch_eval("root" if t <= j else "root_wrap", t, data)
-                assert want == got, (a, p, t)
-                want2 = distance_value(a, p - b + t * p, n)
-                got2 = branch_eval("mirror" if t <= k else "mirror_wrap", t, data)
-                assert want2 == got2, (a, p, t)
-
-
 def test_classify_image_values():
     dec = classify_image(1, PrimePower(5, 2))
     assert (len(dec.b1_values), len(dec.b2_values), dec.generic_count) == (5, 5, 0)
@@ -175,12 +141,14 @@ def test_classification_partition_and_generic_preimages():
                 continue
             pp = PrimePower(p, 2)
             dec = classify_image(a, pp)
+            preimage_counts = _classify_image_reference(a, pp)[-1]
             # the three classes partition the image
-            assert len(dec.preimage_counts) == dec.image_size
-            generic = set(dec.preimage_counts) - dec.b1_values - dec.b2_values
+            assert len(preimage_counts) == dec.image_size
+            generic = set(preimage_counts) - dec.b1_values - dec.b2_values
             assert len(generic) == dec.generic_count
             for u in generic:
-                assert dec.preimage_counts[u] == 2, (a, p, u)
+                assert preimage_counts[u] == 2, (a, p, u)
+            assert dec.max_preimage == max(preimage_counts.values())
             if dec.b1_values:
                 assert dec.b1_preimage_count == 2 * p
                 assert legendre(a, p) == 1
@@ -231,10 +199,11 @@ def test_classify_image_matches_reference_loop():
                 got = (
                     dec.a, dec.generic_count, dec.b1_values, dec.b2_values,
                     dec.b1_preimage_count, dec.b2_preimage_count,
-                    dec.intersection_count, dec.preimage_counts,
+                    dec.intersection_count, dec.max_preimage,
                 )
-                assert got == _classify_image_reference(a, pp), (a, pp)
-                assert all(type(k) is int and type(v) is int for k, v in dec.preimage_counts.items())
+                *want, preimage_counts = _classify_image_reference(a, pp)
+                assert got == (*want, max(preimage_counts.values())), (a, pp)
+                assert type(dec.max_preimage) is int
                 assert all(type(u) is int for u in dec.b1_values | dec.b2_values)
 
 

@@ -21,7 +21,6 @@ from modhyp.geometry import (
     check_special_line,
     count_on_line,
     line_through,
-    no_ordinary_moduli,
     ordinary_lower_bound,
     verify_collinearity_bounds,
     verify_line_classes,
@@ -35,7 +34,6 @@ from modhyp.hyperbola import (
     PointSet,
     enumerate_points,
     partition_classes,
-    reflect_diagonal,
 )
 from modhyp.ntcore import PrimePower, is_prime
 
@@ -215,7 +213,7 @@ def test_census_invariant_under_reflection():
     for a, n in [(1, 27), (2, 25), (1, 49), (5, 36)]:
         ps = enumerate_points(HyperbolaSpec(a, n))
         c1 = census(ps)
-        c2 = census(reflect_diagonal(ps))
+        c2 = census(PointSet(ps.spec, tuple(sorted((y, x) for x, y in ps.points))))
         assert c1.histogram == c2.histogram
         assert c1.ordinary_count == c2.ordinary_count
 
@@ -230,12 +228,6 @@ def test_cross_class_pairs_are_ordinary():
             for P in part.classes[i]:
                 for Q in part.classes[j]:
                     assert count_on_line(ps, line_through(P, Q)) == 2, (n, P, Q)
-
-
-def test_no_ordinary_moduli():
-    assert no_ordinary_moduli(100) == [2, 8, 12, 24]
-    assert no_ordinary_moduli(7) == [2]
-    assert no_ordinary_moduli(2) == [2]
 
 
 def test_check_special_line():

@@ -1,25 +1,17 @@
-"""Core arithmetic tests: every solver path is checked against exhaustive scans."""
+"""Core arithmetic tests: the square-root and Legendre paths are checked against exhaustive scans."""
 import random
 
 import pytest
 
 from modhyp.ntcore import (
-    BadLeadingCoefficient,
-    CongruenceSolutions,
-    DiscriminantCase,
     NotAResidue,
-    NotInvertible,
     PrimePower,
     _sqrt_scan,
     _tonelli_shanks,
     euler_phi,
-    hensel_lift_sqrt,
     is_prime,
     legendre,
-    mod_inverse,
-    padic_valuation,
     primes_upto,
-    solve_quadratic_congruence,
     sqrt_mod_prime,
 )
 
@@ -45,29 +37,6 @@ def test_euler_phi():
 
     for n in range(2, 200):
         assert euler_phi(n) == sum(1 for x in range(1, n) if math.gcd(x, n) == 1)
-
-
-def test_mod_inverse_examples():
-    assert mod_inverse(2, 5) == 3
-    assert mod_inverse(1, 9) == 1
-    with pytest.raises(NotInvertible):
-        mod_inverse(6, 9)
-
-
-def test_mod_inverse_random():
-    rng = random.Random(0)
-    for _ in range(500):
-        n = rng.randrange(2, 10**6)
-        x = rng.randrange(1, n)
-        try:
-            y = mod_inverse(x, n)
-        except NotInvertible:
-            import math
-
-            assert math.gcd(x, n) > 1
-            continue
-        assert 1 <= y < n
-        assert x * y % n == 1
 
 
 def test_legendre_examples():
@@ -124,45 +93,6 @@ def test_sqrt_large_prime_uses_tonelli_shanks():
             assert 0 < b < p / 2
 
 
-def test_hensel_examples():
-    assert hensel_lift_sqrt(1, 1, PrimePower(5, 2)) == 1
-    assert hensel_lift_sqrt(3, 2, PrimePower(7, 2)) == 10
-    assert hensel_lift_sqrt(2, 4, PrimePower(5, 3)) == 2
-
-
-def test_hensel_lift_random():
-    rng = random.Random(1)
-    primes = [p for p in primes_upto(200) if p > 2]
-    for _ in range(1000):
-        p = rng.choice(primes)
-        m = rng.randrange(1, 6)
-        pp = PrimePower(p, m)
-        r = rng.randrange(1, pp.n)
-        while r % p == 0:
-            r = rng.randrange(1, pp.n)
-        d = r * r % pp.n
-        z = hensel_lift_sqrt(r % p, d, pp)
-        assert z * z % pp.n == d
-        assert z % p == r % p
-
-
-def test_hensel_rejects_bad_input():
-    with pytest.raises(ValueError):
-        hensel_lift_sqrt(1, 1, PrimePower(2, 3))
-    with pytest.raises(ValueError):
-        hensel_lift_sqrt(1, 3, PrimePower(5, 2))  # 1*1 != 3 mod 5
-    with pytest.raises(ValueError):
-        hensel_lift_sqrt(5, 25, PrimePower(5, 3))  # discriminant not a unit
-
-
-def test_padic_valuation():
-    assert padic_valuation(18, 3) == 2
-    assert padic_valuation(5, 3) == 0
-    assert padic_valuation(-24, 2) == 3
-    with pytest.raises(ValueError):
-        padic_valuation(0, 3)
-
-
 def test_prime_power_validation():
     pp = PrimePower(7, 2)
     assert (pp.n, pp.phi) == (49, 42)
@@ -174,98 +104,3 @@ def test_prime_power_validation():
     assert PrimePower.from_modulus(12) is None
     assert PrimePower.from_modulus(7) == PrimePower(7, 1)
     assert PrimePower.from_modulus(1) is None
-
-
-def test_solve_quadratic_examples():
-    s = solve_quadratic_congruence(1, -2, 1, PrimePower(3, 2))
-    assert s.solutions == (1, 4, 7)
-    assert s.case is DiscriminantCase.ZERO
-
-    s = solve_quadratic_congruence(1, 0, -1, PrimePower(5, 2))
-    assert s.solutions == (1, 24)
-    assert s.case is DiscriminantCase.UNIT
-
-    s = solve_quadratic_congruence(1, 0, -9, PrimePower(3, 3))
-    assert s.solutions == (3, 6, 12, 15, 21, 24)
-    assert s.case is DiscriminantCase.EVEN_VALUATION
-    assert s.valuation == 2
-
-
-def test_solve_rejects_bad_leading_coefficient():
-    with pytest.raises(BadLeadingCoefficient):
-        solve_quadratic_congruence(3, 1, 1, PrimePower(3, 2))
-    with pytest.raises(ValueError):
-        solve_quadratic_congruence(1, 1, 1, PrimePower(2, 3))
-
-
-def _scan_roots(A, C, B, n):
-    return tuple(x for x in range(n) if (A * x * x + C * x + B) % n == 0)
-
-
-def _check_case_invariants(s: CongruenceSolutions, pp: PrimePower):
-    p, m = pp.p, pp.m
-    if s.case is DiscriminantCase.UNIT:
-        assert len(s.solutions) == 2
-        assert s.discriminant % p != 0
-    elif s.case is DiscriminantCase.ZERO:
-        assert len(s.solutions) == p ** (m // 2)
-        assert s.discriminant == 0 and s.valuation == m
-    elif s.case is DiscriminantCase.EVEN_VALUATION:
-        assert s.valuation % 2 == 0 and 0 < s.valuation < m
-        assert len(s.solutions) == 2 * p ** (s.valuation // 2)
-    else:
-        assert s.solutions == ()
-
-
-def test_solve_exhaustive_oracle_small_moduli():
-    # full coefficient grid over tiny moduli
-    for pp in (PrimePower(3, 1), PrimePower(3, 2), PrimePower(5, 1), PrimePower(7, 1)):
-        n = pp.n
-        for A in range(1, n):
-            if A % pp.p == 0:
-                continue
-            for C in range(n):
-                for B in range(n):
-                    s = solve_quadratic_congruence(A, C, B, pp)
-                    assert s.solutions == _scan_roots(A, C, B, n), (A, C, B, n)
-                    _check_case_invariants(s, pp)
-
-
-def test_solve_exhaustive_oracle_sampled_moduli():
-    rng = random.Random(2)
-    moduli = [
-        PrimePower(3, 3),
-        PrimePower(3, 4),
-        PrimePower(3, 6),
-        PrimePower(5, 2),
-        PrimePower(5, 3),
-        PrimePower(7, 2),
-        PrimePower(7, 3),
-        PrimePower(11, 2),
-    ]
-    for pp in moduli:
-        n = pp.n
-        for _ in range(300):
-            A = rng.randrange(1, n)
-            while A % pp.p == 0:
-                A = rng.randrange(1, n)
-            C = rng.randrange(-n, n)
-            B = rng.randrange(-n, n)
-            s = solve_quadratic_congruence(A, C, B, pp)
-            assert s.solutions == _scan_roots(A, C, B, n), (A, C, B, n)
-            _check_case_invariants(s, pp)
-
-
-def test_solution_counts_in_allowed_set():
-    rng = random.Random(3)
-    for _ in range(500):
-        pp = rng.choice([PrimePower(3, m) for m in range(1, 6)] + [PrimePower(5, m) for m in range(1, 4)])
-        A = rng.randrange(1, pp.n)
-        while A % pp.p == 0:
-            A = rng.randrange(1, pp.n)
-        s = solve_quadratic_congruence(A, rng.randrange(pp.n), rng.randrange(pp.n), pp)
-        allowed = {0, 2, pp.p ** (pp.m // 2)}
-        allowed.update(2 * pp.p ** (i // 2) for i in range(2, pp.m, 2))
-        if pp.m == 1:
-            allowed.add(1)
-        assert len(s.solutions) in allowed
