@@ -6,6 +6,8 @@ integer arithmetic, with verification sweeps that compare every closed form
 against brute force.
 """
 
+import types
+
 from .distances import (
     DistanceProfile,
     GapReport,
@@ -38,7 +40,6 @@ from .geometry import (
     verify_ordinary_bound,
 )
 from .hyperbola import (
-    ClassPartition,
     HyperbolaSpec,
     PointSet,
     enumerate_points,
@@ -55,5 +56,5 @@ from .ntcore import (
 )
 from .suites import SUITES, VerificationReport
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [n for n in dir() if not n.startswith("_") and not isinstance(globals()[n], types.ModuleType)]
 __version__ = "0.1.0"

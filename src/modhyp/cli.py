@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import inspect
 import json
 import os
 import sys
@@ -16,10 +17,16 @@ from pathlib import Path
 
 from .distances import DEFAULT_GAP_BOUND, distance_profile, gap_experiment
 from .geometry import census, check_census_modulus
-from .hyperbola import HyperbolaSpec, enumerate_points, points_csv
+from .hyperbola import HyperbolaSpec, check_unit_budget, enumerate_points
+from .ntcore import is_prime
 from .suites import DEFAULT_FIXTURES, DEFAULT_SEED, SUITES, VerificationReport
 
 DEFAULT_N_BOUND = 2**31
+# `modhyp points` holds Python [x, y] rows, the only per-point Python objects.
+# Peak-RSS growth per unit of n (fresh process, primes 1000003 and 2000003):
+# json 185-193 B, csv 185-193 B, text 216-223 B (it prints the rows as one string);
+# 256 B covers them and admits n up to 2**23 in the 2 GiB ``check_unit_budget``.
+_POINTS_BYTES_PER_UNIT = 256
 
 _EXIT_OK = 0
 _EXIT_FAIL = 1
@@ -86,6 +93,10 @@ def _resolve_modulus(args) -> int:
             n *= args.p
             if n > args.bound:
                 raise ValueError(f"n = {args.p}^{args.m} exceeds the arithmetic bound {args.bound}")
+        # the kernel's limits first, so trial division runs only on p <= 2**31
+        check_unit_budget(n)
+        if not is_prime(args.p):
+            raise ValueError(f"--p {args.p} is not a prime")
     else:
         raise ValueError("specify --n or both --p and --m")
     if n > args.bound:
@@ -121,13 +132,20 @@ def _text_lines(payload: dict):
 
 def _cmd_points(args) -> int:
     n = _resolve_modulus(args)
+    check_unit_budget(n, _POINTS_BYTES_PER_UNIT, "as Python point rows")
     ps = enumerate_points(HyperbolaSpec(args.a, n))
     payload = {
         "command": "points",
         "params": {"a": args.a % n, "n": n},
-        "result": [[x, y] for x, y in ps.points],
+        "result": [[x, y] for x, y in zip(ps.xs.tolist(), ps.ys.tolist())],
     }
-    _emit(payload, args.format, lambda: points_csv(ps).rstrip("\n").split("\n"))
+
+    def csv_lines():
+        yield "x,y"
+        for x, y in payload["result"]:
+            yield f"{x},{y}"
+
+    _emit(payload, args.format, csv_lines)
     return _EXIT_OK
 
 
@@ -157,24 +175,12 @@ def _cmd_distances(args) -> int:
     return _EXIT_OK
 
 
-_SUITE_DEFAULT_RANGE = {
-    "ordinary-moduli": 200,
-    "prime-lines": 101,
-    "special-line": 2500,
-    "theorem6": 2500,
-    "lemma7": 1331,
-    "collinearity": 1331,
-    "prime-distance": 499,
-    "theorem14": 31,
-    "prop15": 61,
-}
-
-
 def _suite_kwargs(args) -> dict:
     suite = args.suite
     kw: dict = {"jobs": max(1, args.jobs)}
-    if suite in _SUITE_DEFAULT_RANGE:
-        kw["n_max"] = args.n_max if args.n_max is not None else _SUITE_DEFAULT_RANGE[suite]
+    # a suite without a range ignores --n-max; without it, the suite's default applies
+    if args.n_max is not None and "n_max" in inspect.signature(SUITES[suite]).parameters:
+        kw["n_max"] = args.n_max
     if suite == "theorem14":
         kw.update(p=args.p, all_a=args.all_a, samples=args.samples, seed=args.seed)
     if suite == "tables":

@@ -1,6 +1,7 @@
 """Line-incidence census over a hyperbola point set.
 
-The census is one anchor sweep: point pairs are grouped by anchor and slope
+Every check here works on the point set's int64 coordinate arrays.  The
+census is one anchor sweep: point pairs are grouped by anchor and slope
 in numpy blocks of bounded size, and the group-size counts give each line
 size's count directly.  A slope dy/dx is coded as dy * dx**-1 modulo a fixed
 prime above 2**41 (integer ops only, no per-pair gcd); for n <= 2**20 equal
@@ -155,9 +156,10 @@ def check_census_modulus(n: int) -> None:
 def census(ps: PointSet) -> IncidenceCensus:
     """Full incidence census of a point set (at least two distinct points).
 
-    With the points in (x, y) order, every pair (i, j > i) is grouped by its
-    anchor i and slope code c = dy * dx**-1 mod M (c = M for a vertical pair),
-    M = _SLOPE_PRIME, through one ``argsort`` of i * (M + 1) + c per block.
+    The points are in (x, y) order (``PointSet`` checks it), and every pair
+    (i, j > i) is grouped by its anchor i and slope code c = dy * dx**-1 mod M
+    (c = M for a vertical pair), M = _SLOPE_PRIME, through one ``argsort`` of
+    i * (M + 1) + c per block.
     The code is exact: for coordinates in [1, n-1], n <= 2**20, two pairs
     have c1 == c2 iff dy1 * dx2 = dy2 * dx1 (mod M), and that cross-product
     difference is at most 2 * (n-1)**2 < M in absolute value, so iff the
@@ -167,16 +169,12 @@ def census(ps: PointSet) -> IncidenceCensus:
     from one pair of each group of size >= 2, reduced by its gcd, and counted
     from the largest group.
     """
-    k = len(ps.points)
+    k = len(ps)
     if k < 2:
         raise TooFewPoints(f"{k} point(s) span no lines")
     n, a = ps.spec.n, ps.spec.a
     check_census_modulus(n)
-    pts = sorted(ps.points)
-    xs = np.fromiter((p[0] for p in pts), dtype=np.int64, count=k)
-    ys = np.fromiter((p[1] for p in pts), dtype=np.int64, count=k)
-    if min(xs[0], ys.min()) < 1 or max(xs[-1], ys.max()) >= n:
-        raise ValueError(f"census points must have coordinates in [1, {n - 1}]")
+    xs, ys = ps.xs, ps.ys
     inv = _slope_inverses(int(xs[-1] - xs[0]))
     counts = np.arange(k - 1, 0, -1)  # pairs anchored at i = 0, ..., k-2
     ends = np.cumsum(counts)
@@ -220,22 +218,25 @@ def census(ps: PointSet) -> IncidenceCensus:
 
 
 def count_on_line(ps: PointSet, key: LineKey) -> int:
-    """Number of points of ps on the given line."""
-    return sum(1 for x, y in ps.points if key.A * x + key.B * y + key.C == 0)
+    """Number of points of ps on the given line.
+
+    The int64 sums may wrap, but for a line through two points of the set the
+    true value A*(x - x1) + B*(y - y1) is below 2 * n**2 <= 2**63, so exact.
+    """
+    return int(np.count_nonzero(key.A * ps.xs + key.B * ps.ys + key.C == 0))
 
 
 def zero_intercept_lines(ps: PointSet) -> list[tuple[LineKey, int]]:
     """(line, point count) for every line with C = 0 through two or more points.
 
     Such a line passes through the origin, so its points share the reduced
-    direction (x/g, y/g), g = gcd(x, y); one pass over the points groups them.
+    direction (x/g, y/g), g = gcd(x, y); one ``np.unique`` groups them.
     """
-    by_direction: dict[tuple[int, int], int] = {}
-    for x, y in ps.points:
-        g = math.gcd(x, y)
-        d = (x // g, y // g)
-        by_direction[d] = by_direction.get(d, 0) + 1
-    return sorted((line_through((0, 0), d), t) for d, t in by_direction.items() if t >= 2)
+    g = np.gcd(ps.xs, ps.ys)
+    dirs, counts = np.unique(np.stack([ps.xs // g, ps.ys // g], axis=1), axis=0, return_counts=True)
+    keep = counts >= 2
+    rows = zip(dirs[keep].tolist(), counts[keep].tolist())
+    return sorted((line_through((0, 0), (dx, dy)), t) for (dx, dy), t in rows)
 
 
 def check_special_line(pp: PrimePower) -> int:
@@ -245,9 +246,7 @@ def check_special_line(pp: PrimePower) -> int:
     """
     if pp.m < 2 or pp.n <= 8:
         raise OutOfScope(f"special line needs m >= 2 and p^m > 8, got {pp}")
-    ps = enumerate_points(HyperbolaSpec(1, pp.n))
-    target = pp.n + 2
-    return sum(1 for x, y in ps.points if x + y == target)
+    return count_on_line(enumerate_points(HyperbolaSpec(1, pp.n)), LineKey(1, 1, -(pp.n + 2)))
 
 
 @dataclass(frozen=True)
@@ -346,16 +345,14 @@ def verify_line_classes(ps: PointSet, cen: IncidenceCensus | None = None) -> Lin
     p = pp.p
     if cen is None:
         cen = census(ps)
-    xs = np.fromiter((pt[0] for pt in ps.points), dtype=np.int64)
-    ys = np.fromiter((pt[1] for pt in ps.points), dtype=np.int64)
     violations: list[str] = []
     checked = 0
     for key, t in cen.lines(min_points=3):
         checked += 1
-        on = xs[key.A * xs + key.B * ys + key.C == 0]
+        on = ps.xs[key.A * ps.xs + key.B * ps.ys + key.C == 0]
         if len(on) != t:
             raise RuntimeError(f"census count mismatch on {key}")
-        classes = set(int(x) % p for x in on)
+        classes = set((on % p).tolist())
         if len(classes) != 1:
             violations.append(f"line {key.as_tuple()} meets classes {sorted(classes)}")
             continue
@@ -410,14 +407,11 @@ def verify_collinearity_bounds(ps: PointSet, cen: IncidenceCensus | None = None)
         violations.append(f"max collinear {cen.max_collinear} exceeds {limit}")
     class_lines: dict[int, int] = {}
     if pp.m >= 2:
-        part = partition_classes(ps)
-        for i, cpts in sorted(part.classes.items()):
-            key = line_through(cpts[0], cpts[1])
-            on_line = sum(1 for x, y in cpts if key.A * x + key.B * y + key.C == 0)
-            if on_line == len(cpts):
+        for i, cls in partition_classes(ps).items():
+            key = line_through(*zip(cls.xs[:2].tolist(), cls.ys[:2].tolist()))
+            if count_on_line(cls, key) == len(cls):
                 violations.append(f"class {i} is entirely collinear on {key.as_tuple()}")
-            sub = census(PointSet(ps.spec, cpts))
-            class_lines[i] = sub.line_total
+            class_lines[i] = census(cls).line_total
     # classes above this size threshold must span quadratically many lines
     many_lines = pp.p ** ((pp.m + 1) // 2 - 1) > 200
     return CollinearityReport(

@@ -1,4 +1,8 @@
-"""Least-residue point sets of the curve x*y = a (mod n) and their mod-p classes."""
+"""Least-residue point sets of the curve x*y = a (mod n) and their mod-p classes.
+
+A point set is the two int64 arrays of the inversion kernel ``unit_partners``;
+Python tuples appear only in the read-only ``points`` view of a ``PointSet``.
+"""
 from __future__ import annotations
 
 import math
@@ -13,15 +17,11 @@ from .ntcore import PrimePower
 _EXACT_N_LIMIT = 1 << 31
 # Working set per unit of n: the peak-RSS growth of distance_profile in a fresh
 # process was 24.8 B at n = 7**8 and 28.3 B at the prime 5764807, where every
-# nonzero residue is a unit.  With a 2 GiB budget this admits n up to 2**26.
+# nonzero residue is a unit, and of enumerate_points (these two arrays and the
+# PointSet checks) 25.0-25.8 B at the primes 1000003, 4000037 and 16000057.
+# With a 2 GiB budget this admits n up to 2**26.
 _BYTES_PER_UNIT = 32
 _MEMORY_BUDGET = 2 << 30
-# Points as Python int tuples cost far more: enumerate_points grew peak RSS by
-# 176 B per unit of n at the prime 1000003, and `modhyp points --format json`,
-# the heaviest consumer of those tuples, by 250 B at the prime 2000003.  512 B
-# (set while that command still built its JSON in one string, at 523 B) admits
-# n up to 2**22 with the same budget; it is re-derived once points are arrays.
-_BYTES_PER_POINT = 512
 
 
 class NotPrimePower(ValueError):
@@ -53,23 +53,36 @@ class HyperbolaSpec:
         object.__setattr__(self, "prime_power", PrimePower.from_modulus(self.n))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PointSet:
-    """Lattice points (x, y), 1 <= x, y <= n-1, with x*y = a (mod n), sorted by x."""
+    """Lattice points (x, y) with 1 <= x, y <= n-1: a hyperbola's points or a subset.
+
+    ``xs`` and ``ys`` are int64 arrays of distinct points in ascending (x, y)
+    order; the constructor checks that and the coordinate range.
+    """
 
     spec: HyperbolaSpec
-    points: tuple[tuple[int, int], ...]
+    xs: np.ndarray
+    ys: np.ndarray
+
+    def __post_init__(self) -> None:
+        xs, ys, n = self.xs, self.ys, self.spec.n
+        if xs.dtype != np.int64 or ys.dtype != np.int64 or xs.ndim != 1 or xs.shape != ys.shape:
+            raise ValueError("point coordinates must be two int64 arrays of one length")
+        if len(xs) and (min(xs.min(), ys.min()) < 1 or max(xs.max(), ys.max()) >= n):
+            raise ValueError(f"point coordinates must lie in [1, {n - 1}]")
+        # boolean temporaries only: the check costs a few bytes per point
+        ascending = xs[1:] > xs[:-1]
+        ascending |= (xs[1:] == xs[:-1]) & (ys[1:] > ys[:-1])
+        if not ascending.all():
+            raise ValueError("points must be distinct and in ascending (x, y) order")
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.xs)
 
-
-@dataclass
-class ClassPartition:
-    """Points grouped by x mod p; class i holds the points with x = i (mod p)."""
-
-    p: int
-    classes: dict[int, tuple[tuple[int, int], ...]]
+    @property
+    def points(self) -> tuple[tuple[int, int], ...]:
+        return tuple(zip(self.xs.tolist(), self.ys.tolist()))
 
 
 def check_unit_budget(n: int, bytes_per_unit: int = _BYTES_PER_UNIT, what: str = "") -> None:
@@ -123,32 +136,18 @@ def unit_partners(spec: HyperbolaSpec) -> tuple[np.ndarray, np.ndarray]:
 
 
 def enumerate_points(spec: HyperbolaSpec) -> PointSet:
-    """All phi(n) points of the hyperbola, sorted by x.
-
-    Raises ``InfeasibleScale`` before allocating when the point tuples would
-    exceed the memory budget.
-    """
-    check_unit_budget(spec.n, _BYTES_PER_POINT, "as point tuples")
-    xs, ys = unit_partners(spec)
-    return PointSet(spec, tuple(zip(xs.tolist(), ys.tolist())))
+    """All phi(n) points in ascending x; the kernel's memory guards cover them."""
+    return PointSet(spec, *unit_partners(spec))
 
 
-def partition_classes(ps: PointSet) -> ClassPartition:
-    """Split a prime-power point set by x mod p.
+def partition_classes(ps: PointSet) -> dict[int, PointSet]:
+    """Split a prime-power point set by x mod p; class i holds the points with x = i (mod p).
 
     For p = 2 every unit is odd, so the single class 1 is the whole set.
     """
     pp = ps.spec.prime_power
     if pp is None:
         raise NotPrimePower(f"n = {ps.spec.n} is not a prime power")
-    p = pp.p
-    buckets: dict[int, list[tuple[int, int]]] = {i: [] for i in range(1, max(p, 2))}
-    for pt in ps.points:
-        buckets[pt[0] % p].append(pt)
-    return ClassPartition(p, {i: tuple(v) for i, v in buckets.items()})
-
-
-def points_csv(ps: PointSet) -> str:
-    """Two-column CSV with a header row."""
-    lines = ["x,y"] + [f"{x},{y}" for x, y in ps.points]
-    return "\n".join(lines) + "\n"
+    residue = ps.xs % pp.p
+    masks = ((i, residue == i) for i in range(1, max(pp.p, 2)))
+    return {i: PointSet(ps.spec, ps.xs[m], ps.ys[m]) for i, m in masks}

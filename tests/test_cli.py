@@ -5,7 +5,9 @@ from pathlib import Path
 
 import pytest
 
-from modhyp.cli import main
+from modhyp.cli import _suite_kwargs, build_parser, main
+from modhyp.ntcore import is_prime
+from modhyp.suites import SUITES
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures" / "distance_counts.csv"
@@ -57,6 +59,24 @@ def test_prime_power_flags_fail_fast(capsys):
     assert "--p" in err
 
 
+def test_prime_power_flags_need_a_prime(capsys, monkeypatch):
+    tested = []
+
+    def recording_is_prime(p):
+        tested.append(p)
+        return is_prime(p)
+
+    monkeypatch.setattr("modhyp.cli.is_prime", recording_is_prime)
+    rc, out, err = run(capsys, "census", "--a", "1", "--p", "4", "--m", "2")
+    assert rc == 2 and out == ""
+    assert "--p 4 is not a prime" in err
+    # a huge composite base stops at the int64 limit, before any trial division
+    rc, out, err = run(capsys, "census", "--a", "1", "--p", str(10**30), "--m", "1", "--bound", str(10**40))
+    assert rc == 2 and out == ""
+    assert "int64-exact" in err
+    assert tested == [4]
+
+
 def test_theorem14_prime_checked_before_building(capsys, monkeypatch):
     def refuse(*args):
         raise AssertionError("theorem14 task reached")
@@ -91,10 +111,12 @@ def test_points_memory_budget(capsys, monkeypatch):
         raise AssertionError("unit_partners reached")
 
     monkeypatch.setattr("modhyp.hyperbola.unit_partners", refuse)
-    rc, out, err = run(capsys, "points", "--a", "1", "--n", str(2**22 + 1))
+    rc, out, err = run(capsys, "points", "--a", "1", "--n", str(2**23 + 1))
     assert rc == 2
     assert out == ""
-    assert "point tuples" in err and "budget" in err
+    assert "point rows" in err and "budget" in err
+    with pytest.raises(AssertionError):  # 2**23 passes the guard
+        main(["points", "--a", "1", "--n", str(2**23)])
 
 
 def test_kernel_limit_ignores_bound(capsys):
@@ -135,6 +157,21 @@ def test_verify_exit_codes(capsys, tmp_path):
     rc, out, _ = run(capsys, "verify", "tables", "--fixtures", str(bad))
     assert rc == 1
     assert json.loads(out)["pass"] is False
+
+
+def test_suite_range_defaults_come_from_the_suites(capsys):
+    parser = build_parser()
+    ranged = set()
+    for suite in SUITES:
+        assert "n_max" not in _suite_kwargs(parser.parse_args(["verify", suite]))
+        kw = _suite_kwargs(parser.parse_args(["verify", suite, "--n-max", "7"]))
+        if "n_max" in kw:
+            assert kw["n_max"] == 7
+            ranged.add(suite)
+    assert set(SUITES) - ranged == {"tables", "general-pm", "gap"}  # they ignore --n-max
+    rc, out, _ = run(capsys, "verify", "ordinary-moduli", "--jobs", "1")
+    assert rc == 0
+    assert json.loads(out)["params"]["n_max"] == 200
 
 
 def test_verify_unknown_suite(capsys):
@@ -240,4 +277,41 @@ def test_verify_report_digests(capsys, monkeypatch, suite, extra, code, digest):
     monkeypatch.chdir(ROOT)  # the tables report names its default fixture path as given
     rc, out, _ = run(capsys, "verify", suite, *extra, "--format", "json", "--jobs", "1")
     assert rc == code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# SHA-256 of the `points`, `census` and `distances --values` output in every
+# format, recorded before points became arrays end to end; the edge code that
+# turns the arrays into rows must keep these bytes
+EDGE_DIGESTS = [
+    ("points", 1, 49, "json", "75f56e12cecccdca88303776dca8b516b6755484af566d1bc2e43ff10d32b314"),
+    ("points", 1, 49, "csv", "3ecba39467a9ad55eca714e8b36832b54eadd26c51b6ff2f346d4bd8f773b8cc"),
+    ("points", 1, 49, "text", "84a5990a5ef6256ee834b8864d935e750e570385fce64c654c35cdafb9ae0003"),
+    ("points", 3, 343, "json", "38cb02fe71aa0989743b17afc3c7d38393e8a190f23791edd2851d0f1306954d"),
+    ("points", 3, 343, "csv", "f0e66b3e4f52111d1f7e6b98d6c24f45d74b0d0b2a45e9ac0635c3a00bd835a4"),
+    ("points", 3, 343, "text", "e11821cb6a4557d9519e307510978123f4f5fdcb274eee7f34d275ea84d34f69"),
+    ("census", 1, 49, "json", "3a84fbbbaf1e34272178c250025cf2fa13f1856c738904ad84d3bfd254a57a71"),
+    ("census", 1, 49, "csv", "b1c99335ebb2c830cc87905c20dd7da9a20c9d42a0b0b2d5ea7da20488c6451e"),
+    ("census", 1, 49, "text", "91e7bed2b9353b9a3f1e117ff0166679d3c66d2b9d20d438a363bb9545ac79e2"),
+    ("census", 3, 343, "json", "03594a80b2786b8716aafaef13897bed153e7c3b4d059e9e487d246c00a0df89"),
+    ("census", 3, 343, "csv", "6178ec25e19ad399e081d9f2dfe89dd7724ca08cfb7e4c36164454568ea6f41d"),
+    ("census", 3, 343, "text", "391d3e66193e9a41982a66dda667ca54a86937260995e9d58373045ed564ec34"),
+    ("distances", 1, 49, "json", "1e6010c8898626c00ca4621479ee67184cbb6aa381abc38e6291c704957980bb"),
+    ("distances", 1, 49, "csv", "ad335f12777b4d6648fbe787aeb3d5d0e57be931df1b7f5cbcacb127ae244f49"),
+    ("distances", 1, 49, "text", "be1abdfc293f1381ee2826a537e88f181c08f70295b73b985b1367ccd977dc15"),
+    ("distances", 3, 343, "json", "69280896769b7381761216514a59e34e8460648e604536427261239803bd3a79"),
+    ("distances", 3, 343, "csv", "42b848bafeb055ce1913b5c21719c78d2a81a86dcc61b087030017c15c3bdc25"),
+    ("distances", 3, 343, "text", "8090e5e7c9de68c066b1adfccae17c18c30e9c4845aa7bca235509e4495a90d2"),
+]
+
+
+@pytest.mark.parametrize(
+    "command,a,n,fmt,digest",
+    EDGE_DIGESTS,
+    ids=[f"{command}_{a}_{n}_{fmt}" for command, a, n, fmt, _ in EDGE_DIGESTS],
+)
+def test_edge_output_digests(capsys, command, a, n, fmt, digest):
+    extra = ["--values"] if command == "distances" else []
+    rc, out, _ = run(capsys, command, "--a", str(a), "--n", str(n), "--format", fmt, *extra)
+    assert rc == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest

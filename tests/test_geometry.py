@@ -38,6 +38,14 @@ from modhyp.hyperbola import (
 from modhyp.ntcore import PrimePower, is_prime
 
 
+def _point_set(spec, points):
+    """A hand-built point set: the given (x, y) pairs in ascending order as arrays."""
+    pts = sorted(points)
+    xs = np.array([x for x, _ in pts], dtype=np.int64)
+    ys = np.array([y for _, y in pts], dtype=np.int64)
+    return PointSet(spec, xs, ys)
+
+
 def test_line_through_examples():
     assert line_through((1, 1), (3, 3)) == LineKey(1, -1, 0)
     assert line_through((1, 1), (2, 3)) == LineKey(2, -1, -1)
@@ -105,7 +113,7 @@ def test_census_matches_oracle_property(data):
     ps = enumerate_points(HyperbolaSpec(a, n))
     if data.draw(st.booleans(), label="subset"):
         sub = data.draw(st.lists(st.sampled_from(ps.points), min_size=2, unique=True), label="points")
-        ps = PointSet(ps.spec, tuple(sorted(sub)))
+        ps = _point_set(ps.spec, sub)
     _assert_matches_oracle(ps)
 
 
@@ -114,7 +122,11 @@ def test_census_hand_built_grid_in_any_order():
     # has both, and rich lines whose key starts with A = 0
     grid = [(x, y) for x in range(1, 5) for y in range(1, 5)]
     random.Random(3).shuffle(grid)
-    _assert_matches_oracle(PointSet(HyperbolaSpec(1, 5), tuple(grid)))
+    spec = HyperbolaSpec(1, 5)
+    xs, ys = np.array(grid, dtype=np.int64).T
+    with pytest.raises(ValueError, match="ascending"):  # the census never sees unordered points
+        PointSet(spec, xs, ys)
+    _assert_matches_oracle(_point_set(spec, grid))
 
 
 def test_oracle_pins_ordinary_count_49():
@@ -142,9 +154,9 @@ def test_census_examples():
 def test_census_modulus_limit():
     # hand-built two-point sets: the limit is checked before any pair is grouped
     n = 1 << 20
-    at_limit = PointSet(HyperbolaSpec(1, n), ((1, 1), (n - 1, n - 1)))
+    at_limit = _point_set(HyperbolaSpec(1, n), ((1, 1), (n - 1, n - 1)))
     assert census(at_limit).histogram == {2: 1}
-    beyond = PointSet(HyperbolaSpec(1, n + 1), ((1, 1), (n, n)))
+    beyond = _point_set(HyperbolaSpec(1, n + 1), ((1, 1), (n, n)))
     with pytest.raises(ValueError, match="n <= 1048576"):
         census(beyond)
 
@@ -190,9 +202,9 @@ def test_census_extreme_coordinates():
     n = _N_LIMIT
     m = n // 2
     pts = [(1, 1), (1, n - 1), (n - 1, 1), (n - 1, n - 1), (m, m), (2, 1), (n - 2, n - 1), (1, 2), (n - 1, n - 2)]
-    _assert_matches_oracle(PointSet(HyperbolaSpec(1, n), tuple(pts)))
-    with pytest.raises(ValueError, match="coordinates"):
-        census(PointSet(HyperbolaSpec(1, n), ((1, 1), (n, 1))))
+    _assert_matches_oracle(_point_set(HyperbolaSpec(1, n), pts))
+    with pytest.raises(ValueError, match="coordinates"):  # refused before any census
+        _point_set(HyperbolaSpec(1, n), ((1, 1), (n, 1)))
 
 
 def test_census_pair_identity():
@@ -213,7 +225,7 @@ def test_census_invariant_under_reflection():
     for a, n in [(1, 27), (2, 25), (1, 49), (5, 36)]:
         ps = enumerate_points(HyperbolaSpec(a, n))
         c1 = census(ps)
-        c2 = census(PointSet(ps.spec, tuple(sorted((y, x) for x, y in ps.points))))
+        c2 = census(_point_set(ps.spec, [(y, x) for x, y in ps.points]))
         assert c1.histogram == c2.histogram
         assert c1.ordinary_count == c2.ordinary_count
 
@@ -224,9 +236,9 @@ def test_cross_class_pairs_are_ordinary():
         ps = enumerate_points(HyperbolaSpec(1, n))
         p = ps.spec.prime_power.p
         part = partition_classes(ps)
-        for i, j in itertools.combinations(sorted(part.classes), 2):
-            for P in part.classes[i]:
-                for Q in part.classes[j]:
+        for i, j in itertools.combinations(sorted(part), 2):
+            for P in part[i].points:
+                for Q in part[j].points:
                     assert count_on_line(ps, line_through(P, Q)) == 2, (n, P, Q)
 
 
@@ -239,6 +251,22 @@ def test_check_special_line():
         check_special_line(PrimePower(2, 3))
     with pytest.raises(OutOfScope):
         check_special_line(PrimePower(11, 1))
+
+
+def test_count_on_line_matches_python_loop():
+    # int64 sums against exact Python integers, up to the largest coordinates
+    n = 2**31 - 1
+    extreme = [(1, 1), (1, n - 1), (n - 1, 1), (n - 1, n - 1), (n // 2, n // 2 + 1), (2, n - 2), (n - 3, 5)]
+    cases = [(_point_set(HyperbolaSpec(1, n), extreme), extreme)]
+    for a, n in [(1, 49), (3, 343), (2, 125)]:
+        ps = enumerate_points(HyperbolaSpec(a, n))
+        rng = random.Random(n)
+        cases.append((ps, rng.sample(ps.points, 12)))
+    for ps, sample in cases:
+        for P, Q in itertools.combinations(sample, 2):
+            key = line_through(P, Q)
+            want = sum(1 for x, y in ps.points if key.A * x + key.B * y + key.C == 0)
+            assert count_on_line(ps, key) == want, (ps.spec.n, P, Q)
 
 
 def test_special_line_27_longer_line():
@@ -315,3 +343,12 @@ def test_zero_intercept_scan():
     assert len(zi) == 1
     key, t = zi[0]
     assert key == LineKey(1, -1, 0) and t == 2
+    # a grid puts several points on each of many lines through the origin
+    grid = [(x, y) for x in range(1, 7) for y in range(1, 7)]
+    want = {}
+    for x, y in grid:
+        key = line_through((0, 0), (x, y))
+        want[key] = want.get(key, 0) + 1
+    got = zero_intercept_lines(_point_set(HyperbolaSpec(1, 7), grid))
+    assert got == sorted((k, t) for k, t in want.items() if t >= 2)
+    assert (LineKey(1, -1, 0), 6) in got and (LineKey(2, -1, 0), 3) in got

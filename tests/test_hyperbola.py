@@ -2,6 +2,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 import modhyp.distances
@@ -10,9 +11,9 @@ from modhyp.hyperbola import (
     HyperbolaSpec,
     InfeasibleScale,
     NotPrimePower,
+    PointSet,
     enumerate_points,
     partition_classes,
-    points_csv,
     unit_partners,
 )
 from modhyp.ntcore import euler_phi
@@ -76,31 +77,52 @@ def test_unit_partners_guards_raise_before_allocating(monkeypatch):
 
 
 def test_enumerate_points_guard_raises_before_allocating(monkeypatch):
-    def refuse(spec):
-        raise AssertionError("unit_partners reached")
-
-    # with numpy and the kernel unreachable, any allocation would raise something else
+    # the point set is the kernel's two arrays, so the kernel's guards cover it;
+    # with numpy unreachable, any allocation would raise something else
     monkeypatch.setattr(modhyp.hyperbola, "np", None)
-    monkeypatch.setattr(modhyp.hyperbola, "unit_partners", refuse)
-    for n in (2**22 + 1, 2**23, 2**26):
-        with pytest.raises(InfeasibleScale, match="point tuples"):
+    for n, reason in [(2**26 + 1, "budget"), (2**27, "budget"), (2**31 + 1, "int64-exact")]:
+        with pytest.raises(InfeasibleScale, match=reason):
             enumerate_points(HyperbolaSpec(1, n))
-    with pytest.raises(AssertionError):  # 2**22 passes the guard
-        enumerate_points(HyperbolaSpec(1, 2**22))
+    with pytest.raises(AttributeError):  # 2**26 passes the guards
+        enumerate_points(HyperbolaSpec(1, 2**26))
+
+
+def test_point_set_contract():
+    spec = HyperbolaSpec(1, 5)
+
+    def arrays(*values):
+        return np.array(values, dtype=np.int64)
+
+    ps = PointSet(spec, arrays(1, 1, 2), arrays(1, 4, 3))
+    assert len(ps) == 3 and ps.points == ((1, 1), (1, 4), (2, 3))
+    assert len(PointSet(spec, arrays(), arrays())) == 0
+    for xs, ys, reason in [
+        (arrays(2, 1), arrays(3, 1), "ascending"),  # x out of order
+        (arrays(1, 1), arrays(4, 1), "ascending"),  # y out of order within one x
+        (arrays(1, 1), arrays(1, 1), "distinct"),
+        (arrays(0, 1), arrays(1, 1), "coordinates"),
+        (arrays(1, 5), arrays(1, 1), "coordinates"),
+        (arrays(1, 1), arrays(1, 5), "coordinates"),
+        (arrays(1, 2), arrays(1), "int64 arrays"),
+        (np.array([1, 2], dtype=np.int32), arrays(1, 2), "int64 arrays"),
+    ]:
+        with pytest.raises(ValueError, match=reason):
+            PointSet(spec, xs, ys)
 
 
 def test_partition_examples():
     part = partition_classes(enumerate_points(HyperbolaSpec(1, 9)))
-    assert part.classes[1] == ((1, 1), (4, 7), (7, 4))
-    assert part.classes[2] == ((2, 5), (5, 2), (8, 8))
+    assert all(isinstance(v, PointSet) for v in part.values())
+    assert part[1].points == ((1, 1), (4, 7), (7, 4))
+    assert part[2].points == ((2, 5), (5, 2), (8, 8))
 
     part5 = partition_classes(enumerate_points(HyperbolaSpec(1, 5)))
-    assert all(len(v) == 1 for v in part5.classes.values())
-    assert part5.classes[2] == ((2, 3),)
+    assert all(len(v) == 1 for v in part5.values())
+    assert part5[2].points == ((2, 3),)
 
     part16 = partition_classes(enumerate_points(HyperbolaSpec(1, 16)))
-    assert list(part16.classes) == [1]
-    assert len(part16.classes[1]) == 8
+    assert list(part16) == [1]
+    assert len(part16[1]) == 8
 
 
 def test_partition_rejects_composite():
@@ -112,9 +134,10 @@ def test_class_sizes():
     for p, m in [(3, 2), (3, 3), (3, 4), (5, 2), (5, 3), (7, 2), (7, 3), (11, 2)]:
         ps = enumerate_points(HyperbolaSpec(1, p**m))
         part = partition_classes(ps)
-        assert set(part.classes) == set(range(1, p))
-        assert all(len(v) == p ** (m - 1) for v in part.classes.values())
-        assert sum(len(v) for v in part.classes.values()) == len(ps)
+        assert list(part) == list(range(1, p))
+        assert all(len(v) == p ** (m - 1) for v in part.values())
+        assert all(set((v.xs % p).tolist()) == {i} for i, v in part.items())
+        assert sum(len(v) for v in part.values()) == len(ps)
 
 
 def test_reflect_diagonal():
@@ -123,8 +146,3 @@ def test_reflect_diagonal():
     assert tuple(sorted((y, x) for x, y in ps.points)) == ps.points
     ps27 = enumerate_points(HyperbolaSpec(2, 7))
     assert {(y, x) for x, y in ps27.points} == set(ps27.points)
-
-
-def test_serialization():
-    ps = enumerate_points(HyperbolaSpec(1, 5))
-    assert points_csv(ps).splitlines() == ["x,y", "1,1", "2,3", "3,2", "4,4"]

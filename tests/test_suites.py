@@ -1,9 +1,11 @@
 """Suite plumbing: report round-trips, fixture parsing, worker-count independence."""
 import json
+import types
 from pathlib import Path
 
 import pytest
 
+import modhyp
 from modhyp.suites import (
     SUITES,
     read_fixture_rows,
@@ -15,6 +17,14 @@ from modhyp.suites import (
 )
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures" / "distance_counts.csv"
+
+
+def test_public_names_exclude_submodules():
+    assert modhyp.__all__ == sorted(modhyp.__all__)
+    for name in modhyp.__all__:
+        assert not isinstance(getattr(modhyp, name), types.ModuleType), name
+    assert {"census", "enumerate_points", "PointSet", "SUITES"} <= set(modhyp.__all__)
+    assert "hyperbola" not in modhyp.__all__
 
 
 def test_report_roundtrip():
