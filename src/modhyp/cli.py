@@ -24,8 +24,9 @@ from .suites import DEFAULT_FIXTURES, DEFAULT_SEED, SUITES, VerificationReport
 DEFAULT_N_BOUND = 2**31
 # `modhyp points` holds Python [x, y] rows, the only per-point Python objects.
 # Peak-RSS growth per unit of n (fresh process, primes 1000003 and 2000003):
-# json 185-193 B, csv 185-193 B, text 216-223 B (it prints the rows as one string);
-# 256 B covers them and admits n up to 2**23 in the 2 GiB ``check_unit_budget``.
+# json, csv and text (printed row by row) each 185-186 B; 256 B covers them with
+# the same headroom kept for allocator layout and admits n up to 2**23 in the
+# 2 GiB ``check_unit_budget``.
 _POINTS_BYTES_PER_UNIT = 256
 
 _EXIT_OK = 0
@@ -112,22 +113,27 @@ def _emit(payload: dict, fmt: str, csv_lines) -> None:
         for line in csv_lines():
             print(line)
     else:
-        for line in _text_lines(payload):
-            print(line)
+        sys.stdout.writelines(_text_pieces(payload))
 
 
-def _text_lines(payload: dict):
-    yield f"command: {payload['command']}"
+def _text_pieces(payload: dict):
+    """The text format as pieces of output; each line ends with a newline."""
+    yield f"command: {payload['command']}\n"
     for k, v in payload["params"].items():
-        yield f"  {k}: {v}"
-    result = payload.get("result")
+        yield f"  {k}: {v}\n"
+    result = payload["result"]
     if isinstance(result, dict):
         for k, v in result.items():
-            yield f"{k}: {v}"
+            yield f"{k}: {v}\n"
     else:
-        yield f"result: {result}"
+        # the bytes of f"result: {result}", one row at a time, so a point list
+        # is never held as a single string
+        yield "result: ["
+        for m, row in enumerate(result):
+            yield f", {row}" if m else f"{row}"
+        yield "]\n"
     if "pass" in payload:
-        yield "PASS" if payload["pass"] else "FAIL"
+        yield "PASS\n" if payload["pass"] else "FAIL\n"
 
 
 def _cmd_points(args) -> int:

@@ -1,13 +1,18 @@
 """Line-incidence census over a hyperbola point set.
 
 Every check here works on the point set's int64 coordinate arrays.  The
-census is one anchor sweep: point pairs are grouped by anchor and slope
-in numpy blocks of bounded size, and the group-size counts give each line
-size's count directly.  A slope dy/dx is coded as dy * dx**-1 modulo a fixed
-prime above 2**41 (integer ops only, no per-pair gcd); for n <= 2**20 equal
-codes mean equal slopes.  Only the keys of lines with three or more points are
-kept, reduced by a gcd on one pair per line.  The tests check the census
-against an independent cross-product oracle.
+census sweeps full anchor rows over orbit representatives: the maps
+sigma (x, y) -> (y, x) and nu (x, y) -> (n-x, n-y) that carry the set onto
+itself are found first, and one anchor per orbit is swept, weighted by its
+orbit size.  An anchor's row codes the slope to every other point as
+dy * dx**-1 modulo a fixed prime above 2**41 (integer ops only, no per-pair
+gcd; for n <= 2**20 equal codes mean equal slopes), and one row sort per
+block of anchors groups the points of each line through the anchor.  A
+t-point line is a group of t-1 points at each of its t points, so the
+weighted group counts give each line size's count.  Only the keys of lines
+with three or more points are kept, reduced by a gcd on one pair per line
+and closed under the maps.  The tests check the census against an
+independent cross-product oracle.
 """
 from __future__ import annotations
 
@@ -21,12 +26,16 @@ import numpy as np
 from .hyperbola import HyperbolaSpec, PointSet, enumerate_points, partition_classes
 from .ntcore import PrimePower
 
-_PAIR_BLOCK = 1 << 17  # pairs per block of whole anchors
-# n <= _N_LIMIT keeps every cross product dy1*dx2 - dy2*dx1 of two pairs below
-# _SLOPE_PRIME in absolute value, so the slope codes are exact (see census),
-# and the grouping codes i * (_SLOPE_PRIME + 1) + c, anchor i < n, below 2**62.
+_ROW_BLOCK = 1 << 17  # row entries per block of whole anchor rows (about 1 MB per int64 array)
+# n <= _N_LIMIT keeps every cross product dy1*dx2 - dy2*dx1 of two directions
+# below _SLOPE_PRIME in absolute value, so the slope codes are exact (see census).
 _N_LIMIT = 1 << 20
 _SLOPE_PRIME = 2199023255579  # the least prime above 2**41
+# A row entry packs (code << _INDEX_BITS) | j with code <= _SLOPE_PRIME < 2**42
+# and point index j < 2**20 (a hyperbola set has k < n <= _N_LIMIT points), so
+# it stays below 2**62 and the anchor's sentinel -1 sorts before every entry.
+_INDEX_BITS = 20
+_MAPS = ((True, False), (False, True), (True, True))  # sigma, nu, sigma*nu as (swap, reflect)
 
 
 class DegeneratePair(ValueError):
@@ -142,7 +151,7 @@ def _slope_codes(dx: np.ndarray, dy: np.ndarray, inv: np.ndarray) -> np.ndarray:
     """
     code = inv[dx]
     code *= dy
-    code %= _SLOPE_PRIME
+    code -= code // _SLOPE_PRIME * _SLOPE_PRIME  # code %= M, but floor division by a scalar is faster
     code[dx == 0] = _SLOPE_PRIME
     return code
 
@@ -153,68 +162,118 @@ def check_census_modulus(n: int) -> None:
         raise ValueError(f"census slope codes are exact only for n <= {_N_LIMIT}, got n = {n}")
 
 
+def _symmetries(xs: np.ndarray, ys: np.ndarray, n: int) -> tuple[list[tuple[bool, bool]], np.ndarray]:
+    """The maps among sigma, nu and sigma*nu that carry the point set onto itself.
+
+    Returns the kept maps as (swap, reflect) pairs, where swap exchanges x and
+    y (sigma) and reflect sends (x, y) to (n - x, n - y) (nu), and one row of
+    image indices per kept map: images[g, i] is the index of the image of
+    point i.  The points are looked up by the ascending code x*n + y, which
+    nu sends to n*(n + 1) - x*n - y.
+    """
+    code = xs * n + ys
+    swapped = ys * n + xs
+    targets = np.stack([swapped, n * (n + 1) - code, n * (n + 1) - swapped])  # in _MAPS order
+    images = np.minimum(np.searchsorted(code, targets), len(code) - 1)
+    kept = (code[images] == targets).all(axis=1)
+    return [m for m, keep in zip(_MAPS, kept) if keep], images[kept]
+
+
 def census(ps: PointSet) -> IncidenceCensus:
     """Full incidence census of a point set (at least two distinct points).
 
-    The points are in (x, y) order (``PointSet`` checks it), and every pair
-    (i, j > i) is grouped by its anchor i and slope code c = dy * dx**-1 mod M
-    (c = M for a vertical pair), M = _SLOPE_PRIME, through one ``argsort`` of
-    i * (M + 1) + c per block.
-    The code is exact: for coordinates in [1, n-1], n <= 2**20, two pairs
-    have c1 == c2 iff dy1 * dx2 = dy2 * dx1 (mod M), and that cross-product
-    difference is at most 2 * (n-1)**2 < M in absolute value, so iff the
-    slopes are equal.  A t-point line yields one group of each size
-    t-1, ..., 1 (one per point but its last), so with G_s groups of size s
-    there are L_t = G_(t-1) - G_t lines of t points.  Rich lines are keyed
-    from one pair of each group of size >= 2, reduced by its gcd, and counted
-    from the largest group.
+    Orbits: the maps among sigma (x, y) -> (y, x), nu (x, y) -> (n-x, n-y)
+    and sigma*nu that carry the set onto itself form a group (a hyperbola
+    set keeps all three, since (n-x)(n-y) = xy mod n; a subset or a class
+    may keep fewer or none).  They carry lines to lines of the same size, so
+    only the point of least index in each orbit is an anchor, weighted by its
+    orbit size w = 1, 2 or 4.
+    Rows: an anchor i's row holds every other point j, coded by the
+    direction j - i negated to dx >= 0 as c = dy * dx**-1 mod M (c = M when
+    vertical), M = _SLOPE_PRIME, and packed as (c << 20) | j; the anchor's
+    own column is -1, sorts first and is dropped.  One ``np.sort`` per block
+    of rows; each run of equal c is the rest of one line through i, so a
+    t-point line is one group of size exactly t-1 at each of its t points.
+    The code is exact: for coordinates in [1, n-1], n <= 2**20, c1 == c2
+    iff dy1 * dx2 = dy2 * dx1 (mod M), and that cross-product difference is
+    at most 2 * (n-1)**2 < M in absolute value, so iff the slopes are equal.
+    Counts: with H_s the w-weighted number of groups of size s, there are
+    L_t = H_(t-1) / t lines of t points; that t divides H_(t-1) is checked.
+    Rich lines are keyed from the anchor and the first member of each group
+    of size >= 2, reduced by its gcd, and closed under the kept maps.
     """
     k = len(ps)
     if k < 2:
         raise TooFewPoints(f"{k} point(s) span no lines")
     n, a = ps.spec.n, ps.spec.a
     check_census_modulus(n)
+    if k > 1 << _INDEX_BITS:
+        raise ValueError(f"census packs point indices in {_INDEX_BITS} bits, got {k} points")
     xs, ys = ps.xs, ps.ys
     inv = _slope_inverses(int(xs[-1] - xs[0]))
-    counts = np.arange(k - 1, 0, -1)  # pairs anchored at i = 0, ..., k-2
-    ends = np.cumsum(counts)
-    jump = np.arange(1, k) - (ends - counts)  # j = pair index + jump[i]
-    groups = np.zeros(k + 1, dtype=np.int64)
+    maps, images = _symmetries(xs, ys, n)
+    cols = np.arange(k)
+    reps = np.flatnonzero((images >= cols).all(axis=0))  # least index in its orbit
+    stabiliser = 1 + (images[:, reps] == reps).sum(axis=0)
+    weight = (len(maps) + 1) // stabiliser  # orbit size = group order / stabiliser order
+    H = np.zeros(k, dtype=np.int64)  # H[s]: groups of size s, weighted
     rich = []
-    lo = 0
-    while lo < k - 1:
-        first_pair = ends[lo] - counts[lo]
-        hi = max(lo + 1, int(np.searchsorted(ends, first_pair + _PAIR_BLOCK, side="right")))
-        i_idx = np.repeat(np.arange(lo, hi), counts[lo:hi])
-        j_idx = np.arange(first_pair, ends[hi - 1]) + np.repeat(jump[lo:hi], counts[lo:hi])
-        dx = xs[j_idx] - xs[i_idx]  # > 0, or 0 with dy > 0
-        dy = ys[j_idx] - ys[i_idx]
-        code = _slope_codes(dx, dy, inv)
-        code += i_idx * (_SLOPE_PRIME + 1)  # one code per (anchor, slope)
-        order = np.argsort(code)
-        code = code[order]
-        starts = np.flatnonzero(np.concatenate(([True], code[1:] != code[:-1])))
-        sizes = np.diff(np.append(starts, len(code)))
-        size_counts = np.bincount(sizes)
-        groups[: len(size_counts)] += size_counts
-        big = sizes >= 2
-        member = order[starts[big]]
-        A, B = dy[member], -dx[member]
+    block = max(1, _ROW_BLOCK // k)
+    for lo in range(0, len(reps), block):
+        anchor = reps[lo : lo + block]
+        behind = cols < anchor[:, None]  # j < i: the direction points to smaller (x, y)
+        dx = xs - xs[anchor, None]
+        np.abs(dx, out=dx)
+        dy = ys - ys[anchor, None]
+        np.negative(dy, out=dy, where=behind)
+        packed = _slope_codes(dx, dy, inv)
+        packed <<= _INDEX_BITS
+        packed |= cols
+        packed[np.arange(len(anchor)), anchor] = -1
+        packed.sort(axis=1)
+        code = packed[:, 1:] >> _INDEX_BITS  # the anchor's own column sorts first and goes
+        same = np.zeros(code.shape, dtype=bool)  # same[r, c]: entries c and c + 1 share a slope
+        np.equal(code[:, 1:], code[:, :-1], out=same[:, :-1])
+        pos = np.flatnonzero(same)
+        # a run of consecutive positions is one group of size >= 2; run m is pos[first[m]:first[m+1]]
+        opens = np.ones(len(pos) + 1, dtype=bool)
+        opens[1:-1] = pos[1:] != pos[:-1] + 1
+        first = np.flatnonzero(opens)
+        sizes = first[1:] - first[:-1] + 1
+        first = first[:-1]
+        row, col = np.divmod(pos[first], k - 1)
+        np.add.at(H, sizes, weight[lo + row])
+        i = anchor[row]
+        j = packed[row, col + 1] & ((1 << _INDEX_BITS) - 1)
+        A, B = ys[j] - ys[i], xs[i] - xs[j]
         g = np.gcd(A, B)
-        sign = np.where((A < 0) | ((A == 0) & (B < 0)), -g, g)
-        A, B = A // sign, B // sign
-        C = -(A * xs[i_idx[member]] + B * ys[i_idx[member]])
-        rich.append(np.stack([A, B, C, sizes[big] + 1], axis=1))
-        lo = hi
+        A //= g
+        B //= g
+        rich.append(np.stack([A, B, -(A * xs[i] + B * ys[i]), sizes + 1], axis=1))
+    # each anchor's row has k - 1 entries; those in no group of size >= 2 are groups of size 1
+    H[1] = (k - 1) * weight.sum() - np.arange(k) @ H
+    t = np.arange(2, k + 1)
+    if (H[1:] % t).any():
+        raise RuntimeError("census H_(t-1) is not a multiple of t")
     line_sizes = np.zeros(k + 1, dtype=np.int64)
-    line_sizes[2:] = groups[1:-1] - groups[2:]
-    # one row (A, B, C, group size + 1) per rich group; in sorted order the
-    # last row of each line holds its largest group, one point short of it
-    rows = np.concatenate(rich)
-    rows = rows[np.lexsort(rows.T[::-1])]
-    last = np.ones(len(rows), dtype=bool)
-    last[:-1] = (rows[1:, :3] != rows[:-1, :3]).any(axis=1)
-    return IncidenceCensus(n, a, k, line_sizes, rows[last, :3], rows[last, 3])
+    line_sizes[2:] = H[1:] // t
+    # close the keys under the kept maps, which are linear in (A, B, C):
+    # sigma gives (B, A, C) and nu gives (A, B, -C - n(A + B))
+    keys = np.concatenate(rich)
+    rows = [keys]
+    for swap, reflect in maps:
+        image = keys[:, [1, 0, 2, 3]] if swap else keys.copy()
+        if reflect:
+            image[:, 2] = -image[:, 2] - n * (image[:, 0] + image[:, 1])
+        rows.append(image)
+    rows = np.concatenate(rows)
+    A, B = rows[:, 0], rows[:, 1]
+    rows[:, :3] *= np.where((A < 0) | ((A == 0) & (B < 0)), -1, 1)[:, None]  # sign rule
+    rows = rows[np.lexsort(rows.T[::-1])]  # ascending (A, B, C, t)
+    distinct = np.ones(len(rows), dtype=bool)
+    distinct[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    rows = rows[distinct]
+    return IncidenceCensus(n, a, k, line_sizes, rows[:, :3], rows[:, 3])
 
 
 def count_on_line(ps: PointSet, key: LineKey) -> int:

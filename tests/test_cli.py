@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from modhyp.cli import _suite_kwargs, build_parser, main
+from modhyp.hyperbola import HyperbolaSpec, enumerate_points
 from modhyp.ntcore import is_prime
 from modhyp.suites import SUITES
 
@@ -23,6 +24,15 @@ def test_points_csv(capsys):
     rc, out, _ = run(capsys, "points", "--a", "1", "--n", "5", "--format", "csv")
     assert rc == 0
     assert out.splitlines() == ["x,y", "1,1", "2,3", "3,2", "4,4"]
+
+
+def test_points_text_streams_the_row_list(capsys):
+    # printed row by row, the text form keeps the bytes of the one-string repr
+    rc, out, _ = run(capsys, "points", "--a", "3", "--n", "49", "--format", "text")
+    assert rc == 0
+    ps = enumerate_points(HyperbolaSpec(3, 49))
+    result = [[x, y] for x, y in ps.points]
+    assert out == f"command: points\n  a: 3\n  n: 49\nresult: {result}\n"
 
 
 def test_points_single_row(capsys):

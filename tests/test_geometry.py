@@ -1,4 +1,4 @@
-"""Census tests: the anchor-sweep census is checked against an independent
+"""Census tests: the orbit-anchor census is checked against an independent
 cross-product oracle that finds every maximal collinear subset directly."""
 import itertools
 import math
@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modhyp.geometry import (
+    _INDEX_BITS,
     _N_LIMIT,
     _SLOPE_PRIME,
     DegeneratePair,
@@ -28,6 +29,7 @@ from modhyp.geometry import (
     zero_intercept_lines,
     _slope_codes,
     _slope_inverses,
+    _symmetries,
 )
 from modhyp.hyperbola import (
     HyperbolaSpec,
@@ -104,16 +106,45 @@ def test_census_paths_agree_with_oracle(a, n):
     _assert_matches_oracle(enumerate_points(HyperbolaSpec(a, n)))
 
 
+# subgroups of <sigma, nu> as generators (swap, reflect): sigma swaps x and y,
+# nu sends (x, y) to (n - x, n - y)
+_SUBGROUPS = {
+    "id": (),
+    "sigma": ((True, False),),
+    "nu": ((False, True),),
+    "sigma*nu": ((True, True),),
+    "full": ((True, False), (False, True)),
+}
+
+
+def _close(points, n, generators):
+    """The closure of a point set under the maps named by generators."""
+    out = set(points)
+    while True:
+        grown = set(out)
+        for swap, reflect in generators:
+            for x, y in out:
+                u, v = (y, x) if swap else (x, y)
+                grown.add((n - u, n - v) if reflect else (u, v))
+        if grown == out:
+            return out
+        out = grown
+
+
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(st.data())
 def test_census_matches_oracle_property(data):
-    # random (a, n) with n <= 40, on the whole set or on a subset of two or more points
+    # random (a, n) with n <= 40, on the whole set or on a subset of two or more
+    # points closed under a drawn subgroup, so every orbit weight (1, 2, 4) and
+    # every key closure path meets the oracle
     n = data.draw(st.integers(3, 40), label="n")
     a = data.draw(st.sampled_from([u for u in range(1, n) if math.gcd(u, n) == 1]), label="a")
     ps = enumerate_points(HyperbolaSpec(a, n))
     if data.draw(st.booleans(), label="subset"):
         sub = data.draw(st.lists(st.sampled_from(ps.points), min_size=2, unique=True), label="points")
-        ps = _point_set(ps.spec, sub)
+        generators = _SUBGROUPS[data.draw(st.sampled_from(sorted(_SUBGROUPS)), label="subgroup")]
+        ps = _point_set(ps.spec, _close(sub, n, generators))
+        assert set(_symmetries(ps.xs, ps.ys, n)[0]) >= set(generators)
     _assert_matches_oracle(ps)
 
 
@@ -159,12 +190,18 @@ def test_census_modulus_limit():
     beyond = _point_set(HyperbolaSpec(1, n + 1), ((1, 1), (n, n)))
     with pytest.raises(ValueError, match="n <= 1048576"):
         census(beyond)
+    # a hand-built set can hold more points than n; their indices must fit the row packing
+    xs = np.repeat(np.arange(1, 3, dtype=np.int64), 2**19 + 1)
+    ys = np.tile(np.arange(1, 2**19 + 2, dtype=np.int64), 2)
+    with pytest.raises(ValueError, match="1048578 points"):
+        census(PointSet(HyperbolaSpec(1, n), xs, ys))
 
 
 def test_slope_constants():
     assert is_prime(_SLOPE_PRIME)
     assert _SLOPE_PRIME > 2 * (_N_LIMIT - 1) ** 2  # cross products never wrap mod M
-    assert _N_LIMIT * (_SLOPE_PRIME + 1) + _SLOPE_PRIME < 2**63  # grouping codes fit int64
+    assert (_SLOPE_PRIME << 20) | (2**20 - 1) < 2**62  # packed row entries fit int64
+    assert _INDEX_BITS == 20 and _N_LIMIT <= 1 << _INDEX_BITS  # a hyperbola set's indices fit
 
 
 def test_slope_codes_exact_on_adversarial_directions():
