@@ -31,6 +31,7 @@ from .geometry import (
     LineKey,
     OrdinaryLowerBound,
     census,
+    census_many,
     check_special_line,
     count_on_line,
     line_through,

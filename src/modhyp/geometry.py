@@ -1,17 +1,20 @@
-"""Line-incidence census over a hyperbola point set.
+"""Line-incidence census over hyperbola point sets.
 
-Every check here works on the point set's int64 coordinate arrays.  The
-census sweeps full anchor rows over orbit representatives: the maps
-sigma (x, y) -> (y, x) and nu (x, y) -> (n-x, n-y) that carry the set onto
-itself are found first, and one anchor per orbit is swept, weighted by its
-orbit size.  An anchor's row codes the slope to every other point as
-dy * dx**-1 modulo a fixed prime above 2**41 (integer ops only, no per-pair
-gcd; for n <= 2**20 equal codes mean equal slopes), and one row sort per
-block of anchors groups the points of each line through the anchor.  A
-t-point line is a group of t-1 points at each of its t points, so the
-weighted group counts give each line size's count.  Only the keys of lines
-with three or more points are kept, reduced by a gcd on one pair per line
-and closed under the maps.  The tests check the census against an
+Every check here works on the point sets' int64 coordinate arrays.  One
+kernel censuses a stack of point sets of one modulus and one size (all a of
+one prime, the x mod p classes of one p**m, or a single set) in one sweep.
+Its rows are (set, anchor) pairs over orbit representatives: the maps sigma
+(x, y) -> (y, x) and nu (x, y) -> (n-x, n-y) that carry each set onto itself
+are found per set, and one anchor per orbit of that set is swept, weighted
+by its orbit size.  An anchor's row codes the slope to every other point of
+its set as dy * dx**-1 modulo a fixed prime above 2**41 (integer ops only,
+no per-pair gcd; for n <= 2**20 equal codes mean equal slopes), and one row
+sort per block of rows groups the points of each line through the anchor.
+A t-point line is a group of t-1 points at each of its t points, so each
+set's weighted group counts give its count of each line size.  Only the
+keys of lines with three or more points are kept, reduced by a gcd on one
+pair per line, closed under their own set's maps, sorted with the set index
+leading and cut back per set.  The tests check the census against an
 independent cross-product oracle.
 """
 from __future__ import annotations
@@ -19,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -98,7 +101,7 @@ class IncidenceCensus:
         self.point_count = point_count
         self._rich_keys = rich_keys
         self._rich_t = rich_t
-        self.histogram = {t: int(c) for t, c in enumerate(line_sizes) if c}
+        self.histogram = {t: c for t, c in enumerate(line_sizes.tolist()) if c}
         self.ordinary_count = self.histogram.get(2, 0)
         self.max_collinear = max(self.histogram) if self.histogram else 0
         self.line_total = sum(self.histogram.values())
@@ -151,7 +154,10 @@ def _slope_codes(dx: np.ndarray, dy: np.ndarray, inv: np.ndarray) -> np.ndarray:
     """
     code = inv[dx]
     code *= dy
-    code -= code // _SLOPE_PRIME * _SLOPE_PRIME  # code %= M, but floor division by a scalar is faster
+    # code %= M, but floor division by a scalar is faster; one temporary
+    q = code // _SLOPE_PRIME
+    q *= _SLOPE_PRIME
+    code -= q
     code[dx == 0] = _SLOPE_PRIME
     return code
 
@@ -162,118 +168,179 @@ def check_census_modulus(n: int) -> None:
         raise ValueError(f"census slope codes are exact only for n <= {_N_LIMIT}, got n = {n}")
 
 
-def _symmetries(xs: np.ndarray, ys: np.ndarray, n: int) -> tuple[list[tuple[bool, bool]], np.ndarray]:
-    """The maps among sigma, nu and sigma*nu that carry the point set onto itself.
+def _symmetries(xs: np.ndarray, ys: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per set, the maps among sigma, nu and sigma*nu that carry it onto itself.
 
-    Returns the kept maps as (swap, reflect) pairs, where swap exchanges x and
-    y (sigma) and reflect sends (x, y) to (n - x, n - y) (nu), and one row of
-    image indices per kept map: images[g, i] is the index of the image of
-    point i.  The points are looked up by the ascending code x*n + y, which
-    nu sends to n*(n + 1) - x*n - y.
+    xs and ys stack S sets of k points as (S, k) arrays.  Returns kept, an
+    (S, 3) bool array over _MAPS (swap exchanges x and y, sigma; reflect
+    sends (x, y) to (n - x, n - y), nu), and images, a (3, S, k) array where
+    images[g, s, i] is the index in set s of the image of its point i under
+    map g, or i itself where set s does not keep g.  The points are looked up
+    by the code x*n + y, ascending within a set, which nu sends to
+    n*(n + 1) - x*n - y; set s's codes are offset by s * n*(n + 1), so one
+    ``np.searchsorted`` serves the whole stack.
     """
+    S, k = xs.shape
+    span = n * (n + 1)
+    offset = np.arange(S, dtype=np.int64)[:, None] * span
     code = xs * n + ys
     swapped = ys * n + xs
-    targets = np.stack([swapped, n * (n + 1) - code, n * (n + 1) - swapped])  # in _MAPS order
-    images = np.minimum(np.searchsorted(code, targets), len(code) - 1)
-    kept = (code[images] == targets).all(axis=1)
-    return [m for m, keep in zip(_MAPS, kept) if keep], images[kept]
+    targets = np.stack([swapped, span - code, span - swapped]) + offset  # in _MAPS order
+    code += offset
+    flat = code.ravel()
+    images = np.minimum(np.searchsorted(flat, targets), flat.size - 1)
+    kept = (flat[images] == targets).all(axis=2).T
+    images -= np.arange(S)[:, None] * k
+    return kept, np.where(kept.T[:, :, None], images, np.arange(k))
+
+
+def _row_groups(xs, ys, sid, anchor, inv) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sort one block of (set, anchor) rows and find its groups of two or more points.
+
+    Row r is anchor[r] of set sid[r].  Returns, per group, its row r, its size
+    and the index j of its first point.  The block's row arrays are freed on
+    return, before the next block allocates its own.
+    """
+    cols = np.arange(xs.shape[1])
+    behind = cols < anchor[:, None]  # j < i: the direction points to smaller (x, y)
+    dx = xs[sid]
+    dx -= xs[sid, anchor][:, None]
+    np.abs(dx, out=dx)
+    dy = ys[sid]
+    dy -= ys[sid, anchor][:, None]
+    np.negative(dy, out=dy, where=behind)
+    packed = _slope_codes(dx, dy, inv)
+    packed <<= _INDEX_BITS
+    packed |= cols
+    packed[np.arange(len(anchor)), anchor] = -1
+    packed.sort(axis=1)
+    code = packed[:, 1:] >> _INDEX_BITS  # the anchor's own column sorts first and goes
+    same = np.zeros(code.shape, dtype=bool)  # same[r, c]: entries c and c + 1 share a slope
+    np.equal(code[:, 1:], code[:, :-1], out=same[:, :-1])
+    pos = np.flatnonzero(same)
+    # a run of consecutive positions is one group of size >= 2; run m is pos[first[m]:first[m+1]]
+    opens = np.ones(len(pos) + 1, dtype=bool)
+    opens[1:-1] = pos[1:] != pos[:-1] + 1
+    first = np.flatnonzero(opens)
+    sizes = first[1:] - first[:-1] + 1
+    row, col = np.divmod(pos[first[:-1]], len(cols) - 1)
+    return row, sizes, packed[row, col + 1] & ((1 << _INDEX_BITS) - 1)
 
 
 def census(ps: PointSet) -> IncidenceCensus:
     """Full incidence census of a point set (at least two distinct points).
 
+    The batch of one of ``census_many``, which runs the method below on a
+    stack of sets of one modulus and one size, each set on its own terms.
     Orbits: the maps among sigma (x, y) -> (y, x), nu (x, y) -> (n-x, n-y)
-    and sigma*nu that carry the set onto itself form a group (a hyperbola
+    and sigma*nu that carry a set onto itself form a group (a hyperbola
     set keeps all three, since (n-x)(n-y) = xy mod n; a subset or a class
-    may keep fewer or none).  They carry lines to lines of the same size, so
-    only the point of least index in each orbit is an anchor, weighted by its
-    orbit size w = 1, 2 or 4.
-    Rows: an anchor i's row holds every other point j, coded by the
-    direction j - i negated to dx >= 0 as c = dy * dx**-1 mod M (c = M when
-    vertical), M = _SLOPE_PRIME, and packed as (c << 20) | j; the anchor's
-    own column is -1, sorts first and is dropped.  One ``np.sort`` per block
-    of rows; each run of equal c is the rest of one line through i, so a
-    t-point line is one group of size exactly t-1 at each of its t points.
-    The code is exact: for coordinates in [1, n-1], n <= 2**20, c1 == c2
-    iff dy1 * dx2 = dy2 * dx1 (mod M), and that cross-product difference is
-    at most 2 * (n-1)**2 < M in absolute value, so iff the slopes are equal.
-    Counts: with H_s the w-weighted number of groups of size s, there are
-    L_t = H_(t-1) / t lines of t points; that t divides H_(t-1) is checked.
-    Rich lines are keyed from the anchor and the first member of each group
-    of size >= 2, reduced by its gcd, and closed under the kept maps.
+    may keep fewer or none), found per set.  They carry lines to lines of the
+    same size, so only the point of least index in each orbit of a set is an
+    anchor, weighted by its orbit size w = 1, 2 or 4 under that set's maps.
+    Rows: one row per (set, anchor) pair, set-major.  Anchor i's row holds
+    every other point j of its set, coded by the direction j - i negated to
+    dx >= 0 as c = dy * dx**-1 mod M (c = M when vertical), M = _SLOPE_PRIME,
+    and packed as (c << 20) | j; the anchor's own column is -1, sorts first
+    and is dropped.  One ``np.sort`` per block of at most _ROW_BLOCK entries,
+    which may span sets; each run of equal c is the rest of one line through
+    i, so a t-point line is one group of size exactly t-1 at each of its t
+    points.  The code is exact: for coordinates in [1, n-1], n <= 2**20,
+    c1 == c2 iff dy1 * dx2 = dy2 * dx1 (mod M), and that cross-product
+    difference is at most 2 * (n-1)**2 < M in absolute value, so iff the
+    slopes are equal.
+    Counts: with H_s the w-weighted number of a set's groups of size s, it
+    has L_t = H_(t-1) / t lines of t points; that t divides H_(t-1) is
+    checked for every set.
+    Rich lines are keyed as (set, A, B, C, t) from the anchor and the first
+    member of each group of size >= 2, reduced by its gcd, and closed under
+    that set's own kept maps; one ``np.lexsort`` orders the stack's keys by
+    set first, and they are cut back per set.
     """
-    k = len(ps)
+    return census_many([ps])[0]
+
+
+def census_many(sets: Sequence[PointSet]) -> list[IncidenceCensus]:
+    """The census of each of a stack of point sets, in one sweep (method: ``census``).
+
+    The sets must share the modulus n and the point count k >= 2; an empty
+    stack, mixed moduli or sizes, or k < 2 raise before any work.  Only the numpy calls
+    are shared: every set keeps its own maps, weights, counts and keys, and
+    its own ``IncidenceCensus`` checks them.
+    """
+    if not sets:
+        raise ValueError("census_many needs at least one point set")
+    n, k = sets[0].spec.n, len(sets[0])
+    if any(ps.spec.n != n for ps in sets):
+        raise ValueError("census_many needs point sets of one modulus")
+    if any(len(ps) != k for ps in sets):
+        raise ValueError("census_many needs point sets of one size")
     if k < 2:
         raise TooFewPoints(f"{k} point(s) span no lines")
-    n, a = ps.spec.n, ps.spec.a
     check_census_modulus(n)
     if k > 1 << _INDEX_BITS:
         raise ValueError(f"census packs point indices in {_INDEX_BITS} bits, got {k} points")
-    xs, ys = ps.xs, ps.ys
-    inv = _slope_inverses(int(xs[-1] - xs[0]))
-    maps, images = _symmetries(xs, ys, n)
+    if len(sets) * n * (n + 1) >= 1 << 63:  # the point codes of _symmetries
+        raise ValueError(f"{len(sets)} sets of modulus {n} overflow the int64 point codes")
+    S = len(sets)
+    xs = np.stack([ps.xs for ps in sets])
+    ys = np.stack([ps.ys for ps in sets])
+    inv = _slope_inverses(int((xs[:, -1] - xs[:, 0]).max()))
+    kept, images = _symmetries(xs, ys, n)
     cols = np.arange(k)
-    reps = np.flatnonzero((images >= cols).all(axis=0))  # least index in its orbit
-    stabiliser = 1 + (images[:, reps] == reps).sum(axis=0)
-    weight = (len(maps) + 1) // stabiliser  # orbit size = group order / stabiliser order
-    H = np.zeros(k, dtype=np.int64)  # H[s]: groups of size s, weighted
+    row_set, row_anchor = np.nonzero((images >= cols).all(axis=0))  # least index in its orbit
+    images = images[:, row_set, row_anchor]
+    stabiliser = 1 + ((images == row_anchor) & kept[row_set].T).sum(axis=0)
+    row_weight = (1 + kept.sum(axis=1))[row_set] // stabiliser  # orbit size = group order / stabiliser order
+    H = np.zeros(S * k, dtype=np.int64)  # H[s * k + size]: set s's groups of that size, weighted
+    # each anchor's row has k - 1 entries: H_1 starts at all of them, and each
+    # group of size >= 2 found below takes its size back out
+    np.add.at(H, row_set * k + 1, (k - 1) * row_weight)
     rich = []
     block = max(1, _ROW_BLOCK // k)
-    for lo in range(0, len(reps), block):
-        anchor = reps[lo : lo + block]
-        behind = cols < anchor[:, None]  # j < i: the direction points to smaller (x, y)
-        dx = xs - xs[anchor, None]
-        np.abs(dx, out=dx)
-        dy = ys - ys[anchor, None]
-        np.negative(dy, out=dy, where=behind)
-        packed = _slope_codes(dx, dy, inv)
-        packed <<= _INDEX_BITS
-        packed |= cols
-        packed[np.arange(len(anchor)), anchor] = -1
-        packed.sort(axis=1)
-        code = packed[:, 1:] >> _INDEX_BITS  # the anchor's own column sorts first and goes
-        same = np.zeros(code.shape, dtype=bool)  # same[r, c]: entries c and c + 1 share a slope
-        np.equal(code[:, 1:], code[:, :-1], out=same[:, :-1])
-        pos = np.flatnonzero(same)
-        # a run of consecutive positions is one group of size >= 2; run m is pos[first[m]:first[m+1]]
-        opens = np.ones(len(pos) + 1, dtype=bool)
-        opens[1:-1] = pos[1:] != pos[:-1] + 1
-        first = np.flatnonzero(opens)
-        sizes = first[1:] - first[:-1] + 1
-        first = first[:-1]
-        row, col = np.divmod(pos[first], k - 1)
-        np.add.at(H, sizes, weight[lo + row])
+    for lo in range(0, len(row_set), block):
+        sid = row_set[lo : lo + block]
+        anchor = row_anchor[lo : lo + block]
+        row, sizes, j = _row_groups(xs, ys, sid, anchor, inv)
+        s = sid[row]
+        np.add.at(H, s * k + sizes, row_weight[lo + row])
         i = anchor[row]
-        j = packed[row, col + 1] & ((1 << _INDEX_BITS) - 1)
-        A, B = ys[j] - ys[i], xs[i] - xs[j]
+        x, y = xs[s, i], ys[s, i]
+        A, B = ys[s, j] - y, x - xs[s, j]
         g = np.gcd(A, B)
         A //= g
         B //= g
-        rich.append(np.stack([A, B, -(A * xs[i] + B * ys[i]), sizes + 1], axis=1))
-    # each anchor's row has k - 1 entries; those in no group of size >= 2 are groups of size 1
-    H[1] = (k - 1) * weight.sum() - np.arange(k) @ H
+        rich.append(np.stack([s, A, B, -(A * x + B * y), sizes + 1], axis=1))
+    H = H.reshape(S, k)
+    H[:, 1] -= H[:, 2:] @ cols[2:]
     t = np.arange(2, k + 1)
-    if (H[1:] % t).any():
+    if (H[:, 1:] % t).any():
         raise RuntimeError("census H_(t-1) is not a multiple of t")
-    line_sizes = np.zeros(k + 1, dtype=np.int64)
-    line_sizes[2:] = H[1:] // t
-    # close the keys under the kept maps, which are linear in (A, B, C):
+    line_sizes = np.zeros((S, k + 1), dtype=np.int64)
+    line_sizes[:, 2:] = H[:, 1:] // t
+    # close each set's keys under its kept maps, which are linear in (A, B, C):
     # sigma gives (B, A, C) and nu gives (A, B, -C - n(A + B))
     keys = np.concatenate(rich)
     rows = [keys]
-    for swap, reflect in maps:
-        image = keys[:, [1, 0, 2, 3]] if swap else keys.copy()
+    for m, (swap, reflect) in enumerate(_MAPS):
+        image = keys[kept[keys[:, 0], m]]
+        if swap:
+            image = image[:, [0, 2, 1, 3, 4]]
         if reflect:
-            image[:, 2] = -image[:, 2] - n * (image[:, 0] + image[:, 1])
+            image[:, 3] = -image[:, 3] - n * (image[:, 1] + image[:, 2])
         rows.append(image)
     rows = np.concatenate(rows)
-    A, B = rows[:, 0], rows[:, 1]
-    rows[:, :3] *= np.where((A < 0) | ((A == 0) & (B < 0)), -1, 1)[:, None]  # sign rule
-    rows = rows[np.lexsort(rows.T[::-1])]  # ascending (A, B, C, t)
+    A, B = rows[:, 1], rows[:, 2]
+    rows[:, 1:4] *= np.where((A < 0) | ((A == 0) & (B < 0)), -1, 1)[:, None]  # sign rule
+    rows = rows[np.lexsort(rows.T[::-1])]  # ascending (set, A, B, C, t)
     distinct = np.ones(len(rows), dtype=bool)
     distinct[1:] = (rows[1:] != rows[:-1]).any(axis=1)
     rows = rows[distinct]
-    return IncidenceCensus(n, a, k, line_sizes, rows[:, :3], rows[:, 3])
+    cut = np.searchsorted(rows[:, 0], np.arange(S + 1)).tolist()
+    return [
+        IncidenceCensus(n, ps.spec.a, k, counts, rows[start:stop, 1:4], rows[start:stop, 4])
+        for ps, counts, start, stop in zip(sets, line_sizes, cut, cut[1:])
+    ]
 
 
 def count_on_line(ps: PointSet, key: LineKey) -> int:
@@ -466,11 +533,14 @@ def verify_collinearity_bounds(ps: PointSet, cen: IncidenceCensus | None = None)
         violations.append(f"max collinear {cen.max_collinear} exceeds {limit}")
     class_lines: dict[int, int] = {}
     if pp.m >= 2:
-        for i, cls in partition_classes(ps).items():
+        classes = partition_classes(ps)
+        for i, cls in classes.items():
             key = line_through(*zip(cls.xs[:2].tolist(), cls.ys[:2].tolist()))
             if count_on_line(cls, key) == len(cls):
                 violations.append(f"class {i} is entirely collinear on {key.as_tuple()}")
-            class_lines[i] = census(cls).line_total
+        # one stack: the p - 1 classes of a whole set hold p**(m-1) points each
+        for i, cen_i in zip(classes, census_many(list(classes.values()))):
+            class_lines[i] = cen_i.line_total
     # classes above this size threshold must span quadratically many lines
     many_lines = pp.p ** ((pp.m + 1) // 2 - 1) > 200
     return CollinearityReport(

@@ -32,6 +32,7 @@ from .distances import (
 from .geometry import (
     LineKey,
     census,
+    census_many,
     check_special_line,
     count_on_line,
     verify_collinearity_bounds,
@@ -113,11 +114,17 @@ def _failures_case(key: str, inputs: dict, failures: list) -> CaseRecord:
 
 
 def _run_parallel(worker, tasks, jobs):
+    """worker(t) for every task, in task order, on ``jobs`` processes.
+
+    Sweeps list their tasks in ascending size, so the pool takes them from the
+    largest down, in chunks small enough that the costly tail never lands on
+    one worker; the results are reversed back into task order.
+    """
     if jobs <= 1 or len(tasks) <= 1:
         return [worker(t) for t in tasks]
-    chunk = max(1, len(tasks) // (jobs * 4))
+    chunk = max(1, len(tasks) // (jobs * 16))
     with multiprocessing.Pool(jobs) as pool:
-        return pool.map(worker, tasks, chunksize=chunk)
+        return pool.map(worker, tasks[::-1], chunksize=chunk)[::-1]
 
 
 def _prime_powers_upto(n_max: int, min_m: int = 1, odd_only: bool = False, min_n: int = 2):
@@ -163,18 +170,23 @@ def suite_ordinary_moduli(n_max: int = 200, jobs: int = 1) -> VerificationReport
 # prime-lines
 
 
+# Points per census_many stack of prime-lines: every a of p <= 359 in one
+# call, and a few MB of stacked coordinates at any larger p.
+_STACK_POINTS = 1 << 17
+
+
 def _prime_lines_task(p: int) -> CaseRecord:
     failures = []
     formula = (p - 1) * (p - 2) // 2
-    for a in range(1, p):
-        ps = enumerate_points(HyperbolaSpec(a, p))
-        if len(ps) < 2:
-            if formula != 0:
-                failures.append([a, 0, 0])
+    batch = max(1, _STACK_POINTS // p)
+    for lo in range(1, p, batch):
+        sets = [enumerate_points(HyperbolaSpec(a, p)) for a in range(lo, min(lo + batch, p))]
+        if len(sets[0]) < 2:  # only p = 2, whose one point spans no line
+            failures += [[ps.spec.a, 0, 0] for ps in sets if formula != 0]
             continue
-        cen = census(ps)
-        if cen.ordinary_count != formula or cen.max_collinear != 2:
-            failures.append([a, cen.ordinary_count, cen.max_collinear])
+        for ps, cen in zip(sets, census_many(sets)):
+            if cen.ordinary_count != formula or cen.max_collinear != 2:
+                failures.append([ps.spec.a, cen.ordinary_count, cen.max_collinear])
     expected = {"ordinary": formula, "max_collinear": 2}
     return CaseRecord(f"p{p}", {"p": p, "all_a": True}, expected, {"failures": failures}, not failures)
 

@@ -259,14 +259,18 @@ def test_text_format_smoke(capsys):
 
 
 # SHA-256 of `modhyp verify <suite> --format json --jobs 1`, recorded before the
-# suite workers returned case records; every refactor must keep these bytes
+# suite workers returned case records; every refactor must keep these bytes.
+# The default prime-lines range and collinearity up to 625 were recorded before
+# the batched census, whose stacks of equal-size sets they reach
 REPORT_DIGESTS = [
     ("ordinary-moduli", ["--n-max", "40"], 0, "c274fdb0456924ede85af5827955f5b0782dd9c981e99967718b9ec3ff6fa766"),
     ("prime-lines", ["--n-max", "13"], 0, "0152ddfe3347d860f505ad4de28bd443f000b1de7192d9296d9733616ba52bc8"),
+    ("prime-lines", [], 0, "24fcca19d8e795f3a08f34d763d4ba564c407da4eec60e8c65cdfef0ba0ae721"),
     ("special-line", ["--n-max", "130"], 0, "2f4aeced014fef73fc303cee23ed8aed83a59348605823e085fa5faa747693ea"),
     ("theorem6", ["--n-max", "130"], 1, "1f9fdce38a7c8d6b1b9aeddb75da22589de8e575e53c6526eabdb5904d99f000"),
     ("lemma7", ["--n-max", "130"], 0, "09d007b6599cce407a690cb126f610c0eefb91efe339e2d962b98e7ee2ba461d"),
     ("collinearity", ["--n-max", "130"], 0, "7c779eabc0dc800f5ea4fd545217c2fd5552922916b21f280746e0ed355ef757"),
+    ("collinearity", ["--n-max", "625"], 0, "e864a63d2acd9d351e2185e34e55998de2a16094f0fb5a2397a4a6551c6ec83a"),
     ("prime-distance", ["--n-max", "37"], 0, "10d0d9437fd3fddd70ea5d8d8befb39c34f1182c568f073f43280b6401c62ab2"),
     ("theorem14", ["--n-max", "7", "--samples", "5"], 0, "b8f220615ee249d6892856ffed5ab6f46c2d6b82520b95aca9f0f4d23097d4ea"),
     ("theorem14", ["--p", "5", "--all-a"], 0, "7f21ebf60266ae2c28e050375d787b71f025bf5d83f323eacbea1078391ce692"),

@@ -4,14 +4,17 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from modhyp import geometry
 from modhyp.geometry import (
     _INDEX_BITS,
+    _MAPS,
     _N_LIMIT,
     _SLOPE_PRIME,
     DegeneratePair,
@@ -19,6 +22,7 @@ from modhyp.geometry import (
     OutOfScope,
     TooFewPoints,
     census,
+    census_many,
     check_special_line,
     count_on_line,
     line_through,
@@ -144,7 +148,8 @@ def test_census_matches_oracle_property(data):
         sub = data.draw(st.lists(st.sampled_from(ps.points), min_size=2, unique=True), label="points")
         generators = _SUBGROUPS[data.draw(st.sampled_from(sorted(_SUBGROUPS)), label="subgroup")]
         ps = _point_set(ps.spec, _close(sub, n, generators))
-        assert set(_symmetries(ps.xs, ps.ys, n)[0]) >= set(generators)
+        kept = _symmetries(ps.xs[None], ps.ys[None], n)[0][0]
+        assert {m for m, keep in zip(_MAPS, kept) if keep} >= set(generators)
     _assert_matches_oracle(ps)
 
 
@@ -158,6 +163,71 @@ def test_census_hand_built_grid_in_any_order():
     with pytest.raises(ValueError, match="ascending"):  # the census never sees unordered points
         PointSet(spec, xs, ys)
     _assert_matches_oracle(_point_set(spec, grid))
+
+
+# odd prime powers p**m, m >= 2, whose x mod p classes the oracle checks quickly
+_CLASS_MODULI = (9, 25, 27, 49, 81, 121, 125)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_census_many_matches_census_and_oracle_property(data):
+    # a stack of the sets of several a of one n, or of the x mod p classes of
+    # one p**m, whose kept maps differ from class to class; a small row block
+    # makes blocks that cut through one set's rows and span several sets
+    if data.draw(st.booleans(), label="classes"):
+        n = data.draw(st.sampled_from(_CLASS_MODULI), label="n")
+        a = data.draw(st.sampled_from([u for u in range(1, n) if math.gcd(u, n) == 1]), label="a")
+        classes = partition_classes(enumerate_points(HyperbolaSpec(a, n)))
+        keep = data.draw(st.lists(st.sampled_from(sorted(classes)), min_size=1, unique=True), label="classes")
+        sets = [classes[i] for i in keep]
+    else:
+        n = data.draw(st.integers(3, 40), label="n")
+        units = [u for u in range(1, n) if math.gcd(u, n) == 1]
+        if len(units) < 2:
+            return
+        a_values = data.draw(st.lists(st.sampled_from(units), min_size=1, unique=True), label="a")
+        sets = [enumerate_points(HyperbolaSpec(a, n)) for a in a_values]
+    row_block = data.draw(st.sampled_from([geometry._ROW_BLOCK, 5, 64]), label="row block")
+    with mock.patch.object(geometry, "_ROW_BLOCK", row_block):
+        batch = census_many(sets)
+    assert len(batch) == len(sets)
+    for ps, cen in zip(sets, batch):
+        alone = census(ps)
+        hist, rich = _census_oracle(ps.points)
+        assert (cen.n, cen.a, cen.point_count) == (alone.n, alone.a, alone.point_count) == (n, ps.spec.a, len(ps))
+        assert cen.histogram == alone.histogram == hist
+        assert list(cen.lines()) == list(alone.lines()) == sorted(rich.items())
+
+
+def test_census_many_class_stack_keeps_maps_per_set():
+    # mod 25 with a = 1, class i keeps sigma when i*i = 1 (mod 5) and sigma*nu
+    # when i*i = -1; no class keeps nu
+    classes = partition_classes(enumerate_points(HyperbolaSpec(1, 25)))
+    xs = np.stack([c.xs for c in classes.values()])
+    ys = np.stack([c.ys for c in classes.values()])
+    kept, images = _symmetries(xs, ys, 25)
+    assert kept.tolist() == [[True, False, False], [False, False, True], [False, False, True], [True, False, False]]
+    assert (images[1] == np.arange(5)).all()  # nu, kept by no class, acts as the identity
+
+
+def test_census_many_refuses_bad_stacks_before_any_work(monkeypatch):
+    def no_work(*args):
+        raise AssertionError("the stack was not checked first")
+
+    monkeypatch.setattr(geometry, "_symmetries", no_work)
+    monkeypatch.setattr(geometry, "_slope_inverses", no_work)
+    with pytest.raises(ValueError, match="at least one point set"):
+        census_many([])
+    h5, h7 = enumerate_points(HyperbolaSpec(1, 5)), enumerate_points(HyperbolaSpec(1, 7))
+    with pytest.raises(ValueError, match="one modulus"):
+        census_many([h5, _point_set(HyperbolaSpec(1, 6), h5.points)])
+    with pytest.raises(ValueError, match="one size"):
+        census_many([h7, _point_set(h7.spec, h7.points[:5])])
+    with pytest.raises(TooFewPoints):
+        census_many([enumerate_points(HyperbolaSpec(1, 2))] * 2)
+    with pytest.raises(TooFewPoints):
+        census(_point_set(h7.spec, h7.points[:1]))
 
 
 def test_oracle_pins_ordinary_count_49():

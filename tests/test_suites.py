@@ -6,12 +6,14 @@ from pathlib import Path
 import pytest
 
 import modhyp
+from modhyp import suites
 from modhyp.suites import (
     SUITES,
     read_fixture_rows,
     suite_gap,
     suite_general_pm,
     suite_ordinary_moduli,
+    suite_prime_lines,
     suite_tables,
     suite_theorem14,
 )
@@ -76,6 +78,25 @@ def test_jobs_do_not_change_reports(name, kwargs):
     one = SUITES[name](jobs=1, **kwargs).to_payload()
     two = SUITES[name](jobs=2, **kwargs).to_payload()
     assert json.dumps(one, sort_keys=True) == json.dumps(two, sort_keys=True)
+
+
+def test_prime_lines_stacks_split_by_point_budget(monkeypatch):
+    # above p = 359 the sets of one p go to census_many in several stacks of
+    # at most _STACK_POINTS points; a small budget splits every p here
+    whole = suite_prime_lines(n_max=31).to_payload()
+    census_many = suites.census_many
+    stacks = []
+
+    def recording(sets):
+        stacks.append((sets[0].spec.n, len(sets)))
+        return census_many(sets)
+
+    monkeypatch.setattr(suites, "_STACK_POINTS", 40)
+    monkeypatch.setattr(suites, "census_many", recording)
+    assert suite_prime_lines(n_max=31).to_payload() == whole
+    assert all(p * size <= 40 or size == 1 for p, size in stacks)
+    assert [size for p, size in stacks if p == 13] == [3, 3, 3, 3]
+    assert sum(size for p, size in stacks if p == 31) == 30
 
 
 def test_read_fixture_rows():
