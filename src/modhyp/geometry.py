@@ -146,20 +146,21 @@ def _slope_inverses(span: int) -> np.ndarray:
     return np.array(inv[: span + 1], dtype=np.int64)
 
 
-def _slope_codes(dx: np.ndarray, dy: np.ndarray, inv: np.ndarray) -> np.ndarray:
-    """Code dy * dx**-1 mod _SLOPE_PRIME per direction (dx >= 0), _SLOPE_PRIME if dx = 0.
+def _slope_codes(dx: np.ndarray, dy: np.ndarray, inv: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write dy * dx**-1 mod _SLOPE_PRIME per direction (dx >= 0) into out, _SLOPE_PRIME if dx = 0.
 
-    inv is ``_slope_inverses`` of at least max(dx).  For |dx|, |dy| < _N_LIMIT
-    two codes are equal exactly when dy1 * dx2 == dy2 * dx1.
+    inv is ``_slope_inverses`` of at least max(dx); dy is overwritten (it is
+    the scratch of the reduction).  For |dx|, |dy| < _N_LIMIT two codes are
+    equal exactly when dy1 * dx2 == dy2 * dx1.
     """
-    code = inv[dx]
-    code *= dy
-    # code %= M, but floor division by a scalar is faster; one temporary
-    q = code // _SLOPE_PRIME
-    q *= _SLOPE_PRIME
-    code -= q
-    code[dx == 0] = _SLOPE_PRIME
-    return code
+    np.take(inv, dx, out=out, mode="clip")  # every dx is in range; "clip" writes out unbuffered
+    out *= dy
+    # out %= M, but floor division by a scalar is faster
+    np.floor_divide(out, _SLOPE_PRIME, out=dy)
+    dy *= _SLOPE_PRIME
+    out -= dy
+    np.copyto(out, _SLOPE_PRIME, where=dx == 0)
+    return out
 
 
 def check_census_modulus(n: int) -> None:
@@ -194,37 +195,42 @@ def _symmetries(xs: np.ndarray, ys: np.ndarray, n: int) -> tuple[np.ndarray, np.
     return kept, np.where(kept.T[:, :, None], images, np.arange(k))
 
 
-def _row_groups(xs, ys, sid, anchor, inv) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _row_groups(xs, ys, sid, anchor, inv, work) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Sort one block of (set, anchor) rows and find its groups of two or more points.
 
     Row r is anchor[r] of set sid[r].  Returns, per group, its row r, its size
-    and the index j of its first point.  The block's row arrays are freed on
-    return, before the next block allocates its own.
+    and the index j of its first point.  work holds (R, k) arrays dx, dy and
+    packed (int64) and flags (bool), which every block overwrites: the census
+    allocates its row arrays once, not once per block.
     """
+    dx, dy, packed, flags = work
     cols = np.arange(xs.shape[1])
-    behind = cols < anchor[:, None]  # j < i: the direction points to smaller (x, y)
-    dx = xs[sid]
+    np.less(cols, anchor[:, None], out=flags)  # j < i: the direction points to smaller (x, y)
+    np.take(xs, sid, axis=0, out=dx, mode="clip")
     dx -= xs[sid, anchor][:, None]
     np.abs(dx, out=dx)
-    dy = ys[sid]
+    np.take(ys, sid, axis=0, out=dy, mode="clip")
     dy -= ys[sid, anchor][:, None]
-    np.negative(dy, out=dy, where=behind)
-    packed = _slope_codes(dx, dy, inv)
+    np.negative(dy, out=dy, where=flags)
+    _slope_codes(dx, dy, inv, packed)
     packed <<= _INDEX_BITS
     packed |= cols
     packed[np.arange(len(anchor)), anchor] = -1
     packed.sort(axis=1)
-    code = packed[:, 1:] >> _INDEX_BITS  # the anchor's own column sorts first and goes
-    same = np.zeros(code.shape, dtype=bool)  # same[r, c]: entries c and c + 1 share a slope
-    np.equal(code[:, 1:], code[:, :-1], out=same[:, :-1])
+    # the anchor's own column sorts first, and its code -1 matches no slope
+    # (codes are >= 0), so no run crosses from one row into the next
+    code = np.right_shift(packed, _INDEX_BITS, out=dx).ravel()
+    same = flags.ravel()  # same[p]: flat entries p and p + 1 share a slope
+    np.equal(code[1:], code[:-1], out=same[:-1])
+    same[-1] = False  # the last entry has no successor
     pos = np.flatnonzero(same)
     # a run of consecutive positions is one group of size >= 2; run m is pos[first[m]:first[m+1]]
     opens = np.ones(len(pos) + 1, dtype=bool)
     opens[1:-1] = pos[1:] != pos[:-1] + 1
     first = np.flatnonzero(opens)
     sizes = first[1:] - first[:-1] + 1
-    row, col = np.divmod(pos[first[:-1]], len(cols) - 1)
-    return row, sizes, packed[row, col + 1] & ((1 << _INDEX_BITS) - 1)
+    row, col = np.divmod(pos[first[:-1]], len(cols))
+    return row, sizes, packed[row, col] & ((1 << _INDEX_BITS) - 1)
 
 
 def census(ps: PointSet) -> IncidenceCensus:
@@ -297,11 +303,14 @@ def census_many(sets: Sequence[PointSet]) -> list[IncidenceCensus]:
     # group of size >= 2 found below takes its size back out
     np.add.at(H, row_set * k + 1, (k - 1) * row_weight)
     rich = []
-    block = max(1, _ROW_BLOCK // k)
+    block = min(max(1, _ROW_BLOCK // k), len(row_set))
+    ints = np.empty((3, block, k), dtype=np.int64)
+    flags = np.empty((block, k), dtype=bool)
     for lo in range(0, len(row_set), block):
         sid = row_set[lo : lo + block]
         anchor = row_anchor[lo : lo + block]
-        row, sizes, j = _row_groups(xs, ys, sid, anchor, inv)
+        R = len(sid)
+        row, sizes, j = _row_groups(xs, ys, sid, anchor, inv, (*ints[:, :R], flags[:R]))
         s = sid[row]
         np.add.at(H, s * k + sizes, row_weight[lo + row])
         i = anchor[row]
@@ -520,7 +529,9 @@ def verify_collinearity_bounds(ps: PointSet, cen: IncidenceCensus | None = None)
     """Check max collinearity <= 2*p**floor(m/2) and that no class is collinear.
 
     Also reports the number of distinct lines each class spans (the quantity
-    the point-count threshold argument bounds from below).
+    the point-count threshold argument bounds from below), from one
+    ``census_many`` stack of the classes; ps is a whole hyperbola set, whose
+    classes share one size (a subset with classes of different sizes raises).
     """
     pp = ps.spec.prime_power
     if pp is None or pp.p == 2:
@@ -538,7 +549,7 @@ def verify_collinearity_bounds(ps: PointSet, cen: IncidenceCensus | None = None)
             key = line_through(*zip(cls.xs[:2].tolist(), cls.ys[:2].tolist()))
             if count_on_line(cls, key) == len(cls):
                 violations.append(f"class {i} is entirely collinear on {key.as_tuple()}")
-        # one stack: the p - 1 classes of a whole set hold p**(m-1) points each
+        # the p - 1 classes of a whole set hold p**(m-1) points each
         for i, cen_i in zip(classes, census_many(list(classes.values()))):
             class_lines[i] = cen_i.line_total
     # classes above this size threshold must span quadratically many lines

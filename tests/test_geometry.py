@@ -297,7 +297,7 @@ def test_slope_codes_exact_on_adversarial_directions():
     dirs = sorted(set(dirs))
     dx = np.array([v[0] for v in dirs], dtype=np.int64)
     dy = np.array([v[1] for v in dirs], dtype=np.int64)
-    code = _slope_codes(dx, dy, inv).tolist()
+    code = _slope_codes(dx, dy, inv, np.empty_like(dx)).tolist()
     for (dx1, dy1), c1 in zip(dirs, code):
         for (dx2, dy2), c2 in zip(dirs, code):
             assert (c1 == c2) == (dy1 * dx2 == dy2 * dx1), ((dx1, dy1), (dx2, dy2))
