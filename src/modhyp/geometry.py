@@ -248,8 +248,8 @@ def census(ps: PointSet) -> IncidenceCensus:
     every other point j of its set, coded by the direction j - i negated to
     dx >= 0 as c = dy * dx**-1 mod M (c = M when vertical), M = _SLOPE_PRIME,
     and packed as (c << 20) | j; the anchor's own column is -1, sorts first
-    and is dropped.  One ``np.sort`` per block of at most _ROW_BLOCK entries,
-    which may span sets; each run of equal c is the rest of one line through
+    and matches no code.  One ``np.sort`` per block of at most _ROW_BLOCK
+    entries, which may span sets and reuse one set of row arrays; each run of equal c is the rest of one line through
     i, so a t-point line is one group of size exactly t-1 at each of its t
     points.  The code is exact: for coordinates in [1, n-1], n <= 2**20,
     c1 == c2 iff dy1 * dx2 = dy2 * dx1 (mod M), and that cross-product
@@ -304,13 +304,17 @@ def census_many(sets: Sequence[PointSet]) -> list[IncidenceCensus]:
     np.add.at(H, row_set * k + 1, (k - 1) * row_weight)
     rich = []
     block = min(max(1, _ROW_BLOCK // k), len(row_set))
-    ints = np.empty((3, block, k), dtype=np.int64)
+    # one array each, not one (3, block, k) array: glibc raises its mmap
+    # threshold to the size of each mapping freed, and a 3 MB one moves every
+    # later allocation below 3 MB onto the heap (the line sweeps then read up
+    # to 4 MB more peak RSS)
+    ints = [np.empty((block, k), dtype=np.int64) for _ in range(3)]
     flags = np.empty((block, k), dtype=bool)
     for lo in range(0, len(row_set), block):
         sid = row_set[lo : lo + block]
         anchor = row_anchor[lo : lo + block]
         R = len(sid)
-        row, sizes, j = _row_groups(xs, ys, sid, anchor, inv, (*ints[:, :R], flags[:R]))
+        row, sizes, j = _row_groups(xs, ys, sid, anchor, inv, (*(a[:R] for a in ints), flags[:R]))
         s = sid[row]
         np.add.at(H, s * k + sizes, row_weight[lo + row])
         i = anchor[row]
