@@ -270,9 +270,9 @@ def census_many(sets: Sequence[PointSet]) -> list[IncidenceCensus]:
     """The census of each of a stack of point sets, in one sweep (method: ``census``).
 
     The sets must share the modulus n and the point count k >= 2; an empty
-    stack, mixed moduli or sizes, or k < 2 raise before any work.  Only the numpy calls
-    are shared: every set keeps its own maps, weights, counts and keys, and
-    its own ``IncidenceCensus`` checks them.
+    stack, mixed moduli or sizes, or k < 2 raise before any work.  Only the
+    numpy calls are shared: every set keeps its own maps, weights, counts and
+    keys, and its own ``IncidenceCensus`` checks them.
     """
     if not sets:
         raise ValueError("census_many needs at least one point set")
@@ -286,9 +286,9 @@ def census_many(sets: Sequence[PointSet]) -> list[IncidenceCensus]:
     check_census_modulus(n)
     if k > 1 << _INDEX_BITS:
         raise ValueError(f"census packs point indices in {_INDEX_BITS} bits, got {k} points")
-    if len(sets) * n * (n + 1) >= 1 << 63:  # the point codes of _symmetries
-        raise ValueError(f"{len(sets)} sets of modulus {n} overflow the int64 point codes")
     S = len(sets)
+    if S * n * (n + 1) >= 1 << 63:  # the point codes of _symmetries
+        raise ValueError(f"{S} sets of modulus {n} overflow the int64 point codes")
     xs = np.stack([ps.xs for ps in sets])
     ys = np.stack([ps.ys for ps in sets])
     inv = _slope_inverses(int((xs[:, -1] - xs[:, 0]).max()))
