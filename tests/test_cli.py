@@ -279,6 +279,12 @@ REPORT_DIGESTS = [
     ("general-pm", [], 0, "aba10c7c2990064433af1b623aa79b27272f2b4d2a7ebcf4ec97dd17ff97bc80"),
     ("prop15", ["--n-max", "13"], 0, "f7470a0ea0e85c7798125357553134dd85e522a6c9bbb78dcf961b1e00272972"),
     ("gap", [], 0, "a027bdb369990bd755a80777a168c824389dbc2eb68ccb5d221fbc24d4e0c87d"),
+    # commands of the distance-sweep benchmark, recorded before the batched
+    # distance kernels
+    ("theorem14", ["--seed", "1", "--n-max", "19"], 0, "5ea5f8942304e55b97cc45f13968e1d90ad4e7b91a17fbd06ee46c7d91b9a3e3"),
+    ("prop15", ["--n-max", "41"], 0, "6e70ff1b3e6636645b5574b080f574ce4a1a2b144dfc4fc2eb43b981df5c0cb1"),
+    ("prime-distance", [], 0, "537b9636ed85caccac4b40903a51e80a25dcc36778b11c3c737dbd2276773457"),
+    ("theorem14", ["--p", "7", "--all-a"], 0, "db8b38dc3b42954bafdfe005a435ee5cdd4e2f056e009813045b22e883a3ca2b"),
 ]
 
 

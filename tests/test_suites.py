@@ -72,6 +72,8 @@ def test_ordinary_moduli_small_ranges():
         ("prime-distance", {"n_max": 37}),
         ("theorem14", {"n_max": 7}),
         ("prop15", {"n_max": 13}),
+        ("tables", {"fixtures": FIXTURES}),
+        ("theorem14", {"p": 7, "all_a": True}),
     ],
 )
 def test_jobs_do_not_change_reports(name, kwargs):
