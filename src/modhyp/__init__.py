@@ -16,10 +16,12 @@ from .distances import (
     RootShiftData,
     classify_image,
     distance_profile,
-    distance_value,
+    distinct_counts,
     divisor_pairs,
     gap_experiment,
     image_count_formula,
+    image_count_formulas,
+    intersection_counts,
     intersection_direct,
     intersection_via_lattice,
     prime_distance_count,

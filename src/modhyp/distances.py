@@ -21,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .hyperbola import HyperbolaSpec, InfeasibleScale, unit_partners
+from .hyperbola import HyperbolaSpec, InfeasibleScale, check_unit_budget, invert_units, unit_partners
 from .ntcore import PrimePower, divisors, legendre, next_prime, sqrt_mod_prime
 
 DEFAULT_GAP_BOUND = 2**31
@@ -53,13 +53,6 @@ class DistanceProfile:
         return out
 
 
-def distance_value(a: int, x: int, n: int) -> int:
-    """Squared distance of the hyperbola point with abscissa x."""
-    xr = x % n
-    yr = a * pow(xr, -1, n) % n
-    return xr * xr + yr * yr
-
-
 def _first_of_runs(s: np.ndarray) -> np.ndarray:
     """Mask of the entries of a sorted array that differ from their predecessor."""
     keep = np.empty(len(s), dtype=bool)
@@ -81,10 +74,83 @@ def _squared_distances(spec: HyperbolaSpec) -> tuple[np.ndarray, np.ndarray]:
     return xs, ys
 
 
+# Entries per int64 work array of a row block: 1 MB, the scale of the census
+# work arrays.  A row longer than this is one block on its own.
+_ROW_BLOCK = 1 << 17
+
+
+def _run_counts(rows: np.ndarray) -> np.ndarray:
+    """Number of distinct entries in each row of a row-sorted 2-D array."""
+    return 1 + np.count_nonzero(rows[:, 1:] != rows[:, :-1], axis=1)
+
+
+def _fill_rows(rows: np.ndarray, work: np.ndarray, xs: np.ndarray, inv: np.ndarray, a_col: np.ndarray, n: int) -> None:
+    """rows[i] = x*x + y*y with y = a_i * x**-1 mod n, checking x * y = a_i (mod n).
+
+    ``xs`` and ``inv`` (the inverses of xs) are one row shared by every a or one
+    row per a; ``a_col`` is the column of a.  ``work`` has at most ``_ROW_BLOCK``
+    entries, so a row wider than that is filled a column chunk at a time.
+    """
+    r = len(rows)
+    width = work.shape[1]
+    for c in range(0, rows.shape[1], width):
+        x = xs[..., c : c + width]
+        y = rows[:, c : c + width]
+        t = work[:r, : y.shape[1]]
+        np.multiply(inv[..., c : c + width], a_col, out=y)
+        y %= n
+        np.multiply(x, y, out=t)
+        t %= n
+        if not (t == a_col).all():
+            raise RuntimeError(f"unit inversion failed: x * y != a (mod {n})")
+        y *= y
+        np.multiply(x, x, out=t)
+        y += t
+
+
+def _coprime_column(a_values: list[int], n: int) -> np.ndarray:
+    a = np.array(a_values, dtype=np.int64).reshape(-1, 1) % n
+    bad = np.flatnonzero(np.gcd(a, n) != 1)
+    if len(bad):
+        raise ValueError(f"gcd({a_values[bad[0]]}, {n}) != 1")
+    return a
+
+
+def _distance_rows(n: int, a_values: list[int]):
+    """Yield the sorted squared distances of a_values mod n, one row per a, in blocks.
+
+    One ``unit_partners(1, n)`` inversion serves every a, whose row is
+    a * x**-1 mod n.  The blocks share one work array that the next block
+    overwrites.
+    """
+    if not a_values:
+        return
+    xs, inv = unit_partners(HyperbolaSpec(1, n))  # its guards fire before anything is allocated
+    a = _coprime_column(a_values, n)
+    k = len(xs)
+    per_block = min(max(1, _ROW_BLOCK // k), len(a))
+    out = np.empty((per_block, k), dtype=np.int64)
+    work = np.empty((per_block, min(k, _ROW_BLOCK)), dtype=np.int64)
+    for lo in range(0, len(a), per_block):
+        a_col = a[lo : lo + per_block]
+        rows = out[: len(a_col)]
+        _fill_rows(rows, work, xs, inv, a_col, n)
+        rows.sort(axis=1)
+        yield rows
+
+
+def distinct_counts(n: int, a_values: list[int]) -> list[int]:
+    """Distinct squared-distance count of x*y = a (mod n) for every a in ``a_values``."""
+    counts = []
+    for rows in _distance_rows(n, a_values):
+        counts += _run_counts(rows).tolist()
+    return counts
+
+
 def distance_profile(spec: HyperbolaSpec) -> DistanceProfile:
-    """Exact profile of squared distances over the whole point set."""
-    _, u = _squared_distances(spec)
-    return DistanceProfile(spec, _sorted_distinct(u))
+    """Exact profile of squared distances over the whole point set: the one-row case."""
+    (row,) = next(_distance_rows(spec.n, [spec.a]))
+    return DistanceProfile(spec, row[_first_of_runs(row)])
 
 
 def prime_distance_count(a: int, p: int) -> int:
@@ -132,17 +198,48 @@ def sqrt_shift_data(a: int, p: int) -> RootShiftData:
     return RootShiftData(p, a, root, neg_root, root_shift, neg_shift, mirror)
 
 
-def _progression_values(a: int, start: int, p: int) -> set[int]:
+def intersection_counts(p: int, a_values: list[int]) -> list[int]:
+    """Size of d(C1) & d(C2) for every a in ``a_values``, residues mod the odd prime p.
+
+    C1 and C2 are the root progressions b + t*p and p - b + t*p (0 <= t < p)
+    mod p**2, b the root of a in (0, p/2).  Each a takes one row of those 2p
+    abscissae; rows are grouped by root, so one checked ``invert_units`` call
+    per block of rows serves the roots in it, and the size is
+    |C1| + |C2| - |C1 | C2| from the row run counts.
+    """
     n = p * p
-    return {distance_value(a, start + t * p, n) for t in range(p)}
+    check_unit_budget(n, 0)  # the rows come in bounded blocks: only the int64 limit applies
+    root_of = {}
+    for a in a_values:
+        r = a % p
+        if r not in root_of:
+            if legendre(a, p) != 1:
+                raise NoSquareRoot(f"{a} is not a residue mod {p}")
+            root_of[r] = sqrt_mod_prime(a, p)[0]
+    a = np.array(a_values, dtype=np.int64) % n
+    roots = np.array([root_of[v % p] for v in a_values], dtype=np.int64)
+    order = np.argsort(roots, kind="stable")
+    counts = np.empty(len(a), dtype=np.int64)
+    t = np.arange(p, dtype=np.int64) * p
+    per_block = max(1, _ROW_BLOCK // (2 * p))
+    for lo in range(0, len(a), per_block):
+        idx = order[lo : lo + per_block]
+        blk_roots, which = np.unique(roots[idx], return_inverse=True)
+        xs = np.concatenate([blk_roots[:, None] + t, p - blk_roots[:, None] + t], axis=1)
+        inv = invert_units(xs, n, n - p)
+        rows = np.empty((len(idx), 2 * p), dtype=np.int64)
+        _fill_rows(rows, np.empty_like(rows), xs[which], inv[which], a[idx, None], n)
+        halves = rows.reshape(2 * len(idx), p)
+        halves.sort(axis=1)
+        both = _run_counts(halves).reshape(-1, 2).sum(axis=1)
+        rows.sort(axis=1)
+        counts[idx] = both - _run_counts(rows)
+    return counts.tolist()
 
 
 def intersection_direct(a: int, p: int) -> int:
-    """Size of d(C1) & d(C2) by direct evaluation on both root progressions."""
-    if legendre(a, p) != 1:
-        raise NoSquareRoot(f"{a} is not a residue mod {p}")
-    b, _ = sqrt_mod_prime(a, p)
-    return len(_progression_values(a, b, p) & _progression_values(a, p - b, p))
+    """Size of d(C1) & d(C2) by direct evaluation on both root progressions: the one-row case."""
+    return intersection_counts(p, [a])[0]
 
 
 @dataclass
@@ -151,11 +248,13 @@ class LatticeIntersection:
 
     ``plain_wrap`` collects the (t, s) cells matching the plain root branch
     with the wrapped mirror branch; ``wrap_plain`` the opposite pairing.
-    ``pair_count`` equals the distance-set intersection size.
+    ``pair_count`` equals the distance-set intersection size.  ``divisor_pairs``
+    is filled only when ``root_shift`` is 0.
     """
 
     p: int
     a: int
+    root_shift: int
     plain_wrap: tuple[tuple[int, int], ...]
     wrap_plain: tuple[tuple[int, int], ...]
     divisor_pairs: tuple[tuple[int, int], ...] | None
@@ -192,8 +291,8 @@ def intersection_via_lattice(a: int, p: int) -> LatticeIntersection:
         for s in range(0, k // 2 + 1)
         if (s + t + 1 - p) * (s - t + 1 + j) == rhs2
     )
-    pairs = tuple(divisor_pairs(a, p)) if j == 0 else None
-    return LatticeIntersection(p, a, plain_wrap, wrap_plain, pairs)
+    pairs = tuple(_divisor_pairs(data)) if j == 0 else None
+    return LatticeIntersection(p, a, j, plain_wrap, wrap_plain, pairs)
 
 
 def divisor_pairs(a: int, p: int) -> list[tuple[int, int]]:
@@ -207,7 +306,11 @@ def divisor_pairs(a: int, p: int) -> list[tuple[int, int]]:
         raise NoSquareRoot(f"{a} is not a residue mod {p}")
     if data.root_shift != 0:
         raise NotApplicable(f"root shift is {data.root_shift}, not 0")
-    target = 2 * data.root
+    return _divisor_pairs(data)
+
+
+def _divisor_pairs(data: RootShiftData) -> list[tuple[int, int]]:
+    p, target = data.p, 2 * data.root
     out = []
     for d in divisors(target):
         e = target // d
@@ -224,11 +327,20 @@ def divisor_pairs(a: int, p: int) -> list[tuple[int, int]]:
     return sorted(out)
 
 
+def image_count_formulas(p: int, a_values: list[int]) -> list[int]:
+    """Distinct-distance count mod p**2 from the closed form minus the intersection, per a."""
+    symbol = {}
+    for a in a_values:
+        if a % p not in symbol:
+            symbol[a % p] = legendre(a, p)
+    ls = [symbol[a % p] for a in a_values]
+    inter = iter(intersection_counts(p, [a for a, s in zip(a_values, ls) if s == 1]))
+    return [(p * (p - 1) + 1 + s) // 2 - (next(inter) if s == 1 else 0) for s in ls]
+
+
 def image_count_formula(a: int, p: int) -> int:
-    """Distinct-distance count mod p**2 from the closed form minus the intersection."""
-    ls = legendre(a, p)
-    inter = intersection_direct(a, p) if ls == 1 else 0
-    return (p * (p - 1) + 1 + ls) // 2 - inter
+    """Distinct-distance count mod p**2 from the closed form minus the intersection: the one-row case."""
+    return image_count_formulas(p, [a])[0]
 
 
 @dataclass

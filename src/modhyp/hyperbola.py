@@ -100,25 +100,15 @@ def check_unit_budget(n: int, bytes_per_unit: int = _BYTES_PER_UNIT, what: str =
         )
 
 
-def unit_partners(spec: HyperbolaSpec) -> tuple[np.ndarray, np.ndarray]:
-    """The units x of Z/n in ascending order and their partners y = a * x**-1 mod n.
+def invert_units(xs: np.ndarray, n: int, phi: int, a: int = 1) -> np.ndarray:
+    """a * x**-1 mod n for every unit x of the int64 array ``xs`` (any shape), phi = phi(n).
 
-    Both are int64 arrays.  The inverse is x**(phi - 1) mod n (Euler), computed
-    for every unit at once by square-and-multiply; x * y = a (mod n) is checked
-    on the whole result.  Raises ``InfeasibleScale`` before allocating when n is
-    past the int64-exact range or the working set would exceed the memory budget.
+    The inverse is x**(phi - 1) mod n (Euler), computed for every entry at once
+    by square-and-multiply; x * y = a (mod n) is checked on the whole result.
     """
-    a, n = spec.a, spec.n
-    check_unit_budget(n)
-    x = np.arange(1, n, dtype=np.int64)
-    if spec.prime_power is not None:
-        xs = x[x % spec.prime_power.p != 0]
-    else:
-        xs = x[np.gcd(x, n) == 1]
-    del x
     ys = np.full_like(xs, a)
     base = xs.copy()
-    e = len(xs) - 1
+    e = phi - 1
     while e:
         if e & 1:
             ys *= base
@@ -132,7 +122,25 @@ def unit_partners(spec: HyperbolaSpec) -> tuple[np.ndarray, np.ndarray]:
     check %= n
     if not np.all(check == a):
         raise RuntimeError(f"unit inversion failed: x * y != {a} (mod {n})")
-    return xs, ys
+    return ys
+
+
+def unit_partners(spec: HyperbolaSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The units x of Z/n in ascending order and their partners y = a * x**-1 mod n.
+
+    Both are int64 arrays, inverted by ``invert_units``.  Raises
+    ``InfeasibleScale`` before allocating when n is past the int64-exact range
+    or the working set would exceed the memory budget.
+    """
+    a, n = spec.a, spec.n
+    check_unit_budget(n)
+    x = np.arange(1, n, dtype=np.int64)
+    if spec.prime_power is not None:
+        xs = x[x % spec.prime_power.p != 0]
+    else:
+        xs = x[np.gcd(x, n) == 1]
+    del x
+    return xs, invert_units(xs, n, len(xs), a)
 
 
 def enumerate_points(spec: HyperbolaSpec) -> PointSet:

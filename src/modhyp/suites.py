@@ -19,15 +19,14 @@ from pathlib import Path
 
 from .distances import (
     DEFAULT_GAP_BOUND,
-    distance_profile,
-    divisor_pairs,
+    distinct_counts,
     gap_experiment,
-    image_count_formula,
+    image_count_formulas,
+    intersection_counts,
     intersection_direct,
     intersection_via_lattice,
     prime_distance_count,
     prime_power_image_report,
-    sqrt_shift_data,
 )
 from .geometry import (
     LineKey,
@@ -300,14 +299,10 @@ def suite_collinearity(n_max: int = 1331, jobs: int = 1) -> VerificationReport:
 
 
 def _prime_distance_task(p: int) -> CaseRecord:
+    a_values = [a for a in dict.fromkeys((1, 2, 3, 4, p - 1)) if a % p != 0]
     failures = []
-    seen = set()
-    for a in (1, 2, 3, 4, p - 1):
-        if a % p == 0 or a in seen:
-            continue
-        seen.add(a)
+    for a, got in zip(a_values, distinct_counts(p, a_values)):
         want = prime_distance_count(a, p)
-        got = distance_profile(HyperbolaSpec(a, p)).distinct_count
         if want != got:
             failures.append([a, want, got])
     return _failures_case(f"p{p}", {"p": p}, failures)
@@ -343,23 +338,19 @@ def _check_theorem14_prime(p: int, all_a: bool) -> None:
         raise ValueError(f"p = {p} is not an odd prime")
 
 
-def _formula_check(a: int, p: int) -> tuple[int, int]:
-    want = image_count_formula(a, p)
-    got = distance_profile(HyperbolaSpec(a, p * p)).distinct_count
-    return want, got
+def _formula_checks(p: int, a_values: list[int]) -> list[tuple[int, int, int]]:
+    """(a, closed form, brute-force count) mod p**2 for every a, each side in one batch."""
+    return list(zip(a_values, image_count_formulas(p, a_values), distinct_counts(p * p, a_values)))
+
+
+def _formula_failures(p: int, a_values: list[int]) -> list[list[int]]:
+    return [[a, want, got] for a, want, got in _formula_checks(p, a_values) if want != got]
 
 
 def _theorem14_exhaustive_task(p: int) -> CaseRecord:
-    failures = []
-    checked = 0
-    for a in range(1, p * p):
-        if a % p == 0:
-            continue
-        checked += 1
-        want, got = _formula_check(a, p)
-        if want != got:
-            failures.append([a, want, got])
-    return _failures_case(f"p{p}-all-a", {"p": p, "checked": checked}, failures)
+    a_values = [a for a in range(1, p * p) if a % p != 0]
+    failures = _formula_failures(p, a_values)
+    return _failures_case(f"p{p}-all-a", {"p": p, "checked": len(a_values)}, failures)
 
 
 def _theorem14_sampled_task(task: tuple[int, int, int]) -> CaseRecord:
@@ -368,18 +359,15 @@ def _theorem14_sampled_task(task: tuple[int, int, int]) -> CaseRecord:
     units = [a for a in range(1, p * p) if a % p != 0]
     chosen = sorted(rng.sample(units, min(samples, len(units))))
     del units  # before the kernel runs, so the list and the kernel arrays never share the peak
-    failures = []
-    for a in chosen:
-        want, got = _formula_check(a, p)
-        if want != got:
-            failures.append([a, want, got])
+    failures = _formula_failures(p, chosen)
     return _failures_case(f"p{p}-sampled", {"p": p, "checked": len(chosen)}, failures)
 
 
-def _theorem14_single_a_task(task: tuple[int, int]) -> CaseRecord:
-    p, a = task
-    want, got = _formula_check(a, p)
-    return CaseRecord(f"p{p}-a{a}", {"p": p, "a": a}, want, got, want == got)
+def _theorem14_residues_task(task: tuple[int, int]) -> list[CaseRecord]:
+    """One case per unit a of p**2 with q*p < a < (q + 1)*p."""
+    p, q = task
+    checks = _formula_checks(p, list(range(q * p + 1, q * p + p)))
+    return [CaseRecord(f"p{p}-a{a}", {"p": p, "a": a}, want, got, want == got) for a, want, got in checks]
 
 
 def suite_theorem14(
@@ -402,8 +390,8 @@ def suite_theorem14(
     if p is not None:
         _check_theorem14_prime(p, all_a)
         if all_a:
-            tasks = [(p, a) for a in range(1, p * p) if a % p != 0]
-            rep.cases.extend(_run_parallel(_theorem14_single_a_task, tasks, jobs))
+            for cases in _run_parallel(_theorem14_residues_task, [(p, q) for q in range(p)], jobs):
+                rep.cases.extend(cases)
         else:
             rep.cases.append(_theorem14_sampled_task((p, samples, seed)))
         return rep
@@ -426,17 +414,30 @@ def read_fixture_rows(path: Path | str) -> list[tuple[int, int, int, int]]:
     return rows
 
 
-def _table_row_task(row: tuple[int, int, int, int]) -> CaseRecord:
-    p, m, a, expected = row
-    got = distance_profile(HyperbolaSpec(a, p**m)).distinct_count
-    return CaseRecord(f"p{p}-m{m}-a{a}", {"p": p, "m": m, "a": a}, expected, got, got == expected)
+def _table_rows_task(rows: list[tuple[int, int, int, int]]) -> list[CaseRecord]:
+    """The case records of fixture rows that share one modulus p**m."""
+    p, m = rows[0][:2]
+    counts = distinct_counts(p**m, [a for _, _, a, _ in rows])
+    return [
+        CaseRecord(f"p{p}-m{m}-a{a}", {"p": p, "m": m, "a": a}, expected, got, got == expected)
+        for (p, m, a, expected), got in zip(rows, counts)
+    ]
 
 
 def suite_tables(fixtures: Path | str = DEFAULT_FIXTURES, jobs: int = 1) -> VerificationReport:
     """Reproduce every transcribed distinct-distance count exactly."""
     rows = read_fixture_rows(fixtures)
     rep = VerificationReport("tables", {"fixtures": str(fixtures), "rows": len(rows)})
-    rep.cases.extend(_run_parallel(_table_row_task, rows, jobs))
+    by_modulus: dict[int, list[int]] = {}
+    for i, (p, m, _, _) in enumerate(rows):
+        by_modulus.setdefault(p**m, []).append(i)
+    moduli = sorted(by_modulus)
+    tasks = [[rows[i] for i in by_modulus[n]] for n in moduli]
+    cases: list[CaseRecord] = [None] * len(rows)
+    for n, records in zip(moduli, _run_parallel(_table_rows_task, tasks, jobs)):
+        for i, rec in zip(by_modulus[n], records):
+            cases[i] = rec
+    rep.cases.extend(cases)
     return rep
 
 
@@ -507,22 +508,23 @@ def suite_general_pm(
 # prop15 (lattice-rectangle intersection counting)
 
 
-def _lattice_task(task: tuple[int, int]) -> dict:
-    a, p = task
-    direct = intersection_direct(a, p)
+def _lattice_task(a: int, p: int, direct: int) -> dict:
     lat = intersection_via_lattice(a, p)
-    data = sqrt_shift_data(a, p)
-    out = {
+    return {
         "a": a,
         "p": p,
         "direct": direct,
         "lattice": lat.pair_count,
-        "shift": data.root_shift,
-        "divisor_count": None,
+        "shift": lat.root_shift,
+        "divisor_count": None if lat.divisor_pairs is None else len(lat.divisor_pairs),
     }
-    if data.root_shift == 0:
-        out["divisor_count"] = len(divisor_pairs(a, p))
-    return out
+
+
+def _prop15_prime_task(p: int) -> list[dict]:
+    """Direct and lattice counts of every residue a of p**2 with (a/p) = 1, ascending a."""
+    residues = {r for r in range(1, p) if legendre(r, p) == 1}
+    a_values = [a for a in range(1, p * p) if a % p in residues]
+    return [_lattice_task(a, p, d) for a, d in zip(a_values, intersection_counts(p, a_values))]
 
 
 def suite_prop15(n_max: int = 61, jobs: int = 1) -> VerificationReport:
@@ -532,22 +534,16 @@ def suite_prop15(n_max: int = 61, jobs: int = 1) -> VerificationReport:
     n_max, and checks the a = 1 intersection equals 1 for 5 <= p <= 97.
     """
     rep = VerificationReport("prop15", {"n_max": n_max})
-    tasks = []
-    for p in primes_upto(n_max):
-        if p == 2:
-            continue
-        for a in range(1, p * p):
-            if a % p != 0 and legendre(a, p) == 1:
-                tasks.append((a, p))
-    tasks.sort(key=lambda t: (t[1], t[0]))
+    tasks = [p for p in primes_upto(n_max) if p != 2]
     bad = []
     checked = 0
-    for r in _run_parallel(_lattice_task, tasks, jobs):
-        checked += 1
-        if r["direct"] != r["lattice"]:
-            bad.append(r)
-        elif r["divisor_count"] is not None and r["divisor_count"] != r["direct"]:
-            bad.append(r)
+    for results in _run_parallel(_prop15_prime_task, tasks, jobs):
+        for r in results:
+            checked += 1
+            if r["direct"] != r["lattice"]:
+                bad.append(r)
+            elif r["divisor_count"] is not None and r["divisor_count"] != r["direct"]:
+                bad.append(r)
     rep.cases.append(
         CaseRecord(
             "lattice-agreement",

@@ -91,7 +91,7 @@ def test_theorem14_prime_checked_before_building(capsys, monkeypatch):
     def refuse(*args):
         raise AssertionError("theorem14 task reached")
 
-    for task in ("_theorem14_single_a_task", "_theorem14_sampled_task", "_theorem14_exhaustive_task"):
+    for task in ("_theorem14_residues_task", "_theorem14_sampled_task", "_theorem14_exhaustive_task"):
         monkeypatch.setattr(f"modhyp.suites.{task}", refuse)
     for argv, reason in [
         (["--p", "15"], "not an odd prime"),

@@ -13,18 +13,28 @@ from modhyp.distances import (
     InfeasibleScale,
     classify_image,
     distance_profile,
-    distance_value,
+    distinct_counts,
     divisor_pairs,
     gap_experiment,
     image_count_formula,
+    image_count_formulas,
+    intersection_counts,
     intersection_direct,
     intersection_via_lattice,
     prime_distance_count,
     prime_power_image_report,
     sqrt_shift_data,
 )
+import modhyp.distances
 from modhyp.hyperbola import HyperbolaSpec, unit_partners
 from modhyp.ntcore import PrimePower, legendre, primes_upto, sqrt_mod_prime
+
+
+def distance_value(a, x, n):
+    """Squared distance of the point with abscissa x, by Python's own modular inverse."""
+    xr = x % n
+    yr = a * pow(xr, -1, n) % n
+    return xr * xr + yr * yr
 
 
 def test_distance_profile_examples():
@@ -65,6 +75,111 @@ def test_unit_partners_match_python_inverse(data):
     assert ys.tolist() == [a * pow(x, -1, n) % n for x in units]
     want = sorted({distance_value(a, x, n) for x in units})
     assert distance_profile(HyperbolaSpec(a, n)).values.tolist() == want
+
+
+def _oracle_count(a, n):
+    return len({distance_value(a, x, n) for x in range(1, n) if math.gcd(x, n) == 1})
+
+
+def _oracle_intersection(a, p):
+    b = min(r for r in range(1, p) if r * r % p == a % p)
+    c1 = {distance_value(a, b + t * p, p * p) for t in range(p)}
+    c2 = {distance_value(a, p - b + t * p, p * p) for t in range(p)}
+    return len(c1 & c2)
+
+
+# prime powers (2-power ones too) and composites
+_ROW_MODULI = [2, 4, 8, 3, 9, 27, 243, 5, 25, 125, 7, 49, 343, 11, 121, 13, 169, 12, 15, 40, 63, 100, 105, 210]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_distinct_counts_match_python_oracle(data):
+    # a lists that repeat and are not sorted; a row block from below one row
+    # (column chunks) to three rows, so blocks split the list mid-way
+    n = data.draw(st.sampled_from(_ROW_MODULI), label="n")
+    units = [x for x in range(1, n) if math.gcd(x, n) == 1]
+    a_values = data.draw(st.lists(st.sampled_from(units), min_size=1, max_size=9), label="a_values")
+    block = data.draw(st.integers(1, 3 * len(units)), label="row block")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(modhyp.distances, "_ROW_BLOCK", block)
+        got = distinct_counts(n, a_values)
+        profile = distance_profile(HyperbolaSpec(a_values[0], n))
+    assert got == [_oracle_count(a, n) for a in a_values]
+    assert profile.values.tolist() == sorted({distance_value(a_values[0], x, n) for x in units})
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_intersection_counts_match_python_oracle(data):
+    p = data.draw(st.sampled_from([3, 5, 7, 11, 13, 17, 19, 23]), label="p")
+    units = [a for a in range(1, p * p) if a % p != 0]
+    residues = [a for a in units if legendre(a, p) == 1]
+    a_res = data.draw(st.lists(st.sampled_from(residues), min_size=1, max_size=9), label="residue a")
+    a_any = data.draw(st.lists(st.sampled_from(units), min_size=1, max_size=5), label="any a")
+    block = data.draw(st.integers(1, 8 * p), label="row block")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(modhyp.distances, "_ROW_BLOCK", block)
+        got = intersection_counts(p, a_res)
+        formulas = image_count_formulas(p, a_any)
+    assert got == [_oracle_intersection(a, p) for a in a_res]
+    assert formulas == [_oracle_count(a, p * p) for a in a_any]  # Theorem 14
+
+
+def test_corrupted_inverse_row_fails_the_product_check(monkeypatch):
+    partners, invert = modhyp.distances.unit_partners, modhyp.distances.invert_units
+
+    def corrupted_partners(spec):
+        xs, inv = partners(spec)
+        inv[-1] = (inv[-1] + 1) % spec.n
+        return xs, inv
+
+    def corrupted_inverse(xs, n, phi, a=1):
+        inv = invert(xs, n, phi, a)
+        inv[-1, -1] = (inv[-1, -1] + 1) % n  # the row of the block's largest root
+        return inv
+
+    monkeypatch.setattr(modhyp.distances, "_ROW_BLOCK", 100)
+    assert distinct_counts(49, [3, 1, 2, 3]) == [_oracle_count(a, 49) for a in (3, 1, 2, 3)]
+    assert intersection_counts(13, [1, 4]) == [_oracle_intersection(a, 13) for a in (1, 4)]
+    monkeypatch.setattr(modhyp.distances, "unit_partners", corrupted_partners)
+    monkeypatch.setattr(modhyp.distances, "invert_units", corrupted_inverse)
+    with pytest.raises(RuntimeError, match="unit inversion failed"):
+        distinct_counts(49, [3, 1, 2, 3])
+    with pytest.raises(RuntimeError, match="unit inversion failed"):
+        distance_profile(HyperbolaSpec(5, 49))
+    # roots 1 and 2 share a block; the row of root 2 (a = 4) is corrupted
+    with pytest.raises(RuntimeError, match="unit inversion failed"):
+        intersection_counts(13, [1, 4])
+    with pytest.raises(RuntimeError, match="unit inversion failed"):
+        image_count_formula(1, 13)
+
+
+def test_distance_kernels_guard_before_allocating(monkeypatch):
+    # with numpy unreachable, any allocation would raise something else
+    monkeypatch.setattr(modhyp.hyperbola, "np", None)
+    monkeypatch.setattr(modhyp.distances, "np", None)
+    for n in (2**31 + 1, 2**26 + 1):
+        with pytest.raises(InfeasibleScale):
+            distinct_counts(n, [1, 2])
+        with pytest.raises(InfeasibleScale):
+            distance_profile(HyperbolaSpec(1, n))
+    with pytest.raises(AttributeError):  # 2**26 passes both guards
+        distinct_counts(2**26, [1])
+    # 46349**2 > 2**31: past the int64-exact range of the root-progression rows
+    with pytest.raises(InfeasibleScale, match="int64-exact"):
+        intersection_counts(46349, [1])
+    with pytest.raises(InfeasibleScale, match="int64-exact"):
+        gap_experiment(4, bound=2**41)
+
+
+def test_batch_kernels_keep_input_order_and_reject_non_units():
+    assert distinct_counts(25, []) == [] and intersection_counts(5, []) == []
+    assert distinct_counts(25, [4, 29, -21, 1]) == [11, 11, 11, _oracle_count(1, 25)]
+    with pytest.raises(ValueError, match="gcd"):
+        distinct_counts(25, [1, 10])
+    with pytest.raises(NoSquareRoot):
+        intersection_counts(5, [1, 3])
 
 
 def test_prime_distance_count():
