@@ -4,14 +4,21 @@ All distances are handled as exact squared integers x*x + y*y; the number of
 distinct distances equals the number of distinct squared values, so nothing
 irrational is ever computed.
 
-Brute-force counts (``distance_profile``, ``classify_image``) run on the
-arrays of ``hyperbola.unit_partners``: every unit x and its partner
-y = a * x**-1 mod n, inverted at once by square-and-multiply in int64 and
-checked against x * y = a (mod n).  The squared distances are sorted and the
-entries that differ from their predecessor are the distinct values.  int64 is
-exact for n <= 2**31; ``unit_partners`` raises ``InfeasibleScale`` above
-that, or when the working set (32 bytes per unit of n) would exceed a 2 GiB
-budget, n > 2**26, before allocating anything.
+Brute-force counts run on two row kernels, in the row idiom of the orbit
+census.  ``distinct_counts(n, a_values)`` inverts the units of Z/n once
+(``hyperbola.unit_partners`` with a = 1) and gives each a the row
+x*x + y*y with y = a * x**-1 mod n; ``intersection_counts(p, a_values)``
+gives each residue a of the odd prime p the row of its 2p root-progression
+abscissae b + t*p and p - b + t*p mod p**2, inverted by the same checked
+Euler kernel (``hyperbola.invert_units``), and reads |C1 & C2| as
+|C1| + |C2| - |C1 | C2|.  Every row is checked against x * y = a (mod n),
+sorted, and its distinct entries counted as runs.  Rows go in blocks of about
+1 MB per int64 work array; ``distance_profile``, ``intersection_direct`` and
+``image_count_formula`` are the one-row cases.  int64 is exact for
+n <= 2**31; the kernels raise ``InfeasibleScale`` above that, or when the
+units' working set (32 bytes per unit of n) would exceed a 2 GiB budget,
+n > 2**26, before allocating anything.  ``classify_image`` reads the
+partners of one a from ``unit_partners`` directly.
 """
 from __future__ import annotations
 
@@ -84,12 +91,14 @@ def _run_counts(rows: np.ndarray) -> np.ndarray:
     return 1 + np.count_nonzero(rows[:, 1:] != rows[:, :-1], axis=1)
 
 
-def _fill_rows(rows: np.ndarray, work: np.ndarray, xs: np.ndarray, inv: np.ndarray, a_col: np.ndarray, n: int) -> None:
+def _fill_rows(
+    rows: np.ndarray, work: np.ndarray, xs: np.ndarray, inv: np.ndarray, a_col: np.ndarray, n: int
+) -> None:
     """rows[i] = x*x + y*y with y = a_i * x**-1 mod n, checking x * y = a_i (mod n).
 
     ``xs`` and ``inv`` (the inverses of xs) are one row shared by every a or one
-    row per a; ``a_col`` is the column of a.  ``work`` has at most ``_ROW_BLOCK``
-    entries, so a row wider than that is filled a column chunk at a time.
+    row per a; ``a_col`` is the column of a.  A row wider than ``work`` is
+    filled one column chunk at a time.
     """
     r = len(rows)
     width = work.shape[1]

@@ -15,9 +15,10 @@ from .ntcore import PrimePower
 # x**2 + y**2 < 2 * n**2 and every product in the inversion is below n**2,
 # so int64 arithmetic is exact up to n = 2**31.
 _EXACT_N_LIMIT = 1 << 31
-# Working set per unit of n: the peak-RSS growth of distance_profile in a fresh
-# process was 24.8 B at n = 7**8 and 28.3 B at the prime 5764807, where every
-# nonzero residue is a unit, and of enumerate_points (these two arrays and the
+# Working set per unit of n: the peak-RSS growth of distance_profile (the
+# a = 1 inverses, one row and its 1 MB work array) in a fresh process was
+# 21.5 B at n = 7**8 and 24.6 B at the prime 5764807, where every nonzero
+# residue is a unit, and of enumerate_points (these two arrays and the
 # PointSet checks) 25.0-25.8 B at the primes 1000003, 4000037 and 16000057.
 # With a 2 GiB budget this admits n up to 2**26.
 _BYTES_PER_UNIT = 32
