@@ -91,30 +91,36 @@ def _run_counts(rows: np.ndarray) -> np.ndarray:
     return 1 + np.count_nonzero(rows[:, 1:] != rows[:, :-1], axis=1)
 
 
-def _fill_rows(
-    rows: np.ndarray, work: np.ndarray, xs: np.ndarray, inv: np.ndarray, a_col: np.ndarray, n: int
-) -> None:
-    """rows[i] = x*x + y*y with y = a_i * x**-1 mod n, checking x * y = a_i (mod n).
+def _squared_rows(xs: np.ndarray, inv: np.ndarray, a: np.ndarray, n: int):
+    """Yield blocks of rows x*x + y*y with y = a_i * x**-1 mod n, one row per a_i.
 
-    ``xs`` and ``inv`` (the inverses of xs) are one row shared by every a or one
-    row per a; ``a_col`` is the column of a.  A row wider than ``work`` is
-    filled one column chunk at a time.
+    ``inv`` holds the inverses of the units ``xs`` and ``a`` is a column of
+    residues; every row is checked against x * y = a_i (mod n).  The blocks
+    share one array that the next block overwrites, and a row wider than the
+    work array is filled one column chunk at a time.
     """
-    r = len(rows)
+    k = len(xs)
+    per_block = min(max(1, _ROW_BLOCK // k), len(a))
+    out = np.empty((per_block, k), dtype=np.int64)
+    work = np.empty((per_block, min(k, _ROW_BLOCK)), dtype=np.int64)
     width = work.shape[1]
-    for c in range(0, rows.shape[1], width):
-        x = xs[..., c : c + width]
-        y = rows[:, c : c + width]
-        t = work[:r, : y.shape[1]]
-        np.multiply(inv[..., c : c + width], a_col, out=y)
-        y %= n
-        np.multiply(x, y, out=t)
-        t %= n
-        if not (t == a_col).all():
-            raise RuntimeError(f"unit inversion failed: x * y != a (mod {n})")
-        y *= y
-        np.multiply(x, x, out=t)
-        y += t
+    for lo in range(0, len(a), per_block):
+        a_col = a[lo : lo + per_block]
+        rows = out[: len(a_col)]
+        for c in range(0, k, width):
+            x = xs[c : c + width]
+            y = rows[:, c : c + width]
+            t = work[: len(a_col), : len(x)]
+            np.multiply(inv[c : c + width], a_col, out=y)
+            y %= n
+            np.multiply(x, y, out=t)
+            t %= n
+            if not (t == a_col).all():
+                raise RuntimeError(f"unit inversion failed: x * y != a (mod {n})")
+            y *= y
+            np.multiply(x, x, out=t)
+            y += t
+        yield rows
 
 
 def _coprime_column(a_values: list[int], n: int) -> np.ndarray:
@@ -129,21 +135,12 @@ def _distance_rows(n: int, a_values: list[int]):
     """Yield the sorted squared distances of a_values mod n, one row per a, in blocks.
 
     One ``unit_partners(1, n)`` inversion serves every a, whose row is
-    a * x**-1 mod n.  The blocks share one work array that the next block
-    overwrites.
+    a * x**-1 mod n.
     """
     if not a_values:
         return
     xs, inv = unit_partners(HyperbolaSpec(1, n))  # its guards fire before anything is allocated
-    a = _coprime_column(a_values, n)
-    k = len(xs)
-    per_block = min(max(1, _ROW_BLOCK // k), len(a))
-    out = np.empty((per_block, k), dtype=np.int64)
-    work = np.empty((per_block, min(k, _ROW_BLOCK)), dtype=np.int64)
-    for lo in range(0, len(a), per_block):
-        a_col = a[lo : lo + per_block]
-        rows = out[: len(a_col)]
-        _fill_rows(rows, work, xs, inv, a_col, n)
+    for rows in _squared_rows(xs, inv, _coprime_column(a_values, n), n):
         rows.sort(axis=1)
         yield rows
 
@@ -211,38 +208,35 @@ def intersection_counts(p: int, a_values: list[int]) -> list[int]:
     """Size of d(C1) & d(C2) for every a in ``a_values``, residues mod the odd prime p.
 
     C1 and C2 are the root progressions b + t*p and p - b + t*p (0 <= t < p)
-    mod p**2, b the root of a in (0, p/2).  Each a takes one row of those 2p
-    abscissae; rows are grouped by root, so one checked ``invert_units`` call
-    per block of rows serves the roots in it, and the size is
-    |C1| + |C2| - |C1 | C2| from the row run counts.
+    mod p**2, b the root of a in (0, p/2).  The a sharing a root share its 2p
+    abscissae, inverted once by ``invert_units``; each a takes one row of them,
+    and the size is |C1| + |C2| - |C1 | C2| from the row run counts.
     """
     n = p * p
     check_unit_budget(n, 0)  # the rows come in bounded blocks: only the int64 limit applies
-    root_of = {}
-    for a in a_values:
+    root_of: dict[int, int] = {}
+    by_root: dict[int, list[int]] = {}
+    for i, a in enumerate(a_values):
         r = a % p
         if r not in root_of:
             if legendre(a, p) != 1:
                 raise NoSquareRoot(f"{a} is not a residue mod {p}")
             root_of[r] = sqrt_mod_prime(a, p)[0]
-    a = np.array(a_values, dtype=np.int64) % n
-    roots = np.array([root_of[v % p] for v in a_values], dtype=np.int64)
-    order = np.argsort(roots, kind="stable")
-    counts = np.empty(len(a), dtype=np.int64)
+        by_root.setdefault(root_of[r], []).append(i)
+    a = np.array(a_values, dtype=np.int64).reshape(-1, 1) % n
+    counts = np.empty(len(a_values), dtype=np.int64)
     t = np.arange(p, dtype=np.int64) * p
-    per_block = max(1, _ROW_BLOCK // (2 * p))
-    for lo in range(0, len(a), per_block):
-        idx = order[lo : lo + per_block]
-        blk_roots, which = np.unique(roots[idx], return_inverse=True)
-        xs = np.concatenate([blk_roots[:, None] + t, p - blk_roots[:, None] + t], axis=1)
-        inv = invert_units(xs, n, n - p)
-        rows = np.empty((len(idx), 2 * p), dtype=np.int64)
-        _fill_rows(rows, np.empty_like(rows), xs[which], inv[which], a[idx, None], n)
-        halves = rows.reshape(2 * len(idx), p)
-        halves.sort(axis=1)
-        both = _run_counts(halves).reshape(-1, 2).sum(axis=1)
-        rows.sort(axis=1)
-        counts[idx] = both - _run_counts(rows)
+    for b, members in by_root.items():
+        xs = np.concatenate([b + t, p - b + t])
+        idx = np.array(members)
+        lo = 0
+        for rows in _squared_rows(xs, invert_units(xs, n, n - p), a[idx], n):
+            halves = rows.reshape(-1, p)
+            halves.sort(axis=1)
+            both = _run_counts(halves).reshape(-1, 2).sum(axis=1)
+            rows.sort(axis=1)
+            counts[idx[lo : lo + len(rows)]] = both - _run_counts(rows)
+            lo += len(rows)
     return counts.tolist()
 
 
@@ -338,10 +332,7 @@ def _divisor_pairs(data: RootShiftData) -> list[tuple[int, int]]:
 
 def image_count_formulas(p: int, a_values: list[int]) -> list[int]:
     """Distinct-distance count mod p**2 from the closed form minus the intersection, per a."""
-    symbol = {}
-    for a in a_values:
-        if a % p not in symbol:
-            symbol[a % p] = legendre(a, p)
+    symbol = {r: legendre(r, p) for r in {a % p for a in a_values}}
     ls = [symbol[a % p] for a in a_values]
     inter = iter(intersection_counts(p, [a for a, s in zip(a_values, ls) if s == 1]))
     return [(p * (p - 1) + 1 + s) // 2 - (next(inter) if s == 1 else 0) for s in ls]

@@ -136,7 +136,7 @@ def test_corrupted_inverse_row_fails_the_product_check(monkeypatch):
 
     def corrupted_inverse(xs, n, phi, a=1):
         inv = invert(xs, n, phi, a)
-        inv[-1, -1] = (inv[-1, -1] + 1) % n  # the row of the block's largest root
+        inv[-1] = (inv[-1] + 1) % n
         return inv
 
     monkeypatch.setattr(modhyp.distances, "_ROW_BLOCK", 100)
@@ -148,7 +148,6 @@ def test_corrupted_inverse_row_fails_the_product_check(monkeypatch):
         distinct_counts(49, [3, 1, 2, 3])
     with pytest.raises(RuntimeError, match="unit inversion failed"):
         distance_profile(HyperbolaSpec(5, 49))
-    # roots 1 and 2 share a block; the row of root 2 (a = 4) is corrupted
     with pytest.raises(RuntimeError, match="unit inversion failed"):
         intersection_counts(13, [1, 4])
     with pytest.raises(RuntimeError, match="unit inversion failed"):
