@@ -285,6 +285,9 @@ REPORT_DIGESTS = [
     ("prop15", ["--n-max", "41"], 0, "6e70ff1b3e6636645b5574b080f574ce4a1a2b144dfc4fc2eb43b981df5c0cb1"),
     ("prime-distance", [], 0, "537b9636ed85caccac4b40903a51e80a25dcc36778b11c3c737dbd2276773457"),
     ("theorem14", ["--p", "7", "--all-a"], 0, "db8b38dc3b42954bafdfe005a435ee5cdd4e2f056e009813045b22e883a3ca2b"),
+    # recorded before sqrt_mod_prime lost its scan path and the root-shift
+    # data its -a root, both of which prop15 reaches
+    ("prop15", [], 0, "c3d22f3166e7fc36fbe7a65456279f25ff03fcf8d28bc599df11e18720f13e59"),
 ]
 
 
@@ -302,7 +305,9 @@ def test_verify_report_digests(capsys, monkeypatch, suite, extra, code, digest):
 
 # SHA-256 of the `points`, `census` and `distances --values` output in every
 # format, recorded before points became arrays end to end; the edge code that
-# turns the arrays into rows must keep these bytes
+# turns the arrays into rows must keep these bytes.  `gap` takes its index k in
+# the second field and no modulus; its digests were recorded before the
+# root-shift data it reads through divisor_pairs lost its -a root
 EDGE_DIGESTS = [
     ("points", 1, 49, "json", "75f56e12cecccdca88303776dca8b516b6755484af566d1bc2e43ff10d32b314"),
     ("points", 1, 49, "csv", "3ecba39467a9ad55eca714e8b36832b54eadd26c51b6ff2f346d4bd8f773b8cc"),
@@ -322,16 +327,22 @@ EDGE_DIGESTS = [
     ("distances", 3, 343, "json", "69280896769b7381761216514a59e34e8460648e604536427261239803bd3a79"),
     ("distances", 3, 343, "csv", "42b848bafeb055ce1913b5c21719c78d2a81a86dcc61b087030017c15c3bdc25"),
     ("distances", 3, 343, "text", "8090e5e7c9de68c066b1adfccae17c18c30e9c4845aa7bca235509e4495a90d2"),
+    ("gap", 2, None, "json", "a2f04a4f839f37b49f012a0f68630484a604abbcf67a94820c9817a8f4f4a951"),
+    ("gap", 2, None, "csv", "19507a66383ae842e46968bdbdfe1b299c8486b15ea5ebf2b503bb375ccfa161"),
+    ("gap", 2, None, "text", "21c76e53938a449ff21b857f24ca5d5aa69c38c5e527dcb1df946d1247ec1e24"),
 ]
 
 
 @pytest.mark.parametrize(
     "command,a,n,fmt,digest",
     EDGE_DIGESTS,
-    ids=[f"{command}_{a}_{n}_{fmt}" for command, a, n, fmt, _ in EDGE_DIGESTS],
+    ids=["_".join(str(v) for v in row[:4] if v is not None) for row in EDGE_DIGESTS],
 )
 def test_edge_output_digests(capsys, command, a, n, fmt, digest):
-    extra = ["--values"] if command == "distances" else []
-    rc, out, _ = run(capsys, command, "--a", str(a), "--n", str(n), "--format", fmt, *extra)
+    if command == "gap":
+        args = ["--k", str(a)]
+    else:
+        args = ["--a", str(a), "--n", str(n), *(["--values"] if command == "distances" else [])]
+    rc, out, _ = run(capsys, command, *args, "--format", fmt)
     assert rc == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
