@@ -7,13 +7,11 @@ count): keys are emitted in a fixed order and no timestamps enter the payload.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import inspect
 import json
 import os
 import sys
 import time
-from pathlib import Path
 
 from .distances import DEFAULT_GAP_BOUND, distance_profile, gap_experiment
 from .geometry import census, check_census_modulus
@@ -52,7 +50,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--m", type=int, help="prime exponent (with --p)")
         sp.add_argument("--bound", type=int, default=DEFAULT_N_BOUND, help="largest allowed modulus")
         sp.add_argument("--format", choices=("json", "csv", "text"), default="json")
-        sp.add_argument("--verbose", action="store_true")
         if with_values:
             sp.add_argument("--values", action="store_true", help="include the value list")
 
@@ -71,15 +68,13 @@ def build_parser() -> argparse.ArgumentParser:
     vp.add_argument("--k", type=int, help="single construction index (gap)")
     vp.add_argument("--bound", type=int, default=DEFAULT_GAP_BOUND, help="squared-modulus bound (gap)")
     vp.add_argument("--jobs", type=int, default=_default_jobs(), help="worker processes")
-    vp.add_argument("--cache-dir", help="report cache directory (or MODHYP_CACHE_DIR)")
     vp.add_argument("--format", choices=("json", "csv", "text"), default="json")
-    vp.add_argument("--verbose", action="store_true")
+    vp.add_argument("--verbose", action="store_true", help="print the wall time to stderr")
 
     gp = sub.add_parser("gap", help="squared-primorial gap construction")
     gp.add_argument("--k", type=int, required=True, help="number of odd primes in the product")
     gp.add_argument("--bound", type=int, default=DEFAULT_GAP_BOUND, help="largest allowed p**2")
     gp.add_argument("--format", choices=("json", "csv", "text"), default="json")
-    gp.add_argument("--verbose", action="store_true")
     return ap
 
 
@@ -198,47 +193,6 @@ def _suite_kwargs(args) -> dict:
     return kw
 
 
-def _cache_dir(args) -> Path | None:
-    raw = args.cache_dir or os.environ.get("MODHYP_CACHE_DIR")
-    return Path(raw) if raw else None
-
-
-def _write_cache(cache: Path, suite: str, payload: dict, verbose: bool) -> None:
-    cache.mkdir(parents=True, exist_ok=True)
-    tag = hashlib.sha256(
-        json.dumps(payload["params"], sort_keys=True).encode()
-    ).hexdigest()[:12]
-    previous = sorted(cache.glob(f"{suite}-{tag}-*.json"))
-    stamp = time.strftime("%Y%m%dT%H%M%S", time.gmtime())
-    path = cache / f"{suite}-{tag}-{stamp}-{len(previous):04d}.json"
-    path.write_text(json.dumps(payload, indent=2))
-    if previous:
-        old = json.loads(previous[-1].read_text())
-        diffs = _diff_reports(old, payload)
-        if diffs:
-            print(f"cache: {len(diffs)} difference(s) vs {previous[-1].name}", file=sys.stderr)
-            for d in diffs[:20]:
-                print(f"  {d}", file=sys.stderr)
-        else:
-            print(f"cache: no differences vs {previous[-1].name}", file=sys.stderr)
-    if verbose:
-        print(f"cache: wrote {path}", file=sys.stderr)
-
-
-def _diff_reports(old: dict, new: dict) -> list[str]:
-    old_cases = {c["key"]: c for c in old.get("result", {}).get("cases", [])}
-    new_cases = {c["key"]: c for c in new.get("result", {}).get("cases", [])}
-    diffs = []
-    for key in sorted(set(old_cases) | set(new_cases)):
-        if key not in old_cases:
-            diffs.append(f"new case {key}")
-        elif key not in new_cases:
-            diffs.append(f"dropped case {key}")
-        elif old_cases[key] != new_cases[key]:
-            diffs.append(f"changed case {key}")
-    return diffs
-
-
 def _cmd_verify(args) -> int:
     fn = SUITES[args.suite]
     kwargs = _suite_kwargs(args)
@@ -269,9 +223,6 @@ def _cmd_verify(args) -> int:
         _emit(payload, args.format, csv_lines)
     if args.verbose and args.format != "text":
         print(f"verify {args.suite}: {elapsed:.2f}s", file=sys.stderr)
-    cache = _cache_dir(args)
-    if cache is not None:
-        _write_cache(cache, args.suite, payload, args.verbose)
     return _EXIT_OK if report.passed else _EXIT_FAIL
 
 

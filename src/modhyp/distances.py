@@ -168,12 +168,11 @@ def prime_distance_count(a: int, p: int) -> int:
 
 @dataclass(frozen=True)
 class RootShiftData:
-    """Square roots of +-a mod p and the p-digit shifts of their inverses mod p**2.
+    """The square root of a mod p and the p-digit shift of its inverse mod p**2.
 
     ``root`` is the root of a in (0, p/2) when a is a residue, and then
-    root * (root + root_shift * p) = a (mod p**2).  ``neg_root`` plays the
-    same role for -a with neg_root * (p - neg_root + neg_root_shift * p) = a
-    (mod p**2).  ``mirror_shift`` is the shift governing the mirrored
+    root * (root + root_shift * p) = a (mod p**2); all three are None when
+    it is not.  ``mirror_shift`` is the shift governing the mirrored
     progression p - root + t*p: p - root_shift - 2, or -1 when root_shift
     is p - 1.
     """
@@ -181,27 +180,21 @@ class RootShiftData:
     p: int
     a: int
     root: int | None
-    neg_root: int | None
     root_shift: int | None
-    neg_root_shift: int | None
     mirror_shift: int | None
 
 
 def sqrt_shift_data(a: int, p: int) -> RootShiftData:
-    """Compute roots of +-a mod p and their inverse shifts mod p**2."""
+    """Compute the root of a mod p and the shifts of its inverse mod p**2."""
     if math.gcd(a, p) != 1:
         raise ValueError(f"gcd({a}, {p}) != 1")
-    root = neg_root = root_shift = neg_shift = mirror = None
+    root = root_shift = mirror = None
     if legendre(a, p) == 1:
         root, _ = sqrt_mod_prime(a, p)
         root_shift = (a - root * root) // p * pow(root, -1, p) % p
         assert root * (root + root_shift * p) % p**2 == a % p**2
         mirror = p - root_shift - 2 if root_shift <= p - 2 else -1
-    if legendre(-a, p) == 1:
-        neg_root, _ = sqrt_mod_prime(-a, p)
-        neg_shift = (a + neg_root * neg_root - neg_root * p) // p * pow(neg_root, -1, p) % p
-        assert neg_root * (p - neg_root + neg_shift * p) % p**2 == a % p**2
-    return RootShiftData(p, a, root, neg_root, root_shift, neg_shift, mirror)
+    return RootShiftData(p, a, root, root_shift, mirror)
 
 
 def intersection_counts(p: int, a_values: list[int]) -> list[int]:
@@ -349,7 +342,9 @@ class ImageDecomposition:
 
     A value belongs to ``b1`` when its preimages x satisfy x*x = a (mod p),
     to ``b2`` when x*x = -a (mod p), and to the generic class otherwise.
-    ``max_preimage`` is the largest number of units sharing one value.
+    ``max_preimage`` is the largest number of units sharing one value.  The
+    overlap of the two root progressions inside ``b1`` is counted by
+    ``intersection_counts``, not here.
     """
 
     pp: PrimePower
@@ -359,7 +354,6 @@ class ImageDecomposition:
     b2_values: frozenset[int]
     b1_preimage_count: int
     b2_preimage_count: int
-    intersection_count: int | None
     max_preimage: int
 
     @property
@@ -380,13 +374,11 @@ def classify_image(a: int, pp: PrimePower) -> ImageDecomposition:
     xs, u = _squared_distances(HyperbolaSpec(a_red, n))
     r = xs % p
     none = np.zeros(len(r), dtype=bool)
-    in_c1, in_c2 = (r == b, r == p - b) if b is not None else (none, none)
-    on_b1 = in_c1 | in_c2
+    on_b1 = (r == b) | (r == p - b) if b is not None else none
     # b*b = a and c*c = -a (mod p) never share a residue for odd p
     on_b2 = (r == c) | (r == p - c) if c is not None else none
     s = np.sort(u)
     starts = np.flatnonzero(_first_of_runs(s))
-    inter = len(set(u[in_c1].tolist()) & set(u[in_c2].tolist())) if b is not None else None
     return ImageDecomposition(
         pp,
         a_red,
@@ -395,7 +387,6 @@ def classify_image(a: int, pp: PrimePower) -> ImageDecomposition:
         frozenset(u[on_b2].tolist()),
         int(on_b1.sum()),
         int(on_b2.sum()),
-        inter,
         int(np.diff(np.append(starts, len(s))).max()),
     )
 

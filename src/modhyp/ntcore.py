@@ -14,9 +14,6 @@ class NotAResidue(ValueError):
     """Requested a square root of a quadratic non-residue."""
 
 
-# Exhaustive root search is the trusted path below this; Tonelli-Shanks above.
-_SQRT_SCAN_LIMIT = 1000
-
 
 def is_prime(n: int) -> bool:
     """Deterministic trial-division primality test."""
@@ -112,16 +109,8 @@ def legendre(a: int, p: int) -> int:
     return 1 if r == 1 else -1
 
 
-def _sqrt_scan(a: int, p: int) -> int:
-    a %= p
-    for b in range(1, p):
-        if b * b % p == a:
-            return b
-    raise NotAResidue(f"{a} is not a square mod {p}")
-
-
 def _tonelli_shanks(a: int, p: int) -> int:
-    """One square root of a mod p; requires legendre(a, p) == 1."""
+    """One square root of a mod p; requires an odd prime p and legendre(a, p) == 1."""
     a %= p
     if p % 4 == 3:
         return pow(a, (p + 1) // 4, p)
@@ -130,7 +119,7 @@ def _tonelli_shanks(a: int, p: int) -> int:
         q //= 2
         s += 1
     z = 2
-    while legendre(z, p) != -1:  # deterministic: first non-residue
+    while pow(z, (p - 1) // 2, p) != p - 1:  # Euler's criterion: first non-residue
         z += 1
     c = pow(z, q, p)
     r = pow(a, (q + 1) // 2, p)
@@ -150,17 +139,14 @@ def _tonelli_shanks(a: int, p: int) -> int:
 
 
 def sqrt_mod_prime(a: int, p: int) -> tuple[int, int]:
-    """Both square roots of a mod p as (b, p-b) with 0 < b < p/2.
+    """Both square roots of a mod p as (b, p-b) with 0 < b < p/2, by Tonelli-Shanks.
 
-    Uses exhaustive scan for small p (the trusted oracle) and Tonelli-Shanks
-    otherwise.  Raises NotAResidue unless legendre(a, p) == 1.
+    Raises NotAResidue unless legendre(a, p) == 1; the two roots are b and
+    p - b, so taking the smaller one makes the result unique.
     """
     if legendre(a, p) != 1:
         raise NotAResidue(f"{a % p} is not a nonzero square mod {p}")
-    if p < _SQRT_SCAN_LIMIT:
-        b = _sqrt_scan(a, p)
-    else:
-        b = _tonelli_shanks(a, p)
+    b = _tonelli_shanks(a, p)
     b = min(b, p - b)
     return b, p - b
 

@@ -1,6 +1,7 @@
-"""CLI contract: exit codes, formats, determinism, cache round-trips."""
+"""CLI contract: exit codes, formats, determinism, flags."""
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -205,25 +206,28 @@ def test_verify_tables_fixture(capsys):
     assert len(lines) == 87
 
 
-def test_verify_cache_rerun_diffs_empty(capsys, tmp_path, monkeypatch):
-    args = ["verify", "gap", "--k", "1", "--cache-dir", str(tmp_path)]
-    rc, out1, err1 = run(capsys, *args)
-    assert rc == 0
-    rc, out2, err2 = run(capsys, *args)
-    assert rc == 0
-    assert out1 == out2
-    assert "no differences" in err2
-    files = sorted(tmp_path.glob("gap-*.json"))
-    assert len(files) == 2
-    # cached payload equals the emitted payload
-    assert json.loads(files[-1].read_text()) == json.loads(out2)
-
-
-def test_cache_dir_env_fallback(capsys, tmp_path, monkeypatch):
+def test_report_cache_is_gone(capsys, tmp_path, monkeypatch):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "gap", "--cache-dir", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --cache-dir" in capsys.readouterr().err
     monkeypatch.setenv("MODHYP_CACHE_DIR", str(tmp_path))
-    rc, _, _ = run(capsys, "verify", "gap", "--k", "1")
+    rc, _, err = run(capsys, "verify", "gap", "--k", "1")
+    assert rc == 0 and err == ""
+    assert not any(tmp_path.iterdir())
+
+
+def test_verbose_is_a_verify_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["points", "--a", "1", "--n", "5", "--verbose"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --verbose" in capsys.readouterr().err
+    rc, plain, _ = run(capsys, "verify", "gap", "--k", "1")
     assert rc == 0
-    assert list(tmp_path.glob("gap-*.json"))
+    rc, out, err = run(capsys, "verify", "gap", "--k", "1", "--verbose")
+    assert rc == 0
+    assert out == plain
+    assert re.fullmatch(r"verify gap: \d+\.\d\ds\n", err)
 
 
 def test_gap_command(capsys):

@@ -201,9 +201,8 @@ def test_sqrt_shift_examples():
     assert (d.root, d.root_shift, d.mirror_shift) == (1, 0, 3)
     d = sqrt_shift_data(4, 5)
     assert (d.root, d.root_shift, d.mirror_shift) == (2, 0, 3)
-    assert (d.neg_root, d.neg_root_shift) == (1, 0)
     d = sqrt_shift_data(3, 5)
-    assert d.root is None and d.neg_root is None
+    assert (d.root, d.root_shift, d.mirror_shift) == (None, None, None)
 
 
 def test_sqrt_shift_defining_congruences():
@@ -219,16 +218,11 @@ def test_sqrt_shift_defining_congruences():
                 assert 0 < b < p / 2 and 0 <= j < p
                 assert b * (b + j * p) % (p * p) == a % (p * p)
                 assert d.mirror_shift == (p - j - 2 if j <= p - 2 else -1)
-            if d.neg_root is not None:
-                c, l = d.neg_root, d.neg_root_shift
-                assert 0 < c < p / 2 and 0 <= l < p
-                assert c * (p - c + l * p) % (p * p) == a % (p * p)
 
 
 def test_classify_image_values():
     dec = classify_image(1, PrimePower(5, 2))
     assert (len(dec.b1_values), len(dec.b2_values), dec.generic_count) == (5, 5, 0)
-    assert dec.intersection_count == 1
     assert dec.image_size == 10
 
     dec = classify_image(3, PrimePower(5, 2))
@@ -279,7 +273,7 @@ def _classify_image_reference(a, pp):
     a_red = a % n
     b = sqrt_mod_prime(a, p)[0] if legendre(a, p) == 1 else None
     c = sqrt_mod_prime(-a, p)[0] if legendre(-a, p) == 1 else None
-    generic, b1_vals, b2_vals, d_c1, d_c2 = set(), set(), set(), set(), set()
+    generic, b1_vals, b2_vals = set(), set(), set()
     b1_pre = b2_pre = 0
     preimage_counts = {}
     for x in range(1, n):
@@ -292,14 +286,12 @@ def _classify_image_reference(a, pp):
         if b is not None and (r == b or r == p - b):
             b1_vals.add(u)
             b1_pre += 1
-            (d_c1 if r == b else d_c2).add(u)
         elif c is not None and (r == c or r == p - c):
             b2_vals.add(u)
             b2_pre += 1
         else:
             generic.add(u)
-    inter = len(d_c1 & d_c2) if b is not None else None
-    return (a_red, len(generic), b1_vals, b2_vals, b1_pre, b2_pre, inter, preimage_counts)
+    return (a_red, len(generic), b1_vals, b2_vals, b1_pre, b2_pre, preimage_counts)
 
 
 def test_classify_image_matches_reference_loop():
@@ -312,8 +304,7 @@ def test_classify_image_matches_reference_loop():
                 dec = classify_image(a, pp)
                 got = (
                     dec.a, dec.generic_count, dec.b1_values, dec.b2_values,
-                    dec.b1_preimage_count, dec.b2_preimage_count,
-                    dec.intersection_count, dec.max_preimage,
+                    dec.b1_preimage_count, dec.b2_preimage_count, dec.max_preimage,
                 )
                 *want, preimage_counts = _classify_image_reference(a, pp)
                 assert got == (*want, max(preimage_counts.values())), (a, pp)

@@ -1,5 +1,6 @@
 """Census tests: the orbit-anchor census is checked against an independent
 cross-product oracle that finds every maximal collinear subset directly."""
+import copy
 import itertools
 import math
 import random
@@ -431,6 +432,21 @@ def test_verify_line_classes():
         verify_line_classes(enumerate_points(HyperbolaSpec(1, 5)))
     with pytest.raises(OutOfScope):
         verify_line_classes(enumerate_points(HyperbolaSpec(1, 16)))
+
+
+@pytest.mark.parametrize("n", [27, 25])
+def test_verify_line_classes_recounts_every_rich_line(monkeypatch, n):
+    # a census whose first rich key has its C moved by n**2 names a line that
+    # meets no point of the set, while it still claims the old count
+    ps = enumerate_points(HyperbolaSpec(1, n))
+    tampered = copy.copy(census(ps))
+    tampered._rich_keys = tampered._rich_keys.copy()
+    tampered._rich_keys[0, 2] += n * n
+    key, t = next(tampered.lines())
+    assert count_on_line(ps, key) != t
+    monkeypatch.setattr(geometry, "census", lambda _: tampered)
+    with pytest.raises(RuntimeError, match="census count mismatch"):
+        verify_line_classes(ps)
 
 
 def test_verify_collinearity_bounds():

@@ -1,4 +1,4 @@
-"""Core arithmetic tests: the square-root and Legendre paths are checked against exhaustive scans."""
+"""Core arithmetic tests: square roots and Legendre symbols are checked against exhaustive scans."""
 import random
 
 import pytest
@@ -6,8 +6,6 @@ import pytest
 from modhyp.ntcore import (
     NotAResidue,
     PrimePower,
-    _sqrt_scan,
-    _tonelli_shanks,
     euler_phi,
     is_prime,
     legendre,
@@ -70,15 +68,26 @@ def test_sqrt_mod_prime_examples():
         sqrt_mod_prime(3, 5)
 
 
-def test_sqrt_two_paths_agree():
-    # exhaustive scan is the oracle for the Tonelli-Shanks path
-    for p in (13, 41, 97, 193, 401, 761):
+def _sqrt_scan(a, p):
+    """The least b in [1, p) with b*b = a (mod p), by exhaustive search."""
+    a %= p
+    for b in range(1, p):
+        if b * b % p == a:
+            return b
+    raise NotAResidue(f"{a} is not a square mod {p}")
+
+
+def test_sqrt_mod_prime_matches_scan():
+    # every residue of every odd prime <= 211, plus 401 and 761; p = 1 (mod 4)
+    # runs the Tonelli-Shanks loop, and p = 1 (mod 8) needs more than one of
+    # its rounds (up to 5 at 193 = 2**6 * 3 + 1)
+    for p in [q for q in primes_upto(211) if q > 2] + [401, 761]:
         for a in range(1, p):
             if legendre(a, p) != 1:
                 continue
-            b_scan = _sqrt_scan(a, p)
-            b_ts = _tonelli_shanks(a, p)
-            assert {b_scan, p - b_scan} == {b_ts, p - b_ts}
+            b = _sqrt_scan(a, p)
+            b = min(b, p - b)
+            assert sqrt_mod_prime(a, p) == (b, p - b), (a, p)
 
 
 def test_sqrt_large_prime_uses_tonelli_shanks():
