@@ -344,7 +344,7 @@ class ImageDecomposition:
     to ``b2`` when x*x = -a (mod p), and to the generic class otherwise.
     ``max_preimage`` is the largest number of units sharing one value.  The
     overlap of the two root progressions inside ``b1`` is counted by
-    ``intersection_counts``, not here.
+    ``intersection_counts``.
     """
 
     pp: PrimePower
