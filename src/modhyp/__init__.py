@@ -24,6 +24,7 @@ from .distances import (
     intersection_counts,
     intersection_direct,
     intersection_via_lattice,
+    lattice_counts,
     prime_distance_count,
     prime_power_image_report,
     sqrt_shift_data,

@@ -19,6 +19,13 @@ n <= 2**31; the kernels raise ``InfeasibleScale`` above that, or when the
 units' working set (32 bytes per unit of n) would exceed a 2 GiB budget,
 n > 2**26, before allocating anything.  ``classify_image`` reads the
 partners of one a from ``unit_partners`` directly.
+
+A third kernel, ``lattice_counts(p, a_values)``, counts the same
+intersection by Proposition 15's route: the integer cells of two lattice
+rectangles, found as the divisors u of each rectangle's right-hand side
+among the p - 1 candidates u that each row walks once per rectangle, in
+blocks of the same size.  It shares no step with the row kernels;
+``intersection_via_lattice`` is its one-row case.
 """
 from __future__ import annotations
 
@@ -29,7 +36,7 @@ from fractions import Fraction
 import numpy as np
 
 from .hyperbola import HyperbolaSpec, InfeasibleScale, check_unit_budget, invert_units, unit_partners
-from .ntcore import PrimePower, divisors, legendre, next_prime, sqrt_mod_prime
+from .ntcore import NotAResidue, PrimePower, divisors, legendre, next_prime, sqrt_mod_prime
 
 DEFAULT_GAP_BOUND = 2**31
 
@@ -39,7 +46,10 @@ class NoSquareRoot(ValueError):
 
 
 class NotApplicable(ValueError):
-    """Divisor-pair counting applies only when the root shift is zero."""
+    """The public ``divisor_pairs``, the paper's divisor pairs of 2b, applies only at root shift 0.
+
+    ``lattice_counts`` walks the divisors of both rectangles at every shift.
+    """
 
 
 @dataclass
@@ -184,13 +194,33 @@ class RootShiftData:
     mirror_shift: int | None
 
 
+def _smaller_root(a: int, p: int) -> int | None:
+    """The square root of a mod the odd prime p in (0, p/2), or None when a is no nonzero square."""
+    try:
+        return sqrt_mod_prime(a, p)[0]
+    except NotAResidue:
+        return None
+
+
+def _residue_roots(p: int, a_values: list[int]) -> list[int]:
+    """The root in (0, p/2) of every a in ``a_values``, taken once per residue class mod p."""
+    root_of: dict[int, int | None] = {}
+    for a in a_values:
+        r = a % p
+        if r not in root_of:
+            root_of[r] = _smaller_root(a, p)
+            if root_of[r] is None:
+                raise NoSquareRoot(f"{a} is not a residue mod {p}")
+    return [root_of[a % p] for a in a_values]
+
+
 def sqrt_shift_data(a: int, p: int) -> RootShiftData:
     """Compute the root of a mod p and the shifts of its inverse mod p**2."""
     if math.gcd(a, p) != 1:
         raise ValueError(f"gcd({a}, {p}) != 1")
-    root = root_shift = mirror = None
-    if legendre(a, p) == 1:
-        root, _ = sqrt_mod_prime(a, p)
+    root = _smaller_root(a, p)
+    root_shift = mirror = None
+    if root is not None:
         root_shift = (a - root * root) // p * pow(root, -1, p) % p
         assert root * (root + root_shift * p) % p**2 == a % p**2
         mirror = p - root_shift - 2 if root_shift <= p - 2 else -1
@@ -207,15 +237,9 @@ def intersection_counts(p: int, a_values: list[int]) -> list[int]:
     """
     n = p * p
     check_unit_budget(n, 0)  # the rows come in bounded blocks: only the int64 limit applies
-    root_of: dict[int, int] = {}
     by_root: dict[int, list[int]] = {}
-    for i, a in enumerate(a_values):
-        r = a % p
-        if r not in root_of:
-            if legendre(a, p) != 1:
-                raise NoSquareRoot(f"{a} is not a residue mod {p}")
-            root_of[r] = sqrt_mod_prime(a, p)[0]
-        by_root.setdefault(root_of[r], []).append(i)
+    for i, b in enumerate(_residue_roots(p, a_values)):
+        by_root.setdefault(b, []).append(i)
     a = np.array(a_values, dtype=np.int64).reshape(-1, 1) % n
     counts = np.empty(len(a_values), dtype=np.int64)
     t = np.arange(p, dtype=np.int64) * p
@@ -233,6 +257,56 @@ def intersection_counts(p: int, a_values: list[int]) -> list[int]:
     return counts.tolist()
 
 
+def lattice_counts(p: int, a_values: list[int]) -> list[int]:
+    """Lattice-rectangle cell count of every a in ``a_values``, residues mod the odd prime p.
+
+    With b the root of a in (0, p/2), j its shift and k the mirror shift
+    (``RootShiftData``), and u = s + t + 1 - p, the cells (t, s) of the first
+    rectangle, 0 <= t <= j/2 and k < s <= (p + k)/2, solve
+    u * (u - 2t + j) = 2b + j*p - p**2, and those of the second,
+    j < t <= (p + j)/2 and 0 <= s <= k/2, solve u * (u - 2t + j + p) = 2b + j*p.
+    Neither right-hand side is 0, as p does not divide 2b, and every cell has
+    1 - p <= u <= -1.  So each row walks those u once per rectangle: a u that
+    divides the right-hand side gives v = rhs / u, t = (u - v + j + off) / 2
+    with off = 0 or p, and s = u - t - 1 + p, and it is a cell when t is an
+    integer and (t, s) lies in the rectangle.  (t, s) -> (u, v) is injective,
+    so the cell count is the count of such divisors u.  Rows go in blocks of
+    about ``_ROW_BLOCK`` entries of the walk.
+    """
+    n = p * p
+    check_unit_budget(n, 0)  # the walk comes in bounded blocks: only the int64 limit applies
+    roots = _residue_roots(p, a_values)
+    inverse = {b: pow(b, -1, p) for b in set(roots)}
+    u = np.arange(-1, -p, -1, dtype=np.int64)
+    per_block = max(1, _ROW_BLOCK // len(u))
+    work = np.empty((min(per_block, len(roots)), len(u)), dtype=np.int64)
+    counts = []
+    for lo in range(0, len(roots), per_block):
+        block_roots = roots[lo : lo + per_block]
+        b = np.array(block_roots, dtype=np.int64)
+        a = np.array(a_values[lo : lo + per_block], dtype=np.int64) % n
+        j = (a - b * b) // p * np.array([inverse[r] for r in block_roots], dtype=np.int64) % p
+        if not (b * (b + j * p) % n == a).all():
+            raise RuntimeError(f"root shift failed: b * (b + j*p) != a (mod {n})")
+        k = np.where(j <= p - 2, p - 2 - j, -1)
+        rhs = 2 * b + j * p
+        block = np.zeros(len(b), dtype=np.int64)
+        zero = np.zeros_like(j)
+        rects = ((rhs - n, 0, zero, j // 2, k + 1, (p + k) // 2), (rhs, p, j + 1, (p + j) // 2, zero, k // 2))
+        for rhs_r, off, t_lo, t_hi, s_lo, s_hi in rects:
+            r = work[: len(b)]
+            np.remainder(rhs_r.reshape(-1, 1), u, out=r)
+            row, col = np.nonzero(r == 0)
+            uu = u[col]
+            t2 = uu - rhs_r[row] // uu + j[row] + off
+            t = t2 // 2
+            s = uu - t - 1 + p
+            ok = (t2 % 2 == 0) & (t_lo[row] <= t) & (t <= t_hi[row]) & (s_lo[row] <= s) & (s <= s_hi[row])
+            block += np.bincount(row[ok], minlength=len(b))
+        counts += block.tolist()
+    return counts
+
+
 def intersection_direct(a: int, p: int) -> int:
     """Size of d(C1) & d(C2) by direct evaluation on both root progressions: the one-row case."""
     return intersection_counts(p, [a])[0]
@@ -240,55 +314,28 @@ def intersection_direct(a: int, p: int) -> int:
 
 @dataclass
 class LatticeIntersection:
-    """Integer cells where the two progression branches take equal values.
+    """The lattice-rectangle count of one residue and, at root shift 0, its divisor pairs.
 
-    ``plain_wrap`` collects the (t, s) cells matching the plain root branch
-    with the wrapped mirror branch; ``wrap_plain`` the opposite pairing.
-    ``pair_count`` equals the distance-set intersection size.  ``divisor_pairs``
-    is filled only when ``root_shift`` is 0.
+    ``pair_count`` is the number of integer cells on both rectangles, which
+    equals the distance-set intersection size.  ``divisor_pairs`` is filled
+    only when ``root_shift`` is 0.
     """
 
     p: int
     a: int
     root_shift: int
-    plain_wrap: tuple[tuple[int, int], ...]
-    wrap_plain: tuple[tuple[int, int], ...]
+    pair_count: int
     divisor_pairs: tuple[tuple[int, int], ...] | None
-
-    @property
-    def pair_count(self) -> int:
-        return len(self.plain_wrap) + len(self.wrap_plain)
 
 
 def intersection_via_lattice(a: int, p: int) -> LatticeIntersection:
-    """Count the distance-set intersection by scanning two integer rectangles.
-
-    The cells of the first rectangle satisfy
-    (s + t + 1 - p)(s - t + 1 + j - p) = 2b + j*p - p**2 and those of the
-    second (s + t + 1 - p)(s - t + 1 + j) = 2b + j*p, where b is the root
-    and j its shift; the value map is injective on each rectangle, so the
-    cell count equals the intersection cardinality.
-    """
+    """Count the distance-set intersection on the two lattice rectangles: the one-row case of ``lattice_counts``."""
     data = sqrt_shift_data(a, p)
     if data.root is None:
         raise NoSquareRoot(f"{a} is not a residue mod {p}")
-    b, j, k = data.root, data.root_shift, data.mirror_shift
-    rhs1 = 2 * b + j * p - p * p
-    rhs2 = 2 * b + j * p
-    plain_wrap = tuple(
-        (t, s)
-        for t in range(0, j // 2 + 1)
-        for s in range(k + 1, (p + k) // 2 + 1)
-        if (s + t + 1 - p) * (s - t + 1 + j - p) == rhs1
-    )
-    wrap_plain = tuple(
-        (t, s)
-        for t in range(j + 1, (p + j) // 2 + 1)
-        for s in range(0, k // 2 + 1)
-        if (s + t + 1 - p) * (s - t + 1 + j) == rhs2
-    )
-    pairs = tuple(_divisor_pairs(data)) if j == 0 else None
-    return LatticeIntersection(p, a, j, plain_wrap, wrap_plain, pairs)
+    (count,) = lattice_counts(p, [a])
+    pairs = tuple(_divisor_pairs(data)) if data.root_shift == 0 else None
+    return LatticeIntersection(p, a, data.root_shift, count, pairs)
 
 
 def divisor_pairs(a: int, p: int) -> list[tuple[int, int]]:
@@ -369,8 +416,8 @@ def classify_image(a: int, pp: PrimePower) -> ImageDecomposition:
     a_red = a % n
     if a_red % p == 0:
         raise ValueError(f"gcd({a}, {p}) != 1")
-    b = sqrt_mod_prime(a, p)[0] if legendre(a, p) == 1 else None
-    c = sqrt_mod_prime(-a, p)[0] if legendre(-a, p) == 1 else None
+    b = _smaller_root(a, p)
+    c = _smaller_root(-a, p)
     xs, u = _squared_distances(HyperbolaSpec(a_red, n))
     r = xs % p
     none = np.zeros(len(r), dtype=bool)

@@ -19,14 +19,16 @@ from pathlib import Path
 
 from .distances import (
     DEFAULT_GAP_BOUND,
+    _divisor_pairs,
     distinct_counts,
     gap_experiment,
     image_count_formulas,
     intersection_counts,
     intersection_direct,
-    intersection_via_lattice,
+    lattice_counts,
     prime_distance_count,
     prime_power_image_report,
+    sqrt_shift_data,
 )
 from .geometry import (
     LineKey,
@@ -39,7 +41,7 @@ from .geometry import (
     verify_ordinary_bound,
 )
 from .hyperbola import HyperbolaSpec, check_unit_budget, enumerate_points
-from .ntcore import PrimePower, is_prime, legendre, primes_upto
+from .ntcore import PrimePower, is_prime, primes_upto
 
 DEFAULT_FIXTURES = Path("fixtures") / "distance_counts.csv"
 DEFAULT_SEED = 12345
@@ -507,23 +509,27 @@ def suite_general_pm(
 # prop15 (lattice-rectangle intersection counting)
 
 
-def _lattice_task(a: int, p: int, direct: int) -> dict:
-    lat = intersection_via_lattice(a, p)
-    return {
-        "a": a,
-        "p": p,
-        "direct": direct,
-        "lattice": lat.pair_count,
-        "shift": lat.root_shift,
-        "divisor_count": None if lat.divisor_pairs is None else len(lat.divisor_pairs),
-    }
+def _prop15_prime_task(p: int) -> tuple[int, list[dict]]:
+    """Count every residue a of p**2 with (a/p) = 1 and return those whose counts disagree, ascending a.
 
-
-def _prop15_prime_task(p: int) -> list[dict]:
-    """Direct and lattice counts of every residue a of p**2 with (a/p) = 1, ascending a."""
-    residues = {r for r in range(1, p) if legendre(r, p) == 1}
+    The direct and lattice counts come from one batched call each.  As
+    a = b * (b + j*p) (mod p**2) with 0 < b < p/2, the root shift j is 0
+    exactly at the squares a = b*b, and only those rows take divisor pairs.
+    """
+    squares = {b * b for b in range(1, (p + 1) // 2)}
+    residues = {q % p for q in squares}
     a_values = [a for a in range(1, p * p) if a % p in residues]
-    return [_lattice_task(a, p, d) for a, d in zip(a_values, intersection_counts(p, a_values))]
+    bad = []
+    for a, direct, lattice in zip(a_values, intersection_counts(p, a_values), lattice_counts(p, a_values)):
+        divisor_count = None
+        if a in squares:
+            data = sqrt_shift_data(a, p)
+            if data.root_shift == 0:
+                divisor_count = len(_divisor_pairs(data))
+        if lattice != direct or divisor_count not in (None, direct):
+            shift = sqrt_shift_data(a, p).root_shift
+            bad.append({"a": a, "p": p, "direct": direct, "lattice": lattice, "shift": shift, "divisor_count": divisor_count})
+    return len(a_values), bad
 
 
 def suite_prop15(n_max: int = 61, jobs: int = 1) -> VerificationReport:
@@ -536,13 +542,9 @@ def suite_prop15(n_max: int = 61, jobs: int = 1) -> VerificationReport:
     tasks = [p for p in primes_upto(n_max) if p != 2]
     bad = []
     checked = 0
-    for results in _run_parallel(_prop15_prime_task, tasks, jobs):
-        for r in results:
-            checked += 1
-            if r["direct"] != r["lattice"]:
-                bad.append(r)
-            elif r["divisor_count"] is not None and r["divisor_count"] != r["direct"]:
-                bad.append(r)
+    for count, rows in _run_parallel(_prop15_prime_task, tasks, jobs):
+        checked += count
+        bad += rows
     rep.cases.append(
         CaseRecord(
             "lattice-agreement",

@@ -3,6 +3,7 @@ evaluation of d(x) = (x mod n)^2 + ((a*x^-1) mod n)^2."""
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,6 +22,7 @@ from modhyp.distances import (
     intersection_counts,
     intersection_direct,
     intersection_via_lattice,
+    lattice_counts,
     prime_distance_count,
     prime_power_image_report,
     sqrt_shift_data,
@@ -173,12 +175,16 @@ def test_distance_kernels_guard_before_allocating(monkeypatch):
 
 
 def test_batch_kernels_keep_input_order_and_reject_non_units():
-    assert distinct_counts(25, []) == [] and intersection_counts(5, []) == []
+    assert distinct_counts(25, []) == [] and intersection_counts(5, []) == [] and lattice_counts(5, []) == []
     assert distinct_counts(25, [4, 29, -21, 1]) == [11, 11, 11, _oracle_count(1, 25)]
     with pytest.raises(ValueError, match="gcd"):
         distinct_counts(25, [1, 10])
     with pytest.raises(NoSquareRoot):
         intersection_counts(5, [1, 3])
+    with pytest.raises(NoSquareRoot):
+        lattice_counts(5, [1, 3])
+    with pytest.raises(NoSquareRoot):
+        intersection_via_lattice(3, 5)
 
 
 def test_prime_distance_count():
@@ -369,12 +375,37 @@ def test_intersection_swap_root_invariance():
             assert len(c1 & c2) == direct
 
 
+def _lattice_cells(a, p):
+    """The (t, s) cells of both lattice rectangles by scanning every cell: the oracle for lattice_counts."""
+    d = sqrt_shift_data(a, p)
+    b, j, k = d.root, d.root_shift, d.mirror_shift
+    rhs1 = 2 * b + j * p - p * p
+    rhs2 = 2 * b + j * p
+    plain_wrap = tuple(
+        (t, s)
+        for t in range(0, j // 2 + 1)
+        for s in range(k + 1, (p + k) // 2 + 1)
+        if (s + t + 1 - p) * (s - t + 1 + j - p) == rhs1
+    )
+    wrap_plain = tuple(
+        (t, s)
+        for t in range(j + 1, (p + j) // 2 + 1)
+        for s in range(0, k // 2 + 1)
+        if (s + t + 1 - p) * (s - t + 1 + j) == rhs2
+    )
+    return plain_wrap, wrap_plain
+
+
+def _scan_count(a, p):
+    return sum(map(len, _lattice_cells(a, p)))
+
+
 def test_intersection_via_lattice_examples():
+    assert _lattice_cells(1, 5) == ((), ((2, 0),))
+    assert lattice_counts(5, [1, 4]) == [1, 0] and _scan_count(4, 5) == 0
     lat = intersection_via_lattice(1, 5)
-    assert lat.plain_wrap == () and len(lat.wrap_plain) == 1
-    assert lat.pair_count == 1
-    lat = intersection_via_lattice(4, 5)
-    assert lat.pair_count == 0
+    assert (lat.root_shift, lat.pair_count, lat.divisor_pairs) == (0, 1, ((-2, -1),))
+    assert intersection_via_lattice(4, 5).pair_count == 0
     assert intersection_via_lattice(1, 7).pair_count == 1
     with pytest.raises(NoSquareRoot):
         intersection_via_lattice(3, 5)
@@ -382,13 +413,58 @@ def test_intersection_via_lattice_examples():
 
 def test_lattice_agrees_with_direct():
     for p in [q for q in primes_upto(31) if q > 2]:
-        for a in range(1, p * p):
-            if a % p == 0 or legendre(a, p) != 1:
-                continue
-            lat = intersection_via_lattice(a, p)
-            assert lat.pair_count == intersection_direct(a, p), (a, p)
-            if lat.divisor_pairs is not None:
-                assert len(lat.divisor_pairs) == lat.pair_count
+        a_values = [a for a in range(1, p * p) if legendre(a, p) == 1]
+        scan = [_scan_count(a, p) for a in a_values]
+        assert lattice_counts(p, a_values) == scan == intersection_counts(p, a_values), p
+        for b in range(1, (p + 1) // 2):  # the root shift is 0 exactly at a = b*b
+            lat = intersection_via_lattice(b * b, p)
+            assert lat.root_shift == 0 and len(lat.divisor_pairs) == lat.pair_count, (b * b, p)
+
+
+def test_lattice_counts_match_direct_on_every_residue_of_101():
+    a_values = [a for a in range(1, 101**2) if legendre(a, 101) == 1]
+    assert lattice_counts(101, a_values) == intersection_counts(101, a_values)
+
+
+def test_lattice_counts_split_by_row_block(monkeypatch):
+    # a row walks the p - 1 values of u once per rectangle; a small block
+    # splits the 78 residues of 13**2 into blocks of 40 // 12 = 3 rows
+    a_values = [a for a in range(1, 169) if legendre(a, 13) == 1]
+    whole = lattice_counts(13, a_values)
+    remainder = np.remainder
+    walks = []
+
+    def recording(x, y, out):
+        walks.append(out.shape)
+        return remainder(x, y, out=out)
+
+    monkeypatch.setattr(modhyp.distances, "_ROW_BLOCK", 40)
+    monkeypatch.setattr(np, "remainder", recording)
+    assert lattice_counts(13, a_values) == whole == intersection_counts(13, a_values)
+    assert walks == [(3, 12)] * 52
+    walks.clear()
+    monkeypatch.setattr(modhyp.distances, "_ROW_BLOCK", 1)  # below one row: one row a block
+    assert lattice_counts(13, a_values[::-1]) == whole[::-1]
+    assert walks == [(1, 12)] * 156
+
+
+def test_wrong_root_fails_the_root_shift_check(monkeypatch):
+    # 1 is no root of 4 mod 13, so b * (b + j*p) = a (mod p**2) cannot hold
+    monkeypatch.setattr(modhyp.distances, "sqrt_mod_prime", lambda a, p: (1, p - 1))
+    with pytest.raises(RuntimeError, match="root shift failed"):
+        lattice_counts(13, [4])
+
+
+_LATTICE_PRIMES = [q for q in primes_upto(211) if q > 2]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_lattice_count_equals_scan_and_direct(data):
+    p = data.draw(st.sampled_from(_LATTICE_PRIMES), label="p")
+    b = data.draw(st.integers(1, (p - 1) // 2), label="root")
+    a = b * b % p + data.draw(st.integers(0, p - 1), label="p-digit") * p  # any residue of p**2
+    assert lattice_counts(p, [a]) == [_scan_count(a, p)] == [intersection_direct(a, p)]
 
 
 def test_divisor_pairs():

@@ -14,6 +14,7 @@ from modhyp.suites import (
     suite_general_pm,
     suite_ordinary_moduli,
     suite_prime_lines,
+    suite_prop15,
     suite_tables,
     suite_theorem14,
 )
@@ -99,6 +100,25 @@ def test_prime_lines_stacks_split_by_point_budget(monkeypatch):
     assert all(p * size <= 40 or size == 1 for p, size in stacks)
     assert [size for p, size in stacks if p == 13] == [3, 3, 3, 3]
     assert sum(size for p, size in stacks if p == 31) == 30
+
+
+def test_prop15_reports_the_rows_whose_counts_disagree(monkeypatch):
+    # lattice counts off by one at a = 4 (root 2, shift 0) and a = 6 (root 1,
+    # shift 1) of 5**2: the case fails and names exactly those two rows
+    lattice_counts = suites.lattice_counts
+
+    def off_by_one(p, a_values):
+        return [c + (p == 5 and a in (4, 6)) for a, c in zip(a_values, lattice_counts(p, a_values))]
+
+    monkeypatch.setattr(suites, "lattice_counts", off_by_one)
+    rep = suite_prop15(n_max=7)
+    case = rep.cases[0]
+    assert case.key == "lattice-agreement" and not case.passed and not rep.passed
+    assert case.inputs == {"n_max": 7, "checked": 3 + 10 + 21}
+    assert case.computed["failures"] == [
+        {"a": 4, "p": 5, "direct": 0, "lattice": 1, "shift": 0, "divisor_count": 0},
+        {"a": 6, "p": 5, "direct": 0, "lattice": 1, "shift": 1, "divisor_count": None},
+    ]
 
 
 def test_read_fixture_rows():
