@@ -292,6 +292,10 @@ REPORT_DIGESTS = [
     # recorded before sqrt_mod_prime lost its scan path and the root-shift
     # data its -a root, both of which prop15 reaches
     ("prop15", [], 0, "c3d22f3166e7fc36fbe7a65456279f25ff03fcf8d28bc599df11e18720f13e59"),
+    # the line-sweep benchmark's range, recorded before the line suites
+    # censused stacks of mixed moduli, which this range fills with many moduli
+    ("theorem6", ["--n-max", "625"], 1, "233be525392b23e48304da3b4c4ef73ac8e2e7f693569902427372c0e72a72ad"),
+    ("lemma7", ["--n-max", "625"], 0, "1dced11860fdd4887cbbcee2e992032970b74cc82c0ad07a0e66f70785c30455"),
 ]
 
 

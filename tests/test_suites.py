@@ -70,6 +70,8 @@ def test_ordinary_moduli_small_ranges():
         ("special-line", {"n_max": 130}),
         ("lemma7", {"n_max": 130}),
         ("collinearity", {"n_max": 130}),
+        ("theorem6", {"n_max": 625}),
+        ("collinearity", {"n_max": 625}),
         ("prime-distance", {"n_max": 37}),
         ("theorem14", {"n_max": 7}),
         ("prop15", {"n_max": 13}),
