@@ -101,7 +101,8 @@ class IncidenceCensus:
         self.point_count = point_count
         self._rich_keys = rich_keys
         self._rich_t = rich_t
-        self.histogram = {t: c for t, c in enumerate(line_sizes.tolist()) if c}
+        sizes = np.flatnonzero(line_sizes)
+        self.histogram = dict(zip(sizes.tolist(), line_sizes[sizes].tolist()))
         self.ordinary_count = self.histogram.get(2, 0)
         self.max_collinear = max(self.histogram) if self.histogram else 0
         self.line_total = sum(self.histogram.values())
@@ -169,42 +170,75 @@ def check_census_modulus(n: int) -> None:
         raise ValueError(f"census slope codes are exact only for n <= {_N_LIMIT}, got n = {n}")
 
 
-def _symmetries(xs: np.ndarray, ys: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+def _symmetries(xs: np.ndarray, ys: np.ndarray, ns: np.ndarray, ks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per set, the maps among sigma, nu and sigma*nu that carry it onto itself.
 
-    xs and ys stack S sets of k points as (S, k) arrays.  Returns kept, an
+    xs and ys stack S sets as (S, K) arrays, set s in its first ks[s] columns
+    and padding after them; ns holds each set's modulus.  Returns kept, an
     (S, 3) bool array over _MAPS (swap exchanges x and y, sigma; reflect
-    sends (x, y) to (n - x, n - y), nu), and images, a (3, S, k) array where
+    sends (x, y) to (n - x, n - y), nu), and images, a (3, S, K) array where
     images[g, s, i] is the index in set s of the image of its point i under
-    map g, or i itself where set s does not keep g.  The points are looked up
-    by the code x*n + y, ascending within a set, which nu sends to
-    n*(n + 1) - x*n - y; set s's codes are offset by s * n*(n + 1), so one
+    map g, or i itself where set s does not keep g or i is padding.  The
+    points are looked up by the code x*n + y, ascending within a set, which
+    nu sends to n*(n + 1) - x*n - y; padding takes the code n*(n + 1) - 1,
+    above every real code and every real point's image, and set s's codes
+    are offset by the sum of the earlier sets' n*(n + 1), so one
     ``np.searchsorted`` serves the whole stack.
     """
-    S, k = xs.shape
+    S, K = xs.shape
+    n = ns[:, None]
     span = n * (n + 1)
-    offset = np.arange(S, dtype=np.int64)[:, None] * span
-    code = xs * n + ys
+    pad = np.arange(K) >= ks[:, None]
+    offset = np.cumsum(span, axis=0) - span
     swapped = ys * n + xs
+    code = xs * n + ys
     targets = np.stack([swapped, span - code, span - swapped]) + offset  # in _MAPS order
-    code += offset
+    code = np.where(pad, span - 1, code) + offset
     flat = code.ravel()
     images = np.minimum(np.searchsorted(flat, targets), flat.size - 1)
-    kept = (flat[images] == targets).all(axis=2).T
-    images -= np.arange(S)[:, None] * k
-    return kept, np.where(kept.T[:, :, None], images, np.arange(k))
+    found = flat[images] == targets
+    found |= pad
+    kept = found.all(axis=2).T
+    images -= np.arange(S)[:, None] * K
+    return kept, np.where(kept.T[:, :, None] & ~pad, images, np.arange(K))
 
 
-def _row_groups(xs, ys, sid, anchor, inv, work) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _row_blocks(rows_per_set: np.ndarray, ks: np.ndarray) -> list[tuple[int, int, int]]:
+    """Cut the set-major rows into blocks (lo, hi, width) of consecutive rows.
+
+    A block takes rows while its row count times its widest row (a set's
+    rows are ks of that set wide) stays within _ROW_BLOCK, and always at
+    least one row.
+    """
+    blocks = []
+    lo = row = width = 0
+    for count, k in zip(rows_per_set.tolist(), ks.tolist()):
+        stop = row + count
+        while row < stop:
+            room = max(1, _ROW_BLOCK // max(width, k)) - (row - lo)
+            if room <= 0:
+                blocks.append((lo, row, width))
+                lo, width = row, 0
+                continue
+            width = max(width, k)
+            row = min(stop, row + room)
+    blocks.append((lo, row, width))
+    return blocks
+
+
+def _row_groups(xs, ys, sid, anchor, row_k, inv, work) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Sort one block of (set, anchor) rows and find its groups of two or more points.
 
-    Row r is anchor[r] of set sid[r].  Returns, per group, its row r, its size
-    and the index j of its first point.  work holds (R, k) arrays dx, dy and
-    packed (int64) and flags (bool), which every block overwrites: the census
-    allocates its row arrays once, not once per block.
+    Row r is anchor[r] of set sid[r], whose points fill its first row_k[r]
+    columns of xs and ys; xs, ys and work are as wide as the block's widest
+    row.  Returns, per group, its row r, its size and the index j of its
+    first point.  work holds (R, width) arrays dx, dy and packed (int64) and
+    flags (bool), which every block overwrites: the census allocates its row
+    arrays once, not once per block.
     """
     dx, dy, packed, flags = work
-    cols = np.arange(xs.shape[1])
+    width = xs.shape[1]
+    cols = np.arange(width)
     np.less(cols, anchor[:, None], out=flags)  # j < i: the direction points to smaller (x, y)
     np.take(xs, sid, axis=0, out=dx, mode="clip")
     dx -= xs[sid, anchor][:, None]
@@ -213,6 +247,11 @@ def _row_groups(xs, ys, sid, anchor, inv, work) -> tuple[np.ndarray, np.ndarray,
     dy -= ys[sid, anchor][:, None]
     np.negative(dy, out=dy, where=flags)
     _slope_codes(dx, dy, inv, packed)
+    if (row_k < width).any():
+        # padding columns get distinct codes above every slope code: they sort
+        # last and form no group
+        np.less_equal(row_k[:, None], cols, out=flags)
+        np.copyto(packed, cols + (_SLOPE_PRIME + 1), where=flags)
     packed <<= _INDEX_BITS
     packed |= cols
     packed[np.arange(len(anchor)), anchor] = -1
@@ -229,15 +268,15 @@ def _row_groups(xs, ys, sid, anchor, inv, work) -> tuple[np.ndarray, np.ndarray,
     opens[1:-1] = pos[1:] != pos[:-1] + 1
     first = np.flatnonzero(opens)
     sizes = first[1:] - first[:-1] + 1
-    row, col = np.divmod(pos[first[:-1]], len(cols))
+    row, col = np.divmod(pos[first[:-1]], width)
     return row, sizes, packed[row, col] & ((1 << _INDEX_BITS) - 1)
 
 
 def census(ps: PointSet) -> IncidenceCensus:
     """Full incidence census of a point set (at least two distinct points).
 
-    The batch of one of ``census_many``, which runs the method below on a
-    stack of sets of one modulus and one size, each set on its own terms.
+    The stack of one of ``census_many``, which runs the method below on a
+    stack of sets of any moduli and sizes, each set on its own terms.
     Orbits: the maps among sigma (x, y) -> (y, x), nu (x, y) -> (n-x, n-y)
     and sigma*nu that carry a set onto itself form a group (a hyperbola
     set keeps all three, since (n-x)(n-y) = xy mod n; a subset or a class
@@ -248,13 +287,15 @@ def census(ps: PointSet) -> IncidenceCensus:
     every other point j of its set, coded by the direction j - i negated to
     dx >= 0 as c = dy * dx**-1 mod M (c = M when vertical), M = _SLOPE_PRIME,
     and packed as (c << 20) | j; the anchor's own column is -1, sorts first
-    and matches no code.  One ``np.sort`` per block of at most _ROW_BLOCK
-    entries, which may span sets and reuse one set of row arrays; each run of equal c is the rest of one line through
-    i, so a t-point line is one group of size exactly t-1 at each of its t
-    points.  The code is exact: for coordinates in [1, n-1], n <= 2**20,
-    c1 == c2 iff dy1 * dx2 = dy2 * dx1 (mod M), and that cross-product
-    difference is at most 2 * (n-1)**2 < M in absolute value, so iff the
-    slopes are equal.
+    and matches no code.  One ``np.sort`` per block of rows, at most
+    _ROW_BLOCK entries of the block's widest row each; a block may span sets
+    and reuses one set of row arrays, and the columns past a narrower set's
+    points take distinct codes above M.  Each run of equal c is the rest of
+    one line through i, so a t-point line is one group of size exactly t-1
+    at each of its t points.  The code is exact: for coordinates in [1, n-1],
+    n <= 2**20, c1 == c2 iff dy1 * dx2 = dy2 * dx1 (mod M), and that
+    cross-product difference is at most 2 * (n-1)**2 < M in absolute value,
+    so iff the slopes are equal.
     Counts: with H_s the w-weighted number of a set's groups of size s, it
     has L_t = H_(t-1) / t lines of t points; that t divides H_(t-1) is
     checked for every set.
@@ -269,68 +310,76 @@ def census(ps: PointSet) -> IncidenceCensus:
 def census_many(sets: Sequence[PointSet]) -> list[IncidenceCensus]:
     """The census of each of a stack of point sets, in one sweep (method: ``census``).
 
-    The sets must share the modulus n and the point count k >= 2; an empty
-    stack, mixed moduli or sizes, or k < 2 raise before any work.  Only the
+    The sets may differ in modulus and size.  An empty stack, a set of fewer
+    than two points or of more than 2**20, a modulus above 2**20, or moduli
+    whose n*(n + 1) sum to 2**63 or more raise before any work.  Only the
     numpy calls are shared: every set keeps its own maps, weights, counts and
     keys, and its own ``IncidenceCensus`` checks them.
     """
     if not sets:
         raise ValueError("census_many needs at least one point set")
-    n, k = sets[0].spec.n, len(sets[0])
-    if any(ps.spec.n != n for ps in sets):
-        raise ValueError("census_many needs point sets of one modulus")
-    if any(len(ps) != k for ps in sets):
-        raise ValueError("census_many needs point sets of one size")
-    if k < 2:
-        raise TooFewPoints(f"{k} point(s) span no lines")
-    check_census_modulus(n)
-    if k > 1 << _INDEX_BITS:
-        raise ValueError(f"census packs point indices in {_INDEX_BITS} bits, got {k} points")
-    S = len(sets)
-    if S * n * (n + 1) >= 1 << 63:  # the point codes of _symmetries
-        raise ValueError(f"{S} sets of modulus {n} overflow the int64 point codes")
-    xs = np.stack([ps.xs for ps in sets])
-    ys = np.stack([ps.ys for ps in sets])
-    inv = _slope_inverses(int((xs[:, -1] - xs[:, 0]).max()))
-    kept, images = _symmetries(xs, ys, n)
-    cols = np.arange(k)
-    row_set, row_anchor = np.nonzero((images >= cols).all(axis=0))  # least index in its orbit
+    moduli = [ps.spec.n for ps in sets]
+    sizes = [len(ps) for ps in sets]
+    if min(sizes) < 2:
+        raise TooFewPoints(f"{min(sizes)} point(s) span no lines")
+    check_census_modulus(max(moduli))
+    if max(sizes) > 1 << _INDEX_BITS:
+        raise ValueError(f"census packs point indices in {_INDEX_BITS} bits, got {max(sizes)} points")
+    if sum(n * (n + 1) for n in moduli) >= 1 << 63:  # the point codes of _symmetries
+        raise ValueError(f"{len(sets)} sets of moduli up to {max(moduli)} overflow the int64 point codes")
+    S, K = len(sets), max(sizes)
+    ns = np.array(moduli, dtype=np.int64)
+    ks = np.array(sizes, dtype=np.int64)
+    xs = np.zeros((S, K), dtype=np.int64)
+    ys = np.zeros((S, K), dtype=np.int64)
+    for s, ps in enumerate(sets):
+        xs[s, : sizes[s]] = ps.xs
+        ys[s, : sizes[s]] = ps.ys
+    inv = _slope_inverses(max(int(ps.xs[-1] - ps.xs[0]) for ps in sets))
+    kept, images = _symmetries(xs, ys, ns, ks)
+    cols = np.arange(K)
+    anchors = (images >= cols).all(axis=0)  # least index in its orbit
+    anchors &= cols < ks[:, None]
+    row_set, row_anchor = np.nonzero(anchors)
     images = images[:, row_set, row_anchor]
     stabiliser = 1 + ((images == row_anchor) & kept[row_set].T).sum(axis=0)
     row_weight = (1 + kept.sum(axis=1))[row_set] // stabiliser  # orbit size = group order / stabiliser order
-    H = np.zeros(S * k, dtype=np.int64)  # H[s * k + size]: set s's groups of that size, weighted
+    start = np.concatenate(([0], np.cumsum(ks)))
+    H = np.zeros(start[-1], dtype=np.int64)  # H[start[s] + size]: set s's groups of that size, weighted
     # each anchor's row has k - 1 entries: H_1 starts at all of them, and each
     # group of size >= 2 found below takes its size back out
-    np.add.at(H, row_set * k + 1, (k - 1) * row_weight)
+    np.add.at(H, start[row_set] + 1, (ks[row_set] - 1) * row_weight)
     rich = []
-    block = min(max(1, _ROW_BLOCK // k), len(row_set))
-    # one array each, not one (3, block, k) array: glibc raises its mmap
+    blocks = _row_blocks(np.bincount(row_set, minlength=S), ks)
+    entries = max((hi - lo) * width for lo, hi, width in blocks)
+    # one array each, not one (3, entries) array: glibc raises its mmap
     # threshold to the size of each mapping freed, and a 3 MB one moves every
     # later allocation below 3 MB onto the heap (the line sweeps then read up
     # to 4 MB more peak RSS)
-    ints = [np.empty((block, k), dtype=np.int64) for _ in range(3)]
-    flags = np.empty((block, k), dtype=bool)
-    for lo in range(0, len(row_set), block):
-        sid = row_set[lo : lo + block]
-        anchor = row_anchor[lo : lo + block]
-        R = len(sid)
-        row, sizes, j = _row_groups(xs, ys, sid, anchor, inv, (*(a[:R] for a in ints), flags[:R]))
+    ints = [np.empty(entries, dtype=np.int64) for _ in range(3)]
+    flags = np.empty(entries, dtype=bool)
+    for lo, hi, width in blocks:
+        sid = row_set[lo:hi]
+        anchor = row_anchor[lo:hi]
+        work = [a[: (hi - lo) * width].reshape(hi - lo, width) for a in (*ints, flags)]
+        row, group, j = _row_groups(xs[:, :width], ys[:, :width], sid, anchor, ks[sid], inv, work)
         s = sid[row]
-        np.add.at(H, s * k + sizes, row_weight[lo + row])
+        np.add.at(H, start[s] + group, row_weight[lo + row])
         i = anchor[row]
         x, y = xs[s, i], ys[s, i]
         A, B = ys[s, j] - y, x - xs[s, j]
         g = np.gcd(A, B)
         A //= g
         B //= g
-        rich.append(np.stack([s, A, B, -(A * x + B * y), sizes + 1], axis=1))
-    H = H.reshape(S, k)
-    H[:, 1] -= H[:, 2:] @ cols[2:]
-    t = np.arange(2, k + 1)
-    if (H[:, 1:] % t).any():
+        rich.append(np.stack([s, A, B, -(A * x + B * y), group + 1], axis=1))
+    set_of = np.repeat(np.arange(S), ks)
+    size = np.arange(start[-1]) - start[set_of]
+    H[start[:-1] + 1] -= np.add.reduceat(H * np.where(size >= 2, size, 0), start[:-1])
+    if (H % (size + 1)).any():
         raise RuntimeError("census H_(t-1) is not a multiple of t")
-    line_sizes = np.zeros((S, k + 1), dtype=np.int64)
-    line_sizes[:, 2:] = H[:, 1:] // t
+    # set s's line counts L_0 .. L_k sit at start[s] + s onward, L_t = H_(t-1) / t
+    line_sizes = np.zeros(start[-1] + S, dtype=np.int64)
+    line_sizes[np.arange(start[-1]) + set_of + 1] = H // (size + 1)
     # close each set's keys under its kept maps, which are linear in (A, B, C):
     # sigma gives (B, A, C) and nu gives (A, B, -C - n(A + B))
     keys = np.concatenate(rich)
@@ -340,7 +389,7 @@ def census_many(sets: Sequence[PointSet]) -> list[IncidenceCensus]:
         if swap:
             image = image[:, [0, 2, 1, 3, 4]]
         if reflect:
-            image[:, 3] = -image[:, 3] - n * (image[:, 1] + image[:, 2])
+            image[:, 3] = -image[:, 3] - ns[image[:, 0]] * (image[:, 1] + image[:, 2])
         rows.append(image)
     rows = np.concatenate(rows)
     A, B = rows[:, 1], rows[:, 2]
@@ -350,9 +399,10 @@ def census_many(sets: Sequence[PointSet]) -> list[IncidenceCensus]:
     distinct[1:] = (rows[1:] != rows[:-1]).any(axis=1)
     rows = rows[distinct]
     cut = np.searchsorted(rows[:, 0], np.arange(S + 1)).tolist()
+    counts = (start[:-1] + np.arange(S)).tolist()
     return [
-        IncidenceCensus(n, ps.spec.a, k, counts, rows[start:stop, 1:4], rows[start:stop, 4])
-        for ps, counts, start, stop in zip(sets, line_sizes, cut, cut[1:])
+        IncidenceCensus(n, ps.spec.a, k, line_sizes[c : c + k + 1], rows[lo:hi, 1:4], rows[lo:hi, 4])
+        for ps, n, k, c, lo, hi in zip(sets, moduli, sizes, counts, cut, cut[1:])
     ]
 
 
@@ -476,7 +526,10 @@ def verify_line_classes(ps: PointSet, cen: IncidenceCensus | None = None) -> Lin
     Each such line must stay inside a single x mod p class, have C and A*B
     coprime to p, satisfy C*C - 4AB = 0 (mod p), and sit in the class
     i = -C * (2A)**-1 mod p; every line with C = 0 must be y = x with
-    exactly two points.
+    exactly two points.  The census's count of every rich line is recounted
+    without the census: the values A*x + B*y of the set are sorted once per
+    direction (A, B), and one ``np.searchsorted`` pair finds the points of
+    every line A*x + B*y = -C of that direction.
     """
     pp = ps.spec.prime_power
     if pp is None or pp.p == 2 or pp.m < 2:
@@ -484,34 +537,58 @@ def verify_line_classes(ps: PointSet, cen: IncidenceCensus | None = None) -> Lin
     p = pp.p
     if cen is None:
         cen = census(ps)
+    keys, t = cen._rich_keys, cen._rich_t
+    A, B, C = keys.T
+    # keys ascend in (A, B, C), so the lines of one direction are consecutive
+    edge = np.ones(len(keys) + 1, dtype=bool)
+    edge[1:-1] = (A[1:] != A[:-1]) | (B[1:] != B[:-1])
+    bounds = np.flatnonzero(edge).tolist()
+    ends = np.cumsum(t) - t  # line r's points sit at classes[ends[r] : ends[r] + t[r]]
+    classes = np.empty(int(t.sum()), dtype=np.int64)
+    residues = ps.xs % p
+    for first, last in zip(bounds, bounds[1:]):
+        # |A*x + B*y| < 2 * n**2, exact in int64 for n <= 2**31
+        values = A[first] * ps.xs + B[first] * ps.ys
+        order = np.argsort(values)
+        values = values[order]
+        lo = np.searchsorted(values, -C[first:last], side="left")
+        count = np.searchsorted(values, -C[first:last], side="right") - lo
+        wrong = np.flatnonzero(count != t[first:last])
+        if len(wrong):
+            raise RuntimeError(f"census count mismatch on {LineKey(*keys[first + wrong[0]].tolist())}")
+        member = np.repeat(lo - np.cumsum(count) + count, count) + np.arange(count.sum())
+        classes[ends[first] : ends[first] + count.sum()] = residues[order[member]]
     violations: list[str] = []
-    checked = 0
-    for key, t in cen.lines(min_points=3):
-        checked += 1
-        on = ps.xs[key.A * ps.xs + key.B * ps.ys + key.C == 0]
-        if len(on) != t:
-            raise RuntimeError(f"census count mismatch on {key}")
-        classes = set((on % p).tolist())
-        if len(classes) != 1:
-            violations.append(f"line {key.as_tuple()} meets classes {sorted(classes)}")
-            continue
-        if key.C % p == 0:
-            violations.append(f"line {key.as_tuple()}: p divides C")
-        if (key.A * key.B) % p == 0:
-            violations.append(f"line {key.as_tuple()}: p divides A*B")
-            continue
-        if (key.C * key.C - 4 * key.A * key.B) % p != 0:
-            violations.append(f"line {key.as_tuple()}: discriminant not 0 mod p")
-        else:
-            expect = -key.C * pow(2 * key.A, -1, p) % p
-            if classes != {expect}:
-                violations.append(f"line {key.as_tuple()}: class {classes} != {expect}")
-    for key, t in zero_intercept_lines(ps):
+    if len(keys):
+        low, high = np.minimum.reduceat(classes, ends), np.maximum.reduceat(classes, ends)
+        Ap, Bp, Cp = A % p, B % p, C % p
+        # every line with a violation below, and more: 2A*i + C = 0 (mod p) is
+        # the class check where 2A is a unit
+        flagged = (low != high) | (Cp == 0) | (Ap * Bp % p == 0) | ((Cp * Cp - 4 * Ap * Bp) % p != 0)
+        flagged |= (2 * Ap * low + Cp) % p != 0
+        for r in np.flatnonzero(flagged).tolist():
+            key = LineKey(*keys[r].tolist())
+            on = set(classes[ends[r] : ends[r] + t[r]].tolist())
+            if len(on) != 1:
+                violations.append(f"line {key.as_tuple()} meets classes {sorted(on)}")
+                continue
+            if key.C % p == 0:
+                violations.append(f"line {key.as_tuple()}: p divides C")
+            if (key.A * key.B) % p == 0:
+                violations.append(f"line {key.as_tuple()}: p divides A*B")
+                continue
+            if (key.C * key.C - 4 * key.A * key.B) % p != 0:
+                violations.append(f"line {key.as_tuple()}: discriminant not 0 mod p")
+            else:
+                expect = -key.C * pow(2 * key.A, -1, p) % p
+                if on != {expect}:
+                    violations.append(f"line {key.as_tuple()}: class {on} != {expect}")
+    for key, count in zero_intercept_lines(ps):
         if key.as_tuple() != (1, -1, 0):
             violations.append(f"zero-intercept line {key.as_tuple()} is not y = x")
-        elif t != 2:
-            violations.append(f"line y = x carries {t} points, expected 2")
-    return LineClassReport(ps.spec.n, ps.spec.a, checked, violations)
+        elif count != 2:
+            violations.append(f"line y = x carries {count} points, expected 2")
+    return LineClassReport(ps.spec.n, ps.spec.a, len(keys), violations)
 
 
 @dataclass

@@ -1,12 +1,15 @@
 """Least-residue point sets of the curve x*y = a (mod n) and their mod-p classes.
 
-A point set is the two int64 arrays of the inversion kernel ``unit_partners``;
-Python tuples appear only in the read-only ``points`` view of a ``PointSet``.
+A point set is two int64 arrays from the inversion kernel ``unit_partners``,
+which inverts the units of n once for the sets of every a of n
+(``enumerate_many``); Python tuples appear only in the read-only ``points``
+view of a ``PointSet``.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Iterable
 
 import numpy as np
 
@@ -144,9 +147,32 @@ def unit_partners(spec: HyperbolaSpec) -> tuple[np.ndarray, np.ndarray]:
     return xs, invert_units(xs, n, len(xs), a)
 
 
+def enumerate_many(n: int, a_values: Iterable[int]) -> list[PointSet]:
+    """The point set of x*y = a (mod n) for every a, from one inversion of the units of n.
+
+    ``unit_partners`` at a = 1 inverts the units once (and checks
+    x * x**-1 = 1); row s of one (S, phi(n)) array is then y = a_s * x**-1
+    mod n, and x * y = a_s (mod n) is checked on the whole array.  Every a
+    must be coprime to n, which is checked first.  The sets share the x array
+    and take their y row from the stack, so the kernel's memory guards cover
+    them.
+    """
+    specs = [HyperbolaSpec(a, n) for a in a_values]
+    xs, ys = unit_partners(HyperbolaSpec(1, n))
+    a = np.array([spec.a for spec in specs], dtype=np.int64)[:, None]
+    ys = a * ys
+    ys %= n
+    check = xs * ys
+    check %= n
+    if not np.all(check == a):
+        raise RuntimeError(f"unit inversion failed: x * y != a (mod {n})")
+    del check
+    return [PointSet(spec, xs, row) for spec, row in zip(specs, ys)]
+
+
 def enumerate_points(spec: HyperbolaSpec) -> PointSet:
-    """All phi(n) points in ascending x; the kernel's memory guards cover them."""
-    return PointSet(spec, *unit_partners(spec))
+    """All phi(n) points in ascending x: the stack of one of ``enumerate_many``."""
+    return enumerate_many(spec.n, [spec.a])[0]
 
 
 def partition_classes(ps: PointSet) -> dict[int, PointSet]:

@@ -15,6 +15,7 @@ import multiprocessing
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import itemgetter
 from pathlib import Path
 
 from .distances import (
@@ -32,7 +33,6 @@ from .distances import (
 )
 from .geometry import (
     LineKey,
-    census,
     census_many,
     check_special_line,
     count_on_line,
@@ -40,7 +40,7 @@ from .geometry import (
     verify_line_classes,
     verify_ordinary_bound,
 )
-from .hyperbola import HyperbolaSpec, check_unit_budget, enumerate_points
+from .hyperbola import HyperbolaSpec, check_unit_budget, enumerate_many, enumerate_points
 from .ntcore import PrimePower, is_prime, primes_upto
 
 DEFAULT_FIXTURES = Path("fixtures") / "distance_counts.csv"
@@ -128,6 +128,39 @@ def _run_parallel(worker, tasks, jobs):
         return pool.map(worker, tasks[::-1], chunksize=chunk)[::-1]
 
 
+# Sum of n**2 over the moduli of one line-suite stack: one pool task censuses a
+# contiguous run of the ascending moduli in one census_many call, so the small
+# moduli share its fixed cost, and every n from 1024 up has a stack of its own.
+# It must not depend on --jobs: with one stack per suite the pool would not be
+# used, and workers forked from a parent that had censused would hold more memory.
+_STACK_SQUARES = 1 << 20
+
+
+def _stacks(tasks: list, modulus) -> list[list]:
+    """Cut the ascending task list into contiguous runs whose sum of n**2 stays under _STACK_SQUARES."""
+    stacks: list[list] = []
+    total = _STACK_SQUARES
+    for task in tasks:
+        square = modulus(task) ** 2
+        if total + square >= _STACK_SQUARES:
+            stacks.append([])
+            total = 0
+        stacks[-1].append(task)
+        total += square
+    return stacks
+
+
+def _run_stacked(worker, tasks: list, modulus, jobs: int) -> list:
+    """worker(stack) for every stack of the tasks, each returning one result per task, flattened in task order."""
+    return [r for results in _run_parallel(worker, _stacks(tasks, modulus), jobs) for r in results]
+
+
+def _a1_censuses(stack: list[tuple[int, int, int]]):
+    """(p, m, point set, census) for each (p, m, n) of a stack: the a = 1 sets, censused in one ``census_many`` call."""
+    sets = [enumerate_points(HyperbolaSpec(1, n)) for _, _, n in stack]
+    return [(p, m, ps, cen) for (p, m, _), ps, cen in zip(stack, sets, census_many(sets))]
+
+
 def _prime_powers_upto(n_max: int, min_m: int = 1, odd_only: bool = False, min_n: int = 2):
     out = []
     for p in primes_upto(n_max):
@@ -145,17 +178,18 @@ def _prime_powers_upto(n_max: int, min_m: int = 1, odd_only: bool = False, min_n
 # ordinary-moduli
 
 
-def _ordinary_count_task(n: int) -> tuple[int, int]:
-    ps = enumerate_points(HyperbolaSpec(1, n))
-    if len(ps) < 2:
-        return n, 0
-    return n, census(ps).ordinary_count
+def _ordinary_count_task(moduli: list[int]) -> list[tuple[int, int]]:
+    """(n, ordinary count) for each n of a stack; n = 2 has one point and no line."""
+    sets = [enumerate_points(HyperbolaSpec(1, n)) for n in moduli]
+    lined = [ps for ps in sets if len(ps) >= 2]
+    cens = iter(census_many(lined) if lined else [])
+    return [(ps.spec.n, next(cens).ordinary_count if len(ps) >= 2 else 0) for ps in sets]
 
 
 def suite_ordinary_moduli(n_max: int = 200, jobs: int = 1) -> VerificationReport:
     """Exactly {2, 8, 12, 24} span no ordinary line; 3, 4 and 6 span exactly one."""
     rep = VerificationReport("ordinary-moduli", {"n_max": n_max})
-    results = dict(_run_parallel(_ordinary_count_task, list(range(2, n_max + 1)), jobs))
+    results = dict(_run_stacked(_ordinary_count_task, list(range(2, n_max + 1)), int, jobs))
     found = [n for n, c in sorted(results.items()) if c == 0]
     expected = [n for n in (2, 8, 12, 24) if n <= n_max]
     rep.cases.append(
@@ -181,7 +215,7 @@ def _prime_lines_task(p: int) -> CaseRecord:
     formula = (p - 1) * (p - 2) // 2
     batch = max(1, _STACK_POINTS // p)
     for lo in range(1, p, batch):
-        sets = [enumerate_points(HyperbolaSpec(a, p)) for a in range(lo, min(lo + batch, p))]
+        sets = enumerate_many(p, range(lo, min(lo + batch, p)))
         if len(sets[0]) < 2:  # only p = 2, whose one point spans no line
             failures += [[ps.spec.a, 0, 0] for ps in sets if formula != 0]
             continue
@@ -227,23 +261,27 @@ def suite_special_line(n_max: int = 2500, jobs: int = 1) -> VerificationReport:
 # theorem6 (ordinary-line lower bound)
 
 
-def _theorem6_task(task: tuple[int, int]) -> CaseRecord:
-    p, m = task
-    r = verify_ordinary_bound(PrimePower(p, m))
-    return CaseRecord(
-        f"{p}^{m}",
-        {"p": p, "m": m, "n": r.n},
-        {"satisfied": True, "equality": r.equality_expected},
-        {"ordinary": r.ordinary, "bound": str(r.bound), "ceil_bound": r.ceil_bound, "equality": r.equality},
-        r.ok,
-    )
+def _theorem6_task(stack: list[tuple[int, int, int]]) -> list[CaseRecord]:
+    records = []
+    for p, m, _, cen in _a1_censuses(stack):
+        r = verify_ordinary_bound(PrimePower(p, m), cen)
+        records.append(
+            CaseRecord(
+                f"{p}^{m}",
+                {"p": p, "m": m, "n": r.n},
+                {"satisfied": True, "equality": r.equality_expected},
+                {"ordinary": r.ordinary, "bound": str(r.bound), "ceil_bound": r.ceil_bound, "equality": r.equality},
+                r.ok,
+            )
+        )
+    return records
 
 
 def suite_theorem6(n_max: int = 2500, jobs: int = 1) -> VerificationReport:
     """Ordinary count >= ceil(exact rational bound); equality exactly where expected."""
     rep = VerificationReport("theorem6", {"n_max": n_max})
-    tasks = [(p, m) for p, m, n in _prime_powers_upto(n_max, min_n=3)]
-    rep.cases.extend(_run_parallel(_theorem6_task, tasks, jobs))
+    tasks = _prime_powers_upto(n_max, min_n=3)
+    rep.cases.extend(_run_stacked(_theorem6_task, tasks, itemgetter(2), jobs))
     return rep
 
 
@@ -251,23 +289,27 @@ def suite_theorem6(n_max: int = 2500, jobs: int = 1) -> VerificationReport:
 # lemma7 (line class structure)
 
 
-def _line_class_task(task: tuple[int, int]) -> CaseRecord:
-    p, m = task
-    r = verify_line_classes(enumerate_points(HyperbolaSpec(1, p**m)))
-    return CaseRecord(
-        f"{p}^{m}",
-        {"p": p, "m": m, "a": 1},
-        {"violations": []},
-        {"lines_checked": r.lines_checked, "violations": r.violations},
-        not r.violations,
-    )
+def _line_class_task(stack: list[tuple[int, int, int]]) -> list[CaseRecord]:
+    records = []
+    for p, m, ps, cen in _a1_censuses(stack):
+        r = verify_line_classes(ps, cen)
+        records.append(
+            CaseRecord(
+                f"{p}^{m}",
+                {"p": p, "m": m, "a": 1},
+                {"violations": []},
+                {"lines_checked": r.lines_checked, "violations": r.violations},
+                not r.violations,
+            )
+        )
+    return records
 
 
 def suite_lemma7(n_max: int = 1331, jobs: int = 1) -> VerificationReport:
     """Structure of many-point lines over odd prime powers with m >= 2, a = 1."""
     rep = VerificationReport("lemma7", {"n_max": n_max})
-    tasks = [(p, m) for p, m, n in _prime_powers_upto(n_max, min_m=2, odd_only=True)]
-    rep.cases.extend(_run_parallel(_line_class_task, tasks, jobs))
+    tasks = _prime_powers_upto(n_max, min_m=2, odd_only=True)
+    rep.cases.extend(_run_stacked(_line_class_task, tasks, itemgetter(2), jobs))
     return rep
 
 
@@ -275,24 +317,26 @@ def suite_lemma7(n_max: int = 1331, jobs: int = 1) -> VerificationReport:
 # collinearity
 
 
-def _collinearity_task(task: tuple[int, int]) -> CaseRecord:
-    p, m = task
-    r = verify_collinearity_bounds(enumerate_points(HyperbolaSpec(1, p**m)))
-    computed = {
-        "max_collinear": r.max_collinear,
-        "limit": r.limit,
-        "class_line_counts": r.class_line_counts,
-        "violations": r.violations,
-        "many_lines_regime": r.many_lines_regime,
-    }
-    return CaseRecord(f"{p}^{m}", {"p": p, "m": m, "a": 1}, {"violations": []}, computed, not r.violations)
+def _collinearity_task(stack: list[tuple[int, int, int]]) -> list[CaseRecord]:
+    records = []
+    for p, m, ps, cen in _a1_censuses(stack):
+        r = verify_collinearity_bounds(ps, cen)
+        computed = {
+            "max_collinear": r.max_collinear,
+            "limit": r.limit,
+            "class_line_counts": r.class_line_counts,
+            "violations": r.violations,
+            "many_lines_regime": r.many_lines_regime,
+        }
+        records.append(CaseRecord(f"{p}^{m}", {"p": p, "m": m, "a": 1}, {"violations": []}, computed, not r.violations))
+    return records
 
 
 def suite_collinearity(n_max: int = 1331, jobs: int = 1) -> VerificationReport:
     """Max collinearity bound and non-collinearity of classes, odd p**m, a = 1."""
     rep = VerificationReport("collinearity", {"n_max": n_max})
-    tasks = [(p, m) for p, m, n in _prime_powers_upto(n_max, odd_only=True, min_n=3)]
-    rep.cases.extend(_run_parallel(_collinearity_task, tasks, jobs))
+    tasks = _prime_powers_upto(n_max, odd_only=True, min_n=3)
+    rep.cases.extend(_run_stacked(_collinearity_task, tasks, itemgetter(2), jobs))
     return rep
 
 

@@ -149,7 +149,7 @@ def test_census_matches_oracle_property(data):
         sub = data.draw(st.lists(st.sampled_from(ps.points), min_size=2, unique=True), label="points")
         generators = _SUBGROUPS[data.draw(st.sampled_from(sorted(_SUBGROUPS)), label="subgroup")]
         ps = _point_set(ps.spec, _close(sub, n, generators))
-        kept = _symmetries(ps.xs[None], ps.ys[None], n)[0][0]
+        kept = _symmetries(ps.xs[None], ps.ys[None], np.array([n]), np.array([len(ps)]))[0][0]
         assert {m for m, keep in zip(_MAPS, kept) if keep} >= set(generators)
     _assert_matches_oracle(ps)
 
@@ -170,25 +170,44 @@ def test_census_hand_built_grid_in_any_order():
 _CLASS_MODULI = (9, 25, 27, 49, 81, 121, 125)
 
 
+def _drawn_stack_part(data, i):
+    """One part of a drawn census stack: the sets of several a of one n, closed
+    subsets of one set, or some of the x mod p classes of one p**m."""
+    kind = data.draw(st.sampled_from(["whole", "subsets", "classes"]), label=f"kind {i}")
+    if kind == "classes":
+        n = data.draw(st.sampled_from(_CLASS_MODULI), label=f"n {i}")
+        a = data.draw(st.sampled_from([u for u in range(1, n) if math.gcd(u, n) == 1]), label=f"a {i}")
+        classes = partition_classes(enumerate_points(HyperbolaSpec(a, n)))
+        keep = data.draw(st.lists(st.sampled_from(sorted(classes)), min_size=1, unique=True), label=f"classes {i}")
+        return [classes[c] for c in keep]
+    n = data.draw(st.integers(3, 40), label=f"n {i}")
+    units = [u for u in range(1, n) if math.gcd(u, n) == 1]
+    if len(units) < 2:
+        return []
+    a_values = data.draw(st.lists(st.sampled_from(units), min_size=1, max_size=4, unique=True), label=f"a {i}")
+    sets = [enumerate_points(HyperbolaSpec(a, n)) for a in a_values]
+    if kind == "whole":
+        return sets
+    out = []
+    for ps in sets:
+        sub = data.draw(st.lists(st.sampled_from(ps.points), min_size=2, unique=True), label=f"points {i}")
+        generators = _SUBGROUPS[data.draw(st.sampled_from(sorted(_SUBGROUPS)), label=f"subgroup {i}")]
+        out.append(_point_set(ps.spec, _close(sub, n, generators)))
+    return out
+
+
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
 @given(st.data())
 def test_census_many_matches_census_and_oracle_property(data):
-    # a stack of the sets of several a of one n, or of the x mod p classes of
-    # one p**m, whose kept maps differ from class to class; a small row block
-    # makes blocks that cut through one set's rows and span several sets
-    if data.draw(st.booleans(), label="classes"):
-        n = data.draw(st.sampled_from(_CLASS_MODULI), label="n")
-        a = data.draw(st.sampled_from([u for u in range(1, n) if math.gcd(u, n) == 1]), label="a")
-        classes = partition_classes(enumerate_points(HyperbolaSpec(a, n)))
-        keep = data.draw(st.lists(st.sampled_from(sorted(classes)), min_size=1, unique=True), label="classes")
-        sets = [classes[i] for i in keep]
-    else:
-        n = data.draw(st.integers(3, 40), label="n")
-        units = [u for u in range(1, n) if math.gcd(u, n) == 1]
-        if len(units) < 2:
-            return
-        a_values = data.draw(st.lists(st.sampled_from(units), min_size=1, unique=True), label="a")
-        sets = [enumerate_points(HyperbolaSpec(a, n)) for a in a_values]
+    # a stack of parts of several moduli and sizes: the sets of several a of
+    # one n, closed subsets of such sets (every orbit weight), or x mod p
+    # classes of one p**m, whose kept maps differ from class to class; a small
+    # row block makes blocks that cut through one set's rows and span sets of
+    # different widths
+    parts = data.draw(st.integers(1, 3), label="parts")
+    sets = [ps for i in range(parts) for ps in _drawn_stack_part(data, i)]
+    if not sets:
+        return
     row_block = data.draw(st.sampled_from([geometry._ROW_BLOCK, 5, 64]), label="row block")
     with mock.patch.object(geometry, "_ROW_BLOCK", row_block):
         batch = census_many(sets)
@@ -196,39 +215,66 @@ def test_census_many_matches_census_and_oracle_property(data):
     for ps, cen in zip(sets, batch):
         alone = census(ps)
         hist, rich = _census_oracle(ps.points)
-        assert (cen.n, cen.a, cen.point_count) == (alone.n, alone.a, alone.point_count) == (n, ps.spec.a, len(ps))
+        assert (cen.n, cen.a, cen.point_count) == (alone.n, alone.a, alone.point_count) == (ps.spec.n, ps.spec.a, len(ps))
         assert cen.histogram == alone.histogram == hist
         assert list(cen.lines()) == list(alone.lines()) == sorted(rich.items())
 
 
 def test_census_many_class_stack_keeps_maps_per_set():
     # mod 25 with a = 1, class i keeps sigma when i*i = 1 (mod 5) and sigma*nu
-    # when i*i = -1; no class keeps nu
+    # when i*i = -1; no class keeps nu.  Stacked after the 8 points of an
+    # a = 1 subset mod 13 that keeps only nu, the classes are padded to its width
     classes = partition_classes(enumerate_points(HyperbolaSpec(1, 25)))
-    xs = np.stack([c.xs for c in classes.values()])
-    ys = np.stack([c.ys for c in classes.values()])
-    kept, images = _symmetries(xs, ys, 25)
-    assert kept.tolist() == [[True, False, False], [False, False, True], [False, False, True], [True, False, False]]
-    assert (images[1] == np.arange(5)).all()  # nu, kept by no class, acts as the identity
+    nu_only = _point_set(HyperbolaSpec(1, 13), [(1, 1), (12, 12), (2, 7), (11, 6), (3, 9), (10, 4), (5, 8), (8, 5)])
+    sets = [nu_only, *classes.values()]
+    K = max(len(ps) for ps in sets)
+    xs = np.zeros((len(sets), K), dtype=np.int64)
+    ys = np.zeros((len(sets), K), dtype=np.int64)
+    for s, ps in enumerate(sets):
+        xs[s, : len(ps)], ys[s, : len(ps)] = ps.xs, ps.ys
+    ns = np.array([ps.spec.n for ps in sets])
+    ks = np.array([len(ps) for ps in sets])
+    kept, images = _symmetries(xs, ys, ns, ks)
+    assert kept.tolist() == [
+        [False, True, False],
+        [True, False, False],
+        [False, False, True],
+        [False, False, True],
+        [True, False, False],
+    ]
+    assert (images[1, 1:] == np.arange(K)).all()  # nu, kept by no class, acts as the identity
+    assert (images[:, 1:, 5:] == np.arange(5, K)).all()  # padding maps to itself
+    assert sorted(images[1, 0, :8].tolist()) == list(range(8))  # nu permutes the subset
 
 
 def test_census_many_refuses_bad_stacks_before_any_work(monkeypatch):
     def no_work(*args):
         raise AssertionError("the stack was not checked first")
 
+    h5, h7 = enumerate_points(HyperbolaSpec(1, 5)), enumerate_points(HyperbolaSpec(1, 7))
+    # mixed moduli and mixed sizes census like their sets alone
+    for stack in ([h5, _point_set(HyperbolaSpec(1, 6), h5.points)], [h7, _point_set(h7.spec, h7.points[:5])]):
+        for ps, cen in zip(stack, census_many(stack)):
+            alone = census(ps)
+            assert (cen.n, cen.point_count, cen.histogram) == (alone.n, alone.point_count, alone.histogram)
+            assert list(cen.lines()) == list(alone.lines())
     monkeypatch.setattr(geometry, "_symmetries", no_work)
     monkeypatch.setattr(geometry, "_slope_inverses", no_work)
     with pytest.raises(ValueError, match="at least one point set"):
         census_many([])
-    h5, h7 = enumerate_points(HyperbolaSpec(1, 5)), enumerate_points(HyperbolaSpec(1, 7))
-    with pytest.raises(ValueError, match="one modulus"):
-        census_many([h5, _point_set(HyperbolaSpec(1, 6), h5.points)])
-    with pytest.raises(ValueError, match="one size"):
-        census_many([h7, _point_set(h7.spec, h7.points[:5])])
     with pytest.raises(TooFewPoints):
         census_many([enumerate_points(HyperbolaSpec(1, 2))] * 2)
     with pytest.raises(TooFewPoints):
+        census_many([h7, _point_set(h7.spec, h7.points[:1])])
+    with pytest.raises(TooFewPoints):
         census(_point_set(h7.spec, h7.points[:1]))
+    n = _N_LIMIT
+    with pytest.raises(ValueError, match="n <= 1048576"):
+        census_many([h5, _point_set(HyperbolaSpec(1, n + 1), ((1, 1), (n, n)))])
+    xs = np.repeat(np.arange(1, 3, dtype=np.int64), 2**19 + 1)
+    ys = np.tile(np.arange(1, 2**19 + 2, dtype=np.int64), 2)
+    with pytest.raises(ValueError, match="1048578 points"):
+        census_many([h5, PointSet(HyperbolaSpec(1, n), xs, ys)])
 
 
 def test_oracle_pins_ordinary_count_49():
@@ -447,6 +493,52 @@ def test_verify_line_classes_recounts_every_rich_line(monkeypatch, n):
     monkeypatch.setattr(geometry, "census", lambda _: tampered)
     with pytest.raises(RuntimeError, match="census count mismatch"):
         verify_line_classes(ps)
+
+
+def _line_class_violations_loop(ps, cen):
+    """The lemma 7 line checks one rich line at a time, each recounted over the whole set."""
+    p = ps.spec.prime_power.p
+    violations = []
+    for key, t in cen.lines():
+        on = ps.xs[key.A * ps.xs + key.B * ps.ys + key.C == 0]
+        assert len(on) == t
+        classes = set((on % p).tolist())
+        if len(classes) != 1:
+            violations.append(f"line {key.as_tuple()} meets classes {sorted(classes)}")
+            continue
+        if key.C % p == 0:
+            violations.append(f"line {key.as_tuple()}: p divides C")
+        if (key.A * key.B) % p == 0:
+            violations.append(f"line {key.as_tuple()}: p divides A*B")
+            continue
+        if (key.C * key.C - 4 * key.A * key.B) % p != 0:
+            violations.append(f"line {key.as_tuple()}: discriminant not 0 mod p")
+        else:
+            expect = -key.C * pow(2 * key.A, -1, p) % p
+            if classes != {expect}:
+                violations.append(f"line {key.as_tuple()}: class {classes} != {expect}")
+    return violations
+
+
+def test_verify_line_classes_matches_line_by_line_checks():
+    # sets that break lemma 7 in every way: grids and random subsets of the
+    # square, with the modulus of an odd prime power; and hyperbola sets
+    rng = random.Random(13)
+    sets = [enumerate_points(HyperbolaSpec(a, n)) for a, n in [(1, 9), (2, 25), (1, 27), (3, 49)]]
+    for n in (9, 25, 27, 49):
+        sets.append(_point_set(HyperbolaSpec(1, n), [(x, y) for x in range(1, n, 2) for y in range(1, n, 3)]))
+        square = [(x, y) for x in range(1, n) for y in range(1, n)]
+        sets.append(_point_set(HyperbolaSpec(1, n), rng.sample(square, min(len(square), 3 * n))))
+    kinds = ("meets classes", "p divides C", "p divides A*B", "discriminant", ": class ")
+    seen = set()
+    for ps in sets:
+        cen = census(ps)
+        rep = verify_line_classes(ps, cen)
+        want = _line_class_violations_loop(ps, cen)
+        assert rep.lines_checked == sum(1 for _ in cen.lines())
+        assert [v for v in rep.violations if not v.startswith(("zero-intercept", "line y = x"))] == want
+        seen.update(kind for kind in kinds for v in want if kind in v)
+    assert seen == set(kinds)  # every kind of violation was met
 
 
 def test_verify_collinearity_bounds():

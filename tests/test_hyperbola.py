@@ -12,6 +12,7 @@ from modhyp.hyperbola import (
     InfeasibleScale,
     NotPrimePower,
     PointSet,
+    enumerate_many,
     enumerate_points,
     partition_classes,
     unit_partners,
@@ -51,6 +52,24 @@ def test_enumerate_matches_rectangle_scan():
                 if x * y % n == a
             }
             assert got == want, (a, n)
+
+
+@pytest.mark.parametrize("n", [31, 49, 60])
+def test_enumerate_many_matches_rectangle_scan(n):
+    # every a of a prime, a prime power and a composite n, from one inversion
+    a_values = [a for a in range(1, n) if math.gcd(a, n) == 1]
+    sets = enumerate_many(n, a_values)
+    assert [ps.spec for ps in sets] == [HyperbolaSpec(a, n) for a in a_values]
+    for a, ps in zip(a_values, sets):
+        want = [(x, y) for x in range(1, n) for y in range(1, n) if x * y % n == a]
+        assert ps.points == tuple(want) == enumerate_points(HyperbolaSpec(a, n)).points
+
+
+def test_enumerate_many_refuses_a_not_coprime_before_any_work(monkeypatch):
+    monkeypatch.setattr(modhyp.hyperbola, "np", None)
+    for n, a_values in [(49, [1, 7]), (60, [1, 7, 15]), (31, [31])]:
+        with pytest.raises(ValueError, match="gcd"):
+            enumerate_many(n, a_values)
 
 
 def test_cardinality_is_totient():

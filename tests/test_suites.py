@@ -104,6 +104,36 @@ def test_prime_lines_stacks_split_by_point_budget(monkeypatch):
     assert sum(size for p, size in stacks if p == 31) == 30
 
 
+@pytest.mark.parametrize(
+    "name,kwargs",
+    [
+        ("theorem6", {"n_max": 300}),
+        ("lemma7", {"n_max": 130}),
+        ("collinearity", {"n_max": 130}),
+        ("ordinary-moduli", {"n_max": 60}),
+    ],
+)
+def test_line_suite_stacks_do_not_change_reports(monkeypatch, name, kwargs):
+    # the a = 1 sets of a contiguous run of moduli go to census_many together;
+    # every modulus alone, or the whole range in one stack, gives the same report
+    whole = SUITES[name](**kwargs).to_payload()
+    census_many = suites.census_many
+    stacks = []
+
+    def recording(sets):
+        stacks.append(len(sets))
+        return census_many(sets)
+
+    monkeypatch.setattr(suites, "census_many", recording)
+    monkeypatch.setattr(suites, "_STACK_SQUARES", 1)
+    assert SUITES[name](**kwargs).to_payload() == whole
+    assert set(stacks) == {1} and len(stacks) > 1
+    stacks.clear()
+    monkeypatch.setattr(suites, "_STACK_SQUARES", 1 << 62)
+    assert SUITES[name](**kwargs).to_payload() == whole
+    assert len(stacks) == 1 and stacks[0] > 1
+
+
 def test_prop15_reports_the_rows_whose_counts_disagree(monkeypatch):
     # lattice counts off by one at a = 4 (root 2, shift 0) and a = 6 (root 1,
     # shift 1) of 5**2: the case fails and names exactly those two rows
