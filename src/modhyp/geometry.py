@@ -1,21 +1,24 @@
 """Line-incidence census over hyperbola point sets.
 
 Every check here works on the point sets' int64 coordinate arrays.  One
-kernel censuses a stack of point sets of one modulus and one size (all a of
-one prime, the x mod p classes of one p**m, or a single set) in one sweep.
-Its rows are (set, anchor) pairs over orbit representatives: the maps sigma
-(x, y) -> (y, x) and nu (x, y) -> (n-x, n-y) that carry each set onto itself
-are found per set, and one anchor per orbit of that set is swept, weighted
-by its orbit size.  An anchor's row codes the slope to every other point of
-its set as dy * dx**-1 modulo a fixed prime above 2**41 (integer ops only,
-no per-pair gcd; for n <= 2**20 equal codes mean equal slopes), and one row
-sort per block of rows groups the points of each line through the anchor.
+kernel censuses a stack of point sets of any moduli and sizes (all a of one
+prime, the x mod p classes of one p**m, the a = 1 sets of a run of moduli,
+or a single set) in one sweep; the sets are padded to the largest, and
+padding never enters a count.  Its rows are (set, anchor) pairs over orbit
+representatives: the maps sigma (x, y) -> (y, x) and nu (x, y) -> (n-x, n-y)
+that carry each set onto itself are found per set, and one anchor per orbit
+of that set is swept, weighted by its orbit size.  An anchor's row codes the
+slope to every other point of its set as dy * dx**-1 modulo a fixed prime
+above 2**41 (integer ops only, no per-pair gcd; for n <= 2**20 equal codes
+mean equal slopes), and one row sort per block of rows groups the points of
+each line through the anchor.
 A t-point line is a group of t-1 points at each of its t points, so each
 set's weighted group counts give its count of each line size.  Only the
 keys of lines with three or more points are kept, reduced by a gcd on one
 pair per line, closed under their own set's maps, sorted with the set index
 leading and cut back per set.  The tests check the census against an
-independent cross-product oracle.
+independent cross-product oracle, and the lemma 7 checks recount every rich
+line without the census, by sorting A*x + B*y once per direction.
 """
 from __future__ import annotations
 
@@ -154,7 +157,9 @@ def _slope_codes(dx: np.ndarray, dy: np.ndarray, inv: np.ndarray, out: np.ndarra
     the scratch of the reduction).  For |dx|, |dy| < _N_LIMIT two codes are
     equal exactly when dy1 * dx2 == dy2 * dx1.
     """
-    np.take(inv, dx, out=out, mode="clip")  # every dx is in range; "clip" writes out unbuffered
+    # every dx of two real points is in range (a padding column's may be
+    # clipped; the census overwrites its code); "clip" writes out unbuffered
+    np.take(inv, dx, out=out, mode="clip")
     out *= dy
     # out %= M, but floor division by a scalar is faster
     np.floor_divide(out, _SLOPE_PRIME, out=dy)
@@ -547,17 +552,20 @@ def verify_line_classes(ps: PointSet, cen: IncidenceCensus | None = None) -> Lin
     classes = np.empty(int(t.sum()), dtype=np.int64)
     residues = ps.xs % p
     for first, last in zip(bounds, bounds[1:]):
-        # |A*x + B*y| < 2 * n**2, exact in int64 for n <= 2**31
+        # each point as A*x + B*y packed with its class, (A*x + B*y) * p + x % p:
+        # |A*x + B*y| < 2 * n**2 <= 2**41 (a census needs n <= 2**20) and
+        # p <= 2**10 (m >= 2), so one sorted int64 array serves every C
         values = A[first] * ps.xs + B[first] * ps.ys
-        order = np.argsort(values)
-        values = values[order]
-        lo = np.searchsorted(values, -C[first:last], side="left")
-        count = np.searchsorted(values, -C[first:last], side="right") - lo
+        values *= p
+        values += residues
+        values.sort()
+        lo = np.searchsorted(values, -C[first:last] * p)
+        count = np.searchsorted(values, (1 - C[first:last]) * p) - lo
         wrong = np.flatnonzero(count != t[first:last])
         if len(wrong):
             raise RuntimeError(f"census count mismatch on {LineKey(*keys[first + wrong[0]].tolist())}")
         member = np.repeat(lo - np.cumsum(count) + count, count) + np.arange(count.sum())
-        classes[ends[first] : ends[first] + count.sum()] = residues[order[member]]
+        classes[ends[first] : ends[first] + count.sum()] = values[member] % p
     violations: list[str] = []
     if len(keys):
         low, high = np.minimum.reduceat(classes, ends), np.maximum.reduceat(classes, ends)

@@ -5,7 +5,12 @@ a ``VerificationReport``.  Case work is pure and each worker returns its
 finished ``CaseRecord``, so sweeps can fan out over a process pool; records
 are assembled in task order, making the report independent of the worker
 count.  Suites that aggregate many tasks into one case (ordinary-moduli,
-prop15) reduce their workers' results instead.
+prop15) reduce their workers' results instead.  The line suites (theorem6,
+lemma7, collinearity, ordinary-moduli) hand the pool stacks: contiguous runs
+of their ascending moduli, censused in one ``census_many`` call per stack,
+each returning one result per modulus in task order.  Prime-lines builds the
+sets of each stack of a values of a prime from one inversion
+(``enumerate_many``).
 """
 from __future__ import annotations
 
@@ -15,6 +20,7 @@ import multiprocessing
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from operator import itemgetter
 from pathlib import Path
 
@@ -32,6 +38,7 @@ from .distances import (
     sqrt_shift_data,
 )
 from .geometry import (
+    IncidenceCensus,
     LineKey,
     census_many,
     check_special_line,
@@ -40,7 +47,7 @@ from .geometry import (
     verify_line_classes,
     verify_ordinary_bound,
 )
-from .hyperbola import HyperbolaSpec, check_unit_budget, enumerate_many, enumerate_points
+from .hyperbola import HyperbolaSpec, PointSet, check_unit_budget, enumerate_many, enumerate_points
 from .ntcore import PrimePower, is_prime, primes_upto
 
 DEFAULT_FIXTURES = Path("fixtures") / "distance_counts.csv"
@@ -155,10 +162,10 @@ def _run_stacked(worker, tasks: list, modulus, jobs: int) -> list:
     return [r for results in _run_parallel(worker, _stacks(tasks, modulus), jobs) for r in results]
 
 
-def _a1_censuses(stack: list[tuple[int, int, int]]):
-    """(p, m, point set, census) for each (p, m, n) of a stack: the a = 1 sets, censused in one ``census_many`` call."""
+def _a1_stack_task(case, stack: list[tuple[int, int, int]]) -> list[CaseRecord]:
+    """case(p, m, point set, census) for each (p, m, n) of a stack, the a = 1 sets censused in one ``census_many`` call."""
     sets = [enumerate_points(HyperbolaSpec(1, n)) for _, _, n in stack]
-    return [(p, m, ps, cen) for (p, m, _), ps, cen in zip(stack, sets, census_many(sets))]
+    return [case(p, m, ps, cen) for (p, m, _), ps, cen in zip(stack, sets, census_many(sets))]
 
 
 def _prime_powers_upto(n_max: int, min_m: int = 1, odd_only: bool = False, min_n: int = 2):
@@ -261,27 +268,22 @@ def suite_special_line(n_max: int = 2500, jobs: int = 1) -> VerificationReport:
 # theorem6 (ordinary-line lower bound)
 
 
-def _theorem6_task(stack: list[tuple[int, int, int]]) -> list[CaseRecord]:
-    records = []
-    for p, m, _, cen in _a1_censuses(stack):
-        r = verify_ordinary_bound(PrimePower(p, m), cen)
-        records.append(
-            CaseRecord(
-                f"{p}^{m}",
-                {"p": p, "m": m, "n": r.n},
-                {"satisfied": True, "equality": r.equality_expected},
-                {"ordinary": r.ordinary, "bound": str(r.bound), "ceil_bound": r.ceil_bound, "equality": r.equality},
-                r.ok,
-            )
-        )
-    return records
+def _theorem6_case(p: int, m: int, ps: PointSet, cen: IncidenceCensus) -> CaseRecord:
+    r = verify_ordinary_bound(PrimePower(p, m), cen)
+    return CaseRecord(
+        f"{p}^{m}",
+        {"p": p, "m": m, "n": r.n},
+        {"satisfied": True, "equality": r.equality_expected},
+        {"ordinary": r.ordinary, "bound": str(r.bound), "ceil_bound": r.ceil_bound, "equality": r.equality},
+        r.ok,
+    )
 
 
 def suite_theorem6(n_max: int = 2500, jobs: int = 1) -> VerificationReport:
     """Ordinary count >= ceil(exact rational bound); equality exactly where expected."""
     rep = VerificationReport("theorem6", {"n_max": n_max})
     tasks = _prime_powers_upto(n_max, min_n=3)
-    rep.cases.extend(_run_stacked(_theorem6_task, tasks, itemgetter(2), jobs))
+    rep.cases.extend(_run_stacked(partial(_a1_stack_task, _theorem6_case), tasks, itemgetter(2), jobs))
     return rep
 
 
@@ -289,27 +291,22 @@ def suite_theorem6(n_max: int = 2500, jobs: int = 1) -> VerificationReport:
 # lemma7 (line class structure)
 
 
-def _line_class_task(stack: list[tuple[int, int, int]]) -> list[CaseRecord]:
-    records = []
-    for p, m, ps, cen in _a1_censuses(stack):
-        r = verify_line_classes(ps, cen)
-        records.append(
-            CaseRecord(
-                f"{p}^{m}",
-                {"p": p, "m": m, "a": 1},
-                {"violations": []},
-                {"lines_checked": r.lines_checked, "violations": r.violations},
-                not r.violations,
-            )
-        )
-    return records
+def _line_class_case(p: int, m: int, ps: PointSet, cen: IncidenceCensus) -> CaseRecord:
+    r = verify_line_classes(ps, cen)
+    return CaseRecord(
+        f"{p}^{m}",
+        {"p": p, "m": m, "a": 1},
+        {"violations": []},
+        {"lines_checked": r.lines_checked, "violations": r.violations},
+        not r.violations,
+    )
 
 
 def suite_lemma7(n_max: int = 1331, jobs: int = 1) -> VerificationReport:
     """Structure of many-point lines over odd prime powers with m >= 2, a = 1."""
     rep = VerificationReport("lemma7", {"n_max": n_max})
     tasks = _prime_powers_upto(n_max, min_m=2, odd_only=True)
-    rep.cases.extend(_run_stacked(_line_class_task, tasks, itemgetter(2), jobs))
+    rep.cases.extend(_run_stacked(partial(_a1_stack_task, _line_class_case), tasks, itemgetter(2), jobs))
     return rep
 
 
@@ -317,26 +314,23 @@ def suite_lemma7(n_max: int = 1331, jobs: int = 1) -> VerificationReport:
 # collinearity
 
 
-def _collinearity_task(stack: list[tuple[int, int, int]]) -> list[CaseRecord]:
-    records = []
-    for p, m, ps, cen in _a1_censuses(stack):
-        r = verify_collinearity_bounds(ps, cen)
-        computed = {
-            "max_collinear": r.max_collinear,
-            "limit": r.limit,
-            "class_line_counts": r.class_line_counts,
-            "violations": r.violations,
-            "many_lines_regime": r.many_lines_regime,
-        }
-        records.append(CaseRecord(f"{p}^{m}", {"p": p, "m": m, "a": 1}, {"violations": []}, computed, not r.violations))
-    return records
+def _collinearity_case(p: int, m: int, ps: PointSet, cen: IncidenceCensus) -> CaseRecord:
+    r = verify_collinearity_bounds(ps, cen)
+    computed = {
+        "max_collinear": r.max_collinear,
+        "limit": r.limit,
+        "class_line_counts": r.class_line_counts,
+        "violations": r.violations,
+        "many_lines_regime": r.many_lines_regime,
+    }
+    return CaseRecord(f"{p}^{m}", {"p": p, "m": m, "a": 1}, {"violations": []}, computed, not r.violations)
 
 
 def suite_collinearity(n_max: int = 1331, jobs: int = 1) -> VerificationReport:
     """Max collinearity bound and non-collinearity of classes, odd p**m, a = 1."""
     rep = VerificationReport("collinearity", {"n_max": n_max})
     tasks = _prime_powers_upto(n_max, odd_only=True, min_n=3)
-    rep.cases.extend(_run_stacked(_collinearity_task, tasks, itemgetter(2), jobs))
+    rep.cases.extend(_run_stacked(partial(_a1_stack_task, _collinearity_case), tasks, itemgetter(2), jobs))
     return rep
 
 
