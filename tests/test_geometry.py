@@ -220,6 +220,29 @@ def test_census_many_matches_census_and_oracle_property(data):
         assert list(cen.lines()) == list(alone.lines()) == sorted(rich.items())
 
 
+def test_row_blocks_bound_the_widest_row():
+    # set-major rows of sets of different widths: consecutive blocks cover
+    # every row, each as wide as its widest row, and rows x width stays within
+    # the row block unless the block is one row
+    rng = random.Random(17)
+    for row_block in (1, 5, 64, 1000):
+        for _ in range(50):
+            S = rng.randrange(1, 8)
+            ks = np.array([rng.randrange(2, 300) for _ in range(S)])
+            rows_per_set = np.array([rng.randrange(1, 40) for _ in range(S)])
+            with mock.patch.object(geometry, "_ROW_BLOCK", row_block):
+                blocks = geometry._row_blocks(rows_per_set, ks)
+            row_k = np.repeat(ks, rows_per_set)
+            assert [lo for lo, _, _ in blocks] == [0] + [hi for _, hi, _ in blocks[:-1]]
+            assert blocks[-1][1] == len(row_k)
+            for lo, hi, width in blocks:
+                assert hi > lo and width == row_k[lo:hi].max()
+                assert (hi - lo) * width <= row_block or hi - lo == 1
+                # a block closes only when the next row would break the bound
+                if hi < len(row_k):
+                    assert (hi - lo + 1) * max(width, row_k[hi]) > row_block
+
+
 def test_census_many_class_stack_keeps_maps_per_set():
     # mod 25 with a = 1, class i keeps sigma when i*i = 1 (mod 5) and sigma*nu
     # when i*i = -1; no class keeps nu.  Stacked after the 8 points of an
