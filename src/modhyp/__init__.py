@@ -46,6 +46,7 @@ from .geometry import (
 from .hyperbola import (
     HyperbolaSpec,
     PointSet,
+    enumerate_many,
     enumerate_points,
     partition_classes,
     unit_partners,

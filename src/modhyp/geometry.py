@@ -404,10 +404,10 @@ def census_many(sets: Sequence[PointSet]) -> list[IncidenceCensus]:
     distinct[1:] = (rows[1:] != rows[:-1]).any(axis=1)
     rows = rows[distinct]
     cut = np.searchsorted(rows[:, 0], np.arange(S + 1)).tolist()
-    counts = (start[:-1] + np.arange(S)).tolist()
+    first_count = (start[:-1] + np.arange(S)).tolist()
     return [
         IncidenceCensus(n, ps.spec.a, k, line_sizes[c : c + k + 1], rows[lo:hi, 1:4], rows[lo:hi, 4])
-        for ps, n, k, c, lo, hi in zip(sets, moduli, sizes, counts, cut, cut[1:])
+        for ps, n, k, c, lo, hi in zip(sets, moduli, sizes, first_count, cut, cut[1:])
     ]
 
 
@@ -564,6 +564,7 @@ def verify_line_classes(ps: PointSet, cen: IncidenceCensus | None = None) -> Lin
         wrong = np.flatnonzero(count != t[first:last])
         if len(wrong):
             raise RuntimeError(f"census count mismatch on {LineKey(*keys[first + wrong[0]].tolist())}")
+        # the sorted positions of the points of every line, line after line
         member = np.repeat(lo - np.cumsum(count) + count, count) + np.arange(count.sum())
         classes[ends[first] : ends[first] + count.sum()] = values[member] % p
     violations: list[str] = []

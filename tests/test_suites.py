@@ -70,13 +70,14 @@ def test_ordinary_moduli_small_ranges():
         ("special-line", {"n_max": 130}),
         ("lemma7", {"n_max": 130}),
         ("collinearity", {"n_max": 130}),
-        ("theorem6", {"n_max": 625}),
-        ("collinearity", {"n_max": 625}),
         ("prime-distance", {"n_max": 37}),
         ("theorem14", {"n_max": 7}),
         ("prop15", {"n_max": 13}),
         ("tables", {"fixtures": FIXTURES}),
         ("theorem14", {"p": 7, "all_a": True}),
+        # at n <= 625 the line suites hand the pool many stacks of moduli
+        ("theorem6", {"n_max": 625}),
+        ("collinearity", {"n_max": 625}),
     ],
 )
 def test_jobs_do_not_change_reports(name, kwargs):
