@@ -571,27 +571,28 @@ def verify_line_classes(ps: PointSet, cen: IncidenceCensus | None = None) -> Lin
     if len(keys):
         low, high = np.minimum.reduceat(classes, ends), np.maximum.reduceat(classes, ends)
         Ap, Bp, Cp = A % p, B % p, C % p
-        # every line with a violation below, and more: 2A*i + C = 0 (mod p) is
-        # the class check where 2A is a unit
-        flagged = (low != high) | (Cp == 0) | (Ap * Bp % p == 0) | ((Cp * Cp - 4 * Ap * Bp) % p != 0)
-        flagged |= (2 * Ap * low + Cp) % p != 0
-        for r in np.flatnonzero(flagged).tolist():
-            key = LineKey(*keys[r].tolist())
-            on = set(classes[ends[r] : ends[r] + t[r]].tolist())
-            if len(on) != 1:
-                violations.append(f"line {key.as_tuple()} meets classes {sorted(on)}")
+        split = low != high
+        c_zero = Cp == 0
+        ab_zero = Ap * Bp % p == 0
+        disc = (Cp * Cp - 4 * Ap * Bp) % p != 0
+        off_class = (2 * Ap * low + Cp) % p != 0  # i != -C * (2A)**-1 where 2A is a unit
+        for r in np.flatnonzero(split | c_zero | ab_zero | disc | off_class).tolist():
+            key = tuple(keys[r].tolist())
+            if split[r]:
+                on = sorted(set(classes[ends[r] : ends[r] + t[r]].tolist()))
+                violations.append(f"line {key} meets classes {on}")
                 continue
-            if key.C % p == 0:
-                violations.append(f"line {key.as_tuple()}: p divides C")
-            if (key.A * key.B) % p == 0:
-                violations.append(f"line {key.as_tuple()}: p divides A*B")
+            if c_zero[r]:
+                violations.append(f"line {key}: p divides C")
+            if ab_zero[r]:
+                violations.append(f"line {key}: p divides A*B")
                 continue
-            if (key.C * key.C - 4 * key.A * key.B) % p != 0:
-                violations.append(f"line {key.as_tuple()}: discriminant not 0 mod p")
-            else:
-                expect = -key.C * pow(2 * key.A, -1, p) % p
-                if on != {expect}:
-                    violations.append(f"line {key.as_tuple()}: class {on} != {expect}")
+            if disc[r]:
+                violations.append(f"line {key}: discriminant not 0 mod p")
+            elif off_class[r]:
+                on = {int(low[r])}
+                expect = -key[2] * pow(2 * key[0], -1, p) % p
+                violations.append(f"line {key}: class {on} != {expect}")
     for key, count in zero_intercept_lines(ps):
         if key.as_tuple() != (1, -1, 0):
             violations.append(f"zero-intercept line {key.as_tuple()} is not y = x")

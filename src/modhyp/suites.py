@@ -189,8 +189,8 @@ def _ordinary_count_task(moduli: list[int]) -> list[tuple[int, int]]:
     """(n, ordinary count) for each n of a stack; n = 2 has one point and no line."""
     sets = [enumerate_points(HyperbolaSpec(1, n)) for n in moduli]
     lined = [ps for ps in sets if len(ps) >= 2]
-    cens = iter(census_many(lined) if lined else [])
-    return [(ps.spec.n, next(cens).ordinary_count if len(ps) >= 2 else 0) for ps in sets]
+    counts = {ps.spec.n: cen.ordinary_count for ps, cen in zip(lined, census_many(lined) if lined else [])}
+    return [(n, counts.get(n, 0)) for n in moduli]
 
 
 def suite_ordinary_moduli(n_max: int = 200, jobs: int = 1) -> VerificationReport:
