@@ -184,7 +184,7 @@ def _drawn_stack_part(data, i):
     units = [u for u in range(1, n) if math.gcd(u, n) == 1]
     if len(units) < 2:
         return []
-    a_values = data.draw(st.lists(st.sampled_from(units), min_size=1, max_size=4, unique=True), label=f"a {i}")
+    a_values = data.draw(st.lists(st.sampled_from(units), min_size=1, unique=True), label=f"a {i}")
     sets = [enumerate_points(HyperbolaSpec(a, n)) for a in a_values]
     if kind == "whole":
         return sets
