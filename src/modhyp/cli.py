@@ -17,7 +17,7 @@ from .distances import DEFAULT_GAP_BOUND, distance_profile, gap_experiment
 from .geometry import census, check_census_modulus
 from .hyperbola import HyperbolaSpec, check_unit_budget, enumerate_points
 from .ntcore import is_prime
-from .suites import DEFAULT_FIXTURES, DEFAULT_SEED, SUITES, VerificationReport
+from .suites import DEFAULT_FIXTURES, DEFAULT_SEED, SUITES, VerificationReport, process_loads
 
 DEFAULT_N_BOUND = 2**31
 # `modhyp points` holds Python [x, y] rows, the only per-point Python objects.
@@ -33,6 +33,9 @@ _EXIT_USAGE = 2
 
 
 def _default_jobs() -> int:
+    """The CPUs this process may run on, where the platform can tell; else the host's."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 
@@ -69,7 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
     vp.add_argument("--bound", type=int, default=DEFAULT_GAP_BOUND, help="squared-modulus bound (gap)")
     vp.add_argument("--jobs", type=int, default=_default_jobs(), help="worker processes")
     vp.add_argument("--format", choices=("json", "csv", "text"), default="json")
-    vp.add_argument("--verbose", action="store_true", help="print the wall time to stderr")
+    vp.add_argument("--verbose", action="store_true", help="print the wall time and each process's load to stderr")
 
     gp = sub.add_parser("gap", help="squared-primorial gap construction")
     gp.add_argument("--k", type=int, required=True, help="number of odd primes in the product")
@@ -196,6 +199,7 @@ def _suite_kwargs(args) -> dict:
 def _cmd_verify(args) -> int:
     fn = SUITES[args.suite]
     kwargs = _suite_kwargs(args)
+    process_loads.clear()
     t0 = time.perf_counter()
     report: VerificationReport = fn(**kwargs)
     elapsed = time.perf_counter() - t0
@@ -223,6 +227,10 @@ def _cmd_verify(args) -> int:
         _emit(payload, args.format, csv_lines)
     if args.verbose and args.format != "text":
         print(f"verify {args.suite}: {elapsed:.2f}s", file=sys.stderr)
+    if args.verbose:
+        for slot, (tasks, busy) in enumerate(process_loads):
+            name = f"process {slot}" if slot else "caller"
+            print(f"  {name}: {tasks} tasks, {busy:.2f}s busy", file=sys.stderr)
     return _EXIT_OK if report.passed else _EXIT_FAIL
 
 

@@ -2,15 +2,16 @@
 
 Every suite runs a family of exact checks over a parameter range and returns
 a ``VerificationReport``.  Case work is pure and each worker returns its
-finished ``CaseRecord``, so sweeps can fan out over a process pool; records
-are assembled in task order, making the report independent of the worker
-count.  Suites that aggregate many tasks into one case (ordinary-moduli,
-prop15) reduce their workers' results instead.  The line suites (theorem6,
-lemma7, collinearity, ordinary-moduli) hand the pool stacks: contiguous runs
-of their ascending moduli, censused in one ``census_many`` call per stack,
-each returning one result per modulus in task order.  Prime-lines builds the
-sets of each stack of a values of a prime from one inversion
-(``enumerate_many``).
+finished ``CaseRecord``, so with ``jobs`` > 1 a sweep's tasks are shared by
+the calling process and jobs - 1 forked ones, each drawing the next task
+from one shared counter; records are placed in task order, making the
+report independent of the worker count.  Suites that aggregate many tasks
+into one case (ordinary-moduli, prop15) reduce their workers' results
+instead.  The line suites (theorem6, lemma7, collinearity, ordinary-moduli)
+share stacks: contiguous runs of their ascending moduli, censused in one
+``census_many`` call per stack, each returning one result per modulus in
+task order.  Prime-lines builds the sets of each stack of a values of a
+prime from one inversion (``enumerate_many``).
 """
 from __future__ import annotations
 
@@ -18,6 +19,7 @@ import csv
 import math
 import multiprocessing
 import random
+import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
@@ -121,25 +123,98 @@ def _failures_case(key: str, inputs: dict, failures: list) -> CaseRecord:
     return CaseRecord(key, inputs, {"failures": []}, {"failures": failures}, not failures)
 
 
-def _run_parallel(worker, tasks, jobs):
-    """worker(t) for every task, in task order, on ``jobs`` processes.
+# [tasks run, busy seconds] per process of every sweep since the list was last
+# cleared, the caller first and then each extra process in start order;
+# ``verify --verbose`` prints it to stderr.
+process_loads: list[list] = []
 
-    Sweeps list their tasks in ascending size, so the pool takes them from the
-    largest down, in chunks small enough that the costly tail never lands on
-    one worker; the results are reversed back into task order.
+
+def _draws(counter):
+    """Task indices taken from the shared counter, the largest first, until none remain."""
+    while True:
+        with counter.get_lock():
+            i = counter.value = counter.value - 1
+        if i < 0:
+            return
+        yield i
+
+
+def _serve(worker, tasks, indices) -> tuple[list, float]:
+    """(index, worker(tasks[index])) for each index drawn, and the seconds they took."""
+    t0 = time.perf_counter()
+    done = [(i, worker(tasks[i])) for i in indices]
+    return done, time.perf_counter() - t0
+
+
+def _serve_process(worker, tasks, counter, conn) -> None:
+    """An extra process's share: its results, or the exception it raised, sent once at the end."""
+    try:
+        conn.send(_serve(worker, tasks, _draws(counter)))
+    except Exception as exc:
+        conn.send(exc)
+
+
+def _run_parallel(worker, tasks, jobs):
+    """worker(t) for every task, in task order, on ``jobs`` processes, the caller one of them.
+
+    The caller starts jobs - 1 processes (no more than there are tasks to
+    share) and works too.  Every process draws task indices from one shared
+    counter, the last task first: sweeps list their tasks in ascending size,
+    so the costly tail is spread before the cheap head.  Each extra process
+    sends its (index, result) pairs once, when the counter runs dry; the
+    caller places them by index.  A worker's exception is raised again in the
+    caller, a process that exits without sending raises ``RuntimeError``, and
+    on any error the processes still running are terminated.
     """
     if jobs <= 1 or len(tasks) <= 1:
-        return [worker(t) for t in tasks]
-    chunk = max(1, len(tasks) // (jobs * 16))
-    with multiprocessing.Pool(jobs) as pool:
-        return pool.map(worker, tasks[::-1], chunksize=chunk)[::-1]
+        shares = [_serve(worker, tasks, range(len(tasks)))]
+    else:
+        counter = multiprocessing.Value("q", len(tasks))
+        procs = []
+        try:
+            for _ in range(min(jobs, len(tasks)) - 1):
+                receiver, sender = multiprocessing.Pipe(duplex=False)
+                proc = multiprocessing.Process(
+                    target=_serve_process, args=(worker, tasks, counter, sender), daemon=True
+                )
+                proc.start()
+                sender.close()  # the process holds the only sending end, so its exit reads as EOF
+                procs.append((proc, receiver))
+            shares = [_serve(worker, tasks, _draws(counter))]
+            for proc, receiver in procs:
+                try:
+                    share = receiver.recv()
+                except EOFError:
+                    proc.join()
+                    code = proc.exitcode
+                    raise RuntimeError(f"a sweep process exited with code {code} before sending its results") from None
+                proc.join()
+                if isinstance(share, Exception):
+                    raise share
+                shares.append(share)
+        finally:
+            for proc, receiver in procs:
+                if proc.exitcode is None:
+                    proc.terminate()
+                proc.join()
+                receiver.close()
+    results = [None] * len(tasks)
+    for slot, (done, busy) in enumerate(shares):
+        for i, result in done:
+            results[i] = result
+        if slot == len(process_loads):
+            process_loads.append([0, 0.0])
+        process_loads[slot][0] += len(done)
+        process_loads[slot][1] += busy
+    return results
 
 
-# Sum of n**2 over the moduli of one line-suite stack: one pool task censuses a
+# Sum of n**2 over the moduli of one line-suite stack: one sweep task censuses a
 # contiguous run of the ascending moduli in one census_many call, so the small
 # moduli share its fixed cost, and every n from 1024 up has a stack of its own.
-# It must not depend on --jobs: with one stack per suite the pool would not be
-# used, and workers forked from a parent that had censused would hold more memory.
+# It does not depend on --jobs, so every job count runs the same censuses, and
+# each process's peak memory follows the largest stack it draws: the caller's
+# too, as it censuses its share of the stacks.
 _STACK_SQUARES = 1 << 20
 
 
@@ -361,9 +436,11 @@ def suite_prime_distance(n_max: int = 499, jobs: int = 1) -> VerificationReport:
 
 # Peak-RSS growth per residue a of p**2 with an explicit p, in a fresh process:
 # the sampled mode lists every unit before sampling (40.1 B at p = 2003 and
-# 4001), and --all-a holds a case record and its payload per unit (827 B at
-# p = 503 with --jobs 1, 937 B at p = 307 with --jobs 2, kernel stubbed).  The list is freed before the kernel runs, and both figures pass
-# the kernel's own 32 B, so they set the limit on p (p <= 6688 and p <= 1295).
+# 4001), and --all-a holds a case record and its payload per unit (821 B at
+# p = 503 with --jobs 1; 850 B at p = 307 and 871 B at p = 503 with --jobs 2,
+# where the extra process adds at most 302 B over the memory it forked with;
+# kernel stubbed).  The list is freed before the kernel runs, and both figures
+# pass the kernel's own 32 B, so they set the limit on p (p <= 6688 and p <= 1295).
 _SAMPLED_BYTES_PER_RESIDUE = 48
 _ALL_A_BYTES_PER_RESIDUE = 1280
 

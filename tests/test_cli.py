@@ -6,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from modhyp.cli import _suite_kwargs, build_parser, main
+from modhyp import cli
+from modhyp.cli import _default_jobs, _suite_kwargs, build_parser, main
 from modhyp.hyperbola import HyperbolaSpec, enumerate_points
 from modhyp.ntcore import is_prime
 from modhyp.suites import SUITES
@@ -196,6 +197,27 @@ def test_verify_json_identical_across_jobs(capsys):
     rc2, out2, _ = run(capsys, "verify", "prime-lines", "--n-max", "13", "--jobs", "2")
     assert rc1 == rc2 == 0
     assert out1 == out2
+
+
+def test_verbose_prints_each_process_load(capsys):
+    rc, plain, _ = run(capsys, "verify", "prime-lines", "--n-max", "13", "--jobs", "2")
+    rc, out, err = run(capsys, "verify", "prime-lines", "--n-max", "13", "--jobs", "2", "--verbose")
+    assert rc == 0 and out == plain
+    lines = err.splitlines()
+    assert re.fullmatch(r"verify prime-lines: \d+\.\d\ds", lines[0])
+    loads = [re.fullmatch(r"  (caller|process 1): (\d+) tasks, \d+\.\d\ds busy", line) for line in lines[1:]]
+    assert [m.group(1) for m in loads] == ["caller", "process 1"]
+    assert sum(int(m.group(2)) for m in loads) == 6  # the primes up to 13
+
+
+def test_default_jobs_counts_the_cpus_this_process_may_use(monkeypatch):
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 16)
+    assert _default_jobs() == 3
+    monkeypatch.delattr(cli.os, "sched_getaffinity")
+    assert _default_jobs() == 16
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+    assert _default_jobs() == 1
 
 
 def test_verify_tables_fixture(capsys):

@@ -1,6 +1,10 @@
 """Suite plumbing: report round-trips, fixture parsing, worker-count independence."""
 import json
+import multiprocessing
+import os
+import time
 import types
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -75,15 +79,89 @@ def test_ordinary_moduli_small_ranges():
         ("prop15", {"n_max": 13}),
         ("tables", {"fixtures": FIXTURES}),
         ("theorem14", {"p": 7, "all_a": True}),
-        # at n <= 625 the line suites hand the pool many stacks of moduli
+        # at n <= 625 the line suites share many stacks of moduli
         ("theorem6", {"n_max": 625}),
         ("collinearity", {"n_max": 625}),
+        ("lemma7", {"n_max": 625}),
+        ("prime-lines", {}),
     ],
 )
 def test_jobs_do_not_change_reports(name, kwargs):
     one = SUITES[name](jobs=1, **kwargs).to_payload()
     two = SUITES[name](jobs=2, **kwargs).to_payload()
     assert json.dumps(one, sort_keys=True) == json.dumps(two, sort_keys=True)
+
+
+def _echo(size, t):
+    # a result of size bytes, more than a pipe buffer holds when size > 64 KB
+    return t, bytes([t % 256]) * size
+
+
+@pytest.mark.parametrize("jobs", [2, 3])
+@pytest.mark.parametrize("count,size", [(1, 10), (2, 10), (7, 10), (40, 10), (5, 1 << 18)])
+def test_run_parallel_matches_the_serial_loop(jobs, count, size):
+    tasks = list(range(count))
+    worker = partial(_echo, size)
+    assert suites._run_parallel(worker, tasks, jobs) == [worker(t) for t in tasks]
+    assert multiprocessing.active_children() == []
+
+
+def _fail_in_a_process(drawn, fail, t):
+    # each side draws one of two tasks: the caller's waits until the started
+    # process has drawn the other, on which that process fails
+    if multiprocessing.parent_process() is not None:
+        drawn.set()
+        fail()
+    assert drawn.wait(timeout=60)
+    return t
+
+
+def _raise_value_error():
+    raise ValueError("bad task")
+
+
+def _exit_3():
+    os._exit(3)
+
+
+def _raise_after_draw(drawn, t):
+    # the started process is still busy with its task when the caller raises
+    if multiprocessing.parent_process() is not None:
+        drawn.set()
+        time.sleep(600)
+    assert drawn.wait(timeout=60)
+    raise KeyError("caller")
+
+
+def test_run_parallel_raises_a_process_exception_in_the_caller():
+    drawn = multiprocessing.Event()
+    with pytest.raises(ValueError, match="bad task"):
+        suites._run_parallel(partial(_fail_in_a_process, drawn, _raise_value_error), [0, 1], 2)
+    assert multiprocessing.active_children() == []
+
+
+def test_run_parallel_reports_a_process_that_exits_without_sending():
+    drawn = multiprocessing.Event()
+    with pytest.raises(RuntimeError, match="exited with code 3"):
+        suites._run_parallel(partial(_fail_in_a_process, drawn, _exit_3), [0, 1], 2)
+    assert multiprocessing.active_children() == []
+
+
+def test_run_parallel_stops_its_processes_when_the_caller_fails():
+    drawn = multiprocessing.Event()
+    with pytest.raises(KeyError, match="caller"):
+        suites._run_parallel(partial(_raise_after_draw, drawn), [0, 1], 2)
+    assert multiprocessing.active_children() == []
+
+
+def test_run_parallel_records_each_process_load(monkeypatch):
+    # each task is drawn once: thousands of tiny tasks keep both processes drawing at once
+    monkeypatch.setattr(suites, "process_loads", [])
+    suites._run_parallel(partial(_echo, 10), list(range(5000)), 2)
+    suites._run_parallel(partial(_echo, 10), list(range(4)), 1)
+    loads = suites.process_loads
+    assert len(loads) == 2 and sum(tasks for tasks, _ in loads) == 5004
+    assert loads[0][0] >= 4 and all(busy >= 0 for _, busy in loads)
 
 
 def test_prime_lines_stacks_split_by_point_budget(monkeypatch):
