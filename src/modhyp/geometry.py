@@ -234,25 +234,22 @@ def _row_blocks(rows_per_set: np.ndarray, ks: np.ndarray) -> list[tuple[int, int
 def _row_groups(xs, ys, sid, anchor, row_k, inv, work) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Sort one block of (set, anchor) rows and find its groups of two or more points.
 
-    xs and ys hold the sets the block's rows come from; row r is anchor[r] of
-    set sid[r] (an index into them), whose points fill its first row_k[r]
-    columns; xs, ys and work are as wide as the block's widest row.  Returns,
-    per group, its row r, its size and the index j of its first point.  work
-    holds (R, width) arrays dx, dy and packed (int64) and flags (bool), which
-    every block overwrites: the census allocates its row arrays once, not
-    once per block.
+    Row r is anchor[r] of set sid[r], whose points fill its first row_k[r]
+    columns of xs and ys; xs, ys and work are as wide as the block's widest
+    row.  Returns, per group, its row r, its size and the index j of its
+    first point.  work holds (R, width) arrays dx, dy and packed (int64) and
+    flags (bool), which every block overwrites: the census allocates its row
+    arrays once, not once per block.
     """
     dx, dy, packed, flags = work
     width = xs.shape[1]
     cols = np.arange(width)
     np.less(cols, anchor[:, None], out=flags)  # j < i: the direction points to smaller (x, y)
-    for coords, out in ((xs, dx), (ys, dy)):
-        if len(coords) == 1:  # one set: its row, less each anchor's coordinate, broadcast
-            np.subtract(coords, coords[0, anchor][:, None], out=out)
-        else:  # np.take copies a strided source whole: coords holds only the block's sets
-            np.take(coords, sid, axis=0, out=out, mode="clip")
-            out -= coords[sid, anchor][:, None]
+    np.take(xs, sid, axis=0, out=dx, mode="clip")
+    dx -= xs[sid, anchor][:, None]
     np.abs(dx, out=dx)
+    np.take(ys, sid, axis=0, out=dy, mode="clip")
+    dy -= ys[sid, anchor][:, None]
     np.negative(dy, out=dy, where=flags)
     _slope_codes(dx, dy, inv, packed)
     if (row_k < width).any():
@@ -370,10 +367,7 @@ def census_many(sets: Sequence[PointSet]) -> list[IncidenceCensus]:
         sid = row_set[lo:hi]
         anchor = row_anchor[lo:hi]
         work = [a[: (hi - lo) * width].reshape(hi - lo, width) for a in (*ints, flags)]
-        first, last = sid[0], sid[-1] + 1  # the block's sets, consecutive as the rows are set-major
-        row, group, j = _row_groups(
-            xs[first:last, :width], ys[first:last, :width], sid - first, anchor, ks[sid], inv, work
-        )
+        row, group, j = _row_groups(xs[:, :width], ys[:, :width], sid, anchor, ks[sid], inv, work)
         s = sid[row]
         np.add.at(H, start[s] + group, row_weight[lo + row])
         i = anchor[row]

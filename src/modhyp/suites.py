@@ -147,11 +147,24 @@ def _serve(worker, tasks, indices) -> tuple[list, float]:
 
 
 def _serve_process(worker, tasks, counter, conn) -> None:
-    """An extra process's share: its results, or the exception it raised, sent once at the end."""
+    """An extra process's share, sent once at the end: its (index, result) pairs and busy
+    seconds, or the exception it raised and that exception's formatted traceback."""
     try:
-        conn.send(_serve(worker, tasks, _draws(counter)))
+        share = _serve(worker, tasks, _draws(counter))
     except Exception as exc:
-        conn.send(exc)
+        import traceback  # only a failing process needs it; at the top it adds about 1 ms to every start
+
+        share = exc, traceback.format_exc()
+    conn.send(share)
+
+
+def _record_loads(loads) -> None:
+    """Add each process's (tasks run, busy seconds) to process_loads, the caller first."""
+    for slot, (count, busy) in enumerate(loads):
+        if slot == len(process_loads):
+            process_loads.append([0, 0.0])
+        process_loads[slot][0] += count
+        process_loads[slot][1] += busy
 
 
 def _run_parallel(worker, tasks, jobs):
@@ -163,49 +176,51 @@ def _run_parallel(worker, tasks, jobs):
     so the costly tail is spread before the cheap head.  Each extra process
     sends its (index, result) pairs once, when the counter runs dry; the
     caller places them by index.  A worker's exception is raised again in the
-    caller, a process that exits without sending raises ``RuntimeError``, and
-    on any error the processes still running are terminated.
+    caller, its cause a ``RuntimeError`` holding the traceback from the
+    process that raised it; a process that exits without sending raises
+    ``RuntimeError``, and on any error the processes still running are
+    terminated.
     """
     if jobs <= 1 or len(tasks) <= 1:
-        shares = [_serve(worker, tasks, range(len(tasks)))]
-    else:
-        counter = multiprocessing.Value("q", len(tasks))
-        procs = []
-        try:
-            for _ in range(min(jobs, len(tasks)) - 1):
-                receiver, sender = multiprocessing.Pipe(duplex=False)
-                proc = multiprocessing.Process(
-                    target=_serve_process, args=(worker, tasks, counter, sender), daemon=True
-                )
-                proc.start()
-                sender.close()  # the process holds the only sending end, so its exit reads as EOF
-                procs.append((proc, receiver))
-            shares = [_serve(worker, tasks, _draws(counter))]
-            for proc, receiver in procs:
-                try:
-                    share = receiver.recv()
-                except EOFError:
-                    proc.join()
-                    code = proc.exitcode
-                    raise RuntimeError(f"a sweep process exited with code {code} before sending its results") from None
+        t0 = time.perf_counter()
+        results = [worker(t) for t in tasks]
+        _record_loads([(len(tasks), time.perf_counter() - t0)])
+        return results
+    counter = multiprocessing.Value("q", len(tasks))
+    procs = []
+    try:
+        for _ in range(min(jobs, len(tasks)) - 1):
+            receiver, sender = multiprocessing.Pipe(duplex=False)
+            proc = multiprocessing.Process(
+                target=_serve_process, args=(worker, tasks, counter, sender), daemon=True
+            )
+            proc.start()
+            sender.close()  # the process holds the only sending end, so its exit reads as EOF
+            procs.append((proc, receiver))
+        shares = [_serve(worker, tasks, _draws(counter))]
+        for proc, receiver in procs:
+            try:
+                share = receiver.recv()
+            except EOFError:
                 proc.join()
-                if isinstance(share, Exception):
-                    raise share
-                shares.append(share)
-        finally:
-            for proc, receiver in procs:
-                if proc.exitcode is None:
-                    proc.terminate()
-                proc.join()
-                receiver.close()
+                code = proc.exitcode
+                raise RuntimeError(f"a sweep process exited with code {code} before sending its results") from None
+            proc.join()
+            if isinstance(share[0], Exception):
+                exc, text = share
+                raise exc from RuntimeError(f"raised in a sweep process:\n{text}")
+            shares.append(share)
+    finally:
+        for proc, receiver in procs:
+            if proc.exitcode is None:
+                proc.terminate()
+            proc.join()
+            receiver.close()
     results = [None] * len(tasks)
-    for slot, (done, busy) in enumerate(shares):
+    for done, _ in shares:
         for i, result in done:
             results[i] = result
-        if slot == len(process_loads):
-            process_loads.append([0, 0.0])
-        process_loads[slot][0] += len(done)
-        process_loads[slot][1] += busy
+    _record_loads((len(done), busy) for done, busy in shares)
     return results
 
 

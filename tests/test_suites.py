@@ -135,8 +135,10 @@ def _raise_after_draw(drawn, t):
 
 def test_run_parallel_raises_a_process_exception_in_the_caller():
     drawn = multiprocessing.Event()
-    with pytest.raises(ValueError, match="bad task"):
+    with pytest.raises(ValueError, match="bad task") as info:
         suites._run_parallel(partial(_fail_in_a_process, drawn, _raise_value_error), [0, 1], 2)
+    # its cause carries the traceback from the process that raised it
+    assert "_raise_value_error" in str(info.value.__cause__)
     assert multiprocessing.active_children() == []
 
 
