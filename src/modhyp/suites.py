@@ -451,10 +451,10 @@ def suite_prime_distance(n_max: int = 499, jobs: int = 1) -> VerificationReport:
 
 # Peak-RSS growth per residue a of p**2 with an explicit p, in a fresh process:
 # the sampled mode lists every unit before sampling (40.1 B at p = 2003 and
-# 4001), and --all-a holds a case record and its payload per unit (821 B at
-# p = 503 with --jobs 1; 850 B at p = 307 and 871 B at p = 503 with --jobs 2,
-# where the extra process adds at most 302 B over the memory it forked with;
-# kernel stubbed).  The list is freed before the kernel runs, and both figures
+# 4001), and --all-a holds a case record and its payload per unit (827 and
+# 825 B at p = 307 and 503 with --jobs 1; 883 and 876 B in the caller with
+# --jobs 2, where the extra process adds at most 320 B over the memory it
+# forked with; kernel stubbed).  The list is freed before the kernel runs, and both figures
 # pass the kernel's own 32 B, so they set the limit on p (p <= 6688 and p <= 1295).
 _SAMPLED_BYTES_PER_RESIDUE = 48
 _ALL_A_BYTES_PER_RESIDUE = 1280
