@@ -13,13 +13,12 @@ import os
 import sys
 import time
 
-from .distances import DEFAULT_GAP_BOUND, distance_profile, gap_experiment
+from .distances import distance_profile, gap_experiment
 from .geometry import census, check_census_modulus
-from .hyperbola import HyperbolaSpec, check_unit_budget, enumerate_points
+from .hyperbola import EXACT_N_LIMIT, HyperbolaSpec, check_unit_budget, enumerate_points
 from .ntcore import is_prime
 from .suites import DEFAULT_FIXTURES, DEFAULT_SEED, SUITES, VerificationReport, process_loads
 
-DEFAULT_N_BOUND = 2**31
 # `modhyp points` holds Python [x, y] rows, the only per-point Python objects.
 # Peak-RSS growth per unit of n (fresh process, primes 1000003 and 2000003):
 # json, csv and text (printed row by row) each 185-186 B; 256 B covers them with
@@ -51,7 +50,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--n", type=int, help="modulus n")
         sp.add_argument("--p", type=int, help="prime base (with --m) instead of --n")
         sp.add_argument("--m", type=int, help="prime exponent (with --p)")
-        sp.add_argument("--bound", type=int, default=DEFAULT_N_BOUND, help="largest allowed modulus")
         sp.add_argument("--format", choices=("json", "csv", "text"), default="json")
         if with_values:
             sp.add_argument("--values", action="store_true", help="include the value list")
@@ -69,14 +67,12 @@ def build_parser() -> argparse.ArgumentParser:
     vp.add_argument("--seed", type=int, default=DEFAULT_SEED, help="sampling seed (theorem14)")
     vp.add_argument("--fixtures", default=str(DEFAULT_FIXTURES), help="fixture CSV (tables)")
     vp.add_argument("--k", type=int, help="single construction index (gap)")
-    vp.add_argument("--bound", type=int, default=DEFAULT_GAP_BOUND, help="squared-modulus bound (gap)")
-    vp.add_argument("--jobs", type=int, default=_default_jobs(), help="worker processes")
+    vp.add_argument("--jobs", type=int, default=_default_jobs(), help="processes sharing each sweep, the caller included")
     vp.add_argument("--format", choices=("json", "csv", "text"), default="json")
     vp.add_argument("--verbose", action="store_true", help="print the wall time and each process's load to stderr")
 
     gp = sub.add_parser("gap", help="squared-primorial gap construction")
     gp.add_argument("--k", type=int, required=True, help="number of odd primes in the product")
-    gp.add_argument("--bound", type=int, default=DEFAULT_GAP_BOUND, help="largest allowed p**2")
     gp.add_argument("--format", choices=("json", "csv", "text"), default="json")
     return ap
 
@@ -88,18 +84,14 @@ def _resolve_modulus(args) -> int:
         if args.p < 2 or args.m < 1:
             raise ValueError("--p must be >= 2 and --m >= 1")
         n = 1
-        for _ in range(args.m):  # stops at the bound, never builds a huge p**m
+        for _ in range(args.m):
             n *= args.p
-            if n > args.bound:
-                raise ValueError(f"n = {args.p}^{args.m} exceeds the arithmetic bound {args.bound}")
-        # the kernel's limits first, so trial division runs only on p <= 2**31
-        check_unit_budget(n)
-        if not is_prime(args.p):
+            check_unit_budget(n, 0)  # stops at the int64-exact limit, never builds a huge p**m
+        if not is_prime(args.p):  # p <= n <= 2**31: a short trial division
             raise ValueError(f"--p {args.p} is not a prime")
     else:
         raise ValueError("specify --n or both --p and --m")
-    if n > args.bound:
-        raise ValueError(f"n = {n} exceeds the arithmetic bound {args.bound}")
+    check_unit_budget(n, 0)  # before HyperbolaSpec factorizes n by trial division
     return n
 
 
@@ -189,10 +181,8 @@ def _suite_kwargs(args) -> dict:
         kw.update(p=args.p, all_a=args.all_a, samples=args.samples, seed=args.seed)
     if suite == "tables":
         kw["fixtures"] = args.fixtures
-    if suite == "gap":
-        kw["bound"] = args.bound
-        if args.k is not None:
-            kw["ks"] = (args.k,)
+    if suite == "gap" and args.k is not None:
+        kw["ks"] = (args.k,)
     return kw
 
 
@@ -235,10 +225,10 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_gap(args) -> int:
-    r = gap_experiment(args.k, bound=args.bound)
+    r = gap_experiment(args.k)
     payload = {
         "command": "gap",
-        "params": {"k": args.k, "bound": args.bound},
+        "params": {"k": args.k, "bound": EXACT_N_LIMIT},
         "result": {
             "a": r.a,
             "p": r.p,

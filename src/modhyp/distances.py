@@ -17,8 +17,8 @@ sorted, and its distinct entries counted as runs.  Rows go in blocks of about
 ``image_count_formula`` are the one-row cases.  int64 is exact for
 n <= 2**31; the kernels raise ``InfeasibleScale`` above that, or when the
 units' working set (32 bytes per unit of n) would exceed a 2 GiB budget,
-n > 2**26, before allocating anything.  ``classify_image`` reads the
-partners of one a from ``unit_partners`` directly.
+n > 2**26, before allocating anything.  ``classify_image`` takes the
+unsorted row of its one a from the same inversion.
 
 A third kernel, ``lattice_counts(p, a_values)``, counts the same
 intersection by Proposition 15's route: the integer cells of two lattice
@@ -35,10 +35,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .hyperbola import HyperbolaSpec, InfeasibleScale, check_unit_budget, invert_units, unit_partners
+from .hyperbola import EXACT_N_LIMIT, HyperbolaSpec, InfeasibleScale, check_unit_budget, invert_units, unit_partners
 from .ntcore import NotAResidue, PrimePower, divisors, legendre, next_prime, sqrt_mod_prime
-
-DEFAULT_GAP_BOUND = 2**31
 
 
 class NoSquareRoot(ValueError):
@@ -76,19 +74,6 @@ def _first_of_runs(s: np.ndarray) -> np.ndarray:
     keep[:1] = True
     np.not_equal(s[1:], s[:-1], out=keep[1:])
     return keep
-
-
-def _sorted_distinct(u: np.ndarray) -> np.ndarray:
-    s = np.sort(u)
-    return s[_first_of_runs(s)]
-
-
-def _squared_distances(spec: HyperbolaSpec) -> tuple[np.ndarray, np.ndarray]:
-    """The units x and their squared distances x*x + y*y."""
-    xs, ys = unit_partners(spec)
-    ys *= ys
-    ys += xs * xs
-    return xs, ys
 
 
 # Entries per int64 work array of a row block: 1 MB, the scale of the census
@@ -418,7 +403,8 @@ def classify_image(a: int, pp: PrimePower) -> ImageDecomposition:
         raise ValueError(f"gcd({a}, {p}) != 1")
     b = _smaller_root(a, p)
     c = _smaller_root(-a, p)
-    xs, u = _squared_distances(HyperbolaSpec(a_red, n))
+    xs, inv = unit_partners(HyperbolaSpec(1, n))
+    (u,) = next(_squared_rows(xs, inv, _coprime_column([a_red], n), n))
     r = xs % p
     none = np.zeros(len(r), dtype=bool)
     on_b1 = (r == b) | (r == p - b) if b is not None else none
@@ -429,7 +415,7 @@ def classify_image(a: int, pp: PrimePower) -> ImageDecomposition:
     return ImageDecomposition(
         pp,
         a_red,
-        len(_sorted_distinct(u[~(on_b1 | on_b2)])),
+        int(np.count_nonzero(_first_of_runs(np.sort(u[~(on_b1 | on_b2)])))),
         frozenset(u[on_b1].tolist()),
         frozenset(u[on_b2].tolist()),
         int(on_b1.sum()),
@@ -555,12 +541,12 @@ class GapReport:
         return self.pair_count == self.expected_pairs == self.cross_check
 
 
-def gap_experiment(k: int, bound: int = DEFAULT_GAP_BOUND) -> GapReport:
+def gap_experiment(k: int) -> GapReport:
     """Build a = (product of first k odd primes)**2, p the next prime above a.
 
     The root shift is 0 by construction, the divisor-pair count is 2**k, and
     the distance-set gap below phi(p**2)/2 equals 2**k - 1.  The squared
-    modulus p**2 must stay within ``bound``.
+    modulus p**2 must stay within the int64-exact limit ``EXACT_N_LIMIT``.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -568,11 +554,9 @@ def gap_experiment(k: int, bound: int = DEFAULT_GAP_BOUND) -> GapReport:
         raise InfeasibleScale(f"k = {k} exceeds the supported prime list")
     root = math.prod(_ODD_PRIMES[:k])
     a = root * root
-    if a * a > bound:  # p > a, so p**2 > a**2: hopeless before the prime search
-        raise InfeasibleScale(f"a^2 = {a * a} already exceeds bound {bound}")
+    if a * a > EXACT_N_LIMIT:  # p > a, so p**2 > a**2: hopeless before the prime search
+        raise InfeasibleScale(f"a^2 = {a * a} already exceeds the int64-exact limit {EXACT_N_LIMIT}")
     p = next_prime(a)
-    if p * p > bound:
-        raise InfeasibleScale(f"p^2 = {p * p} exceeds bound {bound}")
     pairs = divisor_pairs(a, p)
     cross = intersection_direct(a, p)
     count = len(pairs)

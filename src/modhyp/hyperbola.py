@@ -17,7 +17,7 @@ from .ntcore import PrimePower
 
 # x**2 + y**2 < 2 * n**2 and every product in the inversion is below n**2,
 # so int64 arithmetic is exact up to n = 2**31.
-_EXACT_N_LIMIT = 1 << 31
+EXACT_N_LIMIT = 1 << 31
 # Working set per unit of n: the peak-RSS growth of distance_profile (the
 # a = 1 inverses, one row and its 1 MB work array) in a fresh process was
 # 21.5 B at n = 7**8 and 24.6 B at the prime 5764807, where every nonzero
@@ -33,7 +33,7 @@ class NotPrimePower(ValueError):
 
 
 class InfeasibleScale(ValueError):
-    """Requested construction exceeds the configured arithmetic bound."""
+    """Requested work exceeds the int64-exact limit or the memory budget."""
 
 
 @dataclass(frozen=True)
@@ -95,8 +95,8 @@ def check_unit_budget(n: int, bytes_per_unit: int = _BYTES_PER_UNIT, what: str =
     The kernel is int64-exact for n <= 2**31; ``bytes_per_unit`` is the caller's
     working set per unit of n (the kernel's own by default), ``what`` names it.
     """
-    if n > _EXACT_N_LIMIT:
-        raise InfeasibleScale(f"n = {n} exceeds the int64-exact limit {_EXACT_N_LIMIT}")
+    if n > EXACT_N_LIMIT:
+        raise InfeasibleScale(f"n = {n} exceeds the int64-exact limit {EXACT_N_LIMIT}")
     if n * bytes_per_unit > _MEMORY_BUDGET:
         raise InfeasibleScale(
             f"n = {n} needs about {n * bytes_per_unit >> 20} MB{' ' + what if what else ''}, "

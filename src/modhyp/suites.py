@@ -27,7 +27,6 @@ from operator import itemgetter
 from pathlib import Path
 
 from .distances import (
-    DEFAULT_GAP_BOUND,
     _divisor_pairs,
     distinct_counts,
     gap_experiment,
@@ -49,7 +48,7 @@ from .geometry import (
     verify_line_classes,
     verify_ordinary_bound,
 )
-from .hyperbola import HyperbolaSpec, PointSet, check_unit_budget, enumerate_many, enumerate_points
+from .hyperbola import EXACT_N_LIMIT, HyperbolaSpec, PointSet, check_unit_budget, enumerate_many, enumerate_points
 from .ntcore import PrimePower, is_prime, primes_upto
 
 DEFAULT_FIXTURES = Path("fixtures") / "distance_counts.csv"
@@ -449,22 +448,23 @@ def suite_prime_distance(n_max: int = 499, jobs: int = 1) -> VerificationReport:
 # ---------------------------------------------------------------------------
 # theorem14 (squared-modulus distance count formula vs brute force)
 
-# Peak-RSS growth per residue a of p**2 with an explicit p, in a fresh process:
-# the sampled mode lists every unit before sampling (40.1 B at p = 2003 and
-# 4001), and --all-a holds a case record and its payload per unit (827 and
-# 825 B at p = 307 and 503 with --jobs 1; 883 and 876 B in the caller with
-# --jobs 2, where the extra process adds at most 320 B over the memory it
-# forked with; kernel stubbed).  The list is freed before the kernel runs, and both figures
-# pass the kernel's own 32 B, so they set the limit on p (p <= 6688 and p <= 1295).
-_SAMPLED_BYTES_PER_RESIDUE = 48
+# Peak-RSS growth per residue a of p**2 with an explicit p and --all-a, in a
+# fresh process: a case record and its payload per unit (827 and 825 B at
+# p = 307 and 503 with --jobs 1; 883 and 876 B in the caller with --jobs 2,
+# where the extra process adds at most 320 B over the memory it forked with;
+# kernel stubbed).  This passes the kernel's own 32 B, so it sets the limit
+# p <= 1295; the sampled mode holds no per-residue list and stays within the
+# kernel's budget, p <= 8192.
 _ALL_A_BYTES_PER_RESIDUE = 1280
 
 
 def _check_theorem14_prime(p: int, all_a: bool) -> None:
     """Refuse p unless it is an odd prime whose residues mod p**2 fit the budget."""
-    per_residue = _ALL_A_BYTES_PER_RESIDUE if all_a else _SAMPLED_BYTES_PER_RESIDUE
     # the budget first, so trial division never runs on a huge p
-    check_unit_budget(p * p, per_residue, "for the theorem14 residues")
+    if all_a:
+        check_unit_budget(p * p, _ALL_A_BYTES_PER_RESIDUE, "for the theorem14 residues")
+    else:
+        check_unit_budget(p * p)
     if p < 3 or not is_prime(p):
         raise ValueError(f"p = {p} is not an odd prime")
 
@@ -487,9 +487,10 @@ def _theorem14_exhaustive_task(p: int) -> CaseRecord:
 def _theorem14_sampled_task(task: tuple[int, int, int]) -> CaseRecord:
     p, samples, seed = task
     rng = random.Random(f"{seed}:{p}")
-    units = [a for a in range(1, p * p) if a % p != 0]
-    chosen = sorted(rng.sample(units, min(samples, len(units))))
-    del units  # before the kernel runs, so the list and the kernel arrays never share the peak
+    # index i of the p*(p - 1) units in ascending order is the unit
+    # i // (p - 1) * p + i % (p - 1) + 1, so no list of them is built
+    picks = rng.sample(range(p * p - p), min(samples, p * p - p))
+    chosen = sorted(i // (p - 1) * p + i % (p - 1) + 1 for i in picks)
     failures = _formula_failures(p, chosen)
     return _failures_case(f"p{p}-sampled", {"p": p, "checked": len(chosen)}, failures)
 
@@ -694,11 +695,11 @@ def suite_prop15(n_max: int = 61, jobs: int = 1) -> VerificationReport:
 # gap
 
 
-def suite_gap(ks: tuple[int, ...] = (1, 2, 3), bound: int = DEFAULT_GAP_BOUND, jobs: int = 1) -> VerificationReport:
+def suite_gap(ks: tuple[int, ...] = (1, 2, 3), jobs: int = 1) -> VerificationReport:
     """Divisor-pair counts 2**k for the squared-primorial construction."""
-    rep = VerificationReport("gap", {"ks": list(ks), "bound": bound})
+    rep = VerificationReport("gap", {"ks": list(ks), "bound": EXACT_N_LIMIT})
     for k in ks:
-        r = gap_experiment(k, bound=bound)
+        r = gap_experiment(k)
         rep.cases.append(
             CaseRecord(
                 f"k{k}",

@@ -55,17 +55,11 @@ def test_missing_modulus(capsys):
     assert "--n" in err
 
 
-def test_bound_enforced(capsys):
-    rc, _, err = run(capsys, "points", "--a", "1", "--n", "3", "--bound", "2")
-    assert rc == 2
-    assert "bound" in err
-
-
 def test_prime_power_flags_fail_fast(capsys):
-    # p**m is never built past the bound, however large m is
+    # p**m is never built past the int64-exact limit, however large m is
     rc, _, err = run(capsys, "census", "--a", "1", "--p", "3", "--m", "10000000")
     assert rc == 2
-    assert "bound" in err
+    assert "int64-exact" in err
     rc, _, err = run(capsys, "census", "--a", "1", "--p", "1", "--m", "10000000")
     assert rc == 2
     assert "--p" in err
@@ -83,7 +77,7 @@ def test_prime_power_flags_need_a_prime(capsys, monkeypatch):
     assert rc == 2 and out == ""
     assert "--p 4 is not a prime" in err
     # a huge composite base stops at the int64 limit, before any trial division
-    rc, out, err = run(capsys, "census", "--a", "1", "--p", str(10**30), "--m", "1", "--bound", str(10**40))
+    rc, out, err = run(capsys, "census", "--a", "1", "--p", str(10**30), "--m", "1")
     assert rc == 2 and out == ""
     assert "int64-exact" in err
     assert tested == [4]
@@ -131,10 +125,15 @@ def test_points_memory_budget(capsys, monkeypatch):
         main(["points", "--a", "1", "--n", str(2**23)])
 
 
-def test_kernel_limit_ignores_bound(capsys):
-    rc, _, err = run(capsys, "distances", "--a", "1", "--n", str(2**32), "--bound", str(2**40))
-    assert rc == 2
-    assert str(2**31) in err
+def test_oversized_modulus_refused_before_factoring(capsys, monkeypatch):
+    def refuse(n):
+        raise AssertionError("n factorized by trial division")
+
+    monkeypatch.setattr("modhyp.ntcore.PrimePower.from_modulus", refuse)
+    for n in (2**32, 2**61 - 1):
+        rc, out, err = run(capsys, "distances", "--a", "1", "--n", str(n))
+        assert rc == 2 and out == ""
+        assert "int64-exact" in err and str(2**31) in err
 
 
 def test_census_json(capsys):
@@ -269,10 +268,15 @@ def test_gap_command(capsys):
     assert payload["pass"] is True
 
 
-def test_gap_scale_guard(capsys):
-    rc, _, err = run(capsys, "gap", "--k", "20")
-    assert rc == 2
-    assert "bound" in err
+def test_gap_scale_guard(capsys, monkeypatch):
+    def refuse(a):
+        raise AssertionError("prime search reached")
+
+    monkeypatch.setattr("modhyp.distances.next_prime", refuse)
+    for k in ("4", "20"):
+        rc, _, err = run(capsys, "gap", "--k", k)
+        assert rc == 2
+        assert "int64-exact" in err
 
 
 def test_text_format_smoke(capsys):
