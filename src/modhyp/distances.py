@@ -9,11 +9,13 @@ census.  ``distinct_counts(n, a_values)`` inverts the units of Z/n once
 (``hyperbola.unit_partners`` with a = 1) and gives each a the row
 x*x + y*y with y = a * x**-1 mod n; ``intersection_counts(p, a_values)``
 gives each residue a of the odd prime p the row of its 2p root-progression
-abscissae b + t*p and p - b + t*p mod p**2, inverted by the same checked
-Euler kernel (``hyperbola.invert_units``), and reads |C1 & C2| as
-|C1| + |C2| - |C1 | C2|.  Every row is checked against x * y = a (mod n),
-sorted, and its distinct entries counted as runs.  Rows go in blocks of about
-1 MB per int64 work array; ``distance_profile``, ``intersection_direct`` and
+abscissae b + t*p and p - b + t*p mod p**2, and reads |C1 & C2| as
+|C1| + |C2| - |C1 | C2|.  The abscissae of all its distinct roots are
+inverted in one call of the same checked kernel (``hyperbola.invert_units``,
+Euler mod p lifted to p**2 by one Newton step), and each row gathers those of
+its own root.  Every row is checked against x * y = a (mod n), sorted, and
+its distinct entries counted as runs.  Rows go in blocks of about 1 MB per
+int64 work array; ``distance_profile``, ``intersection_direct`` and
 ``image_count_formula`` are the one-row cases.  int64 is exact for
 n <= 2**31; the kernels raise ``InfeasibleScale`` above that, or when the
 units' working set (32 bytes per unit of n) would exceed a 2 GiB budget,
@@ -86,30 +88,48 @@ def _run_counts(rows: np.ndarray) -> np.ndarray:
     return 1 + np.count_nonzero(rows[:, 1:] != rows[:, :-1], axis=1)
 
 
-def _squared_rows(xs: np.ndarray, inv: np.ndarray, a: np.ndarray, n: int):
+def _reduce(v: np.ndarray, n: int, quotient: np.ndarray) -> None:
+    """v %= n in place for v >= 0, as v - (v // n) * n through the work array ``quotient``.
+
+    numpy divides int64 by a scalar through libdivide, about 1 ns an entry
+    against about 4 ns for ``%``, so the three passes cost less than one.
+    """
+    np.floor_divide(v, n, out=quotient)
+    quotient *= n
+    v -= quotient
+
+
+def _squared_rows(xs: np.ndarray, inv: np.ndarray, a: np.ndarray, n: int, row: np.ndarray | None = None):
     """Yield blocks of rows x*x + y*y with y = a_i * x**-1 mod n, one row per a_i.
 
     ``inv`` holds the inverses of the units ``xs`` and ``a`` is a column of
-    residues; every row is checked against x * y = a_i (mod n).  The blocks
+    residues.  Without ``row``, xs and inv are one row that every a_i shares;
+    with it they are 2-D and a_i takes row ``row[i]`` of both, gathered block
+    by block.  Every row is checked against x * y = a_i (mod n).  The blocks
     share one array that the next block overwrites, and a row wider than the
-    work array is filled one column chunk at a time.
+    work arrays is filled one column chunk at a time.
     """
-    k = len(xs)
+    k = xs.shape[-1]
     per_block = min(max(1, _ROW_BLOCK // k), len(a))
     out = np.empty((per_block, k), dtype=np.int64)
-    work = np.empty((per_block, min(k, _ROW_BLOCK)), dtype=np.int64)
-    width = work.shape[1]
+    width = min(k, _ROW_BLOCK)
+    work = np.empty((2, per_block, width), dtype=np.int64)
     for lo in range(0, len(a), per_block):
         a_col = a[lo : lo + per_block]
         rows = out[: len(a_col)]
+        if row is None:
+            block_xs, block_inv = xs, inv
+        else:
+            sel = row[lo : lo + per_block]
+            block_xs, block_inv = xs[sel], inv[sel]
         for c in range(0, k, width):
-            x = xs[c : c + width]
+            x = block_xs[..., c : c + width]
             y = rows[:, c : c + width]
-            t = work[: len(a_col), : len(x)]
-            np.multiply(inv[c : c + width], a_col, out=y)
-            y %= n
+            t, quotient = work[:, : len(a_col), : y.shape[1]]
+            np.multiply(block_inv[..., c : c + width], a_col, out=y)
+            _reduce(y, n, quotient)
             np.multiply(x, y, out=t)
-            t %= n
+            _reduce(t, n, quotient)
             if not (t == a_col).all():
                 raise RuntimeError(f"unit inversion failed: x * y != a (mod {n})")
             y *= y
@@ -216,30 +236,30 @@ def intersection_counts(p: int, a_values: list[int]) -> list[int]:
     """Size of d(C1) & d(C2) for every a in ``a_values``, residues mod the odd prime p.
 
     C1 and C2 are the root progressions b + t*p and p - b + t*p (0 <= t < p)
-    mod p**2, b the root of a in (0, p/2).  The a sharing a root share its 2p
-    abscissae, inverted once by ``invert_units``; each a takes one row of them,
-    and the size is |C1| + |C2| - |C1 | C2| from the row run counts.
+    mod p**2, b the root of a in (0, p/2).  The 2p abscissae of each distinct
+    root of the a requested are inverted together, in one ``invert_units``
+    call; each a takes the row of its root, and the size is
+    |C1| + |C2| - |C1 | C2| from the row run counts.
     """
     n = p * p
     check_unit_budget(n, 0)  # the rows come in bounded blocks: only the int64 limit applies
-    by_root: dict[int, list[int]] = {}
-    for i, b in enumerate(_residue_roots(p, a_values)):
-        by_root.setdefault(b, []).append(i)
-    a = np.array(a_values, dtype=np.int64).reshape(-1, 1) % n
-    counts = np.empty(len(a_values), dtype=np.int64)
+    if not a_values:
+        return []
+    roots = _residue_roots(p, a_values)
+    row_of = {b: i for i, b in enumerate(dict.fromkeys(roots))}
+    b = np.array(list(row_of), dtype=np.int64).reshape(-1, 1)
     t = np.arange(p, dtype=np.int64) * p
-    for b, members in by_root.items():
-        xs = np.concatenate([b + t, p - b + t])
-        idx = np.array(members)
-        lo = 0
-        for rows in _squared_rows(xs, invert_units(xs, n, n - p), a[idx], n):
-            halves = rows.reshape(-1, p)
-            halves.sort(axis=1)
-            both = _run_counts(halves).reshape(-1, 2).sum(axis=1)
-            rows.sort(axis=1)
-            counts[idx[lo : lo + len(rows)]] = both - _run_counts(rows)
-            lo += len(rows)
-    return counts.tolist()
+    xs = np.concatenate([b + t, p - b + t], axis=1)
+    a = np.array(a_values, dtype=np.int64).reshape(-1, 1) % n
+    row = np.array([row_of[r] for r in roots])
+    counts = []
+    for rows in _squared_rows(xs, invert_units(xs, n, p), a, n, row):
+        halves = rows.reshape(-1, p)
+        halves.sort(axis=1)
+        both = _run_counts(halves).reshape(-1, 2).sum(axis=1)
+        rows.sort(axis=1)
+        counts += (both - _run_counts(rows)).tolist()
+    return counts
 
 
 def lattice_counts(p: int, a_values: list[int]) -> list[int]:

@@ -3,7 +3,10 @@
 A point set is two int64 arrays from the inversion kernel ``unit_partners``,
 which inverts the units of n once for the sets of every a of n
 (``enumerate_many``); Python tuples appear only in the read-only ``points``
-view of a ``PointSet``.
+view of a ``PointSet``.  ``invert_units`` inverts mod a base modulus, the
+prime p of n = p**m, by Euler's theorem and lifts the inverses to n by
+Newton steps, each doubling the exponent of p they hold for; a modulus that
+is no prime power is its own base.
 """
 from __future__ import annotations
 
@@ -13,17 +16,19 @@ from typing import Iterable
 
 import numpy as np
 
-from .ntcore import PrimePower
+from .ntcore import PrimePower, euler_phi
 
-# x**2 + y**2 < 2 * n**2 and every product in the inversion is below n**2,
+# x**2 + y**2 < 2 * n**2 and every product in the inversion is below n * (n + 1),
 # so int64 arithmetic is exact up to n = 2**31.
 EXACT_N_LIMIT = 1 << 31
 # Working set per unit of n: the peak-RSS growth of distance_profile (the
-# a = 1 inverses, one row and its 1 MB work array) in a fresh process was
-# 21.5 B at n = 7**8 and 24.6 B at the prime 5764807, where every nonzero
+# a = 1 inverses, one row and its two 1 MB work arrays) in a fresh process
+# was 21.4 B at n = 7**8 and 24.4 B at the prime 5764807, where every nonzero
 # residue is a unit, and of enumerate_points (these two arrays and the
-# PointSet checks) 25.0-25.8 B at the primes 1000003, 4000037 and 16000057.
-# With a 2 GiB budget this admits n up to 2**26.
+# PointSet checks) 25.1-25.3 B at the primes 1000003 and 4000037.  The
+# inversion holds x, y and one scratch array (x mod p, the lift's x * y, the
+# check): its tracemalloc peak is 25.0-25.5 B per unit at 3**13, 7**7 and
+# the prime 1000003.  With a 2 GiB budget this admits n up to 2**26.
 _BYTES_PER_UNIT = 32
 _MEMORY_BUDGET = 2 << 30
 
@@ -104,29 +109,55 @@ def check_unit_budget(n: int, bytes_per_unit: int = _BYTES_PER_UNIT, what: str =
         )
 
 
-def invert_units(xs: np.ndarray, n: int, phi: int, a: int = 1) -> np.ndarray:
-    """a * x**-1 mod n for every unit x of the int64 array ``xs`` (any shape), phi = phi(n).
+def invert_units(xs: np.ndarray, n: int, p: int, a: int = 1) -> np.ndarray:
+    """a * x**-1 mod n for every unit x of the int64 array ``xs`` (any shape).
 
-    The inverse is x**(phi - 1) mod n (Euler), computed for every entry at once
-    by square-and-multiply; x * y = a (mod n) is checked on the whole result.
+    ``p`` is the base modulus: the prime of n = p**m, or n itself when n is no
+    prime power.  At the base the inverse is Euler's x**(phi(p) - 1) mod p,
+    by square-and-multiply over the p - 1 residues, gathered by x mod p (over
+    ``xs`` itself when p = n).  Newton steps y <- y * (2 - x*y) mod min(q**2, n)
+    then lift an inverse mod q to one mod q**2 until q reaches n, two
+    multiply-mods each; a prime n takes none.  Every product stays below
+    n * (n + 1), so int64 is exact for n <= 2**31.  x * y = a (mod n) is
+    checked on the whole result.
     """
-    ys = np.full_like(xs, a)
-    base = xs.copy()
-    e = phi - 1
+    scratch = np.empty_like(xs)  # the base residues, then x * y
+    if p < n:
+        base = np.arange(1, p, dtype=np.int64)
+    else:
+        base = scratch
+        np.copyto(base, xs)
+    inv = np.ones_like(base)
+    e = euler_phi(p) - 1
     while e:
         if e & 1:
-            ys *= base
-            ys %= n
+            inv *= base
+            inv %= p
         e >>= 1
         if e:
             base *= base
-            base %= n
-    del base
-    check = xs * ys
-    check %= n
-    if not np.all(check == a):
+            base %= p
+    if p < n:
+        np.copyto(scratch, xs)
+        scratch %= p
+        scratch -= 1
+        inv = inv.take(scratch)
+    q = p
+    while q < n:
+        q = min(q * q, n)
+        np.multiply(xs, inv, out=scratch)
+        scratch %= q
+        np.subtract(q + 2, scratch, out=scratch)
+        inv *= scratch
+        inv %= q
+    if a != 1:
+        inv *= a
+        inv %= n
+    np.multiply(xs, inv, out=scratch)
+    scratch %= n
+    if not np.all(scratch == a):
         raise RuntimeError(f"unit inversion failed: x * y != {a} (mod {n})")
-    return ys
+    return inv
 
 
 def unit_partners(spec: HyperbolaSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -140,11 +171,13 @@ def unit_partners(spec: HyperbolaSpec) -> tuple[np.ndarray, np.ndarray]:
     check_unit_budget(n)
     x = np.arange(1, n, dtype=np.int64)
     if spec.prime_power is not None:
-        xs = x[x % spec.prime_power.p != 0]
+        p = spec.prime_power.p
+        xs = x[x % p != 0]
     else:
+        p = n
         xs = x[np.gcd(x, n) == 1]
     del x
-    return xs, invert_units(xs, n, len(xs), a)
+    return xs, invert_units(xs, n, p, a)
 
 
 def enumerate_many(n: int, a_values: Iterable[int]) -> list[PointSet]:

@@ -166,13 +166,21 @@ def _record_loads(loads) -> None:
         process_loads[slot][1] += busy
 
 
+# The processes inherit the imported modules and the worker by fork; a
+# forkserver or spawn start (the Linux default from Python 3.14) would import
+# modhyp again in each of them.
+_FORK = multiprocessing.get_context("fork")
+
+
 def _run_parallel(worker, tasks, jobs):
     """worker(t) for every task, in task order, on ``jobs`` processes, the caller one of them.
 
-    The caller starts jobs - 1 processes (no more than there are tasks to
+    The caller forks jobs - 1 processes (no more than there are tasks to
     share) and works too.  Every process draws task indices from one shared
-    counter, the last task first: sweeps list their tasks in ascending size,
-    so the costly tail is spread before the cheap head.  Each extra process
+    counter, the last task first.  Most sweeps list their tasks in ascending
+    size, so their costly tail is spread before the cheap head; the stacked
+    line sweeps do not, as their first stack, of the many smallest moduli,
+    is the costliest and is drawn last.  Each extra process
     sends its (index, result) pairs once, when the counter runs dry; the
     caller places them by index.  A worker's exception is raised again in the
     caller, its cause a ``RuntimeError`` holding the traceback from the
@@ -185,12 +193,12 @@ def _run_parallel(worker, tasks, jobs):
         results = [worker(t) for t in tasks]
         _record_loads([(len(tasks), time.perf_counter() - t0)])
         return results
-    counter = multiprocessing.Value("q", len(tasks))
+    counter = _FORK.Value("q", len(tasks))
     procs = []
     try:
         for _ in range(min(jobs, len(tasks)) - 1):
-            receiver, sender = multiprocessing.Pipe(duplex=False)
-            proc = multiprocessing.Process(
+            receiver, sender = _FORK.Pipe(duplex=False)
+            proc = _FORK.Process(
                 target=_serve_process, args=(worker, tasks, counter, sender), daemon=True
             )
             proc.start()
@@ -449,10 +457,11 @@ def suite_prime_distance(n_max: int = 499, jobs: int = 1) -> VerificationReport:
 # theorem14 (squared-modulus distance count formula vs brute force)
 
 # Peak-RSS growth per residue a of p**2 with an explicit p and --all-a, in a
-# fresh process: a case record and its payload per unit (827 and 825 B at
-# p = 307 and 503 with --jobs 1; 883 and 876 B in the caller with --jobs 2,
-# where the extra process adds at most 320 B over the memory it forked with;
-# kernel stubbed).  This passes the kernel's own 32 B, so it sets the limit
+# fresh process: a case record and its payload per unit (886 and 890 B at
+# p = 307 and 503 with --jobs 1; 938 and 942 B in the caller with --jobs 2;
+# brute force stubbed by the closed form, so the intersection counts, which
+# invert and gather a task's p - 1 residues in one batch, ran and added at
+# most 5 B).  This passes the kernel's own 32 B, so it sets the limit
 # p <= 1295; the sampled mode holds no per-residue list and stays within the
 # kernel's budget, p <= 8192.
 _ALL_A_BYTES_PER_RESIDUE = 1280

@@ -79,6 +79,16 @@ def test_unit_partners_match_python_inverse(data):
     assert distance_profile(HyperbolaSpec(a, n)).values.tolist() == want
 
 
+@pytest.mark.parametrize("n", [3**10, 5**7, 7**6, 13**4, 2**15, 11907])  # 11907 = 3**5 * 7**2
+@pytest.mark.parametrize("a", [1, 101])
+def test_unit_partners_lift_matches_python_pow(n, a):
+    # prime powers invert mod p and lift to n by Newton steps; the composite inverts mod n
+    xs, ys = unit_partners(HyperbolaSpec(a, n))
+    units = [x for x in range(1, n) if math.gcd(x, n) == 1]
+    assert xs.tolist() == units
+    assert ys.tolist() == [a * pow(x, -1, n) % n for x in units]
+
+
 def _oracle_count(a, n):
     return len({distance_value(a, x, n) for x in range(1, n) if math.gcd(x, n) == 1})
 
@@ -128,6 +138,25 @@ def test_intersection_counts_match_python_oracle(data):
     assert formulas == [_oracle_count(a, p * p) for a in a_any]  # Theorem 14
 
 
+def test_intersection_counts_invert_once_per_call(monkeypatch):
+    invert, calls = modhyp.distances.invert_units, []
+
+    def recording(xs, n, p, a=1):
+        calls.append((xs.size, n, p))
+        return invert(xs, n, p, a)
+
+    monkeypatch.setattr(modhyp.distances, "invert_units", recording)
+    a_values = [a for a in range(1, 169) if legendre(a, 13) == 1]
+    assert intersection_counts(13, a_values) == [_oracle_intersection(a, 13) for a in a_values]
+    assert calls == [(6 * 26, 169, 13)]  # the 6 roots of 13 in (0, 13/2), 2p abscissae each
+    calls.clear()
+    assert intersection_counts(13, [10, 4, 88, 4]) == [_oracle_intersection(a, 13) for a in (10, 4, 88, 4)]
+    assert calls == [(2 * 26, 169, 13)]  # 10 and 88 share the root 6; 4 has the root 2
+    calls.clear()
+    assert gap_experiment(3).ok
+    assert calls == [(22054, 11027**2, 11027)]  # one root of p = 11027, never the p**2 - p units
+
+
 def test_corrupted_inverse_row_fails_the_product_check(monkeypatch):
     partners, invert = modhyp.distances.unit_partners, modhyp.distances.invert_units
 
@@ -136,8 +165,8 @@ def test_corrupted_inverse_row_fails_the_product_check(monkeypatch):
         inv[-1] = (inv[-1] + 1) % spec.n
         return xs, inv
 
-    def corrupted_inverse(xs, n, phi, a=1):
-        inv = invert(xs, n, phi, a)
+    def corrupted_inverse(xs, n, p, a=1):
+        inv = invert(xs, n, p, a)
         inv[-1] = (inv[-1] + 1) % n
         return inv
 

@@ -167,6 +167,28 @@ def test_run_parallel_records_each_process_load(monkeypatch):
     assert loads[0][0] >= 4 and all(busy >= 0 for _, busy in loads)
 
 
+def test_run_parallel_forks_its_processes(monkeypatch):
+    # forked processes inherit the imported modules, whatever the default start method
+    fork, made = multiprocessing.get_context("fork"), []
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the default context was used")
+
+    def recording(factory):
+        def make(*args, **kwargs):
+            made.append(factory.__name__)
+            return factory(*args, **kwargs)
+
+        return make
+
+    monkeypatch.setattr(multiprocessing, "Process", refuse)
+    monkeypatch.setattr(multiprocessing, "Value", refuse)
+    monkeypatch.setattr(fork, "Process", recording(fork.Process))
+    monkeypatch.setattr(fork, "Value", recording(fork.Value))
+    assert suites._run_parallel(partial(_echo, 10), [0, 1, 2], 3) == [_echo(10, t) for t in range(3)]
+    assert sorted(made) == ["ForkProcess", "ForkProcess", "Value"]
+
+
 def test_prime_lines_stacks_split_by_point_budget(monkeypatch):
     # above p = 359 the sets of one p go to census_many in several stacks of
     # at most _STACK_POINTS points; a small budget splits every p here
