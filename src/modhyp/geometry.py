@@ -140,20 +140,27 @@ class IncidenceCensus:
 
 
 def _slope_inverses(span: int) -> np.ndarray:
-    """inv[d] = d**-1 mod _SLOPE_PRIME for d = 1, ..., span (inv[0] = 0 is unused)."""
+    """The signed table inv[span + d] = d**-1 mod _SLOPE_PRIME for 0 < |d| <= span (inv[span] = 0 is unused).
+
+    It has 2 * span + 1 int64 entries, 16 MB at span = 2**20 (the census's
+    n <= 2**20), so every direction of a census indexes it by dx + span,
+    without folding dx to one sign first.
+    """
     # M = (M // d) * d + M % d gives d**-1 = -(M // d) * (M % d)**-1 (mod M),
     # with M % d < d already inverted: cheaper than one pow(d, -1, M) each
     m = _SLOPE_PRIME
     inv = [0, 1]
     for d in range(2, span + 1):
         inv.append((m - m // d) * inv[m % d] % m)
-    return np.array(inv[: span + 1], dtype=np.int64)
+    positive = np.array(inv[1 : span + 1], dtype=np.int64)
+    return np.concatenate((m - positive[::-1], [0], positive))  # (-d)**-1 = M - d**-1
 
 
 def _slope_codes(dx: np.ndarray, dy: np.ndarray, inv: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Write dy * dx**-1 mod _SLOPE_PRIME per direction (dx >= 0) into out, _SLOPE_PRIME if dx = 0.
+    """Write dy * dx**-1 mod _SLOPE_PRIME per direction into out, _SLOPE_PRIME where it is vertical.
 
-    inv is ``_slope_inverses`` of at least max(dx); dy is overwritten (it is
+    inv is ``_slope_inverses(span)`` and dx holds each direction's dx + span,
+    so the vertical directions are where dx == span; dy is overwritten (it is
     the scratch of the reduction).  For |dx|, |dy| < _N_LIMIT two codes are
     equal exactly when dy1 * dx2 == dy2 * dx1.
     """
@@ -165,7 +172,7 @@ def _slope_codes(dx: np.ndarray, dy: np.ndarray, inv: np.ndarray, out: np.ndarra
     np.floor_divide(out, _SLOPE_PRIME, out=dy)
     dy *= _SLOPE_PRIME
     out -= dy
-    np.copyto(out, _SLOPE_PRIME, where=dx == 0)
+    np.copyto(out, _SLOPE_PRIME, where=dx == len(inv) // 2)
     return out
 
 
@@ -244,13 +251,10 @@ def _row_groups(xs, ys, sid, anchor, row_k, inv, work) -> tuple[np.ndarray, np.n
     dx, dy, packed, flags = work
     width = xs.shape[1]
     cols = np.arange(width)
-    np.less(cols, anchor[:, None], out=flags)  # j < i: the direction points to smaller (x, y)
     np.take(xs, sid, axis=0, out=dx, mode="clip")
-    dx -= xs[sid, anchor][:, None]
-    np.abs(dx, out=dx)
+    dx -= xs[sid, anchor][:, None] - len(inv) // 2  # dx + span indexes the signed table
     np.take(ys, sid, axis=0, out=dy, mode="clip")
     dy -= ys[sid, anchor][:, None]
-    np.negative(dy, out=dy, where=flags)
     _slope_codes(dx, dy, inv, packed)
     if (row_k < width).any():
         # padding columns get distinct codes above every slope code: they sort
@@ -289,9 +293,11 @@ def census(ps: PointSet) -> IncidenceCensus:
     same size, so only the point of least index in each orbit of a set is an
     anchor, weighted by its orbit size w = 1, 2 or 4 under that set's maps.
     Rows: one row per (set, anchor) pair, set-major.  Anchor i's row holds
-    every other point j of its set, coded by the direction j - i negated to
-    dx >= 0 as c = dy * dx**-1 mod M (c = M when vertical), M = _SLOPE_PRIME,
-    and packed as (c << 20) | j; the anchor's own column is -1, sorts first
+    every other point j of its set, coded by the direction (dx, dy) = j - i
+    as c = dy * dx**-1 mod M (c = M when vertical), M = _SLOPE_PRIME, with
+    dx**-1 read from a signed table at dx + span (the direction and its
+    negation share c, as dy * dx**-1 = (-dy) * (-dx)**-1), and packed as
+    (c << 20) | j; the anchor's own column is -1, sorts first
     and matches no code.  One ``np.sort`` per block of rows, at most
     _ROW_BLOCK entries of the block's widest row each; a block may span sets
     and reuses one set of row arrays, and the columns past a narrower set's

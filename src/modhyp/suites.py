@@ -4,14 +4,16 @@ Every suite runs a family of exact checks over a parameter range and returns
 a ``VerificationReport``.  Case work is pure and each worker returns its
 finished ``CaseRecord``, so with ``jobs`` > 1 a sweep's tasks are shared by
 the calling process and jobs - 1 forked ones, each drawing the next task
-from one shared counter; records are placed in task order, making the
-report independent of the worker count.  Suites that aggregate many tasks
-into one case (ordinary-moduli, prop15) reduce their workers' results
-instead.  The line suites (theorem6, lemma7, collinearity, ordinary-moduli)
-share stacks: contiguous runs of their ascending moduli, censused in one
-``census_many`` call per stack, each returning one result per modulus in
-task order.  Prime-lines builds the sets of each stack of a values of a
-prime from one inversion (``enumerate_many``).
+from one shared counter, the last task first; records are placed in task
+order, making the report independent of the worker count.  Suites that
+aggregate many tasks into one case (ordinary-moduli, prop15) reduce their
+workers' results instead.  The line suites (theorem6, lemma7, collinearity,
+ordinary-moduli) share stacks: contiguous runs of their ascending moduli,
+censused in one ``census_many`` call per stack, each returning one result
+per modulus in task order.  The stacks are handed to the runner in
+ascending estimated cost, so the costliest is drawn first, and their
+results are put back in task order.  Prime-lines builds the sets of each
+stack of a values of a prime from one inversion (``enumerate_many``).
 """
 from __future__ import annotations
 
@@ -177,10 +179,10 @@ def _run_parallel(worker, tasks, jobs):
 
     The caller forks jobs - 1 processes (no more than there are tasks to
     share) and works too.  Every process draws task indices from one shared
-    counter, the last task first.  Most sweeps list their tasks in ascending
-    size, so their costly tail is spread before the cheap head; the stacked
-    line sweeps do not, as their first stack, of the many smallest moduli,
-    is the costliest and is drawn last.  Each extra process
+    counter, the last task first, so a sweep that lists its tasks in
+    ascending cost has its costliest drawn first and its cheap head spread
+    last: most sweeps list them in ascending size, and ``_run_stacked``
+    orders its stacks by estimated cost.  Each extra process
     sends its (index, result) pairs once, when the counter runs dry; the
     caller places them by index.  A worker's exception is raised again in the
     caller, its cause a ``RuntimeError`` holding the traceback from the
@@ -254,9 +256,32 @@ def _stacks(tasks: list, modulus) -> list[list]:
     return stacks
 
 
+# Estimated cost of one stack, in units of n**2: every set adds _SET_COST on
+# top of its n**2 pairs.  Serial per-stack times of theorem6, lemma7 and
+# collinearity at --n-max 625 (best of 3, 2-core x86-64, BENCH_17.json) fit
+# 0.23-0.30 ms per set plus 7.1-10.2 ms per 10**6 of the sum of n**2, so a
+# set's fixed cost is worth 2**14.4 to 2**15 of n**2.  2**14 and 2**15 both
+# draw the costliest stack first, and on those times give two-process finish
+# times within 1 % of each other.
+_SET_COST = 1 << 14
+
+
+def _stack_cost(stack: list, modulus) -> int:
+    return sum(modulus(task) ** 2 + _SET_COST for task in stack)
+
+
 def _run_stacked(worker, tasks: list, modulus, jobs: int) -> list:
-    """worker(stack) for every stack of the tasks, each returning one result per task, flattened in task order."""
-    return [r for results in _run_parallel(worker, _stacks(tasks, modulus), jobs) for r in results]
+    """worker(stack) for every stack of the tasks, each returning one result per task, flattened in task order.
+
+    The stacks go to ``_run_parallel`` in ascending estimated cost, so its
+    counter draws the costliest first (longest processing time first): the
+    first stack, of the many smallest moduli, often costs the most.  The
+    results are put back in task order.
+    """
+    stacks = _stacks(tasks, modulus)
+    order = sorted(range(len(stacks)), key=lambda i: _stack_cost(stacks[i], modulus))
+    done = _run_parallel(worker, [stacks[i] for i in order], jobs)
+    return [r for _, results in sorted(zip(order, done)) for r in results]
 
 
 def _a1_stack_task(case, stack: list[tuple[int, int, int]]) -> list[CaseRecord]:

@@ -198,6 +198,13 @@ def test_verify_json_identical_across_jobs(capsys):
     assert out1 == out2
 
 
+@pytest.mark.parametrize("suite", ["theorem6", "lemma7", "collinearity"])
+def test_line_sweep_json_identical_across_jobs(capsys, suite):
+    # the stacks are drawn costliest first and their results put back in task order
+    outs = [run(capsys, "verify", suite, "--n-max", "625", "--format", "json", "--jobs", jobs)[1] for jobs in "123"]
+    assert outs[0] == outs[1] == outs[2]
+
+
 def test_verbose_prints_each_process_load(capsys):
     rc, plain, _ = run(capsys, "verify", "prime-lines", "--n-max", "13", "--jobs", "2")
     rc, out, err = run(capsys, "verify", "prime-lines", "--n-max", "13", "--jobs", "2", "--verbose")

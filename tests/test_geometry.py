@@ -345,11 +345,13 @@ def test_slope_constants():
 
 
 def test_slope_codes_exact_on_adversarial_directions():
-    # directions (dx, dy) with 0 <= dx < 2**20, |dy| < 2**20, as census pairs have
+    # directions (dx, dy) with |dx|, |dy| < 2**20 of either sign, as census pairs have
     top = _N_LIMIT - 1
     inv = _slope_inverses(top)
+    assert len(inv) == 2 * top + 1
     for d in (1, 2, 3, 1000, top - 1, top):
-        assert inv[d] == pow(d, -1, _SLOPE_PRIME)
+        assert inv[top + d] == pow(d, -1, _SLOPE_PRIME)
+        assert inv[top - d] == pow(-d, -1, _SLOPE_PRIME)
     rng = random.Random(11)
     dirs = [(0, 1), (0, top), (1, 0), (top, 0), (top, top), (top, -top), (1, top), (top, 1)]
     for _ in range(40):
@@ -364,8 +366,9 @@ def test_slope_codes_exact_on_adversarial_directions():
     for base in [(1, 0), (0, 1), (1, 1), (2, -1), (3, -5), (7, 4), (1000, -999)]:
         s_max = top // max(map(abs, base))  # scaled copies of one direction
         dirs += [(base[0] * s, base[1] * s) for s in (1, 2, 3, s_max)]
-    dirs = sorted(set(dirs))
-    dx = np.array([v[0] for v in dirs], dtype=np.int64)
+    # each direction also negated: negative dx, and the verticals (0, -dy)
+    dirs = sorted(set(dirs) | {(-dx, -dy) for dx, dy in dirs})
+    dx = np.array([v[0] + top for v in dirs], dtype=np.int64)  # indexes the signed table
     dy = np.array([v[1] for v in dirs], dtype=np.int64)
     code = _slope_codes(dx, dy, inv, np.empty_like(dx)).tolist()
     for (dx1, dy1), c1 in zip(dirs, code):

@@ -189,6 +189,30 @@ def test_run_parallel_forks_its_processes(monkeypatch):
     assert sorted(made) == ["ForkProcess", "ForkProcess", "Value"]
 
 
+def test_line_stacks_are_drawn_costliest_first(monkeypatch):
+    # with jobs = 1 the worker runs the stacks in the order _run_parallel gets
+    # them; they ascend in estimated cost (a reversed task list would not), so
+    # the counter, which draws the last first, draws the costliest first: at
+    # n <= 625 that is the first stack in task order, of the 66 smallest moduli
+    whole = SUITES["theorem6"](n_max=625).to_payload()
+    a1_stack_task = suites._a1_stack_task
+    stacks = []
+
+    def recording(case, stack):
+        stacks.append(stack)
+        return a1_stack_task(case, stack)
+
+    monkeypatch.setattr(suites, "_a1_stack_task", recording)
+    assert SUITES["theorem6"](n_max=625, jobs=1).to_payload() == whole
+    costs = [suites._stack_cost(stack, lambda t: t[2]) for stack in stacks]
+    assert costs == sorted(costs)
+    first = next(suites._draws(multiprocessing.Value("q", len(stacks))))
+    assert costs[first] == max(costs)
+    assert len(stacks[first]) == 66 and stacks[first][0][2] == 3
+    tasks = suites._prime_powers_upto(625, min_n=3)
+    assert sorted((t for stack in stacks for t in stack), key=lambda t: t[2]) == tasks
+
+
 def test_prime_lines_stacks_split_by_point_budget(monkeypatch):
     # above p = 359 the sets of one p go to census_many in several stacks of
     # at most _STACK_POINTS points; a small budget splits every p here
