@@ -23,7 +23,7 @@ line without the census, by sorting A*x + B*y once per direction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Sequence
 
@@ -32,7 +32,14 @@ import numpy as np
 from .hyperbola import HyperbolaSpec, PointSet, enumerate_points, partition_classes
 from .ntcore import PrimePower
 
-_ROW_BLOCK = 1 << 17  # row entries per block of whole anchor rows (about 1 MB per int64 array)
+# Row entries per block of whole anchor rows.  A block's three int64 work
+# arrays and its flags take 25 B per entry, 1.6 MB at 2**16, so they stay in a
+# 2 MB per-core L2 cache; at 2**17 (3.3 MB) they do not.  In-process line-sweep
+# passes (theorem6, lemma7 and collinearity at n <= 625, then prime-lines) on
+# a 2-core x86-64 host with 2 MB of L2 per core took a median 381 ms at 2**16,
+# against 385 ms at 2**15, 407 ms at 2**17 and 575 ms at 2**18 (12 rounds,
+# the four sizes alternating).
+_ROW_BLOCK = 1 << 16
 # n <= _N_LIMIT keeps every cross product dy1*dx2 - dy2*dx1 of two directions
 # below _SLOPE_PRIME in absolute value, so the slope codes are exact (see census).
 _N_LIMIT = 1 << 20
@@ -89,32 +96,33 @@ def line_through(p: tuple[int, int], q: tuple[int, int]) -> LineKey:
     return LineKey(*_line_triple(p[0], p[1], q[0], q[1]))
 
 
+@dataclass(eq=False)
 class IncidenceCensus:
-    """Exact per-line point counts with the derived ordinary-line statistics.
+    """Exact per-line point counts of one set with the derived ordinary-line statistics.
 
-    ``line_sizes[t]`` is the number of lines carrying exactly t points; the
-    keys of the rich lines (t >= 3) are kept in ascending (A, B, C) order.
+    A record of ``census_many``, which checks the counts of its whole stack
+    and summarises each set from them: ``ordinary_count`` lines of two
+    points, ``max_collinear`` points on the longest line and ``line_total``
+    lines in all.  ``_line_sizes[t]`` is the number of lines carrying exactly
+    t points; the keys of the rich lines (t >= 3) are kept in ascending
+    (A, B, C) order.
     """
 
-    def __init__(self, n: int, a: int, point_count: int, line_sizes, rich_keys, rich_t):
-        if (line_sizes < 0).any():
-            raise RuntimeError("census line count L_t is negative")
-        self.n = n
-        self.a = a
-        self.point_count = point_count
-        self._rich_keys = rich_keys
-        self._rich_t = rich_t
-        sizes = np.flatnonzero(line_sizes)
-        self.histogram = dict(zip(sizes.tolist(), line_sizes[sizes].tolist()))
-        self.ordinary_count = self.histogram.get(2, 0)
-        self.max_collinear = max(self.histogram) if self.histogram else 0
-        self.line_total = sum(self.histogram.values())
-        # every unordered point pair lies on exactly one line
-        pair_total = sum(c * t * (t - 1) // 2 for t, c in self.histogram.items())
-        if pair_total != point_count * (point_count - 1) // 2:
-            raise RuntimeError("census pair-count identity violated")
-        if len(rich_t) != sum(c for t, c in self.histogram.items() if t >= 3):
-            raise RuntimeError("rich-line keys disagree with the line counts")
+    n: int
+    a: int
+    point_count: int
+    ordinary_count: int
+    max_collinear: int
+    line_total: int
+    _line_sizes: np.ndarray = field(repr=False)
+    _rich_keys: np.ndarray = field(repr=False)
+    _rich_t: np.ndarray = field(repr=False)
+
+    @property
+    def histogram(self) -> dict[int, int]:
+        """{t: number of lines of exactly t points} for every t that has a line, ascending."""
+        sizes = np.flatnonzero(self._line_sizes)
+        return dict(zip(sizes.tolist(), self._line_sizes[sizes].tolist()))
 
     def lines(self, min_points: int = 3) -> Iterator[tuple[LineKey, int]]:
         """Yield (line, point count) for every line with at least min_points >= 3."""
@@ -190,29 +198,41 @@ def _symmetries(xs: np.ndarray, ys: np.ndarray, ns: np.ndarray, ks: np.ndarray) 
     (S, 3) bool array over _MAPS (swap exchanges x and y, sigma; reflect
     sends (x, y) to (n - x, n - y), nu), and images, a (3, S, K) array where
     images[g, s, i] is the index in set s of the image of its point i under
-    map g, or i itself where set s does not keep g or i is padding.  The
-    points are looked up by the code x*n + y, ascending within a set, which
-    nu sends to n*(n + 1) - x*n - y; padding takes the code n*(n + 1) - 1,
-    above every real code and every real point's image, and set s's codes
-    are offset by the sum of the earlier sets' n*(n + 1), so one
-    ``np.searchsorted`` serves the whole stack.
+    map g, or i itself where set s does not keep g or i is padding.
+    A set of k points is ranked, not searched: its codes x*n + y ascend with
+    the point index, sigma sends them to the swapped codes y*n + x, nu to
+    n*(n + 1) - x*n - y and sigma*nu to n*(n + 1) - y*n - x, so the image of
+    the set is the set itself exactly when its image codes, sorted, are its
+    codes.  One row-wise ``np.argsort`` of the swapped codes (padding last)
+    gives each point's rank among them, and set s keeps
+    - sigma iff its sorted swapped codes equal its codes: point i goes to its rank;
+    - nu iff its codes reversed equal n*(n + 1) minus its codes: point i goes to k - 1 - i;
+    - sigma*nu iff n*(n + 1) minus its sorted swapped codes, reversed, equals
+      its codes: point i goes to k - 1 - rank.
     """
     S, K = xs.shape
-    n = ns[:, None]
+    n, k = ns[:, None], ks[:, None]
     span = n * (n + 1)
-    pad = np.arange(K) >= ks[:, None]
-    offset = np.cumsum(span, axis=0) - span
-    swapped = ys * n + xs
+    cols = np.arange(K)
+    real = cols < k
     code = xs * n + ys
-    targets = np.stack([swapped, span - code, span - swapped]) + offset  # in _MAPS order
-    code = np.where(pad, span - 1, code) + offset
-    flat = code.ravel()
-    images = np.minimum(np.searchsorted(flat, targets), flat.size - 1)
-    found = flat[images] == targets
-    found |= pad
-    kept = found.all(axis=2).T
-    images -= np.arange(S)[:, None] * K
-    return kept, np.where(kept.T[:, :, None] & ~pad, images, np.arange(K))
+    swapped = np.where(real, ys * n + xs, span)  # every real code is below n**2
+    order = np.argsort(swapped, axis=1)
+    rank = np.empty_like(order)
+    np.put_along_axis(rank, order, cols[None], axis=1)
+    mirror = np.where(real, k - 1 - cols, cols)  # point i's place in its set reversed; padding stays
+    swapped = np.take_along_axis(swapped, order, axis=1)  # each row ascending
+    kept = np.stack(
+        [
+            swapped == code,
+            np.take_along_axis(code, mirror, axis=1) == span - code,
+            span - np.take_along_axis(swapped, mirror, axis=1) == code,
+        ]
+    )  # in _MAPS order
+    kept |= ~real
+    kept = kept.all(axis=2)
+    images = np.stack([rank, mirror, k - 1 - rank])
+    return kept.T, np.where(kept[:, :, None] & real, images, cols)
 
 
 def _row_blocks(rows_per_set: np.ndarray, ks: np.ndarray) -> list[tuple[int, int, int]]:
@@ -289,9 +309,10 @@ def census(ps: PointSet) -> IncidenceCensus:
     Orbits: the maps among sigma (x, y) -> (y, x), nu (x, y) -> (n-x, n-y)
     and sigma*nu that carry a set onto itself form a group (a hyperbola
     set keeps all three, since (n-x)(n-y) = xy mod n; a subset or a class
-    may keep fewer or none), found per set.  They carry lines to lines of the
-    same size, so only the point of least index in each orbit of a set is an
-    anchor, weighted by its orbit size w = 1, 2 or 4 under that set's maps.
+    may keep fewer or none), found per set by ranking its swapped codes
+    (``_symmetries``).  They carry lines to lines of the same size, so only
+    the point of least index in each orbit of a set is an anchor, weighted
+    by its orbit size w = 1, 2 or 4 under that set's maps.
     Rows: one row per (set, anchor) pair, set-major.  Anchor i's row holds
     every other point j of its set, coded by the direction (dx, dy) = j - i
     as c = dy * dx**-1 mod M (c = M when vertical), M = _SLOPE_PRIME, with
@@ -308,8 +329,11 @@ def census(ps: PointSet) -> IncidenceCensus:
     cross-product difference is at most 2 * (n-1)**2 < M in absolute value,
     so iff the slopes are equal.
     Counts: with H_s the w-weighted number of a set's groups of size s, it
-    has L_t = H_(t-1) / t lines of t points; that t divides H_(t-1) is
-    checked for every set.
+    has L_t = H_(t-1) / t lines of t points.  Checks: that t divides
+    H_(t-1), that no L_t is negative, that sum L_t * C(t, 2) = C(k, 2) and
+    that the set has one key per line of t >= 3 points, each one reduction
+    over the whole stack that holds for every set of it; the ordinary count,
+    longest line and line total come from the same stacked counts.
     Rich lines are keyed as (set, A, B, C, t) from the anchor and the first
     member of each group of size >= 2, reduced by its gcd, and closed under
     that set's own kept maps; one ``np.lexsort`` orders the stack's keys by
@@ -322,10 +346,13 @@ def census_many(sets: Sequence[PointSet]) -> list[IncidenceCensus]:
     """The census of each of a stack of point sets, in one sweep (method: ``census``).
 
     The sets may differ in modulus and size.  An empty stack, a set of fewer
-    than two points or of more than 2**20, a modulus above 2**20, or moduli
-    whose n*(n + 1) sum to 2**63 or more raise before any work.  Only the
-    numpy calls are shared: every set keeps its own maps, weights, counts and
-    keys, and its own ``IncidenceCensus`` checks them.
+    than two points or of more than 2**20, or a modulus above 2**20 raise
+    before any work.  Only the numpy calls are shared: every set keeps its
+    own maps, weights, counts and keys.  The checks run over the whole stack
+    at once and hold for every set: that t divides H_(t-1), and then, in
+    ``_line_summaries``, that no L_t is negative, that the set's lines hold
+    each of its point pairs once and that it has one key per rich line; a
+    failure raises ``RuntimeError`` naming the set's place in the stack.
     """
     if not sets:
         raise ValueError("census_many needs at least one point set")
@@ -336,8 +363,6 @@ def census_many(sets: Sequence[PointSet]) -> list[IncidenceCensus]:
     check_census_modulus(max(moduli))
     if max(sizes) > 1 << _INDEX_BITS:
         raise ValueError(f"census packs point indices in {_INDEX_BITS} bits, got {max(sizes)} points")
-    if sum(n * (n + 1) for n in moduli) >= 1 << 63:  # the point codes of _symmetries
-        raise ValueError(f"{len(sets)} sets of moduli up to {max(moduli)} overflow the int64 point codes")
     S, K = len(sets), max(sizes)
     ns = np.array(moduli, dtype=np.int64)
     ks = np.array(sizes, dtype=np.int64)
@@ -346,7 +371,7 @@ def census_many(sets: Sequence[PointSet]) -> list[IncidenceCensus]:
     for s, ps in enumerate(sets):
         xs[s, : sizes[s]] = ps.xs
         ys[s, : sizes[s]] = ps.ys
-    inv = _slope_inverses(max(int(ps.xs[-1] - ps.xs[0]) for ps in sets))
+    inv = _slope_inverses(int((xs[np.arange(S), ks - 1] - xs[:, 0]).max()))
     kept, images = _symmetries(xs, ys, ns, ks)
     cols = np.arange(K)
     anchors = (images >= cols).all(axis=0)  # least index in its orbit
@@ -386,8 +411,9 @@ def census_many(sets: Sequence[PointSet]) -> list[IncidenceCensus]:
     set_of = np.repeat(np.arange(S), ks)
     size = np.arange(start[-1]) - start[set_of]
     H[start[:-1] + 1] -= np.add.reduceat(H * np.where(size >= 2, size, 0), start[:-1])
-    if (H % (size + 1)).any():
-        raise RuntimeError("census H_(t-1) is not a multiple of t")
+    bad = np.flatnonzero(H % (size + 1))
+    if len(bad):
+        raise RuntimeError(f"census H_(t-1) is not a multiple of t in set {set_of[bad[0]]} of the stack")
     # set s's line counts L_0 .. L_k sit at start[s] + s onward, L_t = H_(t-1) / t
     line_sizes = np.zeros(start[-1] + S, dtype=np.int64)
     line_sizes[np.arange(start[-1]) + set_of + 1] = H // (size + 1)
@@ -409,12 +435,41 @@ def census_many(sets: Sequence[PointSet]) -> list[IncidenceCensus]:
     distinct = np.ones(len(rows), dtype=bool)
     distinct[1:] = (rows[1:] != rows[:-1]).any(axis=1)
     rows = rows[distinct]
-    cut = np.searchsorted(rows[:, 0], np.arange(S + 1)).tolist()
-    first_count = (start[:-1] + np.arange(S)).tolist()
+    cut = np.searchsorted(rows[:, 0], np.arange(S + 1))
+    first_count = start[:-1] + np.arange(S)
+    summaries = _line_summaries(line_sizes, first_count, ks, np.diff(cut))
+    cut = cut.tolist()
     return [
-        IncidenceCensus(n, ps.spec.a, k, line_sizes[c : c + k + 1], rows[lo:hi, 1:4], rows[lo:hi, 4])
-        for ps, n, k, c, lo, hi in zip(sets, moduli, sizes, first_count, cut, cut[1:])
+        IncidenceCensus(n, ps.spec.a, k, *summary, line_sizes[c : c + k + 1], rows[lo:hi, 1:4], rows[lo:hi, 4])
+        for ps, n, k, summary, c, lo, hi in zip(sets, moduli, sizes, summaries, first_count.tolist(), cut, cut[1:])
     ]
+
+
+def _line_summaries(line_sizes: np.ndarray, first: np.ndarray, ks: np.ndarray, rich: np.ndarray) -> list[tuple]:
+    """Check the stacked line counts of every set and give each its (ordinary count, longest line, line total).
+
+    Set s of k = ks[s] points has its L_0 .. L_k at line_sizes[first[s]:]
+    and rich[s] rich-line keys.  Every check is one reduction over the
+    stack, and the first set that fails one raises ``RuntimeError``: no L_t
+    may be negative, the sum of L_t * C(t, 2) must be C(k, 2) (every point
+    pair lies on exactly one line), and rich[s] must be the sum of L_t over
+    t >= 3.
+    """
+    t = np.arange(len(line_sizes)) - np.repeat(first, ks + 1)  # the line size each count counts
+    pairs = np.add.reduceat(line_sizes * (t * (t - 1) // 2), first)
+    rich_lines = np.add.reduceat(np.where(t >= 3, line_sizes, 0), first)
+    checks = (
+        (np.minimum.reduceat(line_sizes, first) < 0, "census line count L_t is negative"),
+        (pairs != ks * (ks - 1) // 2, "census pair-count identity violated"),
+        (rich_lines != rich, "rich-line keys disagree with the line counts"),
+    )
+    for failed, what in checks:
+        if failed.any():
+            raise RuntimeError(f"{what} in set {np.argmax(failed)} of the stack")
+    ordinary = line_sizes[first + 2]  # a census set has k >= 2
+    longest = np.maximum.reduceat(np.where(line_sizes > 0, t, 0), first)
+    total = np.add.reduceat(line_sizes, first)
+    return list(zip(ordinary.tolist(), longest.tolist(), total.tolist()))
 
 
 def count_on_line(ps: PointSet, key: LineKey) -> int:

@@ -55,11 +55,38 @@ class HyperbolaSpec:
     def __post_init__(self) -> None:
         if self.n < 2:
             raise ValueError("modulus must be >= 2")
-        a = self.a % self.n
-        if math.gcd(a, self.n) != 1:
-            raise ValueError(f"gcd({self.a}, {self.n}) != 1")
-        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "a", _unit_residue(self.a, self.n))
         object.__setattr__(self, "prime_power", PrimePower.from_modulus(self.n))
+
+    def _with_a(self, a: int) -> HyperbolaSpec:
+        """The spec of a on this modulus, its factorization reused (a is checked as by the constructor)."""
+        spec = object.__new__(HyperbolaSpec)
+        spec.__dict__.update(a=_unit_residue(a, self.n), n=self.n, prime_power=self.prime_power)
+        return spec
+
+
+def _unit_residue(a: int, n: int) -> int:
+    """The least residue of a mod n; raises unless a is a unit."""
+    if math.gcd(a, n) != 1:
+        raise ValueError(f"gcd({a}, {n}) != 1")
+    return a % n
+
+
+def _check_points(xs: np.ndarray, ys: np.ndarray, n: int) -> None:
+    """Raise ``ValueError`` unless every point lies in [1, n - 1]**2 and every row is strictly ascending in (x, y).
+
+    ys is one row of y per set, (k,) or (S, k), sharing the abscissae xs; a
+    strictly ascending xs orders every row, so only a repeated x makes the
+    check compare y.  Boolean temporaries only: it costs a few bytes per point.
+    """
+    for coords in (xs, ys):
+        if coords.size and (coords.min() < 1 or coords.max() >= n):
+            raise ValueError(f"point coordinates must lie in [1, {n - 1}]")
+    ascending = xs[1:] > xs[:-1]
+    if not ascending.all():
+        ascending = ascending | (xs[1:] == xs[:-1]) & (ys[..., 1:] > ys[..., :-1])
+        if not ascending.all():
+            raise ValueError("points must be distinct and in ascending (x, y) order")
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,7 +94,8 @@ class PointSet:
     """Lattice points (x, y) with 1 <= x, y <= n-1: a hyperbola's points or a subset.
 
     ``xs`` and ``ys`` are int64 arrays of distinct points in ascending (x, y)
-    order; the constructor checks that and the coordinate range.
+    order; the constructor checks that and the coordinate range, and
+    ``enumerate_many`` checks its whole stack of sets at once.
     """
 
     spec: HyperbolaSpec
@@ -75,16 +103,25 @@ class PointSet:
     ys: np.ndarray
 
     def __post_init__(self) -> None:
-        xs, ys, n = self.xs, self.ys, self.spec.n
+        xs, ys = self.xs, self.ys
         if xs.dtype != np.int64 or ys.dtype != np.int64 or xs.ndim != 1 or xs.shape != ys.shape:
             raise ValueError("point coordinates must be two int64 arrays of one length")
-        if len(xs) and (min(xs.min(), ys.min()) < 1 or max(xs.max(), ys.max()) >= n):
-            raise ValueError(f"point coordinates must lie in [1, {n - 1}]")
-        # boolean temporaries only: the check costs a few bytes per point
-        ascending = xs[1:] > xs[:-1]
-        ascending |= (xs[1:] == xs[:-1]) & (ys[1:] > ys[:-1])
-        if not ascending.all():
-            raise ValueError("points must be distinct and in ascending (x, y) order")
+        _check_points(xs, ys, self.spec.n)
+
+    @classmethod
+    def _rows(cls, specs: list[HyperbolaSpec], xs: np.ndarray, ys: np.ndarray, n: int) -> list[PointSet]:
+        """The set of specs[s] (all mod n) from the shared xs and row s of the (S, k) ys, all checked at once.
+
+        ``_check_points`` runs once on the stack, so no row runs the
+        constructor's check again.
+        """
+        _check_points(xs, ys, n)
+        sets = []
+        for spec, row in zip(specs, ys):
+            ps = object.__new__(cls)
+            ps.__dict__.update(spec=spec, xs=xs, ys=row)
+            sets.append(ps)
+        return sets
 
     def __len__(self) -> int:
         return len(self.xs)
@@ -185,13 +222,16 @@ def enumerate_many(n: int, a_values: Iterable[int]) -> list[PointSet]:
 
     ``unit_partners`` at a = 1 inverts the units once (and checks
     x * x**-1 = 1); row s of one (S, phi(n)) array is then y = a_s * x**-1
-    mod n, and x * y = a_s (mod n) is checked on the whole array.  Every a
-    must be coprime to n, which is checked first.  The sets share the x array
-    and take their y row from the stack, so the kernel's memory guards cover
-    them.
+    mod n, and x * y = a_s (mod n) is checked on the whole array.  n is
+    factorized once and every a must be coprime to n, which is checked
+    first.  The sets share the x array and take their y row from the stack,
+    so the kernel's memory guards cover them; the order and range checks of
+    ``PointSet`` run once on the stack (x ascending and in range, every y in
+    range), not once per set.
     """
-    specs = [HyperbolaSpec(a, n) for a in a_values]
-    xs, ys = unit_partners(HyperbolaSpec(1, n))
+    base = HyperbolaSpec(1, n)
+    specs = [base._with_a(a) for a in a_values]
+    xs, ys = unit_partners(base)
     a = np.array([spec.a for spec in specs], dtype=np.int64)[:, None]
     ys = a * ys
     ys %= n
@@ -200,7 +240,7 @@ def enumerate_many(n: int, a_values: Iterable[int]) -> list[PointSet]:
     if not np.all(check == a):
         raise RuntimeError(f"unit inversion failed: x * y != a (mod {n})")
     del check
-    return [PointSet(spec, xs, row) for spec, row in zip(specs, ys)]
+    return PointSet._rows(specs, xs, ys, n)
 
 
 def enumerate_points(spec: HyperbolaSpec) -> PointSet:

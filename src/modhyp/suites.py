@@ -262,8 +262,16 @@ def _stacks(tasks: list, modulus) -> list[list]:
 # 0.23-0.30 ms per set plus 7.1-10.2 ms per 10**6 of the sum of n**2, so a
 # set's fixed cost is worth 2**14.4 to 2**15 of n**2.  2**14 and 2**15 both
 # draw the costliest stack first, and on those times give two-process finish
-# times within 1 % of each other.
+# times within 1 % of each other.  Since the census checks and summarises a
+# whole stack at once (BENCH_18.json) the same fit reads 0.17 ms per set and
+# 7.3 ms per 10**6, still 2**14.5.
 _SET_COST = 1 << 14
+
+
+# Estimated cost of forking and joining one extra sweep process, in the same
+# units: a fork and join of the runner took 7 ms with a 35 MB heap (2-core
+# x86-64), 0.97 * 10**6 of n**2 at 7.3 ms per 10**6.
+_FORK_COST = 1 << 20
 
 
 def _stack_cost(stack: list, modulus) -> int:
@@ -276,10 +284,17 @@ def _run_stacked(worker, tasks: list, modulus, jobs: int) -> list:
     The stacks go to ``_run_parallel`` in ascending estimated cost, so its
     counter draws the costliest first (longest processing time first): the
     first stack, of the many smallest moduli, often costs the most.  The
-    results are put back in task order.
+    results are put back in task order.  The caller runs every stack alone
+    unless another process could take more than _FORK_COST off its share:
+    the most it can take is the total cost less the costliest stack's, and
+    no more than half the total.
     """
     stacks = _stacks(tasks, modulus)
-    order = sorted(range(len(stacks)), key=lambda i: _stack_cost(stacks[i], modulus))
+    costs = [_stack_cost(stack, modulus) for stack in stacks]
+    order = sorted(range(len(stacks)), key=costs.__getitem__)
+    total = sum(costs)
+    if min(total - max(costs, default=0), total // 2) < _FORK_COST:
+        jobs = 1
     done = _run_parallel(worker, [stacks[i] for i in order], jobs)
     return [r for _, results in sorted(zip(order, done)) for r in results]
 

@@ -593,3 +593,126 @@ def test_zero_intercept_scan():
     got = zero_intercept_lines(_point_set(HyperbolaSpec(1, 7), grid))
     assert got == sorted((k, t) for k, t in want.items() if t >= 2)
     assert (LineKey(1, -1, 0), 6) in got and (LineKey(2, -1, 0), 3) in got
+
+
+def _corruptible_stack():
+    """A stack of mixed moduli and sizes whose set 1, H_{1,49}, has lines of 3, 4 and 6 points."""
+    h49 = enumerate_points(HyperbolaSpec(1, 49))
+    return [enumerate_points(HyperbolaSpec(2, 25)), h49, partition_classes(h49)[2], enumerate_points(HyperbolaSpec(3, 11))]
+
+
+def test_census_stack_checks_fire_on_one_corrupt_set(monkeypatch):
+    # the checks run once over the stack; corrupting set 1 alone must still
+    # raise, and name it, whichever block its rows fall in
+    sets = _corruptible_stack()
+    whole = census_many(sets)
+    row_groups, line_summaries = geometry._row_groups, geometry._line_summaries
+    dropped = []
+
+    def dropping(xs, ys, sid, anchor, row_k, inv, work):
+        # lose one group of two points (a 3-point line seen from one anchor)
+        row, sizes, j = row_groups(xs, ys, sid, anchor, row_k, inv, work)
+        hit = np.flatnonzero((sid[row] == 1) & (sizes == 2))
+        if dropped or not len(hit):
+            return row, sizes, j
+        dropped.append(hit[0])
+        keep = np.arange(len(row)) != hit[0]
+        return row[keep], sizes[keep], j[keep]
+
+    for row_block in (geometry._ROW_BLOCK, 64):
+        dropped.clear()
+        with mock.patch.object(geometry, "_ROW_BLOCK", row_block), mock.patch.object(geometry, "_row_groups", dropping):
+            with pytest.raises(RuntimeError, match=r"not a multiple of t in set 1 of"):
+                census_many(sets)
+        assert dropped
+
+    def skewing(delta):
+        # shift set 1's L_t by delta[t] between the kernel and the checks
+        def summaries(line_sizes, first, ks, rich):
+            line_sizes = line_sizes.copy()
+            for t, d in delta.items():
+                line_sizes[first[1] + t] += d
+            return line_summaries(line_sizes, first, ks, rich)
+
+        return summaries
+
+    k = len(sets[1])
+    for delta, reason in [
+        ({k: -1}, "L_t is negative"),  # no line holds all 42 points
+        ({2: 1}, "pair-count identity"),  # one ordinary line too many
+        ({2: 3, 3: -1}, "rich-line keys disagree"),  # a 3-point line as three 2-point lines: same pairs
+    ]:
+        monkeypatch.setattr(geometry, "_line_summaries", skewing(delta))
+        with pytest.raises(RuntimeError, match=f"{reason}.* in set 1 of the stack"):
+            census_many(sets)
+    monkeypatch.setattr(geometry, "_line_summaries", skewing({}))
+    for cen, again in zip(whole, census_many(sets)):
+        assert (cen.ordinary_count, cen.max_collinear, cen.line_total, cen.histogram) == (
+            again.ordinary_count,
+            again.max_collinear,
+            again.line_total,
+            again.histogram,
+        )
+
+
+def test_census_summaries_match_the_histogram():
+    for cen in census_many(_corruptible_stack()):
+        hist = cen.histogram
+        assert cen.ordinary_count == hist.get(2, 0)
+        assert cen.max_collinear == max(hist)
+        assert cen.line_total == sum(hist.values())
+        assert sum(c * t * (t - 1) // 2 for t, c in hist.items()) == cen.point_count * (cen.point_count - 1) // 2
+
+
+def _symmetry_oracle(ps):
+    """Per map of _MAPS: whether ps keeps it, and each point's image index (i itself where not kept), by dict lookup."""
+    index = {pt: i for i, pt in enumerate(ps.points)}
+    n = ps.spec.n
+    out = []
+    for swap, reflect in _MAPS:
+        images = []
+        for x, y in ps.points:
+            u, v = (y, x) if swap else (x, y)
+            images.append(index.get((n - u, n - v) if reflect else (u, v)))
+        kept = None not in images
+        out.append((kept, images if kept else list(range(len(ps)))))
+    return out
+
+
+def _drawn_grid(data, i):
+    """Points of a shuffled grid mod n, so with repeated x, closed under a drawn subgroup."""
+    n = data.draw(st.integers(3, 9), label=f"grid n {i}")
+    grid = [(x, y) for x in range(1, n) for y in range(1, n)]
+    random.Random(data.draw(st.integers(0, 99), label=f"shuffle {i}")).shuffle(grid)
+    sub = data.draw(st.lists(st.sampled_from(grid), min_size=1, unique=True), label=f"grid points {i}")
+    generators = _SUBGROUPS[data.draw(st.sampled_from(sorted(_SUBGROUPS)), label=f"grid subgroup {i}")]
+    return _point_set(HyperbolaSpec(1, n), _close(sub, n, generators))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_symmetries_match_a_lookup_oracle_property(data):
+    # stacks of whole sets, closed subsets, x mod p classes and grids with
+    # repeated x, padded to the widest set
+    parts = data.draw(st.integers(1, 3), label="parts")
+    sets = []
+    for i in range(parts):
+        if data.draw(st.booleans(), label=f"grid {i}"):
+            sets.append(_drawn_grid(data, i))
+        else:
+            sets += _drawn_stack_part(data, i)
+    if not sets:
+        return
+    K = max(len(ps) for ps in sets)
+    xs = np.zeros((len(sets), K), dtype=np.int64)
+    ys = np.zeros((len(sets), K), dtype=np.int64)
+    for s, ps in enumerate(sets):
+        xs[s, : len(ps)], ys[s, : len(ps)] = ps.xs, ps.ys
+    kept, images = _symmetries(xs, ys, np.array([ps.spec.n for ps in sets]), np.array([len(ps) for ps in sets]))
+    assert kept.shape == (len(sets), 3) and images.shape == (3, len(sets), K)
+    for s, ps in enumerate(sets):
+        k = len(ps)
+        for g, (keep, image) in enumerate(_symmetry_oracle(ps)):
+            assert kept[s, g] == keep
+            assert images[g, s, :k].tolist() == image
+            assert images[g, s, k:].tolist() == list(range(k, K))  # padding maps to itself

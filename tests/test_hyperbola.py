@@ -72,6 +72,51 @@ def test_enumerate_many_refuses_a_not_coprime_before_any_work(monkeypatch):
             enumerate_many(n, a_values)
 
 
+def test_enumerate_many_checks_its_stack_once(monkeypatch):
+    # the stack's x array and y rows are checked once, and no row runs the
+    # PointSet constructor's check again
+    partners = modhyp.hyperbola.unit_partners
+    n, a_values = 49, [1, 2, 3]
+
+    def refuse(self):
+        raise AssertionError("a row ran the per-set check")
+
+    def corrupt(how):
+        # x * y = a (mod n) still holds, so only the stack check can catch it
+        def unit_partners(spec):
+            xs, ys = partners(spec)
+            if how == "range":
+                return np.append(xs, n + 1), np.append(ys, 1)
+            xs[[3, 4]], ys[[3, 4]] = xs[[4, 3]], ys[[4, 3]]
+            return xs, ys
+
+        return unit_partners
+
+    monkeypatch.setattr(PointSet, "__post_init__", refuse)
+    sets = enumerate_many(n, a_values)
+    assert [ps.spec for ps in sets] == [HyperbolaSpec(a, n) for a in a_values]
+    assert all(ps.xs is sets[0].xs for ps in sets)
+    for how, reason in [("range", "coordinates"), ("order", "ascending")]:
+        monkeypatch.setattr(modhyp.hyperbola, "unit_partners", corrupt(how))
+        with pytest.raises(ValueError, match=reason):
+            enumerate_many(n, a_values)
+    monkeypatch.undo()
+    # one bad y row in a stack that shares a repeated x raises like that row alone
+    spec = HyperbolaSpec(1, 5)
+    xs = np.array([1, 1, 2], dtype=np.int64)
+    good = [[1, 4, 3], [2, 3, 4]]
+    assert [ps.points for ps in PointSet._rows([spec] * 2, xs, np.array(good), 5)] == [
+        ((1, 1), (1, 4), (2, 3)),
+        ((1, 2), (1, 3), (2, 4)),
+    ]
+    for bad, reason in [([1, 5, 3], "coordinates"), ([0, 4, 3], "coordinates"), ([4, 1, 3], "ascending"), ([3, 3, 3], "distinct")]:
+        for rows in ([bad, *good], [*good, bad]):
+            with pytest.raises(ValueError, match=reason):
+                PointSet._rows([spec] * 3, xs, np.array(rows), 5)
+        with pytest.raises(ValueError, match=reason):
+            PointSet(spec, xs, np.array(bad))
+
+
 def test_cardinality_is_totient():
     rng = random.Random(5)
     for n in list(range(2, 100)) + [rng.randrange(100, 1001) for _ in range(40)]:

@@ -213,6 +213,28 @@ def test_line_stacks_are_drawn_costliest_first(monkeypatch):
     assert sorted((t for stack in stacks for t in stack), key=lambda t: t[2]) == tasks
 
 
+def test_line_suites_fork_only_where_it_pays(monkeypatch):
+    # at n <= 625 lemma7 has two stacks, and the smaller, about 0.41 * 10**6
+    # of n**2, is below _FORK_COST; theorem6 and collinearity leave about
+    # 14.5 * 10**6 beside their costliest stack
+    fork, started = suites._FORK, []
+
+    def recording(*args, **kwargs):
+        started.append(args)
+        return process(*args, **kwargs)
+
+    process = fork.Process
+    monkeypatch.setattr(fork, "Process", recording)
+    for name, processes in [("lemma7", 0), ("theorem6", 1), ("collinearity", 1)]:
+        started.clear()
+        two = SUITES[name](n_max=625, jobs=2).to_payload()
+        assert len(started) == processes, name
+        assert json.dumps(two) == json.dumps(SUITES[name](n_max=625, jobs=1).to_payload())
+    started.clear()
+    assert SUITES["lemma7"](n_max=8, jobs=2).cases == [] and not started  # no stack at all
+    assert multiprocessing.active_children() == []
+
+
 def test_prime_lines_stacks_split_by_point_budget(monkeypatch):
     # above p = 359 the sets of one p go to census_many in several stacks of
     # at most _STACK_POINTS points; a small budget splits every p here
