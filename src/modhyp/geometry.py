@@ -2,23 +2,23 @@
 
 Every check here works on the point sets' int64 coordinate arrays.  One
 kernel censuses a stack of point sets of any moduli and sizes (all a of one
-prime, the x mod p classes of one p**m, the a = 1 sets of a run of moduli,
-or a single set) in one sweep; the sets are padded to the largest, and
-padding never enters a count.  Its rows are (set, anchor) pairs over orbit
-representatives: the maps sigma (x, y) -> (y, x) and nu (x, y) -> (n-x, n-y)
-that carry each set onto itself are found per set, and one anchor per orbit
-of that set is swept, weighted by its orbit size.  An anchor's row codes the
-slope to every other point of its set as dy * dx**-1 modulo a fixed prime
-above 2**41 (integer ops only, no per-pair gcd; for n <= 2**20 equal codes
-mean equal slopes), and one row sort per block of rows groups the points of
-each line through the anchor.
+prime, the a = 1 sets of a run of moduli, or a single set) in one sweep; the
+sets are padded to the largest, and padding never enters a count.  Its rows
+are (set, anchor) pairs over orbit representatives: the maps sigma
+(x, y) -> (y, x) and nu (x, y) -> (n-x, n-y) that carry each set onto itself
+are found per set, and one anchor per orbit of that set is swept, weighted
+by its orbit size.  An anchor's row codes the slope to every other point of
+its set as dy * dx**-1 modulo a fixed prime above 2**41 (integer ops only,
+no per-pair gcd; for n <= 2**20 equal codes mean equal slopes), and one row
+sort per block of rows groups the points of each line through the anchor.
 A t-point line is a group of t-1 points at each of its t points, so each
 set's weighted group counts give its count of each line size.  Only the
 keys of lines with three or more points are kept, reduced by a gcd on one
 pair per line, closed under their own set's maps, sorted with the set index
 leading and cut back per set.  The tests check the census against an
-independent cross-product oracle, and the lemma 7 checks recount every rich
-line without the census, by sorting A*x + B*y once per direction.
+independent cross-product oracle.  The lemma 7 checks recount every rich
+line without the census, by sorting A*x + B*y once per direction, and the
+collinearity checks derive each x mod p class's line total from both.
 """
 from __future__ import annotations
 
@@ -29,7 +29,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .hyperbola import HyperbolaSpec, PointSet, enumerate_points, partition_classes
+from .hyperbola import HyperbolaSpec, PointSet, enumerate_points
 from .ntcore import PrimePower
 
 # Row entries per block of whole anchor rows.  A block's three int64 work
@@ -79,21 +79,17 @@ class LineKey:
         return (self.A, self.B, self.C)
 
 
-def _line_triple(x1: int, y1: int, x2: int, y2: int) -> tuple[int, int, int]:
-    dx, dy = x2 - x1, y2 - y1
-    a, b, c = dy, -dx, dx * y1 - dy * x1
-    g = math.gcd(math.gcd(a, b), c)
-    a, b, c = a // g, b // g, c // g
-    if a < 0 or (a == 0 and b < 0):
-        a, b, c = -a, -b, -c
-    return a, b, c
-
-
 def line_through(p: tuple[int, int], q: tuple[int, int]) -> LineKey:
     """Canonical line through two distinct points."""
     if p == q:
         raise DegeneratePair(f"identical points {p}")
-    return LineKey(*_line_triple(p[0], p[1], q[0], q[1]))
+    (x1, y1), (x2, y2) = p, q
+    a, b, c = y2 - y1, x1 - x2, (x2 - x1) * y1 - (y2 - y1) * x1
+    g = math.gcd(math.gcd(a, b), c)
+    a, b, c = a // g, b // g, c // g
+    if a < 0 or (a == 0 and b < 0):
+        a, b, c = -a, -b, -c
+    return LineKey(a, b, c)
 
 
 @dataclass(eq=False)
@@ -329,11 +325,8 @@ def census(ps: PointSet) -> IncidenceCensus:
     cross-product difference is at most 2 * (n-1)**2 < M in absolute value,
     so iff the slopes are equal.
     Counts: with H_s the w-weighted number of a set's groups of size s, it
-    has L_t = H_(t-1) / t lines of t points.  Checks: that t divides
-    H_(t-1), that no L_t is negative, that sum L_t * C(t, 2) = C(k, 2) and
-    that the set has one key per line of t >= 3 points, each one reduction
-    over the whole stack that holds for every set of it; the ordinary count,
-    longest line and line total come from the same stacked counts.
+    has L_t = H_(t-1) / t lines of t points, checked and summarised per set
+    as ``census_many`` describes.
     Rich lines are keyed as (set, A, B, C, t) from the anchor and the first
     member of each group of size >= 2, reduced by its gcd, and closed under
     that set's own kept maps; one ``np.lexsort`` orders the stack's keys by
@@ -555,12 +548,10 @@ class OrdinaryBoundReport:
         return self.satisfied and self.equality == self.equality_expected
 
 
-def verify_ordinary_bound(pp: PrimePower, cen: IncidenceCensus | None = None) -> OrdinaryBoundReport:
-    """Compare the measured ordinary-line count against the exact lower bound."""
+def verify_ordinary_bound(pp: PrimePower, cen: IncidenceCensus) -> OrdinaryBoundReport:
+    """Compare the ordinary-line count of cen, the census of H_{1,p^m}, against the exact lower bound."""
     if pp.n < 3:
         raise OutOfScope("bound check needs p^m >= 3")
-    if cen is None:
-        cen = census(enumerate_points(HyperbolaSpec(1, pp.n)))
     lb = ordinary_lower_bound(pp)
     n_ord = cen.ordinary_count
     return OrdinaryBoundReport(
@@ -586,39 +577,26 @@ class LineClassReport:
         return not self.violations
 
 
-def verify_line_classes(ps: PointSet, cen: IncidenceCensus | None = None) -> LineClassReport:
-    """Structural checks on every line with >= 3 points of an odd prime-power set.
+def _rich_line_classes(ps: PointSet, cen: IncidenceCensus, p: int) -> np.ndarray:
+    """The x mod p class of each point of each rich line of cen, line after line, each count recounted.
 
-    Each such line must stay inside a single x mod p class, have C and A*B
-    coprime to p, satisfy C*C - 4AB = 0 (mod p), and sit in the class
-    i = -C * (2A)**-1 mod p; every line with C = 0 must be y = x with
-    exactly two points.  The census's count of every rich line is recounted
-    without the census: the values A*x + B*y of the set are sorted once per
-    direction (A, B), and one ``np.searchsorted`` pair finds the points of
-    every line A*x + B*y = -C of that direction.
+    The values A*x + B*y of the set are sorted once per direction (A, B), and
+    one ``np.searchsorted`` pair finds the points of every line
+    A*x + B*y = -C of that direction; a count other than the census's raises.
     """
-    pp = ps.spec.prime_power
-    if pp is None or pp.p == 2 or pp.m < 2:
-        raise OutOfScope("line-class checks need an odd prime power with m >= 2")
-    p = pp.p
-    if cen is None:
-        cen = census(ps)
     keys, t = cen._rich_keys, cen._rich_t
     A, B, C = keys.T
     # keys ascend in (A, B, C), so the lines of one direction are consecutive
     edge = np.ones(len(keys) + 1, dtype=bool)
     edge[1:-1] = (A[1:] != A[:-1]) | (B[1:] != B[:-1])
     bounds = np.flatnonzero(edge).tolist()
-    ends = np.cumsum(t) - t  # line r's points sit at classes[ends[r] : ends[r] + t[r]]
-    classes = np.empty(int(t.sum()), dtype=np.int64)
+    classes = [np.empty(0, dtype=np.int64)]
     residues = ps.xs % p
     for first, last in zip(bounds, bounds[1:]):
         # each point as A*x + B*y packed with its class, (A*x + B*y) * p + x % p:
         # |A*x + B*y| < 2 * n**2 <= 2**41 (a census needs n <= 2**20) and
         # p <= 2**10 (m >= 2), so one sorted int64 array serves every C
-        values = A[first] * ps.xs + B[first] * ps.ys
-        values *= p
-        values += residues
+        values = (A[first] * ps.xs + B[first] * ps.ys) * p + residues
         values.sort()
         lo = np.searchsorted(values, -C[first:last] * p)
         count = np.searchsorted(values, (1 - C[first:last]) * p) - lo
@@ -627,7 +605,27 @@ def verify_line_classes(ps: PointSet, cen: IncidenceCensus | None = None) -> Lin
             raise RuntimeError(f"census count mismatch on {LineKey(*keys[first + wrong[0]].tolist())}")
         # the sorted positions of the points of every line, line after line
         member = np.repeat(lo - np.cumsum(count) + count, count) + np.arange(count.sum())
-        classes[ends[first] : ends[first] + count.sum()] = values[member] % p
+        classes.append(values[member] % p)
+    return np.concatenate(classes)
+
+
+def verify_line_classes(ps: PointSet, cen: IncidenceCensus) -> LineClassReport:
+    """Structural checks on every line with >= 3 points of an odd prime-power set, cen its census.
+
+    Each such line must stay inside a single x mod p class, have C and A*B
+    coprime to p, satisfy C*C - 4AB = 0 (mod p), and sit in the class
+    i = -C * (2A)**-1 mod p; every line with C = 0 must be y = x with
+    exactly two points.  The census's count of every rich line is recounted
+    without the census (``_rich_line_classes``).
+    """
+    pp = ps.spec.prime_power
+    if pp is None or pp.p == 2 or pp.m < 2:
+        raise OutOfScope("line-class checks need an odd prime power with m >= 2")
+    p = pp.p
+    keys, t = cen._rich_keys, cen._rich_t
+    A, B, C = keys.T
+    classes = _rich_line_classes(ps, cen, p)
+    ends = np.cumsum(t) - t  # line r's points sit at classes[ends[r] : ends[r] + t[r]]
     violations: list[str] = []
     if len(keys):
         low, high = np.minimum.reduceat(classes, ends), np.maximum.reduceat(classes, ends)
@@ -677,35 +675,37 @@ class CollinearityReport:
         return not self.violations
 
 
-def verify_collinearity_bounds(ps: PointSet, cen: IncidenceCensus | None = None) -> CollinearityReport:
-    """Check max collinearity <= 2*p**floor(m/2) and that no class is collinear.
+def verify_collinearity_bounds(ps: PointSet, cen: IncidenceCensus) -> CollinearityReport:
+    """Check max collinearity <= 2*p**floor(m/2) and that no class is collinear, cen the census of ps.
 
-    Also reports the number of distinct lines each class spans (the quantity
-    the point-count threshold argument bounds from below), from one
-    ``census_many`` stack of the classes; ps is a whole hyperbola set, whose
-    classes share one size (a subset with classes of different sizes raises).
+    For m >= 2 it also reports the lines each x mod p class spans (the
+    quantity the point-count threshold argument bounds from below), from cen
+    and its recounted rich lines, not from a census of the classes: class i
+    of k_i points spans C(k_i, 2) - sum [C(t, 2) - 1] lines, the sum over
+    the rich lines that hold t >= 2 of its points, and if k_i >= 3 it is
+    collinear when one of them holds all k_i.  Classes may differ in size.
     """
     pp = ps.spec.prime_power
     if pp is None or pp.p == 2:
         raise OutOfScope("collinearity checks need an odd prime power")
-    if cen is None:
-        cen = census(ps)
     limit = 2 * pp.p ** (pp.m // 2)
     violations: list[str] = []
     if cen.max_collinear > limit:
         violations.append(f"max collinear {cen.max_collinear} exceeds {limit}")
     class_lines: dict[int, int] = {}
     if pp.m >= 2:
-        classes = partition_classes(ps)
-        for i, cls in classes.items():
-            key = line_through(*zip(cls.xs[:2].tolist(), cls.ys[:2].tolist()))
-            if count_on_line(cls, key) == len(cls):
-                violations.append(f"class {i} is entirely collinear on {key.as_tuple()}")
-        # the p - 1 classes of a whole set hold p**(m-1) points each
-        for i, cen_i in zip(classes, census_many(list(classes.values()))):
-            class_lines[i] = cen_i.line_total
+        p = pp.p
+        k = np.bincount(ps.xs % p, minlength=p)
+        # line * p + class for each point of each rich line; t points per code
+        members = np.repeat(np.arange(len(cen._rich_t)), cen._rich_t) * p + _rich_line_classes(ps, cen, p)
+        codes, t = np.unique(members, return_counts=True)
+        line, i = np.divmod(codes, p)
+        lines = k * (k - 1) // 2
+        np.subtract.at(lines, i, np.where(t >= 2, t * (t - 1) // 2 - 1, 0))
+        whole = (t == k[i]) & (k[i] >= 3)
+        for c, r in sorted(zip(i[whole].tolist(), line[whole].tolist())):
+            violations.append(f"class {c} is entirely collinear on {tuple(cen._rich_keys[r].tolist())}")
+        class_lines = dict(enumerate(lines[1:].tolist(), start=1))
     # classes above this size threshold must span quadratically many lines
     many_lines = pp.p ** ((pp.m + 1) // 2 - 1) > 200
-    return CollinearityReport(
-        ps.spec.n, ps.spec.a, cen.max_collinear, limit, class_lines, violations, many_lines
-    )
+    return CollinearityReport(ps.spec.n, ps.spec.a, cen.max_collinear, limit, class_lines, violations, many_lines)

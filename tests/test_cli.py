@@ -332,6 +332,11 @@ REPORT_DIGESTS = [
     # the default range, recorded before the census summarised its sets from
     # the stacked line counts; every stack of it reads ordinary_count
     ("ordinary-moduli", [], 0, "04289bef07d4ff6ac32b032f8f6bcf64ef84536043a2df0b04e50e24e0ce3a07"),
+    # the default range (n <= 1331, with 11^3 and 31^2), recorded before the
+    # class line totals were derived from the set's own census and lemma 7's
+    # recount, which both suites now share
+    ("collinearity", [], 0, "569adea8379e40527882af8a5034e47c31879d29bf36691745757d0b607aa7d1"),
+    ("lemma7", [], 0, "7620a69396ed00bfc6ded0dc9b6fe2b5bc95128061e0d1cae89b8136e3d45a3b"),
 ]
 
 

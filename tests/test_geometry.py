@@ -467,19 +467,23 @@ def test_ordinary_lower_bound_values():
     assert b9.bound == Fraction(153, 13) and b9.ceil == 12 and not b9.equality_expected
 
 
+def _a1_census(n):
+    return census(enumerate_points(HyperbolaSpec(1, n)))
+
+
 def test_verify_ordinary_bound_primes_hit_equality():
     for p in (3, 5, 7, 11, 13):
-        r = verify_ordinary_bound(PrimePower(p, 1))
+        r = verify_ordinary_bound(PrimePower(p, 1), _a1_census(p))
         assert r.satisfied and r.equality and r.ok
         assert r.ordinary == (p - 1) * (p - 2) // 2
 
 
 def test_verify_ordinary_bound_small_powers():
-    r4 = verify_ordinary_bound(PrimePower(2, 2))
+    r4 = verify_ordinary_bound(PrimePower(2, 2), _a1_census(4))
     assert r4.ok and r4.equality
-    r8 = verify_ordinary_bound(PrimePower(2, 3))
+    r8 = verify_ordinary_bound(PrimePower(2, 3), _a1_census(8))
     assert r8.ok and r8.equality
-    r9 = verify_ordinary_bound(PrimePower(3, 2))
+    r9 = verify_ordinary_bound(PrimePower(3, 2), _a1_census(9))
     assert r9.ok and r9.satisfied and not r9.equality
     assert r9.ordinary >= 12
 
@@ -487,7 +491,7 @@ def test_verify_ordinary_bound_small_powers():
 def test_verify_ordinary_bound_49_known_discrepancy():
     # measured census: 795 ordinary lines, strictly above the 771 bound, so
     # the expected-equality flag cannot be met; the report records that.
-    r = verify_ordinary_bound(PrimePower(7, 2))
+    r = verify_ordinary_bound(PrimePower(7, 2), _a1_census(49))
     assert r.ordinary == 795
     assert r.satisfied
     assert not r.equality
@@ -498,27 +502,38 @@ def test_verify_ordinary_bound_49_known_discrepancy():
 def test_verify_line_classes():
     for n in (9, 49, 125, 343):
         ps = enumerate_points(HyperbolaSpec(1, n))
-        rep = verify_line_classes(ps)
+        rep = verify_line_classes(ps, census(ps))
         assert rep.ok, rep.violations
-    with pytest.raises(OutOfScope):
-        verify_line_classes(enumerate_points(HyperbolaSpec(1, 5)))
-    with pytest.raises(OutOfScope):
-        verify_line_classes(enumerate_points(HyperbolaSpec(1, 16)))
+    for n in (5, 16):
+        with pytest.raises(OutOfScope):
+            verify_line_classes(enumerate_points(HyperbolaSpec(1, n)), _a1_census(n))
 
 
+@pytest.mark.parametrize("verify", [verify_line_classes, verify_collinearity_bounds])
 @pytest.mark.parametrize("n", [27, 25])
-def test_verify_line_classes_recounts_every_rich_line(monkeypatch, n):
+def test_verify_line_classes_recounts_every_rich_line(verify, n):
     # a census whose first rich key has its C moved by n**2 names a line that
-    # meets no point of the set, while it still claims the old count
+    # meets no point of the set, while it still claims the old count; lemma 7
+    # and the class line totals share the recount that must catch it
     ps = enumerate_points(HyperbolaSpec(1, n))
     tampered = copy.copy(census(ps))
     tampered._rich_keys = tampered._rich_keys.copy()
     tampered._rich_keys[0, 2] += n * n
     key, t = next(tampered.lines())
     assert count_on_line(ps, key) != t
-    monkeypatch.setattr(geometry, "census", lambda _: tampered)
     with pytest.raises(RuntimeError, match="census count mismatch"):
-        verify_line_classes(ps)
+        verify(ps, tampered)
+
+
+def _lemma7_test_sets():
+    """The hyperbola sets, grids and random subsets of the square on which lemma 7's checks are compared."""
+    rng = random.Random(13)
+    sets = [enumerate_points(HyperbolaSpec(a, n)) for a, n in [(1, 9), (2, 25), (1, 27), (3, 49)]]
+    for n in (9, 25, 27, 49):
+        sets.append(_point_set(HyperbolaSpec(1, n), [(x, y) for x in range(1, n, 2) for y in range(1, n, 3)]))
+        square = [(x, y) for x in range(1, n) for y in range(1, n)]
+        sets.append(_point_set(HyperbolaSpec(1, n), rng.sample(square, min(len(square), 3 * n))))
+    return sets
 
 
 def _line_class_violations_loop(ps, cen):
@@ -549,12 +564,7 @@ def _line_class_violations_loop(ps, cen):
 def test_verify_line_classes_matches_line_by_line_checks():
     # sets that break lemma 7 in every way: grids and random subsets of the
     # square, with the modulus of an odd prime power; and hyperbola sets
-    rng = random.Random(13)
-    sets = [enumerate_points(HyperbolaSpec(a, n)) for a, n in [(1, 9), (2, 25), (1, 27), (3, 49)]]
-    for n in (9, 25, 27, 49):
-        sets.append(_point_set(HyperbolaSpec(1, n), [(x, y) for x in range(1, n, 2) for y in range(1, n, 3)]))
-        square = [(x, y) for x in range(1, n) for y in range(1, n)]
-        sets.append(_point_set(HyperbolaSpec(1, n), rng.sample(square, min(len(square), 3 * n))))
+    sets = _lemma7_test_sets()
     kinds = ("meets classes", "p divides C", "p divides A*B", "discriminant", ": class ")
     seen = set()
     for ps in sets:
@@ -568,15 +578,49 @@ def test_verify_line_classes_matches_line_by_line_checks():
 
 
 def test_verify_collinearity_bounds():
-    r27 = verify_collinearity_bounds(enumerate_points(HyperbolaSpec(1, 27)))
+    def verify(n):
+        return verify_collinearity_bounds(enumerate_points(HyperbolaSpec(1, n)), _a1_census(n))
+
+    r27 = verify(27)
     assert r27.ok and r27.limit == 6 and r27.max_collinear <= 6
-    r9 = verify_collinearity_bounds(enumerate_points(HyperbolaSpec(1, 9)))
+    r9 = verify(9)
     assert r9.ok and not r9.violations
-    r25 = verify_collinearity_bounds(enumerate_points(HyperbolaSpec(1, 25)))
+    r25 = verify(25)
     assert r25.ok and r25.limit == 10
     assert set(r25.class_line_counts) == {1, 2, 3, 4}
+    assert verify(13).class_line_counts == {}  # m = 1: one point per class
     with pytest.raises(OutOfScope):
-        verify_collinearity_bounds(enumerate_points(HyperbolaSpec(1, 16)))
+        verify(16)
+
+
+def _class_census_totals(ps):
+    """{class: line total} from a census of the x mod p classes themselves, the derived totals' oracle."""
+    classes = partition_classes(ps)
+    return {i: cen.line_total for i, cen in zip(classes, census_many(list(classes.values())))}
+
+
+def test_class_line_counts_match_a_census_of_the_classes():
+    # the a = 1, 2, 3 sets of every odd p**m, m >= 2, up to 2187, and sets
+    # whose rich lines split across classes: grids and random subsets
+    moduli = [n for n in range(9, 2188, 2) if (pp := PrimePower.from_modulus(n)) and pp.m >= 2]
+    sets = [enumerate_points(HyperbolaSpec(a, n)) for n in moduli for a in (1, 2, 3) if math.gcd(a, n) == 1]
+    sets += _lemma7_test_sets()
+    split = 0
+    for ps, cen in zip(sets, census_many(sets)):
+        rep = verify_collinearity_bounds(ps, cen)
+        assert rep.class_line_counts == _class_census_totals(ps), (ps.spec, len(ps))
+        split += any("meets classes" in v for v in verify_line_classes(ps, cen).violations)
+    assert split  # some sets have rich lines that meet two classes or more
+
+
+def test_collinear_class_is_named_with_its_line():
+    # mod 25, class 1 is three points on 2x - 5y + 8 = 0; class 2 holds two
+    # points, too few to test, though the rich line y = x - 1 holds both; and
+    # class 3 is three points in general position, one of them on y = x - 1
+    ps = _point_set(HyperbolaSpec(1, 25), [(1, 2), (6, 4), (11, 6), (2, 1), (7, 6), (3, 2), (8, 2), (13, 4)])
+    rep = verify_collinearity_bounds(ps, census(ps))
+    assert rep.violations == ["class 1 is entirely collinear on (2, -5, 8)"]
+    assert rep.class_line_counts == {1: 1, 2: 1, 3: 3, 4: 0}
 
 
 def test_zero_intercept_scan():

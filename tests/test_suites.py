@@ -11,7 +11,8 @@ from pathlib import Path
 import pytest
 
 import modhyp
-from modhyp import suites
+from modhyp import geometry, suites
+from modhyp.ntcore import euler_phi
 from modhyp.suites import (
     SUITES,
     read_fixture_rows,
@@ -282,6 +283,23 @@ def test_line_suite_stacks_do_not_change_reports(monkeypatch, name, kwargs):
     monkeypatch.setattr(suites, "_STACK_SQUARES", 1 << 62)
     assert SUITES[name](**kwargs).to_payload() == whole
     assert len(stacks) == 1 and stacks[0] > 1
+
+
+def test_collinearity_censuses_each_modulus_once(monkeypatch):
+    # the class line totals come from the set's own census: collinearity hands
+    # census_many one whole a = 1 set per modulus and no x mod p class
+    received = []
+    census_many = geometry.census_many
+
+    def recording(sets):
+        received.extend((ps.spec.n, ps.spec.a, len(ps)) for ps in sets)
+        return census_many(sets)
+
+    monkeypatch.setattr(geometry, "census_many", recording)
+    monkeypatch.setattr(suites, "census_many", recording)
+    assert SUITES["collinearity"](n_max=625, jobs=1).passed
+    moduli = [n for _, _, n in suites._prime_powers_upto(625, odd_only=True, min_n=3)]
+    assert sorted(received) == [(n, 1, euler_phi(n)) for n in moduli]
 
 
 def test_prop15_reports_the_rows_whose_counts_disagree(monkeypatch):
