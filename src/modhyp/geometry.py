@@ -8,17 +8,20 @@ are (set, anchor) pairs over orbit representatives: the maps sigma
 (x, y) -> (y, x) and nu (x, y) -> (n-x, n-y) that carry each set onto itself
 are found per set, and one anchor per orbit of that set is swept, weighted
 by its orbit size.  An anchor's row codes the slope to every other point of
-its set as dy * dx**-1 modulo a fixed prime above 2**41 (integer ops only,
-no per-pair gcd; for n <= 2**20 equal codes mean equal slopes), and one row
-sort per block of rows groups the points of each line through the anchor.
-A t-point line is a group of t-1 points at each of its t points, so each
-set's weighted group counts give its count of each line size.  Only the
-keys of lines with three or more points are kept, reduced by a gcd on one
-pair per line, closed under their own set's maps, sorted with the set index
-leading and cut back per set.  The tests check the census against an
-independent cross-product oracle.  The lemma 7 checks recount every rich
-line without the census, by sorting A*x + B*y once per direction, and the
-collinearity checks derive each x mod p class's line total from both.
+its set as dy * dx**-1 modulo a prime M with 2 * (n - 1)**2 < M, so equal
+codes mean equal slopes (integer ops only, no per-pair gcd): 2**31 - 1 and
+int32 codes up to n = 2**15, a prime above 2**41 and int64 codes up to
+n = 2**20.  One row sort per block of rows groups the points of each line
+through the anchor.  A t-point line is a group of t-1 points at each of
+its t points, so each set's weighted group counts give its count of each
+line size.  Only the keys of lines with three or more points are kept: each
+group's direction is rebuilt from its code by a half extended Euclid on
+(M, code), and the keys are closed under their own set's maps, sorted with
+the set index leading and cut back per set.  The tests check the census
+against an independent cross-product oracle.  The lemma 7 checks recount
+every rich line without the census, by sorting A*x + B*y once per
+direction, and the collinearity checks derive each x mod p class's line
+total from both.
 """
 from __future__ import annotations
 
@@ -34,20 +37,24 @@ from .ntcore import PrimePower
 
 # Row entries per block of whole anchor rows.  A block's three int64 work
 # arrays and its flags take 25 B per entry, 1.6 MB at 2**16, so they stay in a
-# 2 MB per-core L2 cache; at 2**17 (3.3 MB) they do not.  In-process line-sweep
-# passes (theorem6, lemma7 and collinearity at n <= 625, then prime-lines) on
-# a 2-core x86-64 host with 2 MB of L2 per core took a median 381 ms at 2**16,
-# against 385 ms at 2**15, 407 ms at 2**17 and 575 ms at 2**18 (12 rounds,
-# the four sizes alternating).
+# 2 MB per-core L2 cache; at 2**17 (3.3 MB) they do not.  The codes the block
+# sorts live in the bytes of its dx array, so they add nothing.  In-process
+# line-sweep passes (theorem6, lemma7 and collinearity at n <= 625, then
+# prime-lines) on a 2-core x86-64 host with 2 MB of L2 per core took a median
+# 381 ms at 2**16, against 385 ms at 2**15, 407 ms at 2**17 and 575 ms at
+# 2**18 (12 rounds, the four sizes alternating).
 _ROW_BLOCK = 1 << 16
-# n <= _N_LIMIT keeps every cross product dy1*dx2 - dy2*dx1 of two directions
-# below _SLOPE_PRIME in absolute value, so the slope codes are exact (see census).
+# Slope codes are taken mod a prime M with 2 * (n - 1)**2 < M, so every cross
+# product dy1*dx2 - dy2*dx1 of two directions is below M in absolute value and
+# equal codes mean equal slopes (see census).  Up to n = 2**15 M is the
+# Mersenne prime 2**31 - 1, and the codes, M itself (vertical) and the
+# sentinels -1 (the anchor) and -2 - col (padding) are int32; above it, up to
+# n = _N_LIMIT, M is _SLOPE_PRIME and the codes are int64.  _N_LIMIT also
+# caps a set's point count.
 _N_LIMIT = 1 << 20
 _SLOPE_PRIME = 2199023255579  # the least prime above 2**41
-# A row entry packs (code << _INDEX_BITS) | j with code <= _SLOPE_PRIME < 2**42
-# and point index j < 2**20 (a hyperbola set has k < n <= _N_LIMIT points), so
-# it stays below 2**62 and the anchor's sentinel -1 sorts before every entry.
-_INDEX_BITS = 20
+_N_LIMIT_32 = 1 << 15
+_SLOPE_PRIME_32 = (1 << 31) - 1
 _MAPS = ((True, False), (False, True), (True, True))  # sigma, nu, sigma*nu as (swap, reflect)
 
 
@@ -143,41 +150,72 @@ class IncidenceCensus:
         return f"{self.n},{self.a},{self.ordinary_count},{self.max_collinear}"
 
 
-def _slope_inverses(span: int) -> np.ndarray:
-    """The signed table inv[span + d] = d**-1 mod _SLOPE_PRIME for 0 < |d| <= span (inv[span] = 0 is unused).
+def _slope_inverses(span: int, m: int) -> np.ndarray:
+    """The signed table inv[span + d] = d**-1 mod m for 0 < |d| <= span (inv[span] = 0 is unused).
 
     It has 2 * span + 1 int64 entries, 16 MB at span = 2**20 (the census's
     n <= 2**20), so every direction of a census indexes it by dx + span,
     without folding dx to one sign first.
     """
-    # M = (M // d) * d + M % d gives d**-1 = -(M // d) * (M % d)**-1 (mod M),
-    # with M % d < d already inverted: cheaper than one pow(d, -1, M) each
-    m = _SLOPE_PRIME
+    # m = (m // d) * d + m % d gives d**-1 = -(m // d) * (m % d)**-1 (mod m),
+    # with m % d < d already inverted: cheaper than one pow(d, -1, m) each
     inv = [0, 1]
     for d in range(2, span + 1):
         inv.append((m - m // d) * inv[m % d] % m)
     positive = np.array(inv[1 : span + 1], dtype=np.int64)
-    return np.concatenate((m - positive[::-1], [0], positive))  # (-d)**-1 = M - d**-1
+    return np.concatenate((m - positive[::-1], [0], positive))  # (-d)**-1 = m - d**-1
 
 
-def _slope_codes(dx: np.ndarray, dy: np.ndarray, inv: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Write dy * dx**-1 mod _SLOPE_PRIME per direction into out, _SLOPE_PRIME where it is vertical.
+def _slope_codes(dx: np.ndarray, dy: np.ndarray, inv: np.ndarray, m: int, out: np.ndarray) -> np.ndarray:
+    """The codes dy * dx**-1 mod m per direction, m where it is vertical, written over dx.
 
-    inv is ``_slope_inverses(span)`` and dx holds each direction's dx + span,
-    so the vertical directions are where dx == span; dy is overwritten (it is
-    the scratch of the reduction).  For |dx|, |dy| < _N_LIMIT two codes are
-    equal exactly when dy1 * dx2 == dy2 * dx1.
+    inv is ``_slope_inverses(span, m)`` and dx holds each direction's
+    dx + span, so the vertical directions are where dx == span; dy and out
+    are int64 scratch of dx's shape.  The codes are a view of dx's bytes:
+    int32 when m < 2**31 (in their first half), else int64 (dx itself).
+    For |dx|, |dy| < sqrt(m / 2) two codes are equal exactly when
+    dy1 * dx2 == dy2 * dx1.
     """
     # every dx of two real points is in range (a padding column's may be
     # clipped; the census overwrites its code); "clip" writes out unbuffered
     np.take(inv, dx, out=out, mode="clip")
     out *= dy
-    # out %= M, but floor division by a scalar is faster
-    np.floor_divide(out, _SLOPE_PRIME, out=dy)
-    dy *= _SLOPE_PRIME
-    out -= dy
-    np.copyto(out, _SLOPE_PRIME, where=dx == len(inv) // 2)
-    return out
+    vertical = dx == len(inv) // 2
+    # out % m, but floor division by a scalar is faster
+    np.floor_divide(out, m, out=dy)
+    dy *= m
+    code = dx.reshape(-1).view(np.int32 if m < 1 << 31 else np.int64)[: dx.size].reshape(dx.shape)
+    np.subtract(out, dy, out=code, casting="unsafe")  # dx is dead: its bytes take the codes
+    np.copyto(code, m, where=vertical)
+    return code
+
+
+def _directions(code: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The reduced direction (dx, dy) of each slope code c mod m: dy = c * dx (mod m), and (0, 1) for c = m.
+
+    Half of the extended Euclidean algorithm on (m, c): its remainders r and
+    cofactors t keep r = t * c (mod m), and at the first r <= isqrt(m // 2)
+    the pair (dx, dy) = (t, r) is the only direction, up to sign, with both
+    entries at most that bound in absolute value, and coprime because m is
+    prime.  So it is exact for every code of a census, whose
+    |dx|, |dy| <= n - 1 with 2 * (n - 1)**2 < m.
+    """
+    stop = math.isqrt(m // 2)
+    vertical = code == m
+    dx = (~vertical).astype(np.int64)
+    dy = np.where(vertical, 1, code).astype(np.int64)
+    live = np.flatnonzero(dy > stop)
+    r0, r1 = np.full(len(live), m, dtype=np.int64), dy[live]
+    t0, t1 = np.zeros(len(live), dtype=np.int64), dx[live]
+    while len(live):
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        t0, t1 = t1, t0 - q * t1
+        done = r1 <= stop
+        dx[live[done]], dy[live[done]] = t1[done], r1[done]
+        go = ~done
+        live, r0, r1, t0, t1 = live[go], r0[go], r1[go], t0[go], t1[go]
+    return dx, dy
 
 
 def check_census_modulus(n: int) -> None:
@@ -254,47 +292,55 @@ def _row_blocks(rows_per_set: np.ndarray, ks: np.ndarray) -> list[tuple[int, int
     return blocks
 
 
-def _row_groups(xs, ys, sid, anchor, row_k, inv, work) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _row_groups(xs, ys, sid, anchor, row_k, inv, m, work) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Sort one block of (set, anchor) rows and find its groups of two or more points.
 
     Row r is anchor[r] of set sid[r], whose points fill its first row_k[r]
     columns of xs and ys; xs, ys and work are as wide as the block's widest
-    row.  Returns, per group, its row r, its size and the index j of its
-    first point.  work holds (R, width) arrays dx, dy and packed (int64) and
-    flags (bool), which every block overwrites: the census allocates its row
-    arrays once, not once per block.
+    row, and inv is ``_slope_inverses(span, m)``.  Returns, per group, its
+    row r, its size and its slope code mod m.  work holds (R, width) arrays
+    dx, dy and a product scratch (int64) and flags (bool), which every block
+    overwrites: the census allocates its row arrays once, not once per block.
     """
-    dx, dy, packed, flags = work
+    dx, dy, product, flags = work
     width = xs.shape[1]
     cols = np.arange(width)
     np.take(xs, sid, axis=0, out=dx, mode="clip")
     dx -= xs[sid, anchor][:, None] - len(inv) // 2  # dx + span indexes the signed table
     np.take(ys, sid, axis=0, out=dy, mode="clip")
     dy -= ys[sid, anchor][:, None]
-    _slope_codes(dx, dy, inv, packed)
+    code = _slope_codes(dx, dy, inv, m, product)
     if (row_k < width).any():
-        # padding columns get distinct codes above every slope code: they sort
-        # last and form no group
+        # padding column c takes -2 - c: distinct, and below every slope code
         np.less_equal(row_k[:, None], cols, out=flags)
-        np.copyto(packed, cols + (_SLOPE_PRIME + 1), where=flags)
-    packed <<= _INDEX_BITS
-    packed |= cols
-    packed[np.arange(len(anchor)), anchor] = -1
-    packed.sort(axis=1)
-    # the anchor's own column sorts first, and its code -1 matches no slope
-    # (codes are >= 0), so no run crosses from one row into the next
-    code = np.right_shift(packed, _INDEX_BITS, out=dx).ravel()
+        np.copyto(code, -2 - cols, where=flags)
+    code[np.arange(len(anchor)), anchor] = -1
+    code.sort(axis=1)
+    # a row's sentinels (-1 for its anchor, -2 - c for padding) are distinct
+    # and sort first, and it ends on a slope code >= 0 (a row has at least
+    # one other point), so no run crosses from one row into the next
+    flat = code.ravel()
     same = flags.ravel()  # same[p]: flat entries p and p + 1 share a slope
-    np.equal(code[1:], code[:-1], out=same[:-1])
+    np.equal(flat[1:], flat[:-1], out=same[:-1])
     same[-1] = False  # the last entry has no successor
     pos = np.flatnonzero(same)
-    # a run of consecutive positions is one group of size >= 2; run m is pos[first[m]:first[m+1]]
+    # a run of consecutive positions is one group of size >= 2; group g is pos[first[g]:first[g+1]]
     opens = np.ones(len(pos) + 1, dtype=bool)
     opens[1:-1] = pos[1:] != pos[:-1] + 1
     first = np.flatnonzero(opens)
     sizes = first[1:] - first[:-1] + 1
-    row, col = np.divmod(pos[first[:-1]], width)
-    return row, sizes, packed[row, col] & ((1 << _INDEX_BITS) - 1)
+    pos = pos[first[:-1]]
+    return pos // width, sizes, flat[pos]
+
+
+def _group_lines(xs, ys, s, i, code, m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(A, B, C) of each group's line, through point i of set s along the direction its slope code mod m rebuilds."""
+    dx, A = _directions(code, m)
+    B = -dx
+    g = np.gcd(A, B)  # 1 for every rebuilt direction; kept as a guard
+    A //= g
+    B //= g
+    return A, B, -(A * xs[s, i] + B * ys[s, i])
 
 
 def census(ps: PointSet) -> IncidenceCensus:
@@ -311,26 +357,31 @@ def census(ps: PointSet) -> IncidenceCensus:
     by its orbit size w = 1, 2 or 4 under that set's maps.
     Rows: one row per (set, anchor) pair, set-major.  Anchor i's row holds
     every other point j of its set, coded by the direction (dx, dy) = j - i
-    as c = dy * dx**-1 mod M (c = M when vertical), M = _SLOPE_PRIME, with
-    dx**-1 read from a signed table at dx + span (the direction and its
-    negation share c, as dy * dx**-1 = (-dy) * (-dx)**-1), and packed as
-    (c << 20) | j; the anchor's own column is -1, sorts first
-    and matches no code.  One ``np.sort`` per block of rows, at most
-    _ROW_BLOCK entries of the block's widest row each; a block may span sets
-    and reuses one set of row arrays, and the columns past a narrower set's
-    points take distinct codes above M.  Each run of equal c is the rest of
-    one line through i, so a t-point line is one group of size exactly t-1
-    at each of its t points.  The code is exact: for coordinates in [1, n-1],
-    n <= 2**20, c1 == c2 iff dy1 * dx2 = dy2 * dx1 (mod M), and that
-    cross-product difference is at most 2 * (n-1)**2 < M in absolute value,
-    so iff the slopes are equal.
-    Counts: with H_s the w-weighted number of a set's groups of size s, it
-    has L_t = H_(t-1) / t lines of t points, checked and summarised per set
-    as ``census_many`` describes.
-    Rich lines are keyed as (set, A, B, C, t) from the anchor and the first
-    member of each group of size >= 2, reduced by its gcd, and closed under
-    that set's own kept maps; one ``np.lexsort`` orders the stack's keys by
-    set first, and they are cut back per set.
+    as c = dy * dx**-1 mod M (c = M when vertical), with dx**-1 read from a
+    signed table at dx + span (the direction and its negation share c, as
+    dy * dx**-1 = (-dy) * (-dx)**-1).  M is 2**31 - 1 when the stack's
+    largest modulus is at most 2**15, and the codes are int32, written into
+    the bytes of the block's dx array; above that M = _SLOPE_PRIME and they
+    are int64.  The anchor's own column is -1 and a padding column c is
+    -2 - c: distinct, below every code, and sorted first.  One ``np.sort``
+    per block of rows, at most _ROW_BLOCK entries of the block's widest row
+    each; a block may span sets and reuses one set of row arrays.  Each run
+    of equal c is the rest of one line through i, so a t-point line is one
+    group of size exactly t-1 at each of its t points.  The code is exact:
+    for coordinates in [1, n-1], c1 == c2 iff dy1 * dx2 = dy2 * dx1 (mod M),
+    and that cross-product difference is at most 2 * (n-1)**2 < M in
+    absolute value, so iff the slopes are equal.
+    Counts: with H_s the w-weighted number of a set's groups of size s (one
+    ``np.add.at`` over every group, after the sweep), it has
+    L_t = H_(t-1) / t lines of t points, checked and summarised per set as
+    ``census_many`` describes.
+    Rich lines are keyed as (set, A, B, C, t) from the anchor and the code
+    of each group of size >= 2: after the sweep, one vectorised half
+    extended Euclid on (M, c) (``_directions``) rebuilds every group's
+    reduced direction (dx, dy), which is exact and unique under the same
+    bound 2 * (n-1)**2 < M, and A = dy, B = -dx, C = -(A*x + B*y).  The keys
+    are closed under that set's own kept maps; one ``np.lexsort`` orders the
+    stack's keys by set first, and they are cut back per set.
     """
     return census_many([ps])[0]
 
@@ -354,8 +405,8 @@ def census_many(sets: Sequence[PointSet]) -> list[IncidenceCensus]:
     if min(sizes) < 2:
         raise TooFewPoints(f"{min(sizes)} point(s) span no lines")
     check_census_modulus(max(moduli))
-    if max(sizes) > 1 << _INDEX_BITS:
-        raise ValueError(f"census packs point indices in {_INDEX_BITS} bits, got {max(sizes)} points")
+    if max(sizes) > _N_LIMIT:
+        raise ValueError(f"census handles at most {_N_LIMIT} points a set, got {max(sizes)} points")
     S, K = len(sets), max(sizes)
     ns = np.array(moduli, dtype=np.int64)
     ks = np.array(sizes, dtype=np.int64)
@@ -364,7 +415,8 @@ def census_many(sets: Sequence[PointSet]) -> list[IncidenceCensus]:
     for s, ps in enumerate(sets):
         xs[s, : sizes[s]] = ps.xs
         ys[s, : sizes[s]] = ps.ys
-    inv = _slope_inverses(int((xs[np.arange(S), ks - 1] - xs[:, 0]).max()))
+    m = _SLOPE_PRIME_32 if max(moduli) <= _N_LIMIT_32 else _SLOPE_PRIME
+    inv = _slope_inverses(int((xs[np.arange(S), ks - 1] - xs[:, 0]).max()), m)
     kept, images = _symmetries(xs, ys, ns, ks)
     cols = np.arange(K)
     anchors = (images >= cols).all(axis=0)  # least index in its orbit
@@ -378,29 +430,29 @@ def census_many(sets: Sequence[PointSet]) -> list[IncidenceCensus]:
     # each anchor's row has k - 1 entries: H_1 starts at all of them, and each
     # group of size >= 2 found below takes its size back out
     np.add.at(H, start[row_set] + 1, (ks[row_set] - 1) * row_weight)
-    rich = []
     blocks = _row_blocks(np.bincount(row_set, minlength=S), ks)
     entries = max((hi - lo) * width for lo, hi, width in blocks)
     # one array each, not one (3, entries) array: glibc raises its mmap
     # threshold to the size of each mapping freed, and a 3 MB one moves every
     # later allocation below 3 MB onto the heap (the line sweeps then read up
-    # to 4 MB more peak RSS)
+    # to 4 MB more peak RSS).  They live until the census returns: freed
+    # before the keys are built, they left the line-sweep benchmark at about
+    # 3.7 MB more peak RSS in roughly half the directories it ran from.
     ints = [np.empty(entries, dtype=np.int64) for _ in range(3)]
     flags = np.empty(entries, dtype=bool)
+    at, groups, codes = [], [], []  # per block: each group's row, size and slope code
     for lo, hi, width in blocks:
         sid = row_set[lo:hi]
         anchor = row_anchor[lo:hi]
         work = [a[: (hi - lo) * width].reshape(hi - lo, width) for a in (*ints, flags)]
-        row, group, j = _row_groups(xs[:, :width], ys[:, :width], sid, anchor, ks[sid], inv, work)
-        s = sid[row]
-        np.add.at(H, start[s] + group, row_weight[lo + row])
-        i = anchor[row]
-        x, y = xs[s, i], ys[s, i]
-        A, B = ys[s, j] - y, x - xs[s, j]
-        g = np.gcd(A, B)
-        A //= g
-        B //= g
-        rich.append(np.stack([s, A, B, -(A * x + B * y), group + 1], axis=1))
+        row, group, code = _row_groups(xs[:, :width], ys[:, :width], sid, anchor, ks[sid], inv, m, work)
+        at.append(row + lo)
+        groups.append(group)
+        codes.append(code)
+    row, group = np.concatenate(at), np.concatenate(groups)
+    s, i = row_set[row], row_anchor[row]
+    np.add.at(H, start[s] + group, row_weight[row])
+    keys = np.stack([s, *_group_lines(xs, ys, s, i, np.concatenate(codes), m), group + 1], axis=1)
     set_of = np.repeat(np.arange(S), ks)
     size = np.arange(start[-1]) - start[set_of]
     H[start[:-1] + 1] -= np.add.reduceat(H * np.where(size >= 2, size, 0), start[:-1])
@@ -412,10 +464,9 @@ def census_many(sets: Sequence[PointSet]) -> list[IncidenceCensus]:
     line_sizes[np.arange(start[-1]) + set_of + 1] = H // (size + 1)
     # close each set's keys under its kept maps, which are linear in (A, B, C):
     # sigma gives (B, A, C) and nu gives (A, B, -C - n(A + B))
-    keys = np.concatenate(rich)
     rows = [keys]
-    for m, (swap, reflect) in enumerate(_MAPS):
-        image = keys[kept[keys[:, 0], m]]
+    for which, (swap, reflect) in enumerate(_MAPS):
+        image = keys[kept[keys[:, 0], which]]
         if swap:
             image = image[:, [0, 2, 1, 3, 4]]
         if reflect:

@@ -14,10 +14,11 @@ from hypothesis import strategies as st
 
 from modhyp import geometry
 from modhyp.geometry import (
-    _INDEX_BITS,
     _MAPS,
     _N_LIMIT,
+    _N_LIMIT_32,
     _SLOPE_PRIME,
+    _SLOPE_PRIME_32,
     DegeneratePair,
     LineKey,
     OutOfScope,
@@ -32,6 +33,7 @@ from modhyp.geometry import (
     verify_line_classes,
     verify_ordinary_bound,
     zero_intercept_lines,
+    _directions,
     _slope_codes,
     _slope_inverses,
     _symmetries,
@@ -330,7 +332,7 @@ def test_census_modulus_limit():
     beyond = _point_set(HyperbolaSpec(1, n + 1), ((1, 1), (n, n)))
     with pytest.raises(ValueError, match="n <= 1048576"):
         census(beyond)
-    # a hand-built set can hold more points than n; their indices must fit the row packing
+    # a hand-built set can hold more points than n; past 2**20 of them it is refused
     xs = np.repeat(np.arange(1, 3, dtype=np.int64), 2**19 + 1)
     ys = np.tile(np.arange(1, 2**19 + 2, dtype=np.int64), 2)
     with pytest.raises(ValueError, match="1048578 points"):
@@ -340,51 +342,143 @@ def test_census_modulus_limit():
 def test_slope_constants():
     assert is_prime(_SLOPE_PRIME)
     assert _SLOPE_PRIME > 2 * (_N_LIMIT - 1) ** 2  # cross products never wrap mod M
-    assert (_SLOPE_PRIME << 20) | (2**20 - 1) < 2**62  # packed row entries fit int64
-    assert _INDEX_BITS == 20 and _N_LIMIT <= 1 << _INDEX_BITS  # a hyperbola set's indices fit
+    assert _SLOPE_PRIME < 2**42 and (2**20 - 1) * _SLOPE_PRIME < 2**63  # the int64 code products fit
+    assert _N_LIMIT == 2**20
+    # up to n = 2**15 the codes are taken mod the Mersenne prime 2**31 - 1
+    assert _SLOPE_PRIME_32 == 2**31 - 1 and is_prime(_SLOPE_PRIME_32)
+    assert _N_LIMIT_32 == 2**15 and _SLOPE_PRIME_32 > 2 * (_N_LIMIT_32 - 1) ** 2
+    assert (2**15 - 1) * _SLOPE_PRIME_32 < 2**63  # its products are still formed in int64
+    # every code 0 .. M - 1, the vertical code M and the sentinels -1 (anchor)
+    # and -2 - col (padding; col < 2**20, the census's cap on a set's points) fit int32
+    info = np.iinfo(np.int32)
+    assert info.min <= -2 - (_N_LIMIT - 1) and _SLOPE_PRIME_32 <= info.max
 
 
-def test_slope_codes_exact_on_adversarial_directions():
-    # directions (dx, dy) with |dx|, |dy| < 2**20 of either sign, as census pairs have
-    top = _N_LIMIT - 1
-    inv = _slope_inverses(top)
-    assert len(inv) == 2 * top + 1
-    for d in (1, 2, 3, 1000, top - 1, top):
-        assert inv[top + d] == pow(d, -1, _SLOPE_PRIME)
-        assert inv[top - d] == pow(-d, -1, _SLOPE_PRIME)
-    rng = random.Random(11)
+def _adversarial_directions(top, seed):
+    """Directions (dx, dy) with |dx|, |dy| <= top of either sign: Farey neighbours
+    with denominators near top, scaled copies of a few directions up to top,
+    the axes, the corners and entries at top, each also negated."""
+    rng = random.Random(seed)
     dirs = [(0, 1), (0, top), (1, 0), (top, 0), (top, top), (top, -top), (1, top), (top, 1)]
+    # an entry at top with the other above 1: the rebuild meets a remainder of exactly top
+    dirs += [(2, top), (top, 2), (top - 1, top), (top, top - 1), (2, -top), (-top, 2)]
     for _ in range(40):
-        # Farey neighbours a/b, c/d with b*c - a*d = 1 and b near 2**20
+        # Farey neighbours a/b, c/d with b*c - a*d = 1 and b near top
         b = top - rng.randrange(200)
         a = rng.randrange(1, b)
         while math.gcd(a, b) != 1:
             a += 1
         d = -pow(a, -1, b) % b
         c = (1 + a * d) // b
-        dirs += [(b, a), (d, c), (b, -a), (d, -c)]
+        dirs += [(b, a), (d, c), (b, -a), (d, -c), (a, b), (c, d)]
     for base in [(1, 0), (0, 1), (1, 1), (2, -1), (3, -5), (7, 4), (1000, -999)]:
         s_max = top // max(map(abs, base))  # scaled copies of one direction
         dirs += [(base[0] * s, base[1] * s) for s in (1, 2, 3, s_max)]
     # each direction also negated: negative dx, and the verticals (0, -dy)
-    dirs = sorted(set(dirs) | {(-dx, -dy) for dx, dy in dirs})
+    return sorted(set(dirs) | {(-dx, -dy) for dx, dy in dirs})
+
+
+def _codes_of(dirs, top, m):
+    """The census slope codes mod m of the given directions, through the signed inverse table."""
+    inv = _slope_inverses(top, m)
+    assert len(inv) == 2 * top + 1
+    for d in (1, 2, 3, 1000, top - 1, top):
+        assert inv[top + d] == pow(d, -1, m)
+        assert inv[top - d] == pow(-d, -1, m)
     dx = np.array([v[0] + top for v in dirs], dtype=np.int64)  # indexes the signed table
     dy = np.array([v[1] for v in dirs], dtype=np.int64)
-    code = _slope_codes(dx, dy, inv, np.empty_like(dx)).tolist()
-    for (dx1, dy1), c1 in zip(dirs, code):
-        for (dx2, dy2), c2 in zip(dirs, code):
+    code = _slope_codes(dx, dy, inv, m, np.empty_like(dx))
+    assert code.dtype == (np.int32 if m == _SLOPE_PRIME_32 else np.int64)
+    assert code.min() >= 0 and code.max() <= m
+    return code
+
+
+def _assert_codes_exact(dirs, code):
+    for (dx1, dy1), c1 in zip(dirs, code.tolist()):
+        for (dx2, dy2), c2 in zip(dirs, code.tolist()):
             assert (c1 == c2) == (dy1 * dx2 == dy2 * dx1), ((dx1, dy1), (dx2, dy2))
+
+
+def _assert_directions_rebuilt(dirs, code, m):
+    # the rebuilt direction of each code is its direction reduced by math.gcd, up to sign
+    dx, dy = _directions(code, m)
+    for (ex, ey), rx, ry in zip(dirs, dx.tolist(), dy.tolist()):
+        g = math.gcd(ex, ey)
+        assert (rx, ry) in ((ex // g, ey // g), (-ex // g, -ey // g)), ((ex, ey), (rx, ry))
+
+
+def test_slope_codes_exact_on_adversarial_directions():
+    # directions (dx, dy) with |dx|, |dy| < 2**20 of either sign, as census pairs
+    # have, coded mod _SLOPE_PRIME as int64
+    top = _N_LIMIT - 1
+    dirs = _adversarial_directions(top, 11)
+    code = _codes_of(dirs, top, _SLOPE_PRIME)
+    _assert_codes_exact(dirs, code)
+    _assert_directions_rebuilt(dirs, code, _SLOPE_PRIME)
+
+
+def test_int32_codes_and_directions_at_the_edge():
+    # n = 2**15: directions with |dx|, |dy| <= 2**15 - 1 coded mod 2**31 - 1 as
+    # int32, and every direction rebuilt from its code by the half extended
+    # Euclid (Farey neighbours near 2**15, scaled copies, both signs, both axes)
+    top = _N_LIMIT_32 - 1
+    dirs = _adversarial_directions(top, 12)
+    code = _codes_of(dirs, top, _SLOPE_PRIME_32)
+    _assert_codes_exact(dirs, code)
+    _assert_directions_rebuilt(dirs, code, _SLOPE_PRIME_32)
+    dx, dy = _directions(np.array([0, _SLOPE_PRIME_32], dtype=np.int32), _SLOPE_PRIME_32)
+    assert (dx.tolist(), dy.tolist()) == ([1, 0], [0, 1])  # horizontal, vertical
+
+
+def _extreme_points(n):
+    """Points at 1 and n - 1: the largest |dx| and |dy|, negative dy, vertical
+    and horizontal pairs, and near-parallel pairs."""
+    m = n // 2
+    return [(1, 1), (1, n - 1), (n - 1, 1), (n - 1, n - 1), (m, m), (2, 1), (n - 2, n - 1), (1, 2), (n - 1, n - 2)]
 
 
 def test_census_extreme_coordinates():
     # n = 2**20 with coordinates at 1 and n - 1: the largest |dx| and |dy|,
     # negative dy, vertical and horizontal pairs, and near-parallel pairs
     n = _N_LIMIT
-    m = n // 2
-    pts = [(1, 1), (1, n - 1), (n - 1, 1), (n - 1, n - 1), (m, m), (2, 1), (n - 2, n - 1), (1, 2), (n - 1, n - 2)]
-    _assert_matches_oracle(_point_set(HyperbolaSpec(1, n), pts))
+    _assert_matches_oracle(_point_set(HyperbolaSpec(1, n), _extreme_points(n)))
     with pytest.raises(ValueError, match="coordinates"):  # refused before any census
         _point_set(HyperbolaSpec(1, n), ((1, 1), (n, 1)))
+
+
+def test_census_extreme_coordinates_int32():
+    # the same at n = 2**15, the largest modulus whose codes are int32, and at
+    # 2**15 + 1, the smallest whose codes are int64; four more points put five
+    # on each diagonal, y = x and x + y = n
+    for n in (_N_LIMIT_32, _N_LIMIT_32 + 1):
+        pts = _extreme_points(n) + [(2, 2), (3, 3), (n - 2, 2), (n - 3, 3)]
+        _assert_matches_oracle(_point_set(HyperbolaSpec(1, n), pts))
+
+
+def test_census_stack_mixes_int32_and_int64_moduli():
+    # a stack whose largest modulus is above 2**15 takes int64 codes for all
+    # of its sets; each set still censuses as it does alone (int32 codes for
+    # those of n <= 2**15) and as the oracle says
+    n = _N_LIMIT_32 + 3
+    big = _point_set(HyperbolaSpec(1, n), _extreme_points(n) + [(3, 3), (n - 3, n - 3)])
+    sets = [enumerate_points(HyperbolaSpec(1, 49)), big, enumerate_points(HyperbolaSpec(2, 25))]
+    sets.append(_point_set(HyperbolaSpec(1, _N_LIMIT_32), _extreme_points(_N_LIMIT_32)))
+    primes = []
+    slope_inverses = geometry._slope_inverses
+
+    def spy(span, m):
+        primes.append(m)
+        return slope_inverses(span, m)
+
+    with mock.patch.object(geometry, "_slope_inverses", spy):
+        batch = census_many(sets)
+        single = [census(ps) for ps in sets]
+    assert primes == [_SLOPE_PRIME, _SLOPE_PRIME_32, _SLOPE_PRIME, _SLOPE_PRIME_32, _SLOPE_PRIME_32]
+    for ps, cen, alone in zip(sets, batch, single):
+        hist, rich = _census_oracle(ps.points)
+        assert (cen.n, cen.point_count) == (alone.n, alone.point_count)
+        assert cen.histogram == alone.histogram == hist
+        assert list(cen.lines()) == list(alone.lines()) == sorted(rich.items())
 
 
 def test_census_pair_identity():
@@ -653,15 +747,15 @@ def test_census_stack_checks_fire_on_one_corrupt_set(monkeypatch):
     row_groups, line_summaries = geometry._row_groups, geometry._line_summaries
     dropped = []
 
-    def dropping(xs, ys, sid, anchor, row_k, inv, work):
+    def dropping(xs, ys, sid, anchor, row_k, inv, m, work):
         # lose one group of two points (a 3-point line seen from one anchor)
-        row, sizes, j = row_groups(xs, ys, sid, anchor, row_k, inv, work)
+        row, sizes, code = row_groups(xs, ys, sid, anchor, row_k, inv, m, work)
         hit = np.flatnonzero((sid[row] == 1) & (sizes == 2))
         if dropped or not len(hit):
-            return row, sizes, j
+            return row, sizes, code
         dropped.append(hit[0])
         keep = np.arange(len(row)) != hit[0]
-        return row[keep], sizes[keep], j[keep]
+        return row[keep], sizes[keep], code[keep]
 
     for row_block in (geometry._ROW_BLOCK, 64):
         dropped.clear()
