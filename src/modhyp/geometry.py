@@ -16,19 +16,19 @@ through the anchor.  A t-point line is a group of t-1 points at each of
 its t points, so each set's weighted group counts give its count of each
 line size.  Only the keys of lines with three or more points are kept: each
 group's direction is rebuilt from its code by a half extended Euclid on
-(M, code), and the keys are closed under their own set's maps, sorted with
-the set index leading and cut back per set.  The tests check the census
-against an independent cross-product oracle.  The lemma 7 checks recount
-every rich line without the census, by sorting A*x + B*y once per
-direction, and the collinearity checks derive each x mod p class's line
-total from both.
+(M, code), and the keys are closed under their own set's maps, sorted on one
+int64 major key that leads with the set index and cut back per set.  The
+tests check the census against an independent cross-product oracle.  The
+lemma 7 checks recount every rich line without the census, by sorting
+A*x + B*y once per direction, and the collinearity checks derive each
+x mod p class's line total from both.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -70,8 +70,7 @@ class OutOfScope(ValueError):
     """Modulus outside the range the check is defined for."""
 
 
-@dataclass(frozen=True, order=True)
-class LineKey:
+class LineKey(NamedTuple):
     """Canonical primitive triple (A, B, C) of the line A*x + B*y + C = 0.
 
     gcd(A, B, C) = 1 and the first nonzero of (A, B) is positive, so any two
@@ -132,10 +131,7 @@ class IncidenceCensus:
         if min_points < 3:
             raise ValueError("only lines with at least 3 points are stored")
         keep = self._rich_t >= min_points
-        return (
-            (LineKey(a, b, c), t)
-            for (a, b, c), t in zip(self._rich_keys[keep].tolist(), self._rich_t[keep].tolist())
-        )
+        return zip(map(LineKey._make, self._rich_keys[keep].tolist()), self._rich_t[keep].tolist())
 
     def to_payload(self) -> dict:
         return {
@@ -333,16 +329,6 @@ def _row_groups(xs, ys, sid, anchor, row_k, inv, m, work) -> tuple[np.ndarray, n
     return pos // width, sizes, flat[pos]
 
 
-def _group_lines(xs, ys, s, i, code, m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(A, B, C) of each group's line, through point i of set s along the direction its slope code mod m rebuilds."""
-    dx, A = _directions(code, m)
-    B = -dx
-    g = np.gcd(A, B)  # 1 for every rebuilt direction; kept as a guard
-    A //= g
-    B //= g
-    return A, B, -(A * xs[s, i] + B * ys[s, i])
-
-
 def census(ps: PointSet) -> IncidenceCensus:
     """Full incidence census of a point set (at least two distinct points).
 
@@ -376,12 +362,11 @@ def census(ps: PointSet) -> IncidenceCensus:
     L_t = H_(t-1) / t lines of t points, checked and summarised per set as
     ``census_many`` describes.
     Rich lines are keyed as (set, A, B, C, t) from the anchor and the code
-    of each group of size >= 2: after the sweep, one vectorised half
-    extended Euclid on (M, c) (``_directions``) rebuilds every group's
-    reduced direction (dx, dy), which is exact and unique under the same
-    bound 2 * (n-1)**2 < M, and A = dy, B = -dx, C = -(A*x + B*y).  The keys
-    are closed under that set's own kept maps; one ``np.lexsort`` orders the
-    stack's keys by set first, and they are cut back per set.
+    of each group of size >= 2: ``_directions`` rebuilds every group's
+    reduced direction (dx, dy), and A = dy, B = -dx, C = -(A*x + B*y).  The
+    keys and their images under their set's kept maps, columns of one
+    (5, rows) int64 array, are ordered by C and then stably by the major key
+    (set * span + A) * 2 * span + B, span the stack's largest n.
     """
     return census_many([ps])[0]
 
@@ -389,17 +374,20 @@ def census(ps: PointSet) -> IncidenceCensus:
 def census_many(sets: Sequence[PointSet]) -> list[IncidenceCensus]:
     """The census of each of a stack of point sets, in one sweep (method: ``census``).
 
-    The sets may differ in modulus and size.  An empty stack, a set of fewer
-    than two points or of more than 2**20, or a modulus above 2**20 raise
-    before any work.  Only the numpy calls are shared: every set keeps its
-    own maps, weights, counts and keys.  The checks run over the whole stack
-    at once and hold for every set: that t divides H_(t-1), and then, in
-    ``_line_summaries``, that no L_t is negative, that the set's lines hold
-    each of its point pairs once and that it has one key per rich line; a
-    failure raises ``RuntimeError`` naming the set's place in the stack.
+    The sets may differ in modulus and size.  An empty stack or one of 2**22
+    sets or more, a set of fewer than two points or of more than 2**20, or a
+    modulus above 2**20 raise before any work.  Only the numpy calls are
+    shared: every set keeps its own maps, weights, counts and keys.  The
+    checks run over the whole stack at once and hold for every set: that t
+    divides H_(t-1), and then, in ``_line_summaries``, that no L_t is
+    negative, that the set's lines hold each of its point pairs once and that
+    it has one key per rich line; a failure raises ``RuntimeError`` naming
+    the set's place in the stack.
     """
     if not sets:
         raise ValueError("census_many needs at least one point set")
+    if 2 * len(sets) * _N_LIMIT**2 >= 1 << 63:
+        raise ValueError(f"census stacks hold fewer than {(1 << 62) // _N_LIMIT**2} sets, got {len(sets)}")
     moduli = [ps.spec.n for ps in sets]
     sizes = [len(ps) for ps in sets]
     if min(sizes) < 2:
@@ -452,7 +440,6 @@ def census_many(sets: Sequence[PointSet]) -> list[IncidenceCensus]:
     row, group = np.concatenate(at), np.concatenate(groups)
     s, i = row_set[row], row_anchor[row]
     np.add.at(H, start[s] + group, row_weight[row])
-    keys = np.stack([s, *_group_lines(xs, ys, s, i, np.concatenate(codes), m), group + 1], axis=1)
     set_of = np.repeat(np.arange(S), ks)
     size = np.arange(start[-1]) - start[set_of]
     H[start[:-1] + 1] -= np.add.reduceat(H * np.where(size >= 2, size, 0), start[:-1])
@@ -462,29 +449,42 @@ def census_many(sets: Sequence[PointSet]) -> list[IncidenceCensus]:
     # set s's line counts L_0 .. L_k sit at start[s] + s onward, L_t = H_(t-1) / t
     line_sizes = np.zeros(start[-1] + S, dtype=np.int64)
     line_sizes[np.arange(start[-1]) + set_of + 1] = H // (size + 1)
-    # close each set's keys under its kept maps, which are linear in (A, B, C):
-    # sigma gives (B, A, C) and nu gives (A, B, -C - n(A + B))
-    rows = [keys]
+    # each group's key (set, A, B, C, t) is a column of rows, then its images under its
+    # set's kept maps, linear in (A, B, C): sigma swaps A and B, nu sends C to -C - n(A + B)
+    mapped = kept[s]
+    bounds = np.cumsum([len(s), *mapped.sum(axis=0).tolist()])
+    rows = np.empty((5, bounds[-1]), dtype=np.int64)
+    keys = rows[:, : len(s)]
+    dx, dy = _directions(np.concatenate(codes), m)
+    g = np.gcd(dx, dy)  # 1 for every rebuilt direction; kept as a guard
+    keys[0], keys[1], keys[2], keys[4] = s, dy // g, -dx // g, group + 1
+    keys[3] = -(keys[1] * xs[s, i] + keys[2] * ys[s, i])
     for which, (swap, reflect) in enumerate(_MAPS):
-        image = keys[kept[keys[:, 0], which]]
+        image = np.compress(mapped[:, which], keys, axis=1, out=rows[:, bounds[which] : bounds[which + 1]])
         if swap:
-            image = image[:, [0, 2, 1, 3, 4]]
+            image[[1, 2]] = image[[2, 1]]
         if reflect:
-            image[:, 3] = -image[:, 3] - ns[image[:, 0]] * (image[:, 1] + image[:, 2])
-        rows.append(image)
-    rows = np.concatenate(rows)
-    A, B = rows[:, 1], rows[:, 2]
-    rows[:, 1:4] *= np.where((A < 0) | ((A == 0) & (B < 0)), -1, 1)[:, None]  # sign rule
-    rows = rows[np.lexsort(rows.T[::-1])]  # ascending (set, A, B, C, t)
-    distinct = np.ones(len(rows), dtype=bool)
-    distinct[1:] = (rows[1:] != rows[:-1]).any(axis=1)
-    rows = rows[distinct]
-    cut = np.searchsorted(rows[:, 0], np.arange(S + 1))
+            image[3] = -image[3] - ns[image[0]] * (image[1] + image[2])
+    major, A, B, C = rows[:4]
+    np.negative(rows[1:4], out=rows[1:4], where=(A < 0) | ((A == 0) & (B < 0)))  # sign rule
+    # ascending (set, A, B, C): by C, then stably by the major key (set * span + A) * 2 * span + B over the
+    # set row; set s's keys lie above 2 * s * span**2 - span as |A|, |B| < span, and all below 2**63
+    span = max(moduli)
+    order = np.argsort(C)
+    np.add(np.multiply(major, span, out=major), A, out=major)
+    np.add(np.multiply(major, 2 * span, out=major), B, out=major)
+    order = order[np.argsort(major[order], kind="stable")]
+    major, C, t = rows[[0, 3, 4]][:, order]
+    distinct = np.ones(len(order), dtype=bool)  # a line of two sizes keeps both, for the checks
+    distinct[1:] = (major[1:] != major[:-1]) | (C[1:] != C[:-1]) | (t[1:] != t[:-1])
+    del keys, image, A, B, C, t, major, dx, dy, g  # released before the gather
+    rows = rows[:, order[distinct]]
+    cut = np.searchsorted(rows[0], np.arange(S + 1) * 2 * span * span - span)
     first_count = start[:-1] + np.arange(S)
     summaries = _line_summaries(line_sizes, first_count, ks, np.diff(cut))
     cut = cut.tolist()
     return [
-        IncidenceCensus(n, ps.spec.a, k, *summary, line_sizes[c : c + k + 1], rows[lo:hi, 1:4], rows[lo:hi, 4])
+        IncidenceCensus(n, ps.spec.a, k, *summary, line_sizes[c : c + k + 1], rows[1:4, lo:hi].T, rows[4, lo:hi])
         for ps, n, k, summary, c, lo, hi in zip(sets, moduli, sizes, summaries, first_count.tolist(), cut, cut[1:])
     ]
 

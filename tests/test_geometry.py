@@ -1,9 +1,12 @@
 """Census tests: the orbit-anchor census is checked against an independent
 cross-product oracle that finds every maximal collinear subset directly."""
 import copy
+import hashlib
 import itertools
+import json
 import math
 import random
+from collections.abc import Sequence
 from fractions import Fraction
 from unittest import mock
 
@@ -300,6 +303,145 @@ def test_census_many_refuses_bad_stacks_before_any_work(monkeypatch):
     ys = np.tile(np.arange(1, 2**19 + 2, dtype=np.int64), 2)
     with pytest.raises(ValueError, match="1048578 points"):
         census_many([h5, PointSet(HyperbolaSpec(1, n), xs, ys)])
+
+
+def _census_digest(cen):
+    """SHA-256 of a census's histogram, rich-line keys and rich-line sizes, whatever the keys' memory layout."""
+    h = hashlib.sha256(json.dumps(cen.histogram).encode())
+    h.update(np.ascontiguousarray(cen._rich_keys, dtype=np.int64).tobytes())
+    h.update(np.ascontiguousarray(cen._rich_t, dtype=np.int64).tobytes())
+    return h.hexdigest()
+
+
+# the four seeded census-large sets of the benchmark, too large for the oracle
+_LARGE_CENSUS_DIGESTS = {
+    (551, 2197): "42cd86d1af6c87ddebbc3965a826929f8f478e56adaf09c6d2f1d4efa8885a3f",
+    (2332, 2401): "fb7f3d3ba2807616a60cd82f6cf281df69e299c058b880a4dfb4e32d0c89a152",
+    (259, 3001): "757f9666694c40c03e6c4f7f39c9224f55724a24f77d01f93d56c559cd5f7f98",
+    (483, 3125): "65055d4d02bd7f2b0b84f22e6c550681ad3e6cc04f0f7191e06318aafe6f4486",
+}
+# a stack of mixed moduli and sizes: a = 2 mod 5**4, H_{1,11**3} and its x mod 11
+# class 5, H_{1,2**10} and a = 3 mod 7**3
+_STACK_CENSUS_DIGESTS = [
+    "bef1bb30d038e578123db7137771a26bdaef5d86315947cb054b4c8c9e03bf93",
+    "4322d5c866cddee8cbfe4e3e7e3cad6a7f584d70aab57ae31acc4562d7e8d018",
+    "12a995891acabaf25e29a7461e8207730f5a0b08c2ed0fa1544ac3f84d8aee22",
+    "4ee12e3df4065d56f0e458f197a9d32e5a8a8e28ae34b8b1e65723ef528aed85",
+    "318e13eab5ca5515343a9089f803a5b25460c7224a018b0c8f5cbad8b2a66e1d",
+]
+
+
+def test_census_keys_are_pinned():
+    # every rich-line key and size, byte for byte, on sets past the oracle's reach
+    for (a, n), want in _LARGE_CENSUS_DIGESTS.items():
+        assert _census_digest(census(enumerate_points(HyperbolaSpec(a, n)))) == want, (a, n)
+    h = enumerate_points(HyperbolaSpec(1, 1331))
+    stack = [
+        enumerate_points(HyperbolaSpec(2, 625)),
+        h,
+        partition_classes(h)[5],
+        enumerate_points(HyperbolaSpec(1, 1024)),
+        enumerate_points(HyperbolaSpec(3, 343)),
+    ]
+    assert [_census_digest(cen) for cen in census_many(stack)] == _STACK_CENSUS_DIGESTS
+
+
+def test_census_many_refuses_a_stack_past_the_major_key_range():
+    # the rich-key sort's major key (set * span + A) * 2 * span + B stays below
+    # 2 * S * n**2, which must be below 2**63 for every admitted n <= 2**20;
+    # a stand-in of the stack's length tests the bound without its sets
+    class Reached(Exception):
+        pass
+
+    class Stack(Sequence):
+        def __init__(self, length):
+            self.length = length
+
+        def __len__(self):
+            return self.length
+
+        def __getitem__(self, index):
+            raise Reached
+
+    assert 2 * 2**22 * _N_LIMIT**2 == 2**63
+    with pytest.raises(ValueError, match="fewer than 4194304 sets, got 4194304"):
+        census_many(Stack(2**22))
+    with pytest.raises(Reached):  # one set fewer passes the refusal
+        census_many(Stack(2**22 - 1))
+
+
+def _line_orbit(ps, key):
+    """The lines through the images of two of key's points under the identity, sigma, nu and sigma*nu."""
+    n = ps.spec.n
+    on = np.flatnonzero(key.A * ps.xs + key.B * ps.ys + key.C == 0)[:2]
+    (x1, x2), (y1, y2) = ps.xs[on].tolist(), ps.ys[on].tolist()
+    return {
+        line_through(p, q)
+        for p, q in [((x1, y1), (x2, y2)), ((y1, x1), (y2, x2)), ((n - x1, n - y1), (n - x2, n - y2)), ((n - y1, n - x1), (n - y2, n - x2))]
+    }
+
+
+def test_map_fixed_lines_get_one_key_with_their_count():
+    # a line fixed by a kept map meets itself in the key closure, so each
+    # line's repeats there number 4 over its orbit size of 1, 2 or 4, not
+    # uniformly: each rich line must still come out once, with the count the
+    # whole set gives it; x + y = n + 2 and x + y = 38 at 27 are fixed by sigma
+    for n, named in [(27, {(1, 1, -38): 4}), (81, {(1, 1, -83): 8}), (125, {(1, 1, -127): 4}), (2401, {(1, 1, -2403): 48})]:
+        ps = enumerate_points(HyperbolaSpec(1, n))
+        lines = list(census(ps).lines())
+        keys = [key for key, _ in lines]
+        assert len(set(keys)) == len(keys) and keys == sorted(keys)
+        for key, t in lines:
+            assert count_on_line(ps, key) == t, (n, key)
+        got = dict(lines)
+        for key, t in named.items():
+            assert got[key] == t and len(_line_orbit(ps, LineKey(*key))) == 2, (n, key)
+        # the closure's repeats are not uniform
+        assert {2, 4} <= {len(_line_orbit(ps, key)) for key in keys} <= {1, 2, 4}, n
+
+
+def test_line_reported_with_two_sizes_is_refused(monkeypatch):
+    # swapping the sizes of two groups of one anchor row of H_{1,49} (a 3-point
+    # and a 4-point line through one point) keeps every weighted group count,
+    # so only the keys show it: each of the two lines now also comes with the
+    # other's size from other anchors, and the keys outnumber the rich lines
+    row_groups = geometry._row_groups
+    swapped = []
+
+    def swapping(xs, ys, sid, anchor, row_k, inv, m, work):
+        row, sizes, code = row_groups(xs, ys, sid, anchor, row_k, inv, m, work)
+        for r in np.unique(row[sid[row] == 1]).tolist():
+            mine = np.flatnonzero(row == r)
+            other = mine[sizes[mine] != sizes[mine[0]]]
+            if not swapped and len(other):
+                swapped.append(sorted(sizes[[mine[0], other[0]]].tolist()))
+                sizes = sizes.copy()
+                sizes[mine[0]], sizes[other[0]] = sizes[other[0]], sizes[mine[0]]
+        return row, sizes, code
+
+    monkeypatch.setattr(geometry, "_row_groups", swapping)
+    with pytest.raises(RuntimeError, match=r"rich-line keys disagree with the line counts in set 1 of the stack"):
+        census_many(_corruptible_stack())
+    assert swapped == [[2, 3]]
+
+
+def test_line_key_is_a_tuple():
+    key = LineKey(2, -5, 8)
+    assert (key.A, key.B, key.C) == (2, -5, 8) and key.as_tuple() == (2, -5, 8)
+    assert LineKey(1, -1, 0) == (1, -1, 0) and hash(LineKey(1, -1, 0)) == hash((1, -1, 0))
+    keys = [LineKey(1, 2, 0), LineKey(1, -3, 5), LineKey(0, 1, 2), LineKey(1, -3, -1), LineKey(2, -7, 0), LineKey(0, 1, -4)]
+    assert sorted(keys) == sorted(keys, key=lambda k: (k.A, k.B, k.C))
+    assert [k.as_tuple() for k in sorted(keys)] == [(0, 1, -4), (0, 1, 2), (1, -3, -1), (1, -3, 5), (1, 2, 0), (2, -7, 0)]
+    # keys from the census and from line_through of two of a line's points are
+    # equal and hash alike
+    ps = enumerate_points(HyperbolaSpec(1, 49))
+    lines = dict(census(ps).lines())
+    assert all(type(key) is LineKey for key in lines)
+    for key in lines:
+        on = [(x, y) for x, y in ps.points if key.A * x + key.B * y + key.C == 0]
+        rebuilt = line_through(on[0], on[-1])
+        assert rebuilt == key and hash(rebuilt) == hash(key) and rebuilt in lines
+    assert list(lines) == sorted(lines)
 
 
 def test_oracle_pins_ordinary_count_49():
