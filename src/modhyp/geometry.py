@@ -357,10 +357,11 @@ def census(ps: PointSet) -> IncidenceCensus:
     for coordinates in [1, n-1], c1 == c2 iff dy1 * dx2 = dy2 * dx1 (mod M),
     and that cross-product difference is at most 2 * (n-1)**2 < M in
     absolute value, so iff the slopes are equal.
-    Counts: with H_s the w-weighted number of a set's groups of size s (one
-    ``np.add.at`` over every group, after the sweep), it has
-    L_t = H_(t-1) / t lines of t points, checked and summarised per set as
-    ``census_many`` describes.
+    Counts: H[s, size], on the (S, K) grid of the stack's coordinates, is
+    the w-weighted number of set s's groups of that size (one ``np.add.at``
+    over every group, after the sweep), and set s has L_t = H[s, t-1] / t
+    lines of t points, row s of an (S, K + 1) grid and zero past its k,
+    checked and summarised as ``census_many`` describes.
     Rich lines are keyed as (set, A, B, C, t) from the anchor and the code
     of each group of size >= 2: ``_directions`` rebuilds every group's
     reduced direction (dx, dy), and A = dy, B = -dx, C = -(A*x + B*y).  The
@@ -378,11 +379,11 @@ def census_many(sets: Sequence[PointSet]) -> list[IncidenceCensus]:
     sets or more, a set of fewer than two points or of more than 2**20, or a
     modulus above 2**20 raise before any work.  Only the numpy calls are
     shared: every set keeps its own maps, weights, counts and keys.  The
-    checks run over the whole stack at once and hold for every set: that t
-    divides H_(t-1), and then, in ``_line_summaries``, that no L_t is
-    negative, that the set's lines hold each of its point pairs once and that
-    it has one key per rich line; a failure raises ``RuntimeError`` naming
-    the set's place in the stack.
+    checks are reductions along the rows of the stack's count grids, one row
+    per set, and hold for every set: that t divides H_(t-1), and then, in
+    ``_line_summaries``, that no L_t is negative, that the set's lines hold
+    each of its point pairs once and that it has one key per rich line; a
+    failure raises ``RuntimeError`` naming the set's place in the stack.
     """
     if not sets:
         raise ValueError("census_many needs at least one point set")
@@ -413,11 +414,10 @@ def census_many(sets: Sequence[PointSet]) -> list[IncidenceCensus]:
     images = images[:, row_set, row_anchor]
     stabiliser = 1 + ((images == row_anchor) & kept[row_set].T).sum(axis=0)
     row_weight = (1 + kept.sum(axis=1))[row_set] // stabiliser  # orbit size = group order / stabiliser order
-    start = np.concatenate(([0], np.cumsum(ks)))
-    H = np.zeros(start[-1], dtype=np.int64)  # H[start[s] + size]: set s's groups of that size, weighted
+    H = np.zeros((S, K), dtype=np.int64)  # H[s, size]: set s's groups of that size, weighted
     # each anchor's row has k - 1 entries: H_1 starts at all of them, and each
     # group of size >= 2 found below takes its size back out
-    np.add.at(H, start[row_set] + 1, (ks[row_set] - 1) * row_weight)
+    np.add.at(H[:, 1], row_set, (ks[row_set] - 1) * row_weight)
     blocks = _row_blocks(np.bincount(row_set, minlength=S), ks)
     entries = max((hi - lo) * width for lo, hi, width in blocks)
     # one array each, not one (3, entries) array: glibc raises its mmap
@@ -439,16 +439,13 @@ def census_many(sets: Sequence[PointSet]) -> list[IncidenceCensus]:
         codes.append(code)
     row, group = np.concatenate(at), np.concatenate(groups)
     s, i = row_set[row], row_anchor[row]
-    np.add.at(H, start[s] + group, row_weight[row])
-    set_of = np.repeat(np.arange(S), ks)
-    size = np.arange(start[-1]) - start[set_of]
-    H[start[:-1] + 1] -= np.add.reduceat(H * np.where(size >= 2, size, 0), start[:-1])
-    bad = np.flatnonzero(H % (size + 1))
-    if len(bad):
-        raise RuntimeError(f"census H_(t-1) is not a multiple of t in set {set_of[bad[0]]} of the stack")
-    # set s's line counts L_0 .. L_k sit at start[s] + s onward, L_t = H_(t-1) / t
-    line_sizes = np.zeros(start[-1] + S, dtype=np.int64)
-    line_sizes[np.arange(start[-1]) + set_of + 1] = H // (size + 1)
+    np.add.at(H, (s, group), row_weight[row])
+    H[:, 1] -= H[:, 2:] @ np.arange(2, K)
+    line_sizes = np.zeros((S, K + 1), dtype=np.int64)  # line_sizes[s, t]: L_t of set s, 0 past its k
+    line_sizes[:, 1:], rest = np.divmod(H, np.arange(1, K + 1))  # L_t = H_(t-1) / t
+    bad = rest.any(axis=1)
+    if bad.any():
+        raise RuntimeError(f"census H_(t-1) is not a multiple of t in set {np.argmax(bad)} of the stack")
     # each group's key (set, A, B, C, t) is a column of rows, then its images under its
     # set's kept maps, linear in (A, B, C): sigma swaps A and B, nu sends C to -C - n(A + B)
     mapped = kept[s]
@@ -480,40 +477,36 @@ def census_many(sets: Sequence[PointSet]) -> list[IncidenceCensus]:
     del keys, image, A, B, C, t, major, dx, dy, g  # released before the gather
     rows = rows[:, order[distinct]]
     cut = np.searchsorted(rows[0], np.arange(S + 1) * 2 * span * span - span)
-    first_count = start[:-1] + np.arange(S)
-    summaries = _line_summaries(line_sizes, first_count, ks, np.diff(cut))
+    summaries = _line_summaries(line_sizes, ks, np.diff(cut))
     cut = cut.tolist()
     return [
-        IncidenceCensus(n, ps.spec.a, k, *summary, line_sizes[c : c + k + 1], rows[1:4, lo:hi].T, rows[4, lo:hi])
-        for ps, n, k, summary, c, lo, hi in zip(sets, moduli, sizes, summaries, first_count.tolist(), cut, cut[1:])
+        IncidenceCensus(n, ps.spec.a, k, *summary, counts[: k + 1], rows[1:4, lo:hi].T, rows[4, lo:hi])
+        for ps, n, k, summary, counts, lo, hi in zip(sets, moduli, sizes, summaries, line_sizes, cut, cut[1:])
     ]
 
 
-def _line_summaries(line_sizes: np.ndarray, first: np.ndarray, ks: np.ndarray, rich: np.ndarray) -> list[tuple]:
+def _line_summaries(line_sizes: np.ndarray, ks: np.ndarray, rich: np.ndarray) -> list[tuple]:
     """Check the stacked line counts of every set and give each its (ordinary count, longest line, line total).
 
-    Set s of k = ks[s] points has its L_0 .. L_k at line_sizes[first[s]:]
-    and rich[s] rich-line keys.  Every check is one reduction over the
-    stack, and the first set that fails one raises ``RuntimeError``: no L_t
-    may be negative, the sum of L_t * C(t, 2) must be C(k, 2) (every point
-    pair lies on exactly one line), and rich[s] must be the sum of L_t over
-    t >= 3.
+    line_sizes is an (S, K + 1) array: row s holds L_0 .. L_K of set s of
+    k = ks[s] <= K points, L_t = 0 for t > k, and the set has rich[s]
+    rich-line keys.  Every check is one reduction along axis 1, the padding
+    columns t > k included, and the first set that fails one raises
+    ``RuntimeError``: no L_t may be negative, the sum of L_t * C(t, 2) must
+    be C(k, 2) (every point pair lies on exactly one line), and rich[s] must
+    be the sum of L_t over t >= 3.
     """
-    t = np.arange(len(line_sizes)) - np.repeat(first, ks + 1)  # the line size each count counts
-    pairs = np.add.reduceat(line_sizes * (t * (t - 1) // 2), first)
-    rich_lines = np.add.reduceat(np.where(t >= 3, line_sizes, 0), first)
+    t = np.arange(line_sizes.shape[1])  # the line size each column counts
     checks = (
-        (np.minimum.reduceat(line_sizes, first) < 0, "census line count L_t is negative"),
-        (pairs != ks * (ks - 1) // 2, "census pair-count identity violated"),
-        (rich_lines != rich, "rich-line keys disagree with the line counts"),
+        ((line_sizes < 0).any(axis=1), "census line count L_t is negative"),
+        (line_sizes @ (t * (t - 1) // 2) != ks * (ks - 1) // 2, "census pair-count identity violated"),
+        (line_sizes[:, 3:].sum(axis=1) != rich, "rich-line keys disagree with the line counts"),
     )
     for failed, what in checks:
         if failed.any():
             raise RuntimeError(f"{what} in set {np.argmax(failed)} of the stack")
-    ordinary = line_sizes[first + 2]  # a census set has k >= 2
-    longest = np.maximum.reduceat(np.where(line_sizes > 0, t, 0), first)
-    total = np.add.reduceat(line_sizes, first)
-    return list(zip(ordinary.tolist(), longest.tolist(), total.tolist()))
+    longest = np.where(line_sizes > 0, t, 0).max(axis=1)
+    return list(zip(line_sizes[:, 2].tolist(), longest.tolist(), line_sizes.sum(axis=1).tolist()))
 
 
 def count_on_line(ps: PointSet, key: LineKey) -> int:

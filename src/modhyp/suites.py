@@ -27,6 +27,7 @@ from fractions import Fraction
 from functools import partial
 from operator import itemgetter
 from pathlib import Path
+from typing import Sequence
 
 from .distances import (
     _divisor_pairs,
@@ -518,37 +519,19 @@ def _check_theorem14_prime(p: int, all_a: bool) -> None:
         raise ValueError(f"p = {p} is not an odd prime")
 
 
-def _formula_checks(p: int, a_values: list[int]) -> list[tuple[int, int, int]]:
-    """(a, closed form, brute-force count) mod p**2 for every a, each side in one batch."""
-    return list(zip(a_values, image_count_formulas(p, a_values), distinct_counts(p * p, a_values)))
-
-
-def _formula_failures(p: int, a_values: list[int]) -> list[list[int]]:
-    return [[a, want, got] for a, want, got in _formula_checks(p, a_values) if want != got]
-
-
-def _theorem14_exhaustive_task(p: int) -> CaseRecord:
-    a_values = [a for a in range(1, p * p) if a % p != 0]
-    failures = _formula_failures(p, a_values)
-    return _failures_case(f"p{p}-all-a", {"p": p, "checked": len(a_values)}, failures)
-
-
-def _theorem14_sampled_task(task: tuple[int, int, int]) -> CaseRecord:
-    p, samples, seed = task
+def _sampled_units(p: int, samples: int, seed: int) -> list[int]:
+    """min(samples, p*(p - 1)) units of p**2, drawn with the seed, ascending."""
     rng = random.Random(f"{seed}:{p}")
     # index i of the p*(p - 1) units in ascending order is the unit
     # i // (p - 1) * p + i % (p - 1) + 1, so no list of them is built
     picks = rng.sample(range(p * p - p), min(samples, p * p - p))
-    chosen = sorted(i // (p - 1) * p + i % (p - 1) + 1 for i in picks)
-    failures = _formula_failures(p, chosen)
-    return _failures_case(f"p{p}-sampled", {"p": p, "checked": len(chosen)}, failures)
+    return sorted(i // (p - 1) * p + i % (p - 1) + 1 for i in picks)
 
 
-def _theorem14_residues_task(task: tuple[int, int]) -> list[CaseRecord]:
-    """One case per unit a of p**2 with q*p < a < (q + 1)*p."""
-    p, q = task
-    checks = _formula_checks(p, list(range(q * p + 1, q * p + p)))
-    return [CaseRecord(f"p{p}-a{a}", {"p": p, "a": a}, want, got, want == got) for a, want, got in checks]
+def _formula_checks(task: tuple[int, Sequence[int]]) -> list[tuple[int, int, int]]:
+    """(a, closed form, brute-force count) mod p**2 for every a, each side in one batch."""
+    p, a_values = task
+    return list(zip(a_values, image_count_formulas(p, a_values), distinct_counts(p * p, a_values)))
 
 
 def suite_theorem14(
@@ -568,18 +551,23 @@ def suite_theorem14(
     """
     params = {"p": p, "n_max": n_max, "all_a": all_a, "samples": samples, "seed": seed}
     rep = VerificationReport("theorem14", params)
-    if p is not None:
+    # (p, case kind, a values): kind None gives one case per a, else one case of failures per task
+    if p is None:
+        tasks = [(q, "all-a", [a for a in range(1, q * q) if a % q != 0]) for q in primes_upto(n_max) if q > 2]
+        tasks += [(q, "sampled", _sampled_units(q, samples, seed)) for q in sample_primes]
+    else:
         _check_theorem14_prime(p, all_a)
-        if all_a:
-            for cases in _run_parallel(_theorem14_residues_task, [(p, q) for q in range(p)], jobs):
-                rep.cases.extend(cases)
+        if all_a:  # one task per q, over the units q*p < a < (q + 1)*p
+            tasks = [(p, None, range(q * p + 1, q * p + p)) for q in range(p)]
         else:
-            rep.cases.append(_theorem14_sampled_task((p, samples, seed)))
-        return rep
-    ex_tasks = [q for q in primes_upto(n_max) if q > 2]
-    rep.cases.extend(_run_parallel(_theorem14_exhaustive_task, ex_tasks, jobs))
-    sm_tasks = [(q, samples, seed) for q in sample_primes]
-    rep.cases.extend(_run_parallel(_theorem14_sampled_task, sm_tasks, jobs))
+            tasks = [(p, "sampled", _sampled_units(p, samples, seed))]
+    results = _run_parallel(_formula_checks, [(q, a_values) for q, _, a_values in tasks], jobs)
+    for (q, kind, a_values), checks in zip(tasks, results):
+        if kind is None:
+            rep.cases.extend(CaseRecord(f"p{q}-a{a}", {"p": q, "a": a}, want, got, want == got) for a, want, got in checks)
+        else:
+            failures = [[a, want, got] for a, want, got in checks if want != got]
+            rep.cases.append(_failures_case(f"p{q}-{kind}", {"p": q, "checked": len(a_values)}, failures))
     return rep
 
 

@@ -87,8 +87,7 @@ def test_theorem14_prime_checked_before_building(capsys, monkeypatch):
     def refuse(*args):
         raise AssertionError("theorem14 task reached")
 
-    for task in ("_theorem14_residues_task", "_theorem14_sampled_task", "_theorem14_exhaustive_task"):
-        monkeypatch.setattr(f"modhyp.suites.{task}", refuse)
+    monkeypatch.setattr("modhyp.suites._formula_checks", refuse)
     for argv, reason in [
         (["--p", "15"], "not an odd prime"),
         (["--p", "2"], "not an odd prime"),

@@ -882,50 +882,62 @@ def _corruptible_stack():
 
 
 def test_census_stack_checks_fire_on_one_corrupt_set(monkeypatch):
-    # the checks run once over the stack; corrupting set 1 alone must still
-    # raise, and name it, whichever block its rows fall in
+    # the checks run once over the stack; corrupting one set alone must still
+    # raise, and name it, whichever block its rows fall in.  Set 1, H_{1,49},
+    # has the stack's most points, K = 42; set 0, H_{2,25}, has k = 20, so its
+    # row of the (S, K + 1) line counts ends in padding columns t > 20
     sets = _corruptible_stack()
     whole = census_many(sets)
     row_groups, line_summaries = geometry._row_groups, geometry._line_summaries
+    K, k = len(sets[1]), len(sets[0])
+    assert k < K == max(map(len, sets))
     dropped = []
 
-    def dropping(xs, ys, sid, anchor, row_k, inv, m, work):
-        # lose one group of two points (a 3-point line seen from one anchor)
-        row, sizes, code = row_groups(xs, ys, sid, anchor, row_k, inv, m, work)
-        hit = np.flatnonzero((sid[row] == 1) & (sizes == 2))
-        if dropped or not len(hit):
-            return row, sizes, code
-        dropped.append(hit[0])
-        keep = np.arange(len(row)) != hit[0]
-        return row[keep], sizes[keep], code[keep]
+    def dropping(target):
+        def groups(xs, ys, sid, anchor, row_k, inv, m, work):
+            # lose one group of two points (a 3-point line seen from one anchor)
+            row, sizes, code = row_groups(xs, ys, sid, anchor, row_k, inv, m, work)
+            hit = np.flatnonzero((sid[row] == target) & (sizes == 2))
+            if dropped or not len(hit):
+                return row, sizes, code
+            dropped.append(hit[0])
+            keep = np.arange(len(row)) != hit[0]
+            return row[keep], sizes[keep], code[keep]
 
-    for row_block in (geometry._ROW_BLOCK, 64):
-        dropped.clear()
-        with mock.patch.object(geometry, "_ROW_BLOCK", row_block), mock.patch.object(geometry, "_row_groups", dropping):
-            with pytest.raises(RuntimeError, match=r"not a multiple of t in set 1 of"):
-                census_many(sets)
-        assert dropped
+        return groups
 
-    def skewing(delta):
-        # shift set 1's L_t by delta[t] between the kernel and the checks
-        def summaries(line_sizes, first, ks, rich):
+    for target in (1, 0):
+        for row_block in (geometry._ROW_BLOCK, 64):
+            dropped.clear()
+            with mock.patch.object(geometry, "_ROW_BLOCK", row_block), mock.patch.object(
+                geometry, "_row_groups", dropping(target)
+            ):
+                with pytest.raises(RuntimeError, match=f"not a multiple of t in set {target} of"):
+                    census_many(sets)
+            assert dropped
+
+    def skewing(s, delta):
+        # shift set s's L_t by delta[t] between the kernel and the checks
+        def summaries(line_sizes, ks, rich):
             line_sizes = line_sizes.copy()
             for t, d in delta.items():
-                line_sizes[first[1] + t] += d
-            return line_summaries(line_sizes, first, ks, rich)
+                line_sizes[s, t] += d
+            return line_summaries(line_sizes, ks, rich)
 
         return summaries
 
-    k = len(sets[1])
-    for delta, reason in [
-        ({k: -1}, "L_t is negative"),  # no line holds all 42 points
-        ({2: 1}, "pair-count identity"),  # one ordinary line too many
-        ({2: 3, 3: -1}, "rich-line keys disagree"),  # a 3-point line as three 2-point lines: same pairs
+    for s, delta, reason in [
+        (1, {K: -1}, "L_t is negative"),  # no line holds all 42 points
+        (1, {2: 1}, "pair-count identity"),  # one ordinary line too many
+        (1, {2: 3, 3: -1}, "rich-line keys disagree"),  # a 3-point line as three 2-point lines: same pairs
+        (0, {k + 1: -1}, "L_t is negative"),  # in set 0's padding
+        (0, {K: 1}, "pair-count identity"),  # a 42-point line in set 0's padding, the grid's last column
+        (0, {2: 3, 3: -1}, "rich-line keys disagree"),
     ]:
-        monkeypatch.setattr(geometry, "_line_summaries", skewing(delta))
-        with pytest.raises(RuntimeError, match=f"{reason}.* in set 1 of the stack"):
+        monkeypatch.setattr(geometry, "_line_summaries", skewing(s, delta))
+        with pytest.raises(RuntimeError, match=f"{reason}.* in set {s} of the stack"):
             census_many(sets)
-    monkeypatch.setattr(geometry, "_line_summaries", skewing({}))
+    monkeypatch.setattr(geometry, "_line_summaries", skewing(0, {}))
     for cen, again in zip(whole, census_many(sets)):
         assert (cen.ordinary_count, cen.max_collinear, cen.line_total, cen.histogram) == (
             again.ordinary_count,

@@ -356,18 +356,15 @@ def test_theorem14_sampling_is_seeded():
     assert a["cases"][0]["inputs"] == c["cases"][0]["inputs"]  # same shape either way
 
 
-def test_theorem14_samples_match_the_unit_list(monkeypatch):
+def test_theorem14_samples_match_the_unit_list():
     # oracle: the draw from the explicit ascending list of the units of p**2
-    drawn = []
-    monkeypatch.setattr(suites, "_formula_failures", lambda p, a_values: drawn.append(a_values) or [])
     for p in (3, 5, 7, 37, 101):  # random.sample takes its pool path on small p, its set path on large p
         units = [a for a in range(1, p * p) if a % p != 0]
         for samples in (1, 5, 50):
             for seed in (0, 7):
                 rng = random.Random(f"{seed}:{p}")
                 want = sorted(rng.sample(units, min(samples, len(units))))
-                suites._theorem14_sampled_task((p, samples, seed))
-                assert drawn.pop() == want, (p, samples, seed)
+                assert suites._sampled_units(p, samples, seed) == want, (p, samples, seed)
 
 
 def test_gap_suite():
