@@ -11,15 +11,17 @@ by its orbit size.  An anchor's row codes the slope to every other point of
 its set as dy * dx**-1 modulo a prime M with 2 * (n - 1)**2 < M, so equal
 codes mean equal slopes (integer ops only, no per-pair gcd): 2**31 - 1 and
 int32 codes up to n = 2**15, a prime above 2**41 and int64 codes up to
-n = 2**20.  One row sort per block of rows groups the points of each line
-through the anchor.  A t-point line is a group of t-1 points at each of
-its t points, so each set's weighted group counts give its count of each
-line size.  Only the keys of lines with three or more points are kept: each
-group's direction is rebuilt from its code by a half extended Euclid on
-(M, code), and the keys are closed under their own set's maps, sorted on one
-int64 major key that leads with the set index and cut back per set.  The
-tests check the census against an independent cross-product oracle.  The
-lemma 7 checks recount every rich line without the census, by sorting
+n = 2**20; vertical directions are looked for only in a stack where some
+set repeats an x, which no hyperbola set does.  One row sort per block of
+rows groups the points of each line through the anchor.  A t-point line is
+a group of t-1 points at each of its t points, so each set's weighted group
+counts give its count of each line size.  Only the keys of lines with three
+or more points are kept: each group's direction is rebuilt from its code by
+a half extended Euclid on (M, code), and the keys are closed under their own
+set's maps, ordered by one int64 major key that leads with the set index
+and then by C, without a stable sort, and cut back per set.  The tests
+check the census against an independent cross-product oracle.  The lemma 7
+checks recount every rich line without the census, by sorting
 A*x + B*y once per direction, and the collinearity checks derive each
 x mod p class's line total from both.
 """
@@ -28,6 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import repeat
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -131,7 +134,9 @@ class IncidenceCensus:
         if min_points < 3:
             raise ValueError("only lines with at least 3 points are stored")
         keep = self._rich_t >= min_points
-        return zip(map(LineKey._make, self._rich_keys[keep].tolist()), self._rich_t[keep].tolist())
+        A, B, C = self._rich_keys.T[:, keep].tolist()
+        # tuple.__new__ builds each LineKey in C; LineKey._make would run a Python frame per line
+        return zip(map(tuple.__new__, repeat(LineKey), zip(A, B, C)), self._rich_t[keep].tolist())
 
     def to_payload(self) -> dict:
         return {
@@ -162,27 +167,32 @@ def _slope_inverses(span: int, m: int) -> np.ndarray:
     return np.concatenate((m - positive[::-1], [0], positive))  # (-d)**-1 = m - d**-1
 
 
-def _slope_codes(dx: np.ndarray, dy: np.ndarray, inv: np.ndarray, m: int, out: np.ndarray) -> np.ndarray:
+def _slope_codes(
+    dx: np.ndarray, dy: np.ndarray, inv: np.ndarray, m: int, out: np.ndarray, vertical: bool
+) -> np.ndarray:
     """The codes dy * dx**-1 mod m per direction, m where it is vertical, written over dx.
 
     inv is ``_slope_inverses(span, m)`` and dx holds each direction's
     dx + span, so the vertical directions are where dx == span; dy and out
-    are int64 scratch of dx's shape.  The codes are a view of dx's bytes:
-    int32 when m < 2**31 (in their first half), else int64 (dx itself).
-    For |dx|, |dy| < sqrt(m / 2) two codes are equal exactly when
-    dy1 * dx2 == dy2 * dx1.
+    are int64 scratch of dx's shape.  Only when vertical is true are they
+    looked for: without it every direction with dx == span is taken to be
+    zero (an anchor's own column), and its code is 0.  The codes are a view
+    of dx's bytes: int32 when m < 2**31 (in their first half), else int64
+    (dx itself).  For |dx|, |dy| < sqrt(m / 2) two codes are equal exactly
+    when dy1 * dx2 == dy2 * dx1.
     """
     # every dx of two real points is in range (a padding column's may be
     # clipped; the census overwrites its code); "clip" writes out unbuffered
     np.take(inv, dx, out=out, mode="clip")
     out *= dy
-    vertical = dx == len(inv) // 2
+    upright = dx == len(inv) // 2 if vertical else None
     # out % m, but floor division by a scalar is faster
     np.floor_divide(out, m, out=dy)
     dy *= m
     code = dx.reshape(-1).view(np.int32 if m < 1 << 31 else np.int64)[: dx.size].reshape(dx.shape)
     np.subtract(out, dy, out=code, casting="unsafe")  # dx is dead: its bytes take the codes
-    np.copyto(code, m, where=vertical)
+    if vertical:
+        np.copyto(code, m, where=upright)
     return code
 
 
@@ -201,16 +211,21 @@ def _directions(code: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     dx = (~vertical).astype(np.int64)
     dy = np.where(vertical, 1, code).astype(np.int64)
     live = np.flatnonzero(dy > stop)
-    r0, r1 = np.full(len(live), m, dtype=np.int64), dy[live]
-    t0, t1 = np.zeros(len(live), dtype=np.int64), dx[live]
-    while len(live):
-        q = r0 // r1
-        r0, r1 = r1, r0 - q * r1
-        t0, t1 = t1, t0 - q * t1
-        done = r1 <= stop
-        dx[live[done]], dy[live[done]] = t1[done], r1[done]
-        go = ~done
-        live, r0, r1, t0, t1 = live[go], r0[go], r1[go], t0[go], t1[go]
+    # one row each for r0 > r1, their cofactors t0 and t1 (rows hi + 2 and lo + 2) and each
+    # entry's place, so a step compacts the live entries with one np.compress, not five gathers
+    state = np.stack([np.full(len(live), m), dy[live], np.zeros(len(live), dtype=np.int64), dx[live], live])
+    hi, lo = 0, 1
+    done = [np.empty((3, 0), dtype=np.int64)]
+    while state.shape[1]:
+        q = state[hi] // state[lo]
+        state[hi] -= q * state[lo]  # r0, r1 = r1, r0 - q * r1 by trading the rows' roles
+        state[hi + 2] -= q * state[lo + 2]
+        hi, lo = lo, hi
+        end = state[lo] <= stop
+        done.append(np.compress(end, state[[lo, lo + 2, 4]], axis=1))
+        state = np.compress(~end, state, axis=1)
+    r, t, at = np.concatenate(done, axis=1)
+    dx[at], dy[at] = t, r
     return dx, dy
 
 
@@ -288,7 +303,7 @@ def _row_blocks(rows_per_set: np.ndarray, ks: np.ndarray) -> list[tuple[int, int
     return blocks
 
 
-def _row_groups(xs, ys, sid, anchor, row_k, inv, m, work) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _row_groups(xs, ys, sid, anchor, row_k, inv, m, work, vertical) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Sort one block of (set, anchor) rows and find its groups of two or more points.
 
     Row r is anchor[r] of set sid[r], whose points fill its first row_k[r]
@@ -297,6 +312,8 @@ def _row_groups(xs, ys, sid, anchor, row_k, inv, m, work) -> tuple[np.ndarray, n
     row r, its size and its slope code mod m.  work holds (R, width) arrays
     dx, dy and a product scratch (int64) and flags (bool), which every block
     overwrites: the census allocates its row arrays once, not once per block.
+    vertical says whether some set of the stack has two points of one x
+    (``_slope_codes``).
     """
     dx, dy, product, flags = work
     width = xs.shape[1]
@@ -305,7 +322,7 @@ def _row_groups(xs, ys, sid, anchor, row_k, inv, m, work) -> tuple[np.ndarray, n
     dx -= xs[sid, anchor][:, None] - len(inv) // 2  # dx + span indexes the signed table
     np.take(ys, sid, axis=0, out=dy, mode="clip")
     dy -= ys[sid, anchor][:, None]
-    code = _slope_codes(dx, dy, inv, m, product)
+    code = _slope_codes(dx, dy, inv, m, product, vertical)
     if (row_k < width).any():
         # padding column c takes -2 - c: distinct, and below every slope code
         np.less_equal(row_k[:, None], cols, out=flags)
@@ -343,8 +360,9 @@ def census(ps: PointSet) -> IncidenceCensus:
     by its orbit size w = 1, 2 or 4 under that set's maps.
     Rows: one row per (set, anchor) pair, set-major.  Anchor i's row holds
     every other point j of its set, coded by the direction (dx, dy) = j - i
-    as c = dy * dx**-1 mod M (c = M when vertical), with dx**-1 read from a
-    signed table at dx + span (the direction and its negation share c, as
+    as c = dy * dx**-1 mod M (c = M when vertical, looked for only in a
+    stack where some set repeats an x), with dx**-1 read from a signed table
+    at dx + span (the direction and its negation share c, as
     dy * dx**-1 = (-dy) * (-dx)**-1).  M is 2**31 - 1 when the stack's
     largest modulus is at most 2**15, and the codes are int32, written into
     the bytes of the block's dx array; above that M = _SLOPE_PRIME and they
@@ -358,16 +376,18 @@ def census(ps: PointSet) -> IncidenceCensus:
     and that cross-product difference is at most 2 * (n-1)**2 < M in
     absolute value, so iff the slopes are equal.
     Counts: H[s, size], on the (S, K) grid of the stack's coordinates, is
-    the w-weighted number of set s's groups of that size (one ``np.add.at``
-    over every group, after the sweep), and set s has L_t = H[s, t-1] / t
-    lines of t points, row s of an (S, K + 1) grid and zero past its k,
-    checked and summarised as ``census_many`` describes.
+    the w-weighted number of set s's groups of that size (one flat-index
+    ``np.add.at`` over every group, after the sweep), and set s has
+    L_t = H[s, t-1] / t lines of t points, row s of an (S, K + 1) grid and
+    zero past its k, checked and summarised as ``census_many`` describes.
     Rich lines are keyed as (set, A, B, C, t) from the anchor and the code
     of each group of size >= 2: ``_directions`` rebuilds every group's
     reduced direction (dx, dy), and A = dy, B = -dx, C = -(A*x + B*y).  The
-    keys and their images under their set's kept maps, columns of one
-    (5, rows) int64 array, are ordered by C and then stably by the major key
-    (set * span + A) * 2 * span + B, span the stack's largest n.
+    keys and their images under their set's kept maps, N columns of one
+    (5, N) int64 array, are ordered by the major key
+    (set * span + A) * 2 * span + B, span the stack's largest n, and then
+    by C with two unstable ``np.argsort`` calls and one ``np.sort``, no
+    stable sort (N < 2**31), gathered once, and the repeats compressed out.
     """
     return census_many([ps])[0]
 
@@ -408,6 +428,8 @@ def census_many(sets: Sequence[PointSet]) -> list[IncidenceCensus]:
     inv = _slope_inverses(int((xs[np.arange(S), ks - 1] - xs[:, 0]).max()), m)
     kept, images = _symmetries(xs, ys, ns, ks)
     cols = np.arange(K)
+    # a set's points ascend in (x, y), so it has a vertical pair iff two neighbours share an x
+    vertical = bool(((xs[:, 1:] == xs[:, :-1]) & (cols[1:] < ks[:, None])).any())
     anchors = (images >= cols).all(axis=0)  # least index in its orbit
     anchors &= cols < ks[:, None]
     row_set, row_anchor = np.nonzero(anchors)
@@ -433,13 +455,13 @@ def census_many(sets: Sequence[PointSet]) -> list[IncidenceCensus]:
         sid = row_set[lo:hi]
         anchor = row_anchor[lo:hi]
         work = [a[: (hi - lo) * width].reshape(hi - lo, width) for a in (*ints, flags)]
-        row, group, code = _row_groups(xs[:, :width], ys[:, :width], sid, anchor, ks[sid], inv, m, work)
+        row, group, code = _row_groups(xs[:, :width], ys[:, :width], sid, anchor, ks[sid], inv, m, work, vertical)
         at.append(row + lo)
         groups.append(group)
         codes.append(code)
     row, group = np.concatenate(at), np.concatenate(groups)
     s, i = row_set[row], row_anchor[row]
-    np.add.at(H, (s, group), row_weight[row])
+    np.add.at(H.reshape(-1), s * K + group, row_weight[row])  # a flat index: a tuple one costs about 4x
     H[:, 1] -= H[:, 2:] @ np.arange(2, K)
     line_sizes = np.zeros((S, K + 1), dtype=np.int64)  # line_sizes[s, t]: L_t of set s, 0 past its k
     line_sizes[:, 1:], rest = np.divmod(H, np.arange(1, K + 1))  # L_t = H_(t-1) / t
@@ -450,7 +472,10 @@ def census_many(sets: Sequence[PointSet]) -> list[IncidenceCensus]:
     # set's kept maps, linear in (A, B, C): sigma swaps A and B, nu sends C to -C - n(A + B)
     mapped = kept[s]
     bounds = np.cumsum([len(s), *mapped.sum(axis=0).tolist()])
-    rows = np.empty((5, bounds[-1]), dtype=np.int64)
+    N = int(bounds[-1])
+    if N >= 1 << 31:  # the key sort below is exact for N**2 < 2**63
+        raise ValueError(f"census rich-line keys fill {N} columns, past the 2**31 their sort admits")
+    rows = np.empty((5, N), dtype=np.int64)
     keys = rows[:, : len(s)]
     dx, dy = _directions(np.concatenate(codes), m)
     g = np.gcd(dx, dy)  # 1 for every rebuilt direction; kept as a guard
@@ -464,18 +489,33 @@ def census_many(sets: Sequence[PointSet]) -> list[IncidenceCensus]:
             image[3] = -image[3] - ns[image[0]] * (image[1] + image[2])
     major, A, B, C = rows[:4]
     np.negative(rows[1:4], out=rows[1:4], where=(A < 0) | ((A == 0) & (B < 0)))  # sign rule
-    # ascending (set, A, B, C): by C, then stably by the major key (set * span + A) * 2 * span + B over the
-    # set row; set s's keys lie above 2 * s * span**2 - span as |A|, |B| < span, and all below 2**63
+    # ascending (set, A, B, C): the major key (set * span + A) * 2 * span + B over the set row, then C; set s's
+    # keys lie above 2 * s * span**2 - span as |A|, |B| < span, and all below 2**63
     span = max(moduli)
-    order = np.argsort(C)
     np.add(np.multiply(major, span, out=major), A, out=major)
     np.add(np.multiply(major, 2 * span, out=major), B, out=major)
-    order = order[np.argsort(major[order], kind="stable")]
-    major, C, t = rows[[0, 3, 4]][:, order]
-    distinct = np.ones(len(order), dtype=bool)  # a line of two sizes keeps both, for the checks
+    # (major key, C) order without a stable sort: by_c sorts the columns by C, place holds their places in
+    # by_c sorted by major key, and run is the dense rank of the major key along place.  Sorting
+    # run * N + place (below N**2 < 2**62, no two equal as place is a permutation) orders each run by
+    # place, so by C, and subtracting run * N gives the places back
+    by_c = np.argsort(C)
+    major_c = major[by_c]
+    place = np.argsort(major_c)
+    run = major_c[place]
+    run[1:] = run[1:] != run[:-1]
+    run[:1] = 0
+    np.cumsum(run, out=run)
+    run *= N
+    place += run
+    place.sort()
+    place -= run
+    order = by_c[place]
+    del keys, image, A, B, C, major, dx, dy, g, by_c, major_c, place, run  # released before the gather
+    rows = np.take(rows, order, axis=1)  # faster than rows[:, order]
+    major, C, t = rows[0], rows[3], rows[4]
+    distinct = np.ones(N, dtype=bool)  # a line of two sizes keeps both, for the checks
     distinct[1:] = (major[1:] != major[:-1]) | (C[1:] != C[:-1]) | (t[1:] != t[:-1])
-    del keys, image, A, B, C, t, major, dx, dy, g  # released before the gather
-    rows = rows[:, order[distinct]]
+    rows = np.compress(distinct, rows, axis=1)
     cut = np.searchsorted(rows[0], np.arange(S + 1) * 2 * span * span - span)
     summaries = _line_summaries(line_sizes, ks, np.diff(cut))
     cut = cut.tolist()

@@ -201,16 +201,34 @@ def _drawn_stack_part(data, i):
     return out
 
 
+def _drawn_grid(data, i):
+    """Points of a shuffled grid mod n, so with repeated x, closed under a drawn subgroup."""
+    n = data.draw(st.integers(3, 9), label=f"grid n {i}")
+    grid = [(x, y) for x in range(1, n) for y in range(1, n)]
+    random.Random(data.draw(st.integers(0, 99), label=f"shuffle {i}")).shuffle(grid)
+    sub = data.draw(st.lists(st.sampled_from(grid), min_size=1, unique=True), label=f"grid points {i}")
+    generators = _SUBGROUPS[data.draw(st.sampled_from(sorted(_SUBGROUPS)), label=f"grid subgroup {i}")]
+    return _point_set(HyperbolaSpec(1, n), _close(sub, n, generators))
+
+
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
 @given(st.data())
 def test_census_many_matches_census_and_oracle_property(data):
     # a stack of parts of several moduli and sizes: the sets of several a of
-    # one n, closed subsets of such sets (every orbit weight), or x mod p
-    # classes of one p**m, whose kept maps differ from class to class; a small
-    # row block makes blocks that cut through one set's rows and span sets of
-    # different widths
+    # one n, closed subsets of such sets (every orbit weight), x mod p classes
+    # of one p**m, whose kept maps differ from class to class, or a shuffled
+    # grid, whose repeated x and y give vertical and horizontal pairs and keys
+    # with A = 0, so a stack with a grid takes the vertical pass and one
+    # without skips it; a small row block makes blocks that cut through one
+    # set's rows and span sets of different widths
     parts = data.draw(st.integers(1, 3), label="parts")
-    sets = [ps for i in range(parts) for ps in _drawn_stack_part(data, i)]
+    sets = []
+    for i in range(parts):
+        if data.draw(st.booleans(), label=f"grid {i}"):
+            grid = _drawn_grid(data, i)
+            sets += [grid] if len(grid) >= 2 else []
+        else:
+            sets += _drawn_stack_part(data, i)
     if not sets:
         return
     row_block = data.draw(st.sampled_from([geometry._ROW_BLOCK, 5, 64]), label="row block")
@@ -408,8 +426,8 @@ def test_line_reported_with_two_sizes_is_refused(monkeypatch):
     row_groups = geometry._row_groups
     swapped = []
 
-    def swapping(xs, ys, sid, anchor, row_k, inv, m, work):
-        row, sizes, code = row_groups(xs, ys, sid, anchor, row_k, inv, m, work)
+    def swapping(xs, ys, sid, *rest):
+        row, sizes, code = row_groups(xs, ys, sid, *rest)
         for r in np.unique(row[sid[row] == 1]).tolist():
             mine = np.flatnonzero(row == r)
             other = mine[sizes[mine] != sizes[mine[0]]]
@@ -442,6 +460,22 @@ def test_line_key_is_a_tuple():
         rebuilt = line_through(on[0], on[-1])
         assert rebuilt == key and hash(rebuilt) == hash(key) and rebuilt in lines
     assert list(lines) == sorted(lines)
+
+
+def test_lines_yields_the_stored_keys_as_line_keys():
+    # lines() builds its keys without LineKey._make: they must still be
+    # LineKeys of Python ints, in stored order, with their stored sizes
+    for a, n in [(1, 49), (483, 3125)]:
+        cen = census(enumerate_points(HyperbolaSpec(a, n)))
+        stored = [(LineKey(*r), t) for r, t in zip(cen._rich_keys.tolist(), cen._rich_t.tolist())]
+        lines = list(cen.lines())
+        assert lines == stored and len(lines) == cen.line_total - cen.ordinary_count
+        assert all(type(key) is LineKey and {type(v) for v in key} == {int} and type(t) is int for key, t in lines)
+        assert all(key.as_tuple() == (key.A, key.B, key.C) for key, _ in lines)
+        for least in (3, 4, 5, cen.max_collinear, cen.max_collinear + 1):
+            assert list(cen.lines(min_points=least)) == [(key, t) for key, t in stored if t >= least]
+        with pytest.raises(ValueError, match="at least 3 points"):
+            cen.lines(min_points=2)
 
 
 def test_oracle_pins_ordinary_count_49():
@@ -529,9 +563,13 @@ def _codes_of(dirs, top, m):
         assert inv[top - d] == pow(-d, -1, m)
     dx = np.array([v[0] + top for v in dirs], dtype=np.int64)  # indexes the signed table
     dy = np.array([v[1] for v in dirs], dtype=np.int64)
-    code = _slope_codes(dx, dy, inv, m, np.empty_like(dx))
+    code = _slope_codes(dx.copy(), dy.copy(), inv, m, np.empty_like(dx), True)
     assert code.dtype == (np.int32 if m == _SLOPE_PRIME_32 else np.int64)
     assert code.min() >= 0 and code.max() <= m
+    # a stack without vertical pairs skips their pass: every other direction keeps its code
+    slanted = dx != top
+    unchecked = _slope_codes(dx[slanted], dy[slanted], inv, m, np.empty(slanted.sum(), dtype=np.int64), False)
+    assert (unchecked == code[slanted]).all()
     return code
 
 
@@ -894,9 +932,9 @@ def test_census_stack_checks_fire_on_one_corrupt_set(monkeypatch):
     dropped = []
 
     def dropping(target):
-        def groups(xs, ys, sid, anchor, row_k, inv, m, work):
+        def groups(xs, ys, sid, *rest):
             # lose one group of two points (a 3-point line seen from one anchor)
-            row, sizes, code = row_groups(xs, ys, sid, anchor, row_k, inv, m, work)
+            row, sizes, code = row_groups(xs, ys, sid, *rest)
             hit = np.flatnonzero((sid[row] == target) & (sizes == 2))
             if dropped or not len(hit):
                 return row, sizes, code
@@ -969,16 +1007,6 @@ def _symmetry_oracle(ps):
         kept = None not in images
         out.append((kept, images if kept else list(range(len(ps)))))
     return out
-
-
-def _drawn_grid(data, i):
-    """Points of a shuffled grid mod n, so with repeated x, closed under a drawn subgroup."""
-    n = data.draw(st.integers(3, 9), label=f"grid n {i}")
-    grid = [(x, y) for x in range(1, n) for y in range(1, n)]
-    random.Random(data.draw(st.integers(0, 99), label=f"shuffle {i}")).shuffle(grid)
-    sub = data.draw(st.lists(st.sampled_from(grid), min_size=1, unique=True), label=f"grid points {i}")
-    generators = _SUBGROUPS[data.draw(st.sampled_from(sorted(_SUBGROUPS)), label=f"grid subgroup {i}")]
-    return _point_set(HyperbolaSpec(1, n), _close(sub, n, generators))
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
