@@ -21,9 +21,9 @@ a half extended Euclid on (M, code), and the keys are closed under their own
 set's maps, ordered by one int64 major key that leads with the set index
 and then by C, without a stable sort, and cut back per set.  The tests
 check the census against an independent cross-product oracle.  The lemma 7
-checks recount every rich line without the census, by sorting
-A*x + B*y once per direction, and the collinearity checks derive each
-x mod p class's line total from both.
+checks recount every rich line without the census, by sorting A*x + B*y
+for a block of directions at once, one row per direction, and the
+collinearity checks derive each x mod p class's line total from both.
 """
 from __future__ import annotations
 
@@ -664,26 +664,45 @@ class LineClassReport:
 def _rich_line_classes(ps: PointSet, cen: IncidenceCensus, p: int) -> np.ndarray:
     """The x mod p class of each point of each rich line of cen, line after line, each count recounted.
 
-    The values A*x + B*y of the set are sorted once per direction (A, B), and
-    one ``np.searchsorted`` pair finds the points of every line
-    A*x + B*y = -C of that direction; a count other than the census's raises.
+    Each point is packed with its class as (A*x + B*y) * p + x % p, for a
+    block of directions (A, B) at once: a (D, k) array, D * k <= _ROW_BLOCK,
+    sorted along its rows.  Row r is then offset by r * span, so the block
+    ascends as one flat array, and one ``np.searchsorted`` pair finds the
+    points of every line A*x + B*y = -C of the block; a count other than the
+    census's raises.
     """
     keys, t = cen._rich_keys, cen._rich_t
     A, B, C = keys.T
     # keys ascend in (A, B, C), so the lines of one direction are consecutive
     edge = np.ones(len(keys) + 1, dtype=bool)
     edge[1:-1] = (A[1:] != A[:-1]) | (B[1:] != B[:-1])
-    bounds = np.flatnonzero(edge).tolist()
+    bounds = np.flatnonzero(edge)  # direction d's lines are bounds[d]:bounds[d + 1]
+    row = np.cumsum(edge[:-1]) - 1  # each line's direction
+    directions = len(bounds) - 1
+    # a row's values and both searches of its lines, w * p and (w + 1) * p for w = -C = A*x + B*y
+    # at a point of the line, lie in [-W * p, (W + 1) * p], W = 2 * (n - 1)**2 >= |A*x + B*y|.
+    # Rows span = 2 * (W + 1) * p apart never meet, and as span is a multiple of p an offset
+    # value keeps its class.  A block of D rows stays below D * span, so D * span < 2**63 keeps
+    # it int64: span < 2**53 (a census needs n <= 2**20, and m >= 2 gives p <= 2**10), so the
+    # cap leaves D >= 2**10, and _ROW_BLOCK // k binds first for every k >= 2**6
+    span = 2 * (2 * (ps.spec.n - 1) ** 2 + 1) * p
+    per_block = max(1, min(_ROW_BLOCK // len(ps), ((1 << 63) - 1) // span))
     classes = [np.empty(0, dtype=np.int64)]
     residues = ps.xs % p
-    for first, last in zip(bounds, bounds[1:]):
-        # each point as A*x + B*y packed with its class, (A*x + B*y) * p + x % p:
-        # |A*x + B*y| < 2 * n**2 <= 2**41 (a census needs n <= 2**20) and
-        # p <= 2**10 (m >= 2), so one sorted int64 array serves every C
-        values = (A[first] * ps.xs + B[first] * ps.ys) * p + residues
-        values.sort()
-        lo = np.searchsorted(values, -C[first:last] * p)
-        count = np.searchsorted(values, (1 - C[first:last]) * p) - lo
+    for d in range(0, directions, per_block):
+        end = min(d + per_block, directions)
+        first, last = bounds[d], bounds[end]
+        lead = bounds[d:end]  # the first line of each direction
+        values = np.multiply.outer(A[lead], ps.xs)
+        values += np.multiply.outer(B[lead], ps.ys)
+        values *= p
+        values += residues
+        values.sort(axis=1)
+        values += np.arange(len(lead))[:, None] * span
+        values = values.reshape(-1)
+        base = (row[first:last] - d) * span
+        lo = np.searchsorted(values, base - C[first:last] * p)
+        count = np.searchsorted(values, base + (1 - C[first:last]) * p) - lo
         wrong = np.flatnonzero(count != t[first:last])
         if len(wrong):
             raise RuntimeError(f"census count mismatch on {LineKey(*keys[first + wrong[0]].tolist())}")

@@ -236,11 +236,17 @@ def _run_parallel(worker, tasks, jobs):
 
 # Sum of n**2 over the moduli of one line-suite stack: one sweep task censuses a
 # contiguous run of the ascending moduli in one census_many call, so the small
-# moduli share its fixed cost, and every n from 1024 up has a stack of its own.
-# It does not depend on --jobs, so every job count runs the same censuses, and
-# each process's peak memory follows the largest stack it draws: the caller's
-# too, as it censuses its share of the stacks.
-_STACK_SQUARES = 1 << 20
+# moduli share its fixed cost, and every n from 2048 up has a stack of its own.
+# A stack's own fixed cost is about 0.8-0.9 ms, worth 2**17.3 of n**2 (the fit
+# below), so coarser stacks pay until padding the (S, K) grids to the widest
+# set costs more than they save: censusing theorem6's sets at n <= 625 took a
+# median 134, 118, 90, 80, 75, 77 and 85 ms in 59, 37, 17, 8, 4, 2 and 1
+# stacks (cuts 2**18 to 2**23, then all; 15 interleaved rounds in one process,
+# 2-core x86-64, BENCH_26.json).  It does not depend on --jobs, so every job
+# count runs the same censuses, and each process's peak memory follows the
+# largest stack it draws: the caller's too, as it censuses its share of the
+# stacks.
+_STACK_SQUARES = 1 << 22
 
 
 def _stacks(tasks: list, modulus) -> list[list]:
@@ -258,20 +264,21 @@ def _stacks(tasks: list, modulus) -> list[list]:
 
 
 # Estimated cost of one stack, in units of n**2: every set adds _SET_COST on
-# top of its n**2 pairs.  Serial per-stack times of theorem6, lemma7 and
-# collinearity at --n-max 625 (best of 3, 2-core x86-64, BENCH_17.json) fit
-# 0.23-0.30 ms per set plus 7.1-10.2 ms per 10**6 of the sum of n**2, so a
-# set's fixed cost is worth 2**14.4 to 2**15 of n**2.  2**14 and 2**15 both
-# draw the costliest stack first, and on those times give two-process finish
-# times within 1 % of each other.  Since the census checks and summarises a
-# whole stack at once (BENCH_18.json) the same fit reads 0.17 ms per set and
-# 7.3 ms per 10**6, still 2**14.5.
+# top of its n**2 pairs.  Serial times of the stack tasks of theorem6 and
+# collinearity at --n-max 625, over the stacks of every cut from 2**18 to 2**22
+# (best of 5, 2-core x86-64, BENCH_26.json), fit 0.85-0.90 ms per stack,
+# 0.23-0.27 ms per set and 5.5-5.7 ms per 10**6 of the sum of n**2, so a set's
+# fixed cost is worth 2**15.3 to 2**15.6 of n**2 and a stack's 2**17.3.  Every
+# stack pays the same fixed cost, so it leaves their order alone; and on that fit
+# _SET_COST = 2**14, 2**15 or 2**15.5 gives the same two-process finish time
+# within 0.1 % at every --n-max up to 2500.
 _SET_COST = 1 << 14
 
 
 # Estimated cost of forking and joining one extra sweep process, in the same
-# units: a fork and join of the runner took 7 ms with a 35 MB heap (2-core
-# x86-64), 0.97 * 10**6 of n**2 at 7.3 ms per 10**6.
+# units: a fork and join of the runner took a median 8.2 ms with a 34 MB heap
+# (2-core x86-64, BENCH_26.json), 1.4-1.5 * 10**6 of n**2 at theorem6's and
+# collinearity's 5.5-5.7 ms per 10**6, and 0.8 * 10**6 at lemma7's 10.7 ms.
 _FORK_COST = 1 << 20
 
 

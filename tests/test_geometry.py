@@ -799,6 +799,37 @@ def test_verify_line_classes_recounts_every_rich_line(verify, n):
         verify(ps, tampered)
 
 
+def _class_recount_sets():
+    """(set, p, whether its directions fill more than one block) for the recount's oracle test."""
+    big = 1021**2
+    # the 80 smallest x of the class x = 5 mod 1021: 24 directions of 300 rich
+    # lines, one block whose rows sit span = 2 * (2 * (n - 1)**2 + 1) * p, about
+    # 2**52, apart, so its last row is offset by about 2**56.5
+    corner = _point_set(HyperbolaSpec(1, big), [(x, pow(x, -1, big)) for x in range(5, 80 * 1021, 1021)])
+    return [
+        (enumerate_points(HyperbolaSpec(1, 31**2)), 31, True),  # 129 directions of k = 930, 70 a block
+        (enumerate_points(HyperbolaSpec(1, 3**7)), 3, True),  # 209 directions of k = 1458, 44 a block
+        (corner, 1021, False),
+    ]
+
+
+@pytest.mark.parametrize("ps,p,split", _class_recount_sets(), ids=["31^2", "3^7", "1021^2-subset"])
+def test_rich_line_classes_match_a_scan_of_each_line(ps, p, split):
+    # a different algorithm: scan the whole set for A*x + B*y + C == 0, line by
+    # line, and compare the count and the x mod p of the members of each line
+    cen = census(ps)
+    classes = geometry._rich_line_classes(ps, cen, p)
+    directions = {(key.A, key.B) for key, _ in cen.lines()}
+    assert (len(directions) > geometry._ROW_BLOCK // len(ps)) == split
+    at = 0
+    for key, t in cen.lines():
+        on = key.A * ps.xs + key.B * ps.ys + key.C == 0
+        assert np.count_nonzero(on) == t, key
+        assert sorted(classes[at : at + t].tolist()) == sorted((ps.xs[on] % p).tolist()), key
+        at += t
+    assert at == len(classes)
+
+
 def _lemma7_test_sets():
     """The hyperbola sets, grids and random subsets of the square on which lemma 7's checks are compared."""
     rng = random.Random(13)
