@@ -234,35 +234,6 @@ def _run_parallel(worker, tasks, jobs):
     return results
 
 
-# Sum of n**2 over the moduli of one line-suite stack: one sweep task censuses a
-# contiguous run of the ascending moduli in one census_many call, so the small
-# moduli share its fixed cost, and every n from 2048 up has a stack of its own.
-# A stack's own fixed cost is about 0.8-0.9 ms, worth 2**17.3 of n**2 (the fit
-# below), so coarser stacks pay until padding the (S, K) grids to the widest
-# set costs more than they save: censusing theorem6's sets at n <= 625 took a
-# median 134, 118, 90, 80, 75, 77 and 85 ms in 59, 37, 17, 8, 4, 2 and 1
-# stacks (cuts 2**18 to 2**23, then all; 15 interleaved rounds in one process,
-# 2-core x86-64, BENCH_26.json).  It does not depend on --jobs, so every job
-# count runs the same censuses, and each process's peak memory follows the
-# largest stack it draws: the caller's too, as it censuses its share of the
-# stacks.
-_STACK_SQUARES = 1 << 22
-
-
-def _stacks(tasks: list, modulus) -> list[list]:
-    """Cut the ascending task list into contiguous runs whose sum of n**2 stays under _STACK_SQUARES."""
-    stacks: list[list] = []
-    total = _STACK_SQUARES
-    for task in tasks:
-        square = modulus(task) ** 2
-        if total + square >= _STACK_SQUARES:
-            stacks.append([])
-            total = 0
-        stacks[-1].append(task)
-        total += square
-    return stacks
-
-
 # Estimated cost of one stack, in units of n**2: every set adds _SET_COST on
 # top of its n**2 pairs.  Serial times of the stack tasks of theorem6 and
 # collinearity at --n-max 625, over the stacks of every cut from 2**18 to 2**22
@@ -273,6 +244,35 @@ def _stacks(tasks: list, modulus) -> list[list]:
 # _SET_COST = 2**14, 2**15 or 2**15.5 gives the same two-process finish time
 # within 0.1 % at every --n-max up to 2500.
 _SET_COST = 1 << 14
+
+
+# Estimated cost of one line-suite stack at most: one sweep task censuses a
+# contiguous run of the ascending moduli in one census_many call, so the small
+# moduli share its fixed cost, and every n from 1769 up has a stack of its own.
+# Coarser stacks pay the stack's fixed cost (2**17.3 of n**2, the fit above)
+# fewer times, until padding the (S, K) grids to the widest set costs more than
+# they save; and a cut that counts only n**2 lumps many cheap small sets into
+# one stack that no second process can share (ordinary-moduli's default range).
+# The stack layouts measured in BENCH_26.json put this one among the fastest
+# for theorem6 and ordinary-moduli.  It does not depend on --jobs, so every job
+# count runs the same censuses, and each process's peak memory follows the
+# largest stack it draws: the caller's too, as it censuses its share of the
+# stacks.
+_STACK_COST = 3 << 20
+
+
+def _stacks(tasks: list, modulus) -> list[list]:
+    """Cut the ascending task list into contiguous runs whose estimated cost stays under _STACK_COST."""
+    stacks: list[list] = []
+    total = _STACK_COST
+    for task in tasks:
+        cost = modulus(task) ** 2 + _SET_COST
+        if total + cost >= _STACK_COST:
+            stacks.append([])
+            total = 0
+        stacks[-1].append(task)
+        total += cost
+    return stacks
 
 
 # Estimated cost of forking and joining one extra sweep process, in the same

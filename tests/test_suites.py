@@ -194,7 +194,7 @@ def test_line_stacks_are_drawn_costliest_first(monkeypatch):
     # with jobs = 1 the worker runs the stacks in the order _run_parallel gets
     # them; they ascend in estimated cost (a reversed task list would not), so
     # the counter, which draws the last first, draws the costliest first: at
-    # n <= 625 that is the first stack in task order, of the 96 smallest moduli
+    # n <= 625 that is the third stack in task order, of the 14 moduli from 419
     whole = SUITES["theorem6"](n_max=625).to_payload()
     a1_stack_task = suites._a1_stack_task
     stacks = []
@@ -209,14 +209,14 @@ def test_line_stacks_are_drawn_costliest_first(monkeypatch):
     assert costs == sorted(costs)
     first = next(suites._draws(multiprocessing.Value("q", len(stacks))))
     assert costs[first] == max(costs)
-    assert len(stacks[first]) == 96 and stacks[first][0][2] == 3
+    assert len(stacks[first]) == 14 and stacks[first][0][2] == 419
     tasks = suites._prime_powers_upto(625, min_n=3)
     assert sorted((t for stack in stacks for t in stack), key=lambda t: t[2]) == tasks
 
 
 def test_line_suites_fork_only_where_it_pays(monkeypatch):
     # at n <= 625 lemma7 has one stack, so no other process could take any of
-    # it; theorem6 and collinearity leave about 11 * 10**6 of n**2 beside their
+    # it; theorem6 and collinearity leave about 13 * 10**6 of n**2 beside their
     # costliest stack
     fork, started = suites._FORK, []
 
@@ -276,11 +276,11 @@ def test_line_suite_stacks_do_not_change_reports(monkeypatch, name, kwargs):
         return census_many(sets)
 
     monkeypatch.setattr(suites, "census_many", recording)
-    monkeypatch.setattr(suites, "_STACK_SQUARES", 1)
+    monkeypatch.setattr(suites, "_STACK_COST", 1)
     assert SUITES[name](**kwargs).to_payload() == whole
     assert set(stacks) == {1} and len(stacks) > 1
     stacks.clear()
-    monkeypatch.setattr(suites, "_STACK_SQUARES", 1 << 62)
+    monkeypatch.setattr(suites, "_STACK_COST", 1 << 62)
     assert SUITES[name](**kwargs).to_payload() == whole
     assert len(stacks) == 1 and stacks[0] > 1
 
