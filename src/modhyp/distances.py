@@ -451,14 +451,14 @@ class PrimePowerImageReport:
     p: int
     m: int
     a: int
-    leg_a: int
-    leg_neg_a: int
     image_size: int
     half_phi: int
     b1_size: int
     b2_size: int
     b1_preimages: int
     b2_preimages: int
+    leg_a: int
+    leg_neg_a: int
     preimage_sizes_ok: bool
     max_preimage: int
     preimage_cap: int
@@ -520,14 +520,14 @@ def prime_power_image_report(a: int, pp: PrimePower) -> PrimePowerImageReport:
         p=p,
         m=m,
         a=dec.a,
-        leg_a=leg_a,
-        leg_neg_a=leg_neg,
         image_size=dec.image_size,
         half_phi=half_phi,
         b1_size=len(dec.b1_values),
         b2_size=len(dec.b2_values),
         b1_preimages=dec.b1_preimage_count,
         b2_preimages=dec.b2_preimage_count,
+        leg_a=leg_a,
+        leg_neg_a=leg_neg,
         preimage_sizes_ok=bool(pre_ok),
         max_preimage=dec.max_preimage,
         preimage_cap=cap,

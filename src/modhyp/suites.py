@@ -6,14 +6,18 @@ finished ``CaseRecord``, so with ``jobs`` > 1 a sweep's tasks are shared by
 the calling process and jobs - 1 forked ones, each drawing the next task
 from one shared counter, the last task first; records are placed in task
 order, making the report independent of the worker count.  Suites that
-aggregate many tasks into one case (ordinary-moduli, prop15) reduce their
-workers' results instead.  The line suites (theorem6, lemma7, collinearity,
-ordinary-moduli) share stacks: contiguous runs of their ascending moduli,
-censused in one ``census_many`` call per stack, each returning one result
-per modulus in task order.  The stacks are handed to the runner in
-ascending estimated cost, so the costliest is drawn first, and their
-results are put back in task order.  Prime-lines builds the sets of each
-stack of a values of a prime from one inversion (``enumerate_many``).
+aggregate many tasks into one case (ordinary-moduli, prime-lines, prop15)
+reduce their workers' results instead.  The line suites (theorem6, lemma7,
+collinearity, ordinary-moduli, prime-lines) census their point sets in
+stacks of (n, a) tasks, all through one worker, ``_census_stack_task``: it
+builds the sets of each run of one modulus from one inversion
+(``enumerate_many``), censuses every set of two or more points in one
+``census_many`` call and returns one result per task.  Two cuts make the stacks: the a = 1
+sweeps cut their ascending moduli into contiguous runs by estimated cost
+(``_stacks``), and prime-lines cuts the a values of each prime by a point
+cap (``_STACK_POINTS``).  The stacks are handed to the runner in ascending
+estimated cost, so the costliest is drawn first, and their results are put
+back in task order.
 """
 from __future__ import annotations
 
@@ -22,9 +26,9 @@ import math
 import multiprocessing
 import random
 import time
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import asdict, dataclass, field
 from functools import partial
+from itertools import groupby, islice
 from operator import itemgetter
 from pathlib import Path
 from typing import Sequence
@@ -59,16 +63,10 @@ DEFAULT_SEED = 12345
 
 
 def _jsonable(obj):
-    if isinstance(obj, Fraction):
-        return str(obj)
-    if isinstance(obj, (list, tuple)):
+    if isinstance(obj, list):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, (set, frozenset)):
-        return sorted(_jsonable(v) for v in obj)
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, Path):
-        return str(obj)
     return obj
 
 
@@ -246,7 +244,7 @@ def _run_parallel(worker, tasks, jobs):
 _SET_COST = 1 << 14
 
 
-# Estimated cost of one line-suite stack at most: one sweep task censuses a
+# Estimated cost of one a = 1 line-suite stack at most: one sweep task censuses a
 # contiguous run of the ascending moduli in one census_many call, so the small
 # moduli share its fixed cost, and every n from 1769 up has a stack of its own.
 # Coarser stacks pay the stack's fixed cost (2**17.3 of n**2, the fit above)
@@ -261,12 +259,12 @@ _SET_COST = 1 << 14
 _STACK_COST = 3 << 20
 
 
-def _stacks(tasks: list, modulus) -> list[list]:
-    """Cut the ascending task list into contiguous runs whose estimated cost stays under _STACK_COST."""
+def _stacks(tasks: list[tuple[int, int]]) -> list[list[tuple[int, int]]]:
+    """Cut the (n, a) tasks, n ascending, into contiguous runs whose estimated cost stays under _STACK_COST."""
     stacks: list[list] = []
     total = _STACK_COST
     for task in tasks:
-        cost = modulus(task) ** 2 + _SET_COST
+        cost = task[0] ** 2 + _SET_COST
         if total + cost >= _STACK_COST:
             stacks.append([])
             total = 0
@@ -282,12 +280,28 @@ def _stacks(tasks: list, modulus) -> list[list]:
 _FORK_COST = 1 << 20
 
 
-def _stack_cost(stack: list, modulus) -> int:
-    return sum(modulus(task) ** 2 + _SET_COST for task in stack)
+def _stack_cost(stack: list[tuple[int, int]]) -> int:
+    return sum(n**2 + _SET_COST for n, _ in stack)
 
 
-def _run_stacked(worker, tasks: list, modulus, jobs: int) -> list:
-    """worker(stack) for every stack of the tasks, each returning one result per task, flattened in task order.
+def _census_stack_task(case, stack: list[tuple[int, int]]) -> list:
+    """case(point set, census) for each (n, a) of a stack, in task order.
+
+    The sets of each run of one modulus come from one ``enumerate_many``
+    call, and every set of two or more points is censused in one
+    ``census_many`` call.  A one-point set (n = 2) spans no line: its case
+    gets census None.
+    """
+    sets = []
+    for n, run in groupby(stack, itemgetter(0)):
+        sets += enumerate_many(n, [a for _, a in run])
+    lined = [ps for ps in sets if len(ps) >= 2]
+    censuses = iter(census_many(lined) if lined else ())
+    return [case(ps, next(censuses) if len(ps) >= 2 else None) for ps in sets]
+
+
+def _run_stacked(case, stacks: list[list[tuple[int, int]]], jobs: int) -> list:
+    """``_census_stack_task(case, stack)`` for every stack, flattened in task order.
 
     The stacks go to ``_run_parallel`` in ascending estimated cost, so its
     counter draws the costliest first (longest processing time first): the
@@ -297,20 +311,13 @@ def _run_stacked(worker, tasks: list, modulus, jobs: int) -> list:
     the most it can take is the total cost less the costliest stack's, and
     no more than half the total.
     """
-    stacks = _stacks(tasks, modulus)
-    costs = [_stack_cost(stack, modulus) for stack in stacks]
+    costs = [_stack_cost(stack) for stack in stacks]
     order = sorted(range(len(stacks)), key=costs.__getitem__)
     total = sum(costs)
     if min(total - max(costs, default=0), total // 2) < _FORK_COST:
         jobs = 1
-    done = _run_parallel(worker, [stacks[i] for i in order], jobs)
+    done = _run_parallel(partial(_census_stack_task, case), [stacks[i] for i in order], jobs)
     return [r for _, results in sorted(zip(order, done)) for r in results]
-
-
-def _a1_stack_task(case, stack: list[tuple[int, int, int]]) -> list[CaseRecord]:
-    """case(p, m, point set, census) for each (p, m, n) of a stack, the a = 1 sets censused in one ``census_many`` call."""
-    sets = [enumerate_points(HyperbolaSpec(1, n)) for _, _, n in stack]
-    return [case(p, m, ps, cen) for (p, m, _), ps, cen in zip(stack, sets, census_many(sets))]
 
 
 def _prime_powers_upto(n_max: int, min_m: int = 1, odd_only: bool = False, min_n: int = 2):
@@ -330,18 +337,15 @@ def _prime_powers_upto(n_max: int, min_m: int = 1, odd_only: bool = False, min_n
 # ordinary-moduli
 
 
-def _ordinary_count_task(moduli: list[int]) -> list[tuple[int, int]]:
-    """(n, ordinary count) for each n of a stack; n = 2 has one point and no line."""
-    sets = [enumerate_points(HyperbolaSpec(1, n)) for n in moduli]
-    lined = [ps for ps in sets if len(ps) >= 2]
-    counts = {ps.spec.n: cen.ordinary_count for ps, cen in zip(lined, census_many(lined) if lined else [])}
-    return [(n, counts.get(n, 0)) for n in moduli]
+def _ordinary_count(ps: PointSet, cen: IncidenceCensus | None) -> int:
+    return cen.ordinary_count if cen else 0
 
 
 def suite_ordinary_moduli(n_max: int = 200, jobs: int = 1) -> VerificationReport:
     """Exactly {2, 8, 12, 24} span no ordinary line; 3, 4 and 6 span exactly one."""
     rep = VerificationReport("ordinary-moduli", {"n_max": n_max})
-    results = dict(_run_stacked(_ordinary_count_task, list(range(2, n_max + 1)), int, jobs))
+    moduli = range(2, n_max + 1)
+    results = dict(zip(moduli, _run_stacked(_ordinary_count, _stacks([(n, 1) for n in moduli]), jobs)))
     found = [n for n, c in sorted(results.items()) if c == 0]
     expected = [n for n in (2, 8, 12, 24) if n <= n_max]
     rep.cases.append(
@@ -362,26 +366,30 @@ def suite_ordinary_moduli(n_max: int = 200, jobs: int = 1) -> VerificationReport
 _STACK_POINTS = 1 << 17
 
 
-def _prime_lines_task(p: int) -> CaseRecord:
-    failures = []
-    formula = (p - 1) * (p - 2) // 2
-    batch = max(1, _STACK_POINTS // p)
-    for lo in range(1, p, batch):
-        sets = enumerate_many(p, range(lo, min(lo + batch, p)))
-        if len(sets[0]) < 2:  # only p = 2, whose one point spans no line
-            failures += [[ps.spec.a, 0, 0] for ps in sets if formula != 0]
-            continue
-        for ps, cen in zip(sets, census_many(sets)):
-            if cen.ordinary_count != formula or cen.max_collinear != 2:
-                failures.append([ps.spec.a, cen.ordinary_count, cen.max_collinear])
-    expected = {"ordinary": formula, "max_collinear": 2}
-    return CaseRecord(f"p{p}", {"p": p, "all_a": True}, expected, {"failures": failures}, not failures)
+def _prime_line_failure(ps: PointSet, cen: IncidenceCensus | None) -> list[int] | None:
+    """[a, ordinary count, longest line] unless the set spans (p-1)(p-2)/2 ordinary lines and none longer.
+
+    The one point of p = 2 spans no line, and (p-1)(p-2)/2 = 0 there.
+    """
+    p = ps.spec.n
+    if cen and (cen.ordinary_count != (p - 1) * (p - 2) // 2 or cen.max_collinear != 2):
+        return [ps.spec.a, cen.ordinary_count, cen.max_collinear]
+    return None
 
 
 def suite_prime_lines(n_max: int = 101, jobs: int = 1) -> VerificationReport:
     """Every prime hyperbola spans (p-1)(p-2)/2 ordinary lines and nothing longer."""
     rep = VerificationReport("prime-lines", {"n_max": n_max})
-    rep.cases.extend(_run_parallel(_prime_lines_task, primes_upto(n_max), jobs))
+    primes = primes_upto(n_max)
+    stacks = []
+    for p in primes:
+        batch = max(1, _STACK_POINTS // p)
+        stacks += [[(p, a) for a in range(lo, min(lo + batch, p))] for lo in range(1, p, batch)]
+    rows = iter(_run_stacked(_prime_line_failure, stacks, jobs))
+    for p in primes:
+        failures = [row for row in islice(rows, p - 1) if row]
+        expected = {"ordinary": (p - 1) * (p - 2) // 2, "max_collinear": 2}
+        rep.cases.append(CaseRecord(f"p{p}", {"p": p, "all_a": True}, expected, {"failures": failures}, not failures))
     return rep
 
 
@@ -413,11 +421,12 @@ def suite_special_line(n_max: int = 2500, jobs: int = 1) -> VerificationReport:
 # theorem6 (ordinary-line lower bound)
 
 
-def _theorem6_case(p: int, m: int, ps: PointSet, cen: IncidenceCensus) -> CaseRecord:
-    r = verify_ordinary_bound(PrimePower(p, m), cen)
+def _theorem6_case(ps: PointSet, cen: IncidenceCensus) -> CaseRecord:
+    pp = ps.spec.prime_power
+    r = verify_ordinary_bound(pp, cen)
     return CaseRecord(
-        f"{p}^{m}",
-        {"p": p, "m": m, "n": r.n},
+        f"{pp.p}^{pp.m}",
+        {"p": pp.p, "m": pp.m, "n": r.n},
         {"satisfied": True, "equality": r.equality_expected},
         {"ordinary": r.ordinary, "bound": str(r.bound), "ceil_bound": r.ceil_bound, "equality": r.equality},
         r.ok,
@@ -427,8 +436,8 @@ def _theorem6_case(p: int, m: int, ps: PointSet, cen: IncidenceCensus) -> CaseRe
 def suite_theorem6(n_max: int = 2500, jobs: int = 1) -> VerificationReport:
     """Ordinary count >= ceil(exact rational bound); equality exactly where expected."""
     rep = VerificationReport("theorem6", {"n_max": n_max})
-    tasks = _prime_powers_upto(n_max, min_n=3)
-    rep.cases.extend(_run_stacked(partial(_a1_stack_task, _theorem6_case), tasks, itemgetter(2), jobs))
+    tasks = [(n, 1) for _, _, n in _prime_powers_upto(n_max, min_n=3)]
+    rep.cases.extend(_run_stacked(_theorem6_case, _stacks(tasks), jobs))
     return rep
 
 
@@ -436,11 +445,12 @@ def suite_theorem6(n_max: int = 2500, jobs: int = 1) -> VerificationReport:
 # lemma7 (line class structure)
 
 
-def _line_class_case(p: int, m: int, ps: PointSet, cen: IncidenceCensus) -> CaseRecord:
+def _line_class_case(ps: PointSet, cen: IncidenceCensus) -> CaseRecord:
+    pp = ps.spec.prime_power
     r = verify_line_classes(ps, cen)
     return CaseRecord(
-        f"{p}^{m}",
-        {"p": p, "m": m, "a": 1},
+        f"{pp.p}^{pp.m}",
+        {"p": pp.p, "m": pp.m, "a": 1},
         {"violations": []},
         {"lines_checked": r.lines_checked, "violations": r.violations},
         not r.violations,
@@ -450,8 +460,8 @@ def _line_class_case(p: int, m: int, ps: PointSet, cen: IncidenceCensus) -> Case
 def suite_lemma7(n_max: int = 1331, jobs: int = 1) -> VerificationReport:
     """Structure of many-point lines over odd prime powers with m >= 2, a = 1."""
     rep = VerificationReport("lemma7", {"n_max": n_max})
-    tasks = _prime_powers_upto(n_max, min_m=2, odd_only=True)
-    rep.cases.extend(_run_stacked(partial(_a1_stack_task, _line_class_case), tasks, itemgetter(2), jobs))
+    tasks = [(n, 1) for _, _, n in _prime_powers_upto(n_max, min_m=2, odd_only=True)]
+    rep.cases.extend(_run_stacked(_line_class_case, _stacks(tasks), jobs))
     return rep
 
 
@@ -459,7 +469,8 @@ def suite_lemma7(n_max: int = 1331, jobs: int = 1) -> VerificationReport:
 # collinearity
 
 
-def _collinearity_case(p: int, m: int, ps: PointSet, cen: IncidenceCensus) -> CaseRecord:
+def _collinearity_case(ps: PointSet, cen: IncidenceCensus) -> CaseRecord:
+    pp = ps.spec.prime_power
     r = verify_collinearity_bounds(ps, cen)
     computed = {
         "max_collinear": r.max_collinear,
@@ -468,14 +479,14 @@ def _collinearity_case(p: int, m: int, ps: PointSet, cen: IncidenceCensus) -> Ca
         "violations": r.violations,
         "many_lines_regime": r.many_lines_regime,
     }
-    return CaseRecord(f"{p}^{m}", {"p": p, "m": m, "a": 1}, {"violations": []}, computed, not r.violations)
+    return CaseRecord(f"{pp.p}^{pp.m}", {"p": pp.p, "m": pp.m, "a": 1}, {"violations": []}, computed, not r.violations)
 
 
 def suite_collinearity(n_max: int = 1331, jobs: int = 1) -> VerificationReport:
     """Max collinearity bound and non-collinearity of classes, odd p**m, a = 1."""
     rep = VerificationReport("collinearity", {"n_max": n_max})
-    tasks = _prime_powers_upto(n_max, odd_only=True, min_n=3)
-    rep.cases.extend(_run_stacked(partial(_a1_stack_task, _collinearity_case), tasks, itemgetter(2), jobs))
+    tasks = [(n, 1) for _, _, n in _prime_powers_upto(n_max, odd_only=True, min_n=3)]
+    rep.cases.extend(_run_stacked(_collinearity_case, _stacks(tasks), jobs))
     return rep
 
 
@@ -583,10 +594,19 @@ def suite_theorem14(
 
 
 def read_fixture_rows(path: Path | str) -> list[tuple[int, int, int, int]]:
-    rows = []
+    """(p, m, a, expected_count) of every row of a fixtures CSV; lines that start with # are comments.
+
+    Raises ``ValueError`` when a column is missing or the file holds no rows.
+    """
+    columns = ("p", "m", "a", "expected_count")
     with open(path, newline="") as fh:
-        for row in csv.DictReader(line for line in fh if not line.startswith("#")):
-            rows.append((int(row["p"]), int(row["m"]), int(row["a"]), int(row["expected_count"])))
+        reader = csv.DictReader(line for line in fh if not line.startswith("#"))
+        missing = [c for c in columns if c not in (reader.fieldnames or ())]
+        if missing:
+            raise ValueError(f"{path} has no column {', '.join(missing)}")
+        rows = [(int(row["p"]), int(row["m"]), int(row["a"]), int(row["expected_count"])) for row in reader]
+    if not rows:
+        raise ValueError(f"{path} holds no rows")
     return rows
 
 
@@ -631,25 +651,7 @@ def _general_pm_task(task: tuple[int, int, int]) -> CaseRecord:
         "correction_half_ok": True,
         "correction_quarter_ok": quarter_expected,
     }
-    computed = {
-        "ok": r.ok,
-        "image_size": r.image_size,
-        "half_phi": r.half_phi,
-        "b1_size": r.b1_size,
-        "b2_size": r.b2_size,
-        "b1_preimages": r.b1_preimages,
-        "b2_preimages": r.b2_preimages,
-        "leg_a": r.leg_a,
-        "leg_neg_a": r.leg_neg_a,
-        "preimage_sizes_ok": r.preimage_sizes_ok,
-        "max_preimage": r.max_preimage,
-        "preimage_cap": r.preimage_cap,
-        "cap_ok": r.cap_ok,
-        "b_lower_ok": r.b_lower_ok,
-        "nonres_case_ok": r.nonres_case_ok,
-        "correction_half_ok": r.correction_half_ok,
-        "correction_quarter_ok": r.correction_quarter_ok,
-    }
+    computed = {"ok": r.ok} | {k: v for k, v in asdict(r).items() if k not in ("p", "m", "a")}
     passed = r.ok and r.correction_quarter_ok == quarter_expected
     return CaseRecord(f"p{p}-m{m}-a{a}", {"p": p, "m": m, "a": a}, expected, computed, passed)
 
@@ -720,15 +722,7 @@ def suite_prop15(n_max: int = 61, jobs: int = 1) -> VerificationReport:
     for count, rows in _run_parallel(_prop15_prime_task, tasks, jobs):
         checked += count
         bad += rows
-    rep.cases.append(
-        CaseRecord(
-            "lattice-agreement",
-            {"n_max": n_max, "checked": checked},
-            {"failures": []},
-            {"failures": bad},
-            not bad,
-        )
-    )
+    rep.cases.append(_failures_case("lattice-agreement", {"n_max": n_max, "checked": checked}, bad))
     for p in [q for q in primes_upto(97) if q >= 5]:
         got = intersection_direct(1, p)
         rep.cases.append(CaseRecord(f"a1-p{p}", {"a": 1, "p": p}, 1, got, got == 1))

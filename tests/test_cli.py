@@ -169,6 +169,22 @@ def test_verify_exit_codes(capsys, tmp_path):
     assert json.loads(out)["pass"] is False
 
 
+def test_verify_tables_refuses_a_fixture_without_a_column(capsys, tmp_path):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("p,m,expected_count\n3,2,4\n")
+    rc, out, err = run(capsys, "verify", "tables", "--fixtures", str(bad))
+    assert rc == 2 and out == ""
+    assert err.startswith("error: ") and "no column a" in err and "Traceback" not in err
+
+
+def test_verify_tables_refuses_a_fixture_without_rows(capsys, tmp_path):
+    empty = tmp_path / "empty.csv"
+    empty.write_text("# no rows yet\np,m,a,expected_count\n")
+    rc, out, err = run(capsys, "verify", "tables", "--fixtures", str(empty))
+    assert rc == 2 and out == ""
+    assert err.startswith("error: ") and "holds no rows" in err
+
+
 def test_suite_range_defaults_come_from_the_suites(capsys):
     parser = build_parser()
     ranged = set()
@@ -205,14 +221,14 @@ def test_line_sweep_json_identical_across_jobs(capsys, suite):
 
 
 def test_verbose_prints_each_process_load(capsys):
-    rc, plain, _ = run(capsys, "verify", "prime-lines", "--n-max", "13", "--jobs", "2")
-    rc, out, err = run(capsys, "verify", "prime-lines", "--n-max", "13", "--jobs", "2", "--verbose")
+    rc, plain, _ = run(capsys, "verify", "prime-distance", "--n-max", "13", "--jobs", "2")
+    rc, out, err = run(capsys, "verify", "prime-distance", "--n-max", "13", "--jobs", "2", "--verbose")
     assert rc == 0 and out == plain
     lines = err.splitlines()
-    assert re.fullmatch(r"verify prime-lines: \d+\.\d\ds", lines[0])
+    assert re.fullmatch(r"verify prime-distance: \d+\.\d\ds", lines[0])
     loads = [re.fullmatch(r"  (caller|process 1): (\d+) tasks, \d+\.\d\ds busy", line) for line in lines[1:]]
     assert [m.group(1) for m in loads] == ["caller", "process 1"]
-    assert sum(int(m.group(2)) for m in loads) == 6  # the primes up to 13
+    assert sum(int(m.group(2)) for m in loads) == 5  # the odd primes up to 13
 
 
 def test_default_jobs_counts_the_cpus_this_process_may_use(monkeypatch):

@@ -196,28 +196,29 @@ def test_line_stacks_are_drawn_costliest_first(monkeypatch):
     # the counter, which draws the last first, draws the costliest first: at
     # n <= 625 that is the third stack in task order, of the 14 moduli from 419
     whole = SUITES["theorem6"](n_max=625).to_payload()
-    a1_stack_task = suites._a1_stack_task
+    census_stack_task = suites._census_stack_task
     stacks = []
 
     def recording(case, stack):
         stacks.append(stack)
-        return a1_stack_task(case, stack)
+        return census_stack_task(case, stack)
 
-    monkeypatch.setattr(suites, "_a1_stack_task", recording)
+    monkeypatch.setattr(suites, "_census_stack_task", recording)
     assert SUITES["theorem6"](n_max=625, jobs=1).to_payload() == whole
-    costs = [suites._stack_cost(stack, lambda t: t[2]) for stack in stacks]
+    costs = [suites._stack_cost(stack) for stack in stacks]
     assert costs == sorted(costs)
     first = next(suites._draws(multiprocessing.Value("q", len(stacks))))
     assert costs[first] == max(costs)
-    assert len(stacks[first]) == 14 and stacks[first][0][2] == 419
-    tasks = suites._prime_powers_upto(625, min_n=3)
-    assert sorted((t for stack in stacks for t in stack), key=lambda t: t[2]) == tasks
+    assert len(stacks[first]) == 14 and stacks[first][0] == (419, 1)
+    tasks = [(n, 1) for _, _, n in suites._prime_powers_upto(625, min_n=3)]
+    assert sorted(t for stack in stacks for t in stack) == tasks
 
 
 def test_line_suites_fork_only_where_it_pays(monkeypatch):
     # at n <= 625 lemma7 has one stack, so no other process could take any of
     # it; theorem6 and collinearity leave about 13 * 10**6 of n**2 beside their
-    # costliest stack
+    # costliest stack.  Prime-lines at p <= 13 costs under _FORK_COST in all,
+    # and at p <= 101 leaves about 2 * 10**7 beside its costliest prime
     fork, started = suites._FORK, []
 
     def recording(*args, **kwargs):
@@ -226,11 +227,12 @@ def test_line_suites_fork_only_where_it_pays(monkeypatch):
 
     process = fork.Process
     monkeypatch.setattr(fork, "Process", recording)
-    for name, processes in [("lemma7", 0), ("theorem6", 1), ("collinearity", 1)]:
+    runs = [("lemma7", 625, 0), ("theorem6", 625, 1), ("collinearity", 625, 1), ("prime-lines", 13, 0), ("prime-lines", 101, 1)]
+    for name, n_max, processes in runs:
         started.clear()
-        two = SUITES[name](n_max=625, jobs=2).to_payload()
-        assert len(started) == processes, name
-        assert json.dumps(two) == json.dumps(SUITES[name](n_max=625, jobs=1).to_payload())
+        two = SUITES[name](n_max=n_max, jobs=2).to_payload()
+        assert len(started) == processes, (name, n_max)
+        assert json.dumps(two) == json.dumps(SUITES[name](n_max=n_max, jobs=1).to_payload())
     started.clear()
     assert SUITES["lemma7"](n_max=8, jobs=2).cases == [] and not started  # no stack at all
     assert multiprocessing.active_children() == []
@@ -253,6 +255,42 @@ def test_prime_lines_stacks_split_by_point_budget(monkeypatch):
     assert all(p * size <= 40 or size == 1 for p, size in stacks)
     assert [size for p, size in stacks if p == 13] == [3, 3, 3, 3]
     assert sum(size for p, size in stacks if p == 31) == 30
+
+
+def test_prime_lines_split_stacks_do_not_depend_on_jobs(monkeypatch):
+    # split primes put stacks of one p among others of every cost, in both
+    # processes; a check that reports every set shows each row back in its place
+    whole = suite_prime_lines(n_max=61).to_payload()
+    monkeypatch.setattr(suites, "_STACK_POINTS", 200)
+    one = suite_prime_lines(n_max=61, jobs=1).to_payload()
+    two = suite_prime_lines(n_max=61, jobs=2).to_payload()
+    assert json.dumps(one) == json.dumps(two) == json.dumps(whole)
+
+    def every_set(ps, cen):
+        return [ps.spec.a, cen.ordinary_count if cen else 0, ps.spec.n]
+
+    monkeypatch.setattr(suites, "_prime_line_failure", every_set)
+    one = suite_prime_lines(n_max=61, jobs=1).to_payload()
+    two = suite_prime_lines(n_max=61, jobs=2).to_payload()
+    assert json.dumps(one) == json.dumps(two)
+    for case in one["cases"]:
+        p = case["inputs"]["p"]
+        assert case["computed"]["failures"] == [[a, (p - 1) * (p - 2) // 2, p] for a in range(1, p)]
+
+
+@pytest.mark.parametrize("suite", [suite_ordinary_moduli, suite_prime_lines])
+def test_line_suites_pass_on_the_one_point_set_alone(monkeypatch, suite):
+    # n = 2 has the single point (1, 1), which census_many never receives
+    census_many = suites.census_many
+    received = []
+
+    def recording(sets):
+        received.extend(sets)
+        return census_many(sets)
+
+    monkeypatch.setattr(suites, "census_many", recording)
+    rep = suite(n_max=2)
+    assert rep.passed and len(rep.cases) == 1 and received == []
 
 
 @pytest.mark.parametrize(
