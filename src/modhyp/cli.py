@@ -17,7 +17,7 @@ from .distances import distance_profile, gap_experiment
 from .geometry import census, check_census_modulus
 from .hyperbola import EXACT_N_LIMIT, HyperbolaSpec, check_unit_budget, enumerate_points
 from .ntcore import is_prime
-from .suites import DEFAULT_FIXTURES, DEFAULT_SEED, SUITES, VerificationReport, process_loads
+from .suites import DEFAULT_FIXTURES, DEFAULT_SEED, SUITES, VerificationReport, census_stacks, process_loads
 
 # `modhyp points` holds Python [x, y] rows, the only per-point Python objects.
 # Peak-RSS growth per unit of n (fresh process, primes 1000003 and 2000003):
@@ -69,7 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
     vp.add_argument("--k", type=int, help="single construction index (gap)")
     vp.add_argument("--jobs", type=int, default=_default_jobs(), help="processes sharing each sweep, the caller included")
     vp.add_argument("--format", choices=("json", "csv", "text"), default="json")
-    vp.add_argument("--verbose", action="store_true", help="print the wall time and each process's load to stderr")
+    vp.add_argument("--verbose", action="store_true", help="print the wall time, each process's load and a line sweep's census stacks to stderr")
 
     gp = sub.add_parser("gap", help="squared-primorial gap construction")
     gp.add_argument("--k", type=int, required=True, help="number of odd primes in the product")
@@ -190,6 +190,7 @@ def _cmd_verify(args) -> int:
     fn = SUITES[args.suite]
     kwargs = _suite_kwargs(args)
     process_loads.clear()
+    census_stacks.clear()
     t0 = time.perf_counter()
     report: VerificationReport = fn(**kwargs)
     elapsed = time.perf_counter() - t0
@@ -221,6 +222,9 @@ def _cmd_verify(args) -> int:
         for slot, (tasks, busy) in enumerate(process_loads):
             name = f"process {slot}" if slot else "caller"
             print(f"  {name}: {tasks} tasks, {busy:.2f}s busy", file=sys.stderr)
+        if census_stacks:
+            tiers = ", ".join(f"{tier} {count}" for tier, count in census_stacks.items())
+            print(f"census stacks: {sum(census_stacks.values())} ({tiers})", file=sys.stderr)
     return _EXIT_OK if report.passed else _EXIT_FAIL
 
 

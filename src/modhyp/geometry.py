@@ -9,12 +9,14 @@ are (set, anchor) pairs over orbit representatives: the maps sigma
 are found per set, and one anchor per orbit of that set is swept, weighted
 by its orbit size.  An anchor's row codes the slope to every other point of
 its set as dy * dx**-1 modulo a prime M with 2 * (n - 1)**2 < M, so equal
-codes mean equal slopes (integer ops only, no per-pair gcd): 2**31 - 1 and
-int32 codes up to n = 2**15, a prime above 2**41 and int64 codes up to
-n = 2**20; vertical directions are looked for only in a stack where some
-set repeats an x, which no hyperbola set does.  One row sort per block of
-rows groups the points of each line through the anchor.  A t-point line is
-a group of t-1 points at each of its t points, so each set's weighted group
+codes mean equal slopes (integer ops only, no per-pair gcd).  The stack's
+largest modulus picks one of three tiers: up to n = 2**10 a prime just above
+2 * 1023**2 and int32 row arithmetic throughout, up to n = 2**15 2**31 - 1
+and int32 codes from int64 products, and up to n = 2**20 a prime above 2**41
+and int64 codes; vertical directions are looked for only in a stack where
+some set repeats an x, which no hyperbola set does.  One row sort per block
+of rows groups the points of each line through the anchor.  A t-point line
+is a group of t-1 points at each of its t points, so each set's weighted group
 counts give its count of each line size.  Only the keys of lines with three
 or more points are kept: each group's direction is rebuilt from its code by
 a half extended Euclid on (M, code), and the keys are closed under their own
@@ -40,7 +42,8 @@ from .ntcore import PrimePower
 
 # Row entries per block of whole anchor rows.  A block's three int64 work
 # arrays and its flags take 25 B per entry, 1.6 MB at 2**16, so they stay in a
-# 2 MB per-core L2 cache; at 2**17 (3.3 MB) they do not.  The codes the block
+# 2 MB per-core L2 cache; at 2**17 (3.3 MB) they do not.  In the int32-rows
+# tier (n <= 2**10) they take 13 B per entry.  The codes the block
 # sorts live in the bytes of its dx array, so they add nothing.  In-process
 # line-sweep passes (theorem6, lemma7 and collinearity at n <= 625, then
 # prime-lines) on a 2-core x86-64 host with 2 MB of L2 per core took a median
@@ -49,15 +52,30 @@ from .ntcore import PrimePower
 _ROW_BLOCK = 1 << 16
 # Slope codes are taken mod a prime M with 2 * (n - 1)**2 < M, so every cross
 # product dy1*dx2 - dy2*dx1 of two directions is below M in absolute value and
-# equal codes mean equal slopes (see census).  Up to n = 2**15 M is the
-# Mersenne prime 2**31 - 1, and the codes, M itself (vertical) and the
-# sentinels -1 (the anchor) and -2 - col (padding) are int32; above it, up to
-# n = _N_LIMIT, M is _SLOPE_PRIME and the codes are int64.  _N_LIMIT also
-# caps a set's point count.
+# equal codes mean equal slopes (see census).  The stack's largest modulus n
+# picks one of three tiers (census_tier):
+# - up to n = 2**10, M = 2093071, the least prime above 2 * 1023**2; as
+#   1023 * (M - 1) < 2**31, the gathered coordinates, the inverse table, dx,
+#   dy, their product and the codes are all int32 ("int32 rows");
+# - up to n = 2**15, M is the Mersenne prime 2**31 - 1: the products are int64
+#   and the codes int32 ("int32 codes");
+# - up to n = _N_LIMIT, M is _SLOPE_PRIME and everything is int64 ("int64").
+# The codes, M itself (vertical) and the sentinels -1 (the anchor) and
+# -2 - col (padding) fit the codes' dtype.  _N_LIMIT also caps a set's point
+# count.
 _N_LIMIT = 1 << 20
 _SLOPE_PRIME = 2199023255579  # the least prime above 2**41
 _N_LIMIT_32 = 1 << 15
 _SLOPE_PRIME_32 = (1 << 31) - 1
+_N_LIMIT_SMALL = 1 << 10
+_SLOPE_PRIME_SMALL = 2093071
+# tier name: (largest modulus, M, dtype of the row arithmetic), ascending
+_TIERS = {
+    "int32 rows": (_N_LIMIT_SMALL, _SLOPE_PRIME_SMALL, np.int32),
+    "int32 codes": (_N_LIMIT_32, _SLOPE_PRIME_32, np.int64),
+    "int64": (_N_LIMIT, _SLOPE_PRIME, np.int64),
+}
+CENSUS_TIERS = tuple(_TIERS)
 _MAPS = ((True, False), (False, True), (True, True))  # sigma, nu, sigma*nu as (swap, reflect)
 
 
@@ -174,12 +192,14 @@ def _slope_codes(
 
     inv is ``_slope_inverses(span, m)`` and dx holds each direction's
     dx + span, so the vertical directions are where dx == span; dy and out
-    are int64 scratch of dx's shape.  Only when vertical is true are they
-    looked for: without it every direction with dx == span is taken to be
-    zero (an anchor's own column), and its code is 0.  The codes are a view
-    of dx's bytes: int32 when m < 2**31 (in their first half), else int64
-    (dx itself).  For |dx|, |dy| < sqrt(m / 2) two codes are equal exactly
-    when dy1 * dx2 == dy2 * dx1.
+    are scratch of dx's shape and dtype, int32 in the int32-rows tier (where
+    inv is int32 too and every product fits) and int64 above it.  Only when
+    vertical is true are they looked for: without it every direction with
+    dx == span is taken to be zero (an anchor's own column), and its code is
+    0.  The codes are a view of dx's bytes: int32 when m < 2**31 (dx itself
+    when dx is int32, else the first half of its bytes), else int64 (dx
+    itself).  For |dx|, |dy| < sqrt(m / 2) two codes are equal exactly when
+    dy1 * dx2 == dy2 * dx1.
     """
     # every dx of two real points is in range (a padding column's may be
     # clipped; the census overwrites its code); "clip" writes out unbuffered
@@ -233,6 +253,12 @@ def check_census_modulus(n: int) -> None:
     """Refuse moduli past the range where the census slope codes are exact."""
     if n > _N_LIMIT:
         raise ValueError(f"census slope codes are exact only for n <= {_N_LIMIT}, got n = {n}")
+
+
+def census_tier(n: int) -> str:
+    """The slope-code tier, a name in CENSUS_TIERS, of a census stack whose largest modulus is n."""
+    check_census_modulus(n)
+    return next(name for name, (limit, _, _) in _TIERS.items() if n <= limit)
 
 
 def _symmetries(xs: np.ndarray, ys: np.ndarray, ns: np.ndarray, ks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -310,7 +336,8 @@ def _row_groups(xs, ys, sid, anchor, row_k, inv, m, work, vertical) -> tuple[np.
     columns of xs and ys; xs, ys and work are as wide as the block's widest
     row, and inv is ``_slope_inverses(span, m)``.  Returns, per group, its
     row r, its size and its slope code mod m.  work holds (R, width) arrays
-    dx, dy and a product scratch (int64) and flags (bool), which every block
+    dx, dy and a product scratch (of xs's dtype: int32 in the int32-rows
+    tier, else int64) and flags (bool), which every block
     overwrites: the census allocates its row arrays once, not once per block.
     vertical says whether some set of the stack has two points of one x
     (``_slope_codes``).
@@ -363,11 +390,15 @@ def census(ps: PointSet) -> IncidenceCensus:
     as c = dy * dx**-1 mod M (c = M when vertical, looked for only in a
     stack where some set repeats an x), with dx**-1 read from a signed table
     at dx + span (the direction and its negation share c, as
-    dy * dx**-1 = (-dy) * (-dx)**-1).  M is 2**31 - 1 when the stack's
-    largest modulus is at most 2**15, and the codes are int32, written into
-    the bytes of the block's dx array; above that M = _SLOPE_PRIME and they
-    are int64.  The anchor's own column is -1 and a padding column c is
-    -2 - c: distinct, below every code, and sorted first.  One ``np.sort``
+    dy * dx**-1 = (-dy) * (-dx)**-1).  The stack's largest modulus picks
+    the tier (``census_tier``): up to 2**10, M = 2093071 and, as
+    1023 * (M - 1) < 2**31, the gathered coordinates, the table, dx, dy, the
+    product and the codes are all int32, the codes written over dx; up to
+    2**15, M = 2**31 - 1, the products are int64 and the int32 codes are
+    written into the bytes of the block's dx array; above that
+    M = _SLOPE_PRIME and they are int64.  The anchor's own column is -1 and
+    a padding column c is -2 - c: distinct, below every code, and sorted
+    first.  One ``np.sort``
     per block of rows, at most _ROW_BLOCK entries of the block's widest row
     each; a block may span sets and reuses one set of row arrays.  Each run
     of equal c is the rest of one line through i, so a t-point line is one
@@ -413,19 +444,18 @@ def census_many(sets: Sequence[PointSet]) -> list[IncidenceCensus]:
     sizes = [len(ps) for ps in sets]
     if min(sizes) < 2:
         raise TooFewPoints(f"{min(sizes)} point(s) span no lines")
-    check_census_modulus(max(moduli))
+    _, m, row_type = _TIERS[census_tier(max(moduli))]
     if max(sizes) > _N_LIMIT:
         raise ValueError(f"census handles at most {_N_LIMIT} points a set, got {max(sizes)} points")
     S, K = len(sets), max(sizes)
     ns = np.array(moduli, dtype=np.int64)
     ks = np.array(sizes, dtype=np.int64)
-    xs = np.zeros((S, K), dtype=np.int64)
-    ys = np.zeros((S, K), dtype=np.int64)
+    xs = np.zeros((S, K), dtype=row_type)
+    ys = np.zeros((S, K), dtype=row_type)
     for s, ps in enumerate(sets):
         xs[s, : sizes[s]] = ps.xs
         ys[s, : sizes[s]] = ps.ys
-    m = _SLOPE_PRIME_32 if max(moduli) <= _N_LIMIT_32 else _SLOPE_PRIME
-    inv = _slope_inverses(int((xs[np.arange(S), ks - 1] - xs[:, 0]).max()), m)
+    inv = _slope_inverses(int((xs[np.arange(S), ks - 1] - xs[:, 0]).max()), m).astype(row_type, copy=False)
     kept, images = _symmetries(xs, ys, ns, ks)
     cols = np.arange(K)
     # a set's points ascend in (x, y), so it has a vertical pair iff two neighbours share an x
@@ -448,7 +478,7 @@ def census_many(sets: Sequence[PointSet]) -> list[IncidenceCensus]:
     # to 4 MB more peak RSS).  They live until the census returns: freed
     # before the keys are built, they left the line-sweep benchmark at about
     # 3.7 MB more peak RSS in roughly half the directories it ran from.
-    ints = [np.empty(entries, dtype=np.int64) for _ in range(3)]
+    ints = [np.empty(entries, dtype=row_type) for _ in range(3)]
     flags = np.empty(entries, dtype=bool)
     at, groups, codes = [], [], []  # per block: each group's row, size and slope code
     for lo, hi, width in blocks:

@@ -12,12 +12,13 @@ collinearity, ordinary-moduli, prime-lines) census their point sets in
 stacks of (n, a) tasks, all through one worker, ``_census_stack_task``: it
 builds the sets of each run of one modulus from one inversion
 (``enumerate_many``), censuses every set of two or more points in one
-``census_many`` call and returns one result per task.  Two cuts make the stacks: the a = 1
-sweeps cut their ascending moduli into contiguous runs by estimated cost
-(``_stacks``), and prime-lines cuts the a values of each prime by a point
-cap (``_STACK_POINTS``).  The stacks are handed to the runner in ascending
-estimated cost, so the costliest is drawn first, and their results are put
-back in task order.
+``census_many`` call and returns one result per task.  Two cuts make the
+stacks: the a = 1 sweeps cut their ascending moduli into contiguous runs by
+estimated cost (``_stacks``), and prime-lines cuts the (p, a) tasks of the
+primes whose p - 1 sets cost under _STACK_COST the same way, and the a
+values of each larger prime by a point cap (``_STACK_POINTS``).  The stacks
+are handed to the runner in ascending estimated cost, so the costliest is
+drawn first, and their results are put back in task order.
 """
 from __future__ import annotations
 
@@ -46,9 +47,11 @@ from .distances import (
     sqrt_shift_data,
 )
 from .geometry import (
+    CENSUS_TIERS,
     IncidenceCensus,
     LineKey,
     census_many,
+    census_tier,
     check_special_line,
     count_on_line,
     verify_collinearity_bounds,
@@ -127,6 +130,9 @@ def _failures_case(key: str, inputs: dict, failures: list) -> CaseRecord:
 # cleared, the caller first and then each extra process in start order;
 # ``verify --verbose`` prints it to stderr.
 process_loads: list[list] = []
+# Census stacks per slope-code tier (``geometry.census_tier``) of every line
+# sweep since the dict was last cleared; ``verify --verbose`` prints it too.
+census_stacks: dict[str, int] = {}
 
 
 def _draws(counter):
@@ -311,6 +317,12 @@ def _run_stacked(case, stacks: list[list[tuple[int, int]]], jobs: int) -> list:
     the most it can take is the total cost less the costliest stack's, and
     no more than half the total.
     """
+    for tier in CENSUS_TIERS:
+        census_stacks.setdefault(tier, 0)
+    for stack in stacks:
+        n = max(n for n, _ in stack)
+        if n > 2:  # the one point of n = 2 is never censused
+            census_stacks[census_tier(n)] += 1
     costs = [_stack_cost(stack) for stack in stacks]
     order = sorted(range(len(stacks)), key=costs.__getitem__)
     total = sum(costs)
@@ -361,8 +373,11 @@ def suite_ordinary_moduli(n_max: int = 200, jobs: int = 1) -> VerificationReport
 # prime-lines
 
 
-# Points per census_many stack of prime-lines: every a of p <= 359 in one
-# call, and a few MB of stacked coordinates at any larger p.
+# Points per census_many stack of a prime-lines prime whose p - 1 sets cost
+# _STACK_COST or more (p >= 113): every a of p <= 359 in one call, and a few MB
+# of stacked coordinates at any larger p.  The primes below that share stacks
+# cut by _stacks, as the a = 1 sweeps are; a pure cost cut of every prime was
+# 14-38 % slower at --n-max 401 and 1009.
 _STACK_POINTS = 1 << 17
 
 
@@ -381,11 +396,15 @@ def suite_prime_lines(n_max: int = 101, jobs: int = 1) -> VerificationReport:
     """Every prime hyperbola spans (p-1)(p-2)/2 ordinary lines and nothing longer."""
     rep = VerificationReport("prime-lines", {"n_max": n_max})
     primes = primes_upto(n_max)
-    stacks = []
+    shared, stacks = [], []
     for p in primes:
-        batch = max(1, _STACK_POINTS // p)
-        stacks += [[(p, a) for a in range(lo, min(lo + batch, p))] for lo in range(1, p, batch)]
-    rows = iter(_run_stacked(_prime_line_failure, stacks, jobs))
+        tasks = [(p, a) for a in range(1, p)]
+        if _stack_cost(tasks) < _STACK_COST:
+            shared += tasks
+        else:
+            batch = max(1, _STACK_POINTS // p)
+            stacks += [tasks[lo : lo + batch] for lo in range(0, p - 1, batch)]
+    rows = iter(_run_stacked(_prime_line_failure, _stacks(shared) + stacks, jobs))
     for p in primes:
         failures = [row for row in islice(rows, p - 1) if row]
         expected = {"ordinary": (p - 1) * (p - 2) // 2, "max_collinear": 2}
@@ -596,15 +615,23 @@ def suite_theorem14(
 def read_fixture_rows(path: Path | str) -> list[tuple[int, int, int, int]]:
     """(p, m, a, expected_count) of every row of a fixtures CSV; lines that start with # are comments.
 
-    Raises ``ValueError`` when a column is missing or the file holds no rows.
+    Raises ``ValueError`` when a column is missing, a row lacks one of them,
+    or the file holds no rows.
     """
     columns = ("p", "m", "a", "expected_count")
     with open(path, newline="") as fh:
-        reader = csv.DictReader(line for line in fh if not line.startswith("#"))
-        missing = [c for c in columns if c not in (reader.fieldnames or ())]
-        if missing:
-            raise ValueError(f"{path} has no column {', '.join(missing)}")
-        rows = [(int(row["p"]), int(row["m"]), int(row["a"]), int(row["expected_count"])) for row in reader]
+        numbered = [(i, line) for i, line in enumerate(fh, 1) if not line.startswith("#")]
+    reader = csv.DictReader(line for _, line in numbered)
+    missing = [c for c in columns if c not in (reader.fieldnames or ())]
+    if missing:
+        raise ValueError(f"{path} has no column {', '.join(missing)}")
+    rows = []
+    for row in reader:
+        values = [row[c] for c in columns]
+        if None in values:  # DictReader fills the fields a short row lacks with None
+            line = numbered[reader.line_num - 1][0]
+            raise ValueError(f"{path} line {line} has no {columns[values.index(None)]}")
+        rows.append(tuple(map(int, values)))
     if not rows:
         raise ValueError(f"{path} holds no rows")
     return rows

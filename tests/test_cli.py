@@ -185,6 +185,15 @@ def test_verify_tables_refuses_a_fixture_without_rows(capsys, tmp_path):
     assert err.startswith("error: ") and "holds no rows" in err
 
 
+def test_verify_tables_refuses_a_row_without_a_field(capsys, tmp_path):
+    # a row shorter than the header is named by its line in the file, comments counted
+    short = tmp_path / "short.csv"
+    short.write_text("# two rows\np,m,a,expected_count\n3,1,1,2\n# the next one is cut short\n3,2,1\n")
+    rc, out, err = run(capsys, "verify", "tables", "--fixtures", str(short))
+    assert rc == 2 and out == ""
+    assert err.startswith("error: ") and "line 5 has no expected_count" in err and "Traceback" not in err
+
+
 def test_suite_range_defaults_come_from_the_suites(capsys):
     parser = build_parser()
     ranged = set()
@@ -229,6 +238,20 @@ def test_verbose_prints_each_process_load(capsys):
     loads = [re.fullmatch(r"  (caller|process 1): (\d+) tasks, \d+\.\d\ds busy", line) for line in lines[1:]]
     assert [m.group(1) for m in loads] == ["caller", "process 1"]
     assert sum(int(m.group(2)) for m in loads) == 5  # the odd primes up to 13
+
+
+def test_verbose_prints_the_census_stacks_by_tier(capsys):
+    # one line for a line sweep, counted in the caller whatever --jobs is;
+    # theorem6 at n <= 1040 puts 1031 and 1033, then 1039, past 2**10
+    for jobs in "12":
+        rc, plain, _ = run(capsys, "verify", "prime-lines", "--format", "json", "--jobs", jobs)
+        rc, out, err = run(capsys, "verify", "prime-lines", "--format", "json", "--jobs", jobs, "--verbose")
+        assert rc == 0 and out == plain
+        assert err.splitlines()[-1] == "census stacks: 8 (int32 rows 8, int32 codes 0, int64 0)"
+    rc, _, err = run(capsys, "verify", "theorem6", "--n-max", "1040", "--jobs", "1", "--verbose")
+    assert err.splitlines()[-1] == "census stacks: 24 (int32 rows 22, int32 codes 2, int64 0)"
+    rc, _, err = run(capsys, "verify", "prime-distance", "--n-max", "13", "--verbose")
+    assert "census" not in err  # no line sweep, no census
 
 
 def test_default_jobs_counts_the_cpus_this_process_may_use(monkeypatch):
@@ -356,6 +379,9 @@ REPORT_DIGESTS = [
     # at 7^2), the largest census range, recorded before the census rows
     # sorted bare slope codes and rebuilt the rich-line keys from them
     ("theorem6", [], 1, "4729b53e028084fd158bec3143e4d9655312deedea126611a911414600dc6e00"),
+    # p <= 109 in shared cost-cut stacks, 113 to 139 in stacks of one p each;
+    # recorded before the small primes shared stacks and took int32 rows
+    ("prime-lines", ["--n-max", "139"], 0, "cae9ae771a3a17c33a987f4d552d3298a5953b1b6a51b3f1d4cab9d2a5aa30b2"),
 ]
 
 

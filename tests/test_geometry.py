@@ -20,8 +20,10 @@ from modhyp.geometry import (
     _MAPS,
     _N_LIMIT,
     _N_LIMIT_32,
+    _N_LIMIT_SMALL,
     _SLOPE_PRIME,
     _SLOPE_PRIME_32,
+    _SLOPE_PRIME_SMALL,
     DegeneratePair,
     LineKey,
     OutOfScope,
@@ -528,6 +530,14 @@ def test_slope_constants():
     # and -2 - col (padding; col < 2**20, the census's cap on a set's points) fit int32
     info = np.iinfo(np.int32)
     assert info.min <= -2 - (_N_LIMIT - 1) and _SLOPE_PRIME_32 <= info.max
+    # up to n = 2**10 the codes are taken mod the least prime above 2 * (2**10 - 1)**2,
+    # and every product dy * dx**-1 of the row arithmetic is formed in int32
+    assert _N_LIMIT_SMALL == 2**10 and is_prime(_SLOPE_PRIME_SMALL)
+    assert _SLOPE_PRIME_SMALL > 2 * (_N_LIMIT_SMALL - 1) ** 2
+    assert not any(is_prime(m) for m in range(2 * (_N_LIMIT_SMALL - 1) ** 2 + 1, _SLOPE_PRIME_SMALL))
+    assert (_N_LIMIT_SMALL - 1) * (_SLOPE_PRIME_SMALL - 1) < 2**31
+    # the reduction's floor(product / M) * M stays above -2**31 too
+    assert -(_N_LIMIT_SMALL - 1) * (_SLOPE_PRIME_SMALL - 1) - (_SLOPE_PRIME_SMALL - 1) >= info.min
 
 
 def _adversarial_directions(top, seed):
@@ -549,26 +559,27 @@ def _adversarial_directions(top, seed):
         dirs += [(b, a), (d, c), (b, -a), (d, -c), (a, b), (c, d)]
     for base in [(1, 0), (0, 1), (1, 1), (2, -1), (3, -5), (7, 4), (1000, -999)]:
         s_max = top // max(map(abs, base))  # scaled copies of one direction
-        dirs += [(base[0] * s, base[1] * s) for s in (1, 2, 3, s_max)]
+        dirs += [(base[0] * s, base[1] * s) for s in (1, 2, 3, s_max) if s <= s_max]
     # each direction also negated: negative dx, and the verticals (0, -dy)
     return sorted(set(dirs) | {(-dx, -dy) for dx, dy in dirs})
 
 
-def _codes_of(dirs, top, m):
-    """The census slope codes mod m of the given directions, through the signed inverse table."""
-    inv = _slope_inverses(top, m)
+def _codes_of(dirs, top, m, row_type=np.int64):
+    """The census slope codes mod m of the given directions, through the signed inverse table,
+    with the row arithmetic in row_type."""
+    inv = _slope_inverses(top, m).astype(row_type)
     assert len(inv) == 2 * top + 1
     for d in (1, 2, 3, 1000, top - 1, top):
         assert inv[top + d] == pow(d, -1, m)
         assert inv[top - d] == pow(-d, -1, m)
-    dx = np.array([v[0] + top for v in dirs], dtype=np.int64)  # indexes the signed table
-    dy = np.array([v[1] for v in dirs], dtype=np.int64)
+    dx = np.array([v[0] + top for v in dirs], dtype=row_type)  # indexes the signed table
+    dy = np.array([v[1] for v in dirs], dtype=row_type)
     code = _slope_codes(dx.copy(), dy.copy(), inv, m, np.empty_like(dx), True)
-    assert code.dtype == (np.int32 if m == _SLOPE_PRIME_32 else np.int64)
+    assert code.dtype == (np.int32 if m < 2**31 else np.int64)
     assert code.min() >= 0 and code.max() <= m
     # a stack without vertical pairs skips their pass: every other direction keeps its code
     slanted = dx != top
-    unchecked = _slope_codes(dx[slanted], dy[slanted], inv, m, np.empty(slanted.sum(), dtype=np.int64), False)
+    unchecked = _slope_codes(dx[slanted], dy[slanted], inv, m, np.empty(slanted.sum(), dtype=row_type), False)
     assert (unchecked == code[slanted]).all()
     return code
 
@@ -610,6 +621,19 @@ def test_int32_codes_and_directions_at_the_edge():
     assert (dx.tolist(), dy.tolist()) == ([1, 0], [0, 1])  # horizontal, vertical
 
 
+def test_int32_rows_codes_and_directions_at_the_edge():
+    # n = 2**10: directions with |dx|, |dy| <= 2**10 - 1 coded mod _SLOPE_PRIME_SMALL
+    # with every row array int32, the codes dx's own array, and every direction
+    # rebuilt from its code
+    top = _N_LIMIT_SMALL - 1
+    dirs = _adversarial_directions(top, 13)
+    code = _codes_of(dirs, top, _SLOPE_PRIME_SMALL, np.int32)
+    _assert_codes_exact(dirs, code)
+    _assert_directions_rebuilt(dirs, code, _SLOPE_PRIME_SMALL)
+    dx, dy = _directions(np.array([0, _SLOPE_PRIME_SMALL], dtype=np.int32), _SLOPE_PRIME_SMALL)
+    assert (dx.tolist(), dy.tolist()) == ([1, 0], [0, 1])  # horizontal, vertical
+
+
 def _extreme_points(n):
     """Points at 1 and n - 1: the largest |dx| and |dy|, negative dy, vertical
     and horizontal pairs, and near-parallel pairs."""
@@ -635,10 +659,18 @@ def test_census_extreme_coordinates_int32():
         _assert_matches_oracle(_point_set(HyperbolaSpec(1, n), pts))
 
 
+def test_census_extreme_coordinates_int32_rows():
+    # the same at n = 2**10, the largest modulus whose row arithmetic is int32,
+    # and at 2**10 + 1, the smallest whose products are int64
+    for n in (_N_LIMIT_SMALL, _N_LIMIT_SMALL + 1):
+        pts = _extreme_points(n) + [(2, 2), (3, 3), (n - 2, 2), (n - 3, 3)]
+        _assert_matches_oracle(_point_set(HyperbolaSpec(1, n), pts))
+
+
 def test_census_stack_mixes_int32_and_int64_moduli():
     # a stack whose largest modulus is above 2**15 takes int64 codes for all
-    # of its sets; each set still censuses as it does alone (int32 codes for
-    # those of n <= 2**15) and as the oracle says
+    # of its sets; each set still censuses as it does alone (int32 rows for
+    # those of n <= 2**10, int32 codes up to 2**15) and as the oracle says
     n = _N_LIMIT_32 + 3
     big = _point_set(HyperbolaSpec(1, n), _extreme_points(n) + [(3, 3), (n - 3, n - 3)])
     sets = [enumerate_points(HyperbolaSpec(1, 49)), big, enumerate_points(HyperbolaSpec(2, 25))]
@@ -653,7 +685,7 @@ def test_census_stack_mixes_int32_and_int64_moduli():
     with mock.patch.object(geometry, "_slope_inverses", spy):
         batch = census_many(sets)
         single = [census(ps) for ps in sets]
-    assert primes == [_SLOPE_PRIME, _SLOPE_PRIME_32, _SLOPE_PRIME, _SLOPE_PRIME_32, _SLOPE_PRIME_32]
+    assert primes == [_SLOPE_PRIME, _SLOPE_PRIME_SMALL, _SLOPE_PRIME, _SLOPE_PRIME_SMALL, _SLOPE_PRIME_32]
     for ps, cen, alone in zip(sets, batch, single):
         hist, rich = _census_oracle(ps.points)
         assert (cen.n, cen.point_count) == (alone.n, alone.point_count)

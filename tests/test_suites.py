@@ -12,7 +12,7 @@ import pytest
 
 import modhyp
 from modhyp import geometry, suites
-from modhyp.ntcore import euler_phi
+from modhyp.ntcore import euler_phi, primes_upto
 from modhyp.suites import (
     SUITES,
     read_fixture_rows,
@@ -238,9 +238,35 @@ def test_line_suites_fork_only_where_it_pays(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
+def test_prime_lines_small_primes_share_cost_cut_stacks(monkeypatch):
+    # every p whose p - 1 sets cost under _STACK_COST (p <= 109) goes into the
+    # contiguous cost cut of the a = 1 sweeps: 8 census_many calls at p <= 101,
+    # each (p, a) in exactly one; from p = 113 on each stack holds one p
+    census_many = suites.census_many
+    stacks = []
+
+    def recording(sets):
+        stacks.append([(ps.spec.n, ps.spec.a) for ps in sets])
+        return census_many(sets)
+
+    monkeypatch.setattr(suites, "census_many", recording)
+    assert suite_prime_lines(n_max=101).passed
+    assert len(stacks) == 8
+    tasks = [(p, a) for p in primes_upto(101) if p > 2 for a in range(1, p)]
+    assert sorted(t for stack in stacks for t in stack) == tasks
+    assert all(suites._stack_cost(stack) < suites._STACK_COST for stack in stacks)
+    stacks.clear()
+    assert suite_prime_lines(n_max=139).passed
+    merged = [{p for p, _ in stack} for stack in stacks]
+    assert any(109 in ps and len(ps) > 1 for ps in merged)
+    for p in (113, 127, 131, 137, 139):
+        assert [ps for ps in merged if p in ps] == [{p}]
+
+
 def test_prime_lines_stacks_split_by_point_budget(monkeypatch):
-    # above p = 359 the sets of one p go to census_many in several stacks of
-    # at most _STACK_POINTS points; a small budget splits every p here
+    # from p = 113 on the sets of one p go to census_many in stacks of at most
+    # _STACK_POINTS points (several above p = 359); with no prime under the
+    # cost cut, a small budget splits every p here
     whole = suite_prime_lines(n_max=31).to_payload()
     census_many = suites.census_many
     stacks = []
@@ -249,6 +275,7 @@ def test_prime_lines_stacks_split_by_point_budget(monkeypatch):
         stacks.append((sets[0].spec.n, len(sets)))
         return census_many(sets)
 
+    monkeypatch.setattr(suites, "_STACK_COST", 1)
     monkeypatch.setattr(suites, "_STACK_POINTS", 40)
     monkeypatch.setattr(suites, "census_many", recording)
     assert suite_prime_lines(n_max=31).to_payload() == whole
@@ -259,8 +286,10 @@ def test_prime_lines_stacks_split_by_point_budget(monkeypatch):
 
 def test_prime_lines_split_stacks_do_not_depend_on_jobs(monkeypatch):
     # split primes put stacks of one p among others of every cost, in both
-    # processes; a check that reports every set shows each row back in its place
+    # processes; a check that reports every set shows each row back in its place.
+    # Under this cost cut p <= 53 share stacks and 59 and 61 split by points
     whole = suite_prime_lines(n_max=61).to_payload()
+    monkeypatch.setattr(suites, "_STACK_COST", 1 << 20)
     monkeypatch.setattr(suites, "_STACK_POINTS", 200)
     one = suite_prime_lines(n_max=61, jobs=1).to_payload()
     two = suite_prime_lines(n_max=61, jobs=2).to_payload()
