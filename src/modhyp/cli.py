@@ -69,7 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
     vp.add_argument("--k", type=int, help="single construction index (gap)")
     vp.add_argument("--jobs", type=int, default=_default_jobs(), help="processes sharing each sweep, the caller included")
     vp.add_argument("--format", choices=("json", "csv", "text"), default="json")
-    vp.add_argument("--verbose", action="store_true", help="print the wall time, each process's load and a line sweep's census stacks to stderr")
+    vp.add_argument("--verbose", action="store_true", help="print the wall time, each process's load, the peak RSS and a line sweep's census stacks to stderr")
 
     gp = sub.add_parser("gap", help="squared-primorial gap construction")
     gp.add_argument("--k", type=int, required=True, help="number of odd primes in the product")
@@ -219,9 +219,19 @@ def _cmd_verify(args) -> int:
     if args.verbose and args.format != "text":
         print(f"verify {args.suite}: {elapsed:.2f}s", file=sys.stderr)
     if args.verbose:
+        import resource  # POSIX only, and only --verbose reads it
+
         for slot, (tasks, busy) in enumerate(process_loads):
             name = f"process {slot}" if slot else "caller"
             print(f"  {name}: {tasks} tasks, {busy:.2f}s busy", file=sys.stderr)
+        # ru_maxrss is in KiB (bytes on macOS); the children's is the largest of any process
+        # this one has waited for: the sweep processes, when a sweep forked any
+        unit = 1 if sys.platform == "darwin" else 1 << 10
+        peaks = [("caller", resource.RUSAGE_SELF)]
+        if len(process_loads) > 1:
+            peaks.append(("sweep processes", resource.RUSAGE_CHILDREN))
+        peak = ", ".join(f"{name} {resource.getrusage(who).ru_maxrss * unit / 2**20:.1f} MB" for name, who in peaks)
+        print(f"peak RSS: {peak}", file=sys.stderr)
         if census_stacks:
             tiers = ", ".join(f"{tier} {count}" for tier, count in census_stacks.items())
             print(f"census stacks: {sum(census_stacks.values())} ({tiers})", file=sys.stderr)

@@ -4,28 +4,30 @@ Every check here works on the point sets' int64 coordinate arrays.  One
 kernel censuses a stack of point sets of any moduli and sizes (all a of one
 prime, the a = 1 sets of a run of moduli, or a single set) in one sweep; the
 sets are padded to the largest, and padding never enters a count.  Its rows
-are (set, anchor) pairs over orbit representatives: the maps sigma
-(x, y) -> (y, x) and nu (x, y) -> (n-x, n-y) that carry each set onto itself
-are found per set, and one anchor per orbit of that set is swept, weighted
-by its orbit size.  An anchor's row codes the slope to every other point of
-its set as dy * dx**-1 modulo a prime M with 2 * (n - 1)**2 < M, so equal
-codes mean equal slopes (integer ops only, no per-pair gcd).  The stack's
-largest modulus picks one of three tiers: up to n = 2**10 a prime just above
-2 * 1023**2 and int32 row arithmetic throughout, up to n = 2**15 2**31 - 1
-and int32 codes from int64 products, and up to n = 2**20 a prime above 2**41
-and int64 codes; vertical directions are looked for only in a stack where
-some set repeats an x, which no hyperbola set does.  One row sort per block
-of rows groups the points of each line through the anchor.  A t-point line
-is a group of t-1 points at each of its t points, so each set's weighted group
-counts give its count of each line size.  Only the keys of lines with three
-or more points are kept: each group's direction is rebuilt from its code by
-a half extended Euclid on (M, code), and the keys are closed under their own
-set's maps, ordered by one int64 major key that leads with the set index
-and then by C, without a stable sort, and cut back per set.  The tests
-check the census against an independent cross-product oracle.  The lemma 7
-checks recount every rich line without the census, by sorting A*x + B*y
-for a block of directions at once, one row per direction, and the
-collinearity checks derive each x mod p class's line total from both.
+are (set, anchor) pairs over orbit representatives: a whole hyperbola, one
+of phi(n) points all on x*y = a (mod n), is carried onto itself by
+sigma (x, y) -> (y, x), nu (x, y) -> (n-x, n-y) and sigma*nu, so one anchor
+per orbit is swept, weighted by its orbit size; any other set (a subset, a
+class or a grid) is swept at every point.  An anchor's row codes the slope
+to every other point of its set as dy * dx**-1 modulo a prime M with
+2 * (n - 1)**2 < M, so equal codes mean equal slopes (integer ops only, no
+per-pair gcd).  The stack's largest modulus picks one of three tiers: up to
+n = 2**10 a prime just above 2 * 1023**2 and int32 row arithmetic
+throughout, up to n = 2**15 2**31 - 1 and int32 codes from int64 products,
+and up to n = 2**20 a prime above 2**41 and int64 codes; vertical directions
+are looked for only in a stack where some set repeats an x, which no
+hyperbola set does.  One row sort per block of rows groups the points of
+each line through the anchor.  A t-point line is a group of t-1 points at
+each of its t points, so each set's weighted group counts give its count of
+each line size.  Only the keys of lines with three or more points are kept:
+each group's direction is rebuilt from its code by a half extended Euclid
+on (M, code), the keys of a whole set are closed under its three maps, and
+all are ordered by one int64 major key that leads with the set index and
+then by C, without a stable sort, and cut back per set.  The tests check the
+census against an independent cross-product oracle.  The lemma 7 checks
+recount every rich line without the census, by sorting A*x + B*y for a
+block of directions at once, one row per direction, and the collinearity
+checks derive each x mod p class's line total from both.
 """
 from __future__ import annotations
 
@@ -38,7 +40,7 @@ from typing import Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .hyperbola import HyperbolaSpec, PointSet, enumerate_points
-from .ntcore import PrimePower
+from .ntcore import PrimePower, euler_phi
 
 # Row entries per block of whole anchor rows.  A block's three int64 work
 # arrays and its flags take 25 B per entry, 1.6 MB at 2**16, so they stay in a
@@ -261,49 +263,30 @@ def census_tier(n: int) -> str:
     return next(name for name, (limit, _, _) in _TIERS.items() if n <= limit)
 
 
-def _symmetries(xs: np.ndarray, ys: np.ndarray, ns: np.ndarray, ks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per set, the maps among sigma, nu and sigma*nu that carry it onto itself.
+def _orbits(
+    sets: Sequence[PointSet], xs: np.ndarray, ys: np.ndarray, ns: np.ndarray, ks: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per set, whether it is whole, and the image of each point under sigma, nu and sigma*nu.
 
-    xs and ys stack S sets as (S, K) arrays, set s in its first ks[s] columns
-    and padding after them; ns holds each set's modulus.  Returns kept, an
-    (S, 3) bool array over _MAPS (swap exchanges x and y, sigma; reflect
-    sends (x, y) to (n - x, n - y), nu), and images, a (3, S, K) array where
-    images[g, s, i] is the index in set s of the image of its point i under
-    map g, or i itself where set s does not keep g or i is padding.
-    A set of k points is ranked, not searched: its codes x*n + y ascend with
-    the point index, sigma sends them to the swapped codes y*n + x, nu to
-    n*(n + 1) - x*n - y and sigma*nu to n*(n + 1) - y*n - x, so the image of
-    the set is the set itself exactly when its image codes, sorted, are its
-    codes.  One row-wise ``np.argsort`` of the swapped codes (padding last)
-    gives each point's rank among them, and set s keeps
-    - sigma iff its sorted swapped codes equal its codes: point i goes to its rank;
-    - nu iff its codes reversed equal n*(n + 1) minus its codes: point i goes to k - 1 - i;
-    - sigma*nu iff n*(n + 1) minus its sorted swapped codes, reversed, equals
-      its codes: point i goes to k - 1 - rank.
+    xs and ys stack the S sets as (S, K) arrays, set s in its first ks[s]
+    columns and padding after them; ns holds each set's modulus.  A set is
+    whole when it has phi(n) points, all on x*y = a (mod n): each x is then a
+    unit with the one partner y = a * x**-1, so its xs, and its ys, are
+    exactly the units of n.  images[g, s, i], over _MAPS, is the index of the
+    image of point i of set s under map g.  For a whole set, sigma is one
+    row-wise ``np.argsort`` of the ys (padding last), as an involution is its
+    own inverse; nu sends i to k - 1 - i and sigma*nu to k - 1 - sigma(i).
+    Every other set and every padding column map to themselves.
     """
-    S, K = xs.shape
-    n, k = ns[:, None], ks[:, None]
-    span = n * (n + 1)
-    cols = np.arange(K)
-    real = cols < k
-    code = xs * n + ys
-    swapped = np.where(real, ys * n + xs, span)  # every real code is below n**2
-    order = np.argsort(swapped, axis=1)
-    rank = np.empty_like(order)
-    np.put_along_axis(rank, order, cols[None], axis=1)
-    mirror = np.where(real, k - 1 - cols, cols)  # point i's place in its set reversed; padding stays
-    swapped = np.take_along_axis(swapped, order, axis=1)  # each row ascending
-    kept = np.stack(
-        [
-            swapped == code,
-            np.take_along_axis(code, mirror, axis=1) == span - code,
-            span - np.take_along_axis(swapped, mirror, axis=1) == code,
-        ]
-    )  # in _MAPS order
-    kept |= ~real
-    kept = kept.all(axis=2)
-    images = np.stack([rank, mirror, k - 1 - rank])
-    return kept.T, np.where(kept[:, :, None] & real, images, cols)
+    cols = np.arange(xs.shape[1])
+    real = cols < ks[:, None]
+    phi = [ps.spec.prime_power.phi if ps.spec.prime_power else euler_phi(ps.spec.n) for ps in sets]
+    a = np.array([ps.spec.a for ps in sets], dtype=np.int64)
+    whole = (ks == phi) & ((xs * ys % ns[:, None] == a[:, None]) | ~real).all(axis=1)
+    sigma = np.argsort(np.where(real, ys, ns[:, None] + cols), axis=1)  # padding: distinct, above every y
+    mirror = np.where(real, ks[:, None] - 1 - cols, cols)  # point i's place in its set reversed; padding stays
+    images = np.stack([sigma, mirror, np.take_along_axis(mirror, sigma, axis=1)])
+    return whole, np.where(whole[:, None], images, cols)
 
 
 def _row_blocks(rows_per_set: np.ndarray, ks: np.ndarray) -> list[tuple[int, int, int]]:
@@ -378,13 +361,13 @@ def census(ps: PointSet) -> IncidenceCensus:
 
     The stack of one of ``census_many``, which runs the method below on a
     stack of sets of any moduli and sizes, each set on its own terms.
-    Orbits: the maps among sigma (x, y) -> (y, x), nu (x, y) -> (n-x, n-y)
-    and sigma*nu that carry a set onto itself form a group (a hyperbola
-    set keeps all three, since (n-x)(n-y) = xy mod n; a subset or a class
-    may keep fewer or none), found per set by ranking its swapped codes
-    (``_symmetries``).  They carry lines to lines of the same size, so only
-    the point of least index in each orbit of a set is an anchor, weighted
-    by its orbit size w = 1, 2 or 4 under that set's maps.
+    Orbits: sigma (x, y) -> (y, x), nu (x, y) -> (n-x, n-y) and sigma*nu
+    carry a whole set (phi(n) points, all on x*y = a mod n) onto itself, as
+    (n-x)(n-y) = xy mod n, and lines to lines of the same size (``_orbits``).
+    So only the point of least index in each orbit of a whole set is an
+    anchor, weighted by its orbit size w = 4 // (1 + the maps that fix it).
+    A subset or a class may keep fewer maps or none; the census does not
+    look for them and sweeps such a set at every point, with w = 1.
     Rows: one row per (set, anchor) pair, set-major.  Anchor i's row holds
     every other point j of its set, coded by the direction (dx, dy) = j - i
     as c = dy * dx**-1 mod M (c = M when vertical, looked for only in a
@@ -413,8 +396,9 @@ def census(ps: PointSet) -> IncidenceCensus:
     zero past its k, checked and summarised as ``census_many`` describes.
     Rich lines are keyed as (set, A, B, C, t) from the anchor and the code
     of each group of size >= 2: ``_directions`` rebuilds every group's
-    reduced direction (dx, dy), and A = dy, B = -dx, C = -(A*x + B*y).  The
-    keys and their images under their set's kept maps, N columns of one
+    reduced direction (dx, dy) (a direction with gcd(dx, dy) != 1 raises
+    ``RuntimeError``), and A = dy, B = -dx, C = -(A*x + B*y).  The keys and,
+    for a whole set, their images under its three maps, N columns of one
     (5, N) int64 array, are ordered by the major key
     (set * span + A) * 2 * span + B, span the stack's largest n, and then
     by C with two unstable ``np.argsort`` calls and one ``np.sort``, no
@@ -429,7 +413,7 @@ def census_many(sets: Sequence[PointSet]) -> list[IncidenceCensus]:
     The sets may differ in modulus and size.  An empty stack or one of 2**22
     sets or more, a set of fewer than two points or of more than 2**20, or a
     modulus above 2**20 raise before any work.  Only the numpy calls are
-    shared: every set keeps its own maps, weights, counts and keys.  The
+    shared: every set keeps its own orbits, weights, counts and keys.  The
     checks are reductions along the rows of the stack's count grids, one row
     per set, and hold for every set: that t divides H_(t-1), and then, in
     ``_line_summaries``, that no L_t is negative, that the set's lines hold
@@ -456,7 +440,7 @@ def census_many(sets: Sequence[PointSet]) -> list[IncidenceCensus]:
         xs[s, : sizes[s]] = ps.xs
         ys[s, : sizes[s]] = ps.ys
     inv = _slope_inverses(int((xs[np.arange(S), ks - 1] - xs[:, 0]).max()), m).astype(row_type, copy=False)
-    kept, images = _symmetries(xs, ys, ns, ks)
+    whole, images = _orbits(sets, xs, ys, ns, ks)
     cols = np.arange(K)
     # a set's points ascend in (x, y), so it has a vertical pair iff two neighbours share an x
     vertical = bool(((xs[:, 1:] == xs[:, :-1]) & (cols[1:] < ks[:, None])).any())
@@ -464,8 +448,8 @@ def census_many(sets: Sequence[PointSet]) -> list[IncidenceCensus]:
     anchors &= cols < ks[:, None]
     row_set, row_anchor = np.nonzero(anchors)
     images = images[:, row_set, row_anchor]
-    stabiliser = 1 + ((images == row_anchor) & kept[row_set].T).sum(axis=0)
-    row_weight = (1 + kept.sum(axis=1))[row_set] // stabiliser  # orbit size = group order / stabiliser order
+    # orbit size = group order / stabiliser order; a set that is not whole maps every point to itself
+    row_weight = 4 // (1 + (images == row_anchor).sum(axis=0))
     H = np.zeros((S, K), dtype=np.int64)  # H[s, size]: set s's groups of that size, weighted
     # each anchor's row has k - 1 entries: H_1 starts at all of them, and each
     # group of size >= 2 found below takes its size back out
@@ -498,21 +482,23 @@ def census_many(sets: Sequence[PointSet]) -> list[IncidenceCensus]:
     bad = rest.any(axis=1)
     if bad.any():
         raise RuntimeError(f"census H_(t-1) is not a multiple of t in set {np.argmax(bad)} of the stack")
-    # each group's key (set, A, B, C, t) is a column of rows, then its images under its
-    # set's kept maps, linear in (A, B, C): sigma swaps A and B, nu sends C to -C - n(A + B)
-    mapped = kept[s]
-    bounds = np.cumsum([len(s), *mapped.sum(axis=0).tolist()])
+    # each group's key (set, A, B, C, t) is a column of rows, then, for a whole set, its images
+    # under sigma, nu and sigma*nu, linear in (A, B, C): sigma swaps A and B, nu sends C to -C - n(A + B)
+    mapped = whole[s]
+    bounds = len(s) + np.count_nonzero(mapped) * np.arange(4)
     N = int(bounds[-1])
     if N >= 1 << 31:  # the key sort below is exact for N**2 < 2**63
         raise ValueError(f"census rich-line keys fill {N} columns, past the 2**31 their sort admits")
     rows = np.empty((5, N), dtype=np.int64)
     keys = rows[:, : len(s)]
     dx, dy = _directions(np.concatenate(codes), m)
-    g = np.gcd(dx, dy)  # 1 for every rebuilt direction; kept as a guard
-    keys[0], keys[1], keys[2], keys[4] = s, dy // g, -dx // g, group + 1
+    wrong = np.gcd(dx, dy) != 1
+    if wrong.any():
+        raise RuntimeError(f"census rebuilt a direction that is not reduced in set {s[np.argmax(wrong)]} of the stack")
+    keys[0], keys[1], keys[2], keys[4] = s, dy, -dx, group + 1
     keys[3] = -(keys[1] * xs[s, i] + keys[2] * ys[s, i])
     for which, (swap, reflect) in enumerate(_MAPS):
-        image = np.compress(mapped[:, which], keys, axis=1, out=rows[:, bounds[which] : bounds[which + 1]])
+        image = np.compress(mapped, keys, axis=1, out=rows[:, bounds[which] : bounds[which + 1]])
         if swap:
             image[[1, 2]] = image[[2, 1]]
         if reflect:
@@ -540,7 +526,7 @@ def census_many(sets: Sequence[PointSet]) -> list[IncidenceCensus]:
     place.sort()
     place -= run
     order = by_c[place]
-    del keys, image, A, B, C, major, dx, dy, g, by_c, major_c, place, run  # released before the gather
+    del keys, image, A, B, C, major, dx, dy, wrong, by_c, major_c, place, run  # released before the gather
     rows = np.take(rows, order, axis=1)  # faster than rows[:, order]
     major, C, t = rows[0], rows[3], rows[4]
     distinct = np.ones(N, dtype=bool)  # a line of two sizes keeps both, for the checks

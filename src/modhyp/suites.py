@@ -12,13 +12,14 @@ collinearity, ordinary-moduli, prime-lines) census their point sets in
 stacks of (n, a) tasks, all through one worker, ``_census_stack_task``: it
 builds the sets of each run of one modulus from one inversion
 (``enumerate_many``), censuses every set of two or more points in one
-``census_many`` call and returns one result per task.  Two cuts make the
-stacks: the a = 1 sweeps cut their ascending moduli into contiguous runs by
-estimated cost (``_stacks``), and prime-lines cuts the (p, a) tasks of the
-primes whose p - 1 sets cost under _STACK_COST the same way, and the a
-values of each larger prime by a point cap (``_STACK_POINTS``).  The stacks
-are handed to the runner in ascending estimated cost, so the costliest is
-drawn first, and their results are put back in task order.
+``census_many`` call and returns one result per task.  One rule
+(``_stacks``) makes every sweep's stacks from its ascending (n, a) tasks: a
+run of one modulus whose sets alone cost _STACK_COST or more gets stacks of
+its own, of at most _STACK_POINTS points (a large prime of prime-lines, or a
+large a = 1 modulus alone), and every other task joins a contiguous run of
+estimated cost under _STACK_COST.  The stacks are handed to the runner in
+ascending estimated cost, so the costliest is drawn first, and their
+results are put back in task order.
 """
 from __future__ import annotations
 
@@ -65,14 +66,6 @@ DEFAULT_FIXTURES = Path("fixtures") / "distance_counts.csv"
 DEFAULT_SEED = 12345
 
 
-def _jsonable(obj):
-    if isinstance(obj, list):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    return obj
-
-
 @dataclass
 class CaseRecord:
     key: str
@@ -107,14 +100,14 @@ class VerificationReport:
     def to_payload(self) -> dict:
         return {
             "suite": self.suite,
-            "params": _jsonable(self.params),
+            "params": self.params,
             "summary": self.summary(),
             "cases": [
                 {
                     "key": c.key,
-                    "inputs": _jsonable(c.inputs),
-                    "expected": _jsonable(c.expected),
-                    "computed": _jsonable(c.computed),
+                    "inputs": c.inputs,
+                    "expected": c.expected,
+                    "computed": c.computed,
                     "pass": c.passed,
                 }
                 for c in self.cases
@@ -250,9 +243,10 @@ def _run_parallel(worker, tasks, jobs):
 _SET_COST = 1 << 14
 
 
-# Estimated cost of one a = 1 line-suite stack at most: one sweep task censuses a
-# contiguous run of the ascending moduli in one census_many call, so the small
-# moduli share its fixed cost, and every n from 1769 up has a stack of its own.
+# Estimated cost of one line-sweep stack at most: one sweep task censuses a
+# contiguous run of the ascending tasks in one census_many call, so the small
+# moduli share its fixed cost, and a run of one modulus that costs this much
+# alone gets stacks of its own (every a = 1 set from n = 1769 up).
 # Coarser stacks pay the stack's fixed cost (2**17.3 of n**2, the fit above)
 # fewer times, until padding the (S, K) grids to the widest set costs more than
 # they save; and a cut that counts only n**2 lumps many cheap small sets into
@@ -265,17 +259,38 @@ _SET_COST = 1 << 14
 _STACK_COST = 3 << 20
 
 
+# Points per census stack of a run of one modulus whose sets alone cost
+# _STACK_COST or more (``_stacks``): every a of a prime-lines p <= 359 in one
+# call from p = 113 up, and a few MB of stacked coordinates at any larger p;
+# an a = 1 modulus from 1769 up is one set, so it is alone.  A pure cost cut
+# of every prime-lines prime was 14-38 % slower at --n-max 401 and 1009.
+_STACK_POINTS = 1 << 17
+
+
 def _stacks(tasks: list[tuple[int, int]]) -> list[list[tuple[int, int]]]:
-    """Cut the (n, a) tasks, n ascending, into contiguous runs whose estimated cost stays under _STACK_COST."""
+    """Cut the (n, a) tasks, n ascending, into census stacks.
+
+    A run of one modulus whose sets alone cost _STACK_COST or more gets
+    stacks of its own, of at most _STACK_POINTS points (n a set, at least one
+    set); every other task joins a contiguous run whose estimated cost stays
+    under _STACK_COST.
+    """
     stacks: list[list] = []
     total = _STACK_COST
-    for task in tasks:
-        cost = task[0] ** 2 + _SET_COST
-        if total + cost >= _STACK_COST:
-            stacks.append([])
-            total = 0
-        stacks[-1].append(task)
-        total += cost
+    for n, run in groupby(tasks, itemgetter(0)):
+        run = list(run)
+        if _stack_cost(run) >= _STACK_COST:
+            batch = max(1, _STACK_POINTS // n)
+            stacks += [run[lo : lo + batch] for lo in range(0, len(run), batch)]
+            total = _STACK_COST
+            continue
+        cost = n**2 + _SET_COST
+        for task in run:
+            if total + cost >= _STACK_COST:
+                stacks.append([])
+                total = 0
+            stacks[-1].append(task)
+            total += cost
     return stacks
 
 
@@ -373,14 +388,6 @@ def suite_ordinary_moduli(n_max: int = 200, jobs: int = 1) -> VerificationReport
 # prime-lines
 
 
-# Points per census_many stack of a prime-lines prime whose p - 1 sets cost
-# _STACK_COST or more (p >= 113): every a of p <= 359 in one call, and a few MB
-# of stacked coordinates at any larger p.  The primes below that share stacks
-# cut by _stacks, as the a = 1 sweeps are; a pure cost cut of every prime was
-# 14-38 % slower at --n-max 401 and 1009.
-_STACK_POINTS = 1 << 17
-
-
 def _prime_line_failure(ps: PointSet, cen: IncidenceCensus | None) -> list[int] | None:
     """[a, ordinary count, longest line] unless the set spans (p-1)(p-2)/2 ordinary lines and none longer.
 
@@ -396,15 +403,7 @@ def suite_prime_lines(n_max: int = 101, jobs: int = 1) -> VerificationReport:
     """Every prime hyperbola spans (p-1)(p-2)/2 ordinary lines and nothing longer."""
     rep = VerificationReport("prime-lines", {"n_max": n_max})
     primes = primes_upto(n_max)
-    shared, stacks = [], []
-    for p in primes:
-        tasks = [(p, a) for a in range(1, p)]
-        if _stack_cost(tasks) < _STACK_COST:
-            shared += tasks
-        else:
-            batch = max(1, _STACK_POINTS // p)
-            stacks += [tasks[lo : lo + batch] for lo in range(0, p - 1, batch)]
-    rows = iter(_run_stacked(_prime_line_failure, _stacks(shared) + stacks, jobs))
+    rows = iter(_run_stacked(_prime_line_failure, _stacks([(p, a) for p in primes for a in range(1, p)]), jobs))
     for p in primes:
         failures = [row for row in islice(rows, p - 1) if row]
         expected = {"ordinary": (p - 1) * (p - 2) // 2, "max_collinear": 2}
@@ -494,7 +493,7 @@ def _collinearity_case(ps: PointSet, cen: IncidenceCensus) -> CaseRecord:
     computed = {
         "max_collinear": r.max_collinear,
         "limit": r.limit,
-        "class_line_counts": r.class_line_counts,
+        "class_line_counts": {str(i): count for i, count in r.class_line_counts.items()},
         "violations": r.violations,
         "many_lines_regime": r.many_lines_regime,
     }

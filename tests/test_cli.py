@@ -235,9 +235,25 @@ def test_verbose_prints_each_process_load(capsys):
     assert rc == 0 and out == plain
     lines = err.splitlines()
     assert re.fullmatch(r"verify prime-distance: \d+\.\d\ds", lines[0])
-    loads = [re.fullmatch(r"  (caller|process 1): (\d+) tasks, \d+\.\d\ds busy", line) for line in lines[1:]]
+    loads = [re.fullmatch(r"  (caller|process 1): (\d+) tasks, \d+\.\d\ds busy", line) for line in lines[1:-1]]
     assert [m.group(1) for m in loads] == ["caller", "process 1"]
     assert sum(int(m.group(2)) for m in loads) == 5  # the odd primes up to 13
+    assert lines[-1].startswith("peak RSS: ")
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_verbose_prints_the_peak_rss(capsys, jobs):
+    # after the process loads: the caller's peak, and the largest sweep
+    # process's when the sweep forked one (prime-distance at p <= 13 forks at
+    # --jobs 2); the report is the same bytes
+    rc, plain, _ = run(capsys, "verify", "prime-distance", "--n-max", "13", "--jobs", jobs)
+    rc, out, err = run(capsys, "verify", "prime-distance", "--n-max", "13", "--jobs", jobs, "--verbose")
+    assert rc == 0 and out == plain
+    lines = err.splitlines()
+    assert len(lines) == 2 + int(jobs)
+    sweeps = r", sweep processes (\d+\.\d) MB" if jobs == "2" else ""
+    peak = re.fullmatch(rf"peak RSS: caller (\d+\.\d) MB{sweeps}", lines[-1])
+    assert peak and all(float(mb) > 1 for mb in peak.groups())
 
 
 def test_verbose_prints_the_census_stacks_by_tier(capsys):
@@ -293,7 +309,7 @@ def test_verbose_is_a_verify_flag(capsys):
     rc, out, err = run(capsys, "verify", "gap", "--k", "1", "--verbose")
     assert rc == 0
     assert out == plain
-    assert re.fullmatch(r"verify gap: \d+\.\d\ds\n", err)
+    assert re.fullmatch(r"verify gap: \d+\.\d\ds\npeak RSS: caller \d+\.\d MB\n", err)
 
 
 def test_gap_command(capsys):

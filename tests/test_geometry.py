@@ -40,8 +40,8 @@ from modhyp.geometry import (
     zero_intercept_lines,
     _directions,
     _slope_codes,
+    _orbits,
     _slope_inverses,
-    _symmetries,
 )
 from modhyp.hyperbola import (
     HyperbolaSpec,
@@ -49,7 +49,7 @@ from modhyp.hyperbola import (
     enumerate_points,
     partition_classes,
 )
-from modhyp.ntcore import PrimePower, is_prime
+from modhyp.ntcore import PrimePower, euler_phi, is_prime
 
 
 def _point_set(spec, points):
@@ -151,13 +151,13 @@ def test_census_matches_oracle_property(data):
     # every key closure path meets the oracle
     n = data.draw(st.integers(3, 40), label="n")
     a = data.draw(st.sampled_from([u for u in range(1, n) if math.gcd(u, n) == 1]), label="a")
-    ps = enumerate_points(HyperbolaSpec(a, n))
+    full = ps = enumerate_points(HyperbolaSpec(a, n))
     if data.draw(st.booleans(), label="subset"):
         sub = data.draw(st.lists(st.sampled_from(ps.points), min_size=2, unique=True), label="points")
         generators = _SUBGROUPS[data.draw(st.sampled_from(sorted(_SUBGROUPS)), label="subgroup")]
         ps = _point_set(ps.spec, _close(sub, n, generators))
-        kept = _symmetries(ps.xs[None], ps.ys[None], np.array([n]), np.array([len(ps)]))[0][0]
-        assert {m for m, keep in zip(_MAPS, kept) if keep} >= set(generators)
+    whole, _, _ = _stacked_orbits([ps])
+    assert whole.tolist() == [ps.points == full.points]  # whole exactly when the subset is the whole set
     _assert_matches_oracle(ps)
 
 
@@ -177,9 +177,21 @@ def test_census_hand_built_grid_in_any_order():
 _CLASS_MODULI = (9, 25, 27, 49, 81, 121, 125)
 
 
+def _stacked_orbits(sets):
+    """``_orbits`` of the sets padded into one stack: (whole, images, K)."""
+    K = max(len(ps) for ps in sets)
+    xs = np.zeros((len(sets), K), dtype=np.int64)
+    ys = np.zeros((len(sets), K), dtype=np.int64)
+    for s, ps in enumerate(sets):
+        xs[s, : len(ps)], ys[s, : len(ps)] = ps.xs, ps.ys
+    whole, images = _orbits(sets, xs, ys, np.array([ps.spec.n for ps in sets]), np.array([len(ps) for ps in sets]))
+    return whole, images, K
+
+
 def _drawn_stack_part(data, i):
     """One part of a drawn census stack: the sets of several a of one n, closed
-    subsets of one set, or some of the x mod p classes of one p**m."""
+    subsets of one set, or some of the x mod p classes of one p**m (never
+    whole, so swept at every point)."""
     kind = data.draw(st.sampled_from(["whole", "subsets", "classes"]), label=f"kind {i}")
     if kind == "classes":
         n = data.draw(st.sampled_from(_CLASS_MODULI), label=f"n {i}")
@@ -217,8 +229,8 @@ def _drawn_grid(data, i):
 @given(st.data())
 def test_census_many_matches_census_and_oracle_property(data):
     # a stack of parts of several moduli and sizes: the sets of several a of
-    # one n, closed subsets of such sets (every orbit weight), x mod p classes
-    # of one p**m, whose kept maps differ from class to class, or a shuffled
+    # one n (every orbit weight), closed subsets of such sets and x mod p
+    # classes of one p**m, which are not whole and are swept at every point, or a shuffled
     # grid, whose repeated x and y give vertical and horizontal pairs and keys
     # with A = 0, so a stack with a grid takes the vertical pass and one
     # without skips it; a small row block makes blocks that cut through one
@@ -269,30 +281,68 @@ def test_row_blocks_bound_the_widest_row():
 
 
 def test_census_many_class_stack_keeps_maps_per_set():
-    # mod 25 with a = 1, class i keeps sigma when i*i = 1 (mod 5) and sigma*nu
-    # when i*i = -1; no class keeps nu.  Stacked after the 8 points of an
-    # a = 1 subset mod 13 that keeps only nu, the classes are padded to its width
+    # mod 25 with a = 1, class i is kept by sigma when i*i = 1 (mod 5) and by
+    # sigma*nu when i*i = -1, and the 8 points of an a = 1 subset mod 13 by
+    # nu; none of them is whole, so each maps to itself and is swept at every
+    # point.  The whole sets of both moduli, stacked among them, get all three
+    # maps, and the classes are padded to the widest set
     classes = partition_classes(enumerate_points(HyperbolaSpec(1, 25)))
     nu_only = _point_set(HyperbolaSpec(1, 13), [(1, 1), (12, 12), (2, 7), (11, 6), (3, 9), (10, 4), (5, 8), (8, 5)])
-    sets = [nu_only, *classes.values()]
-    K = max(len(ps) for ps in sets)
-    xs = np.zeros((len(sets), K), dtype=np.int64)
-    ys = np.zeros((len(sets), K), dtype=np.int64)
+    sets = [nu_only, enumerate_points(HyperbolaSpec(1, 13)), *classes.values(), enumerate_points(HyperbolaSpec(1, 25))]
+    whole, images, K = _stacked_orbits(sets)
+    assert whole.tolist() == [False, True, False, False, False, False, True]
+    assert (images[:, ~whole] == np.arange(K)).all()
+    for s in np.flatnonzero(whole).tolist():
+        k = len(sets[s])
+        assert [image for _, image in _symmetry_oracle(sets[s])] == images[:, s, :k].tolist()
+        assert (images[:, s, k:] == np.arange(k, K)).all()  # padding maps to itself
+    for ps, cen in zip(sets, census_many(sets)):
+        hist, rich = _census_oracle(ps.points)
+        assert cen.histogram == hist and list(cen.lines()) == sorted(rich.items())
+
+
+def _off_curve(ps, i, y):
+    """ps with the y of its point i replaced, so that point leaves the curve."""
+    points = list(ps.points)
+    points[i] = (points[i][0], y)
+    return _point_set(ps.spec, points)
+
+
+def test_census_sets_that_are_not_whole_match_the_oracle():
+    # a set is whole only with phi(n) points all on its own curve: phi(n)
+    # points with one of them moved off it; the phi(n) points of a = 2 taken
+    # as a set of a = 1, which sigma and nu keep; a subset that sigma and nu
+    # keep; and a stack mixing whole and other sets of one n, in any order
+    h13, h49 = enumerate_points(HyperbolaSpec(1, 13)), enumerate_points(HyperbolaSpec(1, 49))
+    h3_49 = enumerate_points(HyperbolaSpec(3, 49))
+    other_curve = _point_set(HyperbolaSpec(1, 13), enumerate_points(HyperbolaSpec(2, 13)).points)
+    closed = _point_set(h49.spec, _close(h49.points[:3], 49, _SUBGROUPS["full"]))
+    moved = _off_curve(h13, 3, 1)
+    assert len(moved) == len(other_curve) == euler_phi(13) and len(closed) < euler_phi(49)
+    assert _close(other_curve.points, 13, _SUBGROUPS["full"]) == set(other_curve.points)
+    mixed = [h49, partition_classes(h49)[2], h3_49, closed, _off_curve(h49, 0, 2), _point_set(h3_49.spec, h3_49.points[5:])]
+    for stack in ([moved], [other_curve], [closed], mixed, mixed[::-1], [moved, h13, other_curve]):
+        whole, _, _ = _stacked_orbits(stack)
+        assert whole.tolist() == [ps in (h13, h49, h3_49) for ps in stack]
+        for ps, cen in zip(stack, census_many(stack)):
+            hist, rich = _census_oracle(ps.points)
+            assert cen.histogram == hist and list(cen.lines()) == sorted(rich.items()), (ps.spec, len(ps))
+
+
+def test_whole_set_orbits_over_their_anchors_cover_every_point():
+    # the anchors of a whole set (each the least index of its orbit under
+    # sigma, nu and sigma*nu) have orbits of 1, 2 or 4 points that partition
+    # the set, so their sizes sum to k
+    sets = [enumerate_points(HyperbolaSpec(a, n)) for n in range(3, 61) for a in range(1, n) if math.gcd(a, n) == 1]
+    whole, images, K = _stacked_orbits(sets)
+    assert whole.all()
     for s, ps in enumerate(sets):
-        xs[s, : len(ps)], ys[s, : len(ps)] = ps.xs, ps.ys
-    ns = np.array([ps.spec.n for ps in sets])
-    ks = np.array([len(ps) for ps in sets])
-    kept, images = _symmetries(xs, ys, ns, ks)
-    assert kept.tolist() == [
-        [False, True, False],
-        [True, False, False],
-        [False, False, True],
-        [False, False, True],
-        [True, False, False],
-    ]
-    assert (images[1, 1:] == np.arange(K)).all()  # nu, kept by no class, acts as the identity
-    assert (images[:, 1:, 5:] == np.arange(5, K)).all()  # padding maps to itself
-    assert sorted(images[1, 0, :8].tolist()) == list(range(8))  # nu permutes the subset
+        k = len(ps)
+        orbits = [{i, *images[:, s, i].tolist()} for i in range(k)]
+        anchors = [i for i in range(k) if min(orbits[i]) == i]
+        assert {len(orbits[i]) for i in anchors} <= {1, 2, 4}
+        assert sum(len(orbits[i]) for i in anchors) == k, ps.spec
+        assert set().union(*(orbits[i] for i in anchors)) == set(range(k))
 
 
 def test_census_many_refuses_bad_stacks_before_any_work(monkeypatch):
@@ -306,7 +356,7 @@ def test_census_many_refuses_bad_stacks_before_any_work(monkeypatch):
             alone = census(ps)
             assert (cen.n, cen.point_count, cen.histogram) == (alone.n, alone.point_count, alone.histogram)
             assert list(cen.lines()) == list(alone.lines())
-    monkeypatch.setattr(geometry, "_symmetries", no_work)
+    monkeypatch.setattr(geometry, "_orbits", no_work)
     monkeypatch.setattr(geometry, "_slope_inverses", no_work)
     with pytest.raises(ValueError, match="at least one point set"):
         census_many([])
@@ -402,7 +452,7 @@ def _line_orbit(ps, key):
 
 
 def test_map_fixed_lines_get_one_key_with_their_count():
-    # a line fixed by a kept map meets itself in the key closure, so each
+    # a line fixed by one of a whole set's maps meets itself in the key closure, so each
     # line's repeats there number 4 over its orbit size of 1, 2 or 4, not
     # uniformly: each rich line must still come out once, with the count the
     # whole set gives it; x + y = n + 2 and x + y = 38 at 27 are fixed by sigma
@@ -486,6 +536,15 @@ def test_oracle_pins_ordinary_count_49():
     hist, _ = _census_oracle(ps.points)
     assert hist[2] == 795
     assert census(ps).ordinary_count == 795
+
+
+def test_census_refuses_a_direction_that_is_not_reduced(monkeypatch):
+    # every direction _directions rebuilds is reduced, so a doubled one is a
+    # fault of the rebuild: the census must name its set, not reduce it
+    directions = geometry._directions
+    monkeypatch.setattr(geometry, "_directions", lambda code, m: tuple(2 * d for d in directions(code, m)))
+    with pytest.raises(RuntimeError, match="not reduced in set 1 of the stack"):
+        census_many([enumerate_points(HyperbolaSpec(1, 13)), enumerate_points(HyperbolaSpec(1, 49))])
 
 
 def test_census_examples():
@@ -1076,7 +1135,9 @@ def _symmetry_oracle(ps):
 @given(st.data())
 def test_symmetries_match_a_lookup_oracle_property(data):
     # stacks of whole sets, closed subsets, x mod p classes and grids with
-    # repeated x, padded to the widest set
+    # repeated x, padded to the widest set: a set is whole exactly when it is
+    # the whole hyperbola of its (a, n), and then the oracle finds all three
+    # maps with the same images; every other set maps to itself
     parts = data.draw(st.integers(1, 3), label="parts")
     sets = []
     for i in range(parts):
@@ -1086,16 +1147,13 @@ def test_symmetries_match_a_lookup_oracle_property(data):
             sets += _drawn_stack_part(data, i)
     if not sets:
         return
-    K = max(len(ps) for ps in sets)
-    xs = np.zeros((len(sets), K), dtype=np.int64)
-    ys = np.zeros((len(sets), K), dtype=np.int64)
-    for s, ps in enumerate(sets):
-        xs[s, : len(ps)], ys[s, : len(ps)] = ps.xs, ps.ys
-    kept, images = _symmetries(xs, ys, np.array([ps.spec.n for ps in sets]), np.array([len(ps) for ps in sets]))
-    assert kept.shape == (len(sets), 3) and images.shape == (3, len(sets), K)
+    whole, images, K = _stacked_orbits(sets)
+    assert whole.shape == (len(sets),) and images.shape == (3, len(sets), K)
     for s, ps in enumerate(sets):
         k = len(ps)
-        for g, (keep, image) in enumerate(_symmetry_oracle(ps)):
-            assert kept[s, g] == keep
-            assert images[g, s, :k].tolist() == image
-            assert images[g, s, k:].tolist() == list(range(k, K))  # padding maps to itself
+        assert whole[s] == (ps.points == enumerate_points(ps.spec).points)
+        if whole[s]:
+            assert _symmetry_oracle(ps) == [(True, images[g, s, :k].tolist()) for g in range(3)]
+        else:
+            assert images[:, s, :k].tolist() == [list(range(k))] * 3
+        assert images[:, s, k:].tolist() == [list(range(k, K))] * 3  # padding maps to itself

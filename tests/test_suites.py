@@ -37,10 +37,13 @@ def test_public_names_exclude_submodules():
 
 
 def test_report_roundtrip():
-    rep = suite_ordinary_moduli(n_max=30)
-    payload = rep.to_payload()
-    assert json.loads(json.dumps(payload)) == payload
-    assert payload["summary"]["pass"] == rep.passed
+    # collinearity's class line counts are the reports' only dict keyed by
+    # class; their keys must already be the strings JSON gives back
+    for rep in (suite_ordinary_moduli(n_max=30), SUITES["collinearity"](n_max=125)):
+        payload = rep.to_payload()
+        assert json.loads(json.dumps(payload)) == payload
+        assert payload["summary"]["pass"] == rep.passed
+    assert payload["cases"][-1]["computed"]["class_line_counts"]["1"] > 0
 
 
 def test_suite_registry_complete():
