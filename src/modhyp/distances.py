@@ -78,8 +78,11 @@ def _first_of_runs(s: np.ndarray) -> np.ndarray:
     return keep
 
 
-# Entries per int64 work array of a row block: 1 MB, the scale of the census
-# work arrays.  A row longer than this is one block on its own.
+# Entries per int64 work array of a row block: 1 MB, so a block's rows and
+# its two work arrays take about 3 MB.  A row wider than this is filled one
+# column chunk at a time.  The value was copied from the census's row blocks,
+# which are now 2**16 entries (see geometry._ROW_BLOCK); the distance kernels'
+# own block size has not been measured since.
 _ROW_BLOCK = 1 << 17
 
 

@@ -22,8 +22,8 @@ each of its t points, so each set's weighted group counts give its count of
 each line size.  Only the keys of lines with three or more points are kept:
 each group's direction is rebuilt from its code by a half extended Euclid
 on (M, code), the keys of a whole set are closed under its three maps, and
-all are ordered by one int64 major key that leads with the set index and
-then by C, without a stable sort, and cut back per set.  The tests check the
+all are ordered by C and then, by a stable sort, by one int64 major key
+that leads with the set index, and cut back per set.  The tests check the
 census against an independent cross-product oracle.  The lemma 7 checks
 recount every rich line without the census, by sorting A*x + B*y for a
 block of directions at once, one row per direction, and the collinearity
@@ -103,9 +103,6 @@ class LineKey(NamedTuple):
     A: int
     B: int
     C: int
-
-    def as_tuple(self) -> tuple[int, int, int]:
-        return (self.A, self.B, self.C)
 
 
 def line_through(p: tuple[int, int], q: tuple[int, int]) -> LineKey:
@@ -401,8 +398,8 @@ def census(ps: PointSet) -> IncidenceCensus:
     for a whole set, their images under its three maps, N columns of one
     (5, N) int64 array, are ordered by the major key
     (set * span + A) * 2 * span + B, span the stack's largest n, and then
-    by C with two unstable ``np.argsort`` calls and one ``np.sort``, no
-    stable sort (N < 2**31), gathered once, and the repeats compressed out.
+    by C (an ``np.argsort`` by C, then a stable one by major key over the
+    columns in that order), gathered once, and the repeats compressed out.
     """
     return census_many([ps])[0]
 
@@ -487,8 +484,6 @@ def census_many(sets: Sequence[PointSet]) -> list[IncidenceCensus]:
     mapped = whole[s]
     bounds = len(s) + np.count_nonzero(mapped) * np.arange(4)
     N = int(bounds[-1])
-    if N >= 1 << 31:  # the key sort below is exact for N**2 < 2**63
-        raise ValueError(f"census rich-line keys fill {N} columns, past the 2**31 their sort admits")
     rows = np.empty((5, N), dtype=np.int64)
     keys = rows[:, : len(s)]
     dx, dy = _directions(np.concatenate(codes), m)
@@ -510,23 +505,9 @@ def census_many(sets: Sequence[PointSet]) -> list[IncidenceCensus]:
     span = max(moduli)
     np.add(np.multiply(major, span, out=major), A, out=major)
     np.add(np.multiply(major, 2 * span, out=major), B, out=major)
-    # (major key, C) order without a stable sort: by_c sorts the columns by C, place holds their places in
-    # by_c sorted by major key, and run is the dense rank of the major key along place.  Sorting
-    # run * N + place (below N**2 < 2**62, no two equal as place is a permutation) orders each run by
-    # place, so by C, and subtracting run * N gives the places back
     by_c = np.argsort(C)
-    major_c = major[by_c]
-    place = np.argsort(major_c)
-    run = major_c[place]
-    run[1:] = run[1:] != run[:-1]
-    run[:1] = 0
-    np.cumsum(run, out=run)
-    run *= N
-    place += run
-    place.sort()
-    place -= run
-    order = by_c[place]
-    del keys, image, A, B, C, major, dx, dy, wrong, by_c, major_c, place, run  # released before the gather
+    order = by_c[np.argsort(major[by_c], kind="stable")]
+    del keys, image, A, B, C, major, dx, dy, wrong, by_c  # released before the gather
     rows = np.take(rows, order, axis=1)  # faster than rows[:, order]
     major, C, t = rows[0], rows[3], rows[4]
     distinct = np.ones(N, dtype=bool)  # a line of two sizes keeps both, for the checks
@@ -772,8 +753,8 @@ def verify_line_classes(ps: PointSet, cen: IncidenceCensus) -> LineClassReport:
                 expect = -key[2] * pow(2 * key[0], -1, p) % p
                 violations.append(f"line {key}: class {on} != {expect}")
     for key, count in zero_intercept_lines(ps):
-        if key.as_tuple() != (1, -1, 0):
-            violations.append(f"zero-intercept line {key.as_tuple()} is not y = x")
+        if key != (1, -1, 0):
+            violations.append(f"zero-intercept line {tuple(key)} is not y = x")
         elif count != 2:
             violations.append(f"line y = x carries {count} points, expected 2")
     return LineClassReport(ps.spec.n, ps.spec.a, len(keys), violations)

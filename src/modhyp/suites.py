@@ -570,11 +570,14 @@ def _formula_checks(task: tuple[int, Sequence[int]]) -> list[tuple[int, int, int
     return list(zip(a_values, image_count_formulas(p, a_values), distinct_counts(p * p, a_values)))
 
 
+# the larger primes the default theorem14 sweep samples, past its exhaustive range
+_THEOREM14_SAMPLE_PRIMES = (37, 41, 53, 97)
+
+
 def suite_theorem14(
     p: int | None = None,
     n_max: int = 31,
     all_a: bool = True,
-    sample_primes: tuple[int, ...] = (37, 41, 53, 97),
     samples: int = 50,
     seed: int = DEFAULT_SEED,
     jobs: int = 1,
@@ -590,7 +593,7 @@ def suite_theorem14(
     # (p, case kind, a values): kind None gives one case per a, else one case of failures per task
     if p is None:
         tasks = [(q, "all-a", [a for a in range(1, q * q) if a % q != 0]) for q in primes_upto(n_max) if q > 2]
-        tasks += [(q, "sampled", _sampled_units(q, samples, seed)) for q in sample_primes]
+        tasks += [(q, "sampled", _sampled_units(q, samples, seed)) for q in _THEOREM14_SAMPLE_PRIMES]
     else:
         _check_theorem14_prime(p, all_a)
         if all_a:  # one task per q, over the units q*p < a < (q + 1)*p
@@ -614,8 +617,9 @@ def suite_theorem14(
 def read_fixture_rows(path: Path | str) -> list[tuple[int, int, int, int]]:
     """(p, m, a, expected_count) of every row of a fixtures CSV; lines that start with # are comments.
 
-    Raises ``ValueError`` when a column is missing, a row lacks one of them,
-    or the file holds no rows.
+    Raises ``ValueError`` naming the file line when a column is missing, a
+    row lacks one of them or has more fields than the header, a field is
+    not an integer, p is not prime or m < 1, or the file holds no rows.
     """
     columns = ("p", "m", "a", "expected_count")
     with open(path, newline="") as fh:
@@ -626,11 +630,19 @@ def read_fixture_rows(path: Path | str) -> list[tuple[int, int, int, int]]:
         raise ValueError(f"{path} has no column {', '.join(missing)}")
     rows = []
     for row in reader:
+        where = f"{path} line {numbered[reader.line_num - 1][0]}"
         values = [row[c] for c in columns]
         if None in values:  # DictReader fills the fields a short row lacks with None
-            line = numbered[reader.line_num - 1][0]
-            raise ValueError(f"{path} line {line} has no {columns[values.index(None)]}")
-        rows.append(tuple(map(int, values)))
+            raise ValueError(f"{where} has no {columns[values.index(None)]}")
+        if None in row:  # and keys the fields past the header by None
+            raise ValueError(f"{where} has more fields than the header")
+        try:
+            p, m, a, expected = map(int, values)
+        except ValueError:
+            raise ValueError(f"{where} has a field that is not an integer: {','.join(values)}") from None
+        if not is_prime(p) or m < 1:
+            raise ValueError(f"{where} is not a prime power p**m: p = {p}, m = {m}")
+        rows.append((p, m, a, expected))
     if not rows:
         raise ValueError(f"{path} holds no rows")
     return rows
@@ -682,26 +694,26 @@ def _general_pm_task(task: tuple[int, int, int]) -> CaseRecord:
     return CaseRecord(f"p{p}-m{m}-a{a}", {"p": p, "m": m, "a": a}, expected, computed, passed)
 
 
-def suite_general_pm(
-    primes: tuple[int, ...] = (3, 5, 7),
-    ms: tuple[int, ...] = (3, 4),
-    a_values: tuple[int, ...] = (1, 2, 3, 4),
-    jobs: int = 1,
-) -> VerificationReport:
+# general-pm's cases: p**m for every p and m below, with every a below that is prime to p
+_GENERAL_PM_PRIMES = (3, 5, 7)
+_GENERAL_PM_MS = (3, 4)
+_GENERAL_PM_A_VALUES = (1, 2, 3, 4)
+
+
+def suite_general_pm(jobs: int = 1) -> VerificationReport:
     """Preimage sizes, caps and the correction identity at general p**m.
 
     The denominator-2 identity must hold in every case; the denominator-4
     variant coincides with it only when both Legendre symbols are -1, so it
     is expected to fail exactly when either symbol is +1.
     """
-    rep = VerificationReport(
-        "general-pm", {"primes": list(primes), "ms": list(ms), "a_values": list(a_values)}
-    )
+    params = {"primes": list(_GENERAL_PM_PRIMES), "ms": list(_GENERAL_PM_MS), "a_values": list(_GENERAL_PM_A_VALUES)}
+    rep = VerificationReport("general-pm", params)
     tasks = [
         (p, m, a)
-        for p in primes
-        for m in ms
-        for a in a_values
+        for p in _GENERAL_PM_PRIMES
+        for m in _GENERAL_PM_MS
+        for a in _GENERAL_PM_A_VALUES
         if math.gcd(a, p) == 1
     ]
     rep.cases.extend(_run_parallel(_general_pm_task, tasks, jobs))

@@ -156,7 +156,7 @@ def test_criterion_10_gap_construction():
 
 def test_criterion_11_general_prime_power_image():
     t0 = time.perf_counter()
-    rep = suite_general_pm(primes=(3, 5, 7), ms=(3, 4), a_values=(1, 2, 3, 4), jobs=JOBS)
+    rep = suite_general_pm(jobs=JOBS)
     elapsed = time.perf_counter() - t0
     # the quarter-denominator variant must fail whenever it differs from the
     # half-denominator identity, i.e. whenever either symbol is +1

@@ -194,6 +194,31 @@ def test_verify_tables_refuses_a_row_without_a_field(capsys, tmp_path):
     assert err.startswith("error: ") and "line 5 has no expected_count" in err and "Traceback" not in err
 
 
+def test_verify_tables_refuses_a_row_with_an_extra_field(capsys, tmp_path):
+    long = tmp_path / "long.csv"
+    long.write_text("p,m,a,expected_count\n3,1,1,2\n3,2,1,5,99\n")
+    rc, out, err = run(capsys, "verify", "tables", "--fixtures", str(long))
+    assert rc == 2 and out == ""
+    assert err.startswith("error: ") and "line 3 has more fields than the header" in err
+
+
+@pytest.mark.parametrize("row", ["4,2,1,3", "3,0,1,1", "1,2,1,1"])
+def test_verify_tables_refuses_a_row_that_is_no_prime_power(capsys, tmp_path, row):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(f"p,m,a,expected_count\n# a comment\n{row}\n")
+    rc, out, err = run(capsys, "verify", "tables", "--fixtures", str(bad))
+    assert rc == 2 and out == ""
+    assert err.startswith("error: ") and f"{bad} line 3 is not a prime power" in err
+
+
+def test_verify_tables_refuses_a_field_that_is_no_integer(capsys, tmp_path):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("p,m,a,expected_count\n3,2,x,5\n")
+    rc, out, err = run(capsys, "verify", "tables", "--fixtures", str(bad))
+    assert rc == 2 and out == ""
+    assert err.startswith("error: ") and f"{bad} line 2 has a field that is not an integer" in err
+
+
 def test_suite_range_defaults_come_from_the_suites(capsys):
     parser = build_parser()
     ranged = set()

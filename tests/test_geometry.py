@@ -497,11 +497,11 @@ def test_line_reported_with_two_sizes_is_refused(monkeypatch):
 
 def test_line_key_is_a_tuple():
     key = LineKey(2, -5, 8)
-    assert (key.A, key.B, key.C) == (2, -5, 8) and key.as_tuple() == (2, -5, 8)
+    assert (key.A, key.B, key.C) == (2, -5, 8) and tuple(key) == (2, -5, 8)
     assert LineKey(1, -1, 0) == (1, -1, 0) and hash(LineKey(1, -1, 0)) == hash((1, -1, 0))
     keys = [LineKey(1, 2, 0), LineKey(1, -3, 5), LineKey(0, 1, 2), LineKey(1, -3, -1), LineKey(2, -7, 0), LineKey(0, 1, -4)]
     assert sorted(keys) == sorted(keys, key=lambda k: (k.A, k.B, k.C))
-    assert [k.as_tuple() for k in sorted(keys)] == [(0, 1, -4), (0, 1, 2), (1, -3, -1), (1, -3, 5), (1, 2, 0), (2, -7, 0)]
+    assert [tuple(k) for k in sorted(keys)] == [(0, 1, -4), (0, 1, 2), (1, -3, -1), (1, -3, 5), (1, 2, 0), (2, -7, 0)]
     # keys from the census and from line_through of two of a line's points are
     # equal and hash alike
     ps = enumerate_points(HyperbolaSpec(1, 49))
@@ -523,7 +523,7 @@ def test_lines_yields_the_stored_keys_as_line_keys():
         lines = list(cen.lines())
         assert lines == stored and len(lines) == cen.line_total - cen.ordinary_count
         assert all(type(key) is LineKey and {type(v) for v in key} == {int} and type(t) is int for key, t in lines)
-        assert all(key.as_tuple() == (key.A, key.B, key.C) for key, _ in lines)
+        assert all(tuple(key) == (key.A, key.B, key.C) for key, _ in lines)
         for least in (3, 4, 5, cen.max_collinear, cen.max_collinear + 1):
             assert list(cen.lines(min_points=least)) == [(key, t) for key, t in stored if t >= least]
         with pytest.raises(ValueError, match="at least 3 points"):
@@ -941,19 +941,19 @@ def _line_class_violations_loop(ps, cen):
         assert len(on) == t
         classes = set((on % p).tolist())
         if len(classes) != 1:
-            violations.append(f"line {key.as_tuple()} meets classes {sorted(classes)}")
+            violations.append(f"line {tuple(key)} meets classes {sorted(classes)}")
             continue
         if key.C % p == 0:
-            violations.append(f"line {key.as_tuple()}: p divides C")
+            violations.append(f"line {tuple(key)}: p divides C")
         if (key.A * key.B) % p == 0:
-            violations.append(f"line {key.as_tuple()}: p divides A*B")
+            violations.append(f"line {tuple(key)}: p divides A*B")
             continue
         if (key.C * key.C - 4 * key.A * key.B) % p != 0:
-            violations.append(f"line {key.as_tuple()}: discriminant not 0 mod p")
+            violations.append(f"line {tuple(key)}: discriminant not 0 mod p")
         else:
             expect = -key.C * pow(2 * key.A, -1, p) % p
             if classes != {expect}:
-                violations.append(f"line {key.as_tuple()}: class {classes} != {expect}")
+                violations.append(f"line {tuple(key)}: class {classes} != {expect}")
     return violations
 
 

@@ -444,7 +444,7 @@ def test_gap_suite():
 
 
 def test_general_pm_expectations():
-    rep = suite_general_pm(primes=(5,), ms=(3,), a_values=(1, 2))
+    rep = suite_general_pm()
     assert rep.passed
     by_key = {c.key: c for c in rep.cases}
     # a=1: residue side nonempty, quarter variant must fail
