@@ -6,16 +6,19 @@ irrational is ever computed.
 
 Brute-force counts run on two row kernels, in the row idiom of the orbit
 census.  ``distinct_counts(n, a_values)`` inverts the units of Z/n once
-(``hyperbola.unit_partners`` with a = 1) and gives each a the row
-x*x + y*y with y = a * x**-1 mod n; ``intersection_counts(p, a_values)``
-gives each residue a of the odd prime p the row of its 2p root-progression
-abscissae b + t*p and p - b + t*p mod p**2, and reads |C1 & C2| as
+(``hyperbola.unit_partners`` with a = 1, which reads the inverses of the
+units of p**m from one table of generator powers and inverts the units of
+any other n by Euler's theorem) and gives each a the row x*x + y*y with
+y = a * x**-1 mod n; ``intersection_counts(p, a_values)`` gives each
+residue a of the odd prime p the row of its 2p root-progression abscissae
+b + t*p and p - b + t*p mod p**2, and reads |C1 & C2| as
 |C1| + |C2| - |C1 | C2|.  The abscissae of all its distinct roots are
-inverted in one call of the same checked kernel (``hyperbola.invert_units``,
-Euler mod p lifted to p**2 by one Newton step), and each row gathers those of
-its own root.  Every row is checked against x * y = a (mod n), sorted, and
-its distinct entries counted as runs.  Rows go in blocks of about 1 MB per
-int64 work array; ``distance_profile``, ``intersection_direct`` and
+inverted in one call of the same checked kernel (``hyperbola.invert_units``:
+the table mod p gathered by x mod p, lifted to p**2 by one Newton step),
+and each row gathers those of its own root.  Every row is checked against
+x * y = a (mod n), sorted, and its distinct entries counted as runs.  Rows
+go in blocks of about 1 MB per int64 work array and reduce mod n with
+``hyperbola._reduce``; ``distance_profile``, ``intersection_direct`` and
 ``image_count_formula`` are the one-row cases.  int64 is exact for
 n <= 2**31; the kernels raise ``InfeasibleScale`` above that, or when the
 units' working set (32 bytes per unit of n) would exceed a 2 GiB budget,
@@ -37,7 +40,15 @@ from fractions import Fraction
 
 import numpy as np
 
-from .hyperbola import EXACT_N_LIMIT, HyperbolaSpec, InfeasibleScale, check_unit_budget, invert_units, unit_partners
+from .hyperbola import (
+    EXACT_N_LIMIT,
+    HyperbolaSpec,
+    InfeasibleScale,
+    _reduce,
+    check_unit_budget,
+    invert_units,
+    unit_partners,
+)
 from .ntcore import NotAResidue, PrimePower, divisors, legendre, next_prime, sqrt_mod_prime
 
 
@@ -89,17 +100,6 @@ _ROW_BLOCK = 1 << 17
 def _run_counts(rows: np.ndarray) -> np.ndarray:
     """Number of distinct entries in each row of a row-sorted 2-D array."""
     return 1 + np.count_nonzero(rows[:, 1:] != rows[:, :-1], axis=1)
-
-
-def _reduce(v: np.ndarray, n: int, quotient: np.ndarray) -> None:
-    """v %= n in place for v >= 0, as v - (v // n) * n through the work array ``quotient``.
-
-    numpy divides int64 by a scalar through libdivide, about 1 ns an entry
-    against about 4 ns for ``%``, so the three passes cost less than one.
-    """
-    np.floor_divide(v, n, out=quotient)
-    quotient *= n
-    v -= quotient
 
 
 def _squared_rows(xs: np.ndarray, inv: np.ndarray, a: np.ndarray, n: int, row: np.ndarray | None = None):

@@ -3,10 +3,14 @@
 A point set is two int64 arrays from the inversion kernel ``unit_partners``,
 which inverts the units of n once for the sets of every a of n
 (``enumerate_many``); Python tuples appear only in the read-only ``points``
-view of a ``PointSet``.  ``invert_units`` inverts mod a base modulus, the
-prime p of n = p**m, by Euler's theorem and lifts the inverses to n by
-Newton steps, each doubling the exponent of p they hold for; a modulus that
-is no prime power is its own base.
+view of a ``PointSet``.  At n = p**m the units are +-g**k for one generator
+g (5 when p = 2), so one table of the powers g**k, read forwards for the
+units and backwards for their inverses, inverts them all; each inverse is
+placed at its unit's rank x - 1 - x // p.  A modulus that is no prime power
+inverts its units by Euler's theorem.  ``invert_units`` inverts any array of
+units of p**m: it gathers the table mod p by x mod p and lifts it to n by
+Newton steps, each doubling the exponent of p the inverses hold for.
+Every result is checked against x * y = a (mod n).
 """
 from __future__ import annotations
 
@@ -16,19 +20,21 @@ from typing import Iterable
 
 import numpy as np
 
-from .ntcore import PrimePower, euler_phi
+from .ntcore import PrimePower, euler_phi, factorize
 
 # x**2 + y**2 < 2 * n**2 and every product in the inversion is below n * (n + 1),
 # so int64 arithmetic is exact up to n = 2**31.
 EXACT_N_LIMIT = 1 << 31
 # Working set per unit of n: the peak-RSS growth of distance_profile (the
 # a = 1 inverses, one row and its two 1 MB work arrays) in a fresh process
-# was 21.4 B at n = 7**8 and 24.4 B at the prime 5764807, where every nonzero
+# was 21.8 B at n = 7**8 and 24.5 B at the prime 5764817, where every nonzero
 # residue is a unit, and of enumerate_points (these two arrays and the
-# PointSet checks) 25.1-25.3 B at the primes 1000003 and 4000037.  The
-# inversion holds x, y and one scratch array (x mod p, the lift's x * y, the
-# check): its tracemalloc peak is 25.0-25.5 B per unit at 3**13, 7**7 and
-# the prime 1000003.  With a 2 GiB budget this admits n up to 2**26.
+# PointSet checks) 24.3-25.2 B at the primes 1000003 and 4000037.  The
+# inversion holds the power table and the inverses, then the units and the
+# inverses: its tracemalloc peak at a = 1 is 14.9 B per unit at 7**8, 17.1 B
+# at the prime 1000003, 13.4 B at 3**13 and 12.0 B at 2**22, and a != 1
+# adds one scratch array for the scaling (24.0 B at 1000003).  With a 2 GiB
+# budget this admits n up to 2**26.
 _BYTES_PER_UNIT = 32
 _MEMORY_BUDGET = 2 << 30
 
@@ -146,75 +152,184 @@ def check_unit_budget(n: int, bytes_per_unit: int = _BYTES_PER_UNIT, what: str =
         )
 
 
-def invert_units(xs: np.ndarray, n: int, p: int, a: int = 1) -> np.ndarray:
-    """a * x**-1 mod n for every unit x of the int64 array ``xs`` (any shape).
+# Entries per int64 work array of the kernel's block passes (512 KB): the
+# Euler ladder and the check of x * y go one block at a time, so their work
+# arrays hold about 1 MB whatever n is.
+_BLOCK = 1 << 16
 
-    ``p`` is the base modulus: the prime of n = p**m, or n itself when n is no
-    prime power.  At the base the inverse is Euler's x**(phi(p) - 1) mod p,
-    by square-and-multiply over the p - 1 residues, gathered by x mod p (over
-    ``xs`` itself when p = n).  Newton steps y <- y * (2 - x*y) mod min(q**2, n)
-    then lift an inverse mod q to one mod q**2 until q reaches n, two
-    multiply-mods each; a prime n takes none.  Every product stays below
-    n * (n + 1), so int64 is exact for n <= 2**31.  x * y = a (mod n) is
-    checked on the whole result.
+
+def _reduce(v: np.ndarray, n: int, quotient: np.ndarray) -> None:
+    """v %= n in place for v >= 0, as v - (v // n) * n through the work array ``quotient``.
+
+    numpy divides int64 by a scalar through libdivide, about 1 ns an entry
+    against about 4 ns for ``%``, so the three passes cost less than one.
     """
-    scratch = np.empty_like(xs)  # the base residues, then x * y
-    if p < n:
-        base = np.arange(1, p, dtype=np.int64)
-    else:
-        base = scratch
-        np.copyto(base, xs)
-    inv = np.ones_like(base)
-    e = euler_phi(p) - 1
-    while e:
-        if e & 1:
-            inv *= base
-            inv %= p
-        e >>= 1
-        if e:
-            base *= base
-            base %= p
-    if p < n:
-        np.copyto(scratch, xs)
-        scratch %= p
-        scratch -= 1
-        inv = inv.take(scratch)
+    np.floor_divide(v, n, out=quotient)
+    quotient *= n
+    v -= quotient
+
+
+def _unit_generator(p: int) -> int:
+    """The least g >= 2 that generates the units mod p**2 for the odd prime p, and so mod every p**m.
+
+    g generates them mod p when g**((p - 1)/q) != 1 (mod p) for every prime q
+    of p - 1, and then mod p**2 unless g**(p - 1) = 1 (mod p**2), which a
+    few pairs meet: 5 is the least generator mod 40487 but not mod 40487**2.
+    """
+    qs = factorize(p - 1)
+    g = 2
+    while any(pow(g, (p - 1) // q, p) == 1 for q in qs) or pow(g, p - 1, p * p) == 1:
+        g += 1
+    return g
+
+
+def _geometric_row(r: int, length: int, n: int) -> np.ndarray:
+    """r**i mod n for i < length, as int64."""
+    row = [1] * length
+    for i in range(1, length):
+        row[i] = row[i - 1] * r % n
+    return np.array(row, dtype=np.int64)
+
+
+def _unit_inverses(p: int, m: int) -> np.ndarray:
+    """The inverses of the units of n = p**m, in the ascending order of the units, from one table of powers.
+
+    The units are +-g**k for k < h = ceil(phi(n)/2).  For odd p, g is a
+    generator mod p**2 (``_unit_generator``), so mod n, and g**h = -1; for
+    p = 2, g = 5, whose powers are the units = 1 (mod 4), and g**h = 1.  The
+    table g**k for k <= h is the outer product of the rows g**i (i < s) and
+    g**(s*j), s about sqrt(h).  The inverse of +-g**k is +-g**h * g**(h - k),
+    the table read backwards, and is placed at the unit's rank
+    x - 1 - x // p among the units; -x takes the mirrored rank
+    phi(n) - 1 - rank(x), so a reversed view of the result places it.
+    Every product stays below n**2, so int64 is exact for n <= 2**31.  The
+    table, the ranks and the result hold 16 bytes per unit.
+    """
+    n = p**m
+    phi = (p - 1) * p ** (m - 1)
+    h = (phi + 1) // 2
+    g = 5 if p == 2 else _unit_generator(p)
+    s = math.isqrt(h) + 1
+    table = np.multiply.outer(_geometric_row(pow(g, s, n), h // s + 1, n), _geometric_row(g, s, n)).reshape(-1)
+    _reduce(table, n, np.empty_like(table))
+    units, inverses = table[:h], table[h:0:-1]
+    rank = units // p
+    np.subtract(units, rank, out=rank)
+    rank -= 1
+    inv = np.empty(phi, dtype=np.int64)
+    # the views that take g**(h - k) and -g**(h - k) at rank(g**k): g**h is 1 for p = 2, -1 otherwise
+    plus, minus = (inv, inv[::-1]) if p == 2 else (inv[::-1], inv)
+    plus[rank] = inverses
+    np.subtract(n, table, out=table)
+    minus[rank] = inverses
+    return inv
+
+
+def _euler_inverses(xs: np.ndarray, n: int) -> np.ndarray:
+    """x**(phi(n) - 1) mod n for every unit x of xs, by square-and-multiply (Euler's theorem).
+
+    The ladder runs one block of ``_BLOCK`` units at a time, so its powers
+    and work array stay block-sized.
+    """
+    e_phi = euler_phi(n) - 1
+    inv = np.ones_like(xs)
+    powers, quotient = np.empty((2, min(len(xs), _BLOCK)), dtype=np.int64)
+    for lo in range(0, len(xs), _BLOCK):
+        y = inv[lo : lo + _BLOCK]
+        base, q = powers[: len(y)], quotient[: len(y)]
+        np.copyto(base, xs[lo : lo + _BLOCK])
+        e = e_phi
+        while e:
+            if e & 1:
+                y *= base
+                _reduce(y, n, q)
+            e >>= 1
+            if e:
+                base *= base
+                _reduce(base, n, q)
+    return inv
+
+
+def _check_partners(xs: np.ndarray, ys: np.ndarray, a, n: int) -> None:
+    """Raise ``RuntimeError`` unless x * y = a (mod n) for every unit x and its partner y.
+
+    ys has the shape of xs, or is the (S, k) rows of the k units xs and the
+    column a of S residues.  The products go one block of about ``_BLOCK``
+    entries at a time, so the check adds two block-sized work arrays.
+    """
+    if xs.shape == ys.shape:
+        xs, ys = xs.reshape(-1), ys.reshape(-1)
+    rows = max(1, len(ys)) if ys.ndim == 2 else 1
+    width = max(1, _BLOCK // rows)
+    work = np.empty((2, *ys[..., :width].shape), dtype=np.int64)
+    for c in range(0, len(xs), width):
+        y = ys[..., c : c + width]
+        t, quotient = work[..., : y.shape[-1]]
+        np.multiply(xs[c : c + width], y, out=t)
+        _reduce(t, n, quotient)
+        if np.count_nonzero(t != a):
+            raise RuntimeError(f"unit inversion failed: x * y != a (mod {n})")
+
+
+def _times_a(xs: np.ndarray, inv: np.ndarray, a: int, n: int) -> np.ndarray:
+    """The inverses ``inv`` of the units xs times a mod n, in place, checked against x * y = a (mod n)."""
+    if a != 1:
+        inv *= a
+        _reduce(inv, n, np.empty_like(inv))
+    _check_partners(xs, inv, a, n)
+    return inv
+
+
+def invert_units(xs: np.ndarray, n: int, p: int, a: int = 1) -> np.ndarray:
+    """a * x**-1 mod n for every unit x of the int64 array ``xs`` (any shape), n = p**m.
+
+    The inverses mod p come from ``_unit_inverses(p, 1)``, gathered by
+    x mod p.  Newton steps y <- y * (2 - x*y) mod min(q**2, n) then lift an
+    inverse mod q to one mod q**2 until q reaches n, two multiply-reduces
+    each; a prime n takes none.  Every product stays below n * (n + 1), so
+    int64 is exact for n <= 2**31.  x * y = a (mod n) is checked on the
+    whole result.
+    """
+    scratch = xs.copy()  # x mod p, then x * y
+    quotient = np.empty_like(xs)
+    _reduce(scratch, p, quotient)
+    scratch -= 1
+    inv = _unit_inverses(p, 1).take(scratch)
     q = p
     while q < n:
         q = min(q * q, n)
         np.multiply(xs, inv, out=scratch)
-        scratch %= q
+        _reduce(scratch, q, quotient)
         np.subtract(q + 2, scratch, out=scratch)
         inv *= scratch
-        inv %= q
-    if a != 1:
-        inv *= a
-        inv %= n
-    np.multiply(xs, inv, out=scratch)
-    scratch %= n
-    if not np.all(scratch == a):
-        raise RuntimeError(f"unit inversion failed: x * y != {a} (mod {n})")
-    return inv
+        _reduce(inv, q, quotient)
+    return _times_a(xs, inv, a % n, n)
 
 
 def unit_partners(spec: HyperbolaSpec) -> tuple[np.ndarray, np.ndarray]:
     """The units x of Z/n in ascending order and their partners y = a * x**-1 mod n.
 
-    Both are int64 arrays, inverted by ``invert_units``.  Raises
-    ``InfeasibleScale`` before allocating when n is past the int64-exact range
-    or the working set would exceed the memory budget.
+    Both are int64 arrays.  At n = p**m the units are j*p + r (0 < r < p)
+    and their inverses come from ``_unit_inverses``; any other modulus keeps
+    the x coprime to n and inverts them by Euler's theorem, as its units
+    need not form one cyclic group.  x * y = a (mod n) is checked on the result.
+    Raises ``InfeasibleScale`` before allocating when n is past the
+    int64-exact range or the working set would exceed the memory budget.
     """
     a, n = spec.a, spec.n
     check_unit_budget(n)
-    x = np.arange(1, n, dtype=np.int64)
     if spec.prime_power is not None:
         p = spec.prime_power.p
-        xs = x[x % p != 0]
+        inv = _unit_inverses(p, spec.prime_power.m)
+        xs = np.arange(1, p, dtype=np.int64)
+        if n > p:
+            xs = np.add.outer(np.arange(0, n, p, dtype=np.int64), xs).reshape(-1)
     else:
-        p = n
+        x = np.arange(1, n, dtype=np.int64)
         xs = x[np.gcd(x, n) == 1]
-    del x
-    return xs, invert_units(xs, n, p, a)
+        del x
+        inv = _euler_inverses(xs, n)
+    return xs, _times_a(xs, inv, a, n)
 
 
 def enumerate_many(n: int, a_values: Iterable[int]) -> list[PointSet]:
@@ -234,12 +349,8 @@ def enumerate_many(n: int, a_values: Iterable[int]) -> list[PointSet]:
     xs, ys = unit_partners(base)
     a = np.array([spec.a for spec in specs], dtype=np.int64)[:, None]
     ys = a * ys
-    ys %= n
-    check = xs * ys
-    check %= n
-    if not np.all(check == a):
-        raise RuntimeError(f"unit inversion failed: x * y != a (mod {n})")
-    del check
+    _reduce(ys, n, np.empty_like(ys))
+    _check_partners(xs, ys, a, n)
     return PointSet._rows(specs, xs, ys, n)
 
 

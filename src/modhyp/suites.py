@@ -619,7 +619,8 @@ def read_fixture_rows(path: Path | str) -> list[tuple[int, int, int, int]]:
 
     Raises ``ValueError`` naming the file line when a column is missing, a
     row lacks one of them or has more fields than the header, a field is
-    not an integer, p is not prime or m < 1, or the file holds no rows.
+    not an integer, p**m is past ``EXACT_N_LIMIT``, p is not prime or m < 1,
+    p divides a, or the file holds no rows.
     """
     columns = ("p", "m", "a", "expected_count")
     with open(path, newline="") as fh:
@@ -640,8 +641,16 @@ def read_fixture_rows(path: Path | str) -> list[tuple[int, int, int, int]]:
             p, m, a, expected = map(int, values)
         except ValueError:
             raise ValueError(f"{where} has a field that is not an integer: {','.join(values)}") from None
-        if not is_prime(p) or m < 1:
+        if p < 2 or m < 1:
             raise ValueError(f"{where} is not a prime power p**m: p = {p}, m = {m}")
+        # before is_prime, whose trial division runs for minutes at p near 10**20;
+        # p**m is computed only for p and m that keep it small
+        if p > EXACT_N_LIMIT or m >= EXACT_N_LIMIT.bit_length() or p**m > EXACT_N_LIMIT:
+            raise ValueError(f"{where} has p**m past the int64-exact limit {EXACT_N_LIMIT}: p = {p}, m = {m}")
+        if not is_prime(p):
+            raise ValueError(f"{where} is not a prime power p**m: p = {p}, m = {m}")
+        if a % p == 0:
+            raise ValueError(f"{where} has a = {a}, which p = {p} divides, so a is no unit mod p**m")
         rows.append((p, m, a, expected))
     if not rows:
         raise ValueError(f"{path} holds no rows")

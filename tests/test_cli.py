@@ -211,6 +211,25 @@ def test_verify_tables_refuses_a_row_that_is_no_prime_power(capsys, tmp_path, ro
     assert err.startswith("error: ") and f"{bad} line 3 is not a prime power" in err
 
 
+def test_verify_tables_refuses_a_row_whose_a_is_no_unit(capsys, tmp_path):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("p,m,a,expected_count\n3,1,1,2\n3,2,3,5\n")
+    rc, out, err = run(capsys, "verify", "tables", "--fixtures", str(bad))
+    assert rc == 2 and out == ""
+    assert err.startswith("error: ") and f"{bad} line 3 has a = 3, which p = 3 divides" in err
+
+
+# p near 10**20 would keep the primality test busy for minutes, and m = 10**9
+# would make p**m huge: both are refused by size first
+@pytest.mark.parametrize("row", ["1000003,3,1,5", "100000000000000000039,1,1,1", "2,1000000000,1,1", "2,32,1,1"])
+def test_verify_tables_refuses_a_row_past_the_int64_limit(capsys, tmp_path, row):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(f"p,m,a,expected_count\n{row}\n")
+    rc, out, err = run(capsys, "verify", "tables", "--fixtures", str(bad))
+    assert rc == 2 and out == ""
+    assert err.startswith("error: ") and f"{bad} line 2 has p**m past the int64-exact limit" in err
+
+
 def test_verify_tables_refuses_a_field_that_is_no_integer(capsys, tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("p,m,a,expected_count\n3,2,x,5\n")

@@ -79,10 +79,11 @@ def test_unit_partners_match_python_inverse(data):
     assert distance_profile(HyperbolaSpec(a, n)).values.tolist() == want
 
 
-@pytest.mark.parametrize("n", [3**10, 5**7, 7**6, 13**4, 2**15, 11907])  # 11907 = 3**5 * 7**2
+@pytest.mark.parametrize("n", [2, 4, 8, 2**15, 2**16, 3**10, 5**7, 7**6, 13**4, 99991, 11907])  # 11907 = 3**5 * 7**2
 @pytest.mark.parametrize("a", [1, 101])
 def test_unit_partners_lift_matches_python_pow(n, a):
-    # prime powers invert mod p and lift to n by Newton steps; the composite inverts mod n
+    # prime powers read their inverses from one table of generator powers
+    # (+-5**k at 2**m); the composite inverts by Euler's theorem mod n
     xs, ys = unit_partners(HyperbolaSpec(a, n))
     units = [x for x in range(1, n) if math.gcd(x, n) == 1]
     assert xs.tolist() == units

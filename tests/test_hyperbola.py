@@ -16,8 +16,9 @@ from modhyp.hyperbola import (
     enumerate_points,
     partition_classes,
     unit_partners,
+    _unit_generator,
 )
-from modhyp.ntcore import euler_phi
+from modhyp.ntcore import euler_phi, factorize
 
 
 def test_spec_validation():
@@ -127,6 +128,23 @@ def test_cardinality_is_totient():
         assert all(1 <= x <= n - 1 and 1 <= y <= n - 1 and x * y % n == a for x, y in ps.points)
         # symmetric under swapping coordinates
         assert {(y, x) for x, y in ps.points} == set(ps.points)
+
+
+def test_unit_generator_generates_mod_p_squared():
+    # 5 is the least generator mod 40487, but 5**40486 = 1 (mod 40487**2),
+    # so 5 generates no power 40487**m with m >= 2 and the search passes it
+    def generates(g, modulus, order):
+        return all(pow(g, order // q, modulus) != 1 for q in factorize(order))
+
+    p = 40487
+    assert [g for g in range(2, 6) if generates(g, p, p - 1)] == [5]
+    assert pow(5, p - 1, p * p) == 1
+    g = _unit_generator(p)
+    assert g > 5 and generates(g, p * p, p * (p - 1))
+    assert not any(generates(h, p * p, p * (p - 1)) for h in range(2, g))
+    for p in (3, 5, 7, 11, 13, 29, 31, 97, 1093):
+        g = _unit_generator(p)
+        assert generates(g, p * p, p * (p - 1)), p
 
 
 def test_unit_partners_guards_raise_before_allocating(monkeypatch):
