@@ -9,20 +9,21 @@ of phi(n) points all on x*y = a (mod n), is carried onto itself by
 sigma (x, y) -> (y, x), nu (x, y) -> (n-x, n-y) and sigma*nu, so one anchor
 per orbit is swept, weighted by its orbit size; any other set (a subset, a
 class or a grid) is swept at every point.  An anchor's row codes the slope
-to every other point of its set as dy * dx**-1 modulo a prime M with
-2 * (n - 1)**2 < M, so equal codes mean equal slopes (integer ops only, no
+to every other point of its set so that equal codes mean equal slopes (no
 per-pair gcd).  The stack's largest modulus picks one of three tiers: up to
-n = 2**10 a prime just above 2 * 1023**2 and int32 row arithmetic
-throughout, up to n = 2**15 2**31 - 1 and int32 codes from int64 products,
-and up to n = 2**20 a prime above 2**41 and int64 codes; vertical directions
-are looked for only in a stack where some set repeats an x, which no
-hyperbola set does.  One row sort per block of rows groups the points of
-each line through the anchor.  A t-point line is a group of t-1 points at
-each of its t points, so each set's weighted group counts give its count of
-each line size.  Only the keys of lines with three or more points are kept:
-each group's direction is rebuilt from its code by a half extended Euclid
-on (M, code), the keys of a whole set are closed under its three maps, and
-all are ordered by C and then, by a stable sort, by one int64 major key
+n = 2897, where (n - 1)**2 < 2**23, the code is the float32 quotient dy / dx,
+and two different slopes never round to one float32; up to n = 2**15 it is
+dy * dx**-1 modulo the prime 2**31 - 1, and up to n = 2**20 modulo a prime
+above 2**41, both above 2 * (n - 1)**2, so integer codes are equal exactly
+when the slopes are.  Vertical directions are looked for only in a stack
+where some set repeats an x, which no hyperbola set does.  One row sort
+per block of rows groups the points of each line through the anchor.  A
+t-point line is a group of t-1 points at each of its t points, so each
+set's weighted group counts give its count of each line size.  Only the
+keys of lines with three or more points are kept: each group's direction
+is rebuilt from its code, a float32 quotient by its continued fraction and
+an integer code by a half extended Euclid on (M, code), the keys of a
+whole set are closed under its three maps, and all are ordered by C and then, by a stable sort, by one int64 major key
 that leads with the set index, and cut back per set.  The tests check the
 census against an independent cross-product oracle.  The lemma 7 checks
 recount every rich line without the census, by sorting A*x + B*y for a
@@ -44,38 +45,39 @@ from .ntcore import PrimePower, euler_phi
 
 # Row entries per block of whole anchor rows.  A block's three int64 work
 # arrays and its flags take 25 B per entry, 1.6 MB at 2**16, so they stay in a
-# 2 MB per-core L2 cache; at 2**17 (3.3 MB) they do not.  In the int32-rows
-# tier (n <= 2**10) they take 13 B per entry.  The codes the block
-# sorts live in the bytes of its dx array, so they add nothing.  In-process
-# line-sweep passes (theorem6, lemma7 and collinearity at n <= 625, then
-# prime-lines) on a 2-core x86-64 host with 2 MB of L2 per core took a median
-# 381 ms at 2**16, against 385 ms at 2**15, 407 ms at 2**17 and 575 ms at
-# 2**18 (12 rounds, the four sizes alternating).
+# 2 MB per-core L2 cache; at 2**17 (3.3 MB) they do not.  In the float32 tier
+# (n <= 2897) its two float32 work arrays and the flags take 9 B per entry.
+# The codes the block sorts live in the bytes of its dx array, so they add
+# nothing.  In-process line-sweep passes (theorem6, lemma7 and collinearity
+# at n <= 625, then prime-lines) on a 2-core x86-64 host with 2 MB of L2 per
+# core took a median 381 ms at 2**16, against 385 ms at 2**15, 407 ms at 2**17
+# and 575 ms at 2**18 (12 rounds, the four sizes alternating, before the
+# float32 tier).
 _ROW_BLOCK = 1 << 16
-# Slope codes are taken mod a prime M with 2 * (n - 1)**2 < M, so every cross
-# product dy1*dx2 - dy2*dx1 of two directions is below M in absolute value and
-# equal codes mean equal slopes (see census).  The stack's largest modulus n
-# picks one of three tiers (census_tier):
-# - up to n = 2**10, M = 2093071, the least prime above 2 * 1023**2; as
-#   1023 * (M - 1) < 2**31, the gathered coordinates, the inverse table, dx,
-#   dy, their product and the codes are all int32 ("int32 rows");
-# - up to n = 2**15, M is the Mersenne prime 2**31 - 1: the products are int64
-#   and the codes int32 ("int32 codes");
-# - up to n = _N_LIMIT, M is _SLOPE_PRIME and everything is int64 ("int64").
-# The codes, M itself (vertical) and the sentinels -1 (the anchor) and
-# -2 - col (padding) fit the codes' dtype.  _N_LIMIT also caps a set's point
-# count.
+# The stack's largest modulus n picks one of three tiers (census_tier):
+# - up to n = 2897, the largest n with (n - 1)**2 < 2**23, a code is the
+#   float32 quotient dy / dx ("float32"): two different slopes of
+#   |dx|, |dy| <= n - 1 differ by at least 1 / (n - 1)**2, more than the
+#   2**-23 * |F| that two reals rounding to one float32 F can differ by;
+# - up to n = 2**15, codes are dy * dx**-1 mod the Mersenne prime 2**31 - 1,
+#   from int64 products, as int32 ("int32 codes");
+# - up to n = _N_LIMIT, codes are taken mod _SLOPE_PRIME and everything is
+#   int64 ("int64").
+# A modular code's M exceeds 2 * (n - 1)**2, so every cross product
+# dy1*dx2 - dy2*dx1 of two directions is below M in absolute value and equal
+# codes mean equal slopes (see census).  The codes, M itself (vertical) and
+# the sentinels -1 (the anchor) and -2 - col (padding) fit the codes' dtype.
+# _N_LIMIT also caps a set's point count.
 _N_LIMIT = 1 << 20
 _SLOPE_PRIME = 2199023255579  # the least prime above 2**41
 _N_LIMIT_32 = 1 << 15
 _SLOPE_PRIME_32 = (1 << 31) - 1
-_N_LIMIT_SMALL = 1 << 10
-_SLOPE_PRIME_SMALL = 2093071
-# tier name: (largest modulus, M, dtype of the row arithmetic), ascending
+_N_LIMIT_FLOAT = 2897
+# tier name: (largest modulus, M or None for float32 quotients), ascending
 _TIERS = {
-    "int32 rows": (_N_LIMIT_SMALL, _SLOPE_PRIME_SMALL, np.int32),
-    "int32 codes": (_N_LIMIT_32, _SLOPE_PRIME_32, np.int64),
-    "int64": (_N_LIMIT, _SLOPE_PRIME, np.int64),
+    "float32": (_N_LIMIT_FLOAT, None),
+    "int32 codes": (_N_LIMIT_32, _SLOPE_PRIME_32),
+    "int64": (_N_LIMIT, _SLOPE_PRIME),
 }
 CENSUS_TIERS = tuple(_TIERS)
 _MAPS = ((True, False), (False, True), (True, True))  # sigma, nu, sigma*nu as (swap, reflect)
@@ -191,14 +193,12 @@ def _slope_codes(
 
     inv is ``_slope_inverses(span, m)`` and dx holds each direction's
     dx + span, so the vertical directions are where dx == span; dy and out
-    are scratch of dx's shape and dtype, int32 in the int32-rows tier (where
-    inv is int32 too and every product fits) and int64 above it.  Only when
-    vertical is true are they looked for: without it every direction with
-    dx == span is taken to be zero (an anchor's own column), and its code is
-    0.  The codes are a view of dx's bytes: int32 when m < 2**31 (dx itself
-    when dx is int32, else the first half of its bytes), else int64 (dx
-    itself).  For |dx|, |dy| < sqrt(m / 2) two codes are equal exactly when
-    dy1 * dx2 == dy2 * dx1.
+    are int64 scratch of dx's shape.  Only when vertical is true are they
+    looked for: without it every direction with dx == span is taken to be
+    zero (an anchor's own column), and its code is 0.  The codes are a view
+    of dx's bytes: int32 when m < 2**31 (the first half of its bytes), else
+    int64 (dx itself).  For |dx|, |dy| < sqrt(m / 2) two codes are equal
+    exactly when dy1 * dx2 == dy2 * dx1.
     """
     # every dx of two real points is in range (a padding column's may be
     # clipped; the census overwrites its code); "clip" writes out unbuffered
@@ -213,6 +213,66 @@ def _slope_codes(
     if vertical:
         np.copyto(code, m, where=upright)
     return code
+
+
+def _slope_quotients(dx: np.ndarray, dy: np.ndarray, vertical: bool) -> np.ndarray:
+    """The float32 quotients dy / dx per direction, +inf where it is vertical, written over dx.
+
+    dx and dy are float32 differences of coordinates below _N_LIMIT_FLOAT,
+    so exact.  An anchor's own column (0 / 0) and a padding column (NaN)
+    give NaN, which sorts last and equals nothing.  Only when vertical is
+    true is -inf folded into +inf: without it no direction but an anchor's
+    own has dx == 0.  Two quotients are equal exactly when the slopes are
+    (the float32 tier, above _TIERS); a horizontal direction gives +0.0 or
+    -0.0, which compare equal.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        code = np.divide(dy, dx, out=dx)
+    if vertical:
+        np.copyto(code, np.inf, where=code == -np.inf)
+    return code
+
+
+def _quotient_directions(code: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The reduced direction (dx, dy), dx >= 0, of each float32 quotient F = dy / dx, and (0, 1) for F = inf.
+
+    A nonzero F has |F| > 1 / 2896 > 2**-12, so its float32 ulp is at least
+    2**-35 and F = P / 2**35 for an int64 P, |P| < 2**47.  The true slope
+    dy / dx, dx <= N = _N_LIMIT_FLOAT - 1, lies within 2**-24 * |F| of F,
+    under 1 / (2 * dx**2) as N**2 < 2**23, so by Legendre's theorem it is a
+    convergent of P / 2**35; the next convergent is nearer F, and by the
+    tier's gap bound it cannot have a denominator <= N.  So (dx, |dy|) is
+    the last convergent with denominator <= N.  The convergents of every F
+    are walked at once, as ``_directions`` walks Euclid: one Euclid step on
+    the remainders (r0, r1) per step, the numerators and denominators
+    h0, h1 = h1, h0 + a * h1 beside them, and an entry ends at its first
+    denominator past N (taking the one before) or at a zero remainder.
+    """
+    top = _N_LIMIT_FLOAT - 1
+    vertical = np.isinf(code)
+    exact = (np.where(vertical, 0, code).astype(np.float64) * 2.0**35).astype(np.int64)  # P
+    live = np.flatnonzero(~vertical)
+    # rows hi and lo: the remainders r0 > r1; rows hi + 2 and lo + 2 their numerators, hi + 4 and
+    # lo + 4 their denominators (lo holds the newest convergent); row 6 each entry's place
+    state = np.zeros((7, len(live)), dtype=np.int64)
+    state[0], state[1], state[3], state[4], state[6] = np.abs(exact[live]), 1 << 35, 1, 1, live
+    hi, lo = 0, 1
+    done = [np.empty((3, 0), dtype=np.int64)]
+    while state.shape[1]:
+        a = state[hi] // state[lo]
+        state[hi] -= a * state[lo]
+        state[hi + 2] += a * state[lo + 2]
+        state[hi + 4] += a * state[lo + 4]
+        hi, lo = lo, hi
+        past = state[lo + 4] > top
+        end = past | (state[lo] == 0)
+        ended, past = np.compress(end, state, axis=1), past[end]
+        done.append(np.where(past, ended[[hi + 2, hi + 4, 6]], ended[[lo + 2, lo + 4, 6]]))
+        state = np.compress(~end, state, axis=1)
+    numerator, denominator, at = np.concatenate(done, axis=1)
+    dx, dy = np.zeros(len(code), dtype=np.int64), vertical.astype(np.int64)
+    dx[at], dy[at] = denominator, np.where(exact[at] < 0, -numerator, numerator)
+    return dx, dy
 
 
 def _directions(code: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -257,7 +317,7 @@ def check_census_modulus(n: int) -> None:
 def census_tier(n: int) -> str:
     """The slope-code tier, a name in CENSUS_TIERS, of a census stack whose largest modulus is n."""
     check_census_modulus(n)
-    return next(name for name, (limit, _, _) in _TIERS.items() if n <= limit)
+    return next(name for name, (limit, _) in _TIERS.items() if n <= limit)
 
 
 def _orbits(
@@ -314,31 +374,37 @@ def _row_groups(xs, ys, sid, anchor, row_k, inv, m, work, vertical) -> tuple[np.
 
     Row r is anchor[r] of set sid[r], whose points fill its first row_k[r]
     columns of xs and ys; xs, ys and work are as wide as the block's widest
-    row, and inv is ``_slope_inverses(span, m)``.  Returns, per group, its
-    row r, its size and its slope code mod m.  work holds (R, width) arrays
-    dx, dy and a product scratch (of xs's dtype: int32 in the int32-rows
-    tier, else int64) and flags (bool), which every block
-    overwrites: the census allocates its row arrays once, not once per block.
-    vertical says whether some set of the stack has two points of one x
-    (``_slope_codes``).
+    row.  In the float32 tier inv is None and xs and ys are float32 with NaN
+    padding; else inv is ``_slope_inverses(span, m)``.  Returns, per group,
+    its row r, its size and its slope code.  work holds (R, width) arrays
+    dx and dy (float32, else int64 and a third int64 product scratch) and
+    flags (bool), which every block overwrites: the census allocates its
+    row arrays once, not once per block.  vertical says whether some set of
+    the stack has two points of one x (``_slope_codes``).
     """
-    dx, dy, product, flags = work
+    dx, dy, flags = work[0], work[1], work[-1]
     width = xs.shape[1]
-    cols = np.arange(width)
     np.take(xs, sid, axis=0, out=dx, mode="clip")
-    dx -= xs[sid, anchor][:, None] - len(inv) // 2  # dx + span indexes the signed table
+    shift = xs[sid, anchor][:, None]
+    dx -= shift if inv is None else shift - len(inv) // 2  # dx + span indexes the signed table
     np.take(ys, sid, axis=0, out=dy, mode="clip")
     dy -= ys[sid, anchor][:, None]
-    code = _slope_codes(dx, dy, inv, m, product, vertical)
-    if (row_k < width).any():
-        # padding column c takes -2 - c: distinct, and below every slope code
-        np.less_equal(row_k[:, None], cols, out=flags)
-        np.copyto(code, -2 - cols, where=flags)
-    code[np.arange(len(anchor)), anchor] = -1
+    if inv is None:
+        # the anchor (0 / 0) and padding give NaN, which sorts last and equals nothing: a row
+        # ends on NaN, so no run crosses from one row into the next
+        code = _slope_quotients(dx, dy, vertical)
+    else:
+        code = _slope_codes(dx, dy, inv, m, work[2], vertical)
+        if (row_k < width).any():
+            # padding column c takes -2 - c: distinct, and below every slope code
+            cols = np.arange(width)
+            np.less_equal(row_k[:, None], cols, out=flags)
+            np.copyto(code, -2 - cols, where=flags)
+        # a row's sentinels (-1 for its anchor, -2 - c for padding) are distinct
+        # and sort first, and it ends on a slope code >= 0 (a row has at least
+        # one other point), so no run crosses from one row into the next
+        code[np.arange(len(anchor)), anchor] = -1
     code.sort(axis=1)
-    # a row's sentinels (-1 for its anchor, -2 - c for padding) are distinct
-    # and sort first, and it ends on a slope code >= 0 (a row has at least
-    # one other point), so no run crosses from one row into the next
     flat = code.ravel()
     same = flags.ravel()  # same[p]: flat entries p and p + 1 share a slope
     np.equal(flat[1:], flat[:-1], out=same[:-1])
@@ -366,35 +432,39 @@ def census(ps: PointSet) -> IncidenceCensus:
     A subset or a class may keep fewer maps or none; the census does not
     look for them and sweeps such a set at every point, with w = 1.
     Rows: one row per (set, anchor) pair, set-major.  Anchor i's row holds
-    every other point j of its set, coded by the direction (dx, dy) = j - i
-    as c = dy * dx**-1 mod M (c = M when vertical, looked for only in a
-    stack where some set repeats an x), with dx**-1 read from a signed table
-    at dx + span (the direction and its negation share c, as
-    dy * dx**-1 = (-dy) * (-dx)**-1).  The stack's largest modulus picks
-    the tier (``census_tier``): up to 2**10, M = 2093071 and, as
-    1023 * (M - 1) < 2**31, the gathered coordinates, the table, dx, dy, the
-    product and the codes are all int32, the codes written over dx; up to
+    every other point j of its set, coded by the direction (dx, dy) = j - i,
+    a direction and its negation alike.  The stack's largest modulus picks
+    the tier (``census_tier``).  Up to 2897 the code is the float32
+    quotient c = dy / dx of float32 coordinates, +inf when vertical (looked
+    for only in a stack where some set repeats an x); the anchor's own
+    column (0 / 0) and padding (NaN coordinates) give NaN, which sorts last
+    and equals nothing.  It is exact: two different slopes of
+    |dx|, |dy| <= N = n - 1 differ by at least 1 / N**2, and two reals that
+    round to one float32 F differ by at most 2**-23 * |F| <= 2**-23 * N, less
+    as N**2 < 2**23.  Above 2897 the code is c = dy * dx**-1 mod M (c = M
+    when vertical), with dx**-1 read from a signed table at dx + span: up to
     2**15, M = 2**31 - 1, the products are int64 and the int32 codes are
     written into the bytes of the block's dx array; above that
-    M = _SLOPE_PRIME and they are int64.  The anchor's own column is -1 and
-    a padding column c is -2 - c: distinct, below every code, and sorted
-    first.  One ``np.sort``
-    per block of rows, at most _ROW_BLOCK entries of the block's widest row
+    M = _SLOPE_PRIME and they are int64.  It is exact too: c1 == c2 iff
+    dy1 * dx2 = dy2 * dx1 (mod M), and that cross-product difference is at
+    most 2 * (n-1)**2 < M in absolute value, so iff the slopes are equal.
+    There the anchor's own column is -1 and a padding column c is -2 - c:
+    distinct, below every code, and sorted first.  One ``np.sort`` per
+    block of rows, at most _ROW_BLOCK entries of the block's widest row
     each; a block may span sets and reuses one set of row arrays.  Each run
     of equal c is the rest of one line through i, so a t-point line is one
-    group of size exactly t-1 at each of its t points.  The code is exact:
-    for coordinates in [1, n-1], c1 == c2 iff dy1 * dx2 = dy2 * dx1 (mod M),
-    and that cross-product difference is at most 2 * (n-1)**2 < M in
-    absolute value, so iff the slopes are equal.
+    group of size exactly t-1 at each of its t points.
     Counts: H[s, size], on the (S, K) grid of the stack's coordinates, is
     the w-weighted number of set s's groups of that size (one flat-index
     ``np.add.at`` over every group, after the sweep), and set s has
     L_t = H[s, t-1] / t lines of t points, row s of an (S, K + 1) grid and
     zero past its k, checked and summarised as ``census_many`` describes.
     Rich lines are keyed as (set, A, B, C, t) from the anchor and the code
-    of each group of size >= 2: ``_directions`` rebuilds every group's
-    reduced direction (dx, dy) (a direction with gcd(dx, dy) != 1 raises
-    ``RuntimeError``), and A = dy, B = -dx, C = -(A*x + B*y).  The keys and,
+    of each group of size >= 2: ``_quotient_directions`` (float32) or
+    ``_directions`` rebuilds every group's reduced direction (dx, dy) (a
+    direction with gcd(dx, dy) != 1, or in the float32 tier one whose
+    float32 dy / dx is not its code, raises ``RuntimeError``), and A = dy,
+    B = -dx, C = -(A*x + B*y).  The keys and,
     for a whole set, their images under its three maps, N columns of one
     (5, N) int64 array, are ordered by the major key
     (set * span + A) * 2 * span + B, span the stack's largest n, and then
@@ -425,24 +495,30 @@ def census_many(sets: Sequence[PointSet]) -> list[IncidenceCensus]:
     sizes = [len(ps) for ps in sets]
     if min(sizes) < 2:
         raise TooFewPoints(f"{min(sizes)} point(s) span no lines")
-    _, m, row_type = _TIERS[census_tier(max(moduli))]
+    _, m = _TIERS[census_tier(max(moduli))]
     if max(sizes) > _N_LIMIT:
         raise ValueError(f"census handles at most {_N_LIMIT} points a set, got {max(sizes)} points")
     S, K = len(sets), max(sizes)
     ns = np.array(moduli, dtype=np.int64)
     ks = np.array(sizes, dtype=np.int64)
-    xs = np.zeros((S, K), dtype=row_type)
-    ys = np.zeros((S, K), dtype=row_type)
+    xs = np.zeros((S, K), dtype=np.int64)
+    ys = np.zeros((S, K), dtype=np.int64)
     for s, ps in enumerate(sets):
         xs[s, : sizes[s]] = ps.xs
         ys[s, : sizes[s]] = ps.ys
-    inv = _slope_inverses(int((xs[np.arange(S), ks - 1] - xs[:, 0]).max()), m).astype(row_type, copy=False)
     whole, images = _orbits(sets, xs, ys, ns, ks)
     cols = np.arange(K)
+    real = cols < ks[:, None]
     # a set's points ascend in (x, y), so it has a vertical pair iff two neighbours share an x
-    vertical = bool(((xs[:, 1:] == xs[:, :-1]) & (cols[1:] < ks[:, None])).any())
+    vertical = bool(((xs[:, 1:] == xs[:, :-1]) & real[:, 1:]).any())
+    if m is None:  # float32 rows; the padding's NaN makes its quotients NaN
+        row_xs, row_ys = (np.where(real, v, np.nan).astype(np.float32) for v in (xs, ys))
+        inv = None
+    else:
+        row_xs, row_ys = xs, ys
+        inv = _slope_inverses(int((xs[np.arange(S), ks - 1] - xs[:, 0]).max()), m)
     anchors = (images >= cols).all(axis=0)  # least index in its orbit
-    anchors &= cols < ks[:, None]
+    anchors &= real
     row_set, row_anchor = np.nonzero(anchors)
     images = images[:, row_set, row_anchor]
     # orbit size = group order / stabiliser order; a set that is not whole maps every point to itself
@@ -459,14 +535,16 @@ def census_many(sets: Sequence[PointSet]) -> list[IncidenceCensus]:
     # to 4 MB more peak RSS).  They live until the census returns: freed
     # before the keys are built, they left the line-sweep benchmark at about
     # 3.7 MB more peak RSS in roughly half the directories it ran from.
-    ints = [np.empty(entries, dtype=row_type) for _ in range(3)]
+    ints = [np.empty(entries, dtype=row_xs.dtype) for _ in range(2 if inv is None else 3)]
     flags = np.empty(entries, dtype=bool)
     at, groups, codes = [], [], []  # per block: each group's row, size and slope code
     for lo, hi, width in blocks:
         sid = row_set[lo:hi]
         anchor = row_anchor[lo:hi]
         work = [a[: (hi - lo) * width].reshape(hi - lo, width) for a in (*ints, flags)]
-        row, group, code = _row_groups(xs[:, :width], ys[:, :width], sid, anchor, ks[sid], inv, m, work, vertical)
+        row, group, code = _row_groups(
+            row_xs[:, :width], row_ys[:, :width], sid, anchor, ks[sid], inv, m, work, vertical
+        )
         at.append(row + lo)
         groups.append(group)
         codes.append(code)
@@ -486,10 +564,15 @@ def census_many(sets: Sequence[PointSet]) -> list[IncidenceCensus]:
     N = int(bounds[-1])
     rows = np.empty((5, N), dtype=np.int64)
     keys = rows[:, : len(s)]
-    dx, dy = _directions(np.concatenate(codes), m)
-    wrong = np.gcd(dx, dy) != 1
-    if wrong.any():
-        raise RuntimeError(f"census rebuilt a direction that is not reduced in set {s[np.argmax(wrong)]} of the stack")
+    code = np.concatenate(codes)
+    dx, dy = _quotient_directions(code) if m is None else _directions(code, m)
+    checks = [(np.gcd(dx, dy) != 1, "is not reduced")]
+    if m is None:
+        with np.errstate(divide="ignore"):  # a vertical (0, 1) divides to inf
+            checks.append((dy.astype(np.float32) / dx.astype(np.float32) != code, "does not divide to its code"))
+    for wrong, what in checks:
+        if wrong.any():
+            raise RuntimeError(f"census rebuilt a direction that {what} in set {s[np.argmax(wrong)]} of the stack")
     keys[0], keys[1], keys[2], keys[4] = s, dy, -dx, group + 1
     keys[3] = -(keys[1] * xs[s, i] + keys[2] * ys[s, i])
     for which, (swap, reflect) in enumerate(_MAPS):
@@ -507,7 +590,7 @@ def census_many(sets: Sequence[PointSet]) -> list[IncidenceCensus]:
     np.add(np.multiply(major, 2 * span, out=major), B, out=major)
     by_c = np.argsort(C)
     order = by_c[np.argsort(major[by_c], kind="stable")]
-    del keys, image, A, B, C, major, dx, dy, wrong, by_c  # released before the gather
+    del keys, image, A, B, C, major, dx, dy, code, checks, wrong, by_c  # released before the gather
     rows = np.take(rows, order, axis=1)  # faster than rows[:, order]
     major, C, t = rows[0], rows[3], rows[4]
     distinct = np.ones(N, dtype=bool)  # a line of two sizes keeps both, for the checks

@@ -59,7 +59,15 @@ from .geometry import (
     verify_line_classes,
     verify_ordinary_bound,
 )
-from .hyperbola import EXACT_N_LIMIT, HyperbolaSpec, PointSet, check_unit_budget, enumerate_many, enumerate_points
+from .hyperbola import (
+    EXACT_N_LIMIT,
+    HyperbolaSpec,
+    InfeasibleScale,
+    PointSet,
+    check_unit_budget,
+    enumerate_many,
+    enumerate_points,
+)
 from .ntcore import PrimePower, is_prime, primes_upto
 
 DEFAULT_FIXTURES = Path("fixtures") / "distance_counts.csv"
@@ -619,8 +627,9 @@ def read_fixture_rows(path: Path | str) -> list[tuple[int, int, int, int]]:
 
     Raises ``ValueError`` naming the file line when a column is missing, a
     row lacks one of them or has more fields than the header, a field is
-    not an integer, p**m is past ``EXACT_N_LIMIT``, p is not prime or m < 1,
-    p divides a, or the file holds no rows.
+    not an integer, p**m is past ``EXACT_N_LIMIT`` or its units past the
+    memory budget of ``check_unit_budget``, p is not prime or m < 1, p
+    divides a, or the file holds no rows.
     """
     columns = ("p", "m", "a", "expected_count")
     with open(path, newline="") as fh:
@@ -647,6 +656,10 @@ def read_fixture_rows(path: Path | str) -> list[tuple[int, int, int, int]]:
         # p**m is computed only for p and m that keep it small
         if p > EXACT_N_LIMIT or m >= EXACT_N_LIMIT.bit_length() or p**m > EXACT_N_LIMIT:
             raise ValueError(f"{where} has p**m past the int64-exact limit {EXACT_N_LIMIT}: p = {p}, m = {m}")
+        try:
+            check_unit_budget(p**m)
+        except InfeasibleScale as exc:
+            raise ValueError(f"{where} has p**m past the memory budget: p = {p}, m = {m}; {exc}") from None
         if not is_prime(p):
             raise ValueError(f"{where} is not a prime power p**m: p = {p}, m = {m}")
         if a % p == 0:

@@ -230,6 +230,17 @@ def test_verify_tables_refuses_a_row_past_the_int64_limit(capsys, tmp_path, row)
     assert err.startswith("error: ") and f"{bad} line 2 has p**m past the int64-exact limit" in err
 
 
+def test_verify_tables_refuses_a_row_past_the_memory_budget(capsys, tmp_path):
+    # 8209**2 = 67387681 is within the int64-exact limit, but its units would
+    # need about 2056 MB, over the 2048 MB budget
+    bad = tmp_path / "bad.csv"
+    bad.write_text("p,m,a,expected_count\n3,1,1,2\n8209,2,1,1\n")
+    rc, out, err = run(capsys, "verify", "tables", "--fixtures", str(bad))
+    assert rc == 2 and out == ""
+    assert err.startswith("error: ") and f"{bad} line 3 has p**m past the memory budget: p = 8209, m = 2" in err
+    assert "2056 MB" in err and "Traceback" not in err
+
+
 def test_verify_tables_refuses_a_field_that_is_no_integer(capsys, tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("p,m,a,expected_count\n3,2,x,5\n")
@@ -302,14 +313,15 @@ def test_verbose_prints_the_peak_rss(capsys, jobs):
 
 def test_verbose_prints_the_census_stacks_by_tier(capsys):
     # one line for a line sweep, counted in the caller whatever --jobs is;
-    # theorem6 at n <= 1040 puts 1031 and 1033, then 1039, past 2**10
+    # theorem6 at n <= 2903 puts 2903, the one prime power in 2898..2903, past the
+    # float32 tier's n <= 2897
     for jobs in "12":
         rc, plain, _ = run(capsys, "verify", "prime-lines", "--format", "json", "--jobs", jobs)
         rc, out, err = run(capsys, "verify", "prime-lines", "--format", "json", "--jobs", jobs, "--verbose")
         assert rc == 0 and out == plain
-        assert err.splitlines()[-1] == "census stacks: 8 (int32 rows 8, int32 codes 0, int64 0)"
-    rc, _, err = run(capsys, "verify", "theorem6", "--n-max", "1040", "--jobs", "1", "--verbose")
-    assert err.splitlines()[-1] == "census stacks: 24 (int32 rows 22, int32 codes 2, int64 0)"
+        assert err.splitlines()[-1] == "census stacks: 8 (float32 8, int32 codes 0, int64 0)"
+    rc, _, err = run(capsys, "verify", "theorem6", "--n-max", "2903", "--jobs", "1", "--verbose")
+    assert err.splitlines()[-1] == "census stacks: 264 (float32 263, int32 codes 1, int64 0)"
     rc, _, err = run(capsys, "verify", "prime-distance", "--n-max", "13", "--verbose")
     assert "census" not in err  # no line sweep, no census
 

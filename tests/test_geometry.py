@@ -20,10 +20,9 @@ from modhyp.geometry import (
     _MAPS,
     _N_LIMIT,
     _N_LIMIT_32,
-    _N_LIMIT_SMALL,
+    _N_LIMIT_FLOAT,
     _SLOPE_PRIME,
     _SLOPE_PRIME_32,
-    _SLOPE_PRIME_SMALL,
     DegeneratePair,
     LineKey,
     OutOfScope,
@@ -41,7 +40,9 @@ from modhyp.geometry import (
     _directions,
     _slope_codes,
     _orbits,
+    _quotient_directions,
     _slope_inverses,
+    _slope_quotients,
 )
 from modhyp.hyperbola import (
     HyperbolaSpec,
@@ -539,12 +540,28 @@ def test_oracle_pins_ordinary_count_49():
 
 
 def test_census_refuses_a_direction_that_is_not_reduced(monkeypatch):
-    # every direction _directions rebuilds is reduced, so a doubled one is a
-    # fault of the rebuild: the census must name its set, not reduce it
-    directions = geometry._directions
+    # every direction either rebuild returns is reduced, so a doubled one is a
+    # fault of the rebuild: the census must name its set, not reduce it.  Set 0,
+    # a prime set, has no rich line; set 1 has one, in the float32 tier (n = 49)
+    # and in the int32-codes tier (n = 2898, whose diagonals hold five points)
+    n = _N_LIMIT_FLOAT + 1
+    diagonals = _point_set(HyperbolaSpec(1, n), _extreme_points(n) + [(2, 2), (3, 3), (n - 2, 2), (n - 3, 3)])
+    h13, h49 = enumerate_points(HyperbolaSpec(1, 13)), enumerate_points(HyperbolaSpec(1, 49))
+    quotient_directions, directions = geometry._quotient_directions, geometry._directions
+    monkeypatch.setattr(geometry, "_quotient_directions", lambda code: tuple(2 * d for d in quotient_directions(code)))
     monkeypatch.setattr(geometry, "_directions", lambda code, m: tuple(2 * d for d in directions(code, m)))
-    with pytest.raises(RuntimeError, match="not reduced in set 1 of the stack"):
-        census_many([enumerate_points(HyperbolaSpec(1, 13)), enumerate_points(HyperbolaSpec(1, 49))])
+    for stack in ([h13, h49], [h13, diagonals]):
+        with pytest.raises(RuntimeError, match="not reduced in set 1 of the stack"):
+            census_many(stack)
+
+    # a reduced direction of another slope: its float32 quotient is not the group's code
+    def sheared(code):
+        dx, dy = quotient_directions(code)
+        return dx, dy + dx
+
+    monkeypatch.setattr(geometry, "_quotient_directions", sheared)
+    with pytest.raises(RuntimeError, match="does not divide to its code in set 1 of the stack"):
+        census_many([h13, h49])
 
 
 def test_census_examples():
@@ -589,14 +606,13 @@ def test_slope_constants():
     # and -2 - col (padding; col < 2**20, the census's cap on a set's points) fit int32
     info = np.iinfo(np.int32)
     assert info.min <= -2 - (_N_LIMIT - 1) and _SLOPE_PRIME_32 <= info.max
-    # up to n = 2**10 the codes are taken mod the least prime above 2 * (2**10 - 1)**2,
-    # and every product dy * dx**-1 of the row arithmetic is formed in int32
-    assert _N_LIMIT_SMALL == 2**10 and is_prime(_SLOPE_PRIME_SMALL)
-    assert _SLOPE_PRIME_SMALL > 2 * (_N_LIMIT_SMALL - 1) ** 2
-    assert not any(is_prime(m) for m in range(2 * (_N_LIMIT_SMALL - 1) ** 2 + 1, _SLOPE_PRIME_SMALL))
-    assert (_N_LIMIT_SMALL - 1) * (_SLOPE_PRIME_SMALL - 1) < 2**31
-    # the reduction's floor(product / M) * M stays above -2**31 too
-    assert -(_N_LIMIT_SMALL - 1) * (_SLOPE_PRIME_SMALL - 1) - (_SLOPE_PRIME_SMALL - 1) >= info.min
+    # up to n = 2897 the codes are float32 quotients: the largest n with (n - 1)**2 < 2**23,
+    # and a nonzero quotient of |dy|, dx <= n - 1 is above 2**-12, so it is a multiple of 2**-35,
+    # below 2**47 * 2**-35 in absolute value
+    assert (_N_LIMIT_FLOAT - 1) ** 2 < 2**23 <= _N_LIMIT_FLOAT**2
+    assert 1 / (_N_LIMIT_FLOAT - 1) > 2**-12 and _N_LIMIT_FLOAT - 1 < 2**12
+    assert (_N_LIMIT_FLOAT - 1) * 2**35 < 2**47
+    assert _N_LIMIT_FLOAT < _N_LIMIT_32 < _N_LIMIT
 
 
 def _adversarial_directions(top, seed):
@@ -649,9 +665,9 @@ def _assert_codes_exact(dirs, code):
             assert (c1 == c2) == (dy1 * dx2 == dy2 * dx1), ((dx1, dy1), (dx2, dy2))
 
 
-def _assert_directions_rebuilt(dirs, code, m):
+def _assert_directions_rebuilt(dirs, rebuilt):
     # the rebuilt direction of each code is its direction reduced by math.gcd, up to sign
-    dx, dy = _directions(code, m)
+    dx, dy = rebuilt
     for (ex, ey), rx, ry in zip(dirs, dx.tolist(), dy.tolist()):
         g = math.gcd(ex, ey)
         assert (rx, ry) in ((ex // g, ey // g), (-ex // g, -ey // g)), ((ex, ey), (rx, ry))
@@ -664,7 +680,7 @@ def test_slope_codes_exact_on_adversarial_directions():
     dirs = _adversarial_directions(top, 11)
     code = _codes_of(dirs, top, _SLOPE_PRIME)
     _assert_codes_exact(dirs, code)
-    _assert_directions_rebuilt(dirs, code, _SLOPE_PRIME)
+    _assert_directions_rebuilt(dirs, _directions(code, _SLOPE_PRIME))
 
 
 def test_int32_codes_and_directions_at_the_edge():
@@ -675,22 +691,66 @@ def test_int32_codes_and_directions_at_the_edge():
     dirs = _adversarial_directions(top, 12)
     code = _codes_of(dirs, top, _SLOPE_PRIME_32)
     _assert_codes_exact(dirs, code)
-    _assert_directions_rebuilt(dirs, code, _SLOPE_PRIME_32)
+    _assert_directions_rebuilt(dirs, _directions(code, _SLOPE_PRIME_32))
     dx, dy = _directions(np.array([0, _SLOPE_PRIME_32], dtype=np.int32), _SLOPE_PRIME_32)
     assert (dx.tolist(), dy.tolist()) == ([1, 0], [0, 1])  # horizontal, vertical
 
 
-def test_int32_rows_codes_and_directions_at_the_edge():
-    # n = 2**10: directions with |dx|, |dy| <= 2**10 - 1 coded mod _SLOPE_PRIME_SMALL
-    # with every row array int32, the codes dx's own array, and every direction
-    # rebuilt from its code
-    top = _N_LIMIT_SMALL - 1
+def _quotients_of(dirs):
+    """The census's float32 quotients dy / dx of the given directions, vertical ones folded to +inf."""
+    dx = np.array([v[0] for v in dirs], dtype=np.float32)
+    dy = np.array([v[1] for v in dirs], dtype=np.float32)
+    code = _slope_quotients(dx.copy(), dy.copy(), True)
+    assert code.dtype == np.float32 and not np.isnan(code).any()
+    assert (code[dx == 0] == np.inf).all()
+    # a stack without vertical pairs skips their pass: every other direction keeps its quotient
+    slanted = dx != 0
+    assert (_slope_quotients(dx[slanted], dy[slanted], False) == code[slanted]).all()
+    return code
+
+
+def test_float32_quotients_and_directions_at_the_edge():
+    # n = 2897: directions with |dx|, |dy| <= 2896 coded as float32 quotients, and
+    # every direction rebuilt from its quotient by its continued fraction, with
+    # dx >= 0 (Farey neighbours near 2896, scaled copies, both signs, both axes)
+    top = _N_LIMIT_FLOAT - 1
     dirs = _adversarial_directions(top, 13)
-    code = _codes_of(dirs, top, _SLOPE_PRIME_SMALL, np.int32)
+    code = _quotients_of(dirs)
     _assert_codes_exact(dirs, code)
-    _assert_directions_rebuilt(dirs, code, _SLOPE_PRIME_SMALL)
-    dx, dy = _directions(np.array([0, _SLOPE_PRIME_SMALL], dtype=np.int32), _SLOPE_PRIME_SMALL)
-    assert (dx.tolist(), dy.tolist()) == ([1, 0], [0, 1])  # horizontal, vertical
+    dx, dy = _quotient_directions(code)
+    _assert_directions_rebuilt(dirs, (dx, dy))
+    assert dx.min() >= 0 and set(dy[dx == 0].tolist()) == {1}
+    # the horizontal quotients +0.0 and -0.0 are one code; an anchor's own 0 / 0 is NaN
+    dx = np.array([1, -1, 0, 0, 0], dtype=np.float32)
+    code = _slope_quotients(dx, np.array([0, 0, 2, -2, 0], dtype=np.float32), True)
+    assert code[0] == code[1] and code[2] == code[3] == np.inf and np.isnan(code[4])
+    dx, dy = _quotient_directions(code[:4])
+    assert (dx.tolist(), dy.tolist()) == ([1, 1, 0, 0], [0, 0, 1, 1])
+
+
+def _reduced_fractions(qs):
+    """(q, p) of every reduced p / q with 0 <= p < _N_LIMIT_FLOAT and q in qs, as two int64 arrays."""
+    q, p = np.meshgrid(qs, np.arange(_N_LIMIT_FLOAT), indexing="ij")
+    keep = np.gcd(p, q) == 1
+    return q[keep], p[keep]
+
+
+def test_float32_quotients_of_every_slope_at_the_edge_are_distinct():
+    # every reduced p / q with 0 <= p, q <= 2896 has its own float32 quotient, so
+    # no two slopes of the float32 tier share a code (blocks of 256 denominators
+    # keep the arrays small)
+    quotients = []
+    for lo in range(1, _N_LIMIT_FLOAT, 256):
+        q, p = _reduced_fractions(np.arange(lo, min(lo + 256, _N_LIMIT_FLOAT)))
+        quotients.append(p.astype(np.float32) / q.astype(np.float32))
+    quotients = np.concatenate(quotients)
+    assert len(quotients) == 5_099_256
+    assert len(np.unique(quotients)) == len(quotients)
+    # and the continued fraction rebuilds (q, +-p) for every denominator q >= 2796
+    q, p = _reduced_fractions(np.arange(2796, _N_LIMIT_FLOAT))
+    for sign in (1, -1):
+        dx, dy = _quotient_directions((sign * p).astype(np.float32) / q.astype(np.float32))
+        assert (dx == q).all() and (dy == sign * p).all()
 
 
 def _extreme_points(n):
@@ -718,33 +778,41 @@ def test_census_extreme_coordinates_int32():
         _assert_matches_oracle(_point_set(HyperbolaSpec(1, n), pts))
 
 
-def test_census_extreme_coordinates_int32_rows():
-    # the same at n = 2**10, the largest modulus whose row arithmetic is int32,
-    # and at 2**10 + 1, the smallest whose products are int64
-    for n in (_N_LIMIT_SMALL, _N_LIMIT_SMALL + 1):
+def test_census_extreme_coordinates_float32():
+    # the same at n = 2897, the largest modulus whose codes are float32
+    # quotients, and at 2898, the smallest whose codes are taken mod 2**31 - 1
+    for n in (_N_LIMIT_FLOAT, _N_LIMIT_FLOAT + 1):
         pts = _extreme_points(n) + [(2, 2), (3, 3), (n - 2, 2), (n - 3, 3)]
         _assert_matches_oracle(_point_set(HyperbolaSpec(1, n), pts))
 
 
 def test_census_stack_mixes_int32_and_int64_moduli():
     # a stack whose largest modulus is above 2**15 takes int64 codes for all
-    # of its sets; each set still censuses as it does alone (int32 rows for
-    # those of n <= 2**10, int32 codes up to 2**15) and as the oracle says
+    # of its sets; each set still censuses as it does alone (float32 quotients,
+    # with no inverse table, for those of n <= 2897, int32 codes up to 2**15)
+    # and as the oracle says
     n = _N_LIMIT_32 + 3
     big = _point_set(HyperbolaSpec(1, n), _extreme_points(n) + [(3, 3), (n - 3, n - 3)])
     sets = [enumerate_points(HyperbolaSpec(1, 49)), big, enumerate_points(HyperbolaSpec(2, 25))]
     sets.append(_point_set(HyperbolaSpec(1, _N_LIMIT_32), _extreme_points(_N_LIMIT_32)))
-    primes = []
-    slope_inverses = geometry._slope_inverses
+    primes, quotients = [], []
+    slope_inverses, quotient_directions = geometry._slope_inverses, geometry._quotient_directions
 
     def spy(span, m):
         primes.append(m)
         return slope_inverses(span, m)
 
-    with mock.patch.object(geometry, "_slope_inverses", spy):
+    def float_spy(code):
+        quotients.append(code.dtype)
+        return quotient_directions(code)
+
+    with mock.patch.object(geometry, "_slope_inverses", spy), mock.patch.object(
+        geometry, "_quotient_directions", float_spy
+    ):
         batch = census_many(sets)
         single = [census(ps) for ps in sets]
-    assert primes == [_SLOPE_PRIME, _SLOPE_PRIME_SMALL, _SLOPE_PRIME, _SLOPE_PRIME_SMALL, _SLOPE_PRIME_32]
+    assert primes == [_SLOPE_PRIME, _SLOPE_PRIME, _SLOPE_PRIME_32]
+    assert quotients == [np.float32, np.float32]  # the censuses of H_{1,49} and H_{2,25} alone
     for ps, cen, alone in zip(sets, batch, single):
         hist, rich = _census_oracle(ps.points)
         assert (cen.n, cen.point_count) == (alone.n, alone.point_count)
