@@ -56,9 +56,10 @@ from .ntcore import PrimePower, euler_phi
 _ROW_BLOCK = 1 << 16
 # The stack's largest modulus n picks one of three tiers (census_tier):
 # - up to n = 2897, the largest n with (n - 1)**2 < 2**23, a code is the
-#   float32 quotient dy / dx ("float32"): two different slopes of
-#   |dx|, |dy| <= n - 1 differ by at least 1 / (n - 1)**2, more than the
-#   2**-23 * |F| that two reals rounding to one float32 F can differ by;
+#   float32 quotient dy / dx ("float32"): two different slopes dy / dx and
+#   dy' / dx' with |dy|, dx, dx' <= n - 1 differ by at least 1 / (dx * dx'),
+#   more than the 2**-23 * |F|, about 2**-23 * |dy| / dx, that two reals
+#   rounding to one float32 F can differ by, as |dy| * dx' < 2**23;
 # - up to n = 2**15, codes are dy * dx**-1 mod the Mersenne prime 2**31 - 1,
 #   from int64 products, as int32 ("int32 codes");
 # - up to n = _N_LIMIT, codes are taken mod _SLOPE_PRIME and everything is
@@ -438,10 +439,11 @@ def census(ps: PointSet) -> IncidenceCensus:
     quotient c = dy / dx of float32 coordinates, +inf when vertical (looked
     for only in a stack where some set repeats an x); the anchor's own
     column (0 / 0) and padding (NaN coordinates) give NaN, which sorts last
-    and equals nothing.  It is exact: two different slopes of
-    |dx|, |dy| <= N = n - 1 differ by at least 1 / N**2, and two reals that
-    round to one float32 F differ by at most 2**-23 * |F| <= 2**-23 * N, less
-    as N**2 < 2**23.  Above 2897 the code is c = dy * dx**-1 mod M (c = M
+    and equals nothing.  It is exact: two different slopes dy / dx and
+    dy' / dx' with |dy|, dx, dx' <= N = n - 1 differ by at least
+    1 / (dx * dx'), and two reals that round to one float32 F differ by at
+    most 2**-23 * |F|, about 2**-23 * |dy| / dx, less as
+    |dy| * dx' <= N**2 < 2**23.  Above 2897 the code is c = dy * dx**-1 mod M (c = M
     when vertical), with dx**-1 read from a signed table at dx + span: up to
     2**15, M = 2**31 - 1, the products are int64 and the int32 codes are
     written into the bytes of the block's dx array; above that

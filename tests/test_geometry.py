@@ -639,22 +639,21 @@ def _adversarial_directions(top, seed):
     return sorted(set(dirs) | {(-dx, -dy) for dx, dy in dirs})
 
 
-def _codes_of(dirs, top, m, row_type=np.int64):
-    """The census slope codes mod m of the given directions, through the signed inverse table,
-    with the row arithmetic in row_type."""
-    inv = _slope_inverses(top, m).astype(row_type)
+def _codes_of(dirs, top, m):
+    """The census slope codes mod m of the given directions, through the signed inverse table."""
+    inv = _slope_inverses(top, m)
     assert len(inv) == 2 * top + 1
     for d in (1, 2, 3, 1000, top - 1, top):
         assert inv[top + d] == pow(d, -1, m)
         assert inv[top - d] == pow(-d, -1, m)
-    dx = np.array([v[0] + top for v in dirs], dtype=row_type)  # indexes the signed table
-    dy = np.array([v[1] for v in dirs], dtype=row_type)
+    dx = np.array([v[0] + top for v in dirs], dtype=np.int64)  # indexes the signed table
+    dy = np.array([v[1] for v in dirs], dtype=np.int64)
     code = _slope_codes(dx.copy(), dy.copy(), inv, m, np.empty_like(dx), True)
     assert code.dtype == (np.int32 if m < 2**31 else np.int64)
     assert code.min() >= 0 and code.max() <= m
     # a stack without vertical pairs skips their pass: every other direction keeps its code
     slanted = dx != top
-    unchecked = _slope_codes(dx[slanted], dy[slanted], inv, m, np.empty(slanted.sum(), dtype=row_type), False)
+    unchecked = _slope_codes(dx[slanted], dy[slanted], inv, m, np.empty(slanted.sum(), dtype=np.int64), False)
     assert (unchecked == code[slanted]).all()
     return code
 
