@@ -23,8 +23,9 @@ set's weighted group counts give its count of each line size.  Only the
 keys of lines with three or more points are kept: each group's direction
 is rebuilt from its code, a float32 quotient by its continued fraction and
 an integer code by a half extended Euclid on (M, code), the keys of a
-whole set are closed under its three maps, and all are ordered by C and then, by a stable sort, by one int64 major key
-that leads with the set index, and cut back per set.  The tests check the
+whole set are closed under its three maps, and all are ordered by C and
+then, by a stable sort, by one int64 major key that leads with the set
+index, and cut back per set.  The tests check the
 census against an independent cross-product oracle.  The lemma 7 checks
 recount every rich line without the census, by sorting A*x + B*y for a
 block of directions at once, one row per direction, and the collinearity
