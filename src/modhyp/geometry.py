@@ -10,19 +10,16 @@ sigma (x, y) -> (y, x), nu (x, y) -> (n-x, n-y) and sigma*nu, so one anchor
 per orbit is swept, weighted by its orbit size; any other set (a subset, a
 class or a grid) is swept at every point.  An anchor's row codes the slope
 to every other point of its set so that equal codes mean equal slopes (no
-per-pair gcd).  The stack's largest modulus picks one of three tiers: up to
-n = 2897, where (n - 1)**2 < 2**23, the code is the float32 quotient dy / dx,
-and two different slopes never round to one float32; up to n = 2**15 it is
-dy * dx**-1 modulo the prime 2**31 - 1, and up to n = 2**20 modulo a prime
-above 2**41, both above 2 * (n - 1)**2, so integer codes are equal exactly
-when the slopes are.  Vertical directions are looked for only in a stack
-where some set repeats an x, which no hyperbola set does.  One row sort
-per block of rows groups the points of each line through the anchor.  A
-t-point line is a group of t-1 points at each of its t points, so each
+per-pair gcd): the code is the float quotient dy / dx, float32 when the
+stack's largest modulus is at most 2897, where (n - 1)**2 < 2**23, else
+float64 up to n = 2**20, where (n - 1)**2 < 2**52, so two different slopes
+never round to one float.  Vertical directions are looked for only in a
+stack where some set repeats an x, which no hyperbola set does.  One row
+sort per block of rows groups the points of each line through the anchor.
+A t-point line is a group of t-1 points at each of its t points, so each
 set's weighted group counts give its count of each line size.  Only the
 keys of lines with three or more points are kept: each group's direction
-is rebuilt from its code, a float32 quotient by its continued fraction and
-an integer code by a half extended Euclid on (M, code), the keys of a
+is rebuilt from its quotient by its continued fraction, the keys of a
 whole set are closed under its three maps, and all are ordered by C and
 then, by a stable sort, by one int64 major key that leads with the set
 index, and cut back per set.  The tests check the
@@ -44,42 +41,47 @@ import numpy as np
 from .hyperbola import HyperbolaSpec, PointSet, enumerate_points
 from .ntcore import PrimePower, euler_phi
 
-# Row entries per block of whole anchor rows.  A block's three int64 work
-# arrays and its flags take 25 B per entry, 1.6 MB at 2**16, so they stay in a
-# 2 MB per-core L2 cache; at 2**17 (3.3 MB) they do not.  In the float32 tier
-# (n <= 2897) its two float32 work arrays and the flags take 9 B per entry.
-# The codes the block sorts live in the bytes of its dx array, so they add
-# nothing.  In-process line-sweep passes (theorem6, lemma7 and collinearity
-# at n <= 625, then prime-lines) on a 2-core x86-64 host with 2 MB of L2 per
+# Row entries per block of whole anchor rows.  A block's two work arrays and
+# its flags take 17 B per entry in the float64 tier, 1.1 MB at 2**16, and 9 B
+# in the float32 tier, so they stay in a 2 MB per-core L2 cache.  The codes
+# the block sorts live in the bytes of its dx array, so they add nothing.
+# In-process line-sweep passes (theorem6, lemma7 and collinearity at
+# n <= 625, then prime-lines) on a 2-core x86-64 host with 2 MB of L2 per
 # core took a median 381 ms at 2**16, against 385 ms at 2**15, 407 ms at 2**17
-# and 575 ms at 2**18 (12 rounds, the four sizes alternating, before the
-# float32 tier).
+# and 575 ms at 2**18 (12 rounds, the four sizes alternating, with 25 B
+# entries, before the float tiers).
 _ROW_BLOCK = 1 << 16
-# The stack's largest modulus n picks one of three tiers (census_tier):
-# - up to n = 2897, the largest n with (n - 1)**2 < 2**23, a code is the
-#   float32 quotient dy / dx ("float32"): two different slopes dy / dx and
-#   dy' / dx' with |dy|, dx, dx' <= n - 1 differ by at least 1 / (dx * dx'),
-#   more than the 2**-23 * |F|, about 2**-23 * |dy| / dx, that two reals
-#   rounding to one float32 F can differ by, as |dy| * dx' < 2**23;
-# - up to n = 2**15, codes are dy * dx**-1 mod the Mersenne prime 2**31 - 1,
-#   from int64 products, as int32 ("int32 codes");
-# - up to n = _N_LIMIT, codes are taken mod _SLOPE_PRIME and everything is
-#   int64 ("int64").
-# A modular code's M exceeds 2 * (n - 1)**2, so every cross product
-# dy1*dx2 - dy2*dx1 of two directions is below M in absolute value and equal
-# codes mean equal slopes (see census).  The codes, M itself (vertical) and
-# the sentinels -1 (the anchor) and -2 - col (padding) fit the codes' dtype.
-# _N_LIMIT also caps a set's point count.
+# The stack's largest modulus n picks one of two tiers (census_tier).  A code
+# is the quotient F = dy / dx of the tier's floats, whose coordinates, and so
+# dx and dy, are exact:
+# - "float32" up to n = 2897, the largest n with (n - 1)**2 < 2**23;
+# - "float64" up to n = _N_LIMIT = 2**20.
+# Codes are exact.  Two different slopes dy / dx and dy' / dx' with
+# |dy|, dx, dx' <= N = n - 1 differ by at least 1 / (dx * dx').  Two reals
+# that round to one float F differ by at most 2**-b * |F|, about
+# 2**-b * |dy| / dx, b = 23 (float32) or 52 (float64), which is less as
+# |dy| * dx' <= N**2 < 2**b: 2896**2 < 2**23 and (2**20 - 1)**2 < 2**52.
+# The rebuild (_quotient_directions) reads F as P / 2**s, s the tier's scale,
+# and is exact because |P / 2**s - dy / dx| * dx * N < 1 / 2:
+# - float32, s = 35: a nonzero |F| is above 1 / 2896 > 2**-12, so its ulp is
+#   at least 2**-35 and P = F * 2**35 is exact, |P| < 2**47;
+#   |F - dy / dx| <= 2**-24 * |dy| / dx, and times dx * N that is below
+#   2**-24 * N**2 < 1 / 2;
+# - float64, s = 42: P = rint(F * 2**42), so
+#   |P / 2**42 - dy / dx| <= 2**-43 + 2**-53 * |dy| / dx, and times dx * N,
+#   with dx, |dy| <= N < 2**20, that is at most 2**-3 + 2**-13 < 1 / 2;
+#   |P| < 2**20 * 2**42 = 2**62, so P fits int64.
+# So dy / dx is within 1 / (2 * dx**2) of P / 2**s and, by Legendre's
+# theorem, one of its convergents; every other fraction with denominator
+# <= N is at least 1 / (dx * N) from dy / dx, so further from P / 2**s, and
+# dy / dx is the last convergent with denominator <= N.  _N_LIMIT also caps
+# a set's point count and the rich-key sort's major key.
 _N_LIMIT = 1 << 20
-_SLOPE_PRIME = 2199023255579  # the least prime above 2**41
-_N_LIMIT_32 = 1 << 15
-_SLOPE_PRIME_32 = (1 << 31) - 1
 _N_LIMIT_FLOAT = 2897
-# tier name: (largest modulus, M or None for float32 quotients), ascending
+# tier name: (largest modulus, code dtype, scale s), ascending
 _TIERS = {
-    "float32": (_N_LIMIT_FLOAT, None),
-    "int32 codes": (_N_LIMIT_32, _SLOPE_PRIME_32),
-    "int64": (_N_LIMIT, _SLOPE_PRIME),
+    "float32": (_N_LIMIT_FLOAT, np.float32, 35),
+    "float64": (_N_LIMIT, np.float64, 42),
 }
 CENSUS_TIERS = tuple(_TIERS)
 _MAPS = ((True, False), (False, True), (True, True))  # sigma, nu, sigma*nu as (swap, reflect)
@@ -172,61 +174,15 @@ class IncidenceCensus:
         return f"{self.n},{self.a},{self.ordinary_count},{self.max_collinear}"
 
 
-def _slope_inverses(span: int, m: int) -> np.ndarray:
-    """The signed table inv[span + d] = d**-1 mod m for 0 < |d| <= span (inv[span] = 0 is unused).
-
-    It has 2 * span + 1 int64 entries, 16 MB at span = 2**20 (the census's
-    n <= 2**20), so every direction of a census indexes it by dx + span,
-    without folding dx to one sign first.
-    """
-    # m = (m // d) * d + m % d gives d**-1 = -(m // d) * (m % d)**-1 (mod m),
-    # with m % d < d already inverted: cheaper than one pow(d, -1, m) each
-    inv = [0, 1]
-    for d in range(2, span + 1):
-        inv.append((m - m // d) * inv[m % d] % m)
-    positive = np.array(inv[1 : span + 1], dtype=np.int64)
-    return np.concatenate((m - positive[::-1], [0], positive))  # (-d)**-1 = m - d**-1
-
-
-def _slope_codes(
-    dx: np.ndarray, dy: np.ndarray, inv: np.ndarray, m: int, out: np.ndarray, vertical: bool
-) -> np.ndarray:
-    """The codes dy * dx**-1 mod m per direction, m where it is vertical, written over dx.
-
-    inv is ``_slope_inverses(span, m)`` and dx holds each direction's
-    dx + span, so the vertical directions are where dx == span; dy and out
-    are int64 scratch of dx's shape.  Only when vertical is true are they
-    looked for: without it every direction with dx == span is taken to be
-    zero (an anchor's own column), and its code is 0.  The codes are a view
-    of dx's bytes: int32 when m < 2**31 (the first half of its bytes), else
-    int64 (dx itself).  For |dx|, |dy| < sqrt(m / 2) two codes are equal
-    exactly when dy1 * dx2 == dy2 * dx1.
-    """
-    # every dx of two real points is in range (a padding column's may be
-    # clipped; the census overwrites its code); "clip" writes out unbuffered
-    np.take(inv, dx, out=out, mode="clip")
-    out *= dy
-    upright = dx == len(inv) // 2 if vertical else None
-    # out % m, but floor division by a scalar is faster
-    np.floor_divide(out, m, out=dy)
-    dy *= m
-    code = dx.reshape(-1).view(np.int32 if m < 1 << 31 else np.int64)[: dx.size].reshape(dx.shape)
-    np.subtract(out, dy, out=code, casting="unsafe")  # dx is dead: its bytes take the codes
-    if vertical:
-        np.copyto(code, m, where=upright)
-    return code
-
-
 def _slope_quotients(dx: np.ndarray, dy: np.ndarray, vertical: bool) -> np.ndarray:
-    """The float32 quotients dy / dx per direction, +inf where it is vertical, written over dx.
+    """The quotients dy / dx per direction, in dx's float dtype, +inf where it is vertical, written over dx.
 
-    dx and dy are float32 differences of coordinates below _N_LIMIT_FLOAT,
-    so exact.  An anchor's own column (0 / 0) and a padding column (NaN)
-    give NaN, which sorts last and equals nothing.  Only when vertical is
-    true is -inf folded into +inf: without it no direction but an anchor's
-    own has dx == 0.  Two quotients are equal exactly when the slopes are
-    (the float32 tier, above _TIERS); a horizontal direction gives +0.0 or
-    -0.0, which compare equal.
+    dx and dy are differences of float coordinates of the tier's dtype, so
+    exact.  An anchor's own column (0 / 0) and a padding column (NaN) give
+    NaN, which sorts last and equals nothing.  Only when vertical is true is
+    -inf folded into +inf: without it no direction but an anchor's own has
+    dx == 0.  Two quotients are equal exactly when the slopes are (above
+    _TIERS); a horizontal direction gives +0.0 or -0.0, which compare equal.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
         code = np.divide(dy, dx, out=dx)
@@ -235,29 +191,26 @@ def _slope_quotients(dx: np.ndarray, dy: np.ndarray, vertical: bool) -> np.ndarr
     return code
 
 
-def _quotient_directions(code: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The reduced direction (dx, dy), dx >= 0, of each float32 quotient F = dy / dx, and (0, 1) for F = inf.
+def _quotient_directions(code: np.ndarray, top: int, scale: int) -> tuple[np.ndarray, np.ndarray]:
+    """The reduced direction (dx, dy), dx >= 0, of each quotient F = dy / dx, and (0, 1) for F = inf.
 
-    A nonzero F has |F| > 1 / 2896 > 2**-12, so its float32 ulp is at least
-    2**-35 and F = P / 2**35 for an int64 P, |P| < 2**47.  The true slope
-    dy / dx, dx <= N = _N_LIMIT_FLOAT - 1, lies within 2**-24 * |F| of F,
-    under 1 / (2 * dx**2) as N**2 < 2**23, so by Legendre's theorem it is a
-    convergent of P / 2**35; the next convergent is nearer F, and by the
-    tier's gap bound it cannot have a denominator <= N.  So (dx, |dy|) is
-    the last convergent with denominator <= N.  The convergents of every F
-    are walked at once, as ``_directions`` walks Euclid: one Euclid step on
-    the remainders (r0, r1) per step, the numerators and denominators
-    h0, h1 = h1, h0 + a * h1 beside them, and an entry ends at its first
-    denominator past N (taking the one before) or at a zero remainder.
+    The directions have |dy|, dx <= top, and scale is their tier's s: the
+    int64 P = rint(F * 2**s) has dy / dx as its last convergent with
+    denominator <= top (above _TIERS).  The convergents of every F are
+    walked at once: one Euclid step on the remainders (r0, r1) per step, the
+    numerators and denominators h0, h1 = h1, h0 + a * h1 beside them, and an
+    entry ends at its first denominator past top (taking the one before) or
+    at a zero remainder.  No convergent of P / 2**s has a denominator above
+    2**s or a numerator above |P| < 2**63, so none overflows.
     """
-    top = _N_LIMIT_FLOAT - 1
     vertical = np.isinf(code)
-    exact = (np.where(vertical, 0, code).astype(np.float64) * 2.0**35).astype(np.int64)  # P
+    exact = np.rint(np.where(vertical, 0, code).astype(np.float64) * 2.0**scale).astype(np.int64)  # P
     live = np.flatnonzero(~vertical)
     # rows hi and lo: the remainders r0 > r1; rows hi + 2 and lo + 2 their numerators, hi + 4 and
-    # lo + 4 their denominators (lo holds the newest convergent); row 6 each entry's place
+    # lo + 4 their denominators (lo holds the newest convergent); row 6 each entry's place, so a
+    # step compacts the live entries with one np.compress, not seven gathers
     state = np.zeros((7, len(live)), dtype=np.int64)
-    state[0], state[1], state[3], state[4], state[6] = np.abs(exact[live]), 1 << 35, 1, 1, live
+    state[0], state[1], state[3], state[4], state[6] = np.abs(exact[live]), 1 << scale, 1, 1, live
     hi, lo = 0, 1
     done = [np.empty((3, 0), dtype=np.int64)]
     while state.shape[1]:
@@ -277,39 +230,6 @@ def _quotient_directions(code: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return dx, dy
 
 
-def _directions(code: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """The reduced direction (dx, dy) of each slope code c mod m: dy = c * dx (mod m), and (0, 1) for c = m.
-
-    Half of the extended Euclidean algorithm on (m, c): its remainders r and
-    cofactors t keep r = t * c (mod m), and at the first r <= isqrt(m // 2)
-    the pair (dx, dy) = (t, r) is the only direction, up to sign, with both
-    entries at most that bound in absolute value, and coprime because m is
-    prime.  So it is exact for every code of a census, whose
-    |dx|, |dy| <= n - 1 with 2 * (n - 1)**2 < m.
-    """
-    stop = math.isqrt(m // 2)
-    vertical = code == m
-    dx = (~vertical).astype(np.int64)
-    dy = np.where(vertical, 1, code).astype(np.int64)
-    live = np.flatnonzero(dy > stop)
-    # one row each for r0 > r1, their cofactors t0 and t1 (rows hi + 2 and lo + 2) and each
-    # entry's place, so a step compacts the live entries with one np.compress, not five gathers
-    state = np.stack([np.full(len(live), m), dy[live], np.zeros(len(live), dtype=np.int64), dx[live], live])
-    hi, lo = 0, 1
-    done = [np.empty((3, 0), dtype=np.int64)]
-    while state.shape[1]:
-        q = state[hi] // state[lo]
-        state[hi] -= q * state[lo]  # r0, r1 = r1, r0 - q * r1 by trading the rows' roles
-        state[hi + 2] -= q * state[lo + 2]
-        hi, lo = lo, hi
-        end = state[lo] <= stop
-        done.append(np.compress(end, state[[lo, lo + 2, 4]], axis=1))
-        state = np.compress(~end, state, axis=1)
-    r, t, at = np.concatenate(done, axis=1)
-    dx[at], dy[at] = t, r
-    return dx, dy
-
-
 def check_census_modulus(n: int) -> None:
     """Refuse moduli past the range where the census slope codes are exact."""
     if n > _N_LIMIT:
@@ -319,7 +239,7 @@ def check_census_modulus(n: int) -> None:
 def census_tier(n: int) -> str:
     """The slope-code tier, a name in CENSUS_TIERS, of a census stack whose largest modulus is n."""
     check_census_modulus(n)
-    return next(name for name, (limit, _) in _TIERS.items() if n <= limit)
+    return next(name for name, (limit, _, _) in _TIERS.items() if n <= limit)
 
 
 def _orbits(
@@ -371,41 +291,27 @@ def _row_blocks(rows_per_set: np.ndarray, ks: np.ndarray) -> list[tuple[int, int
     return blocks
 
 
-def _row_groups(xs, ys, sid, anchor, row_k, inv, m, work, vertical) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _row_groups(xs, ys, sid, anchor, work, vertical) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Sort one block of (set, anchor) rows and find its groups of two or more points.
 
-    Row r is anchor[r] of set sid[r], whose points fill its first row_k[r]
-    columns of xs and ys; xs, ys and work are as wide as the block's widest
-    row.  In the float32 tier inv is None and xs and ys are float32 with NaN
-    padding; else inv is ``_slope_inverses(span, m)``.  Returns, per group,
-    its row r, its size and its slope code.  work holds (R, width) arrays
-    dx and dy (float32, else int64 and a third int64 product scratch) and
-    flags (bool), which every block overwrites: the census allocates its
-    row arrays once, not once per block.  vertical says whether some set of
-    the stack has two points of one x (``_slope_codes``).
+    Row r is anchor[r] of set sid[r]; xs and ys hold the stack's coordinates
+    as floats of the tier's dtype with NaN padding, and they and work are as
+    wide as the block's widest row.  Returns, per group, its row r, its size
+    and its slope code.  work holds (R, width) arrays dx and dy (of the
+    coordinates' dtype) and flags (bool), which every block overwrites: the
+    census allocates its row arrays once, not once per block.  vertical says
+    whether some set of the stack has two points of one x
+    (``_slope_quotients``).
     """
-    dx, dy, flags = work[0], work[1], work[-1]
+    dx, dy, flags = work
     width = xs.shape[1]
     np.take(xs, sid, axis=0, out=dx, mode="clip")
-    shift = xs[sid, anchor][:, None]
-    dx -= shift if inv is None else shift - len(inv) // 2  # dx + span indexes the signed table
+    dx -= xs[sid, anchor][:, None]
     np.take(ys, sid, axis=0, out=dy, mode="clip")
     dy -= ys[sid, anchor][:, None]
-    if inv is None:
-        # the anchor (0 / 0) and padding give NaN, which sorts last and equals nothing: a row
-        # ends on NaN, so no run crosses from one row into the next
-        code = _slope_quotients(dx, dy, vertical)
-    else:
-        code = _slope_codes(dx, dy, inv, m, work[2], vertical)
-        if (row_k < width).any():
-            # padding column c takes -2 - c: distinct, and below every slope code
-            cols = np.arange(width)
-            np.less_equal(row_k[:, None], cols, out=flags)
-            np.copyto(code, -2 - cols, where=flags)
-        # a row's sentinels (-1 for its anchor, -2 - c for padding) are distinct
-        # and sort first, and it ends on a slope code >= 0 (a row has at least
-        # one other point), so no run crosses from one row into the next
-        code[np.arange(len(anchor)), anchor] = -1
+    # the anchor (0 / 0) and padding give NaN, which sorts last and equals nothing: a row
+    # ends on NaN, so no run crosses from one row into the next
+    code = _slope_quotients(dx, dy, vertical)
     code.sort(axis=1)
     flat = code.ravel()
     same = flags.ravel()  # same[p]: flat entries p and p + 1 share a slope
@@ -436,25 +342,19 @@ def census(ps: PointSet) -> IncidenceCensus:
     Rows: one row per (set, anchor) pair, set-major.  Anchor i's row holds
     every other point j of its set, coded by the direction (dx, dy) = j - i,
     a direction and its negation alike.  The stack's largest modulus picks
-    the tier (``census_tier``).  Up to 2897 the code is the float32
-    quotient c = dy / dx of float32 coordinates, +inf when vertical (looked
-    for only in a stack where some set repeats an x); the anchor's own
+    the tier (``census_tier``), float32 up to 2897 and float64 up to 2**20,
+    and the code is the quotient c = dy / dx of the tier's float
+    coordinates, +inf when vertical (looked for only in a stack where some
+    set repeats an x), written over the block's dx array; the anchor's own
     column (0 / 0) and padding (NaN coordinates) give NaN, which sorts last
     and equals nothing.  It is exact: two different slopes dy / dx and
     dy' / dx' with |dy|, dx, dx' <= N = n - 1 differ by at least
-    1 / (dx * dx'), and two reals that round to one float32 F differ by at
-    most 2**-23 * |F|, about 2**-23 * |dy| / dx, less as
-    |dy| * dx' <= N**2 < 2**23.  Above 2897 the code is c = dy * dx**-1 mod M (c = M
-    when vertical), with dx**-1 read from a signed table at dx + span: up to
-    2**15, M = 2**31 - 1, the products are int64 and the int32 codes are
-    written into the bytes of the block's dx array; above that
-    M = _SLOPE_PRIME and they are int64.  It is exact too: c1 == c2 iff
-    dy1 * dx2 = dy2 * dx1 (mod M), and that cross-product difference is at
-    most 2 * (n-1)**2 < M in absolute value, so iff the slopes are equal.
-    There the anchor's own column is -1 and a padding column c is -2 - c:
-    distinct, below every code, and sorted first.  One ``np.sort`` per
-    block of rows, at most _ROW_BLOCK entries of the block's widest row
-    each; a block may span sets and reuses one set of row arrays.  Each run
+    1 / (dx * dx'), and two reals that round to one float F differ by at
+    most 2**-b * |F|, about 2**-b * |dy| / dx, less as
+    |dy| * dx' <= N**2 < 2**b (b = 23 for float32, 52 for float64).  One
+    ``np.sort`` per block of rows, at most _ROW_BLOCK entries of the block's
+    widest row each; a block may span sets and reuses one set of row
+    arrays.  Each run
     of equal c is the rest of one line through i, so a t-point line is one
     group of size exactly t-1 at each of its t points.
     Counts: H[s, size], on the (S, K) grid of the stack's coordinates, is
@@ -463,12 +363,11 @@ def census(ps: PointSet) -> IncidenceCensus:
     L_t = H[s, t-1] / t lines of t points, row s of an (S, K + 1) grid and
     zero past its k, checked and summarised as ``census_many`` describes.
     Rich lines are keyed as (set, A, B, C, t) from the anchor and the code
-    of each group of size >= 2: ``_quotient_directions`` (float32) or
-    ``_directions`` rebuilds every group's reduced direction (dx, dy) (a
-    direction with gcd(dx, dy) != 1, or in the float32 tier one whose
-    float32 dy / dx is not its code, raises ``RuntimeError``), and A = dy,
-    B = -dx, C = -(A*x + B*y).  The keys and,
-    for a whole set, their images under its three maps, N columns of one
+    of each group of size >= 2: ``_quotient_directions`` rebuilds every
+    group's reduced direction (dx, dy) (a direction with gcd(dx, dy) != 1,
+    or one whose dy / dx in the tier's dtype is not its code, raises
+    ``RuntimeError``), and A = dy, B = -dx, C = -(A*x + B*y).  The keys
+    and, for a whole set, their images under its three maps, N columns of one
     (5, N) int64 array, are ordered by the major key
     (set * span + A) * 2 * span + B, span the stack's largest n, and then
     by C (an ``np.argsort`` by C, then a stable one by major key over the
@@ -498,7 +397,7 @@ def census_many(sets: Sequence[PointSet]) -> list[IncidenceCensus]:
     sizes = [len(ps) for ps in sets]
     if min(sizes) < 2:
         raise TooFewPoints(f"{min(sizes)} point(s) span no lines")
-    _, m = _TIERS[census_tier(max(moduli))]
+    limit, dtype, scale = _TIERS[census_tier(max(moduli))]
     if max(sizes) > _N_LIMIT:
         raise ValueError(f"census handles at most {_N_LIMIT} points a set, got {max(sizes)} points")
     S, K = len(sets), max(sizes)
@@ -514,12 +413,8 @@ def census_many(sets: Sequence[PointSet]) -> list[IncidenceCensus]:
     real = cols < ks[:, None]
     # a set's points ascend in (x, y), so it has a vertical pair iff two neighbours share an x
     vertical = bool(((xs[:, 1:] == xs[:, :-1]) & real[:, 1:]).any())
-    if m is None:  # float32 rows; the padding's NaN makes its quotients NaN
-        row_xs, row_ys = (np.where(real, v, np.nan).astype(np.float32) for v in (xs, ys))
-        inv = None
-    else:
-        row_xs, row_ys = xs, ys
-        inv = _slope_inverses(int((xs[np.arange(S), ks - 1] - xs[:, 0]).max()), m)
+    # the rows' coordinates as floats of the tier; the padding's NaN makes its quotients NaN
+    row_xs, row_ys = (np.where(real, v, np.nan).astype(dtype, copy=False) for v in (xs, ys))
     anchors = (images >= cols).all(axis=0)  # least index in its orbit
     anchors &= real
     row_set, row_anchor = np.nonzero(anchors)
@@ -532,22 +427,20 @@ def census_many(sets: Sequence[PointSet]) -> list[IncidenceCensus]:
     np.add.at(H[:, 1], row_set, (ks[row_set] - 1) * row_weight)
     blocks = _row_blocks(np.bincount(row_set, minlength=S), ks)
     entries = max((hi - lo) * width for lo, hi, width in blocks)
-    # one array each, not one (3, entries) array: glibc raises its mmap
+    # one array each, not one (2, entries) array: glibc raises its mmap
     # threshold to the size of each mapping freed, and a 3 MB one moves every
     # later allocation below 3 MB onto the heap (the line sweeps then read up
     # to 4 MB more peak RSS).  They live until the census returns: freed
     # before the keys are built, they left the line-sweep benchmark at about
     # 3.7 MB more peak RSS in roughly half the directories it ran from.
-    ints = [np.empty(entries, dtype=row_xs.dtype) for _ in range(2 if inv is None else 3)]
+    floats = [np.empty(entries, dtype=dtype) for _ in range(2)]
     flags = np.empty(entries, dtype=bool)
     at, groups, codes = [], [], []  # per block: each group's row, size and slope code
     for lo, hi, width in blocks:
         sid = row_set[lo:hi]
         anchor = row_anchor[lo:hi]
-        work = [a[: (hi - lo) * width].reshape(hi - lo, width) for a in (*ints, flags)]
-        row, group, code = _row_groups(
-            row_xs[:, :width], row_ys[:, :width], sid, anchor, ks[sid], inv, m, work, vertical
-        )
+        work = [a[: (hi - lo) * width].reshape(hi - lo, width) for a in (*floats, flags)]
+        row, group, code = _row_groups(row_xs[:, :width], row_ys[:, :width], sid, anchor, work, vertical)
         at.append(row + lo)
         groups.append(group)
         codes.append(code)
@@ -568,11 +461,10 @@ def census_many(sets: Sequence[PointSet]) -> list[IncidenceCensus]:
     rows = np.empty((5, N), dtype=np.int64)
     keys = rows[:, : len(s)]
     code = np.concatenate(codes)
-    dx, dy = _quotient_directions(code) if m is None else _directions(code, m)
-    checks = [(np.gcd(dx, dy) != 1, "is not reduced")]
-    if m is None:
-        with np.errstate(divide="ignore"):  # a vertical (0, 1) divides to inf
-            checks.append((dy.astype(np.float32) / dx.astype(np.float32) != code, "does not divide to its code"))
+    dx, dy = _quotient_directions(code, limit - 1, scale)
+    with np.errstate(divide="ignore"):  # a vertical (0, 1) divides to inf
+        divided = dy.astype(dtype) / dx.astype(dtype)
+    checks = ((np.gcd(dx, dy) != 1, "is not reduced"), (divided != code, "does not divide to its code"))
     for wrong, what in checks:
         if wrong.any():
             raise RuntimeError(f"census rebuilt a direction that {what} in set {s[np.argmax(wrong)]} of the stack")
@@ -593,7 +485,7 @@ def census_many(sets: Sequence[PointSet]) -> list[IncidenceCensus]:
     np.add(np.multiply(major, 2 * span, out=major), B, out=major)
     by_c = np.argsort(C)
     order = by_c[np.argsort(major[by_c], kind="stable")]
-    del keys, image, A, B, C, major, dx, dy, code, checks, wrong, by_c  # released before the gather
+    del keys, image, A, B, C, major, dx, dy, code, divided, checks, wrong, by_c  # released before the gather
     rows = np.take(rows, order, axis=1)  # faster than rows[:, order]
     major, C, t = rows[0], rows[3], rows[4]
     distinct = np.ones(N, dtype=bool)  # a line of two sizes keeps both, for the checks

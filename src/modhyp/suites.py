@@ -131,8 +131,9 @@ def _failures_case(key: str, inputs: dict, failures: list) -> CaseRecord:
 # cleared, the caller first and then each extra process in start order;
 # ``verify --verbose`` prints it to stderr.
 process_loads: list[list] = []
-# Census stacks per slope-code tier (``geometry.census_tier``) of every line
-# sweep since the dict was last cleared; ``verify --verbose`` prints it too.
+# Census stacks per slope-code tier (``geometry.census_tier``: float32 or
+# float64 quotients, by the stack's largest modulus) of every line sweep since
+# the dict was last cleared; ``verify --verbose`` prints it too.
 census_stacks: dict[str, int] = {}
 
 

@@ -319,9 +319,9 @@ def test_verbose_prints_the_census_stacks_by_tier(capsys):
         rc, plain, _ = run(capsys, "verify", "prime-lines", "--format", "json", "--jobs", jobs)
         rc, out, err = run(capsys, "verify", "prime-lines", "--format", "json", "--jobs", jobs, "--verbose")
         assert rc == 0 and out == plain
-        assert err.splitlines()[-1] == "census stacks: 8 (float32 8, int32 codes 0, int64 0)"
+        assert err.splitlines()[-1] == "census stacks: 8 (float32 8, float64 0)"
     rc, _, err = run(capsys, "verify", "theorem6", "--n-max", "2903", "--jobs", "1", "--verbose")
-    assert err.splitlines()[-1] == "census stacks: 264 (float32 263, int32 codes 1, int64 0)"
+    assert err.splitlines()[-1] == "census stacks: 264 (float32 263, float64 1)"
     rc, _, err = run(capsys, "verify", "prime-distance", "--n-max", "13", "--verbose")
     assert "census" not in err  # no line sweep, no census
 
@@ -487,6 +487,9 @@ EDGE_DIGESTS = [
     ("census", 3, 343, "json", "03594a80b2786b8716aafaef13897bed153e7c3b4d059e9e487d246c00a0df89"),
     ("census", 3, 343, "csv", "6178ec25e19ad399e081d9f2dfe89dd7724ca08cfb7e4c36164454568ea6f41d"),
     ("census", 3, 343, "text", "391d3e66193e9a41982a66dda667ca54a86937260995e9d58373045ed564ec34"),
+    # the smallest prime past the float32 tier, recorded while its slopes were
+    # coded dy * dx**-1 mod 2**31 - 1
+    ("census", 1, 3001, "json", "e8286c968095fc768f72c809ded611b419ffab520045693ec8b9a66899675752"),
     ("distances", 1, 49, "json", "1e6010c8898626c00ca4621479ee67184cbb6aa381abc38e6291c704957980bb"),
     ("distances", 1, 49, "csv", "ad335f12777b4d6648fbe787aeb3d5d0e57be931df1b7f5cbcacb127ae244f49"),
     ("distances", 1, 49, "text", "be1abdfc293f1381ee2826a537e88f181c08f70295b73b985b1367ccd977dc15"),

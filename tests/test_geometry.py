@@ -6,6 +6,7 @@ import itertools
 import json
 import math
 import random
+import tracemalloc
 from collections.abc import Sequence
 from fractions import Fraction
 from unittest import mock
@@ -19,10 +20,8 @@ from modhyp import geometry
 from modhyp.geometry import (
     _MAPS,
     _N_LIMIT,
-    _N_LIMIT_32,
     _N_LIMIT_FLOAT,
-    _SLOPE_PRIME,
-    _SLOPE_PRIME_32,
+    _TIERS,
     DegeneratePair,
     LineKey,
     OutOfScope,
@@ -37,11 +36,8 @@ from modhyp.geometry import (
     verify_line_classes,
     verify_ordinary_bound,
     zero_intercept_lines,
-    _directions,
-    _slope_codes,
     _orbits,
     _quotient_directions,
-    _slope_inverses,
     _slope_quotients,
 )
 from modhyp.hyperbola import (
@@ -50,7 +46,7 @@ from modhyp.hyperbola import (
     enumerate_points,
     partition_classes,
 )
-from modhyp.ntcore import PrimePower, euler_phi, is_prime
+from modhyp.ntcore import PrimePower, euler_phi
 
 
 def _point_set(spec, points):
@@ -358,7 +354,7 @@ def test_census_many_refuses_bad_stacks_before_any_work(monkeypatch):
             assert (cen.n, cen.point_count, cen.histogram) == (alone.n, alone.point_count, alone.histogram)
             assert list(cen.lines()) == list(alone.lines())
     monkeypatch.setattr(geometry, "_orbits", no_work)
-    monkeypatch.setattr(geometry, "_slope_inverses", no_work)
+    monkeypatch.setattr(geometry, "_row_groups", no_work)
     with pytest.raises(ValueError, match="at least one point set"):
         census_many([])
     with pytest.raises(TooFewPoints):
@@ -415,6 +411,26 @@ def test_census_keys_are_pinned():
         enumerate_points(HyperbolaSpec(3, 343)),
     ]
     assert [_census_digest(cen) for cen in census_many(stack)] == _STACK_CENSUS_DIGESTS
+
+
+# sets above the float32 tier, recorded while their slopes were still coded
+# dy * dx**-1 mod a prime: H_{1,2**13}, H_{3,19**3}, and the x mod p class 2 of
+# H_{1,181**2} and of H_{1,1021**2}
+_FLOAT64_CENSUS_DIGESTS = {
+    (1, 2**13, None): "37600a7cd20d81d06f84a05d908b0d04f21ad5ba4156e622582cc99ac5c3d25f",
+    (3, 19**3, None): "26ce1ef11b165ea7bb57ee0165aae42d64a934160d797eda43b0efc0aa1eba7f",
+    (1, 181**2, 2): "f42979c42747b0bfed105f8f314d7047d8308a4df7837015d74dc64842310b68",
+    (1, 1021**2, 2): "ff0a8c0ffed565f6b1a8cc3f83aaa66bcc37477167ec211fdce96e4947c7455e",
+}
+
+
+def test_census_keys_past_the_float32_tier_are_pinned():
+    for (a, n, residue), want in _FLOAT64_CENSUS_DIGESTS.items():
+        ps = enumerate_points(HyperbolaSpec(a, n))
+        if residue is not None:  # one x mod p class, without building the other p - 2
+            keep = ps.xs % math.isqrt(n) == residue
+            ps = PointSet(ps.spec, ps.xs[keep], ps.ys[keep])
+        assert _census_digest(census(ps)) == want, (a, n, residue)
 
 
 def test_census_many_refuses_a_stack_past_the_major_key_range():
@@ -540,28 +556,29 @@ def test_oracle_pins_ordinary_count_49():
 
 
 def test_census_refuses_a_direction_that_is_not_reduced(monkeypatch):
-    # every direction either rebuild returns is reduced, so a doubled one is a
+    # every direction the rebuild returns is reduced, so a doubled one is a
     # fault of the rebuild: the census must name its set, not reduce it.  Set 0,
     # a prime set, has no rich line; set 1 has one, in the float32 tier (n = 49)
-    # and in the int32-codes tier (n = 2898, whose diagonals hold five points)
+    # and in the float64 tier (n = 2898, whose diagonals hold five points)
     n = _N_LIMIT_FLOAT + 1
     diagonals = _point_set(HyperbolaSpec(1, n), _extreme_points(n) + [(2, 2), (3, 3), (n - 2, 2), (n - 3, 3)])
     h13, h49 = enumerate_points(HyperbolaSpec(1, 13)), enumerate_points(HyperbolaSpec(1, 49))
-    quotient_directions, directions = geometry._quotient_directions, geometry._directions
-    monkeypatch.setattr(geometry, "_quotient_directions", lambda code: tuple(2 * d for d in quotient_directions(code)))
-    monkeypatch.setattr(geometry, "_directions", lambda code, m: tuple(2 * d for d in directions(code, m)))
-    for stack in ([h13, h49], [h13, diagonals]):
+    stacks = ([h13, h49], [h13, diagonals])
+    quotient_directions = geometry._quotient_directions
+    monkeypatch.setattr(geometry, "_quotient_directions", lambda *tier: tuple(2 * d for d in quotient_directions(*tier)))
+    for stack in stacks:
         with pytest.raises(RuntimeError, match="not reduced in set 1 of the stack"):
             census_many(stack)
 
-    # a reduced direction of another slope: its float32 quotient is not the group's code
-    def sheared(code):
-        dx, dy = quotient_directions(code)
+    # a reduced direction of another slope: its quotient in the tier's dtype is not the group's code
+    def sheared(*tier):
+        dx, dy = quotient_directions(*tier)
         return dx, dy + dx
 
     monkeypatch.setattr(geometry, "_quotient_directions", sheared)
-    with pytest.raises(RuntimeError, match="does not divide to its code in set 1 of the stack"):
-        census_many([h13, h49])
+    for stack in stacks:
+        with pytest.raises(RuntimeError, match="does not divide to its code in set 1 of the stack"):
+            census_many(stack)
 
 
 def test_census_examples():
@@ -594,25 +611,27 @@ def test_census_modulus_limit():
 
 
 def test_slope_constants():
-    assert is_prime(_SLOPE_PRIME)
-    assert _SLOPE_PRIME > 2 * (_N_LIMIT - 1) ** 2  # cross products never wrap mod M
-    assert _SLOPE_PRIME < 2**42 and (2**20 - 1) * _SLOPE_PRIME < 2**63  # the int64 code products fit
     assert _N_LIMIT == 2**20
-    # up to n = 2**15 the codes are taken mod the Mersenne prime 2**31 - 1
-    assert _SLOPE_PRIME_32 == 2**31 - 1 and is_prime(_SLOPE_PRIME_32)
-    assert _N_LIMIT_32 == 2**15 and _SLOPE_PRIME_32 > 2 * (_N_LIMIT_32 - 1) ** 2
-    assert (2**15 - 1) * _SLOPE_PRIME_32 < 2**63  # its products are still formed in int64
-    # every code 0 .. M - 1, the vertical code M and the sentinels -1 (anchor)
-    # and -2 - col (padding; col < 2**20, the census's cap on a set's points) fit int32
-    info = np.iinfo(np.int32)
-    assert info.min <= -2 - (_N_LIMIT - 1) and _SLOPE_PRIME_32 <= info.max
+    assert list(_TIERS) == ["float32", "float64"]
+    assert _TIERS["float32"] == (_N_LIMIT_FLOAT, np.float32, 35)
+    assert _TIERS["float64"] == (_N_LIMIT, np.float64, 42)
     # up to n = 2897 the codes are float32 quotients: the largest n with (n - 1)**2 < 2**23,
     # and a nonzero quotient of |dy|, dx <= n - 1 is above 2**-12, so it is a multiple of 2**-35,
-    # below 2**47 * 2**-35 in absolute value
+    # below 2**47 * 2**-35 in absolute value; its rebuild error, times dx * (n - 1), is below 1 / 2
     assert (_N_LIMIT_FLOAT - 1) ** 2 < 2**23 <= _N_LIMIT_FLOAT**2
     assert 1 / (_N_LIMIT_FLOAT - 1) > 2**-12 and _N_LIMIT_FLOAT - 1 < 2**12
     assert (_N_LIMIT_FLOAT - 1) * 2**35 < 2**47
-    assert _N_LIMIT_FLOAT < _N_LIMIT_32 < _N_LIMIT
+    assert Fraction((_N_LIMIT_FLOAT - 1) ** 2, 2**24) < Fraction(1, 2)
+    # up to n = 2**20 they are float64 quotients: (n - 1)**2 < 2**52, so two slopes never
+    # round to one float64; P = rint(F * 2**42) is off dy / dx by at most 2**-43 + 2**-53 * |dy| / dx,
+    # which times dx * (n - 1) is below 1 / 2, and |P| <= (n - 1) * 2**42 < 2**62 fits int64
+    top = _N_LIMIT - 1
+    assert top**2 < 2**52 and top < 2**20
+    assert Fraction(top, 2**43) + Fraction(top**2, 2**53) <= Fraction(1, 2**3) + Fraction(1, 2**13) < Fraction(1, 2)
+    assert top * 2**42 < 2**62
+    # both tiers' coordinates, and so their differences, are exact in their dtype
+    assert _N_LIMIT_FLOAT < 2**24 and _N_LIMIT < 2**53
+    assert _N_LIMIT_FLOAT < _N_LIMIT
 
 
 def _adversarial_directions(top, seed):
@@ -639,25 +658,6 @@ def _adversarial_directions(top, seed):
     return sorted(set(dirs) | {(-dx, -dy) for dx, dy in dirs})
 
 
-def _codes_of(dirs, top, m):
-    """The census slope codes mod m of the given directions, through the signed inverse table."""
-    inv = _slope_inverses(top, m)
-    assert len(inv) == 2 * top + 1
-    for d in (1, 2, 3, 1000, top - 1, top):
-        assert inv[top + d] == pow(d, -1, m)
-        assert inv[top - d] == pow(-d, -1, m)
-    dx = np.array([v[0] + top for v in dirs], dtype=np.int64)  # indexes the signed table
-    dy = np.array([v[1] for v in dirs], dtype=np.int64)
-    code = _slope_codes(dx.copy(), dy.copy(), inv, m, np.empty_like(dx), True)
-    assert code.dtype == (np.int32 if m < 2**31 else np.int64)
-    assert code.min() >= 0 and code.max() <= m
-    # a stack without vertical pairs skips their pass: every other direction keeps its code
-    slanted = dx != top
-    unchecked = _slope_codes(dx[slanted], dy[slanted], inv, m, np.empty(slanted.sum(), dtype=np.int64), False)
-    assert (unchecked == code[slanted]).all()
-    return code
-
-
 def _assert_codes_exact(dirs, code):
     for (dx1, dy1), c1 in zip(dirs, code.tolist()):
         for (dx2, dy2), c2 in zip(dirs, code.tolist()):
@@ -672,35 +672,12 @@ def _assert_directions_rebuilt(dirs, rebuilt):
         assert (rx, ry) in ((ex // g, ey // g), (-ex // g, -ey // g)), ((ex, ey), (rx, ry))
 
 
-def test_slope_codes_exact_on_adversarial_directions():
-    # directions (dx, dy) with |dx|, |dy| < 2**20 of either sign, as census pairs
-    # have, coded mod _SLOPE_PRIME as int64
-    top = _N_LIMIT - 1
-    dirs = _adversarial_directions(top, 11)
-    code = _codes_of(dirs, top, _SLOPE_PRIME)
-    _assert_codes_exact(dirs, code)
-    _assert_directions_rebuilt(dirs, _directions(code, _SLOPE_PRIME))
-
-
-def test_int32_codes_and_directions_at_the_edge():
-    # n = 2**15: directions with |dx|, |dy| <= 2**15 - 1 coded mod 2**31 - 1 as
-    # int32, and every direction rebuilt from its code by the half extended
-    # Euclid (Farey neighbours near 2**15, scaled copies, both signs, both axes)
-    top = _N_LIMIT_32 - 1
-    dirs = _adversarial_directions(top, 12)
-    code = _codes_of(dirs, top, _SLOPE_PRIME_32)
-    _assert_codes_exact(dirs, code)
-    _assert_directions_rebuilt(dirs, _directions(code, _SLOPE_PRIME_32))
-    dx, dy = _directions(np.array([0, _SLOPE_PRIME_32], dtype=np.int32), _SLOPE_PRIME_32)
-    assert (dx.tolist(), dy.tolist()) == ([1, 0], [0, 1])  # horizontal, vertical
-
-
-def _quotients_of(dirs):
-    """The census's float32 quotients dy / dx of the given directions, vertical ones folded to +inf."""
-    dx = np.array([v[0] for v in dirs], dtype=np.float32)
-    dy = np.array([v[1] for v in dirs], dtype=np.float32)
+def _quotients_of(dirs, dtype):
+    """The census's quotients dy / dx in dtype of the given directions, vertical ones folded to +inf."""
+    dx = np.array([v[0] for v in dirs], dtype=dtype)
+    dy = np.array([v[1] for v in dirs], dtype=dtype)
     code = _slope_quotients(dx.copy(), dy.copy(), True)
-    assert code.dtype == np.float32 and not np.isnan(code).any()
+    assert code.dtype == dtype and not np.isnan(code).any()
     assert (code[dx == 0] == np.inf).all()
     # a stack without vertical pairs skips their pass: every other direction keeps its quotient
     slanted = dx != 0
@@ -708,23 +685,60 @@ def _quotients_of(dirs):
     return code
 
 
-def test_float32_quotients_and_directions_at_the_edge():
-    # n = 2897: directions with |dx|, |dy| <= 2896 coded as float32 quotients, and
-    # every direction rebuilt from its quotient by its continued fraction, with
-    # dx >= 0 (Farey neighbours near 2896, scaled copies, both signs, both axes)
-    top = _N_LIMIT_FLOAT - 1
-    dirs = _adversarial_directions(top, 13)
-    code = _quotients_of(dirs)
+def _rebuilt(code):
+    """The directions _quotient_directions rebuilds from quotients of code's dtype, with that tier's bounds."""
+    limit, _, scale = next(tier for tier in _TIERS.values() if tier[1] == code.dtype)
+    return _quotient_directions(code, limit - 1, scale)
+
+
+def _assert_quotients_at_the_edge(dtype, top, seed):
+    # directions with |dx|, |dy| <= top coded as quotients of dtype, and every direction
+    # rebuilt from its quotient by its continued fraction, with dx >= 0 (Farey neighbours
+    # near top, scaled copies, both signs, both axes)
+    dirs = _adversarial_directions(top, seed)
+    code = _quotients_of(dirs, dtype)
     _assert_codes_exact(dirs, code)
-    dx, dy = _quotient_directions(code)
+    dx, dy = _rebuilt(code)
     _assert_directions_rebuilt(dirs, (dx, dy))
     assert dx.min() >= 0 and set(dy[dx == 0].tolist()) == {1}
     # the horizontal quotients +0.0 and -0.0 are one code; an anchor's own 0 / 0 is NaN
-    dx = np.array([1, -1, 0, 0, 0], dtype=np.float32)
-    code = _slope_quotients(dx, np.array([0, 0, 2, -2, 0], dtype=np.float32), True)
+    dx = np.array([1, -1, 0, 0, 0], dtype=dtype)
+    code = _slope_quotients(dx, np.array([0, 0, 2, -2, 0], dtype=dtype), True)
     assert code[0] == code[1] and code[2] == code[3] == np.inf and np.isnan(code[4])
-    dx, dy = _quotient_directions(code[:4])
+    dx, dy = _rebuilt(code[:4])
     assert (dx.tolist(), dy.tolist()) == ([1, 1, 0, 0], [0, 0, 1, 1])
+
+
+def test_float64_quotients_and_directions_at_the_edge():
+    # n = 2**20, the largest modulus a census admits
+    _assert_quotients_at_the_edge(np.float64, _N_LIMIT - 1, 11)
+
+
+def test_float64_rebuilds_farey_neighbours_near_the_edge():
+    # Farey neighbours b / a and d / c, b * c - a * d = -1, are the closest slopes of
+    # their denominators; with denominators a near 2**20 - 1 and random numerators b,
+    # both signs, every quotient differs from its neighbour's and rebuilds to its
+    # (a, +-b) or (c, +-d)
+    rng = np.random.default_rng(14)
+    top = _N_LIMIT - 1
+    a = np.repeat(np.arange(top - 63, top + 1, dtype=np.int64), 256)
+    b = rng.integers(1, top + 1, size=len(a))
+    keep = np.gcd(a, b) == 1
+    a, b = a[keep], b[keep]
+    c = np.array([-pow(v, -1, u) % u for u, v in zip(a.tolist(), b.tolist())], dtype=np.int64)
+    d = (1 + b * c) // a
+    assert ((b * c - a * d == -1) & (c > 0) & (c < a)).all()
+    q, p = np.concatenate([a, c]), np.concatenate([b, d])
+    for sign in (1, -1):
+        code = (sign * p).astype(np.float64) / q.astype(np.float64)
+        assert (code[: len(a)] != code[len(a) :]).all()
+        dx, dy = _rebuilt(code)
+        assert (dx == q).all() and (dy == sign * p).all()
+
+
+def test_float32_quotients_and_directions_at_the_edge():
+    # n = 2897, the largest modulus of the float32 tier
+    _assert_quotients_at_the_edge(np.float32, _N_LIMIT_FLOAT - 1, 13)
 
 
 def _reduced_fractions(qs):
@@ -748,7 +762,7 @@ def test_float32_quotients_of_every_slope_at_the_edge_are_distinct():
     # and the continued fraction rebuilds (q, +-p) for every denominator q >= 2796
     q, p = _reduced_fractions(np.arange(2796, _N_LIMIT_FLOAT))
     for sign in (1, -1):
-        dx, dy = _quotient_directions((sign * p).astype(np.float32) / q.astype(np.float32))
+        dx, dy = _rebuilt((sign * p).astype(np.float32) / q.astype(np.float32))
         assert (dx == q).all() and (dy == sign * p).all()
 
 
@@ -769,54 +783,60 @@ def test_census_extreme_coordinates():
 
 
 def test_census_extreme_coordinates_int32():
-    # the same at n = 2**15, the largest modulus whose codes are int32, and at
-    # 2**15 + 1, the smallest whose codes are int64; four more points put five
-    # on each diagonal, y = x and x + y = n
-    for n in (_N_LIMIT_32, _N_LIMIT_32 + 1):
+    # the same at n = 2**15 and 2**15 + 1, mid-way up the float64 tier, with
+    # four more points that put five on each diagonal, y = x and x + y = n
+    for n in (2**15, 2**15 + 1):
         pts = _extreme_points(n) + [(2, 2), (3, 3), (n - 2, 2), (n - 3, 3)]
         _assert_matches_oracle(_point_set(HyperbolaSpec(1, n), pts))
 
 
 def test_census_extreme_coordinates_float32():
     # the same at n = 2897, the largest modulus whose codes are float32
-    # quotients, and at 2898, the smallest whose codes are taken mod 2**31 - 1
+    # quotients, and at 2898, the smallest whose codes are float64 quotients
     for n in (_N_LIMIT_FLOAT, _N_LIMIT_FLOAT + 1):
         pts = _extreme_points(n) + [(2, 2), (3, 3), (n - 2, 2), (n - 3, 3)]
         _assert_matches_oracle(_point_set(HyperbolaSpec(1, n), pts))
 
 
-def test_census_stack_mixes_int32_and_int64_moduli():
-    # a stack whose largest modulus is above 2**15 takes int64 codes for all
-    # of its sets; each set still censuses as it does alone (float32 quotients,
-    # with no inverse table, for those of n <= 2897, int32 codes up to 2**15)
-    # and as the oracle says
-    n = _N_LIMIT_32 + 3
+def test_census_stack_codes_every_set_in_its_largest_modulus_tier():
+    # a stack whose largest modulus is above 2897 takes float64 quotients for
+    # all of its sets; each set still censuses as it does alone (float32
+    # quotients for those of n <= 2897) and as the oracle says
+    n = 2**15 + 3
     big = _point_set(HyperbolaSpec(1, n), _extreme_points(n) + [(3, 3), (n - 3, n - 3)])
     sets = [enumerate_points(HyperbolaSpec(1, 49)), big, enumerate_points(HyperbolaSpec(2, 25))]
-    sets.append(_point_set(HyperbolaSpec(1, _N_LIMIT_32), _extreme_points(_N_LIMIT_32)))
-    primes, quotients = [], []
-    slope_inverses, quotient_directions = geometry._slope_inverses, geometry._quotient_directions
+    sets.append(_point_set(HyperbolaSpec(1, 2**15), _extreme_points(2**15)))
+    dtypes = []
+    quotient_directions = geometry._quotient_directions
 
-    def spy(span, m):
-        primes.append(m)
-        return slope_inverses(span, m)
+    def dtype_spy(code, *scale):
+        dtypes.append(code.dtype)
+        return quotient_directions(code, *scale)
 
-    def float_spy(code):
-        quotients.append(code.dtype)
-        return quotient_directions(code)
-
-    with mock.patch.object(geometry, "_slope_inverses", spy), mock.patch.object(
-        geometry, "_quotient_directions", float_spy
-    ):
+    with mock.patch.object(geometry, "_quotient_directions", dtype_spy):
         batch = census_many(sets)
         single = [census(ps) for ps in sets]
-    assert primes == [_SLOPE_PRIME, _SLOPE_PRIME, _SLOPE_PRIME_32]
-    assert quotients == [np.float32, np.float32]  # the censuses of H_{1,49} and H_{2,25} alone
+    # the stack, then H_{1,49}, the large set, H_{2,25} and the 2**15 set alone
+    assert dtypes == [np.float64, np.float32, np.float64, np.float32, np.float64]
     for ps, cen, alone in zip(sets, batch, single):
         hist, rich = _census_oracle(ps.points)
         assert (cen.n, cen.point_count) == (alone.n, alone.point_count)
         assert cen.histogram == alone.histogram == hist
         assert list(cen.lines()) == list(alone.lines()) == sorted(rich.items())
+
+
+def test_census_at_the_modulus_limit_takes_no_table_of_the_x_range():
+    # a census's memory grows with its points and block, not with the x range
+    # its points span: nine points at 1 and 2**20 - 1 stay under 1 MB
+    n = _N_LIMIT
+    ps = _point_set(HyperbolaSpec(1, n), _extreme_points(n))
+    tracemalloc.start()
+    try:
+        census(ps)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_census_pair_identity():
