@@ -43,10 +43,12 @@ from modhyp.geometry import (
 from modhyp.hyperbola import (
     HyperbolaSpec,
     PointSet,
+    enumerate_many,
     enumerate_points,
     partition_classes,
 )
 from modhyp.ntcore import PrimePower, euler_phi
+from modhyp.suites import _stacks
 
 
 def _point_set(spec, points):
@@ -110,7 +112,12 @@ def _assert_matches_oracle(ps):
     assert list(cen.lines()) == sorted(rich.items())  # ascending (A, B, C)
 
 
-@pytest.mark.parametrize("a,n", [(1, 5), (1, 8), (1, 9), (1, 24), (1, 27), (2, 25), (3, 49), (1, 60)])
+# 8, 12, 24, 18 and 30 have orbits of two points, some of whose mates share a
+# rich line
+@pytest.mark.parametrize(
+    "a,n",
+    [(1, 5), (1, 8), (7, 8), (1, 9), (1, 12), (1, 24), (13, 18), (1, 27), (2, 25), (19, 30), (3, 49), (1, 60)],
+)
 def test_census_paths_agree_with_oracle(a, n):
     _assert_matches_oracle(enumerate_points(HyperbolaSpec(a, n)))
 
@@ -422,6 +429,27 @@ _FLOAT64_CENSUS_DIGESTS = {
     (1, 181**2, 2): "f42979c42747b0bfed105f8f314d7047d8308a4df7837015d74dc64842310b68",
     (1, 1021**2, 2): "ff0a8c0ffed565f6b1a8cc3f83aaa66bcc37477167ec211fdce96e4947c7455e",
 }
+
+
+# one SHA-256 over the _census_digest of every whole set with 3 <= n <= 400, for
+# a = 1, a = n - 1 and one a drawn per n with random.Random(n), censused in the
+# stacks suites._stacks cuts from those tasks
+_SMALL_WHOLE_SETS_DIGEST = "5ba75624951b81a70555c1d5fce5774f04d0c69c655c5b3dd29e5b1f12b10b05"
+
+
+def test_census_of_every_small_whole_set_is_pinned():
+    tasks = []
+    for n in range(3, 401):
+        units = [u for u in range(1, n) if math.gcd(u, n) == 1]
+        tasks += [(n, a) for a in sorted({1, n - 1, random.Random(n).choice(units)})]
+    h = hashlib.sha256()
+    for stack in _stacks(tasks):
+        sets = []
+        for n, run in itertools.groupby(stack, lambda task: task[0]):
+            sets += enumerate_many(n, [a for _, a in run])
+        for cen in census_many(sets):
+            h.update(_census_digest(cen).encode())
+    assert len(tasks) == 1172 and h.hexdigest() == _SMALL_WHOLE_SETS_DIGEST
 
 
 def test_census_keys_past_the_float32_tier_are_pinned():
