@@ -4,29 +4,32 @@ Every check here works on the point sets' int64 coordinate arrays.  One
 kernel censuses a stack of point sets of any moduli and sizes (all a of one
 prime, the a = 1 sets of a run of moduli, or a single set) in one sweep; the
 sets are padded to the largest, and padding never enters a count.  Its rows
-are (set, anchor) pairs over orbit representatives: a whole hyperbola, one
-of phi(n) points all on x*y = a (mod n), is carried onto itself by
-sigma (x, y) -> (y, x), nu (x, y) -> (n-x, n-y) and sigma*nu, so one anchor
-per orbit is swept, weighted by its orbit size; any other set (a subset, a
-class or a grid) is swept at every point.  An anchor's row codes the slope
-to every other point of its set so that equal codes mean equal slopes (no
-per-pair gcd): the code is the float quotient dy / dx, float32 when the
-stack's largest modulus is at most 2897, where (n - 1)**2 < 2**23, else
-float64 up to n = 2**20, where (n - 1)**2 < 2**52, so two different slopes
-never round to one float.  Vertical directions are looked for only in a
-stack where some set repeats an x, which no hyperbola set does.  One row
-sort per block of rows groups the points of each line through the anchor.
-A t-point line is a group of t-1 points at each of its t points, so each
-set's weighted group counts give its count of each line size.  Only the
-keys of lines with three or more points are kept: each group's direction
-is rebuilt from its quotient by its continued fraction, the keys of a
-whole set are closed under its three maps, and all are ordered by C and
-then, by a stable sort, by one int64 major key that leads with the set
-index, and cut back per set.  The tests check the
-census against an independent cross-product oracle.  The lemma 7 checks
-recount every rich line without the census, by sorting A*x + B*y for a
-block of directions at once, one row per direction, and the collinearity
-checks derive each x mod p class's line total from both.
+are forward rows over orbit blocks: a whole hyperbola, one of phi(n) points
+all on x*y = a (mod n), is carried onto itself by sigma (x, y) -> (y, x),
+nu (x, y) -> (n-x, n-y) and sigma*nu, so its points are put in orbit order,
+each orbit a block of consecutive places, and the first point of each block
+sweeps the points after it, weighted by its block's size; any other set (a
+subset, a class or a grid) is a block of one point at each point, in its own
+order.  So each point pair is seen once, up to the pairs within an orbit.  A
+row codes the slope to each of its points so that equal codes mean equal
+slopes (no per-pair gcd): the code is the float quotient dy / dx, float32
+when the stack's largest modulus is at most 2897, where (n - 1)**2 < 2**23,
+else float64 up to n = 2**20, where (n - 1)**2 < 2**52, so two different
+slopes never round to one float.  Vertical directions are looked for only in
+a stack where some set repeats an x, which no hyperbola set does.  One row
+sort per block of rows groups the points of each line ahead of the anchor
+into one run.  A t-point line gives one run of each j < t forward points, so
+the weighted count G_j of runs of exactly j points, once each pair of mates
+counts once, gives L_t = G_(t-1) - G_t lines of t points.  Only the keys of
+lines with three or more points are kept: each run's direction is rebuilt
+from its quotient by its continued fraction, the keys of a whole set are
+closed under its three maps, all are ordered by C and then, by a stable sort,
+by one int64 major key that leads with the set index, each line keeps its
+largest size, and they are cut back per set.  The tests check the census
+against an independent cross-product oracle.  The lemma 7 checks recount
+every rich line without the census, by sorting A*x + B*y for a block of
+directions at once, one row per direction, and the collinearity checks
+derive each x mod p class's line total from both.
 """
 from __future__ import annotations
 
@@ -37,19 +40,21 @@ from itertools import repeat
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .hyperbola import HyperbolaSpec, PointSet, enumerate_points
 from .ntcore import PrimePower, euler_phi
 
-# Row entries per block of whole anchor rows.  A block's two work arrays and
-# its flags take 17 B per entry in the float64 tier, 1.1 MB at 2**16, and 9 B
-# in the float32 tier, so they stay in a 2 MB per-core L2 cache.  The codes
-# the block sorts live in the bytes of its dx array, so they add nothing.
-# In-process line-sweep passes (theorem6, lemma7 and collinearity at
+# Row entries per block of forward rows.  A block's two work arrays and its
+# flags take 17 B per entry in the float64 tier, 1.1 MB at 2**16, and 9 B in
+# the float32 tier, so they stay in a 2 MB per-core L2 cache.  The codes the
+# block sorts live in the bytes of its dx array, so they add nothing; the
+# gather of each coordinate passes through one temporary of the block's
+# size.  In-process line-sweep passes (theorem6, lemma7 and collinearity at
 # n <= 625, then prime-lines) on a 2-core x86-64 host with 2 MB of L2 per
 # core took a median 381 ms at 2**16, against 385 ms at 2**15, 407 ms at 2**17
 # and 575 ms at 2**18 (12 rounds, the four sizes alternating, with 25 B
-# entries, before the float tiers).
+# entries, before the float tiers and forward rows).
 _ROW_BLOCK = 1 << 16
 # The stack's largest modulus n picks one of two tiers (census_tier).  A code
 # is the quotient F = dy / dx of the tier's floats, whose coordinates, and so
@@ -244,18 +249,22 @@ def census_tier(n: int) -> str:
 
 def _orbits(
     sets: Sequence[PointSet], xs: np.ndarray, ys: np.ndarray, ns: np.ndarray, ks: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per set, whether it is whole, and the image of each point under sigma, nu and sigma*nu.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per set, whether it is whole, and its points in orbit blocks.
 
     xs and ys stack the S sets as (S, K) arrays, set s in its first ks[s]
     columns and padding after them; ns holds each set's modulus.  A set is
     whole when it has phi(n) points, all on x*y = a (mod n): each x is then a
     unit with the one partner y = a * x**-1, so its xs, and its ys, are
-    exactly the units of n.  images[g, s, i], over _MAPS, is the index of the
-    image of point i of set s under map g.  For a whole set, sigma is one
+    exactly the units of n.  Its maps over _MAPS send point i to: sigma, one
     row-wise ``np.argsort`` of the ys (padding last), as an involution is its
-    own inverse; nu sends i to k - 1 - i and sigma*nu to k - 1 - sigma(i).
-    Every other set and every padding column map to themselves.
+    own inverse; nu, k - 1 - i; sigma*nu, k - 1 - sigma(i).  Returns whole,
+    order and size, both (S, K): order[s, j] is the index of the point at
+    place j of set s, where the orbit of every point of a whole set under
+    the maps is a block of consecutive places, its least index first and
+    the blocks in the order of their first points; size[s, j] is the size of
+    the block that starts at place j, 0 at every other place and in the
+    padding.  Every other set keeps its order, one point a block.
     """
     cols = np.arange(xs.shape[1])
     real = cols < ks[:, None]
@@ -265,66 +274,96 @@ def _orbits(
     sigma = np.argsort(np.where(real, ys, ns[:, None] + cols), axis=1)  # padding: distinct, above every y
     mirror = np.where(real, ks[:, None] - 1 - cols, cols)  # point i's place in its set reversed; padding stays
     images = np.stack([sigma, mirror, np.take_along_axis(mirror, sigma, axis=1)])
-    return whole, np.where(whole[:, None], images, cols)
+    images = np.where(whole[:, None], images, cols)  # every other set and the padding map to themselves
+    least = np.minimum(images.min(axis=0), cols)  # the least index of each point's orbit
+    order = np.argsort(least, axis=1, kind="stable")
+    # orbit size = group order / stabiliser order, at the orbit's least index
+    size = np.where((least == cols) & real, 4 // (1 + (images == cols).sum(axis=0)), 0)
+    return whole, order, np.take_along_axis(size, order, axis=1)
 
 
-def _row_blocks(rows_per_set: np.ndarray, ks: np.ndarray) -> list[tuple[int, int, int]]:
-    """Cut the set-major rows into blocks (lo, hi, width) of consecutive rows.
+def _row_blocks(widths: list[int]) -> list[tuple[int, int, int]]:
+    """Cut rows of descending widths into blocks (lo, hi, width) of consecutive rows.
 
-    A block takes rows while its row count times its widest row (a set's
-    rows are ks of that set wide) stays within _ROW_BLOCK, and always at
-    least one row.
+    A block is as wide as its first row and takes rows while their count
+    times that width stays within _ROW_BLOCK, and always at least one row.
     """
     blocks = []
-    lo = row = width = 0
-    for count, k in zip(rows_per_set.tolist(), ks.tolist()):
-        stop = row + count
-        while row < stop:
-            room = max(1, _ROW_BLOCK // max(width, k)) - (row - lo)
-            if room <= 0:
-                blocks.append((lo, row, width))
-                lo, width = row, 0
-                continue
-            width = max(width, k)
-            row = min(stop, row + room)
-    blocks.append((lo, row, width))
+    lo = 0
+    while lo < len(widths):
+        width = widths[lo]
+        hi = min(len(widths), lo + max(1, _ROW_BLOCK // width))
+        blocks.append((lo, hi, width))
+        lo = hi
     return blocks
 
 
-def _row_groups(xs, ys, sid, anchor, work, vertical) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sort one block of (set, anchor) rows and find its groups of two or more points.
+def _row_groups(xs, ys, start, mates, work, vertical) -> tuple[np.ndarray, ...]:
+    """Sort one block of forward rows and find its runs of two or more points.
 
-    Row r is anchor[r] of set sid[r]; xs and ys hold the stack's coordinates
-    as floats of the tier's dtype with NaN padding, and they and work are as
-    wide as the block's widest row.  Returns, per group, its row r, its size
-    and its slope code.  work holds (R, width) arrays dx and dy (of the
-    coordinates' dtype) and flags (bool), which every block overwrites: the
-    census allocates its row arrays once, not once per block.  vertical says
-    whether some set of the stack has two points of one x
-    (``_slope_quotients``).
+    xs and ys are windows over the stack's coordinates in orbit order, as
+    floats of the tier's dtype with NaN after each set's points: window j
+    starts at flat place j.  Row r holds the places from start[r] on, as
+    many as work is wide, and its anchor sits at start[r] - 1; its first
+    mates[r] entries are the anchor's mates.  work holds (R, width) arrays dx
+    and dy (of the coordinates' dtype) and flags (bool), which every block
+    overwrites: the census allocates its row arrays once, not once per
+    block.  vertical says whether some set of the stack has two points of one
+    x (``_slope_quotients``).  Returns, per run: its row r, the column after
+    its last entry, its size, its slope code and whether it holds a mate of
+    row r's anchor.
     """
     dx, dy, flags = work
-    width = xs.shape[1]
-    np.take(xs, sid, axis=0, out=dx, mode="clip")
-    dx -= xs[sid, anchor][:, None]
-    np.take(ys, sid, axis=0, out=dy, mode="clip")
-    dy -= ys[sid, anchor][:, None]
-    # the anchor (0 / 0) and padding give NaN, which sorts last and equals nothing: a row
-    # ends on NaN, so no run crosses from one row into the next
+    width = dx.shape[1]
+    np.subtract(xs[start, :width], xs[start - 1, :1], out=dx)
+    np.subtract(ys[start, :width], ys[start - 1, :1], out=dy)
+    # padding gives NaN, which sorts last and equals nothing: a row ends on NaN,
+    # so no run crosses from one row into the next
     code = _slope_quotients(dx, dy, vertical)
+    m = min(3, width)  # an orbit has at most three mates
+    mate = np.where(np.arange(m) < mates[:, None], code[:, :m], np.nan)
     code.sort(axis=1)
     flat = code.ravel()
     same = flags.ravel()  # same[p]: flat entries p and p + 1 share a slope
     np.equal(flat[1:], flat[:-1], out=same[:-1])
     same[-1] = False  # the last entry has no successor
     pos = np.flatnonzero(same)
-    # a run of consecutive positions is one group of size >= 2; group g is pos[first[g]:first[g+1]]
+    # a run of consecutive positions is one run of size >= 2; run g is pos[first[g]:first[g+1]]
     opens = np.ones(len(pos) + 1, dtype=bool)
     opens[1:-1] = pos[1:] != pos[:-1] + 1
     first = np.flatnonzero(opens)
     sizes = first[1:] - first[:-1] + 1
     pos = pos[first[:-1]]
-    return pos // width, sizes, flat[pos]
+    row = pos // width
+    code = flat[pos]
+    return row, pos - row * width + sizes, sizes, code, (mate[row] == code[:, None]).any(axis=1)
+
+
+def _correct_mates(G: np.ndarray, row_set, row_size, s, row, size, mate) -> None:
+    """Count each pair of mates once in G[s, j], set s's weighted runs of exactly j forward points.
+
+    row_set and row_size give each row's set and orbit size w; s, row, size
+    and mate give each run's set, row and size and whether it holds a mate of
+    its row's anchor.  An anchor's row, weighted w, stands for the rows of all
+    w points of its orbit, and each of them sees all its mates: a pair of
+    mates {P, hP} is seen from both ends, each time in one run of s + 1
+    points on their line, s the line's points in later orbits (no third mate
+    lies on it).  Forward in place order the first of the two sees s + 1 and
+    the second s.  The w * (w - 1) ordered pairs of the orbit are the w - 1
+    mates of the anchor's row at weight w, so per mate of that row one run
+    of s + 1 goes to s at weight w // 2: G[s + 1] -= w // 2 and
+    G[s] += w // 2, where s + 1 is the size of the run that holds the mate,
+    or 1 for a mate in no run (G[0] counts nothing).
+    """
+    K1 = G.shape[1]
+    half = row_size // 2
+    mated = np.flatnonzero(mate)
+    lone = row_size - 1 - np.bincount(row[mated], minlength=len(row_size))
+    at = np.concatenate([row_set * K1 + 1, s[mated] * K1 + size[mated]])
+    count = np.concatenate([half * lone, half[row[mated]]])
+    flat = G.reshape(-1)
+    np.subtract.at(flat, at, count)
+    np.add.at(flat, at - 1, count)
 
 
 def census(ps: PointSet) -> IncidenceCensus:
@@ -334,44 +373,53 @@ def census(ps: PointSet) -> IncidenceCensus:
     stack of sets of any moduli and sizes, each set on its own terms.
     Orbits: sigma (x, y) -> (y, x), nu (x, y) -> (n-x, n-y) and sigma*nu
     carry a whole set (phi(n) points, all on x*y = a mod n) onto itself, as
-    (n-x)(n-y) = xy mod n, and lines to lines of the same size (``_orbits``).
-    So only the point of least index in each orbit of a whole set is an
-    anchor, weighted by its orbit size w = 4 // (1 + the maps that fix it).
-    A subset or a class may keep fewer maps or none; the census does not
-    look for them and sweeps such a set at every point, with w = 1.
-    Rows: one row per (set, anchor) pair, set-major.  Anchor i's row holds
-    every other point j of its set, coded by the direction (dx, dy) = j - i,
-    a direction and its negation alike.  The stack's largest modulus picks
-    the tier (``census_tier``), float32 up to 2897 and float64 up to 2**20,
-    and the code is the quotient c = dy / dx of the tier's float
-    coordinates, +inf when vertical (looked for only in a stack where some
-    set repeats an x), written over the block's dx array; the anchor's own
-    column (0 / 0) and padding (NaN coordinates) give NaN, which sorts last
-    and equals nothing.  It is exact: two different slopes dy / dx and
-    dy' / dx' with |dy|, dx, dx' <= N = n - 1 differ by at least
-    1 / (dx * dx'), and two reals that round to one float F differ by at
-    most 2**-b * |F|, about 2**-b * |dy| / dx, less as
-    |dy| * dx' <= N**2 < 2**b (b = 23 for float32, 52 for float64).  One
-    ``np.sort`` per block of rows, at most _ROW_BLOCK entries of the block's
-    widest row each; a block may span sets and reuses one set of row
-    arrays.  Each run
-    of equal c is the rest of one line through i, so a t-point line is one
-    group of size exactly t-1 at each of its t points.
-    Counts: H[s, size], on the (S, K) grid of the stack's coordinates, is
-    the w-weighted number of set s's groups of that size (one flat-index
-    ``np.add.at`` over every group, after the sweep), and set s has
-    L_t = H[s, t-1] / t lines of t points, row s of an (S, K + 1) grid and
-    zero past its k, checked and summarised as ``census_many`` describes.
-    Rich lines are keyed as (set, A, B, C, t) from the anchor and the code
-    of each group of size >= 2: ``_quotient_directions`` rebuilds every
-    group's reduced direction (dx, dy) (a direction with gcd(dx, dy) != 1,
-    or one whose dy / dx in the tier's dtype is not its code, raises
-    ``RuntimeError``), and A = dy, B = -dx, C = -(A*x + B*y).  The keys
-    and, for a whole set, their images under its three maps, N columns of one
-    (5, N) int64 array, are ordered by the major key
-    (set * span + A) * 2 * span + B, span the stack's largest n, and then
-    by C (an ``np.argsort`` by C, then a stable one by major key over the
-    columns in that order), gathered once, and the repeats compressed out.
+    (n-x)(n-y) = xy mod n, and lines to lines of the same size.  ``_orbits``
+    puts the points of each orbit of a whole set in one block of consecutive
+    places, its least index first.  A subset or a class may keep fewer maps
+    or none; the census does not look for them, and each of its points is a
+    block of one.
+    Rows: the first point i of each block is an anchor, weighted by its
+    block's size w = 4 // (1 + the maps that fix it), and its forward row
+    holds the places after it in its set: its w - 1 mates, then every later
+    block.  Each point j of the row is coded by the direction
+    (dx, dy) = j - i, a direction and its negation alike.  The stack's
+    largest modulus picks the tier (``census_tier``), float32 up to 2897 and
+    float64 up to 2**20, and the code is the quotient c = dy / dx of the
+    tier's float coordinates, +inf when vertical (looked for only in a stack
+    where some set repeats an x), written over the block's dx array; the
+    NaN after each set's points gives NaN, which sorts last and equals
+    nothing.  It is exact: two different slopes dy / dx and dy' / dx' with
+    |dy|, dx, dx' <= N = n - 1 differ by at least 1 / (dx * dx'), and two
+    reals that round to one float F differ by at most 2**-b * |F|, about
+    2**-b * |dy| / dx, less as |dy| * dx' <= N**2 < 2**b (b = 23 for
+    float32, 52 for float64).  The rows go widest first, so a block pads
+    them little, and every row keeps one NaN column past its points, so no
+    run crosses into the next row.  One ``np.sort`` per block of rows, at
+    most _ROW_BLOCK entries of the block's first and widest row each; a
+    block may span sets and reuses one set of row arrays.  Each run of
+    equal c is the part of one line through i that lies ahead of i.
+    Counts: if every point swept the places after it, a t-point line would
+    give one run of exactly j points for each j < t, so G_j, the count of
+    runs of exactly j points, would count the lines of more than j points,
+    and L_t = G_(t-1) - G_t.  G[s, j], on an (S, K + 1) grid, is set s's
+    w-weighted count: one flat-index ``np.add.at`` over every run after the
+    sweep, G_1 the row entries that are in no run of two or more, and then
+    ``_correct_mates`` counts each pair of mates once.  Set s's L_t are row
+    s of an (S, K + 1) grid, zero past its k, checked and summarised as
+    ``census_many`` describes.
+    Keys: a run of j >= 2 points lies on a line of t >= j + 1 points, keyed
+    (set, A, B, C, j + 1) from the anchor and the run's code:
+    ``_quotient_directions`` rebuilds every run's reduced direction (dx, dy)
+    (a direction with gcd(dx, dy) != 1, or one whose dy / dx in the tier's
+    dtype is not its code, raises ``RuntimeError``), and A = dy, B = -dx,
+    C = -(A*x + B*y).  The keys and, for a whole set, their images under its
+    three maps, N columns of one (5, N) int64 array, are ordered by the
+    major key (set * span + A) * 2 * span + B, span the stack's largest n,
+    and then by C (an ``np.argsort`` by C, then a stable one by major key
+    over the columns in that order) and gathered once; each line keeps its
+    largest t.  That is its size: the first point of a line in place order
+    sees all its other points, and the map that takes it to its block's
+    anchor takes the line to one whose points the anchor's row all holds.
     """
     return census_many([ps])[0]
 
@@ -383,11 +431,13 @@ def census_many(sets: Sequence[PointSet]) -> list[IncidenceCensus]:
     sets or more, a set of fewer than two points or of more than 2**20, or a
     modulus above 2**20 raise before any work.  Only the numpy calls are
     shared: every set keeps its own orbits, weights, counts and keys.  The
-    checks are reductions along the rows of the stack's count grids, one row
-    per set, and hold for every set: that t divides H_(t-1), and then, in
-    ``_line_summaries``, that no L_t is negative, that the set's lines hold
-    each of its point pairs once and that it has one key per rich line; a
-    failure raises ``RuntimeError`` naming the set's place in the stack.
+    checks hold for every set: that no run crosses the end of its row, that
+    every rebuilt direction is reduced and divides to its code, and then, in
+    ``_line_summaries``, reductions along the rows of the stack's count
+    grids, one row per set: that no L_t is negative, that the set's lines
+    hold each of its point pairs once and that it has L_t keys of each size
+    t >= 3.  A failure raises ``RuntimeError`` naming the set's place in the
+    stack.
     """
     if not sets:
         raise ValueError("census_many needs at least one point set")
@@ -408,59 +458,63 @@ def census_many(sets: Sequence[PointSet]) -> list[IncidenceCensus]:
     for s, ps in enumerate(sets):
         xs[s, : sizes[s]] = ps.xs
         ys[s, : sizes[s]] = ps.ys
-    whole, images = _orbits(sets, xs, ys, ns, ks)
-    cols = np.arange(K)
-    real = cols < ks[:, None]
+    real = np.arange(K) < ks[:, None]
     # a set's points ascend in (x, y), so it has a vertical pair iff two neighbours share an x
     vertical = bool(((xs[:, 1:] == xs[:, :-1]) & real[:, 1:]).any())
-    # the rows' coordinates as floats of the tier; the padding's NaN makes its quotients NaN
-    row_xs, row_ys = (np.where(real, v, np.nan).astype(dtype, copy=False) for v in (xs, ys))
-    anchors = (images >= cols).all(axis=0)  # least index in its orbit
-    anchors &= real
-    row_set, row_anchor = np.nonzero(anchors)
-    images = images[:, row_set, row_anchor]
-    # orbit size = group order / stabiliser order; a set that is not whole maps every point to itself
-    row_weight = 4 // (1 + (images == row_anchor).sum(axis=0))
-    H = np.zeros((S, K), dtype=np.int64)  # H[s, size]: set s's groups of that size, weighted
-    # each anchor's row has k - 1 entries: H_1 starts at all of them, and each
-    # group of size >= 2 found below takes its size back out
-    np.add.at(H[:, 1], row_set, (ks[row_set] - 1) * row_weight)
-    blocks = _row_blocks(np.bincount(row_set, minlength=S), ks)
-    entries = max((hi - lo) * width for lo, hi, width in blocks)
+    whole, order, size = _orbits(sets, xs, ys, ns, ks)
+    xs, ys = (np.take_along_axis(v, order, axis=1) for v in (xs, ys))
+    # the coordinates in orbit order as floats of the tier, each set on 2K places with NaN after
+    # its points: a row reads at most K - 1 places past its anchor, so it never leaves its set
+    places = np.full((2, S, 2 * K), np.nan, dtype=dtype)
+    places[:, :, :K] = np.where(real, (xs, ys), np.nan)
+    windows = [sliding_window_view(v.reshape(-1), K) for v in places]
+    row_set, row_place = np.nonzero(size)  # one row per orbit, at its first place
+    row_size = size[row_set, row_place]
+    entries = ks[row_set] - 1 - row_place  # the row's forward places
+    widest = np.argsort(-entries, kind="stable")  # widest first, so a block pads its rows little
+    row_set, row_place, row_size, entries = row_set[widest], row_place[widest], row_size[widest], entries[widest]
+    start = row_set * 2 * K + row_place + 1
+    # each row's width has one NaN column past its entries
+    blocks = _row_blocks((entries + 1).tolist())
+    most = max((hi - lo) * width for lo, hi, width in blocks)
     # one array each, not one (2, entries) array: glibc raises its mmap
     # threshold to the size of each mapping freed, and a 3 MB one moves every
     # later allocation below 3 MB onto the heap (the line sweeps then read up
     # to 4 MB more peak RSS).  They live until the census returns: freed
     # before the keys are built, they left the line-sweep benchmark at about
     # 3.7 MB more peak RSS in roughly half the directories it ran from.
-    floats = [np.empty(entries, dtype=dtype) for _ in range(2)]
-    flags = np.empty(entries, dtype=bool)
-    at, groups, codes = [], [], []  # per block: each group's row, size and slope code
+    floats = [np.empty(most, dtype=dtype) for _ in range(2)]
+    flags = np.empty(most, dtype=bool)
+    runs = []  # per block: each run's row, end column, size, slope code and mate flag
     for lo, hi, width in blocks:
-        sid = row_set[lo:hi]
-        anchor = row_anchor[lo:hi]
         work = [a[: (hi - lo) * width].reshape(hi - lo, width) for a in (*floats, flags)]
-        row, group, code = _row_groups(row_xs[:, :width], row_ys[:, :width], sid, anchor, work, vertical)
-        at.append(row + lo)
-        groups.append(group)
-        codes.append(code)
-    row, group = np.concatenate(at), np.concatenate(groups)
-    s, i = row_set[row], row_anchor[row]
-    np.add.at(H.reshape(-1), s * K + group, row_weight[row])  # a flat index: a tuple one costs about 4x
-    H[:, 1] -= H[:, 2:] @ np.arange(2, K)
+        run = _row_groups(*windows, start[lo:hi], row_size[lo:hi] - 1, work, vertical)
+        runs.append((run[0] + lo, *run[1:]))
+    row, end, group, code, mate = (np.concatenate(part) for part in zip(*runs))
+    s = row_set[row]
+    crossed = end > entries[row]
+    if crossed.any():
+        raise RuntimeError(f"census run crosses the end of its row in set {s[np.argmax(crossed)]} of the stack")
+    # G[s, j]: set s's runs of exactly j forward points, weighted by orbit size; G_1 starts at every
+    # forward entry, and each run of j >= 2 takes its j entries back out
+    G = np.zeros((S, K + 1), dtype=np.int64)
+    np.add.at(G[:, 1], row_set, entries * row_size)
+    np.add.at(G.reshape(-1), s * (K + 1) + group, row_size[row])  # a flat index: a tuple one costs about 4x
+    G[:, 1] -= G[:, 2:] @ np.arange(2, K + 1)
+    _correct_mates(G, row_set, row_size, s, row, group, mate)
     line_sizes = np.zeros((S, K + 1), dtype=np.int64)  # line_sizes[s, t]: L_t of set s, 0 past its k
-    line_sizes[:, 1:], rest = np.divmod(H, np.arange(1, K + 1))  # L_t = H_(t-1) / t
-    bad = rest.any(axis=1)
-    if bad.any():
-        raise RuntimeError(f"census H_(t-1) is not a multiple of t in set {np.argmax(bad)} of the stack")
-    # each group's key (set, A, B, C, t) is a column of rows, then, for a whole set, its images
-    # under sigma, nu and sigma*nu, linear in (A, B, C): sigma swaps A and B, nu sends C to -C - n(A + B)
+    line_sizes[:, 2:] = G[:, 1:-1] - G[:, 2:]  # L_t = G_(t-1) - G_t
+    # each run of j >= 2 is a line of t >= j + 1 points; its key (set, A, B, C, t) is a column of rows, then,
+    # for a whole set, its images under sigma, nu and sigma*nu, linear in (A, B, C): sigma swaps A and B,
+    # nu sends C to -C - n(A + B)
+    rich = np.flatnonzero(group >= 2)
+    s, row, group, code = s[rich], row[rich], group[rich], code[rich]
+    i = row_place[row]
     mapped = whole[s]
     bounds = len(s) + np.count_nonzero(mapped) * np.arange(4)
     N = int(bounds[-1])
     rows = np.empty((5, N), dtype=np.int64)
     keys = rows[:, : len(s)]
-    code = np.concatenate(codes)
     dx, dy = _quotient_directions(code, limit - 1, scale)
     with np.errstate(divide="ignore"):  # a vertical (0, 1) divides to inf
         divided = dy.astype(dtype) / dx.astype(dtype)
@@ -487,12 +541,18 @@ def census_many(sets: Sequence[PointSet]) -> list[IncidenceCensus]:
     order = by_c[np.argsort(major[by_c], kind="stable")]
     del keys, image, A, B, C, major, dx, dy, code, divided, checks, wrong, by_c  # released before the gather
     rows = np.take(rows, order, axis=1)  # faster than rows[:, order]
-    major, C, t = rows[0], rows[3], rows[4]
-    distinct = np.ones(N, dtype=bool)  # a line of two sizes keeps both, for the checks
-    distinct[1:] = (major[1:] != major[:-1]) | (C[1:] != C[:-1]) | (t[1:] != t[:-1])
-    rows = np.compress(distinct, rows, axis=1)
+    major, C = rows[0], rows[3]
+    # a line's first point in orbit order sees all its other points: each line keeps its largest t
+    line = np.ones(N, dtype=bool)
+    line[1:] = (major[1:] != major[:-1]) | (C[1:] != C[:-1])
+    line = np.flatnonzero(line)
+    t = np.maximum.reduceat(rows[4], line)
+    rows = rows[:, line]
+    rows[4] = t
     cut = np.searchsorted(rows[0], np.arange(S + 1) * 2 * span * span - span)
-    summaries = _line_summaries(line_sizes, ks, np.diff(cut))
+    kept = np.bincount(np.repeat(np.arange(S), np.diff(cut)) * (K + 1) + t, minlength=S * (K + 1))
+    kept = kept.reshape(S, K + 1)  # kept[s, t]: set s's keys of lines of t points
+    summaries = _line_summaries(line_sizes, ks, kept)
     cut = cut.tolist()
     return [
         IncidenceCensus(n, ps.spec.a, k, *summary, counts[: k + 1], rows[1:4, lo:hi].T, rows[4, lo:hi])
@@ -500,22 +560,22 @@ def census_many(sets: Sequence[PointSet]) -> list[IncidenceCensus]:
     ]
 
 
-def _line_summaries(line_sizes: np.ndarray, ks: np.ndarray, rich: np.ndarray) -> list[tuple]:
+def _line_summaries(line_sizes: np.ndarray, ks: np.ndarray, kept: np.ndarray) -> list[tuple]:
     """Check the stacked line counts of every set and give each its (ordinary count, longest line, line total).
 
     line_sizes is an (S, K + 1) array: row s holds L_0 .. L_K of set s of
-    k = ks[s] <= K points, L_t = 0 for t > k, and the set has rich[s]
-    rich-line keys.  Every check is one reduction along axis 1, the padding
-    columns t > k included, and the first set that fails one raises
-    ``RuntimeError``: no L_t may be negative, the sum of L_t * C(t, 2) must
-    be C(k, 2) (every point pair lies on exactly one line), and rich[s] must
-    be the sum of L_t over t >= 3.
+    k = ks[s] <= K points, L_t = 0 for t > k, and kept[s, t] is the number
+    of rich-line keys of size t of set s.  Every check is one reduction along
+    axis 1, the padding columns t > k included, and the first set that fails
+    one raises ``RuntimeError``: no L_t may be negative, the sum of
+    L_t * C(t, 2) must be C(k, 2) (every point pair lies on exactly one
+    line), and kept[s, t] must be L_t for every t >= 3.
     """
     t = np.arange(line_sizes.shape[1])  # the line size each column counts
     checks = (
         ((line_sizes < 0).any(axis=1), "census line count L_t is negative"),
         (line_sizes @ (t * (t - 1) // 2) != ks * (ks - 1) // 2, "census pair-count identity violated"),
-        (line_sizes[:, 3:].sum(axis=1) != rich, "rich-line keys disagree with the line counts"),
+        ((line_sizes[:, 3:] != kept[:, 3:]).any(axis=1), "rich-line keys disagree with the line counts"),
     )
     for failed, what in checks:
         if failed.any():

@@ -7,7 +7,7 @@ view of a ``PointSet``.  At n = p**m the units are +-g**k for one generator
 g (5 when p = 2), so one table of the powers g**k, read forwards for the
 units and backwards for their inverses, inverts them all; each inverse is
 placed at its unit's rank x - 1 - x // p.  A modulus that is no prime power
-inverts its units by Euler's theorem.  ``invert_units`` inverts any array of
+inverts its units as x**(lambda(n) - 1), lambda Carmichael's function.  ``invert_units`` inverts any array of
 units of p**m: it gathers the table mod p by x mod p and lifts it to n by
 Newton steps, each doubling the exponent of p the inverses hold for.
 Every result is checked against x * y = a (mod n).
@@ -20,7 +20,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .ntcore import PrimePower, euler_phi, factorize
+from .ntcore import PrimePower, factorize
 
 # x**2 + y**2 < 2 * n**2 and every product in the inversion is below n * (n + 1),
 # so int64 arithmetic is exact up to n = 2**31.
@@ -153,7 +153,7 @@ def check_unit_budget(n: int, bytes_per_unit: int = _BYTES_PER_UNIT, what: str =
 
 
 # Entries per int64 work array of the kernel's block passes (512 KB): the
-# Euler ladder and the check of x * y go one block at a time, so their work
+# Carmichael ladder and the check of x * y go one block at a time, so their work
 # arrays hold about 1 MB whatever n is.
 _BLOCK = 1 << 16
 
@@ -225,13 +225,25 @@ def _unit_inverses(p: int, m: int) -> np.ndarray:
     return inv
 
 
-def _euler_inverses(xs: np.ndarray, n: int) -> np.ndarray:
-    """x**(phi(n) - 1) mod n for every unit x of xs, by square-and-multiply (Euler's theorem).
+def _carmichael(n: int) -> int:
+    """Carmichael's lambda(n), the least e > 0 with x**e = 1 (mod n) for every unit x of n.
+
+    It is the lcm over the prime powers p**e of n of phi(p**e), or of
+    2**(e - 2) for p = 2 and e >= 3, and divides phi(n).
+    """
+    out = 1
+    for p, e in factorize(n).items():
+        out = math.lcm(out, 1 << (e - 2) if p == 2 and e >= 3 else p ** (e - 1) * (p - 1))
+    return out
+
+
+def _carmichael_inverses(xs: np.ndarray, n: int) -> np.ndarray:
+    """x**(lambda(n) - 1) mod n for every unit x of xs, by square-and-multiply (``_carmichael``).
 
     The ladder runs one block of ``_BLOCK`` units at a time, so its powers
     and work array stay block-sized.
     """
-    e_phi = euler_phi(n) - 1
+    e_phi = _carmichael(n) - 1
     inv = np.ones_like(xs)
     powers, quotient = np.empty((2, min(len(xs), _BLOCK)), dtype=np.int64)
     for lo in range(0, len(xs), _BLOCK):
@@ -311,8 +323,8 @@ def unit_partners(spec: HyperbolaSpec) -> tuple[np.ndarray, np.ndarray]:
 
     Both are int64 arrays.  At n = p**m the units are j*p + r (0 < r < p)
     and their inverses come from ``_unit_inverses``; any other modulus keeps
-    the x coprime to n and inverts them by Euler's theorem, as its units
-    need not form one cyclic group.  x * y = a (mod n) is checked on the result.
+    the x coprime to n and inverts them by ``_carmichael_inverses``, as its
+    units need not form one cyclic group.  x * y = a (mod n) is checked on the result.
     Raises ``InfeasibleScale`` before allocating when n is past the
     int64-exact range or the working set would exceed the memory budget.
     """
@@ -328,7 +340,7 @@ def unit_partners(spec: HyperbolaSpec) -> tuple[np.ndarray, np.ndarray]:
         x = np.arange(1, n, dtype=np.int64)
         xs = x[np.gcd(x, n) == 1]
         del x
-        inv = _euler_inverses(xs, n)
+        inv = _carmichael_inverses(xs, n)
     return xs, _times_a(xs, inv, a, n)
 
 
@@ -368,5 +380,7 @@ def partition_classes(ps: PointSet) -> dict[int, PointSet]:
     if pp is None:
         raise NotPrimePower(f"n = {ps.spec.n} is not a prime power")
     residue = ps.xs % pp.p
-    masks = ((i, residue == i) for i in range(1, max(pp.p, 2)))
-    return {i: PointSet(ps.spec, ps.xs[m], ps.ys[m]) for i, m in masks}
+    # one stable sort by residue keeps each class in ascending x; a point with x = 0 (mod p) is in no class
+    order = np.argsort(residue, kind="stable")
+    classes = np.split(order, np.searchsorted(residue[order], np.arange(1, max(pp.p, 2))))[1:]
+    return {i: PointSet(ps.spec, ps.xs[c], ps.ys[c]) for i, c in enumerate(classes, start=1)}

@@ -160,7 +160,7 @@ def test_census_matches_oracle_property(data):
         sub = data.draw(st.lists(st.sampled_from(ps.points), min_size=2, unique=True), label="points")
         generators = _SUBGROUPS[data.draw(st.sampled_from(sorted(_SUBGROUPS)), label="subgroup")]
         ps = _point_set(ps.spec, _close(sub, n, generators))
-    whole, _, _ = _stacked_orbits([ps])
+    whole, _, _, _ = _stacked_orbits([ps])
     assert whole.tolist() == [ps.points == full.points]  # whole exactly when the subset is the whole set
     _assert_matches_oracle(ps)
 
@@ -182,14 +182,14 @@ _CLASS_MODULI = (9, 25, 27, 49, 81, 121, 125)
 
 
 def _stacked_orbits(sets):
-    """``_orbits`` of the sets padded into one stack: (whole, images, K)."""
+    """``_orbits`` of the sets padded into one stack: (whole, order, size, K)."""
     K = max(len(ps) for ps in sets)
     xs = np.zeros((len(sets), K), dtype=np.int64)
     ys = np.zeros((len(sets), K), dtype=np.int64)
     for s, ps in enumerate(sets):
         xs[s, : len(ps)], ys[s, : len(ps)] = ps.xs, ps.ys
-    whole, images = _orbits(sets, xs, ys, np.array([ps.spec.n for ps in sets]), np.array([len(ps) for ps in sets]))
-    return whole, images, K
+    whole, order, size = _orbits(sets, xs, ys, np.array([ps.spec.n for ps in sets]), np.array([len(ps) for ps in sets]))
+    return whole, order, size, K
 
 
 def _drawn_stack_part(data, i):
@@ -262,44 +262,39 @@ def test_census_many_matches_census_and_oracle_property(data):
 
 
 def test_row_blocks_bound_the_widest_row():
-    # set-major rows of sets of different widths: consecutive blocks cover
-    # every row, each as wide as its widest row, and rows x width stays within
-    # the row block unless the block is one row
+    # rows of descending widths: consecutive blocks cover every row, each as
+    # wide as its first and widest row, and rows x width stays within the row
+    # block unless the block is one row
     rng = random.Random(17)
     for row_block in (1, 5, 64, 1000):
         for _ in range(50):
-            S = rng.randrange(1, 8)
-            ks = np.array([rng.randrange(2, 300) for _ in range(S)])
-            rows_per_set = np.array([rng.randrange(1, 40) for _ in range(S)])
+            widths = sorted((rng.randrange(1, 300) for _ in range(rng.randrange(1, 200))), reverse=True)
             with mock.patch.object(geometry, "_ROW_BLOCK", row_block):
-                blocks = geometry._row_blocks(rows_per_set, ks)
-            row_k = np.repeat(ks, rows_per_set)
+                blocks = geometry._row_blocks(widths)
             assert [lo for lo, _, _ in blocks] == [0] + [hi for _, hi, _ in blocks[:-1]]
-            assert blocks[-1][1] == len(row_k)
+            assert blocks[-1][1] == len(widths)
             for lo, hi, width in blocks:
-                assert hi > lo and width == row_k[lo:hi].max()
+                assert hi > lo and width == max(widths[lo:hi]) == widths[lo]
                 assert (hi - lo) * width <= row_block or hi - lo == 1
                 # a block closes only when the next row would break the bound
-                if hi < len(row_k):
-                    assert (hi - lo + 1) * max(width, row_k[hi]) > row_block
+                if hi < len(widths):
+                    assert (hi - lo + 1) * width > row_block
 
 
 def test_census_many_class_stack_keeps_maps_per_set():
     # mod 25 with a = 1, class i is kept by sigma when i*i = 1 (mod 5) and by
     # sigma*nu when i*i = -1, and the 8 points of an a = 1 subset mod 13 by
-    # nu; none of them is whole, so each maps to itself and is swept at every
-    # point.  The whole sets of both moduli, stacked among them, get all three
-    # maps, and the classes are padded to the widest set
+    # nu; none of them is whole, so each keeps its order, one point a block,
+    # and is swept at every point.  The whole sets of both moduli, stacked
+    # among them, get the orbit blocks of all three maps, and the classes are
+    # padded to the widest set
     classes = partition_classes(enumerate_points(HyperbolaSpec(1, 25)))
     nu_only = _point_set(HyperbolaSpec(1, 13), [(1, 1), (12, 12), (2, 7), (11, 6), (3, 9), (10, 4), (5, 8), (8, 5)])
     sets = [nu_only, enumerate_points(HyperbolaSpec(1, 13)), *classes.values(), enumerate_points(HyperbolaSpec(1, 25))]
-    whole, images, K = _stacked_orbits(sets)
+    whole, order, size, K = _stacked_orbits(sets)
     assert whole.tolist() == [False, True, False, False, False, False, True]
-    assert (images[:, ~whole] == np.arange(K)).all()
-    for s in np.flatnonzero(whole).tolist():
-        k = len(sets[s])
-        assert [image for _, image in _symmetry_oracle(sets[s])] == images[:, s, :k].tolist()
-        assert (images[:, s, k:] == np.arange(k, K)).all()  # padding maps to itself
+    for s, ps in enumerate(sets):
+        _assert_blocks(ps, whole[s], order[s], size[s])
     for ps, cen in zip(sets, census_many(sets)):
         hist, rich = _census_oracle(ps.points)
         assert cen.histogram == hist and list(cen.lines()) == sorted(rich.items())
@@ -326,7 +321,7 @@ def test_census_sets_that_are_not_whole_match_the_oracle():
     assert _close(other_curve.points, 13, _SUBGROUPS["full"]) == set(other_curve.points)
     mixed = [h49, partition_classes(h49)[2], h3_49, closed, _off_curve(h49, 0, 2), _point_set(h3_49.spec, h3_49.points[5:])]
     for stack in ([moved], [other_curve], [closed], mixed, mixed[::-1], [moved, h13, other_curve]):
-        whole, _, _ = _stacked_orbits(stack)
+        whole, _, _, _ = _stacked_orbits(stack)
         assert whole.tolist() == [ps in (h13, h49, h3_49) for ps in stack]
         for ps, cen in zip(stack, census_many(stack)):
             hist, rich = _census_oracle(ps.points)
@@ -334,19 +329,24 @@ def test_census_sets_that_are_not_whole_match_the_oracle():
 
 
 def test_whole_set_orbits_over_their_anchors_cover_every_point():
-    # the anchors of a whole set (each the least index of its orbit under
-    # sigma, nu and sigma*nu) have orbits of 1, 2 or 4 points that partition
-    # the set, so their sizes sum to k
+    # the blocks of a whole set are its orbits under sigma, nu and sigma*nu,
+    # of 1, 2 or 4 points, each led by its least index and in the order of
+    # those; they partition the set, so their sizes sum to k
     sets = [enumerate_points(HyperbolaSpec(a, n)) for n in range(3, 61) for a in range(1, n) if math.gcd(a, n) == 1]
-    whole, images, K = _stacked_orbits(sets)
+    whole, order, size, K = _stacked_orbits(sets)
     assert whole.all()
     for s, ps in enumerate(sets):
-        k = len(ps)
-        orbits = [{i, *images[:, s, i].tolist()} for i in range(k)]
-        anchors = [i for i in range(k) if min(orbits[i]) == i]
-        assert {len(orbits[i]) for i in anchors} <= {1, 2, 4}
-        assert sum(len(orbits[i]) for i in anchors) == k, ps.spec
-        assert set().union(*(orbits[i] for i in anchors)) == set(range(k))
+        k, n = len(ps), ps.spec.n
+        assert sorted(order[s, :k].tolist()) == list(range(k))
+        starts = np.flatnonzero(size[s]).tolist()
+        sizes = size[s, starts].tolist()
+        assert set(sizes) <= {1, 2, 4} and sum(sizes) == k, ps.spec
+        assert starts == np.cumsum([0, *sizes[:-1]]).tolist()
+        blocks = [order[s, b : b + w].tolist() for b, w in zip(starts, sizes)]
+        assert [block[0] for block in blocks] == sorted(min(block) for block in blocks)
+        for block in blocks:
+            orbit = _close([ps.points[block[0]]], n, _SUBGROUPS["full"])
+            assert orbit == {ps.points[i] for i in block}, (ps.spec, block)
 
 
 def test_census_many_refuses_bad_stacks_before_any_work(monkeypatch):
@@ -515,29 +515,50 @@ def test_map_fixed_lines_get_one_key_with_their_count():
         assert {2, 4} <= {len(_line_orbit(ps, key)) for key in keys} <= {1, 2, 4}, n
 
 
-def test_line_reported_with_two_sizes_is_refused(monkeypatch):
-    # swapping the sizes of two groups of one anchor row of H_{1,49} (a 3-point
-    # and a 4-point line through one point) keeps every weighted group count,
-    # so only the keys show it: each of the two lines now also comes with the
-    # other's size from other anchors, and the keys outnumber the rich lines
+def _run_lines(sets, xs, ys, start, row, code):
+    """Per run of a ``_row_groups`` block of a census of sets: (its set, that set's points on its line).
+
+    Set s's places start at 2 * K * s in the windows xs and ys, K its stack's
+    most points, and row r's anchor sits at start[r] - 1; the line's points
+    are those whose slope from the anchor, in the code's dtype, is the code.
+    """
+    K = max(map(len, sets))
+    lines = []
+    for r, c in zip(row.tolist(), code):
+        ps = sets[int(start[r]) // (2 * K)]
+        with np.errstate(divide="ignore", invalid="ignore"):  # the anchor itself gives 0 / 0
+            slopes = (ps.ys.astype(code.dtype) - ys[start[r] - 1, 0]) / (ps.xs.astype(code.dtype) - xs[start[r] - 1, 0])
+        lines.append((int(start[r]) // (2 * K), int(np.count_nonzero(slopes == c)) + 1))
+    return lines
+
+
+def test_swapped_run_sizes_are_refused(monkeypatch):
+    # swapping the sizes of two runs of one row of H_{2,125}, the run of two
+    # points of a 3-point line and a run of four or more, keeps every weighted
+    # run count, so only the keys show it: the 3-point line now claims five or
+    # more points, and set 1 has fewer keys of size 3 than L_3.  (No row of
+    # H_{1,49} holds two runs.)
     row_groups = geometry._row_groups
+    sets = [enumerate_points(HyperbolaSpec(2, 25)), enumerate_points(HyperbolaSpec(2, 125))]
     swapped = []
 
-    def swapping(xs, ys, sid, *rest):
-        row, sizes, code = row_groups(xs, ys, sid, *rest)
-        for r in np.unique(row[sid[row] == 1]).tolist():
-            mine = np.flatnonzero(row == r)
-            other = mine[sizes[mine] != sizes[mine[0]]]
-            if not swapped and len(other):
-                swapped.append(sorted(sizes[[mine[0], other[0]]].tolist()))
-                sizes = sizes.copy()
-                sizes[mine[0]], sizes[other[0]] = sizes[other[0]], sizes[mine[0]]
-        return row, sizes, code
+    def swapping(xs, ys, start, *rest):
+        row, end, size, code, mate = row_groups(xs, ys, start, *rest)
+        lines = _run_lines(sets, xs, ys, start, row, code)
+        for r in np.unique(row).tolist():
+            mine = [g for g in np.flatnonzero(row == r).tolist() if lines[g][0] == 1]
+            three = [g for g in mine if lines[g][1] == 3 and size[g] == 2]
+            longer = [g for g in mine if size[g] >= 4]
+            if not swapped and three and longer:
+                swapped.append(sorted(size[[three[0], longer[0]]].tolist()))
+                size = size.copy()
+                size[three[0]], size[longer[0]] = size[longer[0]], size[three[0]]
+        return row, end, size, code, mate
 
     monkeypatch.setattr(geometry, "_row_groups", swapping)
     with pytest.raises(RuntimeError, match=r"rich-line keys disagree with the line counts in set 1 of the stack"):
-        census_many(_corruptible_stack())
-    assert swapped == [[2, 3]]
+        census_many(sets)
+    assert swapped and swapped[0][0] == 2 and swapped[0][1] >= 4
 
 
 def test_line_key_is_a_tuple():
@@ -1159,37 +1180,65 @@ def _corruptible_stack():
 def test_census_stack_checks_fire_on_one_corrupt_set(monkeypatch):
     # the checks run once over the stack; corrupting one set alone must still
     # raise, and name it, whichever block its rows fall in.  Set 1, H_{1,49},
-    # has the stack's most points, K = 42; set 0, H_{2,25}, has k = 20, so its
-    # row of the (S, K + 1) line counts ends in padding columns t > 20
+    # has the stack's most points, K = 42, and lines of 3, 4 and 6 points;
+    # set 2, its x mod 7 class 2, is not whole and has a 3-point and a 4-point
+    # line; set 0, H_{2,25}, has k = 20, so its row of the (S, K + 1) line
+    # counts ends in padding columns t > 20
     sets = _corruptible_stack()
     whole = census_many(sets)
-    row_groups, line_summaries = geometry._row_groups, geometry._line_summaries
+    row_groups, line_summaries, correct_mates = geometry._row_groups, geometry._line_summaries, geometry._correct_mates
     K, k = len(sets[1]), len(sets[0])
     assert k < K == max(map(len, sets))
     dropped = []
 
     def dropping(target):
-        def groups(xs, ys, sid, *rest):
-            # lose one group of two points (a 3-point line seen from one anchor)
-            row, sizes, code = row_groups(xs, ys, sid, *rest)
-            hit = np.flatnonzero((sid[row] == target) & (sizes == 2))
-            if dropped or not len(hit):
-                return row, sizes, code
+        def groups(xs, ys, start, *rest):
+            # lose one run of two points of a line of four or more: such a run
+            # is never at the line's first point, which sees all the others, so
+            # the line keeps its key and size while L_3 loses one line per weight
+            row, end, size, code, mate = row_groups(xs, ys, start, *rest)
+            lines = _run_lines(sets, xs, ys, start, row, code)
+            hit = [g for g, (s, t) in enumerate(lines) if s == target and t >= 4 and size[g] == 2]
+            if dropped or not hit:
+                return row, end, size, code, mate
             dropped.append(hit[0])
             keep = np.arange(len(row)) != hit[0]
-            return row[keep], sizes[keep], code[keep]
+            return row[keep], end[keep], size[keep], code[keep], mate[keep]
 
         return groups
 
-    for target in (1, 0):
+    for target in (1, 2):
         for row_block in (geometry._ROW_BLOCK, 64):
             dropped.clear()
             with mock.patch.object(geometry, "_ROW_BLOCK", row_block), mock.patch.object(
                 geometry, "_row_groups", dropping(target)
             ):
-                with pytest.raises(RuntimeError, match=f"not a multiple of t in set {target} of"):
+                with pytest.raises(RuntimeError, match=f"rich-line keys disagree with the line counts in set {target} of"):
                     census_many(sets)
             assert dropped
+
+    # rows one column narrower lose their NaN terminator: in a stack of H_{1,3}
+    # and H_{1,8}, whose four points all lie on y = x, the run of slope 1 of
+    # H_{1,8}'s first row runs on into the next row, H_{1,3}'s one entry of slope 1
+    row_blocks = geometry._row_blocks
+    with mock.patch.object(geometry, "_row_blocks", lambda widths: [(lo, hi, max(1, w - 1)) for lo, hi, w in row_blocks(widths)]):
+        with pytest.raises(RuntimeError, match="run crosses the end of its row in set 1 of the stack"):
+            census_many([enumerate_points(HyperbolaSpec(1, 3)), enumerate_points(HyperbolaSpec(1, 8))])
+
+    def skipping(target):
+        # no mate correction for set target, as if its orbits were single points: each
+        # pair of mates then counts from both ends, one point pair too many per weight
+        def correct(G, row_set, row_size, *rest):
+            return correct_mates(G, row_set, np.where(row_set == target, 1, row_size), *rest)
+
+        return correct
+
+    # in H_{1,49} two mates start a 6-point line, whose run of 5 then counts twice
+    # and leaves L_5 = -4 before the pair count is checked
+    for target, reason in [(0, "pair-count identity violated"), (1, "line count L_t is negative")]:
+        with mock.patch.object(geometry, "_correct_mates", skipping(target)):
+            with pytest.raises(RuntimeError, match=f"{reason} in set {target} of"):
+                census_many(sets)
 
     def skewing(s, delta):
         # shift set s's L_t by delta[t] between the kernel and the checks
@@ -1246,13 +1295,36 @@ def _symmetry_oracle(ps):
     return out
 
 
+def _oracle_blocks(ps):
+    """The orbit blocks of a whole set from ``_symmetry_oracle``'s images: (order, size), as ``_orbits`` gives them."""
+    maps = _symmetry_oracle(ps)
+    assert all(kept for kept, _ in maps)
+    orbits = {}
+    for i in range(len(ps)):
+        orbit = sorted({i, *(images[i] for _, images in maps)})
+        orbits[orbit[0]] = orbit
+    order, size = [], []
+    for first in sorted(orbits):
+        order += orbits[first]
+        size += [len(orbits[first])] + [0] * (len(orbits[first]) - 1)
+    return order, size
+
+
+def _assert_blocks(ps, whole, order, size):
+    """A set's row of ``_orbits``: the oracle's blocks if whole, else its own order, one point a block; padding after."""
+    k, K = len(ps), len(order)
+    want = _oracle_blocks(ps) if whole else (list(range(k)), [1] * k)
+    assert (order[:k].tolist(), size[:k].tolist()) == want, (ps.spec, k)
+    assert order[k:].tolist() == list(range(k, K)) and not size[k:].any()  # padding stays in place, in no block
+
+
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(st.data())
 def test_symmetries_match_a_lookup_oracle_property(data):
     # stacks of whole sets, closed subsets, x mod p classes and grids with
     # repeated x, padded to the widest set: a set is whole exactly when it is
     # the whole hyperbola of its (a, n), and then the oracle finds all three
-    # maps with the same images; every other set maps to itself
+    # maps and the orbit blocks they make; every other set keeps its order
     parts = data.draw(st.integers(1, 3), label="parts")
     sets = []
     for i in range(parts):
@@ -1262,13 +1334,8 @@ def test_symmetries_match_a_lookup_oracle_property(data):
             sets += _drawn_stack_part(data, i)
     if not sets:
         return
-    whole, images, K = _stacked_orbits(sets)
-    assert whole.shape == (len(sets),) and images.shape == (3, len(sets), K)
+    whole, order, size, K = _stacked_orbits(sets)
+    assert whole.shape == (len(sets),) and order.shape == size.shape == (len(sets), K)
     for s, ps in enumerate(sets):
-        k = len(ps)
         assert whole[s] == (ps.points == enumerate_points(ps.spec).points)
-        if whole[s]:
-            assert _symmetry_oracle(ps) == [(True, images[g, s, :k].tolist()) for g in range(3)]
-        else:
-            assert images[:, s, :k].tolist() == [list(range(k))] * 3
-        assert images[:, s, k:].tolist() == [list(range(k, K))] * 3  # padding maps to itself
+        _assert_blocks(ps, whole[s], order[s], size[s])

@@ -16,6 +16,8 @@ from modhyp.hyperbola import (
     enumerate_points,
     partition_classes,
     unit_partners,
+    _carmichael,
+    _carmichael_inverses,
     _unit_generator,
 )
 from modhyp.ntcore import euler_phi, factorize
@@ -205,6 +207,37 @@ def test_partition_examples():
     part16 = partition_classes(enumerate_points(HyperbolaSpec(1, 16)))
     assert list(part16) == [1]
     assert len(part16[1]) == 8
+
+
+def test_partition_matches_a_mask_per_class():
+    # one stable sort by x mod p against a mask per class: the same classes, in
+    # ascending x, also for hand-built sets with x = 0 (mod p), which no class
+    # takes, and with empty classes
+    sets = [enumerate_points(HyperbolaSpec(a, n)) for a, n in [(1, 9), (2, 25), (3, 49), (1, 32), (5, 121)]]
+    grid = [(x, y) for x in range(1, 25) for y in range(1, 25, 7)]
+    sets.append(PointSet(HyperbolaSpec(1, 25), *np.array(grid, dtype=np.int64).T))
+    sets.append(PointSet(HyperbolaSpec(1, 49), np.array([7, 8, 14, 15]), np.array([1, 2, 3, 4])))
+    for ps in sets:
+        p = ps.spec.prime_power.p
+        part = partition_classes(ps)
+        assert list(part) == list(range(1, max(p, 2)))
+        for i, cls in part.items():
+            keep = ps.xs % p == i
+            assert cls.xs.tolist() == ps.xs[keep].tolist() and cls.ys.tolist() == ps.ys[keep].tolist(), (ps.spec, i)
+
+
+def test_carmichael_inverses_match_pow():
+    # lambda(n) is the largest multiplicative order of a unit of n, and
+    # x**(lambda(n) - 1) inverts every unit: composites of every shape,
+    # 2**e with e >= 3 among their factors
+    for n in range(2, 200):
+        units = [x for x in range(1, n) if math.gcd(x, n) == 1]
+        orders = [next(e for e in range(1, n + 1) if pow(x, e, n) == 1) for x in units]
+        assert _carmichael(n) == max(orders), n
+    assert (_carmichael(105), euler_phi(105)) == (12, 48)
+    for n in (6, 12, 24, 100, 105, 120, 288, 1001, 65520, 2**4 * 3**3 * 5 * 7 * 11):
+        x = np.array([u for u in range(1, n) if math.gcd(u, n) == 1], dtype=np.int64)
+        assert _carmichael_inverses(x, n).tolist() == [pow(u, -1, n) for u in x.tolist()], n
 
 
 def test_partition_rejects_composite():
