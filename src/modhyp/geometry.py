@@ -273,12 +273,13 @@ def _orbits(
     whole = (ks == phi) & ((xs * ys % ns[:, None] == a[:, None]) | ~real).all(axis=1)
     sigma = np.argsort(np.where(real, ys, ns[:, None] + cols), axis=1)  # padding: distinct, above every y
     mirror = np.where(real, ks[:, None] - 1 - cols, cols)  # point i's place in its set reversed; padding stays
-    images = np.stack([sigma, mirror, np.take_along_axis(mirror, sigma, axis=1)])
-    images = np.where(whole[:, None], images, cols)  # every other set and the padding map to themselves
-    least = np.minimum(images.min(axis=0), cols)  # the least index of each point's orbit
-    order = np.argsort(least, axis=1, kind="stable")
+    images = (sigma, mirror, np.take_along_axis(mirror, sigma, axis=1))
+    # the least index of each point's orbit; every other set and the padding map to themselves
+    least = np.where(whole[:, None], np.minimum(np.minimum(sigma, mirror), np.minimum(images[2], cols)), cols)
+    order = np.argsort(least * len(cols) + cols, axis=1)  # distinct keys: each orbit in ascending index
     # orbit size = group order / stabiliser order, at the orbit's least index
-    size = np.where((least == cols) & real, 4 // (1 + (images == cols).sum(axis=0)), 0)
+    fixed = sum(image == cols for image in images)
+    size = np.where(least == cols, np.where(whole[:, None], 4 // (1 + fixed), 1), 0) * real
     return whole, order, np.take_along_axis(size, order, axis=1)
 
 
@@ -466,7 +467,8 @@ def census_many(sets: Sequence[PointSet]) -> list[IncidenceCensus]:
     # the coordinates in orbit order as floats of the tier, each set on 2K places with NaN after
     # its points: a row reads at most K - 1 places past its anchor, so it never leaves its set
     places = np.full((2, S, 2 * K), np.nan, dtype=dtype)
-    places[:, :, :K] = np.where(real, (xs, ys), np.nan)
+    for v, place in zip((xs, ys), places):
+        np.copyto(place[:, :K], v, where=real)
     windows = [sliding_window_view(v.reshape(-1), K) for v in places]
     row_set, row_place = np.nonzero(size)  # one row per orbit, at its first place
     row_size = size[row_set, row_place]
