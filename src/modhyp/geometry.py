@@ -340,12 +340,12 @@ def _row_groups(xs, ys, start, mates, work, vertical) -> tuple[np.ndarray, ...]:
     return row, pos - row * width + sizes, sizes, code, (mate[row] == code[:, None]).any(axis=1)
 
 
-def _correct_mates(G: np.ndarray, row_set, row_size, s, row, size, mate) -> None:
+def _correct_mates(G: np.ndarray, row_set, row_size, s, row, length, mate) -> None:
     """Count each pair of mates once in G[s, j], set s's weighted runs of exactly j forward points.
 
-    row_set and row_size give each row's set and orbit size w; s, row, size
-    and mate give each run's set, row and size and whether it holds a mate of
-    its row's anchor.  An anchor's row, weighted w, stands for the rows of all
+    row_set and row_size give each row's set and orbit size w; s, row,
+    length and mate give each run's set, row and length and whether it holds
+    a mate of its row's anchor.  An anchor's row, weighted w, stands for the rows of all
     w points of its orbit, and each of them sees all its mates: a pair of
     mates {P, hP} is seen from both ends, each time in one run of s + 1
     points on their line, s the line's points in later orbits (no third mate
@@ -353,14 +353,14 @@ def _correct_mates(G: np.ndarray, row_set, row_size, s, row, size, mate) -> None
     the second s.  The w * (w - 1) ordered pairs of the orbit are the w - 1
     mates of the anchor's row at weight w, so per mate of that row one run
     of s + 1 goes to s at weight w // 2: G[s + 1] -= w // 2 and
-    G[s] += w // 2, where s + 1 is the size of the run that holds the mate,
+    G[s] += w // 2, where s + 1 is the length of the run that holds the mate,
     or 1 for a mate in no run (G[0] counts nothing).
     """
     K1 = G.shape[1]
     half = row_size // 2
     mated = np.flatnonzero(mate)
     lone = row_size - 1 - np.bincount(row[mated], minlength=len(row_size))
-    at = np.concatenate([row_set * K1 + 1, s[mated] * K1 + size[mated]])
+    at = np.concatenate([row_set * K1 + 1, s[mated] * K1 + length[mated]])
     count = np.concatenate([half * lone, half[row[mated]]])
     flat = G.reshape(-1)
     np.subtract.at(flat, at, count)
@@ -487,12 +487,12 @@ def census_many(sets: Sequence[PointSet]) -> list[IncidenceCensus]:
     # 3.7 MB more peak RSS in roughly half the directories it ran from.
     floats = [np.empty(most, dtype=dtype) for _ in range(2)]
     flags = np.empty(most, dtype=bool)
-    runs = []  # per block: each run's row, end column, size, slope code and mate flag
+    runs = []  # per block: each run's row, end column, length, slope code and mate flag
     for lo, hi, width in blocks:
         work = [a[: (hi - lo) * width].reshape(hi - lo, width) for a in (*floats, flags)]
         run = _row_groups(*windows, start[lo:hi], row_size[lo:hi] - 1, work, vertical)
         runs.append((run[0] + lo, *run[1:]))
-    row, end, group, code, mate = (np.concatenate(part) for part in zip(*runs))
+    row, end, length, code, mate = (np.concatenate(part) for part in zip(*runs))
     s = row_set[row]
     crossed = end > entries[row]
     if crossed.any():
@@ -501,16 +501,16 @@ def census_many(sets: Sequence[PointSet]) -> list[IncidenceCensus]:
     # forward entry, and each run of j >= 2 takes its j entries back out
     G = np.zeros((S, K + 1), dtype=np.int64)
     np.add.at(G[:, 1], row_set, entries * row_size)
-    np.add.at(G.reshape(-1), s * (K + 1) + group, row_size[row])  # a flat index: a tuple one costs about 4x
+    np.add.at(G.reshape(-1), s * (K + 1) + length, row_size[row])  # a flat index: a tuple one costs about 4x
     G[:, 1] -= G[:, 2:] @ np.arange(2, K + 1)
-    _correct_mates(G, row_set, row_size, s, row, group, mate)
+    _correct_mates(G, row_set, row_size, s, row, length, mate)
     line_sizes = np.zeros((S, K + 1), dtype=np.int64)  # line_sizes[s, t]: L_t of set s, 0 past its k
     line_sizes[:, 2:] = G[:, 1:-1] - G[:, 2:]  # L_t = G_(t-1) - G_t
     # each run of j >= 2 is a line of t >= j + 1 points; its key (set, A, B, C, t) is a column of rows, then,
     # for a whole set, its images under sigma, nu and sigma*nu, linear in (A, B, C): sigma swaps A and B,
     # nu sends C to -C - n(A + B)
-    rich = np.flatnonzero(group >= 2)
-    s, row, group, code = s[rich], row[rich], group[rich], code[rich]
+    rich = np.flatnonzero(length >= 2)
+    s, row, length, code = s[rich], row[rich], length[rich], code[rich]
     i = row_place[row]
     mapped = whole[s]
     bounds = len(s) + np.count_nonzero(mapped) * np.arange(4)
@@ -524,7 +524,7 @@ def census_many(sets: Sequence[PointSet]) -> list[IncidenceCensus]:
     for wrong, what in checks:
         if wrong.any():
             raise RuntimeError(f"census rebuilt a direction that {what} in set {s[np.argmax(wrong)]} of the stack")
-    keys[0], keys[1], keys[2], keys[4] = s, dy, -dx, group + 1
+    keys[0], keys[1], keys[2], keys[4] = s, dy, -dx, length + 1
     keys[3] = -(keys[1] * xs[s, i] + keys[2] * ys[s, i])
     for which, (swap, reflect) in enumerate(_MAPS):
         image = np.compress(mapped, keys, axis=1, out=rows[:, bounds[which] : bounds[which + 1]])
