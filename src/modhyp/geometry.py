@@ -273,12 +273,12 @@ def _orbits(
     whole = (ks == phi) & ((xs * ys % ns[:, None] == a[:, None]) | ~real).all(axis=1)
     sigma = np.argsort(np.where(real, ys, ns[:, None] + cols), axis=1)  # padding: distinct, above every y
     mirror = np.where(real, ks[:, None] - 1 - cols, cols)  # point i's place in its set reversed; padding stays
-    images = (sigma, mirror, np.take_along_axis(mirror, sigma, axis=1))
+    sigma_nu = np.take_along_axis(mirror, sigma, axis=1)
     # the least index of each point's orbit; every other set and the padding map to themselves
-    least = np.where(whole[:, None], np.minimum(np.minimum(sigma, mirror), np.minimum(images[2], cols)), cols)
+    least = np.where(whole[:, None], np.minimum(np.minimum(sigma, mirror), np.minimum(sigma_nu, cols)), cols)
     order = np.argsort(least * len(cols) + cols, axis=1)  # distinct keys: each orbit in ascending index
     # orbit size = group order / stabiliser order, at the orbit's least index
-    fixed = sum(image == cols for image in images)
+    fixed = sum(image == cols for image in (sigma, mirror, sigma_nu))
     size = np.where(least == cols, np.where(whole[:, None], 4 // (1 + fixed), 1), 0) * real
     return whole, order, np.take_along_axis(size, order, axis=1)
 
