@@ -194,6 +194,8 @@ def _cmd_verify(args) -> int:
     t0 = time.perf_counter()
     report: VerificationReport = fn(**kwargs)
     elapsed = time.perf_counter() - t0
+    if not report.cases and "n_max" in kwargs:  # a pass over nothing would read as a pass
+        raise ValueError(f"verify {args.suite} --n-max {args.n_max}: the range holds no modulus to check")
     payload = {
         "command": "verify",
         "params": {"suite": args.suite, **report.params},

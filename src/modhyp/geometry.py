@@ -6,12 +6,12 @@ prime, the a = 1 sets of a run of moduli, or a single set) in one sweep; the
 sets are padded to the largest, and padding never enters a count.  Its rows
 are forward rows over orbit blocks: a whole hyperbola, one of phi(n) points
 all on x*y = a (mod n), is carried onto itself by sigma (x, y) -> (y, x),
-nu (x, y) -> (n-x, n-y) and sigma*nu, so its points are put in orbit order,
-each orbit a block of consecutive places, and the first point of each block
-sweeps the points after it, weighted by its block's size; any other set (a
-subset, a class or a grid) is a block of one point at each point, in its own
-order.  So each point pair is seen once, up to the pairs within an orbit.  A
-row codes the slope to each of its points so that equal codes mean equal
+nu (x, y) -> (n-x, n-y) and sigma*nu, so each orbit's point of least x,
+read from its coordinates with no search, leads a block of consecutive
+places with its images and sweeps the points after it, weighted by its
+block's size; any other set (a subset, a class or a grid) is a block of one
+point at each point, in its own order.  So each point pair is seen once, up
+to the pairs within an orbit.  A row codes the slope to each of its points so that equal codes mean equal
 slopes (no per-pair gcd): the code is the float quotient dy / dx, float32
 when the stack's largest modulus is at most 2897, where (n - 1)**2 < 2**23,
 else float64 up to n = 2**20, where (n - 1)**2 < 2**52, so two different
@@ -247,40 +247,47 @@ def census_tier(n: int) -> str:
     return next(name for name, (limit, _, _) in _TIERS.items() if n <= limit)
 
 
-def _orbits(
-    sets: Sequence[PointSet], xs: np.ndarray, ys: np.ndarray, ns: np.ndarray, ks: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per set, whether it is whole, and its points in orbit blocks.
+def _orbit_blocks(
+    sets: Sequence[PointSet], xs: np.ndarray, ys: np.ndarray, ns: np.ndarray, ks: np.ndarray, places: np.ndarray
+) -> tuple[np.ndarray, ...]:
+    """Per set, whether it is whole; its points written into places in orbit blocks; one row per block.
 
     xs and ys stack the S sets as (S, K) arrays, set s in its first ks[s]
-    columns and padding after them; ns holds each set's modulus.  A set is
-    whole when it has phi(n) points, all on x*y = a (mod n): each x is then a
-    unit with the one partner y = a * x**-1, so its xs, and its ys, are
-    exactly the units of n.  Its maps over _MAPS send point i to: sigma, one
-    row-wise ``np.argsort`` of the ys (padding last), as an involution is its
-    own inverse; nu, k - 1 - i; sigma*nu, k - 1 - sigma(i).  Returns whole,
-    order and size, both (S, K): order[s, j] is the index of the point at
-    place j of set s, where the orbit of every point of a whole set under
-    the maps is a block of consecutive places, its least index first and
-    the blocks in the order of their first points; size[s, j] is the size of
-    the block that starts at place j, 0 at every other place and in the
-    padding.  Every other set keeps its order, one point a block.
+    columns, ns holds their moduli, and places, a (2, S, 2K) array, gets set
+    s's xs and ys in place order at places[:, s, :ks[s]].  A set is whole
+    when it has phi(n) points, all on x*y = a (mod n): each unit of n is then
+    the x of one point, and the orbit of (x, y) under sigma, nu and sigma*nu
+    is (x, y), (y, x), (n-x, n-y) and (n-y, n-x).  Points ascend in x, so an
+    orbit's least index is its point of least x, its leader: x <= y and
+    x <= n - y (so 2x <= n).  Each leader's block, after the blocks of the
+    leaders before it, holds the leader and then its distinct images in that
+    map order: sigma fixes it when x == y (nu then sends it where sigma*nu
+    does), sigma*nu when x + y == n (nu then sends it where sigma does), and
+    nu never, as 2x == n is no unit for n > 2.  Every point of any other set
+    leads a block of one.  Returns whole and, per leader in (set, index)
+    order, its set, its block's first place and size, and its x and y.
     """
-    cols = np.arange(xs.shape[1])
-    real = cols < ks[:, None]
+    K = xs.shape[1]
+    real = np.arange(K) < ks[:, None]
     phi = [ps.spec.prime_power.phi if ps.spec.prime_power else euler_phi(ps.spec.n) for ps in sets]
     a = np.array([ps.spec.a for ps in sets], dtype=np.int64)
     whole = (ks == phi) & ((xs * ys % ns[:, None] == a[:, None]) | ~real).all(axis=1)
-    sigma = np.argsort(np.where(real, ys, ns[:, None] + cols), axis=1)  # padding: distinct, above every y
-    mirror = np.where(real, ks[:, None] - 1 - cols, cols)  # point i's place in its set reversed; padding stays
-    sigma_nu = np.take_along_axis(mirror, sigma, axis=1)
-    # the least index of each point's orbit; every other set and the padding map to themselves
-    least = np.where(whole[:, None], np.minimum(np.minimum(sigma, mirror), np.minimum(sigma_nu, cols)), cols)
-    order = np.argsort(least * len(cols) + cols, axis=1)  # distinct keys: each orbit in ascending index
-    # orbit size = group order / stabiliser order, at the orbit's least index
-    fixed = sum(image == cols for image in (sigma, mirror, sigma_nu))
-    size = np.where(least == cols, np.where(whole[:, None], 4 // (1 + fixed), 1), 0) * real
-    return whole, order, np.take_along_axis(size, order, axis=1)
+    leads = np.flatnonzero(real & (~whole[:, None] | (xs <= np.minimum(ys, ns[:, None] - ys))))
+    row_set = leads // K
+    x, y, n, mapped = xs.reshape(-1)[leads], ys.reshape(-1)[leads], ns[row_set], whole[row_set]
+    swapped, opposed = x == y, x + y == n  # sigma, sigma*nu fix the leader
+    size = np.where(mapped, 4 >> (swapped + opposed.astype(np.int64)), 1)
+    place = np.cumsum(size) - size - (np.cumsum(ks) - ks)[row_set]  # set s's blocks fill its ks[s] places
+    at = row_set * 2 * K + place
+    px, py = places.reshape(2, -1)
+    px[at], py[at] = x, y
+    # sigma's image, then nu's, then sigma*nu's, each where it is another point
+    images = ((y, x, ~swapped, 1), (n - x, n - y, ~opposed, 2 - swapped), (n - y, n - x, ~(swapped | opposed), 3))
+    for ix, iy, kept, after in images:
+        kept &= mapped
+        to = (at + after)[kept]
+        px[to], py[to] = ix[kept], iy[kept]
+    return whole, row_set, place, size, x, y
 
 
 def _row_blocks(widths: list[int]) -> list[tuple[int, int, int]]:
@@ -374,11 +381,11 @@ def census(ps: PointSet) -> IncidenceCensus:
     stack of sets of any moduli and sizes, each set on its own terms.
     Orbits: sigma (x, y) -> (y, x), nu (x, y) -> (n-x, n-y) and sigma*nu
     carry a whole set (phi(n) points, all on x*y = a mod n) onto itself, as
-    (n-x)(n-y) = xy mod n, and lines to lines of the same size.  ``_orbits``
-    puts the points of each orbit of a whole set in one block of consecutive
-    places, its least index first.  A subset or a class may keep fewer maps
-    or none; the census does not look for them, and each of its points is a
-    block of one.
+    (n-x)(n-y) = xy mod n, and lines to lines of the same size.
+    ``_orbit_blocks`` writes each orbit of a whole set to a block of
+    consecutive places, its least index first, from its coordinates.  A
+    subset or a class may keep fewer maps or none; the census does not look
+    for them, and each of its points is a block of one.
     Rows: the first point i of each block is an anchor, weighted by its
     block's size w = 4 // (1 + the maps that fix it), and its forward row
     holds the places after it in its set: its w - 1 mates, then every later
@@ -386,14 +393,10 @@ def census(ps: PointSet) -> IncidenceCensus:
     (dx, dy) = j - i, a direction and its negation alike.  The stack's
     largest modulus picks the tier (``census_tier``), float32 up to 2897 and
     float64 up to 2**20, and the code is the quotient c = dy / dx of the
-    tier's float coordinates, +inf when vertical (looked for only in a stack
-    where some set repeats an x), written over the block's dx array; the
-    NaN after each set's points gives NaN, which sorts last and equals
-    nothing.  It is exact: two different slopes dy / dx and dy' / dx' with
-    |dy|, dx, dx' <= N = n - 1 differ by at least 1 / (dx * dx'), and two
-    reals that round to one float F differ by at most 2**-b * |F|, about
-    2**-b * |dy| / dx, less as |dy| * dx' <= N**2 < 2**b (b = 23 for
-    float32, 52 for float64).  The rows go widest first, so a block pads
+    tier's float coordinates, exact (above _TIERS), +inf when vertical
+    (looked for only in a stack where some set repeats an x), written over
+    the block's dx array; the NaN after each set's points gives NaN, which
+    sorts last and equals nothing.  The rows go widest first, so a block pads
     them little, and every row keeps one NaN column past its points, so no
     run crosses into the next row.  One ``np.sort`` per block of rows, at
     most _ROW_BLOCK entries of the block's first and widest row each; a
@@ -431,9 +434,11 @@ def census_many(sets: Sequence[PointSet]) -> list[IncidenceCensus]:
     The sets may differ in modulus and size.  An empty stack or one of 2**22
     sets or more, a set of fewer than two points or of more than 2**20, or a
     modulus above 2**20 raise before any work.  Only the numpy calls are
-    shared: every set keeps its own orbits, weights, counts and keys.  The
-    checks hold for every set: that no run crosses the end of its row, that
-    every rebuilt direction is reduced and divides to its code, and then, in
+    shared: every set keeps its own orbits, weights, counts and keys, and
+    ``_orbit_blocks`` writes every block straight into the float copy the
+    rows read, by arithmetic on the coordinates, with no sort.  The checks
+    hold for every set: that no run crosses the end of its row, that every
+    rebuilt direction is reduced and divides to its code, and then, in
     ``_line_summaries``, reductions along the rows of the stack's count
     grids, one row per set: that no L_t is negative, that the set's lines
     hold each of its point pairs once and that it has L_t keys of each size
@@ -459,22 +464,16 @@ def census_many(sets: Sequence[PointSet]) -> list[IncidenceCensus]:
     for s, ps in enumerate(sets):
         xs[s, : sizes[s]] = ps.xs
         ys[s, : sizes[s]] = ps.ys
-    real = np.arange(K) < ks[:, None]
     # a set's points ascend in (x, y), so it has a vertical pair iff two neighbours share an x
-    vertical = bool(((xs[:, 1:] == xs[:, :-1]) & real[:, 1:]).any())
-    whole, order, size = _orbits(sets, xs, ys, ns, ks)
-    xs, ys = (np.take_along_axis(v, order, axis=1) for v in (xs, ys))
+    vertical = bool(((xs[:, 1:] == xs[:, :-1]) & (np.arange(1, K) < ks[:, None])).any())
     # the coordinates in orbit order as floats of the tier, each set on 2K places with NaN after
     # its points: a row reads at most K - 1 places past its anchor, so it never leaves its set
     places = np.full((2, S, 2 * K), np.nan, dtype=dtype)
-    for v, place in zip((xs, ys), places):
-        np.copyto(place[:, :K], v, where=real)
+    whole, *leaders = _orbit_blocks(sets, xs, ys, ns, ks, places)  # one row per orbit, anchored at its leader
     windows = [sliding_window_view(v.reshape(-1), K) for v in places]
-    row_set, row_place = np.nonzero(size)  # one row per orbit, at its first place
-    row_size = size[row_set, row_place]
-    entries = ks[row_set] - 1 - row_place  # the row's forward places
+    entries = ks[leaders[0]] - 1 - leaders[1]  # the row's forward places
     widest = np.argsort(-entries, kind="stable")  # widest first, so a block pads its rows little
-    row_set, row_place, row_size, entries = row_set[widest], row_place[widest], row_size[widest], entries[widest]
+    row_set, row_place, row_size, row_x, row_y, entries = (v[widest] for v in (*leaders, entries))
     start = row_set * 2 * K + row_place + 1
     # each row's width has one NaN column past its entries
     blocks = _row_blocks((entries + 1).tolist())
@@ -511,7 +510,6 @@ def census_many(sets: Sequence[PointSet]) -> list[IncidenceCensus]:
     # nu sends C to -C - n(A + B)
     rich = np.flatnonzero(length >= 2)
     s, row, length, code = s[rich], row[rich], length[rich], code[rich]
-    i = row_place[row]
     mapped = whole[s]
     bounds = len(s) + np.count_nonzero(mapped) * np.arange(4)
     N = int(bounds[-1])
@@ -525,7 +523,7 @@ def census_many(sets: Sequence[PointSet]) -> list[IncidenceCensus]:
         if wrong.any():
             raise RuntimeError(f"census rebuilt a direction that {what} in set {s[np.argmax(wrong)]} of the stack")
     keys[0], keys[1], keys[2], keys[4] = s, dy, -dx, length + 1
-    keys[3] = -(keys[1] * xs[s, i] + keys[2] * ys[s, i])
+    keys[3] = -(keys[1] * row_x[row] + keys[2] * row_y[row])
     for which, (swap, reflect) in enumerate(_MAPS):
         image = np.compress(mapped, keys, axis=1, out=rows[:, bounds[which] : bounds[which + 1]])
         if swap:

@@ -169,6 +169,25 @@ def test_verify_exit_codes(capsys, tmp_path):
     assert json.loads(out)["pass"] is False
 
 
+@pytest.mark.parametrize(
+    "suite, n_max",
+    [("theorem6", "2"), ("lemma7", "8"), ("collinearity", "-5"), ("special-line", "8"), ("prime-distance", "2")],
+)
+def test_verify_refuses_a_range_without_a_modulus(capsys, suite, n_max):
+    # a range that holds no modulus would otherwise report a pass over zero cases
+    for fmt in ("json", "text"):
+        rc, out, err = run(capsys, "verify", suite, "--n-max", n_max, "--jobs", "1", "--format", fmt)
+        assert (rc, out) == (2, "")
+        assert err == f"error: verify {suite} --n-max {n_max}: the range holds no modulus to check\n"
+
+
+def test_verify_keeps_a_range_with_one_modulus(capsys):
+    # the smallest ranges that hold a modulus still run: theorem6 from 3, lemma7 from 9
+    for suite, n_max in (("theorem6", "3"), ("lemma7", "9"), ("prime-lines", "2")):
+        rc, out, _ = run(capsys, "verify", suite, "--n-max", n_max, "--jobs", "1")
+        assert rc == 0 and json.loads(out)["result"]["summary"]["total"] >= 1, suite
+
+
 def test_verify_tables_refuses_a_fixture_without_a_column(capsys, tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("p,m,expected_count\n3,2,4\n")

@@ -36,7 +36,7 @@ from modhyp.geometry import (
     verify_line_classes,
     verify_ordinary_bound,
     zero_intercept_lines,
-    _orbits,
+    _orbit_blocks,
     _quotient_directions,
     _slope_quotients,
 )
@@ -160,7 +160,7 @@ def test_census_matches_oracle_property(data):
         sub = data.draw(st.lists(st.sampled_from(ps.points), min_size=2, unique=True), label="points")
         generators = _SUBGROUPS[data.draw(st.sampled_from(sorted(_SUBGROUPS)), label="subgroup")]
         ps = _point_set(ps.spec, _close(sub, n, generators))
-    whole, _, _, _ = _stacked_orbits([ps])
+    whole, _ = _stacked_blocks([ps])
     assert whole.tolist() == [ps.points == full.points]  # whole exactly when the subset is the whole set
     _assert_matches_oracle(ps)
 
@@ -181,15 +181,31 @@ def test_census_hand_built_grid_in_any_order():
 _CLASS_MODULI = (9, 25, 27, 49, 81, 121, 125)
 
 
-def _stacked_orbits(sets):
-    """``_orbits`` of the sets padded into one stack: (whole, order, size, K)."""
+def _stacked_blocks(sets):
+    """``_orbit_blocks`` of the sets padded into one stack: (whole, blocks).
+
+    blocks[s] lists set s's blocks in place order, each as the list of
+    points at its places.  Each set's blocks must tile its first k places,
+    every place past them must stay NaN, and each row must give its block's
+    first point as its anchor.
+    """
     K = max(len(ps) for ps in sets)
     xs = np.zeros((len(sets), K), dtype=np.int64)
     ys = np.zeros((len(sets), K), dtype=np.int64)
     for s, ps in enumerate(sets):
         xs[s, : len(ps)], ys[s, : len(ps)] = ps.xs, ps.ys
-    whole, order, size = _orbits(sets, xs, ys, np.array([ps.spec.n for ps in sets]), np.array([len(ps) for ps in sets]))
-    return whole, order, size, K
+    places = np.full((2, len(sets), 2 * K), np.nan)
+    whole, *rows = _orbit_blocks(sets, xs, ys, np.array([ps.spec.n for ps in sets]), np.array([len(ps) for ps in sets]), places)
+    assert whole.shape == (len(sets),)
+    blocks = [[] for _ in sets]
+    for s, start, size, x, y in zip(*(v.tolist() for v in rows)):
+        assert start == sum(map(len, blocks[s]))  # the blocks of a set follow each other
+        block = places[:, s, start : start + size].astype(np.int64).T.tolist()
+        assert block[0] == [x, y]
+        blocks[s].append([tuple(point) for point in block])
+    for s, ps in enumerate(sets):
+        assert sum(map(len, blocks[s])) == len(ps) and np.isnan(places[:, s, len(ps) :]).all()
+    return whole, blocks
 
 
 def _drawn_stack_part(data, i):
@@ -291,10 +307,10 @@ def test_census_many_class_stack_keeps_maps_per_set():
     classes = partition_classes(enumerate_points(HyperbolaSpec(1, 25)))
     nu_only = _point_set(HyperbolaSpec(1, 13), [(1, 1), (12, 12), (2, 7), (11, 6), (3, 9), (10, 4), (5, 8), (8, 5)])
     sets = [nu_only, enumerate_points(HyperbolaSpec(1, 13)), *classes.values(), enumerate_points(HyperbolaSpec(1, 25))]
-    whole, order, size, K = _stacked_orbits(sets)
+    whole, blocks = _stacked_blocks(sets)
     assert whole.tolist() == [False, True, False, False, False, False, True]
     for s, ps in enumerate(sets):
-        _assert_blocks(ps, whole[s], order[s], size[s])
+        _assert_blocks(ps, whole[s], blocks[s])
     for ps, cen in zip(sets, census_many(sets)):
         hist, rich = _census_oracle(ps.points)
         assert cen.histogram == hist and list(cen.lines()) == sorted(rich.items())
@@ -321,7 +337,7 @@ def test_census_sets_that_are_not_whole_match_the_oracle():
     assert _close(other_curve.points, 13, _SUBGROUPS["full"]) == set(other_curve.points)
     mixed = [h49, partition_classes(h49)[2], h3_49, closed, _off_curve(h49, 0, 2), _point_set(h3_49.spec, h3_49.points[5:])]
     for stack in ([moved], [other_curve], [closed], mixed, mixed[::-1], [moved, h13, other_curve]):
-        whole, _, _, _ = _stacked_orbits(stack)
+        whole, _ = _stacked_blocks(stack)
         assert whole.tolist() == [ps in (h13, h49, h3_49) for ps in stack]
         for ps, cen in zip(stack, census_many(stack)):
             hist, rich = _census_oracle(ps.points)
@@ -333,20 +349,17 @@ def test_whole_set_orbits_over_their_anchors_cover_every_point():
     # of 1, 2 or 4 points, each led by its least index and in the order of
     # those; they partition the set, so their sizes sum to k
     sets = [enumerate_points(HyperbolaSpec(a, n)) for n in range(3, 61) for a in range(1, n) if math.gcd(a, n) == 1]
-    whole, order, size, K = _stacked_orbits(sets)
+    whole, blocks = _stacked_blocks(sets)
     assert whole.all()
-    for s, ps in enumerate(sets):
-        k, n = len(ps), ps.spec.n
-        assert sorted(order[s, :k].tolist()) == list(range(k))
-        starts = np.flatnonzero(size[s]).tolist()
-        sizes = size[s, starts].tolist()
-        assert set(sizes) <= {1, 2, 4} and sum(sizes) == k, ps.spec
-        assert starts == np.cumsum([0, *sizes[:-1]]).tolist()
-        blocks = [order[s, b : b + w].tolist() for b, w in zip(starts, sizes)]
-        assert [block[0] for block in blocks] == sorted(min(block) for block in blocks)
-        for block in blocks:
-            orbit = _close([ps.points[block[0]]], n, _SUBGROUPS["full"])
-            assert orbit == {ps.points[i] for i in block}, (ps.spec, block)
+    for ps, set_blocks in zip(sets, blocks):
+        index = {point: i for i, point in enumerate(ps.points)}
+        sizes = [len(block) for block in set_blocks]
+        assert set(sizes) <= {1, 2, 4} and sum(sizes) == len(ps), ps.spec
+        assert tuple(sorted(point for block in set_blocks for point in block)) == ps.points
+        leaders = [index[block[0]] for block in set_blocks]
+        assert leaders == sorted(min(map(index.get, block)) for block in set_blocks)
+        for block in set_blocks:
+            assert _close(block[:1], ps.spec.n, _SUBGROUPS["full"]) == set(block), (ps.spec, block)
 
 
 def test_census_many_refuses_bad_stacks_before_any_work(monkeypatch):
@@ -360,7 +373,7 @@ def test_census_many_refuses_bad_stacks_before_any_work(monkeypatch):
             alone = census(ps)
             assert (cen.n, cen.point_count, cen.histogram) == (alone.n, alone.point_count, alone.histogram)
             assert list(cen.lines()) == list(alone.lines())
-    monkeypatch.setattr(geometry, "_orbits", no_work)
+    monkeypatch.setattr(geometry, "_orbit_blocks", no_work)
     monkeypatch.setattr(geometry, "_row_groups", no_work)
     with pytest.raises(ValueError, match="at least one point set"):
         census_many([])
@@ -1295,27 +1308,30 @@ def _symmetry_oracle(ps):
     return out
 
 
-def _oracle_blocks(ps):
-    """The orbit blocks of a whole set from ``_symmetry_oracle``'s images: (order, size), as ``_orbits`` gives them."""
+def _assert_blocks(ps, whole, blocks):
+    """A set's blocks from ``_stacked_blocks``, against ``_symmetry_oracle``'s images.
+
+    A whole set's blocks are its orbits in the order of their least indices:
+    each block, as a set of points, is the orbit of its first point, which
+    has the orbit's least x, and its size is 4 // (1 + the maps that fix that
+    point).  Every other set keeps its order, one point a block.
+    """
+    if not whole:
+        assert blocks == [[point] for point in ps.points], (ps.spec, len(ps))
+        return
     maps = _symmetry_oracle(ps)
     assert all(kept for kept, _ in maps)
-    orbits = {}
-    for i in range(len(ps)):
-        orbit = sorted({i, *(images[i] for _, images in maps)})
-        orbits[orbit[0]] = orbit
-    order, size = [], []
-    for first in sorted(orbits):
-        order += orbits[first]
-        size += [len(orbits[first])] + [0] * (len(orbits[first]) - 1)
-    return order, size
-
-
-def _assert_blocks(ps, whole, order, size):
-    """A set's row of ``_orbits``: the oracle's blocks if whole, else its own order, one point a block; padding after."""
-    k, K = len(ps), len(order)
-    want = _oracle_blocks(ps) if whole else (list(range(k)), [1] * k)
-    assert (order[:k].tolist(), size[:k].tolist()) == want, (ps.spec, k)
-    assert order[k:].tolist() == list(range(k, K)) and not size[k:].any()  # padding stays in place, in no block
+    index = {point: i for i, point in enumerate(ps.points)}
+    leaders = []
+    for block in blocks:
+        i = index[block[0]]
+        orbit = {i, *(images[i] for _, images in maps)}
+        assert {index[point] for point in block} == orbit, (ps.spec, block)
+        assert block[0][0] == min(ps.points[j][0] for j in orbit)
+        fixed = sum(images[i] == i for _, images in maps)
+        assert len(block) == 4 // (1 + fixed), (ps.spec, block)
+        leaders.append(i)
+    assert leaders == sorted(leaders) and sum(map(len, blocks)) == len(ps)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -1334,8 +1350,47 @@ def test_symmetries_match_a_lookup_oracle_property(data):
             sets += _drawn_stack_part(data, i)
     if not sets:
         return
-    whole, order, size, K = _stacked_orbits(sets)
-    assert whole.shape == (len(sets),) and order.shape == size.shape == (len(sets), K)
+    whole, blocks = _stacked_blocks(sets)
     for s, ps in enumerate(sets):
         assert whole[s] == (ps.points == enumerate_points(ps.spec).points)
-        _assert_blocks(ps, whole[s], order[s], size[s])
+        _assert_blocks(ps, whole[s], blocks[s])
+
+
+# moduli for the orbit-block property: prime powers (odd, and 2**m), composite
+# moduli with two or more odd prime factors, and even moduli that are not 2**m
+_BLOCK_MODULI = {
+    "prime power": (7, 9, 11, 25, 27, 49, 64, 81, 121, 125, 128, 169, 243, 256),
+    "composite": (15, 21, 33, 35, 45, 63, 75, 99, 105, 135, 165, 195),
+    "even": (6, 10, 12, 18, 24, 30, 40, 48, 60, 84, 90, 120, 168, 210),
+}
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_orbit_blocks_of_whole_sets_match_the_oracle_property(data):
+    # stacks of whole sets of prime-power, composite and even moduli, with a
+    # drawn as r**2 or -r**2 for a unit r, so that (r, r), fixed by sigma, or
+    # (r, n - r), fixed by sigma*nu, is on the curve, or as any unit; a closed
+    # subset of one of them, which is not whole, rides along in the stack
+    sets, fixed = [], []
+    for i in range(data.draw(st.integers(1, 4), label="sets")):
+        n = data.draw(st.sampled_from(_BLOCK_MODULI[data.draw(st.sampled_from(sorted(_BLOCK_MODULI)), label=f"kind {i}")]), label=f"n {i}")
+        r = data.draw(st.sampled_from([u for u in range(1, n) if math.gcd(u, n) == 1]), label=f"r {i}")
+        sign = data.draw(st.sampled_from([1, -1, 0]), label=f"sign {i}")
+        a = sign * r * r % n if sign else r
+        sets.append(enumerate_points(HyperbolaSpec(a, n)))
+        if sign:  # sigma fixes (r, r) for a = r**2, sigma*nu fixes (r, n - r) for a = -r**2
+            fixed.append((len(sets) - 1, (r, r) if sign == 1 else (r, n - r)))
+    if data.draw(st.booleans(), label="subset"):
+        ps = sets[0]
+        sub = data.draw(st.lists(st.sampled_from(ps.points), min_size=2, unique=True), label="points")
+        generators = _SUBGROUPS[data.draw(st.sampled_from(sorted(_SUBGROUPS)), label="subgroup")]
+        sub = _point_set(ps.spec, _close(sub, ps.spec.n, generators))
+        if sub.points != ps.points:
+            sets.append(sub)
+    whole, blocks = _stacked_blocks(sets)
+    assert whole.tolist() == [ps.points == enumerate_points(ps.spec).points for ps in sets]
+    for s, ps in enumerate(sets):
+        _assert_blocks(ps, whole[s], blocks[s])
+    for s, point in fixed:  # the fixed point's orbit is a block of two
+        assert any(point in block and len(block) == 2 for block in blocks[s]), (sets[s].spec, point)
