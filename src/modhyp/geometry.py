@@ -27,9 +27,9 @@ closed under its three maps, all are ordered by C and then, by a stable sort,
 by one int64 major key that leads with the set index, each line keeps its
 largest size, and they are cut back per set.  The tests check the census
 against an independent cross-product oracle.  The lemma 7 checks recount
-every rich line without the census, by sorting A*x + B*y for a block of
-directions at once, one row per direction, and the collinearity checks
-derive each x mod p class's line total from both.
+each rich line in the x mod p classes of its key's roots, one sorted row per
+(direction, class), and the collinearity checks derive each class's line
+total from both; neither can find a line the census lost.
 """
 from __future__ import annotations
 
@@ -596,13 +596,13 @@ def count_on_line(ps: PointSet, key: LineKey) -> int:
 def zero_intercept_lines(ps: PointSet) -> list[tuple[LineKey, int]]:
     """(line, point count) for every line with C = 0 through two or more points.
 
-    Such a line passes through the origin, so its points share the reduced
-    direction (x/g, y/g), g = gcd(x, y); one ``np.unique`` groups them.
+    Such a line runs through the origin, and its points share one direction
+    (x/g, y/g), g = gcd(x, y): one ``np.unique`` of (x/g) * n + y/g groups them.
     """
     g = np.gcd(ps.xs, ps.ys)
-    dirs, counts = np.unique(np.stack([ps.xs // g, ps.ys // g], axis=1), axis=0, return_counts=True)
+    dirs, counts = np.unique(ps.xs // g * ps.spec.n + ps.ys // g, return_counts=True)
     keep = counts >= 2
-    rows = zip(dirs[keep].tolist(), counts[keep].tolist())
+    rows = zip(np.stack(np.divmod(dirs[keep], ps.spec.n), axis=1).tolist(), counts[keep].tolist())
     return sorted((line_through((0, 0), (dx, dy)), t) for (dx, dy), t in rows)
 
 
@@ -691,105 +691,105 @@ class LineClassReport:
     lines_checked: int
     violations: list[str]
 
-    @property
-    def ok(self) -> bool:
-        return not self.violations
 
+def _rich_line_classes(ps: PointSet, cen: IncidenceCensus, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(line, class, count) for each x mod p class that holds points of a rich line of cen, line indexing its keys.
 
-def _rich_line_classes(ps: PointSet, cen: IncidenceCensus, p: int) -> np.ndarray:
-    """The x mod p class of each point of each rich line of cen, line after line, each count recounted.
-
-    Each point is packed with its class as (A*x + B*y) * p + x % p, for a
-    block of directions (A, B) at once: a (D, k) array, D * k <= _ROW_BLOCK,
-    sorted along its rows.  Row r is then offset by r * span, so the block
-    ascends as one flat array, and one ``np.searchsorted`` pair finds the
-    points of every line A*x + B*y = -C of the block; a count other than the
-    census's raises.
+    With x*y = a (mod p), which ``OutOfScope`` guards, x times A*x + B*y + C
+    is A*x**2 + C*x + a*B, so a line's points lie in the classes of its roots
+    mod p: (-C +- s) * (2A)**-1, s**2 = C*C - 4aAB, or -aB * C**-1 when p | A
+    (class 0, empty as a is a unit, stands for none).  Each (direction,
+    class) is a row of A*x + B*y over that class's points, padded with a
+    value no line takes; a block of rows, D * width <= _ROW_BLOCK, is sorted
+    along its rows and row r offset by r * span, so it ascends as one array
+    and one ``np.searchsorted`` pair counts every line's points in each of
+    its classes.  A line whose counts do not add up to the census's raises.
     """
+    n, a = ps.spec.n, ps.spec.a
+    residue = ps.xs % p
+    if ((residue * ps.ys - a) % p).any():
+        raise OutOfScope(f"line-class checks need every point on x*y = {a} (mod {p})")
     keys, t = cen._rich_keys, cen._rich_t
     A, B, C = keys.T
-    # keys ascend in (A, B, C), so the lines of one direction are consecutive
-    edge = np.ones(len(keys) + 1, dtype=bool)
-    edge[1:-1] = (A[1:] != A[:-1]) | (B[1:] != B[:-1])
-    bounds = np.flatnonzero(edge)  # direction d's lines are bounds[d]:bounds[d + 1]
-    row = np.cumsum(edge[:-1]) - 1  # each line's direction
-    directions = len(bounds) - 1
-    # a row's values and both searches of its lines, w * p and (w + 1) * p for w = -C = A*x + B*y
-    # at a point of the line, lie in [-W * p, (W + 1) * p], W = 2 * (n - 1)**2 >= |A*x + B*y|.
-    # Rows span = 2 * (W + 1) * p apart never meet, and as span is a multiple of p an offset
-    # value keeps its class.  A block of D rows stays below D * span, so D * span < 2**63 keeps
-    # it int64: span < 2**53 (a census needs n <= 2**20, and m >= 2 gives p <= 2**10), so the
-    # cap leaves D >= 2**10, and _ROW_BLOCK // k binds first for every k >= 2**6
-    span = 2 * (2 * (ps.spec.n - 1) ** 2 + 1) * p
-    per_block = max(1, min(_ROW_BLOCK // len(ps), ((1 << 63) - 1) // span))
-    classes = [np.empty(0, dtype=np.int64)]
-    residues = ps.xs % p
-    for d in range(0, directions, per_block):
-        end = min(d + per_block, directions)
-        first, last = bounds[d], bounds[end]
-        lead = bounds[d:end]  # the first line of each direction
-        values = np.multiply.outer(A[lead], ps.xs)
-        values += np.multiply.outer(B[lead], ps.ys)
-        values *= p
-        values += residues
+    Ap, Bp, Cp = keys.T % p
+    inverse = np.array([0, *(pow(i, -1, p) for i in range(1, p))])
+    root = np.full(p, -1)
+    root[np.arange(p) ** 2 % p] = np.arange(p)
+    s = root[(Cp * Cp - 4 * a * Ap * Bp) % p]
+    roots = (np.stack([s, -s], axis=1) - Cp[:, None]) * inverse[2 * Ap % p, None] % p
+    roots[s < 0] = 0
+    roots[Ap == 0] = (-a * Bp * inverse[Cp] % p)[Ap == 0, None]  # 0 when p | C too
+    roots[roots[:, 0] == roots[:, 1], 1] = 0  # a double root once
+    line, cls = np.flatnonzero(roots) // 2, roots[roots > 0]
+    # the (line, class) pairs of each (direction, class) row together, |A|, |B| < n; row r's start at first[r]
+    pair = (A[line] * 2 * n + B[line]) * p + cls
+    order = np.argsort(pair)
+    line, cls = line[order], cls[order]
+    opens = np.diff(pair[order], prepend=-1) != 0  # pair >= 0: A >= 0, and B > 0 where A = 0
+    first, row = np.flatnonzero(opens), np.cumsum(opens) - 1
+    row_a, row_b, row_class = A[line[first]], B[line[first]], cls[first]
+    first = np.append(first, len(line))
+    # each class's points, padded to the largest class by repeats that pad marks
+    sizes = np.bincount(residue, minlength=p)
+    width = int(sizes.max())
+    pad = np.arange(width) >= sizes[:, None]
+    start = np.cumsum(sizes) - sizes
+    member = np.argsort(residue, kind="stable")[np.minimum(start[:, None] + np.arange(width), len(ps) - 1)]
+    cx, cy = ps.xs[member], ps.ys[member]
+    # |A*x + B*y| and |C| are below 2 * n**2, where the padding goes, so rows span = 4 * n**2 apart never
+    # meet; a block of D <= _ROW_BLOCK rows stays below D * span <= 2**58 for n <= 2**20
+    span = 4 * n * n
+    per_block = max(1, _ROW_BLOCK // width)
+    q = row % per_block * span - C[line]  # each pair's value in its block
+    count = np.empty(len(line), dtype=np.int64)
+    for lo in range(0, len(row_class), per_block):
+        hi = min(lo + per_block, len(row_class))
+        c = row_class[lo:hi]
+        values = row_a[lo:hi, None] * cx[c] + row_b[lo:hi, None] * cy[c]
+        np.putmask(values, pad[c], span // 2)
         values.sort(axis=1)
-        values += np.arange(len(lead))[:, None] * span
-        values = values.reshape(-1)
-        base = (row[first:last] - d) * span
-        lo = np.searchsorted(values, base - C[first:last] * p)
-        count = np.searchsorted(values, base + (1 - C[first:last]) * p) - lo
-        wrong = np.flatnonzero(count != t[first:last])
-        if len(wrong):
-            raise RuntimeError(f"census count mismatch on {LineKey(*keys[first + wrong[0]].tolist())}")
-        # the sorted positions of the points of every line, line after line
-        member = np.repeat(lo - np.cumsum(count) + count, count) + np.arange(count.sum())
-        classes.append(values[member] % p)
-    return np.concatenate(classes)
+        values += np.arange(hi - lo)[:, None] * span
+        at = slice(first[lo], first[hi])
+        count[at] = np.searchsorted(values.ravel(), q[at], "right") - np.searchsorted(values.ravel(), q[at])
+    wrong = np.flatnonzero(np.bincount(line, count, minlength=len(t)) != t)
+    if len(wrong):
+        raise RuntimeError(f"census count mismatch on {LineKey(*keys[wrong[0]].tolist())}")
+    kept = count > 0
+    return line[kept], cls[kept], count[kept]
 
 
 def verify_line_classes(ps: PointSet, cen: IncidenceCensus) -> LineClassReport:
     """Structural checks on every line with >= 3 points of an odd prime-power set, cen its census.
 
     Each such line must stay inside a single x mod p class, have C and A*B
-    coprime to p, satisfy C*C - 4AB = 0 (mod p), and sit in the class
-    i = -C * (2A)**-1 mod p; every line with C = 0 must be y = x with
-    exactly two points.  The census's count of every rich line is recounted
-    without the census (``_rich_line_classes``).
+    coprime to p and satisfy C*C - 4aAB = 0 (mod p), so its class is the
+    double root -C * (2A)**-1 of A*x**2 + C*x + a*B; every line with C = 0
+    must be y = x with exactly two points.  The census's count of every rich
+    line is recounted in its root classes (``_rich_line_classes``).
     """
     pp = ps.spec.prime_power
     if pp is None or pp.p == 2 or pp.m < 2:
         raise OutOfScope("line-class checks need an odd prime power with m >= 2")
     p = pp.p
-    keys, t = cen._rich_keys, cen._rich_t
-    A, B, C = keys.T
-    classes = _rich_line_classes(ps, cen, p)
-    ends = np.cumsum(t) - t  # line r's points sit at classes[ends[r] : ends[r] + t[r]]
+    keys = cen._rich_keys
+    line, cls, _ = _rich_line_classes(ps, cen, p)
+    Ap, Bp, Cp = keys.T % p
+    split = np.bincount(line, minlength=len(keys)) > 1
+    c_zero = Cp == 0
+    ab_zero = Ap * Bp % p == 0
+    disc = (Cp * Cp - 4 * ps.spec.a * Ap * Bp) % p != 0
     violations: list[str] = []
-    if len(keys):
-        low, high = np.minimum.reduceat(classes, ends), np.maximum.reduceat(classes, ends)
-        Ap, Bp, Cp = A % p, B % p, C % p
-        split = low != high
-        c_zero = Cp == 0
-        ab_zero = Ap * Bp % p == 0
-        disc = (Cp * Cp - 4 * Ap * Bp) % p != 0
-        off_class = (2 * Ap * low + Cp) % p != 0  # i != -C * (2A)**-1 where 2A is a unit
-        for r in np.flatnonzero(split | c_zero | ab_zero | disc | off_class).tolist():
-            key = tuple(keys[r].tolist())
-            if split[r]:
-                on = sorted(set(classes[ends[r] : ends[r] + t[r]].tolist()))
-                violations.append(f"line {key} meets classes {on}")
-                continue
-            if c_zero[r]:
-                violations.append(f"line {key}: p divides C")
-            if ab_zero[r]:
-                violations.append(f"line {key}: p divides A*B")
-                continue
-            if disc[r]:
-                violations.append(f"line {key}: discriminant not 0 mod p")
-            elif off_class[r]:
-                on = {int(low[r])}
-                expect = -key[2] * pow(2 * key[0], -1, p) % p
-                violations.append(f"line {key}: class {on} != {expect}")
+    for r in np.flatnonzero(split | c_zero | ab_zero | disc).tolist():
+        key = tuple(keys[r].tolist())
+        if split[r]:
+            violations.append(f"line {key} meets classes {sorted(cls[line == r].tolist())}")
+            continue
+        if c_zero[r]:
+            violations.append(f"line {key}: p divides C")
+        if ab_zero[r]:
+            violations.append(f"line {key}: p divides A*B")
+        elif disc[r]:
+            violations.append(f"line {key}: discriminant not 0 mod p")
     for key, count in zero_intercept_lines(ps):
         if key != (1, -1, 0):
             violations.append(f"zero-intercept line {tuple(key)} is not y = x")
@@ -807,10 +807,6 @@ class CollinearityReport:
     class_line_counts: dict[int, int]
     violations: list[str]
     many_lines_regime: bool
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
 
 
 def verify_collinearity_bounds(ps: PointSet, cen: IncidenceCensus) -> CollinearityReport:
@@ -834,12 +830,9 @@ def verify_collinearity_bounds(ps: PointSet, cen: IncidenceCensus) -> Collineari
     if pp.m >= 2:
         p = pp.p
         k = np.bincount(ps.xs % p, minlength=p)
-        # line * p + class for each point of each rich line; t points per code
-        members = np.repeat(np.arange(len(cen._rich_t)), cen._rich_t) * p + _rich_line_classes(ps, cen, p)
-        codes, t = np.unique(members, return_counts=True)
-        line, i = np.divmod(codes, p)
+        line, i, t = _rich_line_classes(ps, cen, p)
         lines = k * (k - 1) // 2
-        np.subtract.at(lines, i, np.where(t >= 2, t * (t - 1) // 2 - 1, 0))
+        np.subtract.at(lines, i, np.maximum(t * (t - 1) // 2 - 1, 0))  # a line with one point of i takes none
         whole = (t == k[i]) & (k[i] >= 3)
         for c, r in sorted(zip(i[whole].tolist(), line[whole].tolist())):
             violations.append(f"class {c} is entirely collinear on {tuple(cen._rich_keys[r].tolist())}")

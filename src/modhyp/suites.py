@@ -381,6 +381,8 @@ def suite_ordinary_moduli(n_max: int = 200, jobs: int = 1) -> VerificationReport
     """Exactly {2, 8, 12, 24} span no ordinary line; 3, 4 and 6 span exactly one."""
     rep = VerificationReport("ordinary-moduli", {"n_max": n_max})
     moduli = range(2, n_max + 1)
+    if not moduli:
+        return rep  # no case: the CLI refuses a range without a modulus
     results = dict(zip(moduli, _run_stacked(_ordinary_count, _stacks([(n, 1) for n in moduli]), jobs)))
     found = [n for n, c in sorted(results.items()) if c == 0]
     expected = [n for n in (2, 8, 12, 24) if n <= n_max]
@@ -602,6 +604,8 @@ def suite_theorem14(
     # (p, case kind, a values): kind None gives one case per a, else one case of failures per task
     if p is None:
         tasks = [(q, "all-a", [a for a in range(1, q * q) if a % q != 0]) for q in primes_upto(n_max) if q > 2]
+        if not tasks:
+            return rep  # no case: the CLI refuses a range without a modulus
         tasks += [(q, "sampled", _sampled_units(q, samples, seed)) for q in _THEOREM14_SAMPLE_PRIMES]
     else:
         _check_theorem14_prime(p, all_a)
@@ -778,6 +782,8 @@ def suite_prop15(n_max: int = 61, jobs: int = 1) -> VerificationReport:
     """
     rep = VerificationReport("prop15", {"n_max": n_max})
     tasks = [p for p in primes_upto(n_max) if p != 2]
+    if not tasks:
+        return rep  # no case: the CLI refuses a range without a modulus
     bad = []
     checked = 0
     for count, rows in _run_parallel(_prop15_prime_task, tasks, jobs):

@@ -171,7 +171,16 @@ def test_verify_exit_codes(capsys, tmp_path):
 
 @pytest.mark.parametrize(
     "suite, n_max",
-    [("theorem6", "2"), ("lemma7", "8"), ("collinearity", "-5"), ("special-line", "8"), ("prime-distance", "2")],
+    [
+        ("theorem6", "2"),
+        ("lemma7", "8"),
+        ("collinearity", "-5"),
+        ("special-line", "8"),
+        ("prime-distance", "2"),
+        ("ordinary-moduli", "-5"),
+        ("prop15", "2"),
+        ("theorem14", "-5"),
+    ],
 )
 def test_verify_refuses_a_range_without_a_modulus(capsys, suite, n_max):
     # a range that holds no modulus would otherwise report a pass over zero cases
@@ -183,7 +192,15 @@ def test_verify_refuses_a_range_without_a_modulus(capsys, suite, n_max):
 
 def test_verify_keeps_a_range_with_one_modulus(capsys):
     # the smallest ranges that hold a modulus still run: theorem6 from 3, lemma7 from 9
-    for suite, n_max in (("theorem6", "3"), ("lemma7", "9"), ("prime-lines", "2")):
+    smallest = [
+        ("theorem6", "3"),
+        ("lemma7", "9"),
+        ("prime-lines", "2"),
+        ("ordinary-moduli", "2"),
+        ("prop15", "3"),
+        ("theorem14", "3"),
+    ]
+    for suite, n_max in smallest:
         rc, out, _ = run(capsys, "verify", suite, "--n-max", n_max, "--jobs", "1")
         assert rc == 0 and json.loads(out)["result"]["summary"]["total"] >= 1, suite
 
@@ -473,6 +490,11 @@ REPORT_DIGESTS = [
     # p <= 109 in shared cost-cut stacks, 113 to 139 in stacks of one p each;
     # recorded before the small primes shared stacks and took int32 rows
     ("prime-lines", ["--n-max", "139"], 0, "cae9ae771a3a17c33a987f4d552d3298a5953b1b6a51b3f1d4cab9d2a5aa30b2"),
+    # the default ranges (special-line n <= 2500; theorem14 every odd p <= 31
+    # and its seeded samples), unchanged since the line suites shared one
+    # census worker, and the same at --jobs 1 and 2
+    ("special-line", [], 0, "62df2246fc2e4bde91e94045a9e3b0c46bd0e92a20c980c73325395612ada019"),
+    ("theorem14", [], 0, "c8b99d91914aa351ec8a44e646f9ac379168063c523a5a95a1b032609827deb2"),
 ]
 
 

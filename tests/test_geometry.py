@@ -1017,7 +1017,7 @@ def test_verify_line_classes():
     for n in (9, 49, 125, 343):
         ps = enumerate_points(HyperbolaSpec(1, n))
         rep = verify_line_classes(ps, census(ps))
-        assert rep.ok, rep.violations
+        assert not rep.violations, rep.violations
     for n in (5, 16):
         with pytest.raises(OutOfScope):
             verify_line_classes(enumerate_points(HyperbolaSpec(1, n)), _a1_census(n))
@@ -1040,15 +1040,14 @@ def test_verify_line_classes_recounts_every_rich_line(verify, n):
 
 
 def _class_recount_sets():
-    """(set, p, whether its directions fill more than one block) for the recount's oracle test."""
+    """(set, p, whether its (direction, class) rows fill more than one block) for the recount's oracle test."""
     big = 1021**2
     # the 80 smallest x of the class x = 5 mod 1021: 24 directions of 300 rich
-    # lines, one block whose rows sit span = 2 * (2 * (n - 1)**2 + 1) * p, about
-    # 2**52, apart, so its last row is offset by about 2**56.5
+    # lines, all in that class, at the largest p a census admits for m = 2
     corner = _point_set(HyperbolaSpec(1, big), [(x, pow(x, -1, big)) for x in range(5, 80 * 1021, 1021)])
     return [
-        (enumerate_points(HyperbolaSpec(1, 31**2)), 31, True),  # 129 directions of k = 930, 70 a block
-        (enumerate_points(HyperbolaSpec(1, 3**7)), 3, True),  # 209 directions of k = 1458, 44 a block
+        (enumerate_points(HyperbolaSpec(1, 31**2)), 31, False),  # 258 rows of 31 points, 2114 a block
+        (enumerate_points(HyperbolaSpec(1, 3**7)), 3, True),  # 418 rows of 729 points, 89 a block
         (corner, 1021, False),
     ]
 
@@ -1056,34 +1055,40 @@ def _class_recount_sets():
 @pytest.mark.parametrize("ps,p,split", _class_recount_sets(), ids=["31^2", "3^7", "1021^2-subset"])
 def test_rich_line_classes_match_a_scan_of_each_line(ps, p, split):
     # a different algorithm: scan the whole set for A*x + B*y + C == 0, line by
-    # line, and compare the count and the x mod p of the members of each line
+    # line, and count the members of each line in each x mod p class
     cen = census(ps)
-    classes = geometry._rich_line_classes(ps, cen, p)
-    directions = {(key.A, key.B) for key, _ in cen.lines()}
-    assert (len(directions) > geometry._ROW_BLOCK // len(ps)) == split
-    at = 0
-    for key, t in cen.lines():
+    line, cls, count = geometry._rich_line_classes(ps, cen, p)
+    want = []
+    for r, (key, t) in enumerate(cen.lines()):
         on = key.A * ps.xs + key.B * ps.ys + key.C == 0
         assert np.count_nonzero(on) == t, key
-        assert sorted(classes[at : at + t].tolist()) == sorted((ps.xs[on] % p).tolist()), key
-        at += t
-    assert at == len(classes)
+        held = np.bincount(ps.xs[on] % p, minlength=p)
+        want += [(r, i, int(held[i])) for i in np.flatnonzero(held).tolist()]
+    assert sorted(zip(line.tolist(), cls.tolist(), count.tolist())) == want
+    rows = {(*cen._rich_keys[r, :2].tolist(), i) for r, i, _ in want}
+    assert (len(rows) > geometry._ROW_BLOCK // np.bincount(ps.xs % p).max()) == split
 
 
 def _lemma7_test_sets():
-    """The hyperbola sets, grids and random subsets of the square on which lemma 7's checks are compared."""
+    """The hyperbola sets, and sets of the square on x*y = a (mod p), on which lemma 7's checks are compared.
+
+    The recount needs every point on x*y = a (mod p); within that the square's
+    sets, all of it and random subsets, break lemma 7 in every way it can be.
+    """
     rng = random.Random(13)
-    sets = [enumerate_points(HyperbolaSpec(a, n)) for a, n in [(1, 9), (2, 25), (1, 27), (3, 49)]]
-    for n in (9, 25, 27, 49):
-        sets.append(_point_set(HyperbolaSpec(1, n), [(x, y) for x in range(1, n, 2) for y in range(1, n, 3)]))
-        square = [(x, y) for x in range(1, n) for y in range(1, n)]
-        sets.append(_point_set(HyperbolaSpec(1, n), rng.sample(square, min(len(square), 3 * n))))
+    sets = []
+    for a, n in [(1, 9), (2, 25), (1, 27), (3, 49)]:
+        p = PrimePower.from_modulus(n).p
+        square = [(x, y) for x in range(1, n) for y in range(1, n) if (x * y - a) % p == 0]
+        sets.append(enumerate_points(HyperbolaSpec(a, n)))
+        sets.append(_point_set(HyperbolaSpec(a, n), square))
+        sets.append(_point_set(HyperbolaSpec(a, n), rng.sample(square, min(len(square), 3 * n))))
     return sets
 
 
 def _line_class_violations_loop(ps, cen):
     """The lemma 7 line checks one rich line at a time, each recounted over the whole set."""
-    p = ps.spec.prime_power.p
+    p, a = ps.spec.prime_power.p, ps.spec.a
     violations = []
     for key, t in cen.lines():
         on = ps.xs[key.A * ps.xs + key.B * ps.ys + key.C == 0]
@@ -1096,21 +1101,16 @@ def _line_class_violations_loop(ps, cen):
             violations.append(f"line {tuple(key)}: p divides C")
         if (key.A * key.B) % p == 0:
             violations.append(f"line {tuple(key)}: p divides A*B")
-            continue
-        if (key.C * key.C - 4 * key.A * key.B) % p != 0:
+        elif (key.C * key.C - 4 * a * key.A * key.B) % p != 0:
             violations.append(f"line {tuple(key)}: discriminant not 0 mod p")
-        else:
-            expect = -key.C * pow(2 * key.A, -1, p) % p
-            if classes != {expect}:
-                violations.append(f"line {tuple(key)}: class {classes} != {expect}")
     return violations
 
 
 def test_verify_line_classes_matches_line_by_line_checks():
-    # sets that break lemma 7 in every way: grids and random subsets of the
-    # square, with the modulus of an odd prime power; and hyperbola sets
+    # sets that break lemma 7 in every way: sets of the square on x*y = a
+    # (mod p), with the modulus of an odd prime power; and hyperbola sets
     sets = _lemma7_test_sets()
-    kinds = ("meets classes", "p divides C", "p divides A*B", "discriminant", ": class ")
+    kinds = ("meets classes", "p divides C", "p divides A*B", "discriminant")
     seen = set()
     for ps in sets:
         cen = census(ps)
@@ -1122,16 +1122,34 @@ def test_verify_line_classes_matches_line_by_line_checks():
     assert seen == set(kinds)  # every kind of violation was met
 
 
+@pytest.mark.parametrize("a,n", [(2, 25), (3, 49), (2, 125), (3, 343)])
+def test_lemma7_holds_for_every_a(a, n):
+    # the discriminant of A*x**2 + C*x + a*B is C*C - 4aAB, not C*C - 4AB:
+    # every rich line of a whole set of any a has a double root
+    ps = enumerate_points(HyperbolaSpec(a, n))
+    rep = verify_line_classes(ps, census(ps))
+    assert rep.lines_checked and not rep.violations, rep.violations
+
+
+@pytest.mark.parametrize("verify", [verify_line_classes, verify_collinearity_bounds])
+def test_line_class_checks_refuse_a_set_off_the_curve_mod_p(verify):
+    # the recount finds a line's points in the roots of A*x**2 + C*x + a*B,
+    # which holds only where x*y = a (mod p); (1, 2) and (2, 2) are off it mod 5
+    ps = _point_set(HyperbolaSpec(1, 25), [(1, 1), (1, 2), (2, 2), (3, 2), (4, 4), (6, 6)])
+    with pytest.raises(OutOfScope, match="x\\*y = 1 \\(mod 5\\)"):
+        verify(ps, census(ps))
+
+
 def test_verify_collinearity_bounds():
     def verify(n):
         return verify_collinearity_bounds(enumerate_points(HyperbolaSpec(1, n)), _a1_census(n))
 
     r27 = verify(27)
-    assert r27.ok and r27.limit == 6 and r27.max_collinear <= 6
+    assert not r27.violations and r27.limit == 6 and r27.max_collinear <= 6
     r9 = verify(9)
-    assert r9.ok and not r9.violations
+    assert not r9.violations
     r25 = verify(25)
-    assert r25.ok and r25.limit == 10
+    assert not r25.violations and r25.limit == 10
     assert set(r25.class_line_counts) == {1, 2, 3, 4}
     assert verify(13).class_line_counts == {}  # m = 1: one point per class
     with pytest.raises(OutOfScope):
@@ -1146,7 +1164,7 @@ def _class_census_totals(ps):
 
 def test_class_line_counts_match_a_census_of_the_classes():
     # the a = 1, 2, 3 sets of every odd p**m, m >= 2, up to 2187, and sets
-    # whose rich lines split across classes: grids and random subsets
+    # whose rich lines split across classes: sets of the square on x*y = a (mod p)
     moduli = [n for n in range(9, 2188, 2) if (pp := PrimePower.from_modulus(n)) and pp.m >= 2]
     sets = [enumerate_points(HyperbolaSpec(a, n)) for n in moduli for a in (1, 2, 3) if math.gcd(a, n) == 1]
     sets += _lemma7_test_sets()
@@ -1159,12 +1177,14 @@ def test_class_line_counts_match_a_census_of_the_classes():
 
 
 def test_collinear_class_is_named_with_its_line():
-    # mod 25, class 1 is three points on 2x - 5y + 8 = 0; class 2 holds two
-    # points, too few to test, though the rich line y = x - 1 holds both; and
-    # class 3 is three points in general position, one of them on y = x - 1
-    ps = _point_set(HyperbolaSpec(1, 25), [(1, 2), (6, 4), (11, 6), (2, 1), (7, 6), (3, 2), (8, 2), (13, 4)])
+    # mod 25, all on x*y = 1 (mod 5): class 1 is three points on y = x + 5;
+    # class 2 holds two points, too few to test, though the rich line
+    # x + y = 25 holds both; and class 3 is three points in general position,
+    # one of them on x + y = 25, whose roots mod 5 are 2 and 3
+    pts = [(1, 6), (6, 11), (11, 16), (2, 23), (7, 18), (3, 22), (13, 2), (18, 12)]
+    ps = _point_set(HyperbolaSpec(1, 25), pts)
     rep = verify_collinearity_bounds(ps, census(ps))
-    assert rep.violations == ["class 1 is entirely collinear on (2, -5, 8)"]
+    assert rep.violations == ["class 1 is entirely collinear on (1, -1, 5)"]
     assert rep.class_line_counts == {1: 1, 2: 1, 3: 3, 4: 0}
 
 
