@@ -13,7 +13,7 @@ import os
 import sys
 import time
 
-from .distances import distance_profile, gap_experiment
+from .distances import ROW_TYPES, distance_profile, distance_rows, gap_experiment
 from .geometry import census, check_census_modulus
 from .hyperbola import EXACT_N_LIMIT, HyperbolaSpec, check_unit_budget, enumerate_points
 from .ntcore import is_prime
@@ -69,7 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
     vp.add_argument("--k", type=int, help="single construction index (gap)")
     vp.add_argument("--jobs", type=int, default=_default_jobs(), help="processes sharing each sweep, the caller included")
     vp.add_argument("--format", choices=("json", "csv", "text"), default="json")
-    vp.add_argument("--verbose", action="store_true", help="print the wall time, each process's load, the peak RSS and a line sweep's census stacks to stderr")
+    vp.add_argument("--verbose", action="store_true", help="print the wall time, each process's load, the peak RSS, a line sweep's census stacks and a distance sweep's rows to stderr")
 
     gp = sub.add_parser("gap", help="squared-primorial gap construction")
     gp.add_argument("--k", type=int, required=True, help="number of odd primes in the product")
@@ -191,6 +191,7 @@ def _cmd_verify(args) -> int:
     kwargs = _suite_kwargs(args)
     process_loads.clear()
     census_stacks.clear()
+    distance_rows.clear()
     t0 = time.perf_counter()
     report: VerificationReport = fn(**kwargs)
     elapsed = time.perf_counter() - t0
@@ -237,6 +238,9 @@ def _cmd_verify(args) -> int:
         if census_stacks:
             tiers = ", ".join(f"{tier} {count}" for tier, count in census_stacks.items())
             print(f"census stacks: {sum(census_stacks.values())} ({tiers})", file=sys.stderr)
+        if distance_rows:
+            types = ", ".join(f"{name} {distance_rows.get(name, 0)}" for name in ROW_TYPES)
+            print(f"distance rows: {sum(distance_rows.values())} ({types})", file=sys.stderr)
     return _EXIT_OK if report.passed else _EXIT_FAIL
 
 

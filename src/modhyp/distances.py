@@ -17,12 +17,15 @@ inverted in one call of the same checked kernel (``hyperbola.invert_units``:
 the table mod p gathered by x mod p, lifted to p**2 by one Newton step),
 and each row gathers those of its own root.  Every row is checked against
 x * y = a (mod n), sorted, and its distinct entries counted as runs.  Rows
-go in blocks of about 1 MB per int64 work array and reduce mod n with
+go in blocks of about 512 KB per work array and reduce mod n with
 ``hyperbola._reduce``; ``distance_profile``, ``intersection_direct`` and
-``image_count_formula`` are the one-row cases.  int64 is exact for
-n <= 2**31; the kernels raise ``InfeasibleScale`` above that, or when the
-units' working set (32 bytes per unit of n) would exceed a 2 GiB budget,
-n > 2**26, before allocating anything.  ``classify_image`` takes the
+``image_count_formula`` are the one-row cases.  Every product in a row is at
+most (n - 1)**2 and every entry x*x + y*y at most 2 * (n - 1)**2, so the rows
+are uint32 up to n = 46341, where that stays below 2**32 (p <= 215 for the
+root-progression rows mod p**2), and int64 above (``_row_type``); int64 is
+exact for n <= 2**31.  The kernels raise ``InfeasibleScale`` above that, or
+when the units' working set (32 bytes per unit of n) would exceed a 2 GiB
+budget, n > 2**26, before allocating anything.  ``classify_image`` takes the
 unsorted row of its one a from the same inversion.
 
 A third kernel, ``lattice_counts(p, a_values)``, counts the same
@@ -89,12 +92,55 @@ def _first_of_runs(s: np.ndarray) -> np.ndarray:
     return keep
 
 
-# Entries per int64 work array of a row block: 1 MB, so a block's rows and
-# its two work arrays take about 3 MB.  A row wider than this is filled one
-# column chunk at a time.  The value was copied from the census's row blocks,
-# which are now 2**16 entries (see geometry._ROW_BLOCK); the distance kernels'
-# own block size has not been measured since.
-_ROW_BLOCK = 1 << 17
+# Bytes per work array of a row block: 512 KB, so a block's rows and its two
+# work arrays take about 1.5 MB on either row type.  A row wider than this is
+# filled one column chunk at a time.  Per ``distinct_counts`` call (medians of
+# 11, BENCH_37.json), blocks of 256 and 512 KB were the fastest on both types
+# and within 3 % of each other: at the prime 46337 (uint32, 10 rows) 3.27 and
+# 3.37 ms against 4.96 ms at 1 MB, at 46349 (int64) 6.51 and 6.66 against
+# 6.91 ms, and at 1000003 (int64, in column chunks) 53.5 and 54.4 against
+# 58.9 ms.  ``lattice_counts``, whose blocks pay a fixed cost in numpy calls,
+# took 14.0, 13.5 and 13.3 ms over prop15's default residues at 256 KB,
+# 512 KB and 1 MB.
+_ROW_BLOCK = 1 << 19
+
+# The element type of the distance rows of n (``_row_type``), the first whose
+# limit n is within.  Every step keeps its values exact: a * x**-1 and x * y
+# multiply two residues below n, so they are at most (n - 1)**2, and
+# ``_reduce`` brings each back below n before the next product; a row entry
+# x*x + y*y is then at most 2 * (n - 1)**2.  That is below 2**32 up to
+# n = 46341, so uint32 holds it there (an ``intersection_counts`` row has
+# n = p**2, so p <= 215), and below 2**63 up to n = 2**31, the int64-exact
+# limit that ``check_unit_budget`` enforces.
+_ROW_TYPES = {
+    "uint32": (46341, np.uint32),
+    "int64": (EXACT_N_LIMIT, np.int64),
+}
+ROW_TYPES = tuple(_ROW_TYPES)
+
+# Distance rows per element type made since the dict was last cleared;
+# ``verify --verbose`` prints it to stderr.
+distance_rows: dict[str, int] = {}
+
+
+def _row_type(n: int) -> np.dtype:
+    """The element type of the distance rows of n <= 2**31; its name is in ROW_TYPES."""
+    return np.dtype(next(t for limit, t in _ROW_TYPES.values() if n <= limit))
+
+
+# Seconds per row entry of ``distinct_counts`` by row type (inversion,
+# squaring, sort and run counts), on one core of a shared 2-core x86-64 host
+# whose speed varies, the slower of two rounds (BENCH_37.json).  The sort's
+# share grows with the row width: uint32 took 8.3-8.5 ns (5.3-5.9 in the
+# faster round) at 97**2 to 211**2, its widest rows; int64 17.6 ns at
+# 223**2, 21.4 ns at 503**2 and 35.7 ns at 1291**2.  The int64 figure is the
+# one at 503**2, where a run of theorem14 --all-a reaches half an hour.
+_ROW_NS = {"uint32": 8.5, "int64": 22.0}
+
+
+def row_seconds(n: int, entries: int) -> float:
+    """Estimated seconds that ``distinct_counts`` takes over ``entries`` row entries mod n (``_ROW_NS``)."""
+    return entries * _ROW_NS[_row_type(n).name] * 1e-9
 
 
 def _run_counts(rows: np.ndarray) -> np.ndarray:
@@ -108,15 +154,20 @@ def _squared_rows(xs: np.ndarray, inv: np.ndarray, a: np.ndarray, n: int, row: n
     ``inv`` holds the inverses of the units ``xs`` and ``a`` is a column of
     residues.  Without ``row``, xs and inv are one row that every a_i shares;
     with it they are 2-D and a_i takes row ``row[i]`` of both, gathered block
-    by block.  Every row is checked against x * y = a_i (mod n).  The blocks
-    share one array that the next block overwrites, and a row wider than the
-    work arrays is filled one column chunk at a time.
+    by block.  The rows are of n's ``_row_type``, and every row is checked
+    against x * y = a_i (mod n).  The blocks share one array that the next
+    block overwrites, and a row wider than the work arrays is filled one
+    column chunk at a time.
     """
+    dtype = _row_type(n)
+    xs, inv, a = (v.astype(dtype, copy=False) for v in (xs, inv, a))
+    distance_rows[dtype.name] = distance_rows.get(dtype.name, 0) + len(a)
     k = xs.shape[-1]
-    per_block = min(max(1, _ROW_BLOCK // k), len(a))
-    out = np.empty((per_block, k), dtype=np.int64)
-    width = min(k, _ROW_BLOCK)
-    work = np.empty((2, per_block, width), dtype=np.int64)
+    entries = max(1, _ROW_BLOCK // dtype.itemsize)
+    per_block = min(max(1, entries // k), len(a))
+    out = np.empty((per_block, k), dtype=dtype)
+    width = min(k, entries)
+    work = np.empty((2, per_block, width), dtype=dtype)
     for lo in range(0, len(a), per_block):
         a_col = a[lo : lo + per_block]
         rows = out[: len(a_col)]
@@ -174,7 +225,7 @@ def distinct_counts(n: int, a_values: list[int]) -> list[int]:
 def distance_profile(spec: HyperbolaSpec) -> DistanceProfile:
     """Exact profile of squared distances over the whole point set: the one-row case."""
     (row,) = next(_distance_rows(spec.n, [spec.a]))
-    return DistanceProfile(spec, row[_first_of_runs(row)])
+    return DistanceProfile(spec, row[_first_of_runs(row)].astype(np.int64, copy=False))
 
 
 def prime_distance_count(a: int, p: int) -> int:
@@ -279,14 +330,14 @@ def lattice_counts(p: int, a_values: list[int]) -> list[int]:
     with off = 0 or p, and s = u - t - 1 + p, and it is a cell when t is an
     integer and (t, s) lies in the rectangle.  (t, s) -> (u, v) is injective,
     so the cell count is the count of such divisors u.  Rows go in blocks of
-    about ``_ROW_BLOCK`` entries of the walk.
+    about ``_ROW_BLOCK`` bytes of the walk.
     """
     n = p * p
     check_unit_budget(n, 0)  # the walk comes in bounded blocks: only the int64 limit applies
     roots = _residue_roots(p, a_values)
     inverse = {b: pow(b, -1, p) for b in set(roots)}
     u = np.arange(-1, -p, -1, dtype=np.int64)
-    per_block = max(1, _ROW_BLOCK // len(u))
+    per_block = max(1, _ROW_BLOCK // u.itemsize // len(u))
     work = np.empty((min(per_block, len(roots)), len(u)), dtype=np.int64)
     counts = []
     for lo in range(0, len(roots), per_block):

@@ -161,8 +161,11 @@ _BLOCK = 1 << 16
 def _reduce(v: np.ndarray, n: int, quotient: np.ndarray) -> None:
     """v %= n in place for v >= 0, as v - (v // n) * n through the work array ``quotient``.
 
-    numpy divides int64 by a scalar through libdivide, about 1 ns an entry
-    against about 4 ns for ``%``, so the three passes cost less than one.
+    It serves the int64 arrays of the inversion and the uint32 distance rows
+    of ``distances._squared_rows`` alike: (v // n) * n <= v, so nothing wraps
+    in an unsigned type.  numpy divides either type by a scalar through
+    libdivide, about 0.8 ns an int64 entry and 0.3 ns a uint32 one against
+    3.6 and 2.2 ns for ``%``, so the three passes cost less than one.
     """
     np.floor_divide(v, n, out=quotient)
     quotient *= n

@@ -37,6 +37,7 @@ from typing import Sequence
 
 from .distances import (
     _divisor_pairs,
+    distance_rows,
     distinct_counts,
     gap_experiment,
     image_count_formulas,
@@ -45,6 +46,7 @@ from .distances import (
     lattice_counts,
     prime_distance_count,
     prime_power_image_report,
+    row_seconds,
     sqrt_shift_data,
 )
 from .geometry import (
@@ -155,10 +157,12 @@ def _serve(worker, tasks, indices) -> tuple[list, float]:
 
 
 def _serve_process(worker, tasks, counter, conn) -> None:
-    """An extra process's share, sent once at the end: its (index, result) pairs and busy
-    seconds, or the exception it raised and that exception's formatted traceback."""
+    """An extra process's share, sent once at the end: its (index, result) pairs, busy
+    seconds and distance rows by type, or the exception it raised and that exception's
+    formatted traceback."""
+    distance_rows.clear()  # the fork's copy of the caller's tally: count this process's rows only
     try:
-        share = _serve(worker, tasks, _draws(counter))
+        share = *_serve(worker, tasks, _draws(counter)), distance_rows
     except Exception as exc:
         import traceback  # only a failing process needs it; at the top it adds about 1 ms to every start
 
@@ -191,7 +195,8 @@ def _run_parallel(worker, tasks, jobs):
     last: most sweeps list them in ascending size, and ``_run_stacked``
     orders its stacks by estimated cost.  Each extra process
     sends its (index, result) pairs once, when the counter runs dry; the
-    caller places them by index.  A worker's exception is raised again in the
+    caller places them by index and adds the process's distance rows to its
+    own ``distance_rows``.  A worker's exception is raised again in the
     caller, its cause a ``RuntimeError`` holding the traceback from the
     process that raised it; a process that exits without sending raises
     ``RuntimeError``, and on any error the processes still running are
@@ -225,6 +230,9 @@ def _run_parallel(worker, tasks, jobs):
             if isinstance(share[0], Exception):
                 exc, text = share
                 raise exc from RuntimeError(f"raised in a sweep process:\n{text}")
+            *share, rows = share
+            for name, count in rows.items():
+                distance_rows[name] = distance_rows.get(name, 0) + count
             shares.append(share)
     finally:
         for proc, receiver in procs:
@@ -555,8 +563,16 @@ def suite_prime_distance(n_max: int = 499, jobs: int = 1) -> VerificationReport:
 _ALL_A_BYTES_PER_RESIDUE = 1280
 
 
+# The longest run, in estimated minutes of one process's work, that theorem14
+# starts with an explicit p and --all-a.  Its p * (p - 1) rows of p * (p - 1)
+# entries each reach it near p = 530 (``row_seconds``).  p = 1291, which the
+# memory budget admits, is estimated at 17 hours, and its rows measured 35.7 ns
+# an entry, which makes 27.
+_ALL_A_MINUTES = 30
+
+
 def _check_theorem14_prime(p: int, all_a: bool) -> None:
-    """Refuse p unless it is an odd prime whose residues mod p**2 fit the budget."""
+    """Refuse p unless it is an odd prime whose residues mod p**2 fit the budgets of memory and, for all_a, time."""
     # the budget first, so trial division never runs on a huge p
     if all_a:
         check_unit_budget(p * p, _ALL_A_BYTES_PER_RESIDUE, "for the theorem14 residues")
@@ -564,6 +580,14 @@ def _check_theorem14_prime(p: int, all_a: bool) -> None:
         check_unit_budget(p * p)
     if p < 3 or not is_prime(p):
         raise ValueError(f"p = {p} is not an odd prime")
+    if all_a:
+        entries = (p * (p - 1)) ** 2
+        minutes = row_seconds(p * p, entries) / 60
+        if minutes > _ALL_A_MINUTES:
+            raise InfeasibleScale(
+                f"theorem14 --p {p} --all-a counts {entries:.3g} row entries, about {minutes:.0f} minutes "
+                f"of work, over the {_ALL_A_MINUTES}-minute budget"
+            )
 
 
 def _sampled_units(p: int, samples: int, seed: int) -> list[int]:

@@ -94,6 +94,7 @@ def test_theorem14_prime_checked_before_building(capsys, monkeypatch):
         (["--p", "46349"], "int64-exact"),  # p**2 > 2**31
         (["--p", "20011"], "budget"),
         (["--p", "1297", "--all-a"], "budget"),
+        (["--p", "1291", "--all-a"], "30-minute budget"),  # within the memory budget, not the time one
     ]:
         rc, out, err = run(capsys, "verify", "theorem14", *argv, "--jobs", "1")
         assert rc == 2, argv
@@ -326,10 +327,11 @@ def test_verbose_prints_each_process_load(capsys):
     assert rc == 0 and out == plain
     lines = err.splitlines()
     assert re.fullmatch(r"verify prime-distance: \d+\.\d\ds", lines[0])
-    loads = [re.fullmatch(r"  (caller|process 1): (\d+) tasks, \d+\.\d\ds busy", line) for line in lines[1:-1]]
+    loads = [re.fullmatch(r"  (caller|process 1): (\d+) tasks, \d+\.\d\ds busy", line) for line in lines[1:-2]]
     assert [m.group(1) for m in loads] == ["caller", "process 1"]
     assert sum(int(m.group(2)) for m in loads) == 5  # the odd primes up to 13
-    assert lines[-1].startswith("peak RSS: ")
+    assert lines[-2].startswith("peak RSS: ")
+    assert lines[-1] == "distance rows: 22 (uint32 22, int64 0)"  # 4 a values at p = 3, 5 at the others
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
@@ -341,9 +343,9 @@ def test_verbose_prints_the_peak_rss(capsys, jobs):
     rc, out, err = run(capsys, "verify", "prime-distance", "--n-max", "13", "--jobs", jobs, "--verbose")
     assert rc == 0 and out == plain
     lines = err.splitlines()
-    assert len(lines) == 2 + int(jobs)
+    assert len(lines) == 3 + int(jobs)  # the distance rows come last
     sweeps = r", sweep processes (\d+\.\d) MB" if jobs == "2" else ""
-    peak = re.fullmatch(rf"peak RSS: caller (\d+\.\d) MB{sweeps}", lines[-1])
+    peak = re.fullmatch(rf"peak RSS: caller (\d+\.\d) MB{sweeps}", lines[-2])
     assert peak and all(float(mb) > 1 for mb in peak.groups())
 
 
@@ -360,6 +362,27 @@ def test_verbose_prints_the_census_stacks_by_tier(capsys):
     assert err.splitlines()[-1] == "census stacks: 264 (float32 263, float64 1)"
     rc, _, err = run(capsys, "verify", "prime-distance", "--n-max", "13", "--verbose")
     assert "census" not in err  # no line sweep, no census
+
+
+def test_verbose_prints_the_distance_rows_by_type(capsys, monkeypatch):
+    # counted where the kernels run and summed over every sweep process, so
+    # --jobs 2 prints the same count; the default fixture's 86 rows are on 20
+    # moduli with uint32 rows and 4 (3**10, 5**7, 7**6, 7**7) with int64 ones
+    monkeypatch.chdir(ROOT)  # the tables report names its default fixture path as given
+    tables = next(digest for suite, extra, _, digest in REPORT_DIGESTS if suite == "tables" and not extra)
+    for jobs in "12":
+        rc, plain, _ = run(capsys, "verify", "tables", "--format", "json", "--jobs", jobs)
+        rc, out, err = run(capsys, "verify", "tables", "--format", "json", "--jobs", jobs, "--verbose")
+        assert rc == 0 and out == plain
+        assert hashlib.sha256(out.encode()).hexdigest() == tables
+        assert err.splitlines()[-1] == "distance rows: 86 (uint32 71, int64 15)"
+    # theorem14 at p = 7: 42 brute-force rows and 21 root-progression rows, all mod 49
+    rc, plain, _ = run(capsys, "verify", "theorem14", "--p", "7", "--all-a", "--format", "csv", "--jobs", "2")
+    rc, out, err = run(capsys, "verify", "theorem14", "--p", "7", "--all-a", "--format", "csv", "--jobs", "2", "--verbose")
+    assert rc == 0 and out == plain
+    assert err.splitlines()[-1] == "distance rows: 63 (uint32 63, int64 0)"
+    rc, _, err = run(capsys, "verify", "lemma7", "--n-max", "27", "--verbose")
+    assert "distance rows" not in err  # a line sweep makes no distance row
 
 
 def test_default_jobs_counts_the_cpus_this_process_may_use(monkeypatch):
@@ -401,7 +424,7 @@ def test_verbose_is_a_verify_flag(capsys):
     rc, out, err = run(capsys, "verify", "gap", "--k", "1", "--verbose")
     assert rc == 0
     assert out == plain
-    assert re.fullmatch(r"verify gap: \d+\.\d\ds\npeak RSS: caller \d+\.\d MB\n", err)
+    assert re.fullmatch(r"verify gap: \d+\.\d\ds\npeak RSS: caller \d+\.\d MB\ndistance rows: 1 \(uint32 1, int64 0\)\n", err)
 
 
 def test_gap_command(capsys):

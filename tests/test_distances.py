@@ -12,8 +12,10 @@ from modhyp.distances import (
     NoSquareRoot,
     NotApplicable,
     InfeasibleScale,
+    _row_type,
     classify_image,
     distance_profile,
+    distance_rows,
     distinct_counts,
     divisor_pairs,
     gap_experiment,
@@ -115,7 +117,7 @@ def test_distinct_counts_match_python_oracle(data):
     a_values = data.draw(st.lists(st.sampled_from(units), min_size=1, max_size=9), label="a_values")
     block = data.draw(st.integers(1, 3 * len(units)), label="row block")
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(modhyp.distances, "_ROW_BLOCK", block)
+        mp.setattr(modhyp.distances, "_ROW_BLOCK", block * _row_type(n).itemsize)  # bytes
         got = distinct_counts(n, a_values)
         profile = distance_profile(HyperbolaSpec(a_values[0], n))
     assert got == [_oracle_count(a, n) for a in a_values]
@@ -132,7 +134,7 @@ def test_intersection_counts_match_python_oracle(data):
     a_any = data.draw(st.lists(st.sampled_from(units), min_size=1, max_size=5), label="any a")
     block = data.draw(st.integers(1, 8 * p), label="row block")
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(modhyp.distances, "_ROW_BLOCK", block)
+        mp.setattr(modhyp.distances, "_ROW_BLOCK", block * _row_type(p * p).itemsize)  # bytes
         got = intersection_counts(p, a_res)
         formulas = image_count_formulas(p, a_any)
     assert got == [_oracle_intersection(a, p) for a in a_res]
@@ -171,19 +173,51 @@ def test_corrupted_inverse_row_fails_the_product_check(monkeypatch):
         inv[-1] = (inv[-1] + 1) % n
         return inv
 
-    monkeypatch.setattr(modhyp.distances, "_ROW_BLOCK", 100)
+    # 49 and 13**2 take uint32 rows, the prime 46349 and 223**2 int64 ones;
+    # 400 bytes is 100 uint32 or 50 int64 entries a block, so rows go in column chunks
+    monkeypatch.setattr(modhyp.distances, "_ROW_BLOCK", 400)
     assert distinct_counts(49, [3, 1, 2, 3]) == [_oracle_count(a, 49) for a in (3, 1, 2, 3)]
-    assert intersection_counts(13, [1, 4]) == [_oracle_intersection(a, 13) for a in (1, 4)]
+    assert distinct_counts(46349, [3, 1, 2]) == [prime_distance_count(a, 46349) for a in (3, 1, 2)]
+    for p in (13, 223):
+        assert intersection_counts(p, [1, 4]) == [_oracle_intersection(a, p) for a in (1, 4)]
     monkeypatch.setattr(modhyp.distances, "unit_partners", corrupted_partners)
     monkeypatch.setattr(modhyp.distances, "invert_units", corrupted_inverse)
-    with pytest.raises(RuntimeError, match="unit inversion failed"):
-        distinct_counts(49, [3, 1, 2, 3])
-    with pytest.raises(RuntimeError, match="unit inversion failed"):
-        distance_profile(HyperbolaSpec(5, 49))
-    with pytest.raises(RuntimeError, match="unit inversion failed"):
-        intersection_counts(13, [1, 4])
-    with pytest.raises(RuntimeError, match="unit inversion failed"):
-        image_count_formula(1, 13)
+    for n, p in ((49, 13), (46349, 223)):
+        with pytest.raises(RuntimeError, match="unit inversion failed"):
+            distinct_counts(n, [3, 1, 2, 3])
+        with pytest.raises(RuntimeError, match="unit inversion failed"):
+            distance_profile(HyperbolaSpec(5, n))
+        with pytest.raises(RuntimeError, match="unit inversion failed"):
+            intersection_counts(p, [1, 4])
+        with pytest.raises(RuntimeError, match="unit inversion failed"):
+            image_count_formula(1, p)
+
+
+def test_row_type_switches_where_twice_the_largest_square_leaves_32_bits():
+    # a row entry x*x + y*y is at most 2 * (n - 1)**2
+    assert 2 * 46340**2 < 2**32 <= 2 * 46341**2
+    assert _row_type(46341) == np.uint32
+    assert _row_type(46342) == np.int64
+    assert _row_type(2**31) == np.int64
+
+
+@pytest.mark.parametrize("p, row_type", [(46337, "uint32"), (46349, "int64")])
+def test_distinct_counts_meet_the_prime_closed_form_on_both_row_types(p, row_type):
+    a_values = [1, 2, 3, 5, 7, p - 1]  # residues and non-residues of both primes
+    distance_rows.clear()
+    assert distinct_counts(p, a_values) == [prime_distance_count(a, p) for a in a_values]
+    assert distance_rows == {row_type: len(a_values)}
+
+
+@pytest.mark.parametrize("p, row_type", [(211, "uint32"), (223, "int64")])
+def test_distinct_counts_meet_the_squared_prime_formula_on_both_row_types(p, row_type):
+    a_values = [1, 2, 3, 5, 7, p - 1, p + 1, p * p - 1]
+    residues = [a for a in a_values if legendre(a, p) == 1]
+    distance_rows.clear()
+    assert distinct_counts(p * p, a_values) == image_count_formulas(p, a_values)
+    assert intersection_counts(p, residues) == lattice_counts(p, residues)
+    # the brute-force rows, then the root-progression rows of the formula's and the check's residues
+    assert distance_rows == {row_type: len(a_values) + 2 * len(residues)}
 
 
 def test_distance_kernels_guard_before_allocating(monkeypatch):
@@ -457,8 +491,8 @@ def test_lattice_counts_match_direct_on_every_residue_of_101():
 
 
 def test_lattice_counts_split_by_row_block(monkeypatch):
-    # a row walks the p - 1 values of u once per rectangle; a small block
-    # splits the 78 residues of 13**2 into blocks of 40 // 12 = 3 rows
+    # a row walks the p - 1 int64 values of u once per rectangle; a block of
+    # 40 entries splits the 78 residues of 13**2 into blocks of 40 // 12 = 3 rows
     a_values = [a for a in range(1, 169) if legendre(a, 13) == 1]
     whole = lattice_counts(13, a_values)
     remainder = np.remainder
@@ -468,7 +502,7 @@ def test_lattice_counts_split_by_row_block(monkeypatch):
         walks.append(out.shape)
         return remainder(x, y, out=out)
 
-    monkeypatch.setattr(modhyp.distances, "_ROW_BLOCK", 40)
+    monkeypatch.setattr(modhyp.distances, "_ROW_BLOCK", 40 * 8)  # bytes
     monkeypatch.setattr(np, "remainder", recording)
     assert lattice_counts(13, a_values) == whole == intersection_counts(13, a_values)
     assert walks == [(3, 12)] * 52

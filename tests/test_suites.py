@@ -418,6 +418,21 @@ def test_theorem14_single_prime_case_count():
     assert rep.passed
 
 
+def test_theorem14_all_a_is_refused_past_its_time_budget(monkeypatch):
+    # the estimate alone refuses p = 1291, which the memory budget admits:
+    # (1291 * 1290)**2 int64 row entries at 22 ns each
+    def refuse(task):
+        raise AssertionError("theorem14 task reached")
+
+    monkeypatch.setattr(suites, "_formula_checks", refuse)
+    with pytest.raises(suites.InfeasibleScale, match=r"2\.77e\+12 row entries, about 1017 minutes of work, over the 30-minute budget"):
+        suite_theorem14(p=1291, all_a=True)
+    with pytest.raises(suites.InfeasibleScale, match="about 31 minutes"):
+        suites._check_theorem14_prime(541, True)
+    suites._check_theorem14_prime(523, True)  # the largest prime within it: about 27 minutes
+    suites._check_theorem14_prime(1291, False)  # the sampled mode has no time budget
+
+
 def test_theorem14_sampling_is_seeded():
     a = suite_theorem14(p=37, all_a=False, samples=10, seed=7).to_payload()
     b = suite_theorem14(p=37, all_a=False, samples=10, seed=7).to_payload()
